@@ -17,7 +17,7 @@ import numpy as np
 
 from .operators import b_op_jet
 from .profiles import MetricSpec, jet_C, jet_F
-from .curvature import scalar_curvature
+from .curvature import _HALF, _scalar_from_jets, _scalar_prime_from_jets
 
 __all__ = [
     "BtState",
@@ -406,23 +406,21 @@ def bt_nonextremal_search(
 def state_from_metric(m: MetricSpec, t: float, z: float, s_const: Optional[float] = None) -> tuple:
     """(BtState, F4d, C2d) sampled from a closed-form metric at z.
 
-    The s field is the metric's scalar curvature (with s′ via five-point
-    differences feeding K = CFs′) unless ``s_const`` pins it to a constant.
+    The s field is the metric's scalar curvature, from the same jets (and so
+    the same value) as ``scalar_curvature``, and K = CFs′ uses the analytic s′
+    from those jets; ``s_const`` instead pins s to a constant with s′ = 0.
     """
-    from fractions import Fraction
-
-    fj = jet_F(m, z)
-    cj = jet_C(m, z, powers=(1,))[Fraction(1)]
+    fj = jet_F(m, z).as_tuple()
+    cj = jet_C(m, z, powers=(1, _HALF))
+    c, h = cj[1].as_tuple(), cj[_HALF].as_tuple()
     if s_const is not None:
         s_val, s1 = float(s_const), 0.0
     else:
-        h = 1e-3
-        svals = [scalar_curvature(m, z + j * h) for j in (-2, -1, 0, 1, 2)]
-        s_val = svals[2]
-        s1 = (svals[0] - 8.0 * svals[1] + 8.0 * svals[3] - svals[4]) / (12.0 * h)
-    K = cj.value * fj.value * s1
-    state = BtState(z, fj.value, fj.d1, fj.d2, fj.d3, cj.value, cj.d1, s_val, K)
-    return state, fj.d4, cj.d2
+        s_val = _scalar_from_jets(fj, c, h)
+        s1 = _scalar_prime_from_jets(fj, c, h)
+    K = c[0] * fj[0] * s1
+    state = BtState(z, fj[0], fj[1], fj[2], fj[3], c[0], c[1], s_val, K)
+    return state, fj[4], c[2]
 
 
 def bt_grid_residual(m: MetricSpec, t: float, grid: Sequence[float]) -> float:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exppoly import ExpPoly
-from .curvature import curvature_sample, tf_ricci
+from .curvature import curvature_sample
 from .operators import l_compose, l_minus, l_plus
 from .profiles import (
     Canonical,

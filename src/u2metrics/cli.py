@@ -31,7 +31,7 @@ from .exppoly import EvalOverflowError
 from .geometry import TransformError, classify_end, find_bolts
 from .metricfile import MetricFileError, emit_metric, parse_metric
 from .numerics import BracketError, QuadratureError
-from .profiles import OutOfDomainError, SingularConformalFactorError
+from .profiles import OutOfDomainError, SingularConformalFactorError, conformal_value
 
 __all__ = ["main"]
 
@@ -164,7 +164,7 @@ def _cmd_curvature(args) -> int:
             (
                 z,
                 poly.eval(z),
-                _conformal(m, z),
+                conformal_value(m, z),
                 cs.s,
                 cs.ric0_a,
                 cs.ric0_b,
@@ -178,12 +178,6 @@ def _cmd_curvature(args) -> int:
         )
     _emit(_tsv(columns, rows), args.out)
     return 0
-
-
-def _conformal(m, z: float) -> float:
-    from .profiles import conformal_value
-
-    return conformal_value(m, z)
 
 
 def _cmd_ends(args) -> int:

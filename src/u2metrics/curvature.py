@@ -74,6 +74,21 @@ def _scalar_from_jets(fj, c, h):
     return -4.0 / c_val * (fj[2] + 0.5 * fj[0] - 2.0) - 24.0 * c_m32 * dz_term
 
 
+def _scalar_prime_from_jets(fj, c, h):
+    # s′ = 4C′C⁻²(F″ + ½F − 2) − 4C⁻¹(F‴ + ½F′)
+    #      + 36C^{-5/2}C′(F′h′ + Fh″) − 24C^{-3/2}(F″h′ + 2F′h″ + Fh‴),  h = C^{1/2}
+    c_val, c1 = c[0], c[1]
+    c_m32 = c_val ** -1.5
+    dz_term = fj[1] * h[1] + fj[0] * h[2]
+    dz_term1 = fj[2] * h[1] + 2.0 * fj[1] * h[2] + fj[0] * h[3]
+    return (
+        4.0 * c1 / (c_val * c_val) * (fj[2] + 0.5 * fj[0] - 2.0)
+        - 4.0 / c_val * (fj[3] + 0.5 * fj[1])
+        + 36.0 * c_m32 / c_val * c1 * dz_term
+        - 24.0 * c_m32 * dz_term1
+    )
+
+
 def scalar_curvature(m: MetricSpec, z: float) -> float:
     """Scalar curvature s(z); requires F(z), C(z) ≠ 0."""
     fj, c, h, _ = _jets(m, z)

@@ -5,8 +5,12 @@ that the profile and conformal-factor formulas ever produce, via √C factors).
 Coefficients are either exact rationals (:class:`fractions.Fraction`) or
 floats; arithmetic stays exact as long as every operand is exact.
 
-Values are immutable after construction and all operations are pure, so they
-can be shared freely between threads.
+Values are immutable after construction and all operations are pure.  Each
+value also carries a float cache for evaluation (sorted float exponents and,
+for every derivative order n, the row float(c·kⁿ)); it is filled on first use
+and replaced whole, never mutated, and refilling it gives the same rows, so
+values can still be shared freely between threads.  Equality and hashing
+depend on the exact terms alone.
 """
 from __future__ import annotations
 
@@ -63,7 +67,7 @@ class ExpPoly:
     zero polynomial is the empty term map.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_compiled")
 
     def __init__(self, terms=()):
         data: dict[Fraction, object] = {}
@@ -78,6 +82,7 @@ class ExpPoly:
             else:
                 data[k] = c
         object.__setattr__(self, "_terms", data)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ExpPoly is immutable")
@@ -199,28 +204,64 @@ class ExpPoly:
         return ExpPoly([(k, c * k**order) for k, c in self._terms.items()])
 
     # ------------------------------------------------------------ evaluation
+    def _rows(self, order: int) -> tuple:
+        """(exponents, float exponents, coefficient rows 0..≥order).
+
+        Terms are in exponent order; row n holds float(c·kⁿ) from the exact
+        coefficient (0.0 where the derivative drops the term), which is what
+        ``derive(n)`` followed by a float evaluation would use.
+        """
+        compiled = self._compiled
+        if compiled is not None and len(compiled[2]) > order:
+            return compiled
+        items = sorted(self._terms.items())
+        exps = tuple(k for k, _ in items)
+        coeffs = [c for _, c in items]
+        rows = []
+        for _ in range(max(order, 4) + 1):
+            rows.append(tuple(float(c) for c in coeffs))
+            coeffs = [c * k for c, k in zip(coeffs, exps)]
+        compiled = (exps, tuple(float(k) for k in exps), tuple(rows))
+        object.__setattr__(self, "_compiled", compiled)
+        return compiled
+
+    def _overflow(self, order: int, z: float) -> EvalOverflowError:
+        """The error for a non-finite value of row ``order`` at z: it names the
+        first non-finite term in exponent order, else the extreme exponent."""
+        exps, kfs, rows = self._rows(order)
+        live = [(k, kf, c) for k, kf, c in zip(exps, kfs, rows[order]) if c != 0.0]
+        for k, kf, c in live:
+            try:
+                term = c * math.exp(kf * z)
+            except OverflowError:
+                return EvalOverflowError(k, z)
+            if not math.isfinite(term):
+                return EvalOverflowError(k, z)
+        ks = [k for k, _, _ in live]
+        return EvalOverflowError(max(ks) if z > 0 else min(ks), z)
+
     def eval(self, z: float) -> float:
         """Floating-point value at z, terms accumulated in exponent order."""
-        total = 0.0
-        for k, c in sorted(self._terms.items()):
-            try:
-                term = float(c) * math.exp(float(k) * z)
-            except OverflowError:
-                raise EvalOverflowError(k, z) from None
-            if not math.isfinite(term):
-                raise EvalOverflowError(k, z)
-            total += term
-        if not math.isfinite(total):
-            raise EvalOverflowError(self.extreme_exponent(1 if z > 0 else -1), z)
-        return total
+        return self.jet(z, 0)[0]
 
     def jet(self, z: float, order: int = 4) -> tuple:
-        """(value, d/dz, ..., d^order/dz^order) at z."""
+        """(value, d/dz, ..., d^order/dz^order) at z; entry n equals
+        ``derive(n).eval(z)`` bit for bit."""
+        _, kfs, rows = self._rows(order)
+        try:
+            es = [math.exp(kf * z) for kf in kfs]
+        except OverflowError:
+            raise self._overflow(0, z) from None
         values = []
-        p = self
-        for _ in range(order + 1):
-            values.append(p.eval(z))
-            p = p.derive()
+        for n in range(order + 1):
+            total = 0.0
+            for c, e in zip(rows[n], es):
+                total += c * e
+            # once the value (row 0) is finite every exponential is, so a
+            # non-finite total comes from row n's own terms
+            if not math.isfinite(total):
+                raise self._overflow(n, z)
+            values.append(total)
         return tuple(values)
 
     # -------------------------------------------------------------- protocol

@@ -22,7 +22,6 @@ from .profiles import (
     RatioFactor,
     SingularConformalFactorError,
     conformal_value,
-    factor_ratio,
 )
 
 __all__ = [
@@ -147,11 +146,9 @@ def find_bolts(m: MetricSpec, scan_n: int = 4000) -> list:
 def _zero_order(poly, z0: float, max_order: int = 4) -> int:
     """Order of vanishing of an exponential polynomial at z0 (0 if nonzero)."""
     scale = sum(abs(float(c)) for _, c in poly.terms()) or 1.0
-    p = poly
-    for n in range(max_order + 1):
-        if abs(p.eval(z0)) > 1e-8 * scale:
+    for n, v in enumerate(poly.jet(z0, max_order)):
+        if abs(v) > 1e-8 * scale:
             return n
-        p = p.derive()
     return max_order + 1
 
 
@@ -162,7 +159,7 @@ def _endpoint_exponent(m: MetricSpec, z0: float) -> float:
     of the conformal factor's numerator/denominator; the arclength integral
     converges iff p > −1.
     """
-    num, den = factor_ratio(m.C)
+    num, den = m.c_ratio
     ord_f = _zero_order(m.f_poly(), z0)
     return 0.5 * (_zero_order(num, z0) - _zero_order(den, z0) - ord_f)
 
@@ -226,7 +223,7 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
         lam = math.log(f2 / f1)
         if lam >= -1e-9:
             return math.inf
-        total += f1 * (-1.0 / lam) * math.exp(0.0)  # ∫_cut^∞ f1·e^{λ(z-cut)} dz
+        total += f1 * (-1.0 / lam)  # ∫_cut^∞ f1·e^{λ(z-cut)} dz
         hi = cut
     if math.isinf(lo):
         cut = min(hi - 1.0, -30.0)
@@ -265,10 +262,10 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
 # ------------------------------------------------------------------------ ends
 def _c_exponent_at_infinity(m: MetricSpec, side: int) -> float:
     """Leading growth exponent of C = num/den as z → side·∞ (symbolic)."""
-    num, den = factor_ratio(m.C)
+    num, den = m.c_ratio
     kn = num.extreme_exponent(side)
     kd = den.extreme_exponent(side)
-    return float(kn - kd) * 1.0
+    return float(kn - kd)
 
 
 def _f_limit_is_one(poly, side: int) -> bool:
@@ -321,8 +318,7 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
         return EndReport(side, kind, complete, self_int, cone, diag)
 
     if math.isfinite(z_end):
-        f0 = poly.eval(z_end)
-        f1 = poly.derive().eval(z_end)
+        f0, f1 = poly.jet(z_end, 1)
         diag["F_at_end"] = f0
         diag["dF_at_end"] = f1
         if abs(f0) < 1e-10:
@@ -333,8 +329,7 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
                     return report("bolt", True, self_int=round(k))
                 return report("conical", True, cone=2.0 * math.pi * abs(k))
             # double zero: cusp or ALF depending on C
-            num, den = factor_ratio(m.C)
-            den0 = den.eval(z_end)
+            den0 = m.c_ratio[1].eval(z_end)
             diag["C_denominator_at_end"] = den0
             if abs(den0) < 1e-10:
                 return report("ALF", True)

@@ -2,13 +2,16 @@
 
 A metric is  g = F·dz² (up to the fixed coframe convention) described by a
 profile F(z) and a conformal factor C(z); this module holds the closed-form
-carriers for both and provides exact 4-jet evaluation.
+carriers for both and provides exact 4-jet evaluation.  A spec expands its
+carriers (F and C's num/den pair) once, on first use, and every evaluation
+shares them, so each polynomial's float rows are compiled once per spec.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from typing import Optional, Union
 
@@ -34,7 +37,6 @@ __all__ = [
     "jet_C",
     "conformal_value",
     "canonical_coefficients",
-    "normalize_canonical",
     "STRUCTURE_TAGS",
 ]
 
@@ -178,19 +180,6 @@ def canonical_coefficients(poly: ExpPoly) -> Optional[tuple]:
     )
 
 
-def normalize_canonical(c: Canonical) -> tuple:
-    """Translate z ↦ z + a so that |C1| becomes 1 (when C1 ≠ 0).
-
-    Returns (a, translated Canonical).  Under z ↦ z + a the coefficients map
-    to (C1·e^{-2a}, C2·e^{-a}, C3·e^{a}, C4·e^{2a}).
-    """
-    if c.c1 == 0:
-        return (0.0, c)
-    a = 0.5 * math.log(abs(float(c.c1)))
-    e = math.exp(a)
-    return (a, Canonical(float(c.c1) / e**2, float(c.c2) / e, float(c.c3) * e, float(c.c4) * e**2))
-
-
 # --------------------------------------------------------------------- C side
 @dataclass(frozen=True)
 class ExpFactor:
@@ -270,8 +259,17 @@ class MetricSpec:
                 if not (isinstance(self.C, ExpFactor) and self.C.eps == +1):
                     raise ValueError("tag Jminus requires C = C0·e^{+z}")
 
-    def f_poly(self) -> ExpPoly:
+    @cached_property
+    def _f_poly(self) -> ExpPoly:
         return profile_poly(self.F)
+
+    @cached_property
+    def c_ratio(self) -> tuple:
+        """(num, den) with C = num/den, built once per spec."""
+        return factor_ratio(self.C)
+
+    def f_poly(self) -> ExpPoly:
+        return self._f_poly
 
 
 def _check_domain(m: MetricSpec, z: float):
@@ -286,7 +284,7 @@ def jet_F(m: MetricSpec, z: float) -> Jet4:
 
 
 def _c_series(m: MetricSpec, z: float) -> list:
-    num, den = factor_ratio(m.C)
+    num, den = m.c_ratio
     ns = jet_to_series(num.jet(z, 4))
     ds = jet_to_series(den.jet(z, 4))
     if ds[0] == 0.0:
@@ -316,7 +314,7 @@ def jet_C(m: MetricSpec, z: float, powers=(1,)) -> dict:
 
 def conformal_value(m: MetricSpec, z: float) -> float:
     """C(z) as a plain float (may be non-positive; no singularity check)."""
-    num, den = factor_ratio(m.C)
+    num, den = m.c_ratio
     d = den.eval(z)
     if d == 0.0:
         raise SingularConformalFactorError(f"conformal denominator vanishes at z={z}")

@@ -18,6 +18,7 @@ from u2metrics.btflat import (
 )
 from u2metrics.catalog import catalog_get
 from u2metrics.classify import sample_grid
+from u2metrics.curvature import scalar_curvature
 
 
 class TestState:
@@ -58,6 +59,43 @@ class TestClosedFormResiduals:
         assert abs(f1res) < 1e-8
         assert abs(f2res) < 1e-8
         assert abs(tv) < 1e-7
+
+
+class TestStateFromMetric:
+    NAMES = ("page", "taub-nut", "eguchi-hanson", "burns", "modified-taub-nut-2", "modified-taub-bolt-1")
+
+    @staticmethod
+    def _interior(m):
+        return sample_grid(m.domain, 10)[1:-1]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_s_is_scalar_curvature(self, name):
+        m = catalog_get(name)
+        for z in self._interior(m):
+            state, _, _ = state_from_metric(m, 1.0, z)
+            assert state.s == scalar_curvature(m, z)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_analytic_s_prime_matches_five_point_difference(self, name):
+        # K/(C·F) is the analytic s′; compare a five-point difference of s at
+        # h = 1e-3 (truncation ~h⁴), relative with a floor of 1 because s′ = 0
+        # on the constant-s entries
+        m = catalog_get(name)
+        h = 1e-3
+        for z in self._interior(m):
+            state, _, _ = state_from_metric(m, 1.0, z)
+            sv = [scalar_curvature(m, z + j * h) for j in (-2, -1, 1, 2)]
+            fd = (sv[0] - 8.0 * sv[1] + 8.0 * sv[2] - sv[3]) / (12.0 * h)
+            got = state.K / (state.C * state.F)
+            assert abs(got - fd) <= 1e-7 * (1.0 + abs(fd)), (z, got, fd)
+
+    @pytest.mark.parametrize("name", [
+        "flat", "taub-nut", "modified-taub-nut-1", "taub-bolt", "burns", "eguchi-hanson",
+        "lebrun", "modified-lebrun", "eguchi-hanson-lambda", "fubini-study", "page",
+    ])
+    def test_bt_flat_catalog_residual_is_round_off(self, name):
+        m = catalog_get(name)
+        assert bt_grid_residual(m, 1.0, sample_grid(m.domain)) < 1e-12
 
 
 class TestSeeds:

@@ -1,9 +1,11 @@
 """Predicate classification and the exponential-family fit."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from u2metrics.btflat import bt_grid_residual
 from u2metrics.catalog import catalog_get
 from u2metrics.classify import (
     PREDICATES,
@@ -13,6 +15,7 @@ from u2metrics.classify import (
     fit_exp_family,
     sample_grid,
 )
+from u2metrics.exppoly import ExpPoly
 from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
 
 
@@ -117,3 +120,42 @@ class TestFitExpFamily:
     def test_degenerate_spacing(self):
         with pytest.raises(RankDeficientError):
             fit_exp_family([(0.0, 1.0)] * 10)
+
+
+class TestWorkPerGridPoint:
+    """Call counts, not timings: the expensive steps must not scale with the grid."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        """Count calls to ``owner.name`` wherever a u2metrics module binds it."""
+        original = getattr(owner, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("u2metrics") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_classify_derives_once_per_call_not_per_point(self, monkeypatch):
+        m = catalog_get("page")
+        classify(m, t=1.0, grid_n=8)  # expand the spec's carriers outside the count
+        calls = self._count(monkeypatch, ExpPoly, "derive")
+        counts = []
+        for n in (16, 64):
+            calls.clear()
+            classify(m, t=1.0, grid_n=n)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_bt_grid_residual_needs_no_scalar_curvature(self, monkeypatch):
+        import u2metrics.curvature
+
+        calls = self._count(monkeypatch, u2metrics.curvature, "scalar_curvature")
+        m = catalog_get("page")
+        bt_grid_residual(m, 1.0, sample_grid(m.domain, 16))
+        assert calls == []

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from u2metrics.catalog import catalog_get
-from u2metrics.classify import sample_grid
+from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import (
     NotKahlerError,
     bach,
     curvature_sample,
+    delta_w_potential,
     kahler_scalar_curvature,
     ricci_form_kahler,
     scalar_curvature,
@@ -125,3 +126,23 @@ class TestWeylEnergy:
         m = catalog_get("super-taub-nut")
         # F lives in the kernel of L+ minus constants, so the W+ energy is 0
         assert weyl_energy(m, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestDeltaWPotential:
+    @pytest.mark.parametrize("name", ["page", "taub-nut", "modified-taub-nut-2", "burns"])
+    def test_matches_curvature_sample(self, name):
+        m = catalog_get(name)
+        for z in sample_grid(m.domain, 12):
+            cs = curvature_sample(m, z)
+            for sign, want in (("plus", cs.delW_plus_pot), ("minus", cs.delW_minus_pot)):
+                got = delta_w_potential(m, sign, z)
+                assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_constant_on_half_harmonic_plus_metric(self):
+        # page is tagged half_harmonic_plus with W⁺ ≠ 0 (it is not asd)
+        m = catalog_get("page")
+        rep = classify(m)
+        assert rep.verdict("half_harmonic_plus") == "yes" and rep.verdict("asd") == "no"
+        pots = [delta_w_potential(m, "plus", z) for z in sample_grid(m.domain, 32)]
+        assert abs(pots[0]) > 1e-3
+        assert max(pots) - min(pots) <= 1e-12 * abs(pots[0])

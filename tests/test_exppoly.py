@@ -125,4 +125,77 @@ def test_jet_matches_derivatives(p, z):
     j = p.jet(z, 4)
     for order in range(5):
         want = p.derive(order).eval(z) if order else p.eval(z)
-        assert abs(j[order] - want) <= 1e-9 * (1.0 + abs(want))
+        assert j[order] == want
+
+
+def _reference_jet(p, z, order):
+    """Each derivative summed term by term in exponent order from the exact
+    coefficient: Σ float(c·kⁿ)·exp(float(k)·z) over the nonzero c·kⁿ."""
+    out = []
+    for n in range(order + 1):
+        total = 0.0
+        for k, c in p.terms():
+            cn = c * k**n
+            if cn != 0:
+                total += float(cn) * math.exp(float(k) * z)
+        out.append(total)
+    return tuple(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_polys, _zs, st.integers(min_value=0, max_value=7))
+def test_jet_is_bit_identical_to_reference(p, z, order):
+    want = _reference_jet(p, z, order)
+    assert p.jet(z, order) == want
+    assert p.eval(z) == want[0]
+
+
+class TestOverflowExponent:
+    def _exponents(self, p, z):
+        got = []
+        with pytest.raises(EvalOverflowError) as err:
+            p.eval(z)
+        got.append(err.value.exponent)
+        for order in range(5):
+            with pytest.raises(EvalOverflowError) as err:
+                p.jet(z, order)
+            got.append(err.value.exponent)
+        return got
+
+    def test_first_overflowing_term_in_exponent_order(self):
+        p = ExpPoly([(-1, 1), (2, 1), (3, 1)])
+        assert self._exponents(p, 1000.0) == [Fraction(2)] * 6
+
+    def test_negative_z_names_the_most_negative_exponent(self):
+        p = ExpPoly([(-2, 1), (Fraction(-1, 2), 3), (1, 1)])
+        assert self._exponents(p, -1000.0) == [Fraction(-2)] * 6
+
+    def test_overflowing_sum_names_the_extreme_exponent(self):
+        p = ExpPoly([(1, 1e308), (2, 1e308)])
+        assert self._exponents(p, 0.0) == [Fraction(1)] * 6
+        assert self._exponents(p, 0.1) == [Fraction(2)] * 6
+
+    def test_derivative_only_overflow(self):
+        # at z=0.4 the value 5e307·e^0.8 is finite, its derivative is not
+        p = ExpPoly([(0, 1), (2, 5e307)])
+        assert math.isfinite(p.eval(0.4))
+        with pytest.raises(EvalOverflowError) as want:
+            p.derive(1).eval(0.4)
+        assert want.value.exponent == Fraction(2)
+        for order in range(1, 5):
+            with pytest.raises(EvalOverflowError) as err:
+                p.jet(0.4, order)
+            assert err.value.exponent == Fraction(2)
+
+
+def test_equality_and_hash_ignore_evaluation_cache():
+    p = ExpPoly([(2, Fraction(3, 4)), (-1, Fraction(1, 2)), (0, 1)])
+    q = ExpPoly([(0, 1), (-1, Fraction(1, 2)), (2, Fraction(3, 4))])
+    h = hash(p)
+    p.eval(0.3)
+    p.jet(-0.7, 6)
+    assert p == q and q == p
+    assert hash(p) == h == hash(q)
+    assert len({p, q}) == 1
+    assert ExpPoly.constant(5).jet(1.0, 2) == (5.0, 0.0, 0.0)
+    assert ExpPoly.constant(5) == 5
