@@ -11,7 +11,6 @@ from .profiles import (
     Domain,
     EinsteinFactor,
     ExpFactor,
-    Jet4,
     MetricSpec,
     OutOfDomainError,
     RatioFactor,

@@ -410,9 +410,9 @@ def state_from_metric(m: MetricSpec, t: float, z: float, s_const: Optional[float
     the same value) as ``scalar_curvature``, and K = CFs′ uses the analytic s′
     from those jets; ``s_const`` instead pins s to a constant with s′ = 0.
     """
-    fj = jet_F(m, z).as_tuple()
+    fj = jet_F(m, z)
     cj = jet_C(m, z, powers=(1, _HALF))
-    c, h = cj[1].as_tuple(), cj[_HALF].as_tuple()
+    c, h = cj[1], cj[_HALF]
     if s_const is not None:
         s_val, s1 = float(s_const), 0.0
     else:

@@ -8,12 +8,12 @@ against the classifier by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .exppoly import ExpPoly
-from .numerics import BracketError, safeguarded_newton
+from .numerics import safeguarded_newton
 from .profiles import (
     Canonical,
     Domain,

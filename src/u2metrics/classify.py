@@ -19,16 +19,12 @@ from .exppoly import ExpPoly
 from .curvature import curvature_sample
 from .operators import l_compose, l_minus, l_plus
 from .profiles import (
-    Canonical,
     Domain,
     EinsteinFactor,
     ExpFactor,
     MetricSpec,
-    SingularConformalFactorError,
     canonical_coefficients,
     conformal_value,
-    jet_C,
-    jet_F,
 )
 
 __all__ = [
@@ -206,8 +202,6 @@ def classify(
 
     # Guard: residual predicates are meaningless where F or C vanishes.
     singular_reason = None
-    f_vals = []
-    c_vals = []
     try:
         for z in grid:
             fv = poly.eval(z)
@@ -218,8 +212,6 @@ def classify(
             if cv <= 0.0:
                 singular_reason = f"C is non-positive at grid point z={z:.6g}"
                 break
-            f_vals.append(fv)
-            c_vals.append(cv)
     except (ArithmeticError, ValueError) as exc:
         singular_reason = str(exc)
 
@@ -233,17 +225,14 @@ def classify(
             put(name, "indeterminate", math.inf, singular_reason)
         return report
 
-    f_vals = np.array(f_vals)
-    c_vals = np.array(c_vals)
-
     def verdict_of(residual, scale=1.0):
         return "yes" if residual <= tol * scale else "no"
 
+    # --- curvature samples on the grid: every pointwise quantity below reads these
+    samples = [curvature_sample(m, z) for z in grid]
+
     # --- Kähler orientations: (log C)' must equal −1 (J⁺) or +1 (J⁻).
-    dlogc = np.empty_like(c_vals)
-    for i, z in enumerate(grid):
-        cj = jet_C(m, z, powers=(1,))[Fraction(1)]
-        dlogc[i] = cj.d1 / cj.value
+    dlogc = np.array([cs.C1d / cs.C for cs in samples])
     if use_exact and isinstance(m.C, ExpFactor):
         kp_res = 0.0 if m.C.eps == -1 else 2.0
         km_res = 0.0 if m.C.eps == +1 else 2.0
@@ -262,8 +251,6 @@ def classify(
     else:
         put("extremal", "no", min(kp_res, km_res), "not Kähler for either orientation")
 
-    # --- curvature samples on the grid
-    samples = [curvature_sample(m, z) for z in grid]
     s_arr = np.array([cs.s for cs in samples])
     s_scale = 1.0 + float(np.max(np.abs(s_arr)))
     s0 = float(np.mean(s_arr))
@@ -332,21 +319,21 @@ def classify(
     )
 
     # --- hyperKähler shape tests: the first-order system and its mirror
+    f_positive = not any(cs.F <= 0.0 for cs in samples)
     for name, orient in (("hyperkahler_Iminus", -1), ("hyperkahler_Iplus", +1)):
-        if np.any(f_vals <= 0.0):
+        if not f_positive:
             put(name, "indeterminate", math.inf, "F not positive on grid")
             continue
         worst = 0.0
-        for i, z in enumerate(grid):
-            fj = jet_F(m, z)
-            sqrt_f = math.sqrt(fj.value)
+        for cs, dlc in zip(samples, dlogc):
+            sqrt_f = math.sqrt(cs.F)
             # I⁻:  F′/(2√F) = √F − 1   and  (log C)′ = −1 + 2/√F ; I⁺ mirrors signs.
             if orient < 0:
-                r1 = fj.d1 / (2.0 * sqrt_f) - (sqrt_f - 1.0)
-                r2 = dlogc[i] - (-1.0 + 2.0 / sqrt_f)
+                r1 = cs.F1d / (2.0 * sqrt_f) - (sqrt_f - 1.0)
+                r2 = dlc - (-1.0 + 2.0 / sqrt_f)
             else:
-                r1 = fj.d1 / (2.0 * sqrt_f) + (sqrt_f - 1.0)
-                r2 = dlogc[i] - (1.0 - 2.0 / sqrt_f)
+                r1 = cs.F1d / (2.0 * sqrt_f) + (sqrt_f - 1.0)
+                r2 = dlc - (1.0 - 2.0 / sqrt_f)
             worst = max(worst, abs(r1), abs(r2))
         put(name, verdict_of(worst), worst)
 

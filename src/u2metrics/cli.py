@@ -31,7 +31,7 @@ from .exppoly import EvalOverflowError
 from .geometry import TransformError, classify_end, find_bolts
 from .metricfile import MetricFileError, emit_metric, parse_metric
 from .numerics import BracketError, QuadratureError
-from .profiles import OutOfDomainError, SingularConformalFactorError, conformal_value
+from .profiles import OutOfDomainError, SingularConformalFactorError
 
 __all__ = ["main"]
 
@@ -156,15 +156,14 @@ def _cmd_curvature(args) -> int:
     m = _load_metric(args.file)
     grid = _parse_grid(args.grid)
     columns = ("z", "F", "C", "s", "ric0_a", "ric0_b", "w_plus", "w_minus", "B1", "B2", "P_plus", "P_minus")
-    poly = m.f_poly()
     rows = []
     for z in grid:
         cs = curvature_sample(m, z)
         rows.append(
             (
                 z,
-                poly.eval(z),
-                conformal_value(m, z),
+                cs.F,
+                cs.C,
                 cs.s,
                 cs.ric0_a,
                 cs.ric0_b,

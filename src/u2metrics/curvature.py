@@ -16,7 +16,7 @@ from typing import Optional
 
 from .exppoly import ExpPoly
 from .numerics import adaptive_simpson
-from .operators import b_op_jet, l_compose_jet, l_op_jet, l_plus
+from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet, l_plus
 from .profiles import MetricSpec, jet_C, jet_F
 
 __all__ = [
@@ -42,7 +42,14 @@ class NotKahlerError(ValueError):
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """Every curvature scalar/component of a metric at one z."""
+    """Every curvature scalar/component of a metric at one z.
+
+    ``F``, ``F1d``, ``C`` and ``C1d`` are F, F′, C and C′ at z, the values the
+    curvature was computed from (named as in ``BtState``).  ``delW_plus_pot``
+    and ``delW_minus_pot`` are the δW± potentials P± (see
+    :func:`delta_w_potential`); ``rho_plus``/``rho_minus`` are the Kähler
+    Ricci-form coefficients, present only on Jplus/Jminus-tagged metrics.
+    """
 
     z: float
     s: float
@@ -56,14 +63,12 @@ class CurvatureSample:
     delW_minus_pot: float
     bach_B1: float
     bach_B2: float
+    F: float
+    F1d: float
+    C: float
+    C1d: float
     rho_plus: Optional[float] = None
     rho_minus: Optional[float] = None
-
-
-def _jets(m: MetricSpec, z: float):
-    fj = jet_F(m, z).as_tuple()
-    cj = jet_C(m, z, powers=(1, _HALF, -_HALF))
-    return fj, cj[Fraction(1)].as_tuple(), cj[_HALF].as_tuple(), cj[-_HALF].as_tuple()
 
 
 def _scalar_from_jets(fj, c, h):
@@ -89,30 +94,69 @@ def _scalar_prime_from_jets(fj, c, h):
     )
 
 
+def curvature_sample(m: MetricSpec, z: float) -> CurvatureSample:
+    """All curvature quantities at one z (ρ± only when the metric is Kähler-tagged).
+
+    The one place the pointwise formulas are written, from one F jet and one
+    C jet (h = C^{1/2}, g = C^{-1/2}); the scalar functions below are
+    projections of it.
+        tf Ric:  ric0_a = 4F·g(g″ − ¼g),  ric0_b = 2(g(F′g′ + Fg″) − (½F″ − ¾F + 1)/C)
+        Weyl:    w± = −C⁻¹(L±F − 1),  |W±|² = (32/3)·C⁻²(L±F − 1)²
+        δW:      P± = e^{±(3/2)z}·(L±F − 1)·√C
+        Bach:    B1 = (16/3)C⁻²·F·(L⁻(L⁺F) − 1),  B2 = (8/3)C⁻²·B(F,F)
+        Kähler:  Jplus: ρ⁺ = −(2/C)(L⁺F − 1),  ρ⁻ = −(2/C)((−½F″ + ½F′ + F) − 1);
+                 Jminus is the z ↦ −z mirror.
+    """
+    fj = jet_F(m, z)
+    cj = jet_C(m, z, powers=(1, _HALF, -_HALF))
+    c, h, g = cj[1], cj[_HALF], cj[-_HALF]
+    c_val = c[0]
+    lp = l_op_jet("plus", fj)[0] - 1.0
+    lm = l_op_jet("minus", fj)[0] - 1.0
+    rho_p = rho_m = None
+    if m.tag == "Jplus":
+        rho_p = -(2.0 / c_val) * lp
+        rho_m = -(2.0 / c_val) * ((-0.5 * fj[2] + 0.5 * fj[1] + fj[0]) - 1.0)
+    elif m.tag == "Jminus":
+        rho_m = -(2.0 / c_val) * lm
+        rho_p = -(2.0 / c_val) * ((-0.5 * fj[2] - 0.5 * fj[1] + fj[0]) - 1.0)
+    return CurvatureSample(
+        z=z,
+        s=_scalar_from_jets(fj, c, h),
+        ric0_a=4.0 * fj[0] * g[0] * (g[2] - 0.25 * g[0]),
+        ric0_b=2.0 * (g[0] * (fj[1] * g[1] + fj[0] * g[2]) - (fj[2] * 0.5 - 0.75 * fj[0] + 1.0) / c_val),
+        w_plus=-lp / c_val,
+        w_minus=-lm / c_val,
+        w_plus_norm2=(32.0 / 3.0) * lp * lp / c_val**2,
+        w_minus_norm2=(32.0 / 3.0) * lm * lm / c_val**2,
+        delW_plus_pot=math.exp(1.5 * z) * lp * h[0],
+        delW_minus_pot=math.exp(-1.5 * z) * lm * h[0],
+        bach_B1=(16.0 / 3.0) / c_val**2 * fj[0] * (l_compose_jet(fj) - 1.0),
+        bach_B2=(8.0 / 3.0) / c_val**2 * b_op_jet(fj),
+        F=fj[0],
+        F1d=fj[1],
+        C=c_val,
+        C1d=c[1],
+        rho_plus=rho_p,
+        rho_minus=rho_m,
+    )
+
+
 def scalar_curvature(m: MetricSpec, z: float) -> float:
     """Scalar curvature s(z); requires F(z), C(z) ≠ 0."""
-    fj, c, h, _ = _jets(m, z)
-    return _scalar_from_jets(fj, c, h)
+    return curvature_sample(m, z).s
 
 
 def tf_ricci(m: MetricSpec, z: float) -> tuple:
     """(ric0_a, ric0_b), the two trace-free Ricci coefficients."""
-    fj, c, _, g = _jets(m, z)
-    ric0_a = 4.0 * fj[0] * g[0] * (g[2] - 0.25 * g[0])
-    ric0_b = 2.0 * (g[0] * (fj[1] * g[1] + fj[0] * g[2]) - (fj[2] * 0.5 - 0.75 * fj[0] + 1.0) / c[0])
-    return (ric0_a, ric0_b)
+    cs = curvature_sample(m, z)
+    return (cs.ric0_a, cs.ric0_b)
 
 
 def weyl(m: MetricSpec, z: float) -> tuple:
-    """(w_plus, w_minus, w_plus_norm2, w_minus_norm2).
-
-    w± = −C⁻¹(L±F − 1) and |W±|² = (32/3)·C⁻²(L±F − 1)².
-    """
-    fj = jet_F(m, z).as_tuple()
-    c = jet_C(m, z, powers=(1,))[Fraction(1)].value
-    lp = l_op_jet("plus", fj)[0] - 1.0
-    lm = l_op_jet("minus", fj)[0] - 1.0
-    return (-lp / c, -lm / c, (32.0 / 3.0) * lp * lp / c**2, (32.0 / 3.0) * lm * lm / c**2)
+    """(w_plus, w_minus, w_plus_norm2, w_minus_norm2)."""
+    cs = curvature_sample(m, z)
+    return (cs.w_plus, cs.w_minus, cs.w_plus_norm2, cs.w_minus_norm2)
 
 
 def delta_w_potential(m: MetricSpec, sign, z: float) -> float:
@@ -122,49 +166,34 @@ def delta_w_potential(m: MetricSpec, sign, z: float) -> float:
     half W± is identically zero, in which case δW± is trivially zero and the
     caller should detect that case first).
     """
-    fj = jet_F(m, z).as_tuple()
-    sqrt_c = jet_C(m, z, powers=(_HALF,))[_HALF].value
-    if sign in ("plus", "+", 1):
-        return math.exp(1.5 * z) * (l_op_jet("plus", fj)[0] - 1.0) * sqrt_c
-    return math.exp(-1.5 * z) * (l_op_jet("minus", fj)[0] - 1.0) * sqrt_c
+    plus = _sign_factor(sign) > 0
+    cs = curvature_sample(m, z)
+    return cs.delW_plus_pot if plus else cs.delW_minus_pot
 
 
 def bach(m: MetricSpec, z: float) -> tuple:
-    """(B1, B2): B1 = (16/3)C⁻²·F·(L⁻(L⁺F) − 1), B2 = (8/3)C⁻²·B(F,F)."""
-    fj = jet_F(m, z).as_tuple()
-    c = jet_C(m, z, powers=(1,))[Fraction(1)].value
-    b1 = (16.0 / 3.0) / c**2 * fj[0] * (l_compose_jet(fj) - 1.0)
-    b2 = (8.0 / 3.0) / c**2 * b_op_jet(fj)
-    return (b1, b2)
+    """(B1, B2), the two Bach coefficients."""
+    cs = curvature_sample(m, z)
+    return (cs.bach_B1, cs.bach_B2)
+
+
+def _require_kahler(m: MetricSpec):
+    if m.tag not in ("Jplus", "Jminus"):
+        raise NotKahlerError(f"metric {m.name!r} is not tagged Jplus/Jminus")
 
 
 def ricci_form_kahler(m: MetricSpec, z: float) -> tuple:
-    """(rho_plus, rho_minus), the Ricci-form coefficients of a Kähler metric.
-
-    For a Jplus metric (C = C0·e^{-z}):
-        rho_plus  = −(2/C)(L⁺F − 1)
-        rho_minus = −(2/C)((−½F″ + ½F′ + F) − 1)
-    The Jminus case is the z ↦ −z mirror of the same formulas.
-    """
-    if m.tag not in ("Jplus", "Jminus"):
-        raise NotKahlerError(f"metric {m.name!r} is not tagged Jplus/Jminus")
-    fj = jet_F(m, z).as_tuple()
-    c = jet_C(m, z, powers=(1,))[Fraction(1)].value
-    if m.tag == "Jplus":
-        rp = -(2.0 / c) * (l_op_jet("plus", fj)[0] - 1.0)
-        rm = -(2.0 / c) * ((-0.5 * fj[2] + 0.5 * fj[1] + fj[0]) - 1.0)
-    else:
-        rm = -(2.0 / c) * (l_op_jet("minus", fj)[0] - 1.0)
-        rp = -(2.0 / c) * ((-0.5 * fj[2] - 0.5 * fj[1] + fj[0]) - 1.0)
-    return (rp, rm)
+    """(rho_plus, rho_minus), the Ricci-form coefficients of a Kähler metric."""
+    _require_kahler(m)
+    cs = curvature_sample(m, z)
+    return (cs.rho_plus, cs.rho_minus)
 
 
 def kahler_scalar_curvature(m: MetricSpec, z: float) -> float:
     """s via the Kähler shortcut −(8/C)(L±F − 1); cross-check for the general formula."""
-    if m.tag not in ("Jplus", "Jminus"):
-        raise NotKahlerError(f"metric {m.name!r} is not tagged Jplus/Jminus")
-    fj = jet_F(m, z).as_tuple()
-    c = jet_C(m, z, powers=(1,))[Fraction(1)].value
+    _require_kahler(m)
+    fj = jet_F(m, z)
+    c = jet_C(m, z, powers=(1,))[1][0]
     sign = "plus" if m.tag == "Jplus" else "minus"
     return -(8.0 / c) * (l_op_jet(sign, fj)[0] - 1.0)
 
@@ -183,32 +212,3 @@ def weyl_energy(m: MetricSpec, a: float, b: float, tol: float = 1e-10) -> float:
 
     return adaptive_simpson(integrand, a, b, tol=tol, max_depth=40)
 
-
-def curvature_sample(m: MetricSpec, z: float) -> CurvatureSample:
-    """All curvature quantities at one z (ρ± only when the metric is Kähler-tagged)."""
-    fj, c, h, g = _jets(m, z)
-    s = _scalar_from_jets(fj, c, h)
-    ric0_a = 4.0 * fj[0] * g[0] * (g[2] - 0.25 * g[0])
-    ric0_b = 2.0 * (g[0] * (fj[1] * g[1] + fj[0] * g[2]) - (fj[2] * 0.5 - 0.75 * fj[0] + 1.0) / c[0])
-    lp = l_op_jet("plus", fj)[0] - 1.0
-    lm = l_op_jet("minus", fj)[0] - 1.0
-    c_val = c[0]
-    rho_p = rho_m = None
-    if m.tag in ("Jplus", "Jminus"):
-        rho_p, rho_m = ricci_form_kahler(m, z)
-    return CurvatureSample(
-        z=z,
-        s=s,
-        ric0_a=ric0_a,
-        ric0_b=ric0_b,
-        w_plus=-lp / c_val,
-        w_minus=-lm / c_val,
-        w_plus_norm2=(32.0 / 3.0) * lp * lp / c_val**2,
-        w_minus_norm2=(32.0 / 3.0) * lm * lm / c_val**2,
-        delW_plus_pot=math.exp(1.5 * z) * lp * h[0],
-        delW_minus_pot=math.exp(-1.5 * z) * lm * h[0],
-        bach_B1=(16.0 / 3.0) / c_val**2 * fj[0] * (l_compose_jet(fj) - 1.0),
-        bach_B2=(8.0 / 3.0) / c_val**2 * b_op_jet(fj),
-        rho_plus=rho_p,
-        rho_minus=rho_m,
-    )

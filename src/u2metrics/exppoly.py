@@ -125,9 +125,6 @@ class ExpPoly:
             return None
         return max(self._terms) if side > 0 else min(self._terms)
 
-    def to_float(self) -> "ExpPoly":
-        return ExpPoly([(k, float(c)) for k, c in self._terms.items()])
-
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other):
         other = self._coerce(other)

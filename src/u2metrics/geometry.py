@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .profiles import (
     EinsteinFactor,
     ExpFactor,
     MetricSpec,
-    RatioFactor,
     SingularConformalFactorError,
     conformal_value,
 )

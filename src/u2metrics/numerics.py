@@ -1,5 +1,5 @@
 """Shared numerical kernels: adaptive quadrature, safeguarded root finding,
-truncated Taylor-series arithmetic, and finite-difference stencils.
+and truncated Taylor-series arithmetic.
 
 Everything here is elementary and self-contained; the rest of the package
 builds its curvature formulas and ODE flows on top of these primitives.
@@ -19,7 +19,6 @@ __all__ = [
     "series_pow",
     "jet_to_series",
     "series_to_jet",
-    "five_point_derivative",
 ]
 
 SERIES_LEN = 5  # value + 4 derivatives
@@ -193,8 +192,3 @@ def series_pow(a, p) -> list:
     lead = a0**pf
     return [lead * v for v in out]
 
-
-def five_point_derivative(values, h: float) -> float:
-    """First derivative at the center of 5 samples at spacing h."""
-    v = values
-    return (v[0] - 8.0 * v[1] + 8.0 * v[3] - v[4]) / (12.0 * h)

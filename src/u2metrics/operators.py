@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exppoly import ExpPoly
-from .numerics import five_point_derivative
 from .profiles import Profile, profile_poly
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "l_compose_jet",
     "b_op_jet",
     "first_integral_residual",
-    "first_integral_residual_sampled",
 ]
 
 _HALF = Fraction(1, 2)
@@ -106,19 +104,3 @@ def first_integral_residual(F: Union[Profile, ExpPoly], grid: Sequence[float]) -
         return 0.0
     return max(abs(diff.eval(z)) for z in grid)
 
-
-def first_integral_residual_sampled(zs: Sequence[float], b_values: Sequence[float], rhs_values: Sequence[float]) -> float:
-    """Same residual on a uniformly spaced sampled trajectory.
-
-    dB/dz is taken by 5-point central differences, so the first and last two
-    samples are excluded from the maximum.
-    """
-    n = len(zs)
-    if n < 5:
-        raise ValueError("need at least 5 samples")
-    h = zs[1] - zs[0]
-    worst = 0.0
-    for i in range(2, n - 2):
-        db = five_point_derivative(b_values[i - 2 : i + 3], h)
-        worst = max(worst, abs(db - rhs_values[i]))
-    return worst

@@ -15,7 +15,7 @@ from functools import cached_property
 from numbers import Rational
 from typing import Optional, Union
 
-from .exppoly import ExpPoly, ExpPolyError
+from .exppoly import ExpPoly
 from .numerics import jet_to_series, series_div, series_pow, series_to_jet
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "RatioFactor",
     "ConformalModel",
     "MetricSpec",
-    "Jet4",
     "OutOfDomainError",
     "SingularConformalFactorError",
     "profile_poly",
@@ -58,24 +57,6 @@ def _num(x):
     if isinstance(x, float):
         return x
     raise TypeError(f"unsupported numeric type {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class Jet4:
-    """Value and derivatives of orders 1..4 at a point."""
-
-    value: float
-    d1: float
-    d2: float
-    d3: float
-    d4: float
-
-    def as_tuple(self) -> tuple:
-        return (self.value, self.d1, self.d2, self.d3, self.d4)
-
-    @staticmethod
-    def from_tuple(t) -> "Jet4":
-        return Jet4(*(float(v) for v in t))
 
 
 @dataclass(frozen=True)
@@ -277,10 +258,10 @@ def _check_domain(m: MetricSpec, z: float):
         raise OutOfDomainError(f"z={z} outside domain [{m.domain.lo}, {m.domain.hi}] of {m.name!r}")
 
 
-def jet_F(m: MetricSpec, z: float) -> Jet4:
-    """Exact termwise 4-jet of F at z (interior or closed endpoint)."""
+def jet_F(m: MetricSpec, z: float) -> tuple:
+    """(F, F′, F″, F‴, F⁗) at z (interior or closed endpoint), termwise exact."""
     _check_domain(m, z)
-    return Jet4.from_tuple(m.f_poly().jet(z, 4))
+    return m.f_poly().jet(z, 4)
 
 
 def _c_series(m: MetricSpec, z: float) -> list:
@@ -293,7 +274,7 @@ def _c_series(m: MetricSpec, z: float) -> list:
 
 
 def jet_C(m: MetricSpec, z: float, powers=(1,)) -> dict:
-    """Jets of the requested powers of C at z; requires C(z) > 0.
+    """{power: (value, d1, .., d4)} for the requested powers of C at z; requires C(z) > 0.
 
     Powers may be any rationals among {-3/2, -1, -1/2, 1/2, 1, 3/2} (others
     work too; the listed set is what the curvature formulas use).
@@ -305,10 +286,7 @@ def jet_C(m: MetricSpec, z: float, powers=(1,)) -> dict:
     out = {}
     for p in powers:
         key = Fraction(p) if not isinstance(p, Fraction) else p
-        if key == 1:
-            out[key] = Jet4.from_tuple(series_to_jet(cs))
-        else:
-            out[key] = Jet4.from_tuple(series_to_jet(series_pow(cs, float(key))))
+        out[key] = series_to_jet(cs if key == 1 else series_pow(cs, float(key)))
     return out
 
 

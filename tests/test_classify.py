@@ -7,6 +7,7 @@ import pytest
 
 from u2metrics.btflat import bt_grid_residual
 from u2metrics.catalog import catalog_get
+from u2metrics.curvature import curvature_sample
 from u2metrics.classify import (
     PREDICATES,
     RankDeficientError,
@@ -151,6 +152,29 @@ class TestWorkPerGridPoint:
             classify(m, t=1.0, grid_n=n)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("name", ["page", "modified-taub-nut-2"])
+    def test_classify_evaluates_jets_once_per_grid_point(self, monkeypatch, name):
+        # modified-taub-nut-2 is Jplus-tagged, so its samples also carry ρ±
+        import u2metrics.profiles
+
+        m = catalog_get(name)
+        points = len(sample_grid(m.domain, 64))
+        f_calls = self._count(monkeypatch, u2metrics.profiles, "jet_F")
+        c_calls = self._count(monkeypatch, u2metrics.profiles, "jet_C")
+        classify(m, grid_n=64)
+        assert (len(f_calls), len(c_calls)) == (points, points)
+
+    def test_curvature_sample_evaluates_each_jet_once(self, monkeypatch):
+        import u2metrics.profiles
+
+        m = catalog_get("modified-taub-nut-2")
+        assert m.tag == "Jplus"
+        f_calls = self._count(monkeypatch, u2metrics.profiles, "jet_F")
+        c_calls = self._count(monkeypatch, u2metrics.profiles, "jet_C")
+        cs = curvature_sample(m, 0.7)
+        assert cs.rho_plus is not None
+        assert (len(f_calls), len(c_calls)) == (1, 1)
 
     def test_bt_grid_residual_needs_no_scalar_curvature(self, monkeypatch):
         import u2metrics.curvature

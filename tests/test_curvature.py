@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from u2metrics.catalog import catalog_get
+from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import (
     NotKahlerError,
@@ -20,7 +20,7 @@ from u2metrics.curvature import (
 )
 from u2metrics.exppoly import ExpPoly
 from u2metrics.operators import l_plus
-from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
+from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, conformal_value
 
 
 def _grid(m, n=25):
@@ -129,14 +129,34 @@ class TestWeylEnergy:
 
 
 class TestDeltaWPotential:
-    @pytest.mark.parametrize("name", ["page", "taub-nut", "modified-taub-nut-2", "burns"])
+    @pytest.mark.parametrize("name", catalog_names())
     def test_matches_curvature_sample(self, name):
+        # every scalar function is a projection of the one kernel: equal, not close
         m = catalog_get(name)
+        poly = m.f_poly()
         for z in sample_grid(m.domain, 12):
             cs = curvature_sample(m, z)
-            for sign, want in (("plus", cs.delW_plus_pot), ("minus", cs.delW_minus_pot)):
-                got = delta_w_potential(m, sign, z)
-                assert abs(got - want) <= 1e-14 * abs(want)
+            assert (cs.F, cs.C) == (poly.eval(z), conformal_value(m, z))
+            assert scalar_curvature(m, z) == cs.s
+            assert tf_ricci(m, z) == (cs.ric0_a, cs.ric0_b)
+            assert weyl(m, z) == (cs.w_plus, cs.w_minus, cs.w_plus_norm2, cs.w_minus_norm2)
+            assert bach(m, z) == (cs.bach_B1, cs.bach_B2)
+            assert delta_w_potential(m, "plus", z) == cs.delW_plus_pot
+            assert delta_w_potential(m, "minus", z) == cs.delW_minus_pot
+            if m.tag in ("Jplus", "Jminus"):
+                assert ricci_form_kahler(m, z) == (cs.rho_plus, cs.rho_minus)
+                # ρ of the Kähler orientation is s/4, by the independent shortcut
+                rho = cs.rho_plus if m.tag == "Jplus" else cs.rho_minus
+                assert 4.0 * rho == kahler_scalar_curvature(m, z)
+            else:
+                assert cs.rho_plus is None and cs.rho_minus is None
+                with pytest.raises(NotKahlerError):
+                    ricci_form_kahler(m, z)
+
+    @pytest.mark.parametrize("sign", ["plu", "", 0, 2, None])
+    def test_unknown_sign_raises(self, sign):
+        with pytest.raises(ValueError):
+            delta_w_potential(catalog_get("page"), sign, 0.5)
 
     def test_constant_on_half_harmonic_plus_metric(self):
         # page is tagged half_harmonic_plus with W⁺ ≠ 0 (it is not asd)

@@ -1,0 +1,71 @@
+"""Source hygiene: no module in the package imports a name it never uses.
+
+A stdlib ``ast`` check standing in for a linter.  A name counts as used when
+it is read anywhere in the module (including inside annotations, quoted or
+not) or listed in ``__all__``; ``__init__.py`` is skipped because its imports
+are the package's re-exports.
+"""
+import ast
+import pathlib
+
+import pytest
+
+import u2metrics
+
+PACKAGE = pathlib.Path(u2metrics.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree) -> dict:
+    """name bound by an import -> line number, for every import in the module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as -> "ExpPoly"
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(path: pathlib.Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    return sorted(f"{path.name}:{line}: {name}" for name, line in _imported(tree).items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_checker_flags_an_unused_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from typing import Optional, Sequence\n"
+        "import math\n"
+        "__all__ = ['f']\n"
+        "def f(x: 'Optional[int]'):\n"
+        "    return x\n"
+    )
+    assert unused_imports(src) == ["mod.py:1: Sequence", "mod.py:2: math"]

@@ -7,7 +7,6 @@ from u2metrics.numerics import (
     BracketError,
     QuadratureError,
     adaptive_simpson,
-    five_point_derivative,
     jet_to_series,
     safeguarded_newton,
     series_div,
@@ -111,8 +110,3 @@ class TestSeries:
         with pytest.raises(ValueError):
             series_pow([-1.0, 0, 0, 0, 0], 0.5)
 
-
-def test_five_point_derivative():
-    h = 0.05
-    vals = [math.sin(0.3 + k * h) for k in (-2, -1, 0, 1, 2)]
-    assert five_point_derivative(vals, h) == pytest.approx(math.cos(0.3), abs=1e-6)

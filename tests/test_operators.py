@@ -2,7 +2,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from u2metrics.operators import (
     b_op,
     b_op_jet,
     first_integral_residual,
-    first_integral_residual_sampled,
     l_compose,
     l_compose_jet,
     l_minus,
@@ -100,15 +98,3 @@ class TestJetForms:
         assert got_compose == pytest.approx(l_compose(F).eval(z), rel=1e-12)
         assert got_b == pytest.approx(b_op(F).eval(z), rel=1e-12)
 
-
-class TestSampledResidual:
-    def test_sampled_residual_small_on_smooth_data(self):
-        F = ExpPoly([(0, 1), (3, 0.02)])
-        zs = np.linspace(-1.0, 1.0, 201)
-        h_b = [b_op(F).eval(z) for z in zs]
-        rhs = [(2 * F.derive() * (l_compose(F) - ExpPoly.constant(1))).eval(z) for z in zs]
-        assert first_integral_residual_sampled(zs, h_b, rhs) < 1e-5
-
-    def test_sampled_residual_needs_five_points(self):
-        with pytest.raises(ValueError):
-            first_integral_residual_sampled([0, 1, 2], [0, 0, 0], [0, 0, 0])

@@ -117,15 +117,15 @@ class TestJets:
         m = self._metric()
         poly = m.f_poly()
         j = jet_F(m, 1.3)
-        assert j.value == pytest.approx(poly.eval(1.3), rel=1e-15)
-        assert j.d2 == pytest.approx(poly.derive(2).eval(1.3), rel=1e-15)
+        assert j[0] == pytest.approx(poly.eval(1.3), rel=1e-15)
+        assert j[2] == pytest.approx(poly.derive(2).eval(1.3), rel=1e-15)
 
     def test_jet_c_sqrt_power(self):
         # C = e^{-z}: C^{1/2} = e^{-z/2}, so d1 = -value/2
         m = self._metric()
         j = jet_C(m, 0.8, powers=(Fraction(1, 2),))[Fraction(1, 2)]
-        assert j.value == pytest.approx(math.exp(-0.4), rel=1e-13)
-        assert j.d1 == pytest.approx(-0.5 * math.exp(-0.4), rel=1e-12)
+        assert j[0] == pytest.approx(math.exp(-0.4), rel=1e-13)
+        assert j[1] == pytest.approx(-0.5 * math.exp(-0.4), rel=1e-12)
 
     def test_out_of_domain_raises(self):
         m = self._metric()
