@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +52,9 @@ class SearchFailure(RuntimeError):
     """All search trials failed to produce a usable trajectory."""
 
 
-@dataclass(frozen=True)
-class BtState:
+class BtState(NamedTuple):
+    """One point of the flow: z and the 8-vector (F, F′, F″, F‴, C, C′, s, K)."""
+
     z: float
     F: float
     F1d: float
@@ -105,47 +106,41 @@ class BtTrajectory:
 
 
 # ----------------------------------------------------------------- residuals
-def _guard(state: BtState):
-    if state.C <= 0.0:
-        raise SingularSystemError(f"C={state.C} is not positive at z={state.z}")
-    if state.F == 0.0:
-        raise SingularSystemError(f"F vanishes at z={state.z}")
+# The helpers take the state's fields as floats, so ``bt_rhs`` (the flow's
+# hot path) unpacks a state once and the residuals share its formulas.
+def _guard(z: float, F: float, C: float):
+    if C <= 0.0:
+        raise SingularSystemError(f"C={C} is not positive at z={z}")
+    if F == 0.0:
+        raise SingularSystemError(f"F vanishes at z={z}")
 
 
-def _s_prime(state: BtState) -> float:
-    return state.K / (state.C * state.F)
-
-
-def _f1_parts(state: BtState) -> tuple:
+def _f1_parts(F, F1, F2, C, C1, s) -> tuple:
     """F1res = coef·C″ + rest, with coef = 12F/√C."""
-    F, F1, F2 = state.F, state.F1d, state.F2d
-    C, C1 = state.C, state.C1d
     sqrt_c = math.sqrt(C)
     h1 = C1 / (2.0 * sqrt_c)  # (C^{1/2})′
     coef = 24.0 * F / (2.0 * sqrt_c)  # = 12F·C^{-1/2}, multiplies C″
     rest = (
         24.0 * (F1 * h1 + F * (-(C1 * C1) / (4.0 * C * sqrt_c)))
         + 4.0 * sqrt_c * (F2 + 0.5 * F - 2.0)
-        + state.s * C * sqrt_c
+        + s * C * sqrt_c
     )
     return coef, rest
 
 
-def _solve_c2d(state: BtState) -> float:
-    coef, rest = _f1_parts(state)
+def _solve_c2d(F, F1, F2, C, C1, s) -> float:
+    coef, rest = _f1_parts(F, F1, F2, C, C1, s)
     if abs(coef) < _COEF_FLOOR:
         raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef:g})")
     return -rest / coef
 
 
-def _f2_value(state: BtState, t: float, F4d: float, C2d: float) -> float:
-    F, F1 = state.F, state.F1d
-    C, C1 = state.C, state.C1d
-    s1 = _s_prime(state)
+def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d) -> float:
+    """F2res at a state with s′ = s1 and the given F⁗, C″."""
     c_m12_d2 = -C2d / (2.0 * C**1.5) + 0.75 * C1 * C1 / C**2.5  # (C^{-1/2})″
     return (
-        (8.0 / 3.0) * (0.25 * F4d - 1.25 * state.F2d + F - 1.0)
-        + t * state.s * C**1.5 * (c_m12_d2 - 0.25 / math.sqrt(C))
+        (8.0 / 3.0) * (0.25 * F4d - 1.25 * F2 + F - 1.0)
+        + t * s * C**1.5 * (c_m12_d2 - 0.25 / math.sqrt(C))
         + 0.5 * t * (C / F) * F1 * s1
         + t * C1 * s1
     )
@@ -153,12 +148,10 @@ def _f2_value(state: BtState, t: float, F4d: float, C2d: float) -> float:
 
 def tval(state: BtState, t: float) -> float:
     """The first-integral operator T at a state (third order; no C″ or F⁗)."""
-    _guard(state)
-    F, F1 = state.F, state.F1d
-    C, C1 = state.C, state.C1d
-    s = state.s
-    s1 = _s_prime(state)
-    b = b_op_jet((F, F1, state.F2d, state.F3d))
+    z, F, F1, F2, F3, C, C1, s, K = state
+    _guard(z, F, C)
+    s1 = K / (C * F)
+    b = b_op_jet((F, F1, F2, F3))
     return (
         16.0 * b
         - 18.0 * t * F * C1 * s1
@@ -177,16 +170,17 @@ def bt_residuals(state: BtState, t: float, F4d: float, C2d: Optional[float] = No
     residual (≈ 0) is returned for audit.  Supply the model's true C″ to get a
     genuine F1 residual for closed-form data.
     """
-    _guard(state)
-    s1 = _s_prime(state)
-    cf_prime = state.C1d * state.F + state.C * state.F1d
-    s2 = -state.K * cf_prime / (state.C * state.F) ** 2  # s″ on the flow
-    e0 = cf_prime * s1 + state.C * state.F * s2
+    z, F, F1, F2, F3, C, C1, s, K = state
+    _guard(z, F, C)
+    s1 = K / (C * F)
+    cf_prime = C1 * F + C * F1
+    s2 = -K * cf_prime / (C * F) ** 2  # s″ on the flow
+    e0 = cf_prime * s1 + C * F * s2
     if C2d is None:
-        C2d = _solve_c2d(state)
-    coef, rest = _f1_parts(state)
+        C2d = _solve_c2d(F, F1, F2, C, C1, s)
+    coef, rest = _f1_parts(F, F1, F2, C, C1, s)
     f1res = coef * C2d + rest
-    f2res = _f2_value(state, t, F4d, C2d)
+    f2res = _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d)
     return (e0, f1res, f2res, tval(state, t))
 
 
@@ -198,31 +192,27 @@ def bt_rhs(state: BtState, t: float) -> tuple:
     (coefficient 2/3); raises :class:`SingularSystemError` when a solve
     coefficient falls below 1e-12 in magnitude.
     """
-    _guard(state)
-    C2d = _solve_c2d(state)
-    rest = _f2_value(state, t, 0.0, C2d)
+    z, F, F1, F2, F3, C, C1, s, K = state
+    _guard(z, F, C)
+    C2d = _solve_c2d(F, F1, F2, C, C1, s)
+    s1 = K / (C * F)
     # F2 = (2/3)·F⁗ + rest
-    F4d = -rest / (2.0 / 3.0)
-    s1 = _s_prime(state)
-    deriv = np.array([state.F1d, state.F2d, state.F3d, F4d, state.C1d, C2d, s1, 0.0])
-    return deriv, F4d, C2d
+    F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d) / (2.0 / 3.0)
+    return np.array([F1, F2, F3, F4d, C1, C2d, s1, 0.0]), F4d, C2d
 
 
-# Dormand-Prince 5(4) pair.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980): nodes c2..c5 (c6 = c7 =
+# 1), stage rows _A, the 5th-order weights _B (also the seventh stage's row,
+# so the pair is first same as last) and the 4th-order weights _E; the zero
+# weights b2 = e2 = b7 = 0 are written out as 0.0 in the sums.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
 
 
 def bt_integrate(
@@ -231,22 +221,34 @@ def bt_integrate(
     span: tuple,
     tol: float = 1e-10,
     max_steps: int = 200000,
+    *,
+    _drift_cap: float = math.inf,
 ) -> BtTrajectory:
     """Integrate the 8th-order flow over ``span`` with an embedded 5(4) pair.
 
-    Adaptive step control at relative+absolute tolerance ``tol``; never steps
+    Adaptive step control at relative+absolute tolerance ``tol`` > 0 (the
+    RMS of the scaled 5th/4th-order difference must be ≤ 1); never steps
     across F = 0 or C = 0 — on a singular solve the trajectory is truncated
-    and flagged, with the partial samples returned.  K is carried, never
-    integrated, so its drift is exactly zero; the drift of the first integral
-    T is recorded in ``max_T_drift``.
+    and flagged, with the partial samples returned.  The pair is first-same-as-
+    last: the seventh stage is evaluated at (z + h, y5), so on acceptance it
+    is the next step's first stage, and a step costs six ``bt_rhs`` calls.
+    K is carried, never integrated, so its drift is exactly zero; the drift
+    of the first integral T is recorded in ``max_T_drift``.
+
+    The state is stepped as plain floats with every sum in the order of the
+    numpy formulation (stage sums left to right from 0, the error mean
+    pairwise), so trajectories are bit-identical to it.  ``_drift_cap`` is
+    the search's: the trajectory stops, truncated, at the first accepted
+    sample whose |T − T₀| exceeds it.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = float(span[0]), float(span[1])
     direction = 1.0 if b >= a else -1.0
     traj = BtTrajectory(t=t)
 
     z = a
-    y = init.vector()  # the state's own z is superseded by the span start
-    state = BtState.from_vector(z, y)
+    state = BtState.from_vector(z, init.vector())  # init's own z is superseded by the span start
     try:
         deriv, F4d, _ = bt_rhs(state, t)
     except SingularSystemError as exc:
@@ -255,29 +257,54 @@ def bt_integrate(
         return traj
     T0 = tval(state, t)
     traj.samples.append(BtSample(state, F4d, T0, 0.0, 0.0))
+    y = state[1:]
+    k0 = deriv.tolist()
 
     h = direction * min(0.01, abs(b - a))
     min_h = 1e-14 * max(1.0, abs(b - a))
-    k = [None] * 7
 
     while (b - z) * direction > 0.0:
         if abs(h) > abs(b - z):
             h = b - z
         try:
-            k[0] = deriv
-            failed = False
-            for i in range(1, 7):
-                yi = y + h * sum(_DP_A[i][j] * k[j] for j in range(i))
-                si = BtState.from_vector(z + _DP_C[i] * h, yi)
-                k[i], _, _ = bt_rhs(si, t)
-            y5 = y + h * sum(_DP_B5[i] * k[i] for i in range(7))
-            y4 = y + h * sum(_DP_B4[i] * k[i] for i in range(7))
-        except (SingularSystemError, FloatingPointError, OverflowError):
-            failed = True
-        if not failed:
-            scale = tol + tol * np.abs(y)
-            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-        if failed or not math.isfinite(err):
+            u = [v + h * (0.0 + _A21 * p) for v, p in zip(y, k0)]
+            k1 = bt_rhs(BtState(z + _C2 * h, *u), t)[0].tolist()
+            u = [v + h * (0.0 + _A31 * p + _A32 * q) for v, p, q in zip(y, k0, k1)]
+            k2 = bt_rhs(BtState(z + _C3 * h, *u), t)[0].tolist()
+            u = [v + h * (0.0 + _A41 * p + _A42 * q + _A43 * r) for v, p, q, r in zip(y, k0, k1, k2)]
+            k3 = bt_rhs(BtState(z + _C4 * h, *u), t)[0].tolist()
+            u = [
+                v + h * (0.0 + _A51 * p + _A52 * q + _A53 * r + _A54 * w)
+                for v, p, q, r, w in zip(y, k0, k1, k2, k3)
+            ]
+            k4 = bt_rhs(BtState(z + _C5 * h, *u), t)[0].tolist()
+            u = [
+                v + h * (0.0 + _A61 * p + _A62 * q + _A63 * r + _A64 * w + _A65 * x)
+                for v, p, q, r, w, x in zip(y, k0, k1, k2, k3, k4)
+            ]
+            k5 = bt_rhs(BtState(z + h, *u), t)[0].tolist()
+            acc = [
+                0.0 + _B1 * p + 0.0 * q + _B3 * r + _B4 * w + _B5 * x + _B6 * o
+                for p, q, r, w, x, o in zip(k0, k1, k2, k3, k4, k5)
+            ]
+            last = BtState(z + h, *[v + h * a for v, a in zip(y, acc)])
+            d6, last_F4d, _ = bt_rhs(last, t)
+            k6 = d6.tolist()
+        except (SingularSystemError, OverflowError):
+            err = math.nan
+        else:
+            # b7 = 0: y5 equals the last stage's input wherever k6 is finite
+            y5 = [v + h * (a + 0.0 * g) for v, a, g in zip(y, acc, k6)]
+            y4 = [
+                v + h * (0.0 + _E1 * p + 0.0 * q + _E3 * r + _E4 * w + _E5 * x + _E6 * o + _E7 * g)
+                for v, p, q, r, w, x, o, g in zip(y, k0, k1, k2, k3, k4, k5, k6)
+            ]
+            e0, e1, e2, e3, e4, e5, e6, e7 = [(p - q) / (tol + tol * abs(v)) for p, q, v in zip(y5, y4, y)]
+            # the RMS, summed pairwise as numpy's mean of 8 values is
+            err = math.sqrt(
+                (((e0 * e0 + e1 * e1) + (e2 * e2 + e3 * e3)) + ((e4 * e4 + e5 * e5) + (e6 * e6 + e7 * e7))) / 8
+            )
+        if not math.isfinite(err):
             h *= 0.5
             traj.steps_rejected += 1
             if abs(h) < min_h:
@@ -286,19 +313,18 @@ def bt_integrate(
                 return traj
             continue
         if err <= 1.0:
+            # first same as last: the last stage is the accepted state and its derivative
             z = z + h
             y = y5
-            state = BtState.from_vector(z, y)
-            try:
-                deriv, F4d, _ = bt_rhs(state, t)
-            except SingularSystemError as exc:
-                traj.truncated = True
-                traj.truncation_reason = str(exc)
-                return traj
-            Tv = tval(state, t)
+            k0 = k6
+            Tv = tval(last, t)
             traj.max_T_drift = max(traj.max_T_drift, abs(Tv - T0))
-            traj.samples.append(BtSample(state, F4d, Tv, 0.0, 0.0))
+            traj.samples.append(BtSample(last, last_F4d, Tv, 0.0, 0.0))
             traj.steps_accepted += 1
+            if traj.max_T_drift > _drift_cap:
+                traj.truncated = True
+                traj.truncation_reason = f"T drift {abs(Tv - T0):g} above {_drift_cap:g} at z={z:.6g}"
+                return traj
             if traj.steps_accepted >= max_steps:
                 traj.truncated = True
                 traj.truncation_reason = "max step count reached"
@@ -365,7 +391,10 @@ def bt_nonextremal_search(
     Seed distributions: F, F′, F″ uniform in [−2, 2]; C uniform in [0.2, 3];
     C′ uniform in [−1, 1]; s uniform in [−1, 1].  Returns the trajectory with
     the largest extremality residual among trials whose conservation drift
-    stays below ``drift_cap``.
+    |T − T₀| stays within ``drift_cap``.  A trial is stopped, truncated, at
+    its first sample past the cap: the drift never decreases, so it could not
+    be chosen, and the chosen trajectory is the one a full integration of
+    every trial would choose.
     """
     if t == 0.0:
         raise ValueError("t must be nonzero")
@@ -387,12 +416,9 @@ def bt_nonextremal_search(
         except SeedError as exc:
             failures.append(f"trial {trial}: {exc}")
             continue
-        traj = bt_integrate(init, t, (0.0, span), tol=tol)
+        traj = bt_integrate(init, t, (0.0, span), tol=tol, _drift_cap=drift_cap)
         if traj.truncated or len(traj.samples) < 5:
             failures.append(f"trial {trial}: {traj.truncation_reason or 'too short'}")
-            continue
-        if traj.max_T_drift > drift_cap or traj.max_K_drift > drift_cap:
-            failures.append(f"trial {trial}: drift {traj.max_T_drift:g}")
             continue
         res = traj.extremality_residual()
         if res > best_res:

@@ -94,12 +94,58 @@ def _scalar_prime_from_jets(fj, c, h):
     )
 
 
+def _l_minus_one(sign, fj) -> float:
+    # L±F − 1, the common factor of w±, |W±|², P± and ρ±
+    return l_op_jet(sign, fj)[0] - 1.0
+
+
+def _tf_ricci_from_jets(fj, c, g) -> tuple:
+    c_val = c[0]
+    ric0_a = 4.0 * fj[0] * g[0] * (g[2] - 0.25 * g[0])
+    ric0_b = 2.0 * (g[0] * (fj[1] * g[1] + fj[0] * g[2]) - (fj[2] * 0.5 - 0.75 * fj[0] + 1.0) / c_val)
+    return ric0_a, ric0_b
+
+
+def _weyl_from_jets(lp, lm, c) -> tuple:
+    c_val = c[0]
+    return (-lp / c_val, -lm / c_val, (32.0 / 3.0) * lp * lp / c_val**2, (32.0 / 3.0) * lm * lm / c_val**2)
+
+
+def _delta_w_from_jets(sign, z, l_pm, h) -> float:
+    return math.exp(sign * 1.5 * z) * l_pm * h[0]
+
+
+def _bach_from_jets(fj, c) -> tuple:
+    c_val = c[0]
+    return (
+        (16.0 / 3.0) / c_val**2 * fj[0] * (l_compose_jet(fj) - 1.0),
+        (8.0 / 3.0) / c_val**2 * b_op_jet(fj),
+    )
+
+
+def _rho_from_jets(tag, fj, c) -> tuple:
+    c_val = c[0]
+    if tag == "Jplus":
+        return (
+            -(2.0 / c_val) * _l_minus_one("plus", fj),
+            -(2.0 / c_val) * ((-0.5 * fj[2] + 0.5 * fj[1] + fj[0]) - 1.0),
+        )
+    if tag == "Jminus":
+        return (
+            -(2.0 / c_val) * ((-0.5 * fj[2] - 0.5 * fj[1] + fj[0]) - 1.0),
+            -(2.0 / c_val) * _l_minus_one("minus", fj),
+        )
+    return None, None
+
+
 def curvature_sample(m: MetricSpec, z: float) -> CurvatureSample:
     """All curvature quantities at one z (ρ± only when the metric is Kähler-tagged).
 
-    The one place the pointwise formulas are written, from one F jet and one
-    C jet (h = C^{1/2}, g = C^{-1/2}); the scalar functions below are
-    projections of it.
+    Computed from one F jet and one C jet (h = C^{1/2}, g = C^{-1/2}) by the
+    ``_…_from_jets`` helpers, the one place each formula is written; the
+    scalar functions below call the same helpers with only the jets their
+    own component needs, so a component that leaves float range at z does
+    not make the others raise.
         tf Ric:  ric0_a = 4F·g(g″ − ¼g),  ric0_b = 2(g(F′g′ + Fg″) − (½F″ − ¾F + 1)/C)
         Weyl:    w± = −C⁻¹(L±F − 1),  |W±|² = (32/3)·C⁻²(L±F − 1)²
         δW:      P± = e^{±(3/2)z}·(L±F − 1)·√C
@@ -110,53 +156,57 @@ def curvature_sample(m: MetricSpec, z: float) -> CurvatureSample:
     fj = jet_F(m, z)
     cj = jet_C(m, z, powers=(1, _HALF, -_HALF))
     c, h, g = cj[1], cj[_HALF], cj[-_HALF]
-    c_val = c[0]
-    lp = l_op_jet("plus", fj)[0] - 1.0
-    lm = l_op_jet("minus", fj)[0] - 1.0
-    rho_p = rho_m = None
-    if m.tag == "Jplus":
-        rho_p = -(2.0 / c_val) * lp
-        rho_m = -(2.0 / c_val) * ((-0.5 * fj[2] + 0.5 * fj[1] + fj[0]) - 1.0)
-    elif m.tag == "Jminus":
-        rho_m = -(2.0 / c_val) * lm
-        rho_p = -(2.0 / c_val) * ((-0.5 * fj[2] - 0.5 * fj[1] + fj[0]) - 1.0)
+    lp = _l_minus_one("plus", fj)
+    lm = _l_minus_one("minus", fj)
+    rho_p, rho_m = _rho_from_jets(m.tag, fj, c)
+    s_val = _scalar_from_jets(fj, c, h)
+    ric0_a, ric0_b = _tf_ricci_from_jets(fj, c, g)
+    w_plus, w_minus, w_plus_norm2, w_minus_norm2 = _weyl_from_jets(lp, lm, c)
+    p_plus = _delta_w_from_jets(1, z, lp, h)
+    p_minus = _delta_w_from_jets(-1, z, lm, h)
+    bach_B1, bach_B2 = _bach_from_jets(fj, c)
     return CurvatureSample(
         z=z,
-        s=_scalar_from_jets(fj, c, h),
-        ric0_a=4.0 * fj[0] * g[0] * (g[2] - 0.25 * g[0]),
-        ric0_b=2.0 * (g[0] * (fj[1] * g[1] + fj[0] * g[2]) - (fj[2] * 0.5 - 0.75 * fj[0] + 1.0) / c_val),
-        w_plus=-lp / c_val,
-        w_minus=-lm / c_val,
-        w_plus_norm2=(32.0 / 3.0) * lp * lp / c_val**2,
-        w_minus_norm2=(32.0 / 3.0) * lm * lm / c_val**2,
-        delW_plus_pot=math.exp(1.5 * z) * lp * h[0],
-        delW_minus_pot=math.exp(-1.5 * z) * lm * h[0],
-        bach_B1=(16.0 / 3.0) / c_val**2 * fj[0] * (l_compose_jet(fj) - 1.0),
-        bach_B2=(8.0 / 3.0) / c_val**2 * b_op_jet(fj),
+        s=s_val,
+        ric0_a=ric0_a,
+        ric0_b=ric0_b,
+        w_plus=w_plus,
+        w_minus=w_minus,
+        w_plus_norm2=w_plus_norm2,
+        w_minus_norm2=w_minus_norm2,
+        delW_plus_pot=p_plus,
+        delW_minus_pot=p_minus,
+        bach_B1=bach_B1,
+        bach_B2=bach_B2,
         F=fj[0],
         F1d=fj[1],
-        C=c_val,
+        C=c[0],
         C1d=c[1],
         rho_plus=rho_p,
         rho_minus=rho_m,
     )
 
 
+def _jets(m: MetricSpec, z: float, *powers) -> tuple:
+    """The F jet and the C jets of the given powers at z."""
+    cj = jet_C(m, z, powers=powers)
+    return (jet_F(m, z),) + tuple(cj[Fraction(p)] for p in powers)
+
+
 def scalar_curvature(m: MetricSpec, z: float) -> float:
     """Scalar curvature s(z); requires F(z), C(z) ≠ 0."""
-    return curvature_sample(m, z).s
+    return _scalar_from_jets(*_jets(m, z, 1, _HALF))
 
 
 def tf_ricci(m: MetricSpec, z: float) -> tuple:
     """(ric0_a, ric0_b), the two trace-free Ricci coefficients."""
-    cs = curvature_sample(m, z)
-    return (cs.ric0_a, cs.ric0_b)
+    return _tf_ricci_from_jets(*_jets(m, z, 1, -_HALF))
 
 
 def weyl(m: MetricSpec, z: float) -> tuple:
     """(w_plus, w_minus, w_plus_norm2, w_minus_norm2)."""
-    cs = curvature_sample(m, z)
-    return (cs.w_plus, cs.w_minus, cs.w_plus_norm2, cs.w_minus_norm2)
+    fj, c = _jets(m, z, 1)
+    return _weyl_from_jets(_l_minus_one("plus", fj), _l_minus_one("minus", fj), c)
 
 
 def delta_w_potential(m: MetricSpec, sign, z: float) -> float:
@@ -166,15 +216,14 @@ def delta_w_potential(m: MetricSpec, sign, z: float) -> float:
     half W± is identically zero, in which case δW± is trivially zero and the
     caller should detect that case first).
     """
-    plus = _sign_factor(sign) > 0
-    cs = curvature_sample(m, z)
-    return cs.delW_plus_pot if plus else cs.delW_minus_pot
+    factor = _sign_factor(sign)
+    fj, h = _jets(m, z, _HALF)
+    return _delta_w_from_jets(factor, z, _l_minus_one(factor, fj), h)
 
 
 def bach(m: MetricSpec, z: float) -> tuple:
     """(B1, B2), the two Bach coefficients."""
-    cs = curvature_sample(m, z)
-    return (cs.bach_B1, cs.bach_B2)
+    return _bach_from_jets(*_jets(m, z, 1))
 
 
 def _require_kahler(m: MetricSpec):
@@ -185,8 +234,7 @@ def _require_kahler(m: MetricSpec):
 def ricci_form_kahler(m: MetricSpec, z: float) -> tuple:
     """(rho_plus, rho_minus), the Ricci-form coefficients of a Kähler metric."""
     _require_kahler(m)
-    cs = curvature_sample(m, z)
-    return (cs.rho_plus, cs.rho_minus)
+    return _rho_from_jets(m.tag, *_jets(m, z, 1))
 
 
 def kahler_scalar_curvature(m: MetricSpec, z: float) -> float:

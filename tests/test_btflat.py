@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from u2metrics import btflat
 from u2metrics.btflat import (
+    BtSample,
     BtState,
+    BtTrajectory,
     SeedError,
+    SingularSystemError,
     bt_csc_seed,
     bt_grid_residual,
     bt_integrate,
@@ -26,6 +30,14 @@ class TestState:
         s = BtState(0.3, 1.0, 0.2, -0.1, 0.05, 2.0, -0.4, 0.7, 0.01)
         back = BtState.from_vector(0.3, s.vector())
         assert back == s
+
+    def test_immutable_with_field_repr(self):
+        s = BtState(0.3, 1.0, 0.2, -0.1, 0.05, 2.0, -0.4, 0.7, 0.01)
+        with pytest.raises(AttributeError):
+            s.F = 2.0
+        assert repr(s) == (
+            "BtState(z=0.3, F=1.0, F1d=0.2, F2d=-0.1, F3d=0.05, C=2.0, C1d=-0.4, s=0.7, K=0.01)"
+        )
 
 
 class TestClosedFormResiduals:
@@ -148,6 +160,12 @@ class TestIntegration:
         assert traj.truncated
         assert traj.truncation_reason
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_rejects_non_positive_tolerance(self, tol):
+        seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+        with pytest.raises(ValueError):
+            bt_integrate(seed, 1.0, (0.0, 0.1), tol=tol)
+
 
 class TestSearch:
     def test_finds_nonextremal_witness(self):
@@ -172,3 +190,257 @@ def test_rhs_consistency_with_residuals():
     _, f1res, f2res, _ = bt_residuals(seed, 1.0, f4d, C2d=c2d)
     assert abs(f1res) < 1e-10
     assert abs(f2res) < 1e-10
+
+
+# ------------------------------------------------------------- bit identity
+# The numpy formulation of the DP5(4) stepper, kept verbatim: bt_integrate
+# steps plain floats with first-same-as-last reuse and must reproduce it bit
+# for bit.
+# Dormand-Prince 5(4) pair.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def _reference_integrate(
+    init: BtState,
+    t: float,
+    span: tuple,
+    tol: float = 1e-10,
+    max_steps: int = 200000,
+) -> BtTrajectory:
+    a, b = float(span[0]), float(span[1])
+    direction = 1.0 if b >= a else -1.0
+    traj = BtTrajectory(t=t)
+
+    z = a
+    y = init.vector()  # the state's own z is superseded by the span start
+    state = BtState.from_vector(z, y)
+    try:
+        deriv, F4d, _ = bt_rhs(state, t)
+    except SingularSystemError as exc:
+        traj.truncated = True
+        traj.truncation_reason = str(exc)
+        return traj
+    T0 = tval(state, t)
+    traj.samples.append(BtSample(state, F4d, T0, 0.0, 0.0))
+
+    h = direction * min(0.01, abs(b - a))
+    min_h = 1e-14 * max(1.0, abs(b - a))
+    k = [None] * 7
+
+    while (b - z) * direction > 0.0:
+        if abs(h) > abs(b - z):
+            h = b - z
+        try:
+            k[0] = deriv
+            failed = False
+            for i in range(1, 7):
+                yi = y + h * sum(_DP_A[i][j] * k[j] for j in range(i))
+                si = BtState.from_vector(z + _DP_C[i] * h, yi)
+                k[i], _, _ = bt_rhs(si, t)
+            y5 = y + h * sum(_DP_B5[i] * k[i] for i in range(7))
+            y4 = y + h * sum(_DP_B4[i] * k[i] for i in range(7))
+        except (SingularSystemError, FloatingPointError, OverflowError):
+            failed = True
+        if not failed:
+            scale = tol + tol * np.abs(y)
+            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        if failed or not math.isfinite(err):
+            h *= 0.5
+            traj.steps_rejected += 1
+            if abs(h) < min_h:
+                traj.truncated = True
+                traj.truncation_reason = f"step underflow near z={z:.6g}"
+                return traj
+            continue
+        if err <= 1.0:
+            z = z + h
+            y = y5
+            state = BtState.from_vector(z, y)
+            try:
+                deriv, F4d, _ = bt_rhs(state, t)
+            except SingularSystemError as exc:
+                traj.truncated = True
+                traj.truncation_reason = str(exc)
+                return traj
+            Tv = tval(state, t)
+            traj.max_T_drift = max(traj.max_T_drift, abs(Tv - T0))
+            traj.samples.append(BtSample(state, F4d, Tv, 0.0, 0.0))
+            traj.steps_accepted += 1
+            if traj.steps_accepted >= max_steps:
+                traj.truncated = True
+                traj.truncation_reason = "max step count reached"
+                return traj
+        else:
+            traj.steps_rejected += 1
+        factor = 0.9 * err ** (-0.2) if err > 0.0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        if abs(h) < min_h:
+            traj.truncated = True
+            traj.truncation_reason = f"step underflow near z={z:.6g}"
+            return traj
+    return traj
+
+
+def _reference_search(trials, drift_cap=1e-7):
+    """bt_nonextremal_search's selection over fully integrated trials."""
+    best, best_res = None, -1.0
+    for traj in trials:
+        if traj.truncated or len(traj.samples) < 5:
+            continue
+        if traj.max_T_drift > drift_cap or traj.max_K_drift > drift_cap:
+            continue
+        res = traj.extremality_residual()
+        if res > best_res:
+            best, best_res = traj, res
+    return best, best_res
+
+
+def _search_seeds(t, trials, seed):
+    """The CSC seeds bt_nonextremal_search integrates, drawn the same way."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        F, F1d, F2d = rng.uniform(-2.0, 2.0, size=3)
+        C = rng.uniform(0.2, 3.0)
+        C1d = rng.uniform(-1.0, 1.0)
+        s = rng.uniform(-1.0, 1.0)
+        if abs(F) < 0.2 or abs(s) < 0.05:
+            continue
+        try:
+            out.append(bt_csc_seed(F, F1d, F2d, C, C1d, s, t))
+        except SeedError:
+            continue
+    return out
+
+
+def _fingerprint(traj):
+    return (
+        repr(traj.samples),
+        traj.steps_accepted,
+        traj.steps_rejected,
+        traj.max_T_drift,
+        traj.truncated,
+        traj.truncation_reason,
+    )
+
+
+def _pin_cases():
+    m = catalog_get("taub-bolt", {"m": 1.0})
+    taub_bolt, _, _ = state_from_metric(m, 1.0, -1.05, s_const=0.0)
+    csc = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+    return {
+        "taub-bolt": (taub_bolt, 1.0, (-1.05, -0.25), 1e-10),
+        "csc-tol-1e-6": (csc, 1.0, (0.0, 0.6), 1e-6),
+        "csc-tol-1e-11": (csc, 1.0, (0.0, 0.6), 1e-11),
+        "backward": (csc, 1.0, (0.0, -0.4), 1e-10),
+        "F-to-zero": (BtState(0.0, 0.05, -1.5, 0.0, 0.0, 1.0, 0.0, 0.3, 0.0), 1.0, (0.0, 2.0), 1e-8),
+    }
+
+
+SEARCHES = ((1.0, 1), (2.0, 2))
+
+
+@pytest.fixture(scope="module")
+def search_trials():
+    """(t, seed) -> [(seed state, reference trajectory over the full span)]."""
+    return {
+        (t, seed): [(init, _reference_integrate(init, t, (0.0, 0.8))) for init in _search_seeds(t, 32, seed)]
+        for t, seed in SEARCHES
+    }
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("case", sorted(_pin_cases()))
+    def test_integration_matches_reference(self, case):
+        init, t, span, tol = _pin_cases()[case]
+        got = bt_integrate(init, t, span, tol=tol)
+        assert _fingerprint(got) == _fingerprint(_reference_integrate(init, t, span, tol=tol))
+
+    @pytest.mark.parametrize("t,seed", SEARCHES)
+    def test_every_search_trial_matches_reference(self, search_trials, t, seed):
+        trials = search_trials[(t, seed)]
+        assert len(trials) > 20
+        for init, ref in trials:
+            assert _fingerprint(bt_integrate(init, t, (0.0, 0.8))) == _fingerprint(ref)
+
+    @pytest.mark.parametrize("t,seed", SEARCHES)
+    def test_search_matches_full_span_reference(self, search_trials, t, seed):
+        best, res = bt_nonextremal_search(t, 32, seed=seed)
+        ref_best, ref_res = _reference_search([ref for _, ref in search_trials[(t, seed)]])
+        assert (repr(best.samples), res) == (repr(ref_best.samples), ref_res)
+        assert _fingerprint(best) == _fingerprint(ref_best)
+
+
+class TestWork:
+    def _counting_rhs(self, monkeypatch):
+        """Count btflat.bt_rhs calls (the traced name the stepper must use)."""
+        calls = {"n": 0, "raised": 0}
+        real = btflat.bt_rhs
+
+        def counted(state, t):
+            calls["n"] += 1
+            try:
+                return real(state, t)
+            except Exception:
+                calls["raised"] += 1
+                raise
+
+        monkeypatch.setattr(btflat, "bt_rhs", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["taub-bolt", "csc-tol-1e-6", "csc-tol-1e-11", "backward"])
+    def test_six_rhs_calls_per_step_attempt(self, monkeypatch, case):
+        init, t, span, tol = _pin_cases()[case]
+        calls = self._counting_rhs(monkeypatch)
+        traj = bt_integrate(init, t, span, tol=tol)
+        assert calls["raised"] == 0 and traj.steps_accepted > 0
+        assert calls["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
+
+    def test_six_rhs_calls_per_attempt_with_rejections(self, monkeypatch):
+        calls = self._counting_rhs(monkeypatch)
+        with_rejections = 0
+        for init in _search_seeds(1.0, 32, 1):
+            calls["n"] = calls["raised"] = 0
+            traj = bt_integrate(init, 1.0, (0.0, 0.8))
+            if calls["raised"]:
+                continue  # a stage that raised stops its attempt early
+            assert calls["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
+            with_rejections += traj.steps_rejected > 0
+        assert with_rejections > 0
+
+    @pytest.mark.parametrize("t,seed", SEARCHES)
+    def test_search_trials_stop_at_the_drift_cap(self, monkeypatch, t, seed):
+        cap = 1e-7
+        trajs = []
+        real = btflat.bt_integrate
+
+        def recording(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            trajs.append(traj)
+            return traj
+
+        monkeypatch.setattr(btflat, "bt_integrate", recording)
+        best, _ = bt_nonextremal_search(t, 32, seed=seed, drift_cap=cap)
+        assert best in trajs and best.max_T_drift <= cap
+        stopped = 0
+        for traj in trajs:
+            drifts = [abs(smp.Tval - traj.samples[0].Tval) for smp in traj.samples]
+            assert all(d <= cap for d in drifts[:-1])
+            if drifts[-1] > cap:
+                stopped += 1
+                assert traj.truncated and "drift" in traj.truncation_reason
+                assert traj.max_T_drift == drifts[-1]
+        assert stopped > 0

@@ -141,6 +141,12 @@ class TestBtCommands:
         assert lines[0].startswith("#")
         assert len(lines) > 5
 
+    def test_integrate_non_positive_tol_exits_1(self, tmp_path, capsys):
+        state = tmp_path / "seed.txt"
+        state.write_text("z 0.0\nF 1.3\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
+        assert main(["bt", "integrate", "--t", "1", "--init", str(state), "--span", "0:0.4", "--tol", "0"]) == 1
+        assert "--tol must be positive" in capsys.readouterr().err
+
     def test_search(self, capsys):
         assert main(["bt", "search", "--t", "1", "--trials", "6", "--seed", "1"]) == 0
         out = capsys.readouterr().out

@@ -36,6 +36,27 @@ class TestFlat:
             assert max(abs(v) for v in weyl(m, z)) < 1e-12
             assert max(abs(v) for v in bach(m, z)) < 1e-12
 
+    @pytest.mark.parametrize("z", [-400.0, 400.0])
+    def test_projection_survives_an_unrelated_component_out_of_range(self, z):
+        # C = e^{-z}: C² overflows at z = -400 and underflows to 0 at z = +400,
+        # so |W±|² and Bach leave float range there, but s, tf-Ric, P± and ρ± do not
+        m = catalog_get("flat")
+        with pytest.raises(ArithmeticError):
+            curvature_sample(m, z)
+        with pytest.raises(ArithmeticError):
+            weyl(m, z)
+        with pytest.raises(ArithmeticError):
+            bach(m, z)
+        assert scalar_curvature(m, z) == 0.0
+        ric0_a, ric0_b = tf_ricci(m, z)
+        assert ric0_a == 0.0
+        # ric0_b = 2(g·g″ − ¼/C) cancels two terms of size e^z/2: round-off only
+        assert abs(ric0_b) <= 1e-15 * math.exp(z)
+        assert (ric0_a, ric0_b) == {-400.0: (0.0, 0.0), 400.0: (0.0, -5.491838128104488e157)}[z]
+        assert delta_w_potential(m, "plus", z) == 0.0
+        assert delta_w_potential(m, "minus", z) == 0.0
+        assert ricci_form_kahler(m, z) == (0.0, 0.0)
+
 
 class TestTaubNut:
     def test_ricci_flat(self):

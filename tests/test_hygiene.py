@@ -1,4 +1,5 @@
-"""Source hygiene: no module in the package imports a name it never uses.
+"""Source hygiene: no module in the package imports a name it never uses,
+and every function the benchmark tracer wraps still exists.
 
 A stdlib ``ast`` check standing in for a linter.  A name counts as used when
 it is read anywhere in the module (including inside annotations, quoted or
@@ -6,6 +7,7 @@ not) or listed in ``__all__``; ``__init__.py`` is skipped because its imports
 are the package's re-exports.
 """
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -14,6 +16,7 @@ import u2metrics
 
 PACKAGE = pathlib.Path(u2metrics.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _imported(tree) -> dict:
@@ -69,3 +72,30 @@ def test_checker_flags_an_unused_import(tmp_path):
         "    return x\n"
     )
     assert unused_imports(src) == ["mod.py:1: Sequence", "mod.py:2: math"]
+
+
+def _tracer_targets() -> dict:
+    """label -> (module, attribute) from the tracer's SPANS and COUNTED, read with ast (not imported)."""
+    targets = {}
+    for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTED") for t in node.targets
+        ):
+            targets.update(ast.literal_eval(node.value))
+    return targets
+
+
+def test_tracer_reads_both_tables():
+    labels = _tracer_targets()
+    assert "btflat.bt_rhs" in labels and "classify.classify" in labels and "exppoly.eval" in labels
+
+
+@pytest.mark.parametrize("label", sorted(_tracer_targets()))
+def test_tracer_target_resolves(label):
+    # `perfbench/run.py --trace 1` wraps each of these; a renamed or removed
+    # function would make the tracer fail to install
+    mod_name, attr = _tracer_targets()[label]
+    target = importlib.import_module(mod_name)
+    for part in attr.split("."):
+        target = getattr(target, part)
+    assert callable(target)
