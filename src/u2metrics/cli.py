@@ -286,6 +286,10 @@ def _cmd_bt_integrate(args) -> int:
 
 
 def _cmd_bt_search(args) -> int:
+    if args.t == 0.0:
+        raise _UsageError("--t must be nonzero")
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     traj, residual = bt_nonextremal_search(args.t, trials=args.trials, seed=args.seed)
     if args.out:
         _emit(_traj_tsv(traj), args.out)

@@ -10,7 +10,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .classify import fit_exp_family
-from .exppoly import EvalOverflowError
 from .numerics import adaptive_simpson
 from .profiles import (
     Canonical,
@@ -142,119 +141,74 @@ def find_bolts(m: MetricSpec, scan_n: int = 4000) -> list:
 
 
 # ------------------------------------------------------------------- distance
-def _zero_order(poly, z0: float, max_order: int = 4) -> int:
-    """Order of vanishing of an exponential polynomial at z0 (0 if nonzero)."""
+def _zero_order(poly, z0: float, max_order: int = 4) -> tuple:
+    """(n, a) with poly ≈ a·(z − z0)ⁿ near z0: the order of vanishing of an
+    exponential polynomial at z0 (0 if nonzero) and its leading Taylor
+    coefficient; (max_order + 1, 0.0) if every derivative up to max_order
+    vanishes."""
     scale = sum(abs(float(c)) for _, c in poly.terms()) or 1.0
     for n, v in enumerate(poly.jet(z0, max_order)):
         if abs(v) > 1e-8 * scale:
-            return n
-    return max_order + 1
-
-
-def _endpoint_exponent(m: MetricSpec, z0: float) -> float:
-    """Leading power p in √(C/F) ~ (z − z0)^p at a finite endpoint.
-
-    The integrand's local behavior is read off the exact zero orders of F and
-    of the conformal factor's numerator/denominator; the arclength integral
-    converges iff p > −1.
-    """
-    num, den = m.c_ratio
-    ord_f = _zero_order(m.f_poly(), z0)
-    return 0.5 * (_zero_order(num, z0) - _zero_order(den, z0) - ord_f)
-
-
-def _tail_integral(f, z0: float, delta: float, ratio: float, toward_lower: bool, tol: float = 1e-11) -> float:
-    """∫ of f over the last ``delta`` before a finite endpoint where the
-    integrand blows up like a known integrable power (geometric piece ratio
-    ``ratio`` < 1 under interval halving)."""
-    total = 0.0
-    piece = 0.0
-    a_off, b_off = delta, delta / 2.0
-    # below this offset z0 ± off is no longer distinguishable from z0 itself
-    off_floor = 1e-13 * max(abs(z0), 1.0)
-    for _ in range(50):
-        if b_off < off_floor:
-            break
-        if toward_lower:
-            piece = adaptive_simpson(f, z0 + b_off, z0 + a_off, tol=tol)
-        else:
-            piece = adaptive_simpson(f, z0 - a_off, z0 - b_off, tol=tol)
-        total += piece
-        if abs(piece) < 1e-14 * max(abs(total), 1.0):
-            return total
-        a_off, b_off = b_off, b_off / 2.0
-    return total + piece * ratio / (1.0 - ratio)
+            return n, v / math.factorial(n)
+    return max_order + 1, 0.0
 
 
 def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
     """∫ ½√(C/F) dz between z1 and z2 (each within the domain closure).
 
-    Singular endpoints — F-zeros, conformal-factor poles, infinite z — are
-    handled by exponent analysis of the integrand; returns +inf for divergent
-    ends (cusps, infinite-length ends).
+    Every endpoint decision is read from the exact carriers, none from a
+    float probe.  An infinite end contributes an exponential tail past a cut
+    at |z| = 60 whose rate, ½(growth of C − growth of F), comes from the
+    leading exponents; a rate ≥ 0 returns +inf.  Subleading exponents lie at
+    least ½ below the leading ones, so they change that tail by a relative
+    e^{-30} or less.  The finite interval is split at its midpoint and each
+    half is integrated from its endpoint z0 after the substitution
+    z = z0 ± u²: the zero orders of F and of C's num/den give the local power
+    √(C/F) ~ |z − z0|^p, p ≤ −1 returns +inf (cusps, poles), and otherwise
+    the integrand u·√(C/F) is smooth in u with its u = 0 value taken from the
+    leading Taylor coefficients.  Where F vanishes at z0 it is evaluated as
+    F(z) − F(z0), so a bolt whose F(z0) rounds to ±ulp stays integrable.
+    Raises :class:`QuadratureError` when a half does not meet ``tol``.
     """
     if z1 > z2:
         z1, z2 = z2, z1
     poly = m.f_poly()
+    num, den = m.c_ratio
 
-    def integrand(z):
-        fv = poly.eval(z)
+    def integrand(z, f_base=0.0):
+        fv = poly.eval(z) - f_base
         cv = conformal_value(m, z)
         if fv <= 0.0 or cv <= 0.0:
             raise SingularConformalFactorError(f"√(C/F) undefined at z={z}")
         return 0.5 * math.sqrt(cv / fv)
 
-    def safe(z):
-        try:
-            return integrand(z)
-        except (ArithmeticError, EvalOverflowError, ValueError):
-            return math.inf
-
     total = 0.0
     lo, hi = z1, z2
-
-    # infinite upper end: integrate to a finite cut, then an exponential tail
-    if math.isinf(hi):
-        cut = max(lo + 1.0, 30.0)
-        f1, f2 = safe(cut), safe(cut + 1.0)
-        if not (math.isfinite(f1) and math.isfinite(f2)) or f1 <= 0.0 or f2 <= 0.0:
-            return math.inf
-        lam = math.log(f2 / f1)
-        if lam >= -1e-9:
-            return math.inf
-        total += f1 * (-1.0 / lam)  # ∫_cut^∞ f1·e^{λ(z-cut)} dz
-        hi = cut
-    if math.isinf(lo):
-        cut = min(hi - 1.0, -30.0)
-        f1, f2 = safe(cut), safe(cut - 1.0)
-        if not (math.isfinite(f1) and math.isfinite(f2)) or f1 <= 0.0 or f2 <= 0.0:
-            return math.inf
-        lam = math.log(f2 / f1)
-        if lam >= -1e-9:
-            return math.inf
-        total += f1 * (-1.0 / lam)
-        lo = cut
-
-    length = hi - lo
-    delta = min(0.05, 0.1 * length)
-
-    lo_singular = not math.isfinite(safe(lo))
-    hi_singular = not math.isfinite(safe(hi))
-    ratios = {}
-    for side, singular, z_end in (("lo", lo_singular, lo), ("hi", hi_singular, hi)):
-        if not singular:
+    for sgn in (1, -1):
+        end, other = (hi, lo) if sgn > 0 else (lo, hi)
+        if not math.isinf(end):
             continue
-        p = _endpoint_exponent(m, z_end)
-        if p <= -1.0 + 1e-12:
+        rate = 0.5 * (_c_exponent_at_infinity(m, sgn) * sgn - _f_growth_exponent(poly, sgn))
+        if rate >= 0.0:
             return math.inf
-        ratios[side] = 0.5 ** (p + 1.0)
-    a = lo + (delta if lo_singular else 0.0)
-    b = hi - (delta if hi_singular else 0.0)
-    total += adaptive_simpson(integrand, a, b, tol=tol)
-    if lo_singular:
-        total += _tail_integral(integrand, lo, delta, ratios["lo"], toward_lower=True, tol=tol)
-    if hi_singular:
-        total += _tail_integral(integrand, hi, delta, ratios["hi"], toward_lower=False, tol=tol)
+        cut = sgn * max(sgn * other + 1.0, 60.0)
+        total += integrand(cut) / -rate  # ∫ from the cut of f(cut)·e^{rate·|z − cut|}
+        lo, hi = (lo, cut) if sgn > 0 else (cut, hi)
+
+    half = 0.5 * (hi - lo)
+    for z0, s in ((lo, 1.0), (hi, -1.0)):
+        (of, af), (on, an), (od, ad) = (_zero_order(p, z0) for p in (poly, num, den))
+        twice_p = on - od - of
+        if twice_p <= -2:
+            return math.inf
+        f_base = poly.eval(z0) if of else 0.0
+        # u·√(C/F) ≈ √(s^{2p}·(an/ad)/af)·u^{2p+1} as u → 0
+        g0 = math.sqrt(s * an / (ad * af)) if twice_p == -1 else 0.0
+
+        def g(u):
+            return 2.0 * u * integrand(z0 + s * u * u, f_base) if u else g0
+
+        total += adaptive_simpson(g, 0.0, math.sqrt(half), tol=0.5 * tol)
     return total
 
 
@@ -288,14 +242,18 @@ def _f_growth_exponent(poly, side: int) -> float:
 def classify_end(m: MetricSpec, side: str) -> EndReport:
     """Classify the lower or upper end of the domain.
 
-    Decision procedure: leading exponents of F and C are extracted
-    symbolically from the exponential-polynomial carriers; a finite endpoint
-    with a simple F-zero is a bolt (conical when the slope is not a nonzero
-    integer), a double F-zero is a cusp (C bounded) or ALF end (C ~ (z−z0)⁻²);
-    an infinite endpoint with F → 1 is a nut (C decaying) or ALE end (C
-    growing); otherwise growth comparison of F against C separates
-    asymptotically-Einstein ends (F = O(C)) from curvature singularities
-    (F/C → ∞ with exponent gap ≥ 1).
+    Decision procedure, read from the exponential-polynomial carriers and
+    not from whether a float value rounded to zero: at a finite endpoint the
+    order of vanishing of F (``_zero_order``, the same helper
+    :func:`distance` uses) decides: order 1 is a bolt, or a conical end when the
+    slope F′ is not a nonzero integer; order ≥ 2 is an ALF end where C's
+    denominator vanishes too (C ~ (z−z0)⁻²) and a cusp where it does not;
+    order 0 is undetermined.  At an infinite endpoint the leading exponents
+    decide: F → 1 is a nut (C decaying) or ALE end (C growing); otherwise
+    growth comparison of F against C separates asymptotically-Einstein ends
+    (F = O(C)) from curvature singularities (F/C → ∞ with exponent gap ≥ 1).
+    ``diagnostics["distance_to_end"]`` is :func:`distance` from the
+    midpoint of the finite window (NaN if the quadrature failed).
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
@@ -320,19 +278,17 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
         f0, f1 = poly.jet(z_end, 1)
         diag["F_at_end"] = f0
         diag["dF_at_end"] = f1
-        if abs(f0) < 1e-10:
-            if abs(f1) > _SLOPE_TOL:
-                k = f1
-                diag["slope"] = k
-                if abs(k - round(k)) < _SLOPE_TOL and round(k) != 0:
-                    return report("bolt", True, self_int=round(k))
-                return report("conical", True, cone=2.0 * math.pi * abs(k))
-            # double zero: cusp or ALF depending on C
-            den0 = m.c_ratio[1].eval(z_end)
-            diag["C_denominator_at_end"] = den0
-            if abs(den0) < 1e-10:
-                return report("ALF", True)
-            return report("cusp", True)
+        order, _ = _zero_order(poly, z_end)
+        if order == 1:
+            diag["slope"] = f1
+            if abs(f1 - round(f1)) < _SLOPE_TOL and round(f1) != 0:
+                return report("bolt", True, self_int=round(f1))
+            return report("conical", True, cone=2.0 * math.pi * abs(f1))
+        if order >= 2:
+            # double zero: ALF where C has a pole, cusp where C stays bounded
+            den_order, _ = _zero_order(m.c_ratio[1], z_end)
+            diag["C_denominator_order"] = den_order
+            return report("ALF" if den_order else "cusp", True)
         return report("undetermined", False)
 
     # infinite endpoint

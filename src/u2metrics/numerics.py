@@ -27,51 +27,66 @@ _FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
 class QuadratureError(ArithmeticError):
-    """Quadrature failed (non-finite integrand or depth exhausted)."""
+    """Quadrature failed: a non-finite integrand, or panels that reached the
+    depth cap or the panel budget before meeting the tolerance or noise test.
+
+    In the second case ``estimate`` is the integral summed over all panels
+    and ``error`` the accumulated |δ|/15 of those panels; both are None in
+    the first.
+    """
+
+    def __init__(self, message: str, estimate=None, error=None):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error = error
 
 
 class BracketError(ArithmeticError):
     """Root finding could not maintain a sign-change bracket."""
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, budget, depth, max_depth):
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, state, depth, max_depth):
+    """state = [panel budget left, accumulated |δ|/15, exhausted panels]."""
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
     if not (math.isfinite(flm) and math.isfinite(frm)):
         raise QuadratureError(f"non-finite integrand near [{a}, {b}]")
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     delta = left + right - whole
     # noise guard: stop refining once delta is round-off relative to the panel
-    # values themselves, even when the absolute tol is unreachable; the panel
-    # budget bounds total work when evaluation noise defeats both criteria
+    # values themselves, even when the absolute tol is unreachable
     noise = 1e-14 * (abs(left) + abs(right))
-    budget[0] -= 1
-    if (
-        depth >= max_depth
-        or budget[0] <= 0
-        or abs(delta) <= 15.0 * tol
-        or abs(delta) <= noise
-    ):
+    state[0] -= 1
+    met = abs(delta) <= 15.0 * tol or abs(delta) <= noise
+    if met or depth >= max_depth or state[0] <= 0:
+        state[1] += abs(delta) / 15.0
+        if not met:
+            state[2] += 1
         return left + right + delta / 15.0
     half = 0.5 * tol
     return _adaptive(
-        f, a, fa, m, fm, lm, flm, left, half, budget, depth + 1, max_depth
-    ) + _adaptive(f, m, fm, b, fb, rm, frm, right, half, budget, depth + 1, max_depth)
+        f, a, fa, m, fm, lm, flm, left, half, state, depth + 1, max_depth
+    ) + _adaptive(f, m, fm, b, fb, rm, frm, right, half, state, depth + 1, max_depth)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> float:
     """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
 
-    Absolute tolerance ``tol``; interval bisection capped at ``max_depth``
-    levels and a global panel budget.  Smooth exponential integrands converge
-    in a handful of levels.
+    Absolute tolerance ``tol``; a panel is accepted when its Richardson
+    difference |δ| is within 15·tol or within round-off of its own value.
+    Bisection is capped at ``max_depth`` levels and a global budget of
+    200 000 panels; if any panel hits either cap first, the whole interval is
+    still summed and :class:`QuadratureError` is raised carrying that
+    ``estimate`` and the accumulated |δ|/15 as ``error`` (Lyness 1969), so
+    an unmet tolerance is never returned silently.  Smooth exponential
+    integrands converge in a handful of levels.
     """
     if a == b:
         return 0.0
@@ -80,8 +95,17 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     fm = f(m)
     if not all(math.isfinite(v) for v in (fa, fb, fm)):
         raise QuadratureError(f"non-finite integrand on [{a}, {b}]")
-    whole = _simpson(f, a, fa, b, fb, m, fm)
-    return _adaptive(f, a, fa, b, fb, m, fm, whole, tol, [200000], 0, max_depth)
+    whole = _simpson(a, fa, b, fb, fm)
+    state = [200000, 0.0, 0]
+    total = _adaptive(f, a, fa, b, fb, m, fm, whole, tol, state, 0, max_depth)
+    if state[2]:
+        raise QuadratureError(
+            f"{state[2]} panels on [{a}, {b}] reached depth {max_depth} or the panel budget "
+            f"before tol={tol:g}; estimate {total!r}, error estimate {state[1]:.3g}",
+            estimate=total,
+            error=state[1],
+        )
+    return total
 
 
 def safeguarded_newton(f, df, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 200) -> float:

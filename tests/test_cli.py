@@ -152,6 +152,14 @@ class TestBtCommands:
         out = capsys.readouterr().out
         assert "extremality_residual" in out
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["--t", "0"], "--t must be nonzero"), (["--t", "1", "--trials", "0"], "--trials must be at least 1")],
+    )
+    def test_search_bad_arguments_exit_1(self, argv, message, capsys):
+        assert main(["bt", "search", *argv]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_state_key_exits_2(self, tmp_path, capsys):
         state = tmp_path / "seed.txt"
         state.write_text("z 0.0\nF 1.3\n")

@@ -1,9 +1,15 @@
 """Bolts, ends, distances, the conformal-pair transform, and transcription."""
+import ast
+import json
 import math
+import pathlib
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from u2metrics.catalog import catalog_get, hirzebruch
+from u2metrics.catalog import catalog_get, catalog_names, hirzebruch
 from u2metrics.exppoly import ExpPoly
 from u2metrics.geometry import (
     OrientationError,
@@ -74,6 +80,91 @@ class TestDistance:
         assert distance(m, 0.5, 2.0) == pytest.approx(distance(m, 2.0, 0.5), abs=1e-12)
 
 
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _reference_distances() -> dict:
+    """"name/side" -> mpmath end distance (or "inf"), read from the benchmark's data."""
+    return json.loads((PERFBENCH / "data" / "reference.json").read_text())["distance"]
+
+
+def _quoted_distances() -> dict:
+    """(name, side) -> the independently quoted values in gen_reference.py,
+    read with ast so that mpmath is not imported."""
+    path = PERFBENCH / "gen_reference.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "QUOTED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("QUOTED not found in gen_reference.py")
+
+
+def _moved(z: float, ulps: int) -> float:
+    """z moved by ``ulps`` units in the last place (down when negative)."""
+    for _ in range(abs(ulps)):
+        z = math.nextafter(z, math.copysign(math.inf, ulps))
+    return z
+
+
+def _window_mid(m) -> float:
+    w_lo, w_hi = m.domain.finite_window()
+    return 0.5 * (w_lo + w_hi)
+
+
+def _end_distance(m, side: str) -> float:
+    """distance from the finite window's midpoint to the end, as classify_end
+    and the references measure it."""
+    z_ref = _window_mid(m)
+    if side == "lower":
+        return distance(m, m.domain.lo, z_ref)
+    return distance(m, z_ref, m.domain.hi)
+
+
+class TestEndDistances:
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_matches_mpmath_reference(self, name, side):
+        want = _reference_distances()[f"{name}/{side}"]
+        got = _end_distance(catalog_get(name), side)
+        if want == "inf":
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("key", sorted(_quoted_distances()), ids="/".join)
+    def test_two_bolt_ends_match_quoted_values_quickly(self, key):
+        name, side = key
+        m = catalog_get(name)
+        start = time.perf_counter()
+        got = _end_distance(m, side)
+        assert time.perf_counter() - start < 1.0
+        assert got == pytest.approx(_quoted_distances()[key], rel=1e-7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([("hirzebruch", "lower"), ("hirzebruch", "upper"), ("page", "lower"),
+                         ("page", "upper"), ("taub-bolt", "lower")]),
+        st.integers(-8, 8),
+    )
+    def test_bolt_moved_by_ulps(self, end, ulps):
+        # a few ulps either way F(z0) rounds to a small positive, zero or
+        # negative value; the bolt stays a bolt at the moved endpoint
+        name, side = end
+        m = catalog_get(name)
+        z0 = m.domain.lo if side == "lower" else m.domain.hi
+        want = distance(m, z0, _window_mid(m))
+        got = distance(m, _moved(z0, ulps), _window_mid(m))
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_moved_bolts_cover_both_signs_of_f(self):
+        # the moves above do reach F(z0) > 0, = 0 and < 0
+        m = catalog_get("hirzebruch")
+        values = [m.f_poly().eval(_moved(z0, k)) for z0 in (m.domain.lo, m.domain.hi) for k in range(-8, 9)]
+        assert {(v > 0.0) - (v < 0.0) for v in values} == {-1, 0, 1}
+
+
 class TestClassifyEnd:
     @pytest.mark.parametrize(
         "name,params,lower,upper",
@@ -114,6 +205,17 @@ class TestClassifyEnd:
             pytest.skip("slope landed on an integer")
         assert rep.kind == "conical"
         assert rep.cone_angle == pytest.approx(2.0 * math.pi * abs(f1), rel=1e-12)
+
+    def test_hirzebruch_ends_are_the_bolts_find_bolts_sees(self):
+        m = catalog_get("hirzebruch")
+        by_z = {round(b.z0, 9): b for b in find_bolts(m)}
+        for side, z_end in (("lower", m.domain.lo), ("upper", m.domain.hi)):
+            start = time.perf_counter()
+            rep = classify_end(m, side)
+            assert time.perf_counter() - start < 1.0
+            assert rep.kind == "bolt" and rep.complete
+            assert rep.self_intersection == by_z[round(z_end, 9)].self_intersection
+        assert sorted(b.self_intersection for b in by_z.values()) == [-1, 1]
 
     def test_bad_side_raises(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Source hygiene: no module in the package imports a name it never uses,
-and every function the benchmark tracer wraps still exists.
+"""Source hygiene: no module in the package imports a name it never uses or
+defines a private name that nothing references, and every function the
+benchmark tracer wraps still exists.
 
 A stdlib ``ast`` check standing in for a linter.  A name counts as used when
 it is read anywhere in the module (including inside annotations, quoted or
@@ -72,6 +73,72 @@ def test_checker_flags_an_unused_import(tmp_path):
         "    return x\n"
     )
     assert unused_imports(src) == ["mod.py:1: Sequence", "mod.py:2: math"]
+
+
+def _private_definitions(tree) -> dict:
+    """Module-level private function, class or constant name -> index of the
+    top-level statement that defines it (dunder names are not private)."""
+    out = {}
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out.update((n, i) for n in names if n.startswith("_") and not n.startswith("__"))
+    return out
+
+
+def _references(node) -> set:
+    """Names a statement reads: plain names, attribute names and imported names."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def dead_private_names(paths) -> list:
+    """``module:name`` for each module-level private name that no statement
+    other than its own definition references, anywhere in ``paths``."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    refs = {(p, i): _references(node) for p, tree in trees.items() for i, node in enumerate(tree.body)}
+    dead = []
+    for p, tree in trees.items():
+        for name, i in _private_definitions(tree).items():
+            if not any(name in names for key, names in refs.items() if key != (p, i)):
+                dead.append(f"{p.name}:{name}")
+    return sorted(dead)
+
+
+def test_no_dead_private_names():
+    assert dead_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_checker_flags_a_dead_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_USED = 1\n"
+        "_DEAD = 2\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else _USED\n"
+        "def _imported():\n"
+        "    return 0\n"
+        "class _Dead:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import _imported\n")
+    assert dead_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a.py:_DEAD",
+        "a.py:_Dead",
+        "a.py:_recursive",
+    ]
 
 
 def _tracer_targets() -> dict:

@@ -46,14 +46,32 @@ class TestAdaptiveSimpson:
 
     def test_noisy_integrand_terminates(self):
         # cancellation-heavy evaluation: the requested tol is below the
-        # attainable noise floor, so termination relies on the noise guard
-        # and panel budget rather than the tolerance test
+        # attainable noise floor, so panels reach the depth cap without
+        # meeting the tolerance; that is reported, with the estimate attached
         def noisy(z):
             return (1e8 + math.sin(z)) - 1e8
 
         exact = 1.0 - math.cos(1.0)
-        got = adaptive_simpson(noisy, 0.0, 1.0, tol=1e-14)
-        assert abs(got - exact) < 1e-7
+        with pytest.raises(QuadratureError) as info:
+            adaptive_simpson(noisy, 0.0, 1.0, tol=1e-14)
+        assert abs(info.value.estimate - exact) < 1e-7
+        assert 0.0 < info.value.error < 1e-5
+
+    def test_depth_cap_raises_with_estimate_and_error(self):
+        with pytest.raises(QuadratureError) as info:
+            adaptive_simpson(math.exp, 0.0, 10.0, tol=1e-13, max_depth=3)
+        exact = math.exp(10.0) - 1.0
+        assert abs(info.value.estimate - exact) < info.value.error
+
+    def test_exhausted_panel_budget_raises(self):
+        # about 10^5 oscillations need more panels than the budget allows
+        with pytest.raises(QuadratureError, match="panel budget"):
+            adaptive_simpson(lambda z: math.sin(1e5 * z), 0.0, 1.0, tol=1e-12)
+
+    def test_non_finite_integrand_has_no_estimate(self):
+        with pytest.raises(QuadratureError) as info:
+            adaptive_simpson(lambda z: math.inf, 0.0, 1.0)
+        assert info.value.estimate is None and info.value.error is None
 
 
 class TestSafeguardedNewton:
