@@ -89,7 +89,7 @@ def _positive_int(name, default, minimum=1) -> ParamSpec:
 
 
 # -------------------------------------------------------------- special roots
-def page_constants(tol: float = 1e-14) -> tuple:
+def page_constants() -> tuple:
     """(ν, z0, coeff) for the Page metric.
 
     ν is the positive root of ν⁴ + 4ν³ − 6ν² + 12ν − 3 in [0.1, 0.5]; z0 the
@@ -103,14 +103,14 @@ def page_constants(tol: float = 1e-14) -> tuple:
         lambda x: ((4.0 * x + 12.0) * x - 12.0) * x + 12.0,
         0.1,
         0.5,
-        tol=tol,
+        tol=1e-14,
     )
     z0 = safeguarded_newton(
         lambda z: math.exp(4.0 * z) - 4.0 * math.exp(z) - 3.0,
         lambda z: 4.0 * math.exp(4.0 * z) - 4.0 * math.exp(z),
         0.4,
         0.8,
-        tol=tol,
+        tol=1e-14,
     )
     coeff = (math.sinh(z0) - math.cosh(z0)) / ((2.0 + math.cosh(2.0 * z0)) * math.sinh(z0))
     norm = (-(nu**4) + 6.0 * nu * nu + 3.0) / (4.0 * nu * (3.0 + nu * nu))
@@ -297,22 +297,12 @@ def _eh_lambda(k: int) -> MetricSpec:
     starts at the profile's largest zero (the bolt).
     """
     k = int(k)
-    m4 = 4.0 * (1.0 + k) / 3.0
-    lam = 4.0 - 2.0 * k
-    profile = Canonical(-2.0 * m4, 0, -lam / 6.0, 0)
-    poly = profile.expand()
-    dpoly = poly.derive()
-    # the bolt is the largest zero of F; bracket it by scanning
-    z_hi = 10.0
-    z = z_hi
-    while poly.eval(z) > 0 and z > -10.0:
-        z -= 0.05
-    z0 = safeguarded_newton(poly.eval, dpoly.eval, z, z + 0.05, tol=1e-14)
+    profile = Canonical(-2 * _F(4 * (1 + k), 3), 0, _F(2 * k - 4, 6), 0)  # −2m⁴, −Λ/6
     return MetricSpec(
         f"eguchi-hanson-lambda(k={k})",
         profile,
         ExpFactor(1.0, +1),
-        Domain(z0, math.inf, lo_closed=True),
+        Domain(profile.expand().real_roots()[-1][0], math.inf, lo_closed=True),
         "Jminus",
     )
 
@@ -330,32 +320,20 @@ def _fubini_study(Lambda: float) -> MetricSpec:
 def _taub_nut_lambda(m: float, L: float, Lambda: float) -> MetricSpec:
     """Einstein, Bach-flat, conformally extremal; usually singular (the profile
     generally has zeros of non-integer slope, so no completeness is implied).
+    Exact coefficients keep F's double zero at z = 0 (a + b = 2); the domain
+    runs from the largest zero of F (if any) out to +inf.
     """
-    a = (m - L + m**3 * Lambda / 3.0) / m
-    b = (m + L - m**3 * Lambda / 3.0) / m
+    mf, lf, cubic = _F(m), _F(L), _F(m) ** 3 * _F(Lambda) / 3
+    a = (mf - lf + cubic) / mf
+    b = (mf + lf - cubic) / mf
     profile = Canonical(a, -a, -b, b)
-    poly = profile.expand()
-    # domain: from the largest profile zero (if any) out to +inf
-    zs = [(-8.0 + 16.0 * i / 4000.0) for i in range(4001)]
-    vals = [poly.eval(z) for z in zs]
-    z_lo = -math.inf
-    for i in range(len(zs) - 1, 0, -1):
-        if vals[i] * vals[i - 1] <= 0.0:
-            a_, b_ = zs[i - 1], zs[i]
-            for _ in range(200):
-                mid = 0.5 * (a_ + b_)
-                if poly.eval(mid) * poly.eval(a_) <= 0.0:
-                    b_ = mid
-                else:
-                    a_ = mid
-            z_lo = 0.5 * (a_ + b_)
-            break
+    zeros = profile.expand().real_roots()
     half = 1.0 / (2.0 * m)
     return MetricSpec(
         f"taub-nut-lambda(m={m:g},L={L:g},Lambda={Lambda:g})",
         profile,
         EinsteinFactor(half, -half),
-        Domain(z_lo, math.inf),
+        Domain(zeros[-1][0] if zeros else -math.inf, math.inf),
         None,
     )
 

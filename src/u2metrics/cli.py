@@ -187,9 +187,9 @@ def _cmd_ends(args) -> int:
         si = bolt.self_intersection
         si_text = f" self_intersection={si}" if si is not None else ""
         lines.append(f"bolt z0={bolt.z0:.12g} slope={bolt.slope:.12g}{si_text}{extra}")
-    for side in ("lower", "upper"):
-        rep = classify_end(m, side)
-        line = f"end {side} kind={rep.kind} complete={'yes' if rep.complete else 'no'}"
+    reps = [classify_end(m, side) for side in ("lower", "upper")]
+    for rep in reps:
+        line = f"end {rep.side} kind={rep.kind} complete={'yes' if rep.complete else 'no'}"
         if rep.self_intersection is not None:
             line += f" self_intersection={rep.self_intersection}"
         if rep.cone_angle is not None:
@@ -199,7 +199,10 @@ def _cmd_ends(args) -> int:
             line += f" distance={dist:.12g}"
         lines.append(line)
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    errors = [rep.diagnostics["distance_error"] for rep in reps if "distance_error" in rep.diagnostics]
+    for text in errors:
+        print(f"numeric error: {text}", file=sys.stderr)
+    return 3 if errors else 0
 
 
 def _cmd_transform(args) -> int:

@@ -7,18 +7,19 @@ floats; arithmetic stays exact as long as every operand is exact.
 
 Values are immutable after construction and all operations are pure.  Each
 value also carries a float cache for evaluation (sorted float exponents and,
-for every derivative order n, the row float(c·kⁿ)); it is filled on first use
-and replaced whole, never mutated, and refilling it gives the same rows, so
-values can still be shared freely between threads.  Equality and hashing
-depend on the exact terms alone.
+for every derivative order n, the row float(c·kⁿ)) and a cache of its real
+zeros; both are filled on first use and replaced whole, never mutated, and
+refilling them gives the same values, so values can still be shared freely
+between threads.  Equality and hashing depend on the exact terms alone.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from numbers import Rational
 
-__all__ = ["ExpPoly", "ExpPolyError", "EvalOverflowError"]
+__all__ = ["ExpPoly", "ExpPolyError", "EvalOverflowError", "ENDPOINT_RTOL"]
 
 
 class ExpPolyError(ValueError):
@@ -35,6 +36,8 @@ class EvalOverflowError(ArithmeticError):
 
 
 _ALLOWED_DENOMINATORS = (1, 2)
+
+ENDPOINT_RTOL = 1e-12  # real_roots: a zero this close to a finite lo/hi is that end
 
 
 def _as_exponent(k) -> Fraction:
@@ -67,7 +70,7 @@ class ExpPoly:
     zero polynomial is the empty term map.
     """
 
-    __slots__ = ("_terms", "_compiled")
+    __slots__ = ("_terms", "_compiled", "_zeros")
 
     def __init__(self, terms=()):
         data: dict[Fraction, object] = {}
@@ -83,6 +86,7 @@ class ExpPoly:
                 data[k] = c
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_zeros", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ExpPoly is immutable")
@@ -261,6 +265,35 @@ class ExpPoly:
             values.append(total)
         return tuple(values)
 
+    # ------------------------------------------------------------ real zeros
+    def real_roots(self, lo: float = -math.inf, hi: float = math.inf) -> list:
+        """[(z, multiplicity)] for the real zeros with lo ≤ z ≤ hi, ascending.
+
+        Decided exactly (see "exact zeros" below); z is d·log of the float
+        nearest to the root x.  A zero within a relative ``ENDPOINT_RTOL`` of
+        a finite lo or hi is exactly that end, so ``real_roots(z0, z0)``
+        gives the order of a zero at z0.
+        """
+        zeros = self._zeros
+        if zeros is None:
+            if not self._terms:
+                raise ExpPolyError("the zero polynomial vanishes everywhere")
+            d = 2 if any(k.denominator == 2 for k in self._terms) else 1  # x = e^{z/d}
+            low = min(self._terms)
+            p = [Fraction(0)] * (int((max(self._terms) - low) * d) + 1)
+            for k, c in self._terms.items():
+                p[int((k - low) * d)] = Fraction(c)
+            roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
+            zeros = tuple(sorted((d * math.log(x), m) for x, m in roots))
+            object.__setattr__(self, "_zeros", zeros)
+        ends = [float(end) for end in (lo, hi) if math.isfinite(end)]
+        out = []
+        for z, mult in zeros:
+            z = next((end for end in ends if abs(z - end) <= ENDPOINT_RTOL * abs(end)), z)
+            if lo <= z <= hi:
+                out.append((z, mult))
+        return out
+
     # -------------------------------------------------------------- protocol
     def __eq__(self, other):
         if isinstance(other, (Rational, float)):
@@ -282,3 +315,100 @@ class ExpPoly:
             else:
                 parts.append(f"{c}*e^({k}z)")
         return "ExpPoly(" + " + ".join(parts) + ")"
+
+
+# ---------------------------------------------------------------- exact zeros
+# The value is x^j·P(x) in x = e^{z/d} with P's coefficients the exact terms.
+# Yun's square-free decomposition of P gives the multiplicities, Sturm
+# sequences isolate each factor's positive roots, and bisection on exact signs
+# finds the float nearest to each.  Polynomials are ascending coefficient
+# lists without trailing zeros; [] is the zero polynomial.
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _derivative(p: list) -> list:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _divmod(a: list, b: list) -> tuple:
+    """(quotient, remainder) of a by a nonzero b over the rationals."""
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = a[i + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return q, _trim(a[: len(b) - 1])
+
+
+def _gcd(a: list, b: list) -> list:
+    """Monic greatest common divisor of a nonzero a and b."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _square_free(p: list) -> list:
+    """Yun's algorithm: [f₁, f₂, …] with p = c·Π fᵢ^i, the fᵢ monic,
+    square-free and pairwise coprime (fᵢ = 1 if no root has multiplicity i)."""
+    dp = _derivative(p)
+    a = _gcd(p, dp)
+    b, c = _divmod(p, a)[0], _divmod(dp, a)[0]
+    out = []
+    while len(b) > 1:
+        d = _trim([u - v for u, v in zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _gcd(b, d)
+        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+        out.append(a)
+    return out
+
+
+def _scaled_value(p: list, n: int, e: int) -> int:
+    """2^(e·deg p)·p(n/2^e) for integer coefficients: the sign of p(n/2^e)."""
+    v = 0
+    for i, c in enumerate(reversed(p)):
+        v = v * n + (c << (e * i))
+    return v
+
+
+def _nearest_float(f: list, l: int, r: int, e: int) -> float:
+    """The float nearest to f's one root in (l/2^e, r/2^e], by exact-sign bisection."""
+    right = _scaled_value(f, r, e)
+    while right and math.ldexp(l, -e) != math.ldexp(r, -e):
+        mid, l, r, e = l + r, 2 * l, 2 * r, e + 1
+        v = _scaled_value(f, mid, e) * right  # ≥ 0: root at or left of mid; ≤ 0: at or right
+        if v >= 0:
+            r = mid
+        if v <= 0:
+            l = mid
+    return math.ldexp(r, -e)
+
+
+def _positive_roots(f: list) -> list:
+    """The floats nearest to the positive roots of a square-free f, ascending."""
+    if len(f) == 2:  # monic linear: the root −f[0] is exact
+        return [float(-f[0])] if f[0] < 0 else []
+    chain = [f, _derivative(f)]  # Sturm sequence
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    scales = [math.lcm(*(c.denominator for c in p)) for p in chain]
+    chain = [[int(c * s) for c in p] for p, s in zip(chain, scales)]
+
+    def variations(n, e):
+        signs = [v > 0 for v in (_scaled_value(p, n, e) for p in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    # every root lies below Cauchy's bound 1 + max|cᵢ / c_deg| < 2^k
+    k = (1 + max(-(-abs(c) // abs(chain[0][-1])) for c in chain[0])).bit_length()
+    roots, todo = [], [(0, 1 << k, 0)]  # intervals (l/2^e, r/2^e]
+    while todo:
+        l, r, e = todo.pop()
+        count = variations(l, e) - variations(r, e)
+        if count == 1:
+            roots.append(_nearest_float(chain[0], l, r, e))
+        elif count > 1:
+            todo += [(2 * l, l + r, e + 1), (l + r, 2 * r, e + 1)]
+    return sorted(roots)

@@ -35,7 +35,6 @@ __all__ = [
     "transcribe_classic",
 ]
 
-_ZERO_TOL = 1e-13
 _SLOPE_TOL = 1e-9
 
 
@@ -72,85 +71,33 @@ class EndReport:
 
 
 # ---------------------------------------------------------------------- bolts
-def find_bolts(m: MetricSpec, scan_n: int = 4000) -> list:
+def find_bolts(m: MetricSpec) -> list:
     """Zeros of F on the domain (interior plus closed endpoints).
 
-    Sign changes are located by scanning, then refined by bisection with a
-    Newton polish to |F| < 1e-13.  The slope k = F′(z0) is the bolt's
-    self-intersection when it rounds to a nonzero integer (tolerance 1e-9);
-    double zeros (|F′| < 1e-9 as well) are flagged degenerate, not bolts.
+    The zeros and their multiplicities are exact (:meth:`ExpPoly.real_roots`);
+    a zero at a domain end is that end exactly.  The slope k = F′(z0) is the
+    bolt's self-intersection when it rounds to a nonzero integer (tolerance
+    1e-9); zeros of multiplicity ≥ 2 are flagged degenerate, not bolts.
     """
-    poly = m.f_poly()
-    dpoly = poly.derive()
-    lo, hi = m.domain.finite_window()
-    zs = np.linspace(lo, hi, scan_n)
-    roots = []
-
-    def record(z0):
-        for r in roots:
-            if abs(r - z0) < 1e-8:
-                return
-        roots.append(z0)
-
-    def refine(a, b):
-        fa = poly.eval(a)
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = poly.eval(mid)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            d = dpoly.eval(mid)
-            if d != 0.0:
-                nxt = mid - fm / d
-                if a < nxt < b and abs(poly.eval(nxt)) < abs(fm):
-                    a = b = nxt
-            if abs(poly.eval(0.5 * (a + b))) < _ZERO_TOL:
-                return 0.5 * (a + b)
-        return 0.5 * (a + b)
-
-    values = [poly.eval(z) for z in zs]
-    for i in range(len(zs) - 1):
-        if values[i] == 0.0:
-            record(zs[i])
-        elif values[i] * values[i + 1] < 0.0:
-            record(refine(zs[i], zs[i + 1]))
-    if values[-1] == 0.0:
-        record(zs[-1])
-    # closed endpoints count; open endpoints do not.
-    for z_end, closed in ((m.domain.lo, m.domain.lo_closed), (m.domain.hi, m.domain.hi_closed)):
-        if closed and abs(poly.eval(z_end)) < 1e-12:
-            record(z_end)
-    # drop roots that sit at *open* endpoints
-    keep = []
-    for r in sorted(roots):
-        if not m.domain.lo_closed and abs(r - m.domain.lo) < 1e-8:
-            continue
-        if not m.domain.hi_closed and abs(r - m.domain.hi) < 1e-8:
-            continue
-        keep.append(r)
-
+    dpoly = m.f_poly().derive()
+    d = m.domain
     out = []
-    for z0 in keep:
+    for z0, mult in m.f_poly().real_roots(d.lo, d.hi):
+        if not d.contains(z0, tol=0.0):  # a zero at an open end
+            continue
         k = dpoly.eval(z0)
-        degenerate = abs(k) < _SLOPE_TOL
-        smooth = (not degenerate) and abs(k - round(k)) < _SLOPE_TOL and round(k) != 0
-        out.append(Bolt(z0=z0, slope=k, smooth_quotient=smooth, degenerate=degenerate))
+        smooth = mult == 1 and abs(k - round(k)) < _SLOPE_TOL and round(k) != 0
+        out.append(Bolt(z0=z0, slope=k, smooth_quotient=smooth, degenerate=mult >= 2))
     return out
 
 
 # ------------------------------------------------------------------- distance
-def _zero_order(poly, z0: float, max_order: int = 4) -> tuple:
-    """(n, a) with poly ≈ a·(z − z0)ⁿ near z0: the order of vanishing of an
-    exponential polynomial at z0 (0 if nonzero) and its leading Taylor
-    coefficient; (max_order + 1, 0.0) if every derivative up to max_order
-    vanishes."""
-    scale = sum(abs(float(c)) for _, c in poly.terms()) or 1.0
-    for n, v in enumerate(poly.jet(z0, max_order)):
-        if abs(v) > 1e-8 * scale:
-            return n, v / math.factorial(n)
-    return max_order + 1, 0.0
+def _zero_order(poly, z0: float) -> tuple:
+    """(n, a) with poly ≈ a·(z − z0)ⁿ near z0: the multiplicity of the exact
+    zero of an exponential polynomial at z0 (0 if there is none) and its
+    leading Taylor coefficient."""
+    n = sum(mult for _, mult in poly.real_roots(z0, z0))
+    return n, poly.jet(z0, n)[n] / math.factorial(n)
 
 
 def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
@@ -253,7 +200,8 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
     growth comparison of F against C separates asymptotically-Einstein ends
     (F = O(C)) from curvature singularities (F/C → ∞ with exponent gap ≥ 1).
     ``diagnostics["distance_to_end"]`` is :func:`distance` from the
-    midpoint of the finite window (NaN if the quadrature failed).
+    midpoint of the finite window; where that fails it is NaN and
+    ``diagnostics["distance_error"]`` holds the error text.
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
@@ -267,8 +215,9 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
     z_ref = 0.5 * (w_lo + w_hi)
     try:
         dist = distance(m, *((z_end, z_ref) if side == "lower" else (z_ref, z_end)))
-    except (ArithmeticError, ValueError):
+    except (ArithmeticError, ValueError) as exc:
         dist = math.nan
+        diag["distance_error"] = str(exc)
     diag["distance_to_end"] = dist
 
     def report(kind, complete, self_int=None, cone=None):

@@ -111,6 +111,19 @@ class TestEntries:
         assert abs(c1 * c5 - c2 * c6) < 1e-12
         assert abs(c3 * c5 - c4 * c6) < 1e-12
 
+    def test_taub_nut_lambda_default_nut_is_exact(self):
+        # a + b = 2 gives F(0) = F'(0) = 0 for every m, L and Lambda
+        m = catalog_get("taub-nut-lambda")
+        assert m.domain.lo == 0.0
+        assert m.f_poly().real_roots(0.0, 0.0) == [(0.0, 2)]
+
+    def test_taub_nut_lambda_nut_off_default(self):
+        entry = catalog_entry("taub-nut-lambda")
+        m = entry.build(m=2, L=-1, Lambda=0.3)
+        assert (m.domain.lo, m.domain.hi) == (0.0, math.inf)
+        assert m.f_poly().real_roots(0.0, 0.0) == [(0.0, 2)]
+        assert set(entry.expected_tags) <= set(classify(m).tags())
+
     @pytest.mark.parametrize(
         "name,params",
         [

@@ -6,6 +6,7 @@ import pytest
 from u2metrics.cli import main
 from u2metrics.catalog import catalog_get
 from u2metrics.metricfile import emit_metric
+from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
 
 
 def _write_metric(tmp_path, name, params=None, fname="metric.txt"):
@@ -96,6 +97,16 @@ class TestEndsCommand:
         out = capsys.readouterr().out
         assert "bolt" in out
         assert "ALE" in out
+
+    def test_failed_distance_exits_3_with_reason(self, tmp_path, capsys):
+        # F = 1 − 0.001·e^z: the upper end lies past the zero at ln 1000
+        spec = MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf), None)
+        path = tmp_path / "s.txt"
+        path.write_text(emit_metric(spec))
+        assert main(["ends", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "end upper" in captured.out and "distance=nan" in captured.out
+        assert captured.err.startswith("numeric error: ")
 
 
 class TestTransformCommand:

@@ -2,10 +2,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from u2metrics.catalog import catalog_get
 from u2metrics.exppoly import EvalOverflowError, ExpPoly, ExpPolyError
 
 
@@ -199,3 +201,95 @@ def test_equality_and_hash_ignore_evaluation_cache():
     assert len({p, q}) == 1
     assert ExpPoly.constant(5).jet(1.0, 2) == (5.0, 0.0, 0.0)
     assert ExpPoly.constant(5) == 5
+
+
+# ------------------------------------------------------------- real zeros
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _as_exppoly(coeffs, d, shift):
+    """Σ cᵢ·xⁱ⁺ˢʰⁱᶠᵗ with x = e^{z/d}."""
+    return ExpPoly([(Fraction(i + shift, d), c) for i, c in enumerate(coeffs) if c])
+
+
+_RATIONAL = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+
+
+class TestRealRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roots=st.dictionaries(_RATIONAL, st.integers(1, 3), min_size=0, max_size=3),
+        lead=st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+        no_roots=st.lists(st.sampled_from([(2, 1), (1, 0, 1), (3, 1, 1)]), max_size=2),
+        d=st.sampled_from([1, 2]),
+        shift=st.integers(-3, 3),
+    )
+    def test_products_against_exact_roots(self, roots, lead, no_roots, d, shift):
+        # c·Π(x − rᵢ)^mᵢ times factors without positive roots: x + 2, x² + 1, x² + x + 3
+        coeffs = [lead]
+        for r, m in roots.items():
+            for _ in range(m):
+                coeffs = _poly_mul(coeffs, [-r, Fraction(1)])
+        for factor in no_roots:
+            coeffs = _poly_mul(coeffs, [Fraction(c) for c in factor])
+        got = _as_exppoly(coeffs, d, shift).real_roots()
+        with mpmath.workdps(40):
+            want = sorted(
+                (float(d * mpmath.log(mpmath.mpf(r.numerator) / r.denominator)), m)
+                for r, m in roots.items()
+            )
+        assert [m for _, m in got] == [m for _, m in want]
+        for (z, _), (w, _) in zip(got, want):
+            assert abs(z - w) <= 1e-15 * max(1.0, abs(w))
+        assert all(type(z) is float for z, _ in got)
+
+    @pytest.mark.parametrize("name", ["page", "hirzebruch"])
+    def test_float_profiles_against_mpmath(self, name):
+        f = catalog_get(name).f_poly()
+        terms = f.terms()
+        low = terms[0][0]
+        coeffs = [Fraction(0)] * (int(terms[-1][0] - low) + 1)
+        for k, c in terms:
+            coeffs[int(k - low)] = Fraction(c)
+        with mpmath.workdps(50):
+            mp_coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+            xs = mpmath.polyroots(mp_coeffs, maxsteps=200, extraprec=200)
+            want = sorted(
+                float(mpmath.log(mpmath.re(x)))
+                for x in xs
+                if abs(mpmath.im(x)) < mpmath.mpf(10) ** -40 and mpmath.re(x) > 0
+            )
+        got = f.real_roots()
+        assert [m for _, m in got] == [1] * len(want) and len(want) == 2
+        for (z, _), w in zip(got, want):
+            assert abs(z - w) <= 1e-15 * max(1.0, abs(w))
+
+    def test_multiplicity_and_window(self):
+        # (1 − e^{-z})²·(1 − 2e^{-z}) = x^{-3}(x − 1)²(x − 2)
+        p = ExpPoly([(0, 1), (-1, -4), (-2, 5), (-3, -2)])
+        assert p.real_roots() == [(0.0, 2), (math.log(2.0), 1)]
+        assert p.real_roots(0.0, 0.0) == [(0.0, 2)]
+        assert p.real_roots(0.1, math.inf) == [(math.log(2.0), 1)]
+        assert p.real_roots(-math.inf, 0.6) == [(0.0, 2)]
+
+    def test_zero_near_a_finite_end_is_that_end(self):
+        p = ExpPoly([(0, 3), (1, -1)])  # 3 − e^z
+        lo = math.log(3.0) * (1.0 + 5e-13)
+        assert p.real_roots(lo, math.inf) == [(lo, 1)]
+        assert p.real_roots(math.log(3.0) * (1.0 + 5e-12), math.inf) == []
+
+    def test_infinite_end_never_matches(self):
+        p = ExpPoly([(0, 1), (1, -0.001)])  # 1 − 0.001·e^z
+        (z, m), = p.real_roots(-1.0, math.inf)
+        assert m == 1 and abs(z - math.log(1000.0)) <= 1e-12
+
+    def test_no_roots_and_zero_polynomial(self):
+        assert ExpPoly([(0, 1), (-2, 1)]).real_roots() == []
+        assert ExpPoly.constant(2).real_roots() == []
+        with pytest.raises(ExpPolyError):
+            ExpPoly.zero().real_roots()

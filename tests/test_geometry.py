@@ -23,6 +23,11 @@ from u2metrics.geometry import (
 from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
 
 
+def _crossing_spec():
+    """F = 1 − 0.001·e^z on (−1, ∞): one simple zero, at ln 1000, slope −1."""
+    return MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf), None)
+
+
 class TestFindBolts:
     def test_eguchi_hanson_bolt(self):
         m = catalog_get("eguchi-hanson", {"m": 1.0})
@@ -56,6 +61,19 @@ class TestFindBolts:
         m = hirzebruch(2, 1.0)
         slopes = sorted(b.slope for b in find_bolts(m))
         assert slopes == pytest.approx([-2.0, 2.0], abs=1e-9)
+
+    def test_simple_zero_is_exact(self):
+        bolts = find_bolts(_crossing_spec())
+        assert len(bolts) == 1
+        assert type(bolts[0].z0) is float
+        assert abs(bolts[0].z0 - math.log(1000.0)) <= 1e-12
+        assert bolts[0].self_intersection == -1
+
+    def test_double_zero_is_degenerate(self):
+        # F = (1 − e^{-z})² on a domain closed at its double zero z = 0
+        m = MetricSpec("d", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True), None)
+        (bolt,) = find_bolts(m)
+        assert bolt.z0 == 0.0 and bolt.degenerate and bolt.self_intersection is None
 
 
 class TestDistance:
@@ -206,16 +224,35 @@ class TestClassifyEnd:
         assert rep.kind == "conical"
         assert rep.cone_angle == pytest.approx(2.0 * math.pi * abs(f1), rel=1e-12)
 
-    def test_hirzebruch_ends_are_the_bolts_find_bolts_sees(self):
-        m = catalog_get("hirzebruch")
-        by_z = {round(b.z0, 9): b for b in find_bolts(m)}
-        for side, z_end in (("lower", m.domain.lo), ("upper", m.domain.hi)):
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_closed_ends_are_the_bolts_find_bolts_sees(self, name):
+        # a closed end is a bolt iff find_bolts has a bolt at that very float
+        # with the same self-intersection
+        m = catalog_get(name)
+        by_z = {b.z0: b for b in find_bolts(m)}
+        d = m.domain
+        for side, z_end, closed in (("lower", d.lo, d.lo_closed), ("upper", d.hi, d.hi_closed)):
+            if not closed:
+                continue
             start = time.perf_counter()
             rep = classify_end(m, side)
             assert time.perf_counter() - start < 1.0
-            assert rep.kind == "bolt" and rep.complete
-            assert rep.self_intersection == by_z[round(z_end, 9)].self_intersection
-        assert sorted(b.self_intersection for b in by_z.values()) == [-1, 1]
+            bolt = by_z.get(z_end)
+            if rep.kind == "bolt":
+                assert rep.complete
+                assert bolt is not None and bolt.self_intersection == rep.self_intersection
+            else:
+                assert bolt is None or bolt.self_intersection is None
+        if name == "hirzebruch":
+            assert sorted(b.self_intersection for b in by_z.values()) == [-1, 1]
+            assert set(by_z) == {d.lo, d.hi}
+
+    def test_failed_distance_keeps_its_reason(self):
+        # the upper end lies past the zero at ln 1000
+        rep = classify_end(_crossing_spec(), "upper")
+        assert math.isnan(rep.diagnostics["distance_to_end"])
+        assert "undefined" in rep.diagnostics["distance_error"]
+        assert "distance_error" not in classify_end(catalog_get("flat"), "upper").diagnostics
 
     def test_bad_side_raises(self):
         with pytest.raises(ValueError):
