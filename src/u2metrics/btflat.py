@@ -15,9 +15,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .curvature import CurvatureSample, curvature_sample
 from .operators import b_op_jet
-from .profiles import MetricSpec, jet_C, jet_F
-from .curvature import _HALF, _scalar_from_jets, _scalar_prime_from_jets
+from .profiles import MetricSpec
 
 __all__ = [
     "BtState",
@@ -87,7 +87,6 @@ class BtTrajectory:
     t: float
     samples: list = field(default_factory=list)
     max_T_drift: float = 0.0
-    max_K_drift: float = 0.0
     steps_accepted: int = 0
     steps_rejected: int = 0
     truncated: bool = False
@@ -161,27 +160,23 @@ def tval(state: BtState, t: float) -> float:
 
 
 def bt_residuals(state: BtState, t: float, F4d: float, C2d: Optional[float] = None) -> tuple:
-    """(e0, F1res, F2res, Tval) at a state.
+    """(F1res, F2res, Tval) at a state.
 
-    e0 audits the structurally solved quadrature (CFs′)′ with s′ = K/(CF);
-    it is zero by construction.  F1res = 0 is the statement that the state's
-    s field equals the metric's scalar curvature; it determines C″, so when
-    ``C2d`` is not supplied it is solved for internally and the re-substituted
-    residual (≈ 0) is returned for audit.  Supply the model's true C″ to get a
-    genuine F1 residual for closed-form data.
+    F1res = 0 is the statement that the state's s field equals the metric's
+    scalar curvature; it determines C″, so when ``C2d`` is not supplied it is
+    solved for internally and the re-substituted residual (≈ 0) is returned
+    for audit.  Supply the model's true C″ to get a genuine F1 residual for
+    closed-form data.  (CFs′)′ = 0 holds by construction: s′ = K/(CF).
     """
     z, F, F1, F2, F3, C, C1, s, K = state
     _guard(z, F, C)
     s1 = K / (C * F)
-    cf_prime = C1 * F + C * F1
-    s2 = -K * cf_prime / (C * F) ** 2  # s″ on the flow
-    e0 = cf_prime * s1 + C * F * s2
     if C2d is None:
         C2d = _solve_c2d(F, F1, F2, C, C1, s)
     coef, rest = _f1_parts(F, F1, F2, C, C1, s)
     f1res = coef * C2d + rest
     f2res = _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d)
-    return (e0, f1res, f2res, tval(state, t))
+    return (f1res, f2res, tval(state, t))
 
 
 # ----------------------------------------------------------------------- flow
@@ -232,7 +227,7 @@ def bt_integrate(
     and flagged, with the partial samples returned.  The pair is first-same-as-
     last: the seventh stage is evaluated at (z + h, y5), so on acceptance it
     is the next step's first stage, and a step costs six ``bt_rhs`` calls.
-    K is carried, never integrated, so its drift is exactly zero; the drift
+    K is carried, never integrated, so it keeps its initial value; the drift
     of the first integral T is recorded in ``max_T_drift``.
 
     The state is stepped as plain floats with every sum in the order of the
@@ -429,28 +424,27 @@ def bt_nonextremal_search(
 
 
 # -------------------------------------------------- residuals for closed forms
-def state_from_metric(m: MetricSpec, t: float, z: float, s_const: Optional[float] = None) -> tuple:
+def _state_from_sample(cs: CurvatureSample, s_const: Optional[float] = None) -> tuple:
+    """(BtState, F4d, C2d) read from a curvature sample, with K = C·F·s′;
+    ``s_const`` pins s to a constant with s′ = 0."""
+    s_val, s1 = (cs.s, cs.s1d) if s_const is None else (float(s_const), 0.0)
+    state = BtState(cs.z, cs.F, cs.F1d, cs.F2d, cs.F3d, cs.C, cs.C1d, s_val, cs.C * cs.F * s1)
+    return state, cs.F4d, cs.C2d
+
+
+def state_from_metric(m: MetricSpec, z: float, s_const: Optional[float] = None) -> tuple:
     """(BtState, F4d, C2d) sampled from a closed-form metric at z.
 
-    The s field is the metric's scalar curvature, from the same jets (and so
-    the same value) as ``scalar_curvature``, and K = CFs′ uses the analytic s′
-    from those jets; ``s_const`` instead pins s to a constant with s′ = 0.
+    The fields are read from ``curvature_sample(m, z)``: s is the metric's
+    scalar curvature and K = CFs′ uses the analytic s′ from the same jets;
+    ``s_const`` instead pins s to a constant with s′ = 0.  Raises wherever
+    ``curvature_sample`` raises.
     """
-    fj = jet_F(m, z)
-    cj = jet_C(m, z, powers=(1, _HALF))
-    c, h = cj[1], cj[_HALF]
-    if s_const is not None:
-        s_val, s1 = float(s_const), 0.0
-    else:
-        s_val = _scalar_from_jets(fj, c, h)
-        s1 = _scalar_prime_from_jets(fj, c, h)
-    K = c[0] * fj[0] * s1
-    state = BtState(z, fj[0], fj[1], fj[2], fj[3], c[0], c[1], s_val, K)
-    return state, fj[4], c[2]
+    return _state_from_sample(curvature_sample(m, z), s_const)
 
 
-def bt_grid_residual(m: MetricSpec, t: float, grid: Sequence[float]) -> float:
-    """max over grid of the B^t-flat residuals |F1|, |F2|, |T| for a metric.
+def bt_grid_residual(samples: Sequence[CurvatureSample], t: float) -> float:
+    """max over the curvature samples of the B^t-flat residuals |F1|, |F2|, |T|.
 
     Each residual is normalized by the magnitude of the terms entering it:
     near a conformal-factor pole the T expression carries C^{3/2} and C′²/C
@@ -458,9 +452,9 @@ def bt_grid_residual(m: MetricSpec, t: float, grid: Sequence[float]) -> float:
     residuals there are pure float noise scaled by those factors.
     """
     worst = 0.0
-    for z in grid:
-        state, f4d, c2d = state_from_metric(m, t, z)
-        _, f1res, f2res, tv = bt_residuals(state, t, f4d, C2d=c2d)
+    for cs in samples:
+        state, f4d, c2d = _state_from_sample(cs)
+        f1res, f2res, tv = bt_residuals(state, t, f4d, C2d=c2d)
         c, c1d = state.C, state.C1d
         scale = 1.0 + c**1.5 * (1.0 + abs(state.s)) + (c1d * c1d) / max(c, 1e-30)
         worst = max(worst, abs(f1res) / scale, abs(f2res) / scale, abs(tv) / scale)

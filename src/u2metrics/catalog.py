@@ -353,10 +353,6 @@ def _page(Lambda: float) -> MetricSpec:
     )
 
 
-def _hirzebruch_entry(k: int, z0: float, C0: float) -> MetricSpec:
-    return hirzebruch(int(k), z0, C0)
-
-
 # -------------------------------------------------------------------- registry
 _ENTRIES = (
     CatalogEntry("flat", (), _flat, ("einstein", "ricci_flat", "bach_flat"), "R^4"),
@@ -475,7 +471,7 @@ _ENTRIES = (
     CatalogEntry(
         "hirzebruch",
         (_positive_int("k", 1), _positive("z0"), _positive("C0")),
-        _hirzebruch_entry,
+        hirzebruch,
         ("kahler_plus", "extremal"),
         "Hirzebruch-type surface (two bolts, slopes +-k)",
     ),

@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exppoly import ExpPoly
+from .btflat import bt_grid_residual
 from .curvature import curvature_sample
+from .exppoly import ExpPoly
 from .operators import l_compose, l_minus, l_plus
 from .profiles import (
     Domain,
@@ -24,7 +25,6 @@ from .profiles import (
     ExpFactor,
     MetricSpec,
     canonical_coefficients,
-    conformal_value,
 )
 
 __all__ = [
@@ -195,41 +195,35 @@ def classify(
 
     ``use_exact=False`` forces the grid-residual path even when exact
     coefficient conditions are available (used to cross-validate the two).
+    Every predicate is "indeterminate" when F, C's numerator or C's
+    denominator has an exact zero inside the domain (a zero at an end is a
+    bolt or nut), or when a grid point's curvature sample raises.
     """
     report = ClassificationReport(metric_name=m.name, tol=tol, grid_n=grid_n)
     grid = sample_grid(m.domain, grid_n)
     poly = m.f_poly()
 
-    # Guard: residual predicates are meaningless where F or C vanishes.
-    singular_reason = None
-    try:
-        for z in grid:
-            fv = poly.eval(z)
-            cv = conformal_value(m, z)
-            if fv == 0.0:
-                singular_reason = f"F vanishes at grid point z={z:.6g}"
-                break
-            if cv <= 0.0:
-                singular_reason = f"C is non-positive at grid point z={z:.6g}"
-                break
-    except (ArithmeticError, ValueError) as exc:
-        singular_reason = str(exc)
-
     def put(name, verdict, residual, certificate=None):
         report.entries[name] = PredicateResult(name, verdict, float(residual), certificate)
 
-    if singular_reason is not None:
+    # one curvature sample per grid point: every pointwise quantity below reads these
+    lo, hi = m.domain.lo, m.domain.hi
+    num, den = m.c_ratio
+    try:
+        for label, carrier in (("F", poly), ("C's numerator", num), ("C's denominator", den)):
+            inside = [z for z, _ in carrier.real_roots(lo, hi) if lo < z < hi]
+            if inside:
+                raise ValueError(f"{label} vanishes at z={inside[0]:.6g} inside the domain")
+        samples = [curvature_sample(m, z) for z in grid]
+    except (ArithmeticError, ValueError) as exc:
         for name in PREDICATES:
             if name == "bt_flat" and t is None:
                 continue
-            put(name, "indeterminate", math.inf, singular_reason)
+            put(name, "indeterminate", math.inf, str(exc))
         return report
 
     def verdict_of(residual, scale=1.0):
         return "yes" if residual <= tol * scale else "no"
-
-    # --- curvature samples on the grid: every pointwise quantity below reads these
-    samples = [curvature_sample(m, z) for z in grid]
 
     # --- Kähler orientations: (log C)' must equal −1 (J⁺) or +1 (J⁻).
     dlogc = np.array([cs.C1d / cs.C for cs in samples])
@@ -339,10 +333,8 @@ def classify(
 
     # --- B^t flatness (delegated residuals), only when t is supplied
     if t is not None:
-        from .btflat import bt_grid_residual
-
         try:
-            bt_res = bt_grid_residual(m, t, grid)
+            bt_res = bt_grid_residual(samples, t)
             put("bt_flat", verdict_of(bt_res, s_scale), bt_res, f"t={t:g}")
         except (ArithmeticError, ValueError) as exc:
             put("bt_flat", "indeterminate", math.inf, str(exc))

@@ -252,8 +252,8 @@ def _cmd_bt_residuals(args) -> int:
     columns = ("z", "F1res", "F2res", "Tval")
     rows = []
     for z in grid:
-        state, f4d, c2d = state_from_metric(m, args.t, z, s_const=s_const)
-        _, f1res, f2res, tv = bt_residuals(state, args.t, f4d, C2d=c2d)
+        state, f4d, c2d = state_from_metric(m, z, s_const=s_const)
+        f1res, f2res, tv = bt_residuals(state, args.t, f4d, C2d=c2d)
         rows.append((z, f1res, f2res, tv))
     _emit(_tsv(columns, rows), args.out)
     return 0

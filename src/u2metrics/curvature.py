@@ -44,11 +44,12 @@ class NotKahlerError(ValueError):
 class CurvatureSample:
     """Every curvature scalar/component of a metric at one z.
 
-    ``F``, ``F1d``, ``C`` and ``C1d`` are F, F′, C and C′ at z, the values the
-    curvature was computed from (named as in ``BtState``).  ``delW_plus_pot``
-    and ``delW_minus_pot`` are the δW± potentials P± (see
-    :func:`delta_w_potential`); ``rho_plus``/``rho_minus`` are the Kähler
-    Ricci-form coefficients, present only on Jplus/Jminus-tagged metrics.
+    ``F`` … ``F4d`` and ``C`` … ``C2d`` are the jets of F and C at z that the
+    curvature was computed from, and ``s1d`` is the analytic s′ (named as in
+    ``BtState``).  ``delW_plus_pot`` and ``delW_minus_pot`` are the δW±
+    potentials P± (see :func:`delta_w_potential`); ``rho_plus``/``rho_minus``
+    are the Kähler Ricci-form coefficients, present only on Jplus/Jminus-tagged
+    metrics.
     """
 
     z: float
@@ -65,8 +66,13 @@ class CurvatureSample:
     bach_B2: float
     F: float
     F1d: float
+    F2d: float
+    F3d: float
+    F4d: float
     C: float
     C1d: float
+    C2d: float
+    s1d: float
     rho_plus: Optional[float] = None
     rho_minus: Optional[float] = None
 
@@ -180,8 +186,13 @@ def curvature_sample(m: MetricSpec, z: float) -> CurvatureSample:
         bach_B2=bach_B2,
         F=fj[0],
         F1d=fj[1],
+        F2d=fj[2],
+        F3d=fj[3],
+        F4d=fj[4],
         C=c[0],
         C1d=c[1],
+        C2d=c[2],
+        s1d=_scalar_prime_from_jets(fj, c, h),
         rho_plus=rho_p,
         rho_minus=rho_m,
     )

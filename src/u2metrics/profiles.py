@@ -112,11 +112,16 @@ class Canonical:
         for name in ("c1", "c2", "c3", "c4"):
             object.__setattr__(self, name, _num(getattr(self, name)))
 
-    def expand(self) -> ExpPoly:
+    @cached_property
+    def _expanded(self) -> ExpPoly:
         half = Fraction(1, 2)
         return ExpPoly(
             [(0, 1), (-2, half * self.c1), (-1, self.c2), (1, self.c3), (2, half * self.c4)]
         )
+
+    def expand(self) -> ExpPoly:
+        """Built once per value: specs sharing this profile share its zeros."""
+        return self._expanded
 
     def coefficients(self) -> tuple:
         return (self.c1, self.c2, self.c3, self.c4)

@@ -15,8 +15,10 @@ from u2metrics.catalog import (
     hirzebruch_bachflat_k,
     page_constants,
 )
+from u2metrics import exppoly
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import tf_ricci
+from u2metrics.geometry import find_bolts
 from u2metrics.profiles import EinsteinFactor, conformal_value
 
 
@@ -62,6 +64,23 @@ class TestHirzebruch:
         poly = m.f_poly()
         assert poly.eval(-0.8) == pytest.approx(0.0, abs=1e-12)
         assert poly.eval(0.8) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSharedZeros:
+    @pytest.mark.parametrize("name", ["eguchi-hanson-lambda", "taub-nut-lambda"])
+    def test_find_bolts_reuses_the_builders_zeros(self, monkeypatch, name):
+        # the builder isolates F's zeros to place the domain; the spec's F is
+        # the same ExpPoly, so find_bolts isolates nothing again
+        m = catalog_get(name)
+        calls = []
+        real = exppoly._square_free
+        monkeypatch.setattr(exppoly, "_square_free", lambda p: calls.append(1) or real(p))
+        find_bolts(m)
+        assert calls == []
+
+    def test_taub_bolt_entries_share_one_profile(self):
+        polys = [catalog_get(n).f_poly() for n in ("taub-bolt", "modified-taub-bolt-1", "modified-taub-bolt-2")]
+        assert polys[0] is polys[1] is polys[2]
 
 
 class TestEntries:

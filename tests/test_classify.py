@@ -17,7 +17,7 @@ from u2metrics.classify import (
     sample_grid,
 )
 from u2metrics.exppoly import ExpPoly
-from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
+from u2metrics.profiles import Canonical, Domain, EinsteinFactor, ExpFactor, MetricSpec, RatioFactor
 
 
 class TestTags:
@@ -50,13 +50,54 @@ class TestTags:
         tree = rep.tree()
         assert tree["predicates"]["einstein"]["verdict"] == "yes"
 
-    def test_singular_grid_is_indeterminate(self):
-        # F vanishes inside the domain: residual predicates are meaningless
-        m = MetricSpec(
-            "bad", Canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0), None
-        )
-        rep = classify(m, tol=1e-8)
-        assert rep.verdict("einstein") == "indeterminate"
+    @pytest.mark.parametrize("m,t,reason", [
+        # F = 1 − e^{-z} vanishes at z = 0
+        (
+            MetricSpec("bad", Canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0), None),
+            None,
+            "F vanishes at z=0 inside the domain",
+        ),
+        # F = 1 − 0.001·e^{z} changes sign at ln 1000, between two grid points
+        (
+            MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf), None),
+            1.0,
+            "F vanishes at z=6.90776 inside the domain",
+        ),
+        # C = e^{-z}/(1 − e^{-z})² has a pole at z = 0
+        (
+            MetricSpec("p", Canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0), None),
+            None,
+            "C's denominator vanishes at z=0 inside the domain",
+        ),
+    ], ids=["F-zero-on-grid", "F-zero-between-grid-points", "C-pole"])
+    def test_singular_grid_is_indeterminate(self, m, t, reason):
+        # an interior zero of F or of C's num/den makes residual predicates meaningless
+        rep = classify(m, tol=1e-8, t=t)
+        names = [n for n in PREDICATES if t is not None or n != "bt_flat"]
+        assert list(rep.entries) == names
+        for name in names:
+            assert (rep.verdict(name), rep.entries[name].certificate) == ("indeterminate", reason)
+
+    @pytest.mark.parametrize("m,reason", [
+        # C = −1 is negative everywhere, with no zero to find
+        (
+            MetricSpec(
+                "neg", Canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(-1), ExpPoly.constant(1)),
+                Domain(-1.0, 1.0), None,
+            ),
+            "is not positive",
+        ),
+        # C = e^{-z} ≈ 1e-174 at z = 400: C⁻² in |W±|² divides by an underflowed C²
+        (
+            MetricSpec("far", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0), None),
+            "division by zero",
+        ),
+    ], ids=["negative-C", "underflowed-C"])
+    def test_sample_pass_error_is_indeterminate(self, m, reason):
+        rep = classify(m, tol=1e-8, t=1.0)
+        assert list(rep.entries) == list(PREDICATES)
+        for e in rep.entries.values():
+            assert e.verdict == "indeterminate" and reason in e.certificate
 
     def test_bt_flat_requires_t(self):
         m = catalog_get("taub-bolt", {"m": 1.0})
@@ -153,17 +194,25 @@ class TestWorkPerGridPoint:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    @pytest.mark.parametrize("name", ["page", "modified-taub-nut-2"])
-    def test_classify_evaluates_jets_once_per_grid_point(self, monkeypatch, name):
-        # modified-taub-nut-2 is Jplus-tagged, so its samples also carry ρ±
+    @pytest.mark.parametrize("name,t", [
+        ("page", None),
+        ("modified-taub-nut-2", None),
+        ("page", 1.0),
+        ("modified-taub-nut-2", 1.0),
+    ], ids=["page", "modified-taub-nut-2", "page-t=1", "modified-taub-nut-2-t=1"])
+    def test_classify_evaluates_jets_once_per_grid_point(self, monkeypatch, name, t):
+        # modified-taub-nut-2 is Jplus-tagged, so its samples also carry ρ±;
+        # with t the B^t residual reads the same samples
         import u2metrics.profiles
 
         m = catalog_get(name)
         points = len(sample_grid(m.domain, 64))
         f_calls = self._count(monkeypatch, u2metrics.profiles, "jet_F")
         c_calls = self._count(monkeypatch, u2metrics.profiles, "jet_C")
-        classify(m, grid_n=64)
-        assert (len(f_calls), len(c_calls)) == (points, points)
+        v_calls = self._count(monkeypatch, u2metrics.profiles, "conformal_value")
+        rep = classify(m, grid_n=64, t=t)
+        assert ("bt_flat" in rep.entries) == (t is not None)
+        assert (len(f_calls), len(c_calls), len(v_calls)) == (points, points, 0)
 
     def test_curvature_sample_evaluates_each_jet_once(self, monkeypatch):
         import u2metrics.profiles
@@ -179,7 +228,8 @@ class TestWorkPerGridPoint:
     def test_bt_grid_residual_needs_no_scalar_curvature(self, monkeypatch):
         import u2metrics.curvature
 
-        calls = self._count(monkeypatch, u2metrics.curvature, "scalar_curvature")
         m = catalog_get("page")
-        bt_grid_residual(m, 1.0, sample_grid(m.domain, 16))
+        samples = [curvature_sample(m, z) for z in sample_grid(m.domain, 16)]
+        calls = self._count(monkeypatch, u2metrics.curvature, "scalar_curvature")
+        bt_grid_residual(samples, 1.0)
         assert calls == []

@@ -1,6 +1,7 @@
-"""Source hygiene: no module in the package imports a name it never uses or
-defines a private name that nothing references, and every function the
-benchmark tracer wraps still exists.
+"""Source hygiene: no module in the package imports a name it never uses,
+defines a private name that nothing references or takes a parameter that its
+function never reads, and every function the benchmark tracer wraps still
+exists.
 
 A stdlib ``ast`` check standing in for a linter.  A name counts as used when
 it is read anywhere in the module (including inside annotations, quoted or
@@ -73,6 +74,62 @@ def test_checker_flags_an_unused_import(tmp_path):
         "    return x\n"
     )
     assert unused_imports(src) == ["mod.py:1: Sequence", "mod.py:2: math"]
+
+
+def unused_parameters(path: pathlib.Path) -> list:
+    """``module:line: function(parameter)`` for each parameter that its function
+    body never reads (nested functions count as the body).  ``self`` and
+    ``cls`` are exempt, as are dunder methods and the CLI's ``_cmd_*``
+    handlers, which argparse calls with ``args``: their signatures are fixed
+    by their callers."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        if path.name == "cli.py" and node.name.startswith("_cmd_"):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out += [
+            f"{path.name}:{node.lineno}: {node.name}({p.arg})"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path) == []
+
+
+def test_checker_flags_an_unused_parameter(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    def g(d):\n"
+        "        return a + c\n"
+        "    b = 2\n"
+        "    return g\n"
+        "class K:\n"
+        "    def __init__(self, unused):\n"
+        "        pass\n"
+        "    def m(self, x):\n"
+        "        return 0\n"
+    )
+    assert unused_parameters(src) == [
+        "mod.py:1: f(args)",
+        "mod.py:1: f(b)",
+        "mod.py:1: f(kw)",
+        "mod.py:2: g(d)",
+        "mod.py:9: m(x)",
+    ]
 
 
 def _private_definitions(tree) -> dict:
