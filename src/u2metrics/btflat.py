@@ -32,6 +32,7 @@ __all__ = [
     "bt_csc_seed",
     "bt_nonextremal_search",
     "bt_grid_residual",
+    "bt_sample_residuals",
     "state_from_metric",
 ]
 
@@ -426,7 +427,8 @@ def bt_nonextremal_search(
 # -------------------------------------------------- residuals for closed forms
 def _state_from_sample(cs: CurvatureSample, s_const: Optional[float] = None) -> tuple:
     """(BtState, F4d, C2d) read from a curvature sample, with K = C·F·s′;
-    ``s_const`` pins s to a constant with s′ = 0."""
+    ``s_const`` pins s to a constant with s′ = 0.  Of an array sample, the
+    fields are arrays over z (s is the one float ``s_const`` when given)."""
     s_val, s1 = (cs.s, cs.s1d) if s_const is None else (float(s_const), 0.0)
     state = BtState(cs.z, cs.F, cs.F1d, cs.F2d, cs.F3d, cs.C, cs.C1d, s_val, cs.C * cs.F * s1)
     return state, cs.F4d, cs.C2d
@@ -443,19 +445,29 @@ def state_from_metric(m: MetricSpec, z: float, s_const: Optional[float] = None) 
     return _state_from_sample(curvature_sample(m, z), s_const)
 
 
-def bt_grid_residual(samples: Sequence[CurvatureSample], t: float) -> float:
-    """max over the curvature samples of the B^t-flat residuals |F1|, |F2|, |T|.
+def bt_sample_residuals(cs: CurvatureSample, t: float, s_const: Optional[float] = None) -> np.ndarray:
+    """(F1res, F2res, Tval) at each point of an array curvature sample, one row per z.
+
+    The states are those of :func:`state_from_metric` (``s_const`` as there);
+    :func:`bt_residuals` stays float-only for the flow, so it runs per point.
+    """
+    state, f4d, c2d = _state_from_sample(cs, s_const)
+    columns = np.broadcast_arrays(*state, f4d, c2d)
+    rows = [
+        bt_residuals(BtState(*point[:9]), t, point[9], C2d=point[10])
+        for point in zip(*(c.tolist() for c in columns))
+    ]
+    return np.array(rows).reshape(-1, 3)
+
+
+def bt_grid_residual(cs: CurvatureSample, t: float) -> float:
+    """max over an array curvature sample of the B^t-flat residuals |F1|, |F2|, |T|.
 
     Each residual is normalized by the magnitude of the terms entering it:
     near a conformal-factor pole the T expression carries C^{3/2} and C′²/C
     factors that amplify round-off in the sampled scalar curvature, so raw
     residuals there are pure float noise scaled by those factors.
     """
-    worst = 0.0
-    for cs in samples:
-        state, f4d, c2d = _state_from_sample(cs)
-        f1res, f2res, tv = bt_residuals(state, t, f4d, C2d=c2d)
-        c, c1d = state.C, state.C1d
-        scale = 1.0 + c**1.5 * (1.0 + abs(state.s)) + (c1d * c1d) / max(c, 1e-30)
-        worst = max(worst, abs(f1res) / scale, abs(f2res) / scale, abs(tv) / scale)
-    return worst
+    c, c1d = cs.C, cs.C1d
+    scale = 1.0 + c**1.5 * (1.0 + np.abs(cs.s)) + (c1d * c1d) / np.maximum(c, 1e-30)
+    return float(np.max(np.abs(bt_sample_residuals(cs, t)) / scale[:, None]))

@@ -17,8 +17,6 @@ import numpy as np
 
 from .btflat import bt_grid_residual
 from .curvature import curvature_sample
-from .exppoly import ExpPoly
-from .operators import l_compose, l_minus, l_plus
 from .profiles import (
     Domain,
     EinsteinFactor,
@@ -156,10 +154,10 @@ def _as_einstein(model):
 
 def conformally_extremal_residual(m: MetricSpec, grid: Sequence[float]) -> float:
     """max over grid of |L⁺(L⁻(F)) − 1| (conformal-factor independent)."""
-    r = l_compose(m.f_poly()) - ExpPoly.constant(1)
+    r = m.operator_polys[2]
     if r.is_zero:
         return 0.0
-    return max(abs(r.eval(z)) for z in grid)
+    return float(np.max(np.abs(r.eval(np.asarray(grid, dtype=float)))))
 
 
 def fit_exp_family(samples) -> tuple:
@@ -197,7 +195,8 @@ def classify(
     coefficient conditions are available (used to cross-validate the two).
     Every predicate is "indeterminate" when F, C's numerator or C's
     denominator has an exact zero inside the domain (a zero at an end is a
-    bolt or nut), or when a grid point's curvature sample raises.
+    bolt or nut), or when the curvature sample of the grid raises (its
+    reason names the z).
     """
     report = ClassificationReport(metric_name=m.name, tol=tol, grid_n=grid_n)
     grid = sample_grid(m.domain, grid_n)
@@ -206,7 +205,7 @@ def classify(
     def put(name, verdict, residual, certificate=None):
         report.entries[name] = PredicateResult(name, verdict, float(residual), certificate)
 
-    # one curvature sample per grid point: every pointwise quantity below reads these
+    # one curvature sample of the whole grid: every pointwise quantity below reads it
     lo, hi = m.domain.lo, m.domain.hi
     num, den = m.c_ratio
     try:
@@ -214,7 +213,7 @@ def classify(
             inside = [z for z, _ in carrier.real_roots(lo, hi) if lo < z < hi]
             if inside:
                 raise ValueError(f"{label} vanishes at z={inside[0]:.6g} inside the domain")
-        samples = [curvature_sample(m, z) for z in grid]
+        cs = curvature_sample(m, grid)
     except (ArithmeticError, ValueError) as exc:
         for name in PREDICATES:
             if name == "bt_flat" and t is None:
@@ -226,7 +225,7 @@ def classify(
         return "yes" if residual <= tol * scale else "no"
 
     # --- Kähler orientations: (log C)' must equal −1 (J⁺) or +1 (J⁻).
-    dlogc = np.array([cs.C1d / cs.C for cs in samples])
+    dlogc = cs.C1d / cs.C
     if use_exact and isinstance(m.C, ExpFactor):
         kp_res = 0.0 if m.C.eps == -1 else 2.0
         km_res = 0.0 if m.C.eps == +1 else 2.0
@@ -245,7 +244,7 @@ def classify(
     else:
         put("extremal", "no", min(kp_res, km_res), "not Kähler for either orientation")
 
-    s_arr = np.array([cs.s for cs in samples])
+    s_arr = cs.s
     s_scale = 1.0 + float(np.max(np.abs(s_arr)))
     s0 = float(np.mean(s_arr))
     csc_res = float(np.max(np.abs(s_arr - s0)))
@@ -253,7 +252,7 @@ def classify(
     zsc_res = max(csc_res, abs(s0))
     put("zsc", verdict_of(zsc_res, s_scale), zsc_res)
 
-    ric_res = float(max(max(abs(cs.ric0_a), abs(cs.ric0_b)) for cs in samples))
+    ric_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
     coeffs = canonical_coefficients(poly)
     einstein_pair = _as_einstein(m.C)
     einstein_exact = None
@@ -280,26 +279,24 @@ def classify(
         bach_res = abs(c1 * c4 - c2 * c3) if ce_res == 0.0 else max(float(abs(c1 * c4 - c2 * c3)), ce_res)
         bach_res = float(bach_res)
     else:
-        bach_res = float(max(max(abs(cs.bach_B1), abs(cs.bach_B2)) for cs in samples))
+        bach_res = float(np.max(np.maximum(np.abs(cs.bach_B1), np.abs(cs.bach_B2))))
     put("bach_flat", verdict_of(bach_res), bach_res)
 
     # --- half-conformally-flat (sd: W⁻ = 0, asd: W⁺ = 0)
-    lm_poly = l_minus(poly) - ExpPoly.constant(1)
-    lp_poly = l_plus(poly) - ExpPoly.constant(1)
-    sd_res = 0.0 if lm_poly.is_zero else max(abs(lm_poly.eval(z)) for z in grid)
-    asd_res = 0.0 if lp_poly.is_zero else max(abs(lp_poly.eval(z)) for z in grid)
+    lp_poly, lm_poly, _ = m.operator_polys
+    sd_res = 0.0 if lm_poly.is_zero else float(np.max(np.abs(lm_poly.eval(grid))))
+    asd_res = 0.0 if lp_poly.is_zero else float(np.max(np.abs(lp_poly.eval(grid))))
     put("sd", verdict_of(sd_res), sd_res)
     put("asd", verdict_of(asd_res), asd_res)
 
     # --- half harmonic: P± constant on the grid (or the Weyl half vanishes)
     for name, wz_poly, pot in (
-        ("half_harmonic_plus", lp_poly, [cs.delW_plus_pot for cs in samples]),
-        ("half_harmonic_minus", lm_poly, [cs.delW_minus_pot for cs in samples]),
+        ("half_harmonic_plus", lp_poly, cs.delW_plus_pot),
+        ("half_harmonic_minus", lm_poly, cs.delW_minus_pot),
     ):
         if wz_poly.is_zero:
             put(name, "yes", 0.0, "weyl-half-zero")
         else:
-            pot = np.array(pot)
             scale = 1.0 + float(np.max(np.abs(pot)))
             res = float(np.max(pot) - np.min(pot))
             put(name, verdict_of(res, scale), res)
@@ -313,28 +310,26 @@ def classify(
     )
 
     # --- hyperKähler shape tests: the first-order system and its mirror
-    f_positive = not any(cs.F <= 0.0 for cs in samples)
+    f_positive = not np.any(cs.F <= 0.0)
     for name, orient in (("hyperkahler_Iminus", -1), ("hyperkahler_Iplus", +1)):
         if not f_positive:
             put(name, "indeterminate", math.inf, "F not positive on grid")
             continue
-        worst = 0.0
-        for cs, dlc in zip(samples, dlogc):
-            sqrt_f = math.sqrt(cs.F)
-            # I⁻:  F′/(2√F) = √F − 1   and  (log C)′ = −1 + 2/√F ; I⁺ mirrors signs.
-            if orient < 0:
-                r1 = cs.F1d / (2.0 * sqrt_f) - (sqrt_f - 1.0)
-                r2 = dlc - (-1.0 + 2.0 / sqrt_f)
-            else:
-                r1 = cs.F1d / (2.0 * sqrt_f) + (sqrt_f - 1.0)
-                r2 = dlc - (1.0 - 2.0 / sqrt_f)
-            worst = max(worst, abs(r1), abs(r2))
+        sqrt_f = np.sqrt(cs.F)
+        # I⁻:  F′/(2√F) = √F − 1   and  (log C)′ = −1 + 2/√F ; I⁺ mirrors signs.
+        if orient < 0:
+            r1 = cs.F1d / (2.0 * sqrt_f) - (sqrt_f - 1.0)
+            r2 = dlogc - (-1.0 + 2.0 / sqrt_f)
+        else:
+            r1 = cs.F1d / (2.0 * sqrt_f) + (sqrt_f - 1.0)
+            r2 = dlogc - (1.0 - 2.0 / sqrt_f)
+        worst = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
         put(name, verdict_of(worst), worst)
 
     # --- B^t flatness (delegated residuals), only when t is supplied
     if t is not None:
         try:
-            bt_res = bt_grid_residual(samples, t)
+            bt_res = bt_grid_residual(cs, t)
             put("bt_flat", verdict_of(bt_res, s_scale), bt_res, f"t={t:g}")
         except (ArithmeticError, ValueError) as exc:
             put("bt_flat", "indeterminate", math.inf, str(exc))

@@ -12,41 +12,31 @@ import sys
 import tempfile
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .btflat import (
     STATE_FIELDS,
     BtState,
     SearchFailure,
     SeedError,
-    SingularSystemError,
     bt_integrate,
     bt_nonextremal_search,
-    bt_residuals,
-    state_from_metric,
+    bt_sample_residuals,
 )
 from .catalog import CatalogError, catalog_get, catalog_list, page_constants
 from .classify import classify
 from .curvature import curvature_sample
-from .exppoly import EvalOverflowError
 from .geometry import TransformError, classify_end, find_bolts
 from .metricfile import MetricFileError, emit_metric, parse_metric
-from .numerics import BracketError, QuadratureError
-from .profiles import OutOfDomainError, SingularConformalFactorError
+from .profiles import OutOfDomainError
 
 __all__ = ["main"]
 
-_NUMERIC_ERRORS = (
-    QuadratureError,
-    BracketError,
-    SingularConformalFactorError,
-    SingularSystemError,
-    SeedError,
-    SearchFailure,
-    EvalOverflowError,
-    OutOfDomainError,
-    ZeroDivisionError,
-    OverflowError,
-)
+# ArithmeticError covers the numeric errors of the library (QuadratureError,
+# BracketError, SingularConformalFactorError, SingularSystemError,
+# EvalOverflowError) and a non-finite curvature field
+_NUMERIC_ERRORS = (ArithmeticError, SeedError, SearchFailure, OutOfDomainError)
 
 
 class _UsageError(Exception):
@@ -154,28 +144,23 @@ def _cmd_classify(args) -> int:
 
 def _cmd_curvature(args) -> int:
     m = _load_metric(args.file)
-    grid = _parse_grid(args.grid)
+    cs = curvature_sample(m, np.array(_parse_grid(args.grid)))
     columns = ("z", "F", "C", "s", "ric0_a", "ric0_b", "w_plus", "w_minus", "B1", "B2", "P_plus", "P_minus")
-    rows = []
-    for z in grid:
-        cs = curvature_sample(m, z)
-        rows.append(
-            (
-                z,
-                cs.F,
-                cs.C,
-                cs.s,
-                cs.ric0_a,
-                cs.ric0_b,
-                cs.w_plus,
-                cs.w_minus,
-                cs.bach_B1,
-                cs.bach_B2,
-                cs.delW_plus_pot,
-                cs.delW_minus_pot,
-            )
-        )
-    _emit(_tsv(columns, rows), args.out)
+    values = (
+        cs.z,
+        cs.F,
+        cs.C,
+        cs.s,
+        cs.ric0_a,
+        cs.ric0_b,
+        cs.w_plus,
+        cs.w_minus,
+        cs.bach_B1,
+        cs.bach_B2,
+        cs.delW_plus_pot,
+        cs.delW_minus_pot,
+    )
+    _emit(_tsv(columns, zip(*(v.tolist() for v in values))), args.out)
     return 0
 
 
@@ -248,14 +233,10 @@ def _cmd_bt_residuals(args) -> int:
             s_const = float(args.s[len("const:") :])
         except ValueError:
             raise _UsageError(f"bad --s value {args.s!r}") from None
-    grid = _parse_grid(args.grid)
-    columns = ("z", "F1res", "F2res", "Tval")
-    rows = []
-    for z in grid:
-        state, f4d, c2d = state_from_metric(m, z, s_const=s_const)
-        f1res, f2res, tv = bt_residuals(state, args.t, f4d, C2d=c2d)
-        rows.append((z, f1res, f2res, tv))
-    _emit(_tsv(columns, rows), args.out)
+    cs = curvature_sample(m, np.array(_parse_grid(args.grid)))
+    residuals = bt_sample_residuals(cs, args.t, s_const=s_const)
+    rows = [(z, *r) for z, r in zip(cs.z.tolist(), residuals.tolist())]
+    _emit(_tsv(("z", "F1res", "F2res", "Tval"), rows), args.out)
     return 0
 
 

@@ -6,17 +6,21 @@ tensors are reported as coefficient pairs rather than 4×4 matrices:
 
     tf Ric = ric0_a·((σ⁰)² − (σ¹)²) + ric0_b·((σ⁰)² + (σ¹)² − (σ²)² − (σ³)²)
     Bach   = B1·(−2(σ¹)² + (σ²)² + (σ³)²) + B2·(−(σ⁰)² − (σ¹)² + (σ²)² + (σ³)²)
+
+Every function here takes a float z or a 1-D float64 array of them; an
+array goes through the same formulas, each value becoming an array over z.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .exppoly import ExpPoly
-from .numerics import adaptive_simpson
-from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet, l_plus
+import numpy as np
+
+from .numerics import adaptive_simpson, at_first
+from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet
 from .profiles import MetricSpec, jet_C, jet_F
 
 __all__ = [
@@ -49,7 +53,8 @@ class CurvatureSample:
     ``BtState``).  ``delW_plus_pot`` and ``delW_minus_pot`` are the δW±
     potentials P± (see :func:`delta_w_potential`); ``rho_plus``/``rho_minus``
     are the Kähler Ricci-form coefficients, present only on Jplus/Jminus-tagged
-    metrics.
+    metrics.  For an array z every field is an array over z (ρ± stay None
+    on an untagged metric).
     """
 
     z: float
@@ -118,7 +123,8 @@ def _weyl_from_jets(lp, lm, c) -> tuple:
 
 
 def _delta_w_from_jets(sign, z, l_pm, h) -> float:
-    return math.exp(sign * 1.5 * z) * l_pm * h[0]
+    exp = np.exp if isinstance(z, np.ndarray) else math.exp
+    return exp(sign * 1.5 * z) * l_pm * h[0]
 
 
 def _bach_from_jets(fj, c) -> tuple:
@@ -144,8 +150,9 @@ def _rho_from_jets(tag, fj, c) -> tuple:
     return None, None
 
 
-def curvature_sample(m: MetricSpec, z: float) -> CurvatureSample:
-    """All curvature quantities at one z (ρ± only when the metric is Kähler-tagged).
+def curvature_sample(m: MetricSpec, z) -> CurvatureSample:
+    """All curvature quantities at one z, or at every z of an array (ρ± only
+    when the metric is Kähler-tagged).
 
     Computed from one F jet and one C jet (h = C^{1/2}, g = C^{-1/2}) by the
     ``_…_from_jets`` helpers, the one place each formula is written; the
@@ -158,7 +165,24 @@ def curvature_sample(m: MetricSpec, z: float) -> CurvatureSample:
         Bach:    B1 = (16/3)C⁻²·F·(L⁻(L⁺F) − 1),  B2 = (8/3)C⁻²·B(F,F)
         Kähler:  Jplus: ρ⁺ = −(2/C)(L⁺F − 1),  ρ⁻ = −(2/C)((−½F″ + ½F′ + F) − 1);
                  Jminus is the z ↦ −z mirror.
+
+    An array z is evaluated with floating-point warnings off, and then each
+    field is checked in turn: the first with a non-finite value raises
+    ``ArithmeticError`` naming the field and its first non-finite z.
     """
+    if isinstance(z, np.ndarray):
+        with np.errstate(all="ignore"):
+            sample = _sample(m, z)
+        for f in fields(sample):
+            value = getattr(sample, f.name)
+            hit = None if value is None else at_first(~np.isfinite(value), z)
+            if hit is not None:
+                raise ArithmeticError(f"{f.name} is not finite at z={hit[0]}")
+        return sample
+    return _sample(m, z)
+
+
+def _sample(m: MetricSpec, z) -> CurvatureSample:
     fj = jet_F(m, z)
     cj = jet_C(m, z, powers=(1, _HALF, -_HALF))
     c, h, g = cj[1], cj[_HALF], cj[-_HALF]
@@ -263,9 +287,9 @@ def weyl_energy(m: MetricSpec, a: float, b: float, tol: float = 1e-10) -> float:
     This is the W⁺ energy density per unit η-coframe 3-sphere volume; the
     constant S³ volume factor is deliberately not included.
     """
-    poly = l_plus(m.f_poly()) - ExpPoly.constant(1)
+    poly = m.operator_polys[0]
 
-    def integrand(z: float) -> float:
+    def integrand(z):
         v = poly.eval(z)
         return (16.0 / 3.0) * v * v
 

@@ -5,7 +5,8 @@ that the profile and conformal-factor formulas ever produce, via √C factors).
 Coefficients are either exact rationals (:class:`fractions.Fraction`) or
 floats; arithmetic stays exact as long as every operand is exact.
 
-Values are immutable after construction and all operations are pure.  Each
+Values are immutable after construction and all operations are pure.
+``eval`` and ``jet`` take a float or a 1-D float64 array of points.  Each
 value also carries a float cache for evaluation (sorted float exponents and,
 for every derivative order n, the row float(c·kⁿ)) and a cache of its real
 zeros; both are filled on first use and replaced whole, never mutated, and
@@ -15,9 +16,12 @@ between threads.  Equality and hashing depend on the exact terms alone.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import zip_longest
 from numbers import Rational
+
+import numpy as np
 
 __all__ = ["ExpPoly", "ExpPolyError", "EvalOverflowError", "ENDPOINT_RTOL"]
 
@@ -241,28 +245,43 @@ class ExpPoly:
         ks = [k for k, _, _ in live]
         return EvalOverflowError(max(ks) if z > 0 else min(ks), z)
 
-    def eval(self, z: float) -> float:
+    def eval(self, z):
         """Floating-point value at z, terms accumulated in exponent order."""
         return self.jet(z, 0)[0]
 
-    def jet(self, z: float, order: int = 4) -> tuple:
+    def jet(self, z, order: int = 4) -> tuple:
         """(value, d/dz, ..., d^order/dz^order) at z; entry n equals
-        ``derive(n).eval(z)`` bit for bit."""
+        ``derive(n).eval(z)`` bit for bit.
+
+        z is a float or a 1-D float64 array; on an array every entry is an
+        array over z, summed the same way with ``np.exp`` in place of
+        ``math.exp``, and a non-finite entry raises for the first such z.
+        """
         _, kfs, rows = self._rows(order)
-        try:
-            es = [math.exp(kf * z) for kf in kfs]
-        except OverflowError:
-            raise self._overflow(0, z) from None
-        values = []
-        for n in range(order + 1):
-            total = 0.0
-            for c, e in zip(rows[n], es):
-                total += c * e
-            # once the value (row 0) is finite every exponential is, so a
-            # non-finite total comes from row n's own terms
-            if not math.isfinite(total):
-                raise self._overflow(n, z)
-            values.append(total)
+        array = isinstance(z, np.ndarray)
+        with np.errstate(all="ignore") if array else nullcontext():
+            try:
+                # an array's exponentials are the rows of one exp(k ⊗ z)
+                es = np.exp(np.multiply.outer(kfs, z)) if array else [math.exp(kf * z) for kf in kfs]
+            except OverflowError:
+                raise self._overflow(0, z) from None
+            values = []
+            for n in range(order + 1):
+                total = np.zeros(z.shape) if array else 0.0
+                for c, e in zip(rows[n], es):
+                    total += c * e
+                values.append(total)
+        # once the value (row 0) is finite every exponential is, so a
+        # non-finite entry n comes from row n's own terms
+        if array:
+            bad = ~np.isfinite(values)
+            if bad.any():  # the float path's error at the first bad z
+                i = np.flatnonzero(bad.any(axis=0))[0]
+                raise self._overflow(int(np.argmax(bad[:, i])), z[i].item())
+        else:
+            for n, total in enumerate(values):
+                if not math.isfinite(total):
+                    raise self._overflow(n, z)
         return tuple(values)
 
     # ------------------------------------------------------------ real zeros

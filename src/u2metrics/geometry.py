@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .classify import fit_exp_family
-from .numerics import adaptive_simpson
+from .numerics import adaptive_simpson, at_first
 from .profiles import (
     Canonical,
     ConformalModel,
@@ -122,12 +122,13 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
     poly = m.f_poly()
     num, den = m.c_ratio
 
-    def integrand(z, f_base=0.0):
+    def integrand(z, f_base=0.0):  # z a float or an array of them
         fv = poly.eval(z) - f_base
         cv = conformal_value(m, z)
-        if fv <= 0.0 or cv <= 0.0:
-            raise SingularConformalFactorError(f"√(C/F) undefined at z={z}")
-        return 0.5 * math.sqrt(cv / fv)
+        hit = at_first((fv <= 0.0) | (cv <= 0.0), z)
+        if hit is not None:
+            raise SingularConformalFactorError(f"√(C/F) undefined at z={hit[0]}")
+        return 0.5 * np.sqrt(cv / fv)
 
     total = 0.0
     lo, hi = z1, z2
@@ -139,7 +140,7 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
         if rate >= 0.0:
             return math.inf
         cut = sgn * max(sgn * other + 1.0, 60.0)
-        total += integrand(cut) / -rate  # ∫ from the cut of f(cut)·e^{rate·|z − cut|}
+        total += float(integrand(cut)) / -rate  # ∫ from the cut of f(cut)·e^{rate·|z − cut|}
         lo, hi = (lo, cut) if sgn > 0 else (cut, hi)
 
     half = 0.5 * (hi - lo)
@@ -153,7 +154,11 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
         g0 = math.sqrt(s * an / (ad * af)) if twice_p == -1 else 0.0
 
         def g(u):
-            return 2.0 * u * integrand(z0 + s * u * u, f_base) if u else g0
+            out = np.full(u.shape, g0)
+            live = u != 0.0
+            v = u[live]
+            out[live] = 2.0 * v * integrand(z0 + s * v * v, f_base)
+            return out
 
         total += adaptive_simpson(g, 0.0, math.sqrt(half), tol=0.5 * tol)
     return total
@@ -313,10 +318,13 @@ def transcribe_classic(
             raise ValueError(f"A, B, C must be positive on the r-range (r={r})")
         return orientation * 2.0 * math.sqrt(a * b) / c
 
+    def dz_dr_nodes(r):  # A, B and C are the caller's scalar functions
+        return np.array([dz_dr(x) for x in r.tolist()])
+
     zs = np.empty(samples)
     zs[0] = 0.0
     for i in range(1, samples):
-        zs[i] = zs[i - 1] + adaptive_simpson(dz_dr, rs[i - 1], rs[i], tol=1e-13)
+        zs[i] = zs[i - 1] + adaptive_simpson(dz_dr_nodes, rs[i - 1], rs[i], tol=1e-13)
     steps = np.diff(zs)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise OrientationError("z(r) is not monotone; flip the orientation sign")

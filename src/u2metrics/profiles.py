@@ -3,8 +3,11 @@
 A metric is  g = F·dz² (up to the fixed coframe convention) described by a
 profile F(z) and a conformal factor C(z); this module holds the closed-form
 carriers for both and provides exact 4-jet evaluation.  A spec expands its
-carriers (F and C's num/den pair) once, on first use, and every evaluation
-shares them, so each polynomial's float rows are compiled once per spec.
+carriers (F and C's num/den pair, and the operator polynomials built from F)
+once, on first use, and every evaluation shares them, so each polynomial's
+float rows are compiled once per spec.  ``jet_F``, ``jet_C`` and
+``conformal_value`` take a float z or a 1-D float64 array of them; on an
+array each check raises for the first z that fails it.
 """
 from __future__ import annotations
 
@@ -15,8 +18,10 @@ from functools import cached_property
 from numbers import Rational
 from typing import Optional, Union
 
+import numpy as np
+
 from .exppoly import ExpPoly
-from .numerics import jet_to_series, series_div, series_pow, series_to_jet
+from .numerics import at_first, jet_to_series, series_div, series_pow, series_to_jet
 
 __all__ = [
     "Domain",
@@ -76,15 +81,15 @@ class Domain:
         if self.hi_closed and not math.isfinite(self.hi):
             raise ValueError("closed endpoint must be finite")
 
-    def contains(self, z: float, tol: float = 1e-12) -> bool:
-        """True if z is interior or at a closed endpoint (within tol)."""
-        if self.lo < z < self.hi:
-            return True
-        if self.lo_closed and abs(z - self.lo) <= tol:
-            return True
-        if self.hi_closed and abs(z - self.hi) <= tol:
-            return True
-        return False
+    def contains(self, z, tol: float = 1e-12):
+        """True if z is interior or at a closed endpoint (within tol);
+        elementwise for an array z."""
+        inside = (self.lo < z) & (z < self.hi)
+        if self.lo_closed:
+            inside = inside | (abs(z - self.lo) <= tol)
+        if self.hi_closed:
+            inside = inside | (abs(z - self.hi) <= tol)
+        return inside
 
     def finite_window(self, span: float = 8.0, both_infinite_halfspan: float = 4.0) -> tuple:
         """A finite sub-interval used for sampling on unbounded domains."""
@@ -254,31 +259,42 @@ class MetricSpec:
         """(num, den) with C = num/den, built once per spec."""
         return factor_ratio(self.C)
 
+    @cached_property
+    def operator_polys(self) -> tuple:
+        """(L⁺F − 1, L⁻F − 1, L⁺(L⁻F) − 1), exact, built once per spec: the
+        Weyl halves' factor and the conformal-extremality residual."""
+        from .operators import l_compose, l_minus, l_plus  # operators imports this module
+
+        f, one = self.f_poly(), ExpPoly.constant(1)
+        return (l_plus(f) - one, l_minus(f) - one, l_compose(f) - one)
+
     def f_poly(self) -> ExpPoly:
         return self._f_poly
 
 
-def _check_domain(m: MetricSpec, z: float):
-    if not m.domain.contains(z):
-        raise OutOfDomainError(f"z={z} outside domain [{m.domain.lo}, {m.domain.hi}] of {m.name!r}")
+def _check_domain(m: MetricSpec, z):
+    hit = at_first(np.logical_not(m.domain.contains(z)), z)
+    if hit is not None:
+        raise OutOfDomainError(f"z={hit[0]} outside domain [{m.domain.lo}, {m.domain.hi}] of {m.name!r}")
 
 
-def jet_F(m: MetricSpec, z: float) -> tuple:
+def jet_F(m: MetricSpec, z) -> tuple:
     """(F, F′, F″, F‴, F⁗) at z (interior or closed endpoint), termwise exact."""
     _check_domain(m, z)
     return m.f_poly().jet(z, 4)
 
 
-def _c_series(m: MetricSpec, z: float) -> list:
+def _c_series(m: MetricSpec, z) -> list:
     num, den = m.c_ratio
     ns = jet_to_series(num.jet(z, 4))
     ds = jet_to_series(den.jet(z, 4))
-    if ds[0] == 0.0:
-        raise SingularConformalFactorError(f"conformal denominator vanishes at z={z}")
+    hit = at_first(ds[0] == 0.0, z)
+    if hit is not None:
+        raise SingularConformalFactorError(f"conformal denominator vanishes at z={hit[0]}")
     return series_div(ns, ds)
 
 
-def jet_C(m: MetricSpec, z: float, powers=(1,)) -> dict:
+def jet_C(m: MetricSpec, z, powers=(1,)) -> dict:
     """{power: (value, d1, .., d4)} for the requested powers of C at z; requires C(z) > 0.
 
     Powers may be any rationals among {-3/2, -1, -1/2, 1/2, 1, 3/2} (others
@@ -286,8 +302,9 @@ def jet_C(m: MetricSpec, z: float, powers=(1,)) -> dict:
     """
     _check_domain(m, z)
     cs = _c_series(m, z)
-    if cs[0] <= 0.0:
-        raise SingularConformalFactorError(f"C(z)={cs[0]} is not positive at z={z}")
+    hit = at_first(cs[0] <= 0.0, cs[0], z)
+    if hit is not None:
+        raise SingularConformalFactorError("C(z)={} is not positive at z={}".format(*hit))
     out = {}
     for p in powers:
         key = Fraction(p) if not isinstance(p, Fraction) else p
@@ -295,10 +312,12 @@ def jet_C(m: MetricSpec, z: float, powers=(1,)) -> dict:
     return out
 
 
-def conformal_value(m: MetricSpec, z: float) -> float:
-    """C(z) as a plain float (may be non-positive; no singularity check)."""
+def conformal_value(m: MetricSpec, z):
+    """C(z) as a plain float, or an array for an array z (may be
+    non-positive; only a vanishing denominator raises)."""
     num, den = m.c_ratio
     d = den.eval(z)
-    if d == 0.0:
-        raise SingularConformalFactorError(f"conformal denominator vanishes at z={z}")
+    hit = at_first(d == 0.0, z)
+    if hit is not None:
+        raise SingularConformalFactorError(f"conformal denominator vanishes at z={hit[0]}")
     return num.eval(z) / d

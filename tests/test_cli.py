@@ -1,12 +1,18 @@
 """Command-line interface: outputs, file formats, and exit codes."""
+import json
 import math
+import pathlib
 
 import pytest
 
+import u2metrics.cli
 from u2metrics.cli import main
 from u2metrics.catalog import catalog_get
 from u2metrics.metricfile import emit_metric
 from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
+
+
+CLI_GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "cli_goldens.json"
 
 
 def _write_metric(tmp_path, name, params=None, fname="metric.txt"):
@@ -88,6 +94,34 @@ class TestCurvatureCommand:
     def test_bad_grid_syntax_exits_1(self, tmp_path):
         path = _write_metric(tmp_path, "taub-nut")
         assert main(["curvature", path, "--grid", "nope"]) == 1
+
+
+class TestGridCommandsMatchGoldens:
+    """``curvature --grid`` and ``bt residuals --grid`` sample the whole grid
+    in one ``curvature_sample`` call, and print what the benchmark's CLI
+    goldens (recorded from the one-point-at-a-time evaluation) hold, within
+    their rtol 1e-7 and atol 1e-9."""
+
+    @pytest.mark.parametrize("command", ["curvature-grid", "bt-residuals"])
+    def test_one_sample_call_and_golden_output(self, command, tmp_path, capsys, monkeypatch):
+        golden = json.loads(CLI_GOLDENS.read_text())[command]
+        _write_metric(tmp_path, "taub-nut", {"m": 2.0}, fname="tn.txt")
+        calls = []
+        sample = u2metrics.cli.curvature_sample
+        monkeypatch.setattr(u2metrics.cli, "curvature_sample", lambda m, z: calls.append(z) or sample(m, z))
+        assert main([a.format(**{"in": tmp_path, "out": tmp_path}) for a in golden["argv"]]) == 0
+        assert len(calls) == 1
+        outputs = [(capsys.readouterr().out, golden["stdout"])]
+        if "out" in golden:
+            outputs.append(((tmp_path / "curv.tsv").read_text(), golden["out"]))
+        for got, want in outputs:
+            got, want = got.splitlines(), want.splitlines()
+            assert len(got) == len(want) and got[:1] == want[:1]
+            for line, want_line in zip(got[1:], want[1:]):
+                xs, ys = [float(v) for v in line.split("\t")], [float(v) for v in want_line.split("\t")]
+                assert len(xs) == len(ys)
+                for x, y in zip(xs, ys):
+                    assert abs(x - y) <= 1e-7 * max(abs(x), abs(y)) + 1e-9, (line, want_line)
 
 
 class TestEndsCommand:

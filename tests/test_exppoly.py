@@ -1,8 +1,10 @@
 """Exact exponential-polynomial arithmetic."""
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +152,53 @@ def test_jet_is_bit_identical_to_reference(p, z, order):
     want = _reference_jet(p, z, order)
     assert p.jet(z, order) == want
     assert p.eval(z) == want[0]
+
+
+_grids = st.lists(st.floats(min_value=-40.0, max_value=40.0, allow_nan=False), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _grids, st.integers(min_value=0, max_value=6))
+def test_array_jet_is_within_eight_ulps_of_the_float_jet(p, zs, order):
+    # contract: each array entry is within 8·ε·Σ|c·kⁿ·e^{kz}| of the float path
+    # (np.exp and libm's exp may differ by an ulp)
+    got = p.jet(np.array(zs), order)
+    assert len(got) == order + 1
+    for i, z in enumerate(zs):
+        want = p.jet(z, order)
+        for n in range(order + 1):
+            size = sum(abs(float(c * k**n)) * math.exp(float(k) * z) for k, c in p.terms())
+            assert abs(got[n][i] - want[n]) <= 8 * np.finfo(float).eps * size, (z, n)
+    assert isinstance(got[0], np.ndarray) and got[0].shape == (len(zs),)
+
+
+class TestArrayOverflow:
+    def _error(self, p, zs, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is the error, not a warning
+            with pytest.raises(EvalOverflowError) as err:
+                p.jet(np.array(zs), order)
+        return err.value
+
+    def test_names_the_exponent_and_the_first_bad_z(self):
+        p = ExpPoly([(-1, 1), (2, 1), (3, 1)])
+        err = self._error(p, [0.0, 1000.0, 2000.0, -1000.0], 0)
+        assert (err.exponent, err.z) == (Fraction(2), 1000.0)
+        assert "z=1000.0" in str(err)
+
+    def test_is_the_float_error_at_that_z(self):
+        p = ExpPoly([(-2, 1), (Fraction(-1, 2), 3), (1, 1)])
+        err = self._error(p, [1.0, -1000.0, 1000.0], 4)
+        with pytest.raises(EvalOverflowError) as want:
+            p.jet(-1000.0, 4)
+        assert (err.exponent, err.z, str(err)) == (want.value.exponent, -1000.0, str(want.value))
+
+    def test_derivative_only_overflow(self):
+        # at z=0.4 the value 5e307·e^0.8 is finite, its derivative is not
+        p = ExpPoly([(0, 1), (2, 5e307)])
+        assert np.isfinite(p.eval(np.array([0.0, 0.4]))).all()
+        err = self._error(p, [0.0, 0.2, 0.4], 1)
+        assert (err.exponent, err.z) == (Fraction(2), 0.4)
 
 
 class TestOverflowExponent:

@@ -1,8 +1,11 @@
 """Quadrature, root finding, and series-arithmetic kernels."""
 import math
 
+import numpy as np
 import pytest
 
+from u2metrics import geometry
+from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.numerics import (
     BracketError,
     QuadratureError,
@@ -18,38 +21,38 @@ from u2metrics.numerics import (
 
 class TestAdaptiveSimpson:
     def test_exponential(self):
-        assert adaptive_simpson(math.exp, 0.0, 1.0, tol=1e-13) == pytest.approx(
+        assert adaptive_simpson(np.exp, 0.0, 1.0, tol=1e-13) == pytest.approx(
             math.e - 1.0, abs=1e-12
         )
 
     def test_sine(self):
-        assert adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-13) == pytest.approx(
+        assert adaptive_simpson(np.sin, 0.0, math.pi, tol=1e-13) == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_steep_exponential(self):
         exact = (math.exp(30.0) - 1.0) / 3.0
-        got = adaptive_simpson(lambda z: math.exp(3.0 * z), 0.0, 10.0, tol=1e-9)
+        got = adaptive_simpson(lambda z: np.exp(3.0 * z), 0.0, 10.0, tol=1e-9)
         assert abs(got - exact) / exact < 1e-12
 
     def test_empty_interval(self):
-        assert adaptive_simpson(math.exp, 2.0, 2.0) == 0.0
+        assert adaptive_simpson(np.exp, 2.0, 2.0) == 0.0
 
     def test_reversed_interval_is_negated(self):
-        fwd = adaptive_simpson(math.exp, 0.0, 1.0, tol=1e-12)
-        bwd = adaptive_simpson(math.exp, 1.0, 0.0, tol=1e-12)
+        fwd = adaptive_simpson(np.exp, 0.0, 1.0, tol=1e-12)
+        bwd = adaptive_simpson(np.exp, 1.0, 0.0, tol=1e-12)
         assert fwd == pytest.approx(-bwd, abs=1e-12)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            adaptive_simpson(lambda z: math.inf if z == 0.0 else 1.0 / z, -1.0, 1.0, tol=1e-10)
+            adaptive_simpson(lambda z: np.divide(1.0, z, out=np.full_like(z, np.inf), where=z != 0.0), -1.0, 1.0, tol=1e-10)
 
     def test_noisy_integrand_terminates(self):
         # cancellation-heavy evaluation: the requested tol is below the
         # attainable noise floor, so panels reach the depth cap without
         # meeting the tolerance; that is reported, with the estimate attached
         def noisy(z):
-            return (1e8 + math.sin(z)) - 1e8
+            return (1e8 + np.sin(z)) - 1e8
 
         exact = 1.0 - math.cos(1.0)
         with pytest.raises(QuadratureError) as info:
@@ -59,19 +62,155 @@ class TestAdaptiveSimpson:
 
     def test_depth_cap_raises_with_estimate_and_error(self):
         with pytest.raises(QuadratureError) as info:
-            adaptive_simpson(math.exp, 0.0, 10.0, tol=1e-13, max_depth=3)
+            adaptive_simpson(np.exp, 0.0, 10.0, tol=1e-13, max_depth=3)
         exact = math.exp(10.0) - 1.0
         assert abs(info.value.estimate - exact) < info.value.error
 
     def test_exhausted_panel_budget_raises(self):
         # about 10^5 oscillations need more panels than the budget allows
         with pytest.raises(QuadratureError, match="panel budget"):
-            adaptive_simpson(lambda z: math.sin(1e5 * z), 0.0, 1.0, tol=1e-12)
+            adaptive_simpson(lambda z: np.sin(1e5 * z), 0.0, 1.0, tol=1e-12)
 
     def test_non_finite_integrand_has_no_estimate(self):
         with pytest.raises(QuadratureError) as info:
-            adaptive_simpson(lambda z: math.inf, 0.0, 1.0)
+            adaptive_simpson(lambda z: np.full_like(z, np.inf), 0.0, 1.0)
         assert info.value.estimate is None and info.value.error is None
+
+
+# The depth-first recursive adaptive Simpson that the level-synchronous one
+# replaced, kept verbatim as the reference: a scalar integrand, one call per node.
+def _simpson(a, fa, b, fb, fm):
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, state, depth, max_depth):
+    """state = [panel budget left, accumulated |δ|/15, exhausted panels]."""
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    if not (math.isfinite(flm) and math.isfinite(frm)):
+        raise QuadratureError(f"non-finite integrand near [{a}, {b}]")
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
+    delta = left + right - whole
+    # noise guard: stop refining once delta is round-off relative to the panel
+    # values themselves, even when the absolute tol is unreachable
+    noise = 1e-14 * (abs(left) + abs(right))
+    state[0] -= 1
+    met = abs(delta) <= 15.0 * tol or abs(delta) <= noise
+    if met or depth >= max_depth or state[0] <= 0:
+        state[1] += abs(delta) / 15.0
+        if not met:
+            state[2] += 1
+        return left + right + delta / 15.0
+    half = 0.5 * tol
+    return _adaptive(
+        f, a, fa, m, fm, lm, flm, left, half, state, depth + 1, max_depth
+    ) + _adaptive(f, m, fm, b, fb, rm, frm, right, half, state, depth + 1, max_depth)
+
+
+def reference_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> float:
+    if a == b:
+        return 0.0
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    if not all(math.isfinite(v) for v in (fa, fb, fm)):
+        raise QuadratureError(f"non-finite integrand on [{a}, {b}]")
+    whole = _simpson(a, fa, b, fb, fm)
+    state = [200000, 0.0, 0]
+    total = _adaptive(f, a, fa, b, fb, m, fm, whole, tol, state, 0, max_depth)
+    if state[2]:
+        raise QuadratureError(
+            f"{state[2]} panels on [{a}, {b}] reached depth {max_depth} or the panel budget "
+            f"before tol={tol:g}; estimate {total!r}, error estimate {state[1]:.3g}",
+            estimate=total,
+            error=state[1],
+        )
+    return total
+
+
+def _both(f, a, b, **kwargs):
+    """(value or error, node counts per call) of the level-synchronous
+    quadrature of the array integrand f, and (value or error, node count) of
+    the reference on f taken one node at a time."""
+    calls, nodes = [], []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    def scalar(z):
+        nodes.append(z)
+        return float(f(np.array([z]))[0])
+
+    out = []
+    for run, g in ((adaptive_simpson, counted), (reference_adaptive_simpson, scalar)):
+        try:
+            out.append(run(g, a, b, **kwargs))
+        except QuadratureError as exc:
+            out.append(exc)
+    return out[0], calls, out[1], len(nodes)
+
+
+def _assert_same_quadrature(f, a, b, **kwargs):
+    got, calls, want, points = _both(f, a, b, **kwargs)
+    assert sum(calls) == points
+    # one call for [a, b]'s three nodes, then one per bisection level
+    assert calls[0] == 3 and len(calls) <= kwargs.get("max_depth", 40) + 2
+    assert type(got) is type(want)
+    if isinstance(want, QuadratureError):
+        got, want = got.estimate, want.estimate
+    if want is not None:
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _assert_budget_exhausted_in_both(f, a, b, exact, **kwargs):
+    # the budget is global, so which panels it stops depends on the order they
+    # are visited in: both raise, and the level-synchronous order spends no
+    # more nodes and ends no farther from the integral
+    got, calls, want, points = _both(f, a, b, **kwargs)
+    assert isinstance(got, QuadratureError) and isinstance(want, QuadratureError)
+    assert 2 * 200000 < points and sum(calls) <= points
+    assert abs(got.estimate - exact) <= abs(want.estimate - exact)
+
+
+class TestAgainstRecursion:
+    """Same panels, so the same nodes, and the same value as the depth-first
+    recursion, with one integrand call per level."""
+
+    @pytest.mark.parametrize("f,a,b,kwargs", [
+        (np.exp, 0.0, 1.0, {"tol": 1e-13}),
+        (np.sin, 0.0, math.pi, {"tol": 1e-13}),
+        (lambda z: np.exp(3.0 * z), 0.0, 10.0, {"tol": 1e-9}),
+        (np.exp, 1.0, 0.0, {"tol": 1e-12}),
+        (np.exp, 0.0, 10.0, {"tol": 1e-13, "max_depth": 3}),
+        (lambda z: np.full_like(z, np.inf), 0.0, 1.0, {}),
+    ], ids=["exp", "sin", "steep-exp", "reversed", "depth-cap", "non-finite"])
+    def test_integrands(self, f, a, b, kwargs):
+        _assert_same_quadrature(f, a, b, **kwargs)
+
+    @pytest.mark.parametrize("f,tol,exact", [
+        (lambda z: (1e8 + np.sin(z)) - 1e8, 1e-14, 1.0 - math.cos(1.0)),
+        (lambda z: np.sin(1e5 * z), 1e-12, (1.0 - math.cos(1e5)) / 1e5),
+    ], ids=["noisy", "oscillating"])
+    def test_exhausted_budget(self, f, tol, exact):
+        _assert_budget_exhausted_in_both(f, 0.0, 1.0, exact, tol=tol)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_ends(self, name, monkeypatch):
+        seen = []
+
+        def checked(f, a, b, **kwargs):
+            _assert_same_quadrature(f, a, b, **kwargs)
+            seen.append((a, b))
+            return adaptive_simpson(f, a, b, **kwargs)
+
+        monkeypatch.setattr(geometry, "adaptive_simpson", checked)
+        m = catalog_get(name)
+        ends = [geometry.classify_end(m, side).diagnostics["distance_to_end"] for side in ("lower", "upper")]
+        assert seen or ends == [math.inf, math.inf]  # an infinite distance needs no quadrature
 
 
 class TestSafeguardedNewton:
