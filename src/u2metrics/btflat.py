@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .curvature import CurvatureSample, curvature_sample
-from .operators import b_op_jet
+from .operators import b_op_jet, l_compose_jet
 from .profiles import MetricSpec
 
 __all__ = [
@@ -101,7 +101,7 @@ class BtTrajectory:
         worst = 0.0
         for smp in self.samples:
             st = smp.state
-            worst = max(worst, abs(0.25 * smp.F4d - 1.25 * st.F2d + st.F - 1.0))
+            worst = max(worst, abs(l_compose_jet((st.F, st.F1d, st.F2d, st.F3d, smp.F4d)) - 1.0))
         return worst
 
 
@@ -362,10 +362,8 @@ def bt_csc_seed(
         slope = t1 - t0  # = 8·F1d
         f3d = -t0 / slope
         return BtState(z0, F, F1d, F2d, f3d, C, C1d, s, 0.0)
-    # Fallback: with F′ = 0,  T = 16((F−1)² − ¼F″²) − (3/4)tsC⁻¹(C²(−16+4F+Cs) + 12F·C′²)
-    rest = 16.0 * (F - 1.0) ** 2 - 0.75 * t * s / C * (
-        C * C * (-16.0 + 4.0 * F + C * s) + 12.0 * F * C1d * C1d
-    )
+    # Fallback: with F′ = F‴ = K = 0, T = rest − 4F″², rest being T at F″ = 0
+    rest = tval(BtState(z0, F, 0.0, 0.0, 0.0, C, C1d, s, 0.0), t)
     if rest < 0.0:
         raise SeedError("T = 0 unsolvable: F′ = 0 and the F″² target is negative")
     f2d = math.sqrt(rest / 4.0)

@@ -118,8 +118,11 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
     """n interior sample points, geometrically clustered toward both ends.
 
     The sampled window is the domain itself when finite (shrunk 1% from each
-    endpoint) and a finite sub-window when unbounded.
+    endpoint) and a finite sub-window when unbounded.  Raises ``ValueError``
+    for n < 2.
     """
+    if n < 2:
+        raise ValueError(f"a sample grid needs n >= 2 points, got n={n}")
     lo, hi = domain.finite_window()
     length = hi - lo
     pad = 0.01 * length

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import adaptive_simpson, at_first
+from .numerics import adaptive_quad, at_first
 from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet
 from .profiles import MetricSpec, jet_C, jet_F
 
@@ -282,7 +282,7 @@ def kahler_scalar_curvature(m: MetricSpec, z: float) -> float:
 
 
 def weyl_energy(m: MetricSpec, a: float, b: float, tol: float = 1e-10) -> float:
-    """∫ₐᵇ (16/3)(L⁺F − 1)² dz by adaptive Simpson quadrature.
+    """∫ₐᵇ (16/3)(L⁺F − 1)² dz by adaptive Gauss–Kronrod quadrature.
 
     This is the W⁺ energy density per unit η-coframe 3-sphere volume; the
     constant S³ volume factor is deliberately not included.
@@ -293,5 +293,5 @@ def weyl_energy(m: MetricSpec, a: float, b: float, tol: float = 1e-10) -> float:
         v = poly.eval(z)
         return (16.0 / 3.0) * v * v
 
-    return adaptive_simpson(integrand, a, b, tol=tol, max_depth=40)
+    return adaptive_quad(integrand, a, b, tol=tol)
 

@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .classify import fit_exp_family
-from .numerics import adaptive_simpson, at_first
+from .numerics import adaptive_quad, at_first
 from .profiles import (
     Canonical,
     ConformalModel,
@@ -92,12 +92,10 @@ def find_bolts(m: MetricSpec) -> list:
 
 
 # ------------------------------------------------------------------- distance
-def _zero_order(poly, z0: float) -> tuple:
-    """(n, a) with poly ≈ a·(z − z0)ⁿ near z0: the multiplicity of the exact
-    zero of an exponential polynomial at z0 (0 if there is none) and its
-    leading Taylor coefficient."""
-    n = sum(mult for _, mult in poly.real_roots(z0, z0))
-    return n, poly.jet(z0, n)[n] / math.factorial(n)
+def _zero_order(poly, z0: float) -> int:
+    """The multiplicity of the exact zero of an exponential polynomial at z0
+    (0 if there is none)."""
+    return sum(mult for _, mult in poly.real_roots(z0, z0))
 
 
 def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
@@ -112,10 +110,11 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
     half is integrated from its endpoint z0 after the substitution
     z = z0 ± u²: the zero orders of F and of C's num/den give the local power
     √(C/F) ~ |z − z0|^p, p ≤ −1 returns +inf (cusps, poles), and otherwise
-    the integrand u·√(C/F) is smooth in u with its u = 0 value taken from the
-    leading Taylor coefficients.  Where F vanishes at z0 it is evaluated as
-    F(z) − F(z0), so a bolt whose F(z0) rounds to ±ulp stays integrable.
-    Raises :class:`QuadratureError` when a half does not meet ``tol``.
+    the integrand u·√(C/F) is smooth in u; it is never evaluated at u = 0,
+    where √(C/F) may be infinite (:func:`adaptive_quad` skips the ends).
+    Where F vanishes at z0 it is evaluated as F(z) − F(z0), so a bolt whose
+    F(z0) rounds to ±ulp stays integrable.  Raises :class:`QuadratureError`
+    when a half does not meet ``tol``.
     """
     if z1 > z2:
         z1, z2 = z2, z1
@@ -143,24 +142,13 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
         total += float(integrand(cut)) / -rate  # ∫ from the cut of f(cut)·e^{rate·|z − cut|}
         lo, hi = (lo, cut) if sgn > 0 else (cut, hi)
 
-    half = 0.5 * (hi - lo)
+    u_mid = math.sqrt(0.5 * (hi - lo))  # u at the midpoint, from either end
     for z0, s in ((lo, 1.0), (hi, -1.0)):
-        (of, af), (on, an), (od, ad) = (_zero_order(p, z0) for p in (poly, num, den))
-        twice_p = on - od - of
-        if twice_p <= -2:
+        of, on, od = (_zero_order(p, z0) for p in (poly, num, den))
+        if on - od - of <= -2:  # twice the local power p
             return math.inf
         f_base = poly.eval(z0) if of else 0.0
-        # u·√(C/F) ≈ √(s^{2p}·(an/ad)/af)·u^{2p+1} as u → 0
-        g0 = math.sqrt(s * an / (ad * af)) if twice_p == -1 else 0.0
-
-        def g(u):
-            out = np.full(u.shape, g0)
-            live = u != 0.0
-            v = u[live]
-            out[live] = 2.0 * v * integrand(z0 + s * v * v, f_base)
-            return out
-
-        total += adaptive_simpson(g, 0.0, math.sqrt(half), tol=0.5 * tol)
+        total += adaptive_quad(lambda u: 2.0 * u * integrand(z0 + s * u * u, f_base), 0.0, u_mid, tol=0.5 * tol)
     return total
 
 
@@ -232,7 +220,7 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
         f0, f1 = poly.jet(z_end, 1)
         diag["F_at_end"] = f0
         diag["dF_at_end"] = f1
-        order, _ = _zero_order(poly, z_end)
+        order = _zero_order(poly, z_end)
         if order == 1:
             diag["slope"] = f1
             if abs(f1 - round(f1)) < _SLOPE_TOL and round(f1) != 0:
@@ -240,7 +228,7 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
             return report("conical", True, cone=2.0 * math.pi * abs(f1))
         if order >= 2:
             # double zero: ALF where C has a pole, cusp where C stays bounded
-            den_order, _ = _zero_order(m.c_ratio[1], z_end)
+            den_order = _zero_order(m.c_ratio[1], z_end)
             diag["C_denominator_order"] = den_order
             return report("ALF" if den_order else "cusp", True)
         return report("undetermined", False)
@@ -324,7 +312,7 @@ def transcribe_classic(
     zs = np.empty(samples)
     zs[0] = 0.0
     for i in range(1, samples):
-        zs[i] = zs[i - 1] + adaptive_simpson(dz_dr_nodes, rs[i - 1], rs[i], tol=1e-13)
+        zs[i] = zs[i - 1] + adaptive_quad(dz_dr_nodes, rs[i - 1], rs[i], tol=1e-13)
     steps = np.diff(zs)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise OrientationError("z(r) is not monotone; flip the orientation sign")

@@ -91,15 +91,15 @@ class Domain:
             inside = inside | (abs(z - self.hi) <= tol)
         return inside
 
-    def finite_window(self, span: float = 8.0, both_infinite_halfspan: float = 4.0) -> tuple:
-        """A finite sub-interval used for sampling on unbounded domains."""
+    def finite_window(self) -> tuple:
+        """The domain if finite, else 8 long from its finite end, or [−4, 4]."""
         lo, hi = self.lo, self.hi
         if math.isinf(lo) and math.isinf(hi):
-            return (-both_infinite_halfspan, both_infinite_halfspan)
+            return (-4.0, 4.0)
         if math.isinf(lo):
-            return (hi - span, hi)
+            return (hi - 8.0, hi)
         if math.isinf(hi):
-            return (lo, lo + span)
+            return (lo, lo + 8.0)
         return (lo, hi)
 
 

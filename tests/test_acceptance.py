@@ -36,7 +36,7 @@ from u2metrics.curvature import (
 )
 from u2metrics.exppoly import ExpPoly
 from u2metrics.geometry import classify_end, find_bolts, transcribe_classic
-from u2metrics.numerics import adaptive_simpson
+from u2metrics.numerics import adaptive_quad
 from u2metrics.operators import b_op, first_integral_residual, l_compose
 from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
 
@@ -168,7 +168,7 @@ def test_criterion_07_variational_bach_check():
     eps = 1e-5
     fd = (energy(eps) - energy(-eps)) / (2.0 * eps)
     resid = l_compose(F) - ExpPoly.constant(1)
-    rhs = adaptive_simpson(
+    rhs = adaptive_quad(
         lambda z: (32.0 / 3.0) * f.eval(z) * resid.eval(z), a, b, tol=1e-9
     )
     assert abs(fd - rhs) / abs(rhs) < 1e-4

@@ -178,6 +178,17 @@ class TestSampleGrid:
         assert all(d.contains(z) for z in grid)
         assert len(grid) >= 20
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_raise(self, n):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            sample_grid(Domain(0.0, math.inf), n)
+        with pytest.raises(ValueError, match=f"n={n}"):
+            classify(catalog_get("page"), grid_n=n)
+
+    def test_two_points(self):
+        grid = sample_grid(Domain(0.0, 1.0), 2)
+        assert len(grid) == 2 and 0.0 < grid[0] < grid[1] < 1.0
+
 
 class TestConformallyExtremal:
     def test_zero_on_canonical_family(self):

@@ -1,15 +1,19 @@
 """Quadrature, root finding, and series-arithmetic kernels."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from u2metrics import geometry
 from u2metrics.catalog import catalog_get, catalog_names
+from u2metrics.exppoly import ExpPoly
 from u2metrics.numerics import (
     BracketError,
     QuadratureError,
-    adaptive_simpson,
+    adaptive_quad,
     jet_to_series,
     safeguarded_newton,
     series_div,
@@ -20,65 +24,108 @@ from u2metrics.numerics import (
 
 
 class TestAdaptiveSimpson:
+    """``adaptive_quad``, which the benchmark tracer wraps as ``adaptive_simpson``."""
+
     def test_exponential(self):
-        assert adaptive_simpson(np.exp, 0.0, 1.0, tol=1e-13) == pytest.approx(
+        assert adaptive_quad(np.exp, 0.0, 1.0, tol=1e-13) == pytest.approx(
             math.e - 1.0, abs=1e-12
         )
 
     def test_sine(self):
-        assert adaptive_simpson(np.sin, 0.0, math.pi, tol=1e-13) == pytest.approx(
+        assert adaptive_quad(np.sin, 0.0, math.pi, tol=1e-13) == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_steep_exponential(self):
         exact = (math.exp(30.0) - 1.0) / 3.0
-        got = adaptive_simpson(lambda z: np.exp(3.0 * z), 0.0, 10.0, tol=1e-9)
+        got = adaptive_quad(lambda z: np.exp(3.0 * z), 0.0, 10.0, tol=1e-9)
         assert abs(got - exact) / exact < 1e-12
 
     def test_empty_interval(self):
-        assert adaptive_simpson(np.exp, 2.0, 2.0) == 0.0
+        assert adaptive_quad(np.exp, 2.0, 2.0) == 0.0
 
     def test_reversed_interval_is_negated(self):
-        fwd = adaptive_simpson(np.exp, 0.0, 1.0, tol=1e-12)
-        bwd = adaptive_simpson(np.exp, 1.0, 0.0, tol=1e-12)
+        fwd = adaptive_quad(np.exp, 0.0, 1.0, tol=1e-12)
+        bwd = adaptive_quad(np.exp, 1.0, 0.0, tol=1e-12)
         assert fwd == pytest.approx(-bwd, abs=1e-12)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            adaptive_simpson(lambda z: np.divide(1.0, z, out=np.full_like(z, np.inf), where=z != 0.0), -1.0, 1.0, tol=1e-10)
+            adaptive_quad(lambda z: np.divide(1.0, z, out=np.full_like(z, np.inf), where=z != 0.0), -1.0, 1.0, tol=1e-10)
 
     def test_noisy_integrand_terminates(self):
         # cancellation-heavy evaluation: the requested tol is below the
-        # attainable noise floor, so panels reach the depth cap without
+        # attainable noise floor, so panels reach the panel budget without
         # meeting the tolerance; that is reported, with the estimate attached
         def noisy(z):
             return (1e8 + np.sin(z)) - 1e8
 
         exact = 1.0 - math.cos(1.0)
         with pytest.raises(QuadratureError) as info:
-            adaptive_simpson(noisy, 0.0, 1.0, tol=1e-14)
+            adaptive_quad(noisy, 0.0, 1.0, tol=1e-14)
         assert abs(info.value.estimate - exact) < 1e-7
         assert 0.0 < info.value.error < 1e-5
 
     def test_depth_cap_raises_with_estimate_and_error(self):
+        # one G7K15 panel over [0, 10] is far from 1e-13, and max_depth=0 forbids a split
         with pytest.raises(QuadratureError) as info:
-            adaptive_simpson(np.exp, 0.0, 10.0, tol=1e-13, max_depth=3)
+            adaptive_quad(np.exp, 0.0, 10.0, tol=1e-13, max_depth=0)
         exact = math.exp(10.0) - 1.0
         assert abs(info.value.estimate - exact) < info.value.error
 
     def test_exhausted_panel_budget_raises(self):
-        # about 10^5 oscillations need more panels than the budget allows
+        # about 1.6·10^6 periods need more panels than the budget allows
         with pytest.raises(QuadratureError, match="panel budget"):
-            adaptive_simpson(lambda z: np.sin(1e5 * z), 0.0, 1.0, tol=1e-12)
+            adaptive_quad(lambda z: np.sin(1e7 * z), 0.0, 1.0, tol=1e-12)
 
     def test_non_finite_integrand_has_no_estimate(self):
         with pytest.raises(QuadratureError) as info:
-            adaptive_simpson(lambda z: np.full_like(z, np.inf), 0.0, 1.0)
+            adaptive_quad(lambda z: np.full_like(z, np.inf), 0.0, 1.0)
         assert info.value.estimate is None and info.value.error is None
 
+    @pytest.mark.parametrize("f,a,b", [
+        (np.exp, 0.0, 1.0),
+        (np.exp, 1.0, -2.0),
+        (lambda z: 1.0 / (1e-4 + z), 0.0, 1.0),  # refined toward the peak at 0
+        (lambda z: np.sin(1e5 * z), 0.0, 1.0),
+    ], ids=["exp", "reversed", "peaked", "oscillating"])
+    def test_integrand_never_called_at_the_ends(self, f, a, b):
+        nodes = []
 
-# The depth-first recursive adaptive Simpson that the level-synchronous one
-# replaced, kept verbatim as the reference: a scalar integrand, one call per node.
+        def recorded(x):
+            nodes.append(x)
+            return f(x)
+
+        adaptive_quad(recorded, a, b, tol=1e-10)
+        x = np.concatenate(nodes)
+        assert (min(a, b) < x).all() and (x < max(a, b)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.sampled_from([Fraction(k, 2) for k in range(-6, 7) if k]),
+                st.integers(-20, 20).map(lambda c: Fraction(c, 4)),
+            ),
+            max_size=4,
+        ),
+        c0=st.integers(-8, 8),
+        a=st.integers(-12, 12).map(lambda v: v / 4),
+        width=st.integers(-16, 16).filter(bool).map(lambda v: v / 4),
+    )
+    def test_exponential_polynomials_against_antiderivatives(self, terms, c0, a, width):
+        b = a + width
+        f = ExpPoly(terms + [(0, c0)])
+        antiderivative = ExpPoly([(k, c / k) for k, c in terms])
+        exact = antiderivative.eval(b) - antiderivative.eval(a) + c0 * width
+        # round-off in the quadrature's sums and in exact, relative to the magnitudes summed
+        scale = sum(abs(float(c / k)) * (math.exp(k * a) + math.exp(k * b)) for k, c in terms) + abs(c0 * width)
+        got = adaptive_quad(f.eval, a, b, tol=1e-10)
+        assert abs(got - exact) <= 1e-10 + 1e-13 * scale
+
+
+# The depth-first recursive adaptive Simpson that the Gauss–Kronrod rule
+# replaced, kept as the reference: a scalar integrand, one call per node.
 def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -132,85 +179,101 @@ def reference_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_de
 
 
 def _both(f, a, b, **kwargs):
-    """(value or error, node counts per call) of the level-synchronous
-    quadrature of the array integrand f, and (value or error, node count) of
-    the reference on f taken one node at a time."""
-    calls, nodes = [], []
-
-    def counted(x):
-        calls.append(len(x))
-        return f(x)
-
+    """(value or error, integrand calls) of ``adaptive_quad`` on the array
+    integrand f, and of the reference on f taken one node at a time."""
     def scalar(z):
-        nodes.append(z)
         return float(f(np.array([z]))[0])
 
-    out = []
-    for run, g in ((adaptive_simpson, counted), (reference_adaptive_simpson, scalar)):
+    out, calls = [], []
+    for run, wrap in ((adaptive_quad, f), (reference_adaptive_simpson, scalar)):
+        count = [0]
+
+        def counted(x):
+            count[0] += 1
+            return wrap(x)
+
         try:
-            out.append(run(g, a, b, **kwargs))
+            out.append(run(counted, a, b, **kwargs))
         except QuadratureError as exc:
             out.append(exc)
-    return out[0], calls, out[1], len(nodes)
+        calls.append(count[0])
+    return out[0], calls[0], out[1], calls[1]
 
 
-def _assert_same_quadrature(f, a, b, **kwargs):
-    got, calls, want, points = _both(f, a, b, **kwargs)
-    assert sum(calls) == points
-    # one call for [a, b]'s three nodes, then one per bisection level
-    assert calls[0] == 3 and len(calls) <= kwargs.get("max_depth", 40) + 2
+def _assert_agrees(f, a, b, **kwargs):
+    """The same outcome as the reference, a value within tol of its value (or
+    within round-off of it where tol is below round-off), and no more
+    integrand calls; returns both outcomes."""
+    got, calls, want, ref_calls = _both(f, a, b, **kwargs)
     assert type(got) is type(want)
+    assert calls <= ref_calls
     if isinstance(want, QuadratureError):
-        got, want = got.estimate, want.estimate
-    if want is not None:
-        assert abs(got - want) <= 1e-13 * abs(want)
-
-
-def _assert_budget_exhausted_in_both(f, a, b, exact, **kwargs):
-    # the budget is global, so which panels it stops depends on the order they
-    # are visited in: both raise, and the level-synchronous order spends no
-    # more nodes and ends no farther from the integral
-    got, calls, want, points = _both(f, a, b, **kwargs)
-    assert isinstance(got, QuadratureError) and isinstance(want, QuadratureError)
-    assert 2 * 200000 < points and sum(calls) <= points
-    assert abs(got.estimate - exact) <= abs(want.estimate - exact)
+        assert (got.estimate is None) == (want.estimate is None)
+    else:
+        assert abs(got - want) <= max(kwargs.get("tol", 1e-10), 1e-13 * abs(want))
+    return got, want
 
 
 class TestAgainstRecursion:
-    """Same panels, so the same nodes, and the same value as the depth-first
-    recursion, with one integrand call per level."""
+    """Agreement with the depth-first recursive adaptive Simpson kept as the
+    reference: the same outcome, values within tol, no more integrand calls."""
 
     @pytest.mark.parametrize("f,a,b,kwargs", [
         (np.exp, 0.0, 1.0, {"tol": 1e-13}),
         (np.sin, 0.0, math.pi, {"tol": 1e-13}),
         (lambda z: np.exp(3.0 * z), 0.0, 10.0, {"tol": 1e-9}),
         (np.exp, 1.0, 0.0, {"tol": 1e-12}),
-        (np.exp, 0.0, 10.0, {"tol": 1e-13, "max_depth": 3}),
+        (np.exp, 0.0, 10.0, {"tol": 1e-13, "max_depth": 0}),
         (lambda z: np.full_like(z, np.inf), 0.0, 1.0, {}),
     ], ids=["exp", "sin", "steep-exp", "reversed", "depth-cap", "non-finite"])
     def test_integrands(self, f, a, b, kwargs):
-        _assert_same_quadrature(f, a, b, **kwargs)
+        _assert_agrees(f, a, b, **kwargs)
 
     @pytest.mark.parametrize("f,tol,exact", [
         (lambda z: (1e8 + np.sin(z)) - 1e8, 1e-14, 1.0 - math.cos(1.0)),
-        (lambda z: np.sin(1e5 * z), 1e-12, (1.0 - math.cos(1e5)) / 1e5),
+        (lambda z: np.sin(1e7 * z), 1e-12, (1.0 - math.cos(1e7)) / 1e7),
     ], ids=["noisy", "oscillating"])
     def test_exhausted_budget(self, f, tol, exact):
-        _assert_budget_exhausted_in_both(f, 0.0, 1.0, exact, tol=tol)
+        # both spend the panel budget and raise; Gauss–Kronrod makes no more
+        # integrand calls, ends no farther from the integral, and its error
+        # estimate bounds its distance from the integral
+        got, calls, want, ref_calls = _both(f, 0.0, 1.0, tol=tol)
+        assert isinstance(got, QuadratureError) and isinstance(want, QuadratureError)
+        assert "panel budget" in str(got) and calls <= ref_calls
+        assert abs(got.estimate - exact) <= min(got.error, abs(want.estimate - exact))
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_ends(self, name, monkeypatch):
-        seen = []
+        shift = []  # per quadrature of one end, the reference's value less adaptive_quad's
 
         def checked(f, a, b, **kwargs):
-            _assert_same_quadrature(f, a, b, **kwargs)
-            seen.append((a, b))
-            return adaptive_simpson(f, a, b, **kwargs)
+            calls = [0, 0]
 
-        monkeypatch.setattr(geometry, "adaptive_simpson", checked)
+            def counted(x):
+                calls[0] += 1
+                return f(x)
+
+            def scalar(u):
+                calls[1] += 1
+                return float(f(np.array([u]))[0])
+
+            # distance's integrand may be 0·∞ at u = a = 0, which adaptive_quad
+            # never asks for: the reference is the recursion from a + ε, after a
+            # two-point Gauss rule on [a, a + ε] (error O(ε⁵))
+            eps = 1e-3 * (b - a)
+            head = 0.5 * eps * sum(scalar(a + 0.5 * eps * (1.0 + x)) for x in (-(3**-0.5), 3**-0.5))
+            got = adaptive_quad(counted, a, b, **kwargs)
+            want = head + reference_adaptive_simpson(scalar, a + eps, b, **kwargs)
+            assert abs(got - want) <= kwargs["tol"] and calls[0] <= calls[1]
+            shift.append(want - got)
+            return got
+
+        monkeypatch.setattr(geometry, "adaptive_quad", checked)
         m = catalog_get(name)
-        ends = [geometry.classify_end(m, side).diagnostics["distance_to_end"] for side in ("lower", "upper")]
-        assert seen or ends == [math.inf, math.inf]  # an infinite distance needs no quadrature
+        for side in ("lower", "upper"):
+            shift.clear()
+            dist = geometry.classify_end(m, side).diagnostics["distance_to_end"]
+            assert math.isinf(dist) or (shift and abs(math.fsum(shift)) <= 1e-9 * dist)
 
 
 class TestSafeguardedNewton:

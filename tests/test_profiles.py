@@ -62,11 +62,11 @@ class TestDomain:
             Domain(2.0, 1.0)
 
     def test_finite_window_of_halfline(self):
-        lo, hi = Domain(0.0, math.inf).finite_window(span=8.0)
+        lo, hi = Domain(0.0, math.inf).finite_window()
         assert lo == 0.0 and hi == 8.0
 
     def test_finite_window_of_line(self):
-        lo, hi = Domain(-math.inf, math.inf).finite_window(both_infinite_halfspan=4.0)
+        lo, hi = Domain(-math.inf, math.inf).finite_window()
         assert (lo, hi) == (-4.0, 4.0)
 
 
