@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .curvature import CurvatureSample, curvature_sample
+from .numerics import at_first
 from .operators import b_op_jet, l_compose_jet
 from .profiles import MetricSpec
 
@@ -76,11 +77,12 @@ class BtState(NamedTuple):
 
 @dataclass(frozen=True)
 class BtSample:
+    """A trajectory point: the state, ``bt_rhs``'s F⁗ and C″ there, and T."""
+
     state: BtState
     F4d: float
+    C2d: float
     Tval: float
-    F1res: float
-    F2res: float
 
 
 @dataclass
@@ -96,28 +98,32 @@ class BtTrajectory:
     def final_state(self) -> BtState:
         return self.samples[-1].state
 
+    def truncate(self, reason: str) -> "BtTrajectory":
+        self.truncated, self.truncation_reason = True, reason
+        return self
+
     def extremality_residual(self) -> float:
         """max |L⁺(L⁻F) − 1| over the trajectory, from the carried F⁗."""
-        worst = 0.0
-        for smp in self.samples:
-            st = smp.state
-            worst = max(worst, abs(l_compose_jet((st.F, st.F1d, st.F2d, st.F3d, smp.F4d)) - 1.0))
-        return worst
+        return max([0.0] + [abs(l_compose_jet((*smp.state[1:5], smp.F4d)) - 1.0) for smp in self.samples])
 
 
 # ----------------------------------------------------------------- residuals
-# The helpers take the state's fields as floats, so ``bt_rhs`` (the flow's
-# hot path) unpacks a state once and the residuals share its formulas.
-def _guard(z: float, F: float, C: float):
+# The helpers take the state's fields as floats (the flow) or as 1-D arrays
+# over z (a grid; a float field such as a pinned s stands for every z).
+def _guard(z, F, C):
+    if isinstance(z, np.ndarray):  # the first singular z, checked as a float state's
+        hit = at_first((C <= 0.0) | (F == 0.0), *np.broadcast_arrays(z, F, C))
+        if hit is None:
+            return
+        z, F, C = hit
     if C <= 0.0:
         raise SingularSystemError(f"C={C} is not positive at z={z}")
     if F == 0.0:
         raise SingularSystemError(f"F vanishes at z={z}")
 
 
-def _f1_parts(F, F1, F2, C, C1, s) -> tuple:
+def _f1_parts(F, F1, F2, C, C1, s, sqrt_c) -> tuple:
     """F1res = coef·C″ + rest, with coef = 12F/√C."""
-    sqrt_c = math.sqrt(C)
     h1 = C1 / (2.0 * sqrt_c)  # (C^{1/2})′
     coef = 24.0 * F / (2.0 * sqrt_c)  # = 12F·C^{-1/2}, multiplies C″
     rest = (
@@ -128,19 +134,12 @@ def _f1_parts(F, F1, F2, C, C1, s) -> tuple:
     return coef, rest
 
 
-def _solve_c2d(F, F1, F2, C, C1, s) -> float:
-    coef, rest = _f1_parts(F, F1, F2, C, C1, s)
-    if abs(coef) < _COEF_FLOOR:
-        raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef:g})")
-    return -rest / coef
-
-
-def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d) -> float:
+def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d, sqrt_c) -> float:
     """F2res at a state with s′ = s1 and the given F⁗, C″."""
     c_m12_d2 = -C2d / (2.0 * C**1.5) + 0.75 * C1 * C1 / C**2.5  # (C^{-1/2})″
     return (
         (8.0 / 3.0) * (0.25 * F4d - 1.25 * F2 + F - 1.0)
-        + t * s * C**1.5 * (c_m12_d2 - 0.25 / math.sqrt(C))
+        + t * s * C**1.5 * (c_m12_d2 - 0.25 / sqrt_c)
         + 0.5 * t * (C / F) * F1 * s1
         + t * C1 * s1
     )
@@ -160,24 +159,28 @@ def tval(state: BtState, t: float) -> float:
     )
 
 
-def bt_residuals(state: BtState, t: float, F4d: float, C2d: Optional[float] = None) -> tuple:
-    """(F1res, F2res, Tval) at a state.
+def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
+    """(F1res, F2res, Tval) at a state with the given F⁗ and C″.
 
-    F1res = 0 is the statement that the state's s field equals the metric's
-    scalar curvature; it determines C″, so when ``C2d`` is not supplied it is
-    solved for internally and the re-substituted residual (≈ 0) is returned
-    for audit.  Supply the model's true C″ to get a genuine F1 residual for
-    closed-form data.  (CFs′)′ = 0 holds by construction: s′ = K/(CF).
+    F1res = 0 says that s is the scalar curvature and F2res = 0 is the
+    fourth-order equation; (CFs′)′ = 0 holds by construction: s′ = K/(CF).
+    Of ``bt_rhs``'s own F⁗ and C″ they are round-off.  An array state is
+    evaluated with floating-point warnings off; its first z where C ≤ 0 or
+    F = 0 raises :class:`SingularSystemError`, and its first z with a
+    non-finite residual ``ArithmeticError``.
     """
     z, F, F1, F2, F3, C, C1, s, K = state
-    _guard(z, F, C)
-    s1 = K / (C * F)
-    if C2d is None:
-        C2d = _solve_c2d(F, F1, F2, C, C1, s)
-    coef, rest = _f1_parts(F, F1, F2, C, C1, s)
-    f1res = coef * C2d + rest
-    f2res = _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d)
-    return (f1res, f2res, tval(state, t))
+    with np.errstate(all="ignore"):
+        tv = tval(state, t)  # which guards F and C first
+        sqrt_c = np.sqrt(C) if isinstance(C, np.ndarray) else math.sqrt(C)
+        coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
+        out = (coef * C2d + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d, sqrt_c), tv)
+    if isinstance(z, np.ndarray):
+        z, *out = np.broadcast_arrays(z, *out)
+        hit = at_first(~np.isfinite(out).all(axis=0), z)
+        if hit is not None:
+            raise ArithmeticError(f"B^t residuals are not finite at z={hit[0]}")
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------- flow
@@ -190,10 +193,14 @@ def bt_rhs(state: BtState, t: float) -> tuple:
     """
     z, F, F1, F2, F3, C, C1, s, K = state
     _guard(z, F, C)
-    C2d = _solve_c2d(F, F1, F2, C, C1, s)
+    sqrt_c = math.sqrt(C)
+    coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
+    if abs(coef) < _COEF_FLOOR:
+        raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef:g})")
+    C2d = -rest / coef
     s1 = K / (C * F)
     # F2 = (2/3)·F⁗ + rest
-    F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d) / (2.0 / 3.0)
+    F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d, sqrt_c) / (2.0 / 3.0)
     return np.array([F1, F2, F3, F4d, C1, C2d, s1, 0.0]), F4d, C2d
 
 
@@ -246,13 +253,11 @@ def bt_integrate(
     z = a
     state = BtState.from_vector(z, init.vector())  # init's own z is superseded by the span start
     try:
-        deriv, F4d, _ = bt_rhs(state, t)
+        deriv, F4d, C2d = bt_rhs(state, t)
     except SingularSystemError as exc:
-        traj.truncated = True
-        traj.truncation_reason = str(exc)
-        return traj
+        return traj.truncate(str(exc))
     T0 = tval(state, t)
-    traj.samples.append(BtSample(state, F4d, T0, 0.0, 0.0))
+    traj.samples.append(BtSample(state, F4d, C2d, T0))
     y = state[1:]
     k0 = deriv.tolist()
 
@@ -284,7 +289,7 @@ def bt_integrate(
                 for p, q, r, w, x, o in zip(k0, k1, k2, k3, k4, k5)
             ]
             last = BtState(z + h, *[v + h * a for v, a in zip(y, acc)])
-            d6, last_F4d, _ = bt_rhs(last, t)
+            d6, last_F4d, last_C2d = bt_rhs(last, t)
             k6 = d6.tolist()
         except (SingularSystemError, OverflowError):
             err = math.nan
@@ -304,9 +309,7 @@ def bt_integrate(
             h *= 0.5
             traj.steps_rejected += 1
             if abs(h) < min_h:
-                traj.truncated = True
-                traj.truncation_reason = f"step underflow near z={z:.6g}"
-                return traj
+                return traj.truncate(f"step underflow near z={z:.6g}")
             continue
         if err <= 1.0:
             # first same as last: the last stage is the accepted state and its derivative
@@ -315,24 +318,18 @@ def bt_integrate(
             k0 = k6
             Tv = tval(last, t)
             traj.max_T_drift = max(traj.max_T_drift, abs(Tv - T0))
-            traj.samples.append(BtSample(last, last_F4d, Tv, 0.0, 0.0))
+            traj.samples.append(BtSample(last, last_F4d, last_C2d, Tv))
             traj.steps_accepted += 1
             if traj.max_T_drift > _drift_cap:
-                traj.truncated = True
-                traj.truncation_reason = f"T drift {abs(Tv - T0):g} above {_drift_cap:g} at z={z:.6g}"
-                return traj
+                return traj.truncate(f"T drift {abs(Tv - T0):g} above {_drift_cap:g} at z={z:.6g}")
             if traj.steps_accepted >= max_steps:
-                traj.truncated = True
-                traj.truncation_reason = "max step count reached"
-                return traj
+                return traj.truncate("max step count reached")
         else:
             traj.steps_rejected += 1
         factor = 0.9 * err ** (-0.2) if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if abs(h) < min_h:
-            traj.truncated = True
-            traj.truncation_reason = f"step underflow near z={z:.6g}"
-            return traj
+            return traj.truncate(f"step underflow near z={z:.6g}")
     return traj
 
 
@@ -356,12 +353,9 @@ def bt_csc_seed(
     if F == 0.0 or C <= 0.0:
         raise SeedError("seed requires F ≠ 0 and C > 0")
     if abs(F1d) >= _COEF_FLOOR:
-        base = BtState(z0, F, F1d, F2d, 0.0, C, C1d, s, 0.0)
-        t0 = tval(base, t)
-        t1 = tval(BtState(z0, F, F1d, F2d, 1.0, C, C1d, s, 0.0), t)
-        slope = t1 - t0  # = 8·F1d
-        f3d = -t0 / slope
-        return BtState(z0, F, F1d, F2d, f3d, C, C1d, s, 0.0)
+        t0 = tval(BtState(z0, F, F1d, F2d, 0.0, C, C1d, s, 0.0), t)
+        slope = tval(BtState(z0, F, F1d, F2d, 1.0, C, C1d, s, 0.0), t) - t0  # = 8·F1d
+        return BtState(z0, F, F1d, F2d, -t0 / slope, C, C1d, s, 0.0)
     # Fallback: with F′ = F‴ = K = 0, T = rest − 4F″², rest being T at F″ = 0
     rest = tval(BtState(z0, F, 0.0, 0.0, 0.0, C, C1d, s, 0.0), t)
     if rest < 0.0:
@@ -446,16 +440,11 @@ def state_from_metric(m: MetricSpec, z: float, s_const: Optional[float] = None) 
 def bt_sample_residuals(cs: CurvatureSample, t: float, s_const: Optional[float] = None) -> np.ndarray:
     """(F1res, F2res, Tval) at each point of an array curvature sample, one row per z.
 
-    The states are those of :func:`state_from_metric` (``s_const`` as there);
-    :func:`bt_residuals` stays float-only for the flow, so it runs per point.
+    The states are those of :func:`state_from_metric` (``s_const`` as there),
+    and their residuals are one :func:`bt_residuals` call on the array state.
     """
     state, f4d, c2d = _state_from_sample(cs, s_const)
-    columns = np.broadcast_arrays(*state, f4d, c2d)
-    rows = [
-        bt_residuals(BtState(*point[:9]), t, point[9], C2d=point[10])
-        for point in zip(*(c.tolist() for c in columns))
-    ]
-    return np.array(rows).reshape(-1, 3)
+    return np.column_stack(bt_residuals(state, t, f4d, c2d))
 
 
 def bt_grid_residual(cs: CurvatureSample, t: float) -> float:

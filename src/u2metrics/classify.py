@@ -74,7 +74,7 @@ class PredicateResult:
 class ClassificationReport:
     metric_name: str
     tol: float
-    grid_n: int
+    grid_n: int  # the n requested of sample_grid, not the count of points it gave
     entries: dict = field(default_factory=dict)
 
     def verdict(self, name: str) -> str:
@@ -115,7 +115,9 @@ class ClassificationReport:
 
 
 def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
-    """n interior sample points, geometrically clustered toward both ends.
+    """Interior sample points, geometrically clustered toward both ends:
+    2·(n // 2) − 1 of them for n ≥ 4 (the two halves share the midpoint)
+    and 2 for n = 2 or 3.
 
     The sampled window is the domain itself when finite (shrunk 1% from each
     endpoint) and a finite sub-window when unbounded.  Raises ``ValueError``

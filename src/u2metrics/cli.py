@@ -22,6 +22,7 @@ from .btflat import (
     SeedError,
     bt_integrate,
     bt_nonextremal_search,
+    bt_residuals,
     bt_sample_residuals,
 )
 from .catalog import CatalogError, catalog_get, catalog_list, page_constants
@@ -244,13 +245,13 @@ _TRAJ_COLUMNS = ("z", "F", "F1d", "F2d", "F3d", "C", "C1d", "s", "K", "Tval", "F
 
 
 def _traj_tsv(traj) -> str:
-    rows = []
-    for smp in traj.samples:
-        st = smp.state
-        rows.append(
-            (st.z, st.F, st.F1d, st.F2d, st.F3d, st.C, st.C1d, st.s, st.K, smp.Tval, smp.F1res, smp.F2res)
-        )
-    return _tsv(_TRAJ_COLUMNS, rows)
+    # F1res/F2res: the residuals of each sample's own F⁗ and C″ (round-off)
+    if not traj.samples:
+        return _tsv(_TRAJ_COLUMNS, [])
+    cols = np.array([(*smp.state, smp.F4d, smp.C2d) for smp in traj.samples]).T
+    f1res, f2res, _ = bt_residuals(BtState(*cols[:9]), traj.t, cols[9], cols[10])
+    rows = zip(traj.samples, f1res.tolist(), f2res.tolist())
+    return _tsv(_TRAJ_COLUMNS, [(*smp.state, smp.Tval, r1, r2) for smp, r1, r2 in rows])
 
 
 def _cmd_bt_integrate(args) -> int:

@@ -35,9 +35,6 @@ __all__ = [
     "transcribe_classic",
 ]
 
-_SLOPE_TOL = 1e-9
-
-
 class TransformError(ValueError):
     """ambiKähler transform requested on an untagged / non-exp metric."""
 
@@ -55,8 +52,7 @@ class Bolt:
 
     @property
     def self_intersection(self) -> Optional[int]:
-        k = round(self.slope)
-        return k if (self.smooth_quotient and k != 0) else None
+        return _integer_slope(self.slope) if self.smooth_quotient else None
 
 
 @dataclass(frozen=True)
@@ -71,6 +67,12 @@ class EndReport:
 
 
 # ---------------------------------------------------------------------- bolts
+def _integer_slope(k: float) -> Optional[int]:
+    """The nonzero integer within 1e-9 of a bolt's slope F′(z0), or None."""
+    n = round(k)
+    return n if n != 0 and abs(k - n) < 1e-9 else None
+
+
 def find_bolts(m: MetricSpec) -> list:
     """Zeros of F on the domain (interior plus closed endpoints).
 
@@ -86,7 +88,7 @@ def find_bolts(m: MetricSpec) -> list:
         if not d.contains(z0, tol=0.0):  # a zero at an open end
             continue
         k = dpoly.eval(z0)
-        smooth = mult == 1 and abs(k - round(k)) < _SLOPE_TOL and round(k) != 0
+        smooth = mult == 1 and _integer_slope(k) is not None
         out.append(Bolt(z0=z0, slope=k, smooth_quotient=smooth, degenerate=mult >= 2))
     return out
 
@@ -223,8 +225,9 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
         order = _zero_order(poly, z_end)
         if order == 1:
             diag["slope"] = f1
-            if abs(f1 - round(f1)) < _SLOPE_TOL and round(f1) != 0:
-                return report("bolt", True, self_int=round(f1))
+            self_int = _integer_slope(f1)
+            if self_int is not None:
+                return report("bolt", True, self_int=self_int)
             return report("conical", True, cone=2.0 * math.pi * abs(f1))
         if order >= 2:
             # double zero: ALF where C has a pole, cusp where C stays bounded

@@ -36,7 +36,8 @@ _FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 class QuadratureError(ArithmeticError):
     """Quadrature failed: a non-finite integrand, or panels that reached the
-    depth cap or the panel budget before meeting the tolerance or noise test.
+    depth cap or the panel budget before meeting the tolerance or noise test
+    while the whole-interval error estimate was still above the tolerance.
 
     In the second case ``estimate`` is the integral summed over all panels
     and ``error`` the accumulated Gauss–Kronrod difference |K15 − G7| of
@@ -87,16 +88,18 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
     ``f`` maps a 1-D float64 array of nodes to their values and is never
     called at ``a`` or ``b``.  Each bisection level makes one call with the
     15 nodes of every open panel.  A panel is accepted when |K15 − G7| is
-    within tol·width/|b − a| or within 1e-14 of |K15| (round-off), and the
-    accepted K15 values are summed with ``math.fsum``.  Bisection stops at
-    ``max_depth`` levels or a budget of 200 000 panels, spent left to right
-    within a level; a panel that cannot split raises :class:`QuadratureError`
-    with the whole-interval ``estimate`` and ``error`` = Σ|K15 − G7|.
+    within tol·width/|b − a| or within 1e-14 of |K15| (round-off), and every
+    open panel is accepted once Σ|K15 − G7| over the accepted and the open
+    panels is within tol (QUADPACK's global test); the accepted K15 values
+    are summed with ``math.fsum``.  Bisection stops at ``max_depth`` levels
+    or a budget of 200 000 panels, spent left to right within a level; a
+    panel that cannot split raises :class:`QuadratureError` with the
+    whole-interval ``estimate`` and ``error`` = Σ|K15 − G7|.
     """
     if a == b:
         return 0.0
     lo, hi = np.array([a]), np.array([b])  # the open panels of the level, left to right
-    level_tol, budget, parts, errors, exhausted = tol, 200000, [], [], 0
+    level_tol, budget, parts, errors, exhausted, done = tol, 200000, [], [], 0, 0.0
     for depth in range(max_depth + 1):
         n = len(lo)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -106,9 +109,10 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
             raise QuadratureError(f"non-finite integrand on [{hit[0]}, {hit[1]}]")
         kronrod, gauss = (fx @ _GK_WEIGHTS.T * half[:, None]).T
         size = np.abs(kronrod - gauss)
-        # noise guard: stop refining once the estimate is round-off relative to
-        # the panel's value, even when the absolute tol is unreachable
-        met = (size <= level_tol) | (size <= 1e-14 * np.abs(kronrod))
+        # a panel is done within its share of tol, at round-off relative to its
+        # value (a noise guard for an unreachable tol), or, with every open
+        # panel, once the whole estimate meets tol (QUADPACK's global test)
+        met = (size <= level_tol) | (size <= 1e-14 * np.abs(kronrod)) | (done + np.sum(size) <= tol)
         budget -= n
         # the panels that split, left to right, while their halves fit in the budget
         go = np.flatnonzero(~met)[: max(budget, 0) // 2 if depth < max_depth else 0]
@@ -116,6 +120,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
         kronrod[go] = size[go] = 0.0  # a panel that splits is summed through its halves
         parts.append(kronrod)
         errors.append(size)
+        done += float(np.sum(size))
         if not len(go):
             break
         lo, mid, hi = lo[go], mid[go], hi[go]

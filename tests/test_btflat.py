@@ -1,5 +1,6 @@
 """The eighth-order critical-point flow: residuals, conservation, search."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from u2metrics.btflat import (
     bt_nonextremal_search,
     bt_residuals,
     bt_rhs,
+    bt_sample_residuals,
     state_from_metric,
     tval,
 )
 from u2metrics.catalog import catalog_get, catalog_names
-from u2metrics.classify import sample_grid
+from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import _HALF, _scalar_from_jets, _scalar_prime_from_jets, curvature_sample, scalar_curvature
-from u2metrics.profiles import jet_C, jet_F
+from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, jet_C, jet_F
 
 
 class TestState:
@@ -217,6 +219,70 @@ def test_rhs_consistency_with_residuals():
     assert abs(f2res) < 1e-10
 
 
+class TestArrayResiduals:
+    """bt_residuals of an array state: one formula with the float path."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    @pytest.mark.parametrize("s_const", [None, 0.0], ids=["s", "s-const"])
+    def test_rows_match_per_point_float_residuals(self, name, s_const):
+        m = catalog_get(name)
+        cs = curvature_sample(m, sample_grid(m.domain))
+        state, f4d, c2d = btflat._state_from_sample(cs, s_const)
+        columns = np.broadcast_arrays(*state, f4d, c2d)
+        for t in (-1.0, 1.0, 2.0):
+            rows = bt_sample_residuals(cs, t, s_const)
+            assert rows.shape == (len(cs.z), 3)
+            for i, row in enumerate(rows.tolist()):
+                point = [c[i].item() for c in columns]
+                want = bt_residuals(BtState(*point[:9]), t, point[9], point[10])
+                for x, y in zip(row, want):
+                    assert abs(x - y) <= 1e-14 * (1.0 + abs(y)), (name, t, cs.z[i], row, want)
+
+    def test_float_state_gives_floats(self):
+        seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+        _, f4d, c2d = bt_rhs(seed, 1.0)
+        assert all(type(v) is float for v in bt_residuals(seed, 1.0, f4d, c2d))
+
+    @staticmethod
+    def _state(F=(1.0, 1.2, 0.0, 1.4), C=(1.0, 1.1, 1.2, 1.3)):
+        z = np.array([0.1, 0.2, 0.3, 0.4])
+        F, C = np.array(F), np.array(C)
+        return BtState(z, F, 0.1 * z, 0.2 * z, 0.0 * z, C, 0.3 * z, 0.5, 0.0 * z), z
+
+    def test_vanishing_f_names_its_z(self):
+        state, z = self._state()
+        with pytest.raises(SingularSystemError, match=f"F vanishes at z={z[2]}$"):
+            bt_residuals(state, 1.0, 0.0 * z, 0.0 * z)
+
+    def test_first_singular_z_checks_c_before_f(self):
+        state, z = self._state(F=(1.0, 0.0, 0.0, 1.4), C=(1.0, 1.1, -1.0, 1.3))
+        with pytest.raises(SingularSystemError, match=f"F vanishes at z={z[1]}$"):
+            bt_residuals(state, 1.0, 0.0 * z, 0.0 * z)
+        state, z = self._state(F=(1.0, 0.0, 1.2, 1.4), C=(1.0, 0.0, 1.2, 1.3))
+        with pytest.raises(SingularSystemError, match=f"C=0.0 is not positive at z={z[1]}$"):
+            bt_residuals(state, 1.0, 0.0 * z, 0.0 * z)
+
+    def test_non_finite_residual_names_its_z(self):
+        # C^{3/2} overflows at the second z only
+        state, z = self._state(F=(1.0, 1.2, 1.3, 1.4), C=(1.0, 1e300, 1.2, 1.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=f"not finite at z={z[1]}$"):
+                bt_residuals(state, 1.0, 0.0 * z, 0.0 * z)
+
+    def test_large_conformal_factor_raises_no_warning(self):
+        # C^{5/2} leaves float range: the float path raises OverflowError, the
+        # array path reads (C^{-1/2})″'s C′²/C^{5/2} term as 0 and stays finite
+        m = MetricSpec("big-c", Canonical(1, 0, 0, 0), ExpFactor(1e130, -1), Domain(-1.0, 1.0), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = classify(m, t=1.0)
+        assert report.verdict("bt_flat") == "yes"
+        state, f4d, c2d = state_from_metric(m, 0.0)
+        with pytest.raises(OverflowError):
+            bt_residuals(state, 1.0, f4d, c2d)
+
+
 # ------------------------------------------------------------- bit identity
 # The numpy formulation of the DP5(4) stepper, kept verbatim: bt_integrate
 # steps plain floats with first-same-as-last reuse and must reproduce it bit
@@ -253,13 +319,13 @@ def _reference_integrate(
     y = init.vector()  # the state's own z is superseded by the span start
     state = BtState.from_vector(z, y)
     try:
-        deriv, F4d, _ = bt_rhs(state, t)
+        deriv, F4d, C2d = bt_rhs(state, t)
     except SingularSystemError as exc:
         traj.truncated = True
         traj.truncation_reason = str(exc)
         return traj
     T0 = tval(state, t)
-    traj.samples.append(BtSample(state, F4d, T0, 0.0, 0.0))
+    traj.samples.append(BtSample(state, F4d, C2d, T0))
 
     h = direction * min(0.01, abs(b - a))
     min_h = 1e-14 * max(1.0, abs(b - a))
@@ -295,14 +361,14 @@ def _reference_integrate(
             y = y5
             state = BtState.from_vector(z, y)
             try:
-                deriv, F4d, _ = bt_rhs(state, t)
+                deriv, F4d, C2d = bt_rhs(state, t)
             except SingularSystemError as exc:
                 traj.truncated = True
                 traj.truncation_reason = str(exc)
                 return traj
             Tv = tval(state, t)
             traj.max_T_drift = max(traj.max_T_drift, abs(Tv - T0))
-            traj.samples.append(BtSample(state, F4d, Tv, 0.0, 0.0))
+            traj.samples.append(BtSample(state, F4d, C2d, Tv))
             traj.steps_accepted += 1
             if traj.steps_accepted >= max_steps:
                 traj.truncated = True

@@ -185,6 +185,12 @@ class TestSampleGrid:
         with pytest.raises(ValueError, match=f"n={n}"):
             classify(catalog_get("page"), grid_n=n)
 
+    @pytest.mark.parametrize("n,count", [(2, 2), (3, 2), (4, 3), (5, 3), (64, 63)])
+    def test_point_count(self, n, count):
+        # the two halves share the midpoint; grid_n reports the n requested
+        assert len(sample_grid(Domain(0.0, 1.0), n)) == count
+        assert classify(catalog_get("page"), grid_n=n).grid_n == n
+
     def test_two_points(self):
         grid = sample_grid(Domain(0.0, 1.0), 2)
         assert len(grid) == 2 and 0.0 < grid[0] < grid[1] < 1.0

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import u2metrics.cli
+from u2metrics.btflat import bt_csc_seed
 from u2metrics.cli import main
 from u2metrics.catalog import catalog_get
 from u2metrics.metricfile import emit_metric
@@ -185,6 +186,38 @@ class TestBtCommands:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) > 5
+
+    def test_integrate_residual_columns_are_round_off(self, tmp_path):
+        # the README's bt integrate on the benchmark's CSC seed: F1res/F2res
+        # are the residuals of each sample's own F⁗ and C″
+        seed = bt_csc_seed(F=1.5, F1d=0.3, F2d=-0.2, C=1.2, C1d=0.1, s=0.5, t=1.0)
+        state = tmp_path / "seed.txt"
+        state.write_text("".join(f"{k} {float(v)!r}\n" for k, v in seed._asdict().items()))
+        out_file = tmp_path / "traj.tsv"
+        argv = ["bt", "integrate", "--t", "1", "--init", str(state), "--span", "0:0.8", "--out", str(out_file)]
+        assert main(argv) == 0
+        lines = out_file.read_text().splitlines()
+        header = lines[0].split("\t")
+        assert header[-3:-1] == ["F1res", "F2res"] and len(lines) > 20
+        for line in lines[1:]:
+            f1res, f2res = (float(v) for v in line.split("\t")[-2:])
+            assert math.isfinite(f1res) and math.isfinite(f2res)
+            assert abs(f1res) <= 1e-12 and abs(f2res) <= 1e-12
+
+    def test_integrate_truncated_at_the_seed_writes_the_header_only(self, tmp_path, capsys):
+        state = tmp_path / "seed.txt"
+        state.write_text("z 0.0\nF 0.0\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
+        assert main(["bt", "integrate", "--t", "1", "--init", str(state), "--span", "0:0.4"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 and out.startswith("# z\t")
+        assert "truncated=yes (F vanishes at z=0.0)" in err
+
+    def test_residuals_where_f_vanishes_exit_3(self, tmp_path, capsys):
+        # F = 1 − e^{−2z} is exactly 0 at z = 0, the third grid point
+        path = tmp_path / "m.txt"
+        path.write_text("name zero-f\ndomain -2 2 open open\nF canonical -2 0 0 0\nC exp C0=1 eps=-1\n")
+        assert main(["bt", "residuals", str(path), "--t", "1", "--grid=-1:0:3"]) == 3
+        assert "F vanishes at z=0.0" in capsys.readouterr().err
 
     def test_integrate_non_positive_tol_exits_1(self, tmp_path, capsys):
         state = tmp_path / "seed.txt"

@@ -69,6 +69,20 @@ class TestFindBolts:
         assert abs(bolts[0].z0 - math.log(1000.0)) <= 1e-12
         assert bolts[0].self_intersection == -1
 
+    @pytest.mark.parametrize("slope,integer", [
+        (2.0, 2), (1.0 + 5e-10, 1), (3.0 - 2e-9, None), (1.5, None), (4e-10, None),
+    ])
+    def test_one_integer_slope_rule(self, slope, integer):
+        # find_bolts' smooth flag, Bolt.self_intersection and classify_end's
+        # bolt/conical split read one rule; F = slope·(1 − e^{−z}) on [0, 1]
+        f = ExpPoly([(0, slope), (-1, -slope)])
+        m = MetricSpec("k", f, ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True), None)
+        (bolt,) = find_bolts(m)
+        assert bolt.slope == slope
+        assert bolt.smooth_quotient == (integer is not None) and bolt.self_intersection == integer
+        end = classify_end(m, "lower")
+        assert end.kind == ("bolt" if integer else "conical") and end.self_intersection == integer
+
     def test_double_zero_is_degenerate(self):
         # F = (1 − e^{-z})² on a domain closed at its double zero z = 0
         m = MetricSpec("d", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True), None)

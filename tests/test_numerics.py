@@ -78,6 +78,21 @@ class TestAdaptiveSimpson:
         with pytest.raises(QuadratureError, match="panel budget"):
             adaptive_quad(lambda z: np.sin(1e7 * z), 0.0, 1.0, tol=1e-12)
 
+    def test_end_singularity_meets_tol_globally(self):
+        # each panel at 0 misses its share of tol down to the depth cap, yet
+        # Σ|K15 − G7| over all panels meets tol (the recursive reference,
+        # which tests panels only, raises here)
+        got = adaptive_quad(np.sqrt, 0.0, 1.0, tol=1e-10)
+        assert abs(got - 2.0 / 3.0) <= 1e-10
+        with pytest.raises(QuadratureError):
+            reference_adaptive_simpson(lambda z: math.sqrt(z), 0.0, 1.0, tol=1e-10)
+
+    def test_global_test_does_not_hide_a_missed_tol(self):
+        # the whole-interval estimate is far from tol: the depth cap still raises
+        with pytest.raises(QuadratureError, match="reached depth 2") as info:
+            adaptive_quad(np.sqrt, 0.0, 1.0, tol=1e-10, max_depth=2)
+        assert info.value.error > 1e-10
+
     def test_non_finite_integrand_has_no_estimate(self):
         with pytest.raises(QuadratureError) as info:
             adaptive_quad(lambda z: np.full_like(z, np.inf), 0.0, 1.0)
