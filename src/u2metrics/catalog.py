@@ -72,7 +72,7 @@ class CatalogEntry:
 
 def _positive(name) -> ParamSpec:
     defaults = {"m": 1.0, "Lambda": 6.0, "C0": 1.0, "L": 1.0, "z0": 0.5}
-    return ParamSpec(name, defaults[name], f"{name} > 0", lambda v: v > 0)
+    return ParamSpec(name, defaults[name], f"0 < {name} < inf", lambda v: 0 < v < math.inf)
 
 
 def _real(name, default) -> ParamSpec:
@@ -84,7 +84,7 @@ def _positive_int(name, default, minimum=1) -> ParamSpec:
         name,
         default,
         f"integer {name} >= {minimum}",
-        lambda v: float(v) == int(v) and int(v) >= minimum,
+        lambda v: math.isfinite(v) and float(v) == int(v) and int(v) >= minimum,
     )
 
 

@@ -201,8 +201,10 @@ def classify(
     Every predicate is "indeterminate" when F, C's numerator or C's
     denominator has an exact zero inside the domain (a zero at an end is a
     bolt or nut), or when the curvature sample of the grid raises (its
-    reason names the z).
+    reason names the z). A ``tol`` that is not positive and finite raises ValueError.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     report = ClassificationReport(metric_name=m.name, tol=tol, grid_n=grid_n)
     grid = sample_grid(m.domain, grid_n)
     poly = m.f_poly()

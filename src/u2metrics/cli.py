@@ -138,6 +138,8 @@ def _tsv(columns: Sequence[str], rows) -> str:
 # ------------------------------------------------------------------ commands
 def _cmd_classify(args) -> int:
     m = _load_metric(args.file)
+    if not 0.0 < args.tol < np.inf:
+        raise _UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     report = classify(m, tol=args.tol, t=args.t)
     sys.stdout.write(report.text() + "\n")
     return 0

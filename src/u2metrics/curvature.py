@@ -107,7 +107,7 @@ def _scalar_prime_from_jets(fj, c, h):
 
 def _l_minus_one(sign, fj) -> float:
     # L±F − 1, the common factor of w±, |W±|², P± and ρ±
-    return l_op_jet(sign, fj)[0] - 1.0
+    return l_op_jet(sign, fj) - 1.0
 
 
 def _tf_ricci_from_jets(fj, c, g) -> tuple:
@@ -278,7 +278,7 @@ def kahler_scalar_curvature(m: MetricSpec, z: float) -> float:
     fj = jet_F(m, z)
     c = jet_C(m, z, powers=(1,))[1][0]
     sign = "plus" if m.tag == "Jplus" else "minus"
-    return -(8.0 / c) * (l_op_jet(sign, fj)[0] - 1.0)
+    return -(8.0 / c) * (l_op_jet(sign, fj) - 1.0)
 
 
 def weyl_energy(m: MetricSpec, a: float, b: float, tol: float = 1e-10) -> float:

@@ -5,6 +5,8 @@ The series functions take coefficients that are floats or 1-D float64
 arrays over a grid (one formula for both: an array coefficient is the same
 arithmetic at every point), and ``adaptive_quad`` (Gauss–Kronrod G7K15)
 takes an integrand of an array of nodes, never evaluated at the ends.
+``series_pow`` is J. C. P. Miller's recurrence for a power of a series, run on
+a/a[0]: ten products give C^{1/2}, C^{−1/2}, … to fourth order.
 
 Everything here is elementary and self-contained; the rest of the package
 builds its curvature formulas and ODE flows on top of these primitives.
@@ -12,7 +14,6 @@ builds its curvature formulas and ODE flows on top of these primitives.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -188,13 +189,11 @@ def series_to_jet(series) -> tuple:
 
 
 def series_mul(a, b) -> list:
+    """Taylor coefficients of a·b."""
     out = [0.0] * SERIES_LEN
     for i in range(SERIES_LEN):
-        ai = a[i]
-        if not isinstance(ai, np.ndarray) and ai == 0.0:
-            continue
         for j in range(SERIES_LEN - i):
-            out[i + j] += ai * b[j]
+            out[i + j] += a[i] * b[j]
     return out
 
 
@@ -211,42 +210,23 @@ def series_div(a, b) -> list:
     return out
 
 
-def _series_log1p(x) -> list:
-    """log(1 + x) for a series with x[0] = 0."""
-    out = [0.0] * SERIES_LEN
-    power = [0.0] * SERIES_LEN
-    power[0] = 1.0
-    sign = 1.0
-    for n in range(1, SERIES_LEN):
-        power = series_mul(power, x)
-        for k in range(SERIES_LEN):
-            out[k] += sign * power[k] / n
-        sign = -sign
-    return out
-
-
-def _series_exp0(y) -> list:
-    """exp(y) for a series with y[0] = 0."""
-    out = [0.0] * SERIES_LEN
-    term = [0.0] * SERIES_LEN
-    out[0] = term[0] = 1.0
-    for n in range(1, SERIES_LEN):
-        term = series_mul(term, y)
-        for k in range(SERIES_LEN):
-            out[k] += term[k] / _FACTORIALS[n] * 1.0
-    return out
-
-
 def series_pow(a, p) -> list:
-    """Taylor coefficients of a**p for real p (a[0] must be positive)."""
+    """Taylor coefficients of a**p for a real p, taken as float(p) (a[0] must be positive).
+
+    The power recurrence (J. C. P. Miller; Knuth, TAOCP Vol. 2, §4.7) on the
+    normalized series x = a/a[0]: u₀ = 1 and, for k = 1..4,
+    k·u_k = Σ_{j=1..k} ((p + 1)·j − k)·x_j·u_{k−j}; the result is a[0]**p·u.
+    """
     a0 = a[0]
     if np.any(a0 <= 0.0):
         raise ValueError("series_pow requires a positive constant term")
-    pf = float(p) if isinstance(p, Fraction) else p
-    x = [0.0] + [a[k] / a0 for k in range(1, SERIES_LEN)]
-    log_part = _series_log1p(x)
-    scaled = [pf * v for v in log_part]
-    out = _series_exp0(scaled)
-    lead = a0**pf
-    return [lead * v for v in out]
-
+    p = float(p)
+    x = [1.0] + [a[j] / a0 for j in range(1, SERIES_LEN)]
+    u = [1.0]
+    for k in range(1, SERIES_LEN):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += ((p + 1.0) * j - k) * x[j] * u[k - j]
+        u.append(acc / k)
+    lead = a0**p
+    return [lead * v for v in u]

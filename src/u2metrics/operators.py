@@ -68,13 +68,9 @@ def b_op(F: ExpPoly) -> ExpPoly:
 
 
 # ------------------------------------------------------------------ jet forms
-def l_op_jet(sign, jet: Sequence[float]) -> tuple:
-    """(value, d1, d2) of L±(F) from a jet with ≥2 spare derivatives."""
-    s = _sign_factor(sign)
-    out = []
-    for i in range(len(jet) - 2):
-        out.append(0.5 * jet[i + 2] - 1.5 * s * jet[i + 1] + jet[i])
-    return tuple(out)
+def l_op_jet(sign, jet: Sequence[float]) -> float:
+    """Value of L±(F) from a 2-jet (value, F′, F″, ...)."""
+    return 0.5 * jet[2] - 1.5 * _sign_factor(sign) * jet[1] + jet[0]
 
 
 def l_compose_jet(jet: Sequence[float]) -> float:

@@ -307,8 +307,8 @@ def jet_C(m: MetricSpec, z, powers=(1,)) -> dict:
         raise SingularConformalFactorError("C(z)={} is not positive at z={}".format(*hit))
     out = {}
     for p in powers:
-        key = Fraction(p) if not isinstance(p, Fraction) else p
-        out[key] = series_to_jet(cs if key == 1 else series_pow(cs, float(key)))
+        key = Fraction(p)
+        out[key] = series_to_jet(cs if key == 1 else series_pow(cs, key))
     return out
 
 

@@ -125,6 +125,11 @@ class TestTags:
         rep = classify(m, tol=1e-8, t=1.0)
         assert rep.verdict("bt_flat") == "yes"
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_unmeetable_tol_raises(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            classify(catalog_get("taub-nut"), tol=tol)
+
     def test_all_predicates_reported(self):
         rep = classify(catalog_get("flat"), tol=1e-8, t=1.0)
         assert set(rep.entries) == set(PREDICATES)

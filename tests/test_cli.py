@@ -45,6 +45,20 @@ class TestCatalogCommands:
     def test_emit_bad_param_exits_1(self):
         assert main(["catalog", "emit", "taub-nut", "--param", "m=-1"]) == 1
 
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("taub-nut", "m=inf"),
+            ("burns", "m=inf"),
+            ("fubini-study", "Lambda=inf"),
+            ("lebrun", "k=inf"),
+            ("eguchi-hanson-lambda", "k=nan"),
+        ],
+    )
+    def test_emit_non_finite_param_exits_1(self, name, param, capsys):
+        assert main(["catalog", "emit", name, "--param", param]) == 1
+        assert "violates" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_non_extremal_profile(self, tmp_path, capsys):
@@ -60,6 +74,12 @@ class TestClassifyCommand:
         path = _write_metric(tmp_path, "taub-bolt")
         assert main(["classify", path, "--t", "1.0"]) == 0
         assert "bt_flat yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_unmeetable_tol_exits_1(self, tmp_path, capsys, tol):
+        path = _write_metric(tmp_path, "taub-nut")
+        assert main(["classify", path, f"--tol={tol}"]) == 1
+        assert "usage error: --tol must be positive" in capsys.readouterr().err
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

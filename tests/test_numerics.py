@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,6 +341,31 @@ class TestSeries:
         got = series_to_jet(series_pow(a, 3))
         want = tuple(3**k * math.exp(3 * z) for k in range(5))
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, -0.5, -1.5, 3])
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [4.0, 1.0, -0.25, 1.0 / 3.0, 0.0125],
+            [3e-3, -1.0, 40.0, 7.0, -2e3],
+            # a small constant term under large ones: x = a/a[0] reaches 2e7
+            [0.02, 4e5, 2.5e5, 1.4e5, -1.2e5],
+        ],
+    )
+    def test_pow_against_mpmath(self, a, p):
+        got = series_pow(a, p)
+        with mpmath.workdps(50):
+            want = mpmath.taylor(lambda t: mpmath.polyval([mpmath.mpf(c) for c in a[::-1]], t) ** p, 0, 4)
+            scale = max(abs(w) for w in want)
+            err = max(abs(mpmath.mpf(g) - w) for g, w in zip(got, want)) / scale
+        assert err <= 1e-14
+
+    @pytest.mark.parametrize("p", [0.5, -0.5, -1.5, 3])
+    def test_pow_of_arrays_matches_floats(self, p):
+        rows = [[4.0, 1.0, -0.25, 1.0 / 3.0, 0.0125], [3e-3, -1.0, 40.0, 7.0, -2e3], [1.5, -0.7, 0.2, 0.05, -0.01]]
+        got = series_pow([np.array(col) for col in zip(*rows)], p)
+        for i, row in enumerate(rows):
+            assert [g[i] for g in got] == pytest.approx(series_pow(row, p), rel=1e-15, abs=0.0)
 
     def test_pow_requires_positive_lead(self):
         with pytest.raises(ValueError):

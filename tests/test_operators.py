@@ -94,7 +94,7 @@ class TestJetForms:
         got_plus = l_op_jet("+", jet)
         got_compose = l_compose_jet(jet)
         got_b = b_op_jet(jet)
-        assert got_plus[0] == pytest.approx(l_plus(F).eval(z), rel=1e-12)
+        assert got_plus == pytest.approx(l_plus(F).eval(z), rel=1e-12)
         assert got_compose == pytest.approx(l_compose(F).eval(z), rel=1e-12)
         assert got_b == pytest.approx(b_op(F).eval(z), rel=1e-12)
 
