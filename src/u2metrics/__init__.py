@@ -15,7 +15,6 @@ from .profiles import (
     OutOfDomainError,
     RatioFactor,
     SingularConformalFactorError,
-    Squared,
 )
 from .operators import b_op, l_compose, l_minus, l_op, l_plus
 from .curvature import (

@@ -136,10 +136,11 @@ def _f1_parts(F, F1, F2, C, C1, s, sqrt_c) -> tuple:
 
 def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d, sqrt_c) -> float:
     """F2res at a state with s′ = s1 and the given F⁗, C″."""
-    c_m12_d2 = -C2d / (2.0 * C**1.5) + 0.75 * C1 * C1 / C**2.5  # (C^{-1/2})″
+    c32 = C * sqrt_c  # C^{3/2}; products, so a float C overflows to inf as an array does
+    c_m12_d2 = -C2d / (2.0 * c32) + 0.75 * C1 * C1 / (C * c32)  # (C^{-1/2})″
     return (
         (8.0 / 3.0) * (0.25 * F4d - 1.25 * F2 + F - 1.0)
-        + t * s * C**1.5 * (c_m12_d2 - 0.25 / sqrt_c)
+        + t * s * c32 * (c_m12_d2 - 0.25 / sqrt_c)
         + 0.5 * t * (C / F) * F1 * s1
         + t * C1 * s1
     )
@@ -229,12 +230,13 @@ def bt_integrate(
 ) -> BtTrajectory:
     """Integrate the 8th-order flow over ``span`` with an embedded 5(4) pair.
 
-    Adaptive step control at relative+absolute tolerance ``tol`` > 0 (the
-    RMS of the scaled 5th/4th-order difference must be ≤ 1); never steps
-    across F = 0 or C = 0 — on a singular solve the trajectory is truncated
-    and flagged, with the partial samples returned.  The pair is first-same-as-
-    last: the seventh stage is evaluated at (z + h, y5), so on acceptance it
-    is the next step's first stage, and a step costs six ``bt_rhs`` calls.
+    Adaptive step control at relative+absolute tolerance ``tol`` (the RMS of
+    the scaled 5th/4th-order difference must be ≤ 1; a ``tol`` that is not
+    positive and finite raises ValueError); never steps across F = 0 or
+    C = 0 — on a singular solve the trajectory is truncated and flagged, with
+    the partial samples returned.  The pair is first-same-as-last: the
+    seventh stage is evaluated at (z + h, y5), so on acceptance it is the
+    next step's first stage, and a step costs six ``bt_rhs`` calls.
     K is carried, never integrated, so it keeps its initial value; the drift
     of the first integral T is recorded in ``max_T_drift``.
 
@@ -244,8 +246,8 @@ def bt_integrate(
     the search's: the trajectory stops, truncated, at the first accepted
     sample whose |T − T₀| exceeds it.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     a, b = float(span[0]), float(span[1])
     direction = 1.0 if b >= a else -1.0
     traj = BtTrajectory(t=t)

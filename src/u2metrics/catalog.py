@@ -149,13 +149,12 @@ def hirzebruch(k: int, z0: float, C0: float = 1.0) -> MetricSpec:
         F=profile,
         C=ExpFactor(C0, -1),
         domain=Domain(-z0, z0, lo_closed=True, hi_closed=True),
-        tag="Jplus",
     )
 
 
 # ------------------------------------------------------------------- builders
 def _flat() -> MetricSpec:
-    return MetricSpec("flat", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(-math.inf, math.inf), "Jplus")
+    return MetricSpec("flat", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(-math.inf, math.inf))
 
 
 def _taub_nut(m: float) -> MetricSpec:
@@ -165,7 +164,6 @@ def _taub_nut(m: float) -> MetricSpec:
         Canonical(2, -2, 0, 0),
         EinsteinFactor(half, -half),
         Domain(0.0, math.inf),
-        None,
     )
 
 
@@ -175,7 +173,6 @@ def _mod_taub_nut_1(C0: float) -> MetricSpec:
         Canonical(2, -2, 0, 0),
         ExpFactor(C0, +1),
         Domain(0.0, math.inf),
-        "Jminus",
     )
 
 
@@ -185,7 +182,6 @@ def _mod_taub_nut_2(C0: float) -> MetricSpec:
         Canonical(2, -2, 0, 0),
         ExpFactor(C0, -1),
         Domain(0.0, math.inf),
-        "Jplus",
     )
 
 
@@ -195,7 +191,6 @@ def _super_taub_nut() -> MetricSpec:
         Canonical(0, 0, 2, 2),
         EinsteinFactor(1.0, 1.0),
         Domain(-math.inf, math.inf),
-        None,
     )
 
 
@@ -210,7 +205,6 @@ def _taub_bolt(m: float) -> MetricSpec:
         _TAUB_BOLT_F,
         EinsteinFactor(quarter, -quarter),
         Domain(-_LOG3, 0.0, lo_closed=True),
-        None,
     )
 
 
@@ -220,7 +214,6 @@ def _mod_taub_bolt_1(C0: float) -> MetricSpec:
         _TAUB_BOLT_F,
         ExpFactor(C0, +1),
         Domain(-_LOG3, 0.0, lo_closed=True),
-        "Jminus",
     )
 
 
@@ -230,7 +223,6 @@ def _mod_taub_bolt_2(C0: float) -> MetricSpec:
         _TAUB_BOLT_F,
         ExpFactor(C0, -1),
         Domain(-_LOG3, 0.0, lo_closed=True),
-        "Jplus",
     )
 
 
@@ -240,7 +232,6 @@ def _burns(m: float) -> MetricSpec:
         Canonical(0, -m * m, 0, 0),
         ExpFactor(1.0, +1),
         Domain(2.0 * math.log(m), math.inf, lo_closed=True),
-        "Jminus",
     )
 
 
@@ -250,7 +241,6 @@ def _eguchi_hanson(m: float) -> MetricSpec:
         Canonical(-2.0 * m**4, 0, 0, 0),
         ExpFactor(1.0, +1),
         Domain(2.0 * math.log(m), math.inf, lo_closed=True),
-        "Jminus",
     )
 
 
@@ -260,7 +250,6 @@ def _super_eguchi_hanson() -> MetricSpec:
         ExpPoly([(0, 1), (-2, 1)]),
         ExpFactor(1.0, +1),
         Domain(-math.inf, math.inf),
-        "Jminus",
     )
 
 
@@ -275,7 +264,6 @@ def _lebrun(k: int, m: float) -> MetricSpec:
         _lebrun_profile(k, m),
         ExpFactor(1.0, +1),
         Domain(2.0 * math.log(m), math.inf, lo_closed=True),
-        "Jminus",
     )
 
 
@@ -286,7 +274,6 @@ def _mod_lebrun(k: int, m: float) -> MetricSpec:
         _lebrun_profile(k, m),
         ExpFactor(1.0, -1),
         Domain(2.0 * math.log(m), math.inf, lo_closed=True),
-        "Jplus",
     )
 
 
@@ -303,7 +290,6 @@ def _eh_lambda(k: int) -> MetricSpec:
         profile,
         ExpFactor(1.0, +1),
         Domain(profile.expand().real_roots()[-1][0], math.inf, lo_closed=True),
-        "Jminus",
     )
 
 
@@ -313,7 +299,6 @@ def _fubini_study(Lambda: float) -> MetricSpec:
         Canonical(0, -Lambda / 6.0, 0, 0),
         ExpFactor(1.0, -1),
         Domain(math.log(Lambda / 6.0), math.inf, lo_closed=True),
-        "Jplus",
     )
 
 
@@ -334,7 +319,6 @@ def _taub_nut_lambda(m: float, L: float, Lambda: float) -> MetricSpec:
         profile,
         EinsteinFactor(half, -half),
         Domain(zeros[-1][0] if zeros else -math.inf, math.inf),
-        None,
     )
 
 
@@ -349,7 +333,6 @@ def _page(Lambda: float) -> MetricSpec:
         Canonical(coeff, coeff, coeff, coeff),
         EinsteinFactor(c5, c5),
         Domain(-z0, z0, lo_closed=True, hi_closed=True),
-        None,
     )
 
 

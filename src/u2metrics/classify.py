@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,16 +133,6 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
     return np.unique(points)
 
 
-def _rational_sqrt(x):
-    """Exact sqrt of a Fraction when possible, else float."""
-    if isinstance(x, Fraction) and x >= 0:
-        num = math.isqrt(x.numerator)
-        den = math.isqrt(x.denominator)
-        if num * num == x.numerator and den * den == x.denominator:
-            return Fraction(num, den)
-    return math.sqrt(float(x))
-
-
 def _as_einstein(model):
     """Einstein-model (C5, C6) equivalent of an Exp/Einstein factor, else None.
 
@@ -152,7 +141,7 @@ def _as_einstein(model):
     if isinstance(model, EinsteinFactor):
         return (model.c5, model.c6)
     if isinstance(model, ExpFactor):
-        inv = 1 / _rational_sqrt(model.c0)
+        inv = 1 / math.sqrt(model.c0)
         return (inv, 0) if model.eps == -1 else (0, inv)
     return None
 
@@ -233,9 +222,9 @@ def classify(
 
     # --- Kähler orientations: (log C)' must equal −1 (J⁺) or +1 (J⁻).
     dlogc = cs.C1d / cs.C
-    if use_exact and isinstance(m.C, ExpFactor):
-        kp_res = 0.0 if m.C.eps == -1 else 2.0
-        km_res = 0.0 if m.C.eps == +1 else 2.0
+    if use_exact and m.tag is not None:
+        kp_res = 0.0 if m.tag == "Jplus" else 2.0
+        km_res = 0.0 if m.tag == "Jminus" else 2.0
     else:
         kp_res = float(np.max(np.abs(dlogc + 1.0)))
         km_res = float(np.max(np.abs(dlogc - 1.0)))

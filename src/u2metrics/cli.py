@@ -259,8 +259,8 @@ def _traj_tsv(traj) -> str:
 def _cmd_bt_integrate(args) -> int:
     init = _load_state(args.init)
     span = _parse_span(args.span)
-    if not args.tol > 0.0:
-        raise _UsageError(f"--tol must be positive, got {args.tol!r}")
+    if not 0.0 < args.tol < np.inf:
+        raise _UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     traj = bt_integrate(init, args.t, span, tol=args.tol)
     _emit(_traj_tsv(traj), args.out)
     print(

@@ -41,7 +41,7 @@ _HALF = Fraction(1, 2)
 
 
 class NotKahlerError(ValueError):
-    """Kähler-only quantity requested on a metric without the matching tag."""
+    """Kähler-only quantity requested on a metric whose C is not C0·e^{∓z}."""
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class CurvatureSample:
     curvature was computed from, and ``s1d`` is the analytic s′ (named as in
     ``BtState``).  ``delW_plus_pot`` and ``delW_minus_pot`` are the δW±
     potentials P± (see :func:`delta_w_potential`); ``rho_plus``/``rho_minus``
-    are the Kähler Ricci-form coefficients, present only on Jplus/Jminus-tagged
-    metrics.  For an array z every field is an array over z (ρ± stay None
-    on an untagged metric).
+    are the Kähler Ricci-form coefficients, present only on a Kähler metric
+    (C = C0·e^{∓z}, so ``m.tag`` is Jplus/Jminus).  For an array z every
+    field is an array over z (ρ± stay None on a metric without a tag).
     """
 
     z: float
@@ -262,8 +262,8 @@ def bach(m: MetricSpec, z: float) -> tuple:
 
 
 def _require_kahler(m: MetricSpec):
-    if m.tag not in ("Jplus", "Jminus"):
-        raise NotKahlerError(f"metric {m.name!r} is not tagged Jplus/Jminus")
+    if m.tag is None:
+        raise NotKahlerError(f"metric {m.name!r} is not Kähler: C is not C0·e^{{∓z}}")
 
 
 def ricci_form_kahler(m: MetricSpec, z: float) -> tuple:

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 class TransformError(ValueError):
-    """ambiKähler transform requested on an untagged / non-exp metric."""
+    """ambiKähler transform requested on a metric whose C is not C0·e^{∓z}."""
 
 
 class OrientationError(ValueError):
@@ -257,16 +257,14 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
 
 # ---------------------------------------------------------------- ambiKähler
 def ambikahler_transform(m: MetricSpec) -> MetricSpec:
-    """The ambiKähler partner: same F, conformal exponent flipped, tag flipped.
+    """The ambiKähler partner: same F, conformal exponent flipped, so Jplus
+    and Jminus swap.
 
-    Requires a Jplus metric with C = C0·e^{-z} or a Jminus metric with
-    C = C0·e^{+z}; applying the transform twice is the identity.
+    Requires C = C0·e^{∓z}; applying the transform twice is the identity.
     """
-    if m.tag not in ("Jplus", "Jminus") or not isinstance(m.C, ExpFactor):
+    if not isinstance(m.C, ExpFactor):
         raise TransformError(f"metric {m.name!r} is not an exp-factor Kähler metric")
-    new_tag = "Jminus" if m.tag == "Jplus" else "Jplus"
-    new_c = ExpFactor(m.C.c0, -m.C.eps)
-    return MetricSpec(name=m.name, F=m.F, C=new_c, domain=m.domain, tag=new_tag)
+    return MetricSpec(name=m.name, F=m.F, C=ExpFactor(m.C.c0, -m.C.eps), domain=m.domain)
 
 
 # -------------------------------------------------------------- transcription
@@ -356,7 +354,6 @@ def transcribe_classic(
         F=canonical,
         C=c_model,
         domain=Domain(z_lo, z_hi),
-        tag=None,
     )
     order = np.argsort(zs)
     return TranscriptionResult(

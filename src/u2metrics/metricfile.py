@@ -11,8 +11,11 @@ Format (one directive per line, ``#`` starts a comment):
     C ratio                           # followed by num/den term lines
     num term <p[/q]> <coeff>
     den term <p[/q]> <coeff>
-    tag <Jplus|Jminus>
+    tag <Jplus|Jminus>                # optional
 
+The Kähler tag is worked out from C (``MetricSpec.tag``): Jplus for
+C = C0·e^{-z}, Jminus for C = C0·e^{+z}, none otherwise.  A ``tag`` line is
+optional; when given it must agree with C, else the file does not parse.
 Numbers are decimals or exact rationals ``p/q`` (rationals parse to Fraction
 and stay exact).  Emission is canonical, so emit → parse → emit is textually
 idempotent.
@@ -31,8 +34,6 @@ from .profiles import (
     ExpFactor,
     MetricSpec,
     RatioFactor,
-    Squared,
-    profile_poly,
 )
 
 __all__ = ["MetricFileError", "parse_metric", "emit_metric"]
@@ -73,6 +74,9 @@ def _parse_kv(tok: str, key: str, lineno: int):
     if not tok.startswith(key + "="):
         raise MetricFileError(lineno, f"expected {key}=<value>, got {tok!r}")
     return _parse_number(tok[len(key) + 1 :], lineno)
+
+
+_TAG_FACTORS = {"Jplus": "C0·e^{-z}", "Jminus": "C0·e^{+z}"}
 
 
 def parse_metric(text: str) -> MetricSpec:
@@ -150,9 +154,9 @@ def parse_metric(text: str) -> MetricSpec:
             pair = (_parse_number(toks[2], lineno), _parse_number(toks[3], lineno))
             (num_terms if head == "num" else den_terms).append(pair)
         elif head == "tag":
-            if len(toks) != 2 or toks[1] not in ("Jplus", "Jminus", "Iplus", "Iminus"):
-                raise MetricFileError(lineno, "tag must be Jplus, Jminus, Iplus, or Iminus")
-            tag = toks[1]
+            if len(toks) != 2 or toks[1] not in _TAG_FACTORS:
+                raise MetricFileError(lineno, "tag must be Jplus or Jminus")
+            tag = (lineno, toks[1])
         else:
             raise MetricFileError(lineno, f"unknown directive {head!r}")
 
@@ -180,10 +184,10 @@ def parse_metric(text: str) -> MetricSpec:
             raise MetricFileError(None, f"bad ratio terms: {exc}") from None
     if c_model is None:
         raise MetricFileError(None, "missing C definition")
-    try:
-        return MetricSpec(name=name, F=profile, C=c_model, domain=domain, tag=tag)
-    except ValueError as exc:
-        raise MetricFileError(None, str(exc)) from None
+    m = MetricSpec(name=name, F=profile, C=c_model, domain=domain)
+    if tag is not None and tag[1] != m.tag:
+        raise MetricFileError(tag[0], f"tag {tag[1]} requires C = {_TAG_FACTORS[tag[1]]}")
+    return m
 
 
 # --------------------------------------------------------------------- emission
@@ -217,8 +221,6 @@ def emit_metric(m: MetricSpec) -> str:
         )
     )
     profile = m.F
-    if isinstance(profile, Squared):
-        profile = profile_poly(profile)
     if isinstance(profile, Canonical):
         lines.append(
             "F canonical {} {} {} {}".format(

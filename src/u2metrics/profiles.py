@@ -26,7 +26,6 @@ from .numerics import at_first, jet_to_series, series_div, series_pow, series_to
 __all__ = [
     "Domain",
     "Canonical",
-    "Squared",
     "Profile",
     "ExpFactor",
     "EinsteinFactor",
@@ -41,10 +40,7 @@ __all__ = [
     "jet_C",
     "conformal_value",
     "canonical_coefficients",
-    "STRUCTURE_TAGS",
 ]
-
-STRUCTURE_TAGS = ("Jplus", "Jminus", "Iminus", "Iplus")
 
 
 class OutOfDomainError(ValueError):
@@ -132,23 +128,13 @@ class Canonical:
         return (self.c1, self.c2, self.c3, self.c4)
 
 
-@dataclass(frozen=True)
-class Squared:
-    """F = base², expanded exactly."""
-
-    base: ExpPoly
-
-    def expand(self) -> ExpPoly:
-        return self.base * self.base
-
-
-Profile = Union[ExpPoly, Canonical, Squared]
+Profile = Union[ExpPoly, Canonical]
 
 
 def profile_poly(profile: Profile) -> ExpPoly:
     if isinstance(profile, ExpPoly):
         return profile
-    if isinstance(profile, (Canonical, Squared)):
+    if isinstance(profile, Canonical):
         return profile.expand()
     raise TypeError(f"not a profile: {type(profile).__name__}")
 
@@ -237,18 +223,14 @@ class MetricSpec:
     F: Profile
     C: ConformalModel
     domain: Domain
-    tag: Optional[str] = None
 
-    def __post_init__(self):
-        if self.tag is not None:
-            if self.tag not in STRUCTURE_TAGS:
-                raise ValueError(f"unknown structure tag {self.tag!r}")
-            if self.tag == "Jplus":
-                if not (isinstance(self.C, ExpFactor) and self.C.eps == -1):
-                    raise ValueError("tag Jplus requires C = C0·e^{-z}")
-            if self.tag == "Jminus":
-                if not (isinstance(self.C, ExpFactor) and self.C.eps == +1):
-                    raise ValueError("tag Jminus requires C = C0·e^{+z}")
+    @property
+    def tag(self) -> Optional[str]:
+        """The Kähler complex structure, fixed by C alone: "Jplus" for
+        C = C0·e^{-z}, "Jminus" for C = C0·e^{+z}, else None."""
+        if isinstance(self.C, ExpFactor):
+            return "Jplus" if self.C.eps == -1 else "Jminus"
+        return None
 
     @cached_property
     def _f_poly(self) -> ExpPoly:

@@ -85,7 +85,6 @@ def test_criterion_03_scalar_curvature_cross_check():
             Canonical(*cs),
             ExpFactor(rng.uniform(0.5, 2.0), -1),
             Domain(-1.5, 1.5),
-            "Jplus",
         )
         for z in grid:
             s_gen = scalar_curvature(m, z)
@@ -161,7 +160,7 @@ def test_criterion_07_variational_bach_check():
 
     def energy(t):
         m = MetricSpec(
-            "bump", F + f * t, ExpFactor(1.0, -1), Domain(-math.inf, math.inf), None
+            "bump", F + f * t, ExpFactor(1.0, -1), Domain(-math.inf, math.inf)
         )
         return weyl_energy(m, a, b)
 

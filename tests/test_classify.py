@@ -30,12 +30,12 @@ MODES = {"default": {}, "t1": {"t": 1.0}, "grid": {"use_exact": False}}
 # specs whose every predicate is indeterminate: an interior zero of F, a pole
 # of C, a negative C and a C whose square underflows
 SINGULAR = [
-    MetricSpec("bad", Canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0), None),
-    MetricSpec("p", Canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0), None),
+    MetricSpec("bad", Canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0)),
+    MetricSpec("p", Canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0)),
     MetricSpec(
-        "neg", Canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(-1), ExpPoly.constant(1)), Domain(-1.0, 1.0), None
+        "neg", Canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(-1), ExpPoly.constant(1)), Domain(-1.0, 1.0)
     ),
-    MetricSpec("far", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0), None),
+    MetricSpec("far", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0)),
 ]
 
 
@@ -72,19 +72,19 @@ class TestTags:
     @pytest.mark.parametrize("m,t,reason", [
         # F = 1 − e^{-z} vanishes at z = 0
         (
-            MetricSpec("bad", Canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0), None),
+            MetricSpec("bad", Canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0)),
             None,
             "F vanishes at z=0 inside the domain",
         ),
         # F = 1 − 0.001·e^{z} changes sign at ln 1000, between two grid points
         (
-            MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf), None),
+            MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf)),
             1.0,
             "F vanishes at z=6.90776 inside the domain",
         ),
         # C = e^{-z}/(1 − e^{-z})² has a pole at z = 0
         (
-            MetricSpec("p", Canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0), None),
+            MetricSpec("p", Canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0)),
             None,
             "C's denominator vanishes at z=0 inside the domain",
         ),
@@ -102,14 +102,14 @@ class TestTags:
         (
             MetricSpec(
                 "neg", Canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(-1), ExpPoly.constant(1)),
-                Domain(-1.0, 1.0), None,
+                Domain(-1.0, 1.0),
             ),
             "is not positive",
         ),
         # C = e^{-z} ≈ 1e-174 at z = 400: C⁻² in |W±|² divides by an underflowed C²,
         # first at the grid point past z ≈ 372.2
         (
-            MetricSpec("far", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0), None),
+            MetricSpec("far", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0)),
             "w_plus_norm2 is not finite at z=3",
         ),
     ], ids=["negative-C", "underflowed-C"])
@@ -214,7 +214,6 @@ class TestConformallyExtremal:
             ExpPoly([(0, 1), (3, 0.01)]),
             ExpFactor(1.0, -1),
             Domain(-1.0, 1.0),
-            None,
         )
         assert conformally_extremal_residual(m, [0.5]) > 1e-4
 

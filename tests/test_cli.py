@@ -155,7 +155,7 @@ class TestEndsCommand:
 
     def test_failed_distance_exits_3_with_reason(self, tmp_path, capsys):
         # F = 1 − 0.001·e^z: the upper end lies past the zero at ln 1000
-        spec = MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf), None)
+        spec = MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf))
         path = tmp_path / "s.txt"
         path.write_text(emit_metric(spec))
         assert main(["ends", str(path)]) == 3
@@ -180,6 +180,25 @@ class TestTransformCommand:
     def test_non_kahler_exits_3(self, tmp_path, capsys):
         path = _write_metric(tmp_path, "taub-bolt")
         assert main(["transform", path]) != 0
+
+    def test_untagged_exp_factor_is_kahler(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("name t\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps=-1\n")
+        assert main(["classify", str(path)]) == 0
+        assert "kahler_plus yes" in capsys.readouterr().out
+        assert main(["transform", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("C exp C0=1.0 eps=+1\ntag Jminus\n")
+
+    @pytest.mark.parametrize("tag, message", [
+        ("Jminus", "tag Jminus requires C = C0·e^{+z}"),
+        ("Iplus", "tag must be Jplus or Jminus"),
+    ])
+    def test_tag_that_contradicts_c_exits_2(self, tmp_path, capsys, tag, message):
+        path = tmp_path / "t.txt"
+        path.write_text(f"name t\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps=-1\ntag {tag}\n")
+        assert main(["transform", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestBtCommands:
@@ -244,6 +263,12 @@ class TestBtCommands:
         state.write_text("z 0.0\nF 1.3\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
         assert main(["bt", "integrate", "--t", "1", "--init", str(state), "--span", "0:0.4", "--tol", "0"]) == 1
         assert "--tol must be positive" in capsys.readouterr().err
+
+    def test_integrate_infinite_tol_exits_1(self, tmp_path, capsys):
+        state = tmp_path / "seed.txt"
+        state.write_text("z 0.0\nF 1.3\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
+        assert main(["bt", "integrate", "--t", "1", "--init", str(state), "--span", "0:0.4", "--tol", "inf"]) == 1
+        assert "usage error: --tol must be positive and finite" in capsys.readouterr().err
 
     def test_search(self, capsys):
         assert main(["bt", "search", "--t", "1", "--trials", "6", "--seed", "1"]) == 0

@@ -122,6 +122,14 @@ class TestKahlerFormulas:
         with pytest.raises(NotKahlerError):
             kahler_scalar_curvature(m, -0.5)
 
+    def test_kahler_structure_comes_from_c(self):
+        # modified-taub-nut-2 built without a catalog entry: C = e^{-z} alone makes it J⁺-Kähler
+        m = MetricSpec("t", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, math.inf))
+        assert m.tag == "Jplus"
+        cs = curvature_sample(m, 1.0)
+        assert type(cs.rho_plus) is float
+        assert 4.0 * cs.rho_plus == kahler_scalar_curvature(m, 1.0)
+
 
 class TestWeylEnergy:
     def test_matches_direct_quadrature(self):
@@ -139,8 +147,8 @@ class TestWeylEnergy:
         # the energy depends on F only, not on the conformal factor
         F = Canonical(0.3, -0.4, 0.1, 0.0)
         d = Domain(-math.inf, math.inf)
-        m1 = MetricSpec("a", F, ExpFactor(1.0, -1), d, None)
-        m2 = MetricSpec("b", F, ExpFactor(7.0, +1), d, None)
+        m1 = MetricSpec("a", F, ExpFactor(1.0, -1), d)
+        m2 = MetricSpec("b", F, ExpFactor(7.0, +1), d)
         assert weyl_energy(m1, -1.0, 1.0) == pytest.approx(weyl_energy(m2, -1.0, 1.0), rel=1e-12)
 
     def test_zero_when_w_plus_vanishes(self):

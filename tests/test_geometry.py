@@ -25,7 +25,7 @@ from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
 
 def _crossing_spec():
     """F = 1 − 0.001·e^z on (−1, ∞): one simple zero, at ln 1000, slope −1."""
-    return MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf), None)
+    return MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf))
 
 
 class TestFindBolts:
@@ -50,7 +50,7 @@ class TestFindBolts:
         # same profile, but with the F-zero at an open endpoint
         m = catalog_get("taub-bolt", {"m": 1.0})
         opened = MetricSpec(
-            "open", m.F, m.C, Domain(m.domain.lo, m.domain.hi, lo_closed=False), m.tag
+            "open", m.F, m.C, Domain(m.domain.lo, m.domain.hi, lo_closed=False)
         )
         assert find_bolts(opened) == []
 
@@ -76,7 +76,7 @@ class TestFindBolts:
         # find_bolts' smooth flag, Bolt.self_intersection and classify_end's
         # bolt/conical split read one rule; F = slope·(1 − e^{−z}) on [0, 1]
         f = ExpPoly([(0, slope), (-1, -slope)])
-        m = MetricSpec("k", f, ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True), None)
+        m = MetricSpec("k", f, ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True))
         (bolt,) = find_bolts(m)
         assert bolt.slope == slope
         assert bolt.smooth_quotient == (integer is not None) and bolt.self_intersection == integer
@@ -85,7 +85,7 @@ class TestFindBolts:
 
     def test_double_zero_is_degenerate(self):
         # F = (1 − e^{-z})² on a domain closed at its double zero z = 0
-        m = MetricSpec("d", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True), None)
+        m = MetricSpec("d", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True))
         (bolt,) = find_bolts(m)
         assert bolt.z0 == 0.0 and bolt.degenerate and bolt.self_intersection is None
 
@@ -229,7 +229,6 @@ class TestClassifyEnd:
             ExpPoly([(0, 1.0), (-2, -1.0), (-1, -0.75), (1, 0.75)]),
             ExpFactor(1.0, -1),
             Domain(0.0, 2.0, lo_closed=True),
-            None,
         )
         rep = classify_end(m, "lower")
         f1 = m.f_poly().derive().eval(0.0)
@@ -237,6 +236,19 @@ class TestClassifyEnd:
             pytest.skip("slope landed on an integer")
         assert rep.kind == "conical"
         assert rep.cone_angle == pytest.approx(2.0 * math.pi * abs(f1), rel=1e-12)
+
+    def test_f_growing_as_c_is_asymptotically_einstein(self):
+        # F = 1 + e^{z}, C = e^{z}: F and C grow at the same rate
+        m = MetricSpec("ae", ExpPoly([(0, 1), (1, 1)]), ExpFactor(1.0, +1), Domain(0.0, math.inf))
+        rep = classify_end(m, "upper")
+        assert rep.kind == "asymptotically_einstein" and rep.complete
+        assert rep.diagnostics["distance_to_end"] == math.inf
+
+    def test_f_tending_to_a_constant_other_than_one_is_undetermined(self):
+        # F = 2 + e^{-z} tends to 2, so neither the nut/ALE rule nor the growth rule applies
+        m = MetricSpec("two", ExpPoly([(0, 2), (-1, 1)]), ExpFactor(1.0, -1), Domain(0.0, math.inf))
+        rep = classify_end(m, "upper")
+        assert rep.kind == "undetermined" and not rep.complete
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_closed_ends_are_the_bolts_find_bolts_sees(self, name):

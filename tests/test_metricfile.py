@@ -1,4 +1,6 @@
 """Plain-text metric serialization: round trips and error reporting."""
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,49 @@ class TestRoundTrip:
         m = parse_metric(text)
         assert m.name == "t"
         assert m.tag == "Jplus"
+
+
+def _readme_metric_files() -> list:
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Metric file format", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```\n(.*?)```", section, flags=re.S)
+
+
+def test_readme_metric_files_parse_to_the_catalog_entries_they_show():
+    texts = _readme_metric_files()
+    specs = [catalog_entry(n).build() for n in ("taub-nut", "modified-taub-nut-2")]
+    assert [parse_metric(text) for text in texts] == specs
+    assert texts == [emit_metric(m) for m in specs]
+
+
+class TestTag:
+    UNTAGGED = "name t\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps={}\n"
+
+    @pytest.mark.parametrize("eps, tag", [("-1", "Jplus"), ("+1", "Jminus")])
+    def test_tag_comes_from_c(self, eps, tag):
+        m = parse_metric(self.UNTAGGED.format(eps))
+        assert m.tag == tag
+        assert emit_metric(m).endswith(f"\ntag {tag}\n")
+        assert parse_metric(self.UNTAGGED.format(eps) + f"tag {tag}\n") == m
+
+    def test_no_tag_for_an_einstein_factor(self):
+        text = "name t\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC einstein C5=1/2 C6=-1/2\n"
+        m = parse_metric(text)
+        assert m.tag is None and "tag" not in emit_metric(m)
+
+    @pytest.mark.parametrize("text, message", [
+        (UNTAGGED.format("+1") + "tag Jplus\n", "line 5: tag Jplus requires C = C0·e^{-z}"),
+        ("tag Jminus\n" + UNTAGGED.format("-1"), "line 1: tag Jminus requires C = C0·e^{+z}"),
+        (
+            "name t\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC einstein C5=1 C6=-1\ntag Jplus\n",
+            "line 5: tag Jplus requires C = C0·e^{-z}",
+        ),
+        (UNTAGGED.format("-1") + "tag Iplus\n", "line 5: tag must be Jplus or Jminus"),
+    ], ids=["Jplus-on-plus-exp", "Jminus-on-minus-exp", "Jplus-on-einstein", "Iplus"])
+    def test_tag_that_contradicts_c_is_an_error(self, text, message):
+        with pytest.raises(MetricFileError) as info:
+            parse_metric(text)
+        assert str(info.value) == message
 
 
 class TestErrors:

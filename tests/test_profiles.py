@@ -14,7 +14,6 @@ from u2metrics.profiles import (
     OutOfDomainError,
     RatioFactor,
     SingularConformalFactorError,
-    Squared,
     canonical_coefficients,
     conformal_value,
     factor_ratio,
@@ -39,10 +38,6 @@ class TestCanonical:
 
     def test_non_canonical_poly_gives_none(self):
         assert canonical_coefficients(ExpPoly([(0, 1), (3, 1)])) is None
-
-    def test_squared_expand(self):
-        p = Squared(ExpPoly([(0, 1), (-1, -1)])).expand()
-        assert p == ExpPoly([(0, 1), (-1, -2), (-2, 1)])
 
     def test_profile_poly_passthrough(self):
         q = ExpPoly([(1, 2)])
@@ -78,18 +73,18 @@ class TestConformalModels:
             ExpFactor(1.0, 2)
 
     def test_exp_factor_value(self):
-        m = MetricSpec("t", Canonical(0, 0, 0, 0), ExpFactor(3.0, -1), Domain(-2, 2), None)
+        m = MetricSpec("t", Canonical(0, 0, 0, 0), ExpFactor(3.0, -1), Domain(-2, 2))
         assert conformal_value(m, 0.5) == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
 
     def test_einstein_factor_value(self):
-        m = MetricSpec("t", Canonical(0, 0, 0, 0), EinsteinFactor(0.25, -0.25), Domain(-2, -0.1), None)
+        m = MetricSpec("t", Canonical(0, 0, 0, 0), EinsteinFactor(0.25, -0.25), Domain(-2, -0.1))
         z = -1.0
         want = math.exp(-z) / (0.25 - 0.25 * math.exp(-z)) ** 2
         assert conformal_value(m, z) == pytest.approx(want, rel=1e-14)
 
     def test_einstein_factor_pole_raises(self):
         m = MetricSpec(
-            "t", Canonical(0, 0, 0, 0), EinsteinFactor(1.0, -1.0), Domain(-2.0, 2.0), None
+            "t", Canonical(0, 0, 0, 0), EinsteinFactor(1.0, -1.0), Domain(-2.0, 2.0)
         )
         with pytest.raises(SingularConformalFactorError):
             conformal_value(m, 0.0)
@@ -101,7 +96,7 @@ class TestConformalModels:
 
     def test_ratio_factor(self):
         r = RatioFactor(ExpPoly([(-1, 1)]), ExpPoly([(0, 1), (-1, 1)]))
-        m = MetricSpec("t", Canonical(0, 0, 0, 0), r, Domain(-2, 2), None)
+        m = MetricSpec("t", Canonical(0, 0, 0, 0), r, Domain(-2, 2))
         z = 0.7
         want = math.exp(-z) / (1 + math.exp(-z))
         assert conformal_value(m, z) == pytest.approx(want, rel=1e-14)
@@ -110,7 +105,7 @@ class TestConformalModels:
 class TestJets:
     def _metric(self):
         return MetricSpec(
-            "t", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, math.inf), "Jplus"
+            "t", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, math.inf)
         )
 
     def test_jet_f_matches_poly(self):
