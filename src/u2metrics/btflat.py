@@ -10,15 +10,17 @@ along every trajectory; B^t-flat solutions are those with T = 0.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .curvature import CurvatureSample, curvature_sample
-from .numerics import at_first
+from .numerics import at_first, is_array
 from .operators import b_op_jet, l_compose_jet
 from .profiles import MetricSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BtState",
@@ -68,6 +70,7 @@ class BtState(NamedTuple):
     K: float
 
     def vector(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.F, self.F1d, self.F2d, self.F3d, self.C, self.C1d, self.s, self.K])
 
     @staticmethod
@@ -111,7 +114,8 @@ class BtTrajectory:
 # The helpers take the state's fields as floats (the flow) or as 1-D arrays
 # over z (a grid; a float field such as a pinned s stands for every z).
 def _guard(z, F, C):
-    if isinstance(z, np.ndarray):  # the first singular z, checked as a float state's
+    if is_array(z):  # the first singular z, checked as a float state's
+        import numpy as np
         hit = at_first((C <= 0.0) | (F == 0.0), *np.broadcast_arrays(z, F, C))
         if hit is None:
             return
@@ -171,12 +175,15 @@ def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
     non-finite residual ``ArithmeticError``.
     """
     z, F, F1, F2, F3, C, C1, s, K = state
-    with np.errstate(all="ignore"):
+    array = is_array(z)
+    if array:
+        import numpy as np
+    with np.errstate(all="ignore") if array else nullcontext():
         tv = tval(state, t)  # which guards F and C first
-        sqrt_c = np.sqrt(C) if isinstance(C, np.ndarray) else math.sqrt(C)
+        sqrt_c = np.sqrt(C) if array else math.sqrt(C)
         coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
         out = (coef * C2d + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d, sqrt_c), tv)
-    if isinstance(z, np.ndarray):
+    if array:
         z, *out = np.broadcast_arrays(z, *out)
         hit = at_first(~np.isfinite(out).all(axis=0), z)
         if hit is not None:
@@ -192,6 +199,7 @@ def bt_rhs(state: BtState, t: float) -> tuple:
     (coefficient 2/3); raises :class:`SingularSystemError` when a solve
     coefficient falls below 1e-12 in magnitude.
     """
+    import numpy as np
     z, F, F1, F2, F3, C, C1, s, K = state
     _guard(z, F, C)
     sqrt_c = math.sqrt(C)
@@ -390,6 +398,7 @@ def bt_nonextremal_search(
         raise ValueError("t must be nonzero")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    import numpy as np
     rng = np.random.default_rng(seed)
     best = None
     best_res = -1.0
@@ -445,6 +454,7 @@ def bt_sample_residuals(cs: CurvatureSample, t: float, s_const: Optional[float] 
     The states are those of :func:`state_from_metric` (``s_const`` as there),
     and their residuals are one :func:`bt_residuals` call on the array state.
     """
+    import numpy as np
     state, f4d, c2d = _state_from_sample(cs, s_const)
     return np.column_stack(bt_residuals(state, t, f4d, c2d))
 
@@ -457,6 +467,7 @@ def bt_grid_residual(cs: CurvatureSample, t: float) -> float:
     factors that amplify round-off in the sampled scalar curvature, so raw
     residuals there are pure float noise scaled by those factors.
     """
+    import numpy as np
     c, c1d = cs.C, cs.C1d
     scale = 1.0 + c**1.5 * (1.0 + np.abs(cs.s)) + (c1d * c1d) / np.maximum(c, 1e-30)
     return float(np.max(np.abs(bt_sample_residuals(cs, t)) / scale[:, None]))

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .btflat import bt_grid_residual
 from .curvature import curvature_sample
@@ -23,6 +21,9 @@ from .profiles import (
     MetricSpec,
     canonical_coefficients,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PredicateResult",
@@ -122,6 +123,7 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
     endpoint) and a finite sub-window when unbounded.  Raises ``ValueError``
     for n < 2.
     """
+    import numpy as np
     if n < 2:
         raise ValueError(f"a sample grid needs n >= 2 points, got n={n}")
     lo, hi = domain.finite_window()
@@ -148,6 +150,7 @@ def _as_einstein(model):
 
 def conformally_extremal_residual(m: MetricSpec, grid: Sequence[float]) -> float:
     """max over grid of |L⁺(L⁻(F)) − 1| (conformal-factor independent)."""
+    import numpy as np
     r = m.operator_polys[2]
     if r.is_zero:
         return 0.0
@@ -160,6 +163,7 @@ def fit_exp_family(samples) -> tuple:
     Returns ((C1, C2, C3, C4), rms) with the canonical ½-weighting, i.e.
     F ≈ 1 + ½C1·e^{-2z} + C2·e^{-z} + C3·e^{z} + ½C4·e^{2z}.
     """
+    import numpy as np
     samples = list(samples)
     if len(samples) < 8:
         raise ValueError("need at least 8 samples")
@@ -192,6 +196,7 @@ def classify(
     bolt or nut), or when the curvature sample of the grid raises (its
     reason names the z). A ``tol`` that is not positive and finite raises ValueError.
     """
+    import numpy as np
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     report = ClassificationReport(metric_name=m.name, tol=tol, grid_n=grid_n)

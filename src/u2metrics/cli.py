@@ -7,12 +7,11 @@ singularity failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import __version__
 from .btflat import (
@@ -28,7 +27,7 @@ from .btflat import (
 from .catalog import CatalogError, catalog_get, catalog_list, page_constants
 from .classify import classify
 from .curvature import curvature_sample
-from .geometry import TransformError, classify_end, find_bolts
+from .geometry import TransformError, ambikahler_transform, classify_end, find_bolts
 from .metricfile import MetricFileError, emit_metric, parse_metric
 from .profiles import OutOfDomainError
 
@@ -70,6 +69,7 @@ def _emit(content: str, out: Optional[str]):
 
 
 def _parse_grid(spec: str):
+    import numpy as np
     parts = spec.split(":")
     if len(parts) != 3:
         raise _UsageError(f"--grid must be a:b:n, got {spec!r}")
@@ -77,11 +77,11 @@ def _parse_grid(spec: str):
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise _UsageError(f"bad --grid {spec!r}: {exc}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _UsageError(f"--grid endpoints must be finite, got {spec!r}")
     if n < 1:
         raise _UsageError("--grid needs n >= 1")
-    if n == 1:
-        return [a]
-    return [a + (b - a) * i / (n - 1) for i in range(n)]
+    return np.array([a] if n == 1 else [a + (b - a) * i / (n - 1) for i in range(n)])
 
 
 def _parse_span(spec: str):
@@ -138,7 +138,7 @@ def _tsv(columns: Sequence[str], rows) -> str:
 # ------------------------------------------------------------------ commands
 def _cmd_classify(args) -> int:
     m = _load_metric(args.file)
-    if not 0.0 < args.tol < np.inf:
+    if not 0.0 < args.tol < math.inf:
         raise _UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     report = classify(m, tol=args.tol, t=args.t)
     sys.stdout.write(report.text() + "\n")
@@ -147,7 +147,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_curvature(args) -> int:
     m = _load_metric(args.file)
-    cs = curvature_sample(m, np.array(_parse_grid(args.grid)))
+    cs = curvature_sample(m, _parse_grid(args.grid))
     columns = ("z", "F", "C", "s", "ric0_a", "ric0_b", "w_plus", "w_minus", "B1", "B2", "P_plus", "P_minus")
     values = (
         cs.z,
@@ -194,8 +194,6 @@ def _cmd_ends(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    from .geometry import ambikahler_transform
-
     m = _load_metric(args.file)
     try:
         partner = ambikahler_transform(m)
@@ -217,6 +215,8 @@ def _cmd_catalog_emit(args) -> int:
         if "=" not in item:
             raise _UsageError(f"--param needs k=v, got {item!r}")
         key, value = item.split("=", 1)
+        if key in params:
+            raise _UsageError(f"--param {key} given twice")
         try:
             params[key] = float(value)
         except ValueError:
@@ -236,7 +236,7 @@ def _cmd_bt_residuals(args) -> int:
             s_const = float(args.s[len("const:") :])
         except ValueError:
             raise _UsageError(f"bad --s value {args.s!r}") from None
-    cs = curvature_sample(m, np.array(_parse_grid(args.grid)))
+    cs = curvature_sample(m, _parse_grid(args.grid))
     residuals = bt_sample_residuals(cs, args.t, s_const=s_const)
     rows = [(z, *r) for z, r in zip(cs.z.tolist(), residuals.tolist())]
     _emit(_tsv(("z", "F1res", "F2res", "Tval"), rows), args.out)
@@ -248,6 +248,7 @@ _TRAJ_COLUMNS = ("z", "F", "F1d", "F2d", "F3d", "C", "C1d", "s", "K", "Tval", "F
 
 def _traj_tsv(traj) -> str:
     # F1res/F2res: the residuals of each sample's own F⁗ and C″ (round-off)
+    import numpy as np
     if not traj.samples:
         return _tsv(_TRAJ_COLUMNS, [])
     cols = np.array([(*smp.state, smp.F4d, smp.C2d) for smp in traj.samples]).T
@@ -259,7 +260,7 @@ def _traj_tsv(traj) -> str:
 def _cmd_bt_integrate(args) -> int:
     init = _load_state(args.init)
     span = _parse_span(args.span)
-    if not 0.0 < args.tol < np.inf:
+    if not 0.0 < args.tol < math.inf:
         raise _UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     traj = bt_integrate(init, args.t, span, tol=args.tol)
     _emit(_traj_tsv(traj), args.out)
@@ -365,6 +366,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not math.isfinite(getattr(args, "t", None) or 0.0):  # classify's --t (None: unset) and bt's
+            raise _UsageError(f"--t must be finite, got {args.t!r}")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,9 +17,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .numerics import adaptive_quad, at_first
+from .numerics import adaptive_quad, at_first, is_array
 from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet
 from .profiles import MetricSpec, jet_C, jet_F
 
@@ -123,7 +121,9 @@ def _weyl_from_jets(lp, lm, c) -> tuple:
 
 
 def _delta_w_from_jets(sign, z, l_pm, h) -> float:
-    exp = np.exp if isinstance(z, np.ndarray) else math.exp
+    exp = math.exp
+    if is_array(z):
+        from numpy import exp
     return exp(sign * 1.5 * z) * l_pm * h[0]
 
 
@@ -170,7 +170,8 @@ def curvature_sample(m: MetricSpec, z) -> CurvatureSample:
     field is checked in turn: the first with a non-finite value raises
     ``ArithmeticError`` naming the field and its first non-finite z.
     """
-    if isinstance(z, np.ndarray):
+    if is_array(z):
+        import numpy as np
         with np.errstate(all="ignore"):
             sample = _sample(m, z)
         for f in fields(sample):

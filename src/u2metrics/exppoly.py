@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from numbers import Rational
 
-import numpy as np
+from .numerics import is_array
 
 __all__ = ["ExpPoly", "ExpPolyError", "EvalOverflowError", "ENDPOINT_RTOL"]
 
@@ -258,7 +258,9 @@ class ExpPoly:
         ``math.exp``, and a non-finite entry raises for the first such z.
         """
         _, kfs, rows = self._rows(order)
-        array = isinstance(z, np.ndarray)
+        array = is_array(z)
+        if array:
+            import numpy as np
         with np.errstate(all="ignore") if array else nullcontext():
             try:
                 # an array's exponentials are the rows of one exp(k ⊗ z)

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .classify import fit_exp_family
 from .numerics import adaptive_quad, at_first
@@ -21,6 +19,9 @@ from .profiles import (
     SingularConformalFactorError,
     conformal_value,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Bolt",
@@ -118,6 +119,7 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
     F(z0) rounds to ±ulp stays integrable.  Raises :class:`QuadratureError`
     when a half does not meet ``tol``.
     """
+    import numpy as np
     if z1 > z2:
         z1, z2 = z2, z1
     poly = m.f_poly()
@@ -296,6 +298,7 @@ def transcribe_classic(
     exponential family, and the conformal factor C is fitted against both the
     Exp and Einstein models with best-model selection by rms.
     """
+    import numpy as np
     if orientation not in (-1, 1):
         raise ValueError("orientation must be ±1")
     r_lo, r_hi = r_range

@@ -13,6 +13,7 @@ Format (one directive per line, ``#`` starts a comment):
     den term <p[/q]> <coeff>
     tag <Jplus|Jminus>                # optional
 
+Only ``term`` lines repeat: a second name, domain, F canonical, C or tag is an error.
 The Kähler tag is worked out from C (``MetricSpec.tag``): Jplus for
 C = C0·e^{-z}, Jminus for C = C0·e^{+z}, none otherwise.  A ``tag`` line is
 optional; when given it must agree with C, else the file does not parse.
@@ -89,6 +90,7 @@ def parse_metric(text: str) -> MetricSpec:
     c_mode = None  # None | "ratio"
     num_terms = []
     den_terms = []
+    first = {}  # name, domain, F canonical, C and tag: the line that gave each
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -96,6 +98,9 @@ def parse_metric(text: str) -> MetricSpec:
             continue
         toks = line.split()
         head = toks[0]
+        key = "F canonical" if toks[:2] == ["F", "canonical"] else head
+        if key in ("name", "domain", "F canonical", "C", "tag") and first.setdefault(key, lineno) != lineno:
+            raise MetricFileError(lineno, f"second {key} directive (first on line {first[key]})")
 
         if head == "name":
             if len(toks) < 2:

@@ -8,20 +8,22 @@ takes an integrand of an array of nodes, never evaluated at the ends.
 ``series_pow`` is J. C. P. Miller's recurrence for a power of a series, run on
 a/a[0]: ten products give C^{1/2}, C^{−1/2}, … to fourth order.
 
-Everything here is elementary and self-contained; the rest of the package
-builds its curvature formulas and ODE flows on top of these primitives.
+The rest of the package builds on these primitives and keeps their rule for
+numpy: a function that makes an array imports numpy itself, and one that takes
+a float or an array tests it with :func:`is_array`, which never imports numpy.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
+from functools import cache
 
 __all__ = [
     "QuadratureError",
     "BracketError",
     "adaptive_quad",
     "at_first",
+    "is_array",
     "safeguarded_newton",
     "series_mul",
     "series_div",
@@ -55,17 +57,24 @@ class BracketError(ArithmeticError):
     """Root finding could not maintain a sign-change bracket."""
 
 
-# G7K15 on [−1, 1] (Piessens et al., QUADPACK, 1983), outermost node first: Kronrod nodes, their
-# weights, and Gauss weights (0 on the Kronrod-only nodes), mirrored below onto all 15 nodes
-_GK = np.array([
-    [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0],
-    [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-     0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782],
-    [0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0, 0.4179591836734694],
-])
-_GK_NODES = np.concatenate([-_GK[0, :-1], _GK[0, ::-1]])
-_GK_WEIGHTS = np.concatenate([_GK[1:, :-1], _GK[1:, ::-1]], axis=1)  # rows K15, G7
+@cache
+def _gauss_kronrod() -> tuple:
+    # G7K15 on [−1, 1] (Piessens et al., QUADPACK, 1983), outermost node first: Kronrod nodes, their
+    # weights, and Gauss weights (0 on the Kronrod-only nodes), mirrored below onto all 15 nodes
+    import numpy as np
+    gk = np.array([
+        [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+         0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0],
+        [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+         0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782],
+        [0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0, 0.4179591836734694],
+    ])
+    return np.concatenate([-gk[0, :-1], gk[0, ::-1]]), np.concatenate([gk[1:, :-1], gk[1:, ::-1]], axis=1)
+
+
+def is_array(z) -> bool:
+    """True if z is a numpy array; never imports numpy (no array exists before it is imported)."""
+    return not isinstance(z, float) and "numpy" in sys.modules and isinstance(z, sys.modules["numpy"].ndarray)
 
 
 def at_first(bad, *values):
@@ -75,11 +84,11 @@ def at_first(bad, *values):
     or a bool array with 1-D arrays of its length, which are read at its
     first true entry as Python scalars.
     """
-    if not isinstance(bad, np.ndarray):
+    if not is_array(bad):
         return values if bad else None
     if not bad.any():
         return None
-    i = np.flatnonzero(bad)[0]
+    i = bad.argmax()  # the first true entry
     return tuple(v[i].item() for v in values)
 
 
@@ -97,18 +106,20 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
     panel that cannot split raises :class:`QuadratureError` with the
     whole-interval ``estimate`` and ``error`` = Σ|K15 − G7|.
     """
+    import numpy as np
     if a == b:
         return 0.0
+    nodes, weights = _gauss_kronrod()
     lo, hi = np.array([a]), np.array([b])  # the open panels of the level, left to right
     level_tol, budget, parts, errors, exhausted, done = tol, 200000, [], [], 0, 0.0
     for depth in range(max_depth + 1):
         n = len(lo)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = np.reshape(f((mid[:, None] + half[:, None] * _GK_NODES).ravel()), (n, len(_GK_NODES)))
+        fx = np.reshape(f((mid[:, None] + half[:, None] * nodes).ravel()), (n, len(nodes)))
         hit = at_first(~np.isfinite(fx).all(axis=1), lo, hi)
         if hit is not None:
             raise QuadratureError(f"non-finite integrand on [{hit[0]}, {hit[1]}]")
-        kronrod, gauss = (fx @ _GK_WEIGHTS.T * half[:, None]).T
+        kronrod, gauss = (fx @ weights.T * half[:, None]).T
         size = np.abs(kronrod - gauss)
         # a panel is done within its share of tol, at round-off relative to its
         # value (a noise guard for an unreachable tol), or, with every open
@@ -199,7 +210,7 @@ def series_mul(a, b) -> list:
 
 def series_div(a, b) -> list:
     """Taylor coefficients of a/b (b[0] must be nonzero)."""
-    if np.any(b[0] == 0.0):
+    if at_first(b[0] == 0.0) is not None:
         raise ZeroDivisionError("series division by zero constant term")
     out = [0.0] * SERIES_LEN
     for k in range(SERIES_LEN):
@@ -218,7 +229,7 @@ def series_pow(a, p) -> list:
     k·u_k = Σ_{j=1..k} ((p + 1)·j − k)·x_j·u_{k−j}; the result is a[0]**p·u.
     """
     a0 = a[0]
-    if np.any(a0 <= 0.0):
+    if at_first(a0 <= 0.0) is not None:
         raise ValueError("series_pow requires a positive constant term")
     p = float(p)
     x = [1.0] + [a[j] / a0 for j in range(1, SERIES_LEN)]

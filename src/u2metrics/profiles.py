@@ -18,10 +18,8 @@ from functools import cached_property
 from numbers import Rational
 from typing import Optional, Union
 
-import numpy as np
-
 from .exppoly import ExpPoly
-from .numerics import at_first, jet_to_series, series_div, series_pow, series_to_jet
+from .numerics import at_first, is_array, jet_to_series, series_div, series_pow, series_to_jet
 
 __all__ = [
     "Domain",
@@ -255,7 +253,8 @@ class MetricSpec:
 
 
 def _check_domain(m: MetricSpec, z):
-    hit = at_first(np.logical_not(m.domain.contains(z)), z)
+    inside = m.domain.contains(z)
+    hit = at_first(~inside if is_array(inside) else not inside, z)
     if hit is not None:
         raise OutOfDomainError(f"z={hit[0]} outside domain [{m.domain.lo}, {m.domain.hi}] of {m.name!r}")
 

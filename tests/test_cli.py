@@ -1,7 +1,10 @@
 """Command-line interface: outputs, file formats, and exit codes."""
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,27 @@ from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
 
 
 CLI_GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "cli_goldens.json"
+
+# the commands and library calls that make no array, in a fresh interpreter:
+# it prints the numpy modules they loaded
+_NUMPY_FREE = """
+import contextlib, io, os, sys, tempfile
+import u2metrics
+from u2metrics import cli
+from u2metrics.catalog import catalog_get, catalog_names
+from u2metrics.metricfile import emit_metric, parse_metric
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["catalog", "list"]) == 0
+    for name in catalog_names():
+        assert cli.main(["catalog", "emit", name]) == 0
+    path = os.path.join(tmp, "mtn.txt")
+    assert cli.main(["catalog", "emit", "modified-taub-nut-2", "--out", path]) == 0
+    assert cli.main(["transform", path]) == 0
+    assert cli.main(["roots", "page"]) == 0
+for name in catalog_names():
+    parse_metric(emit_metric(catalog_get(name)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
 
 
 def _write_metric(tmp_path, name, params=None, fname="metric.txt"):
@@ -58,6 +82,10 @@ class TestCatalogCommands:
     def test_emit_non_finite_param_exits_1(self, name, param, capsys):
         assert main(["catalog", "emit", name, "--param", param]) == 1
         assert "violates" in capsys.readouterr().err
+
+    def test_emit_repeated_param_exits_1(self, capsys):
+        assert main(["catalog", "emit", "taub-nut", "--param", "m=2", "--param", "m=3"]) == 1
+        assert "usage error: --param m given twice" in capsys.readouterr().err
 
 
 class TestClassifyCommand:
@@ -298,9 +326,39 @@ class TestRootsCommand:
         assert "0.579058676041" in out
 
 
+def test_commands_that_make_no_array_leave_numpy_unloaded():
+    src = str(pathlib.Path(u2metrics.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_FREE], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["classify", "bt residuals", "bt integrate", "bt search"])
+    def test_non_finite_t_exits_1(self, tmp_path, capsys, command, value):
+        path = _write_metric(tmp_path, "taub-bolt")
+        state = tmp_path / "seed.txt"
+        state.write_text("z 0.0\nF 1.3\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
+        rest = {
+            "classify": [path],
+            "bt residuals": [path, "--grid=-1.0:-0.3:3"],
+            "bt integrate": ["--init", str(state), "--span", "0:0.4"],
+            "bt search": ["--trials", "2"],
+        }[command]
+        assert main([*command.split(), *rest, f"--t={value}"]) == 1
+        assert f"usage error: --t must be finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:3", "1:-inf:1"])
+    @pytest.mark.parametrize("command", [["curvature"], ["bt", "residuals", "--t", "1"]], ids=["curvature", "bt"])
+    def test_non_finite_grid_exits_1(self, tmp_path, capsys, command, grid):
+        path = _write_metric(tmp_path, "taub-nut")
+        assert main([*command, path, f"--grid={grid}"]) == 1
+        assert f"usage error: --grid endpoints must be finite, got '{grid}'" in capsys.readouterr().err
 
     def test_missing_file_exits_nonzero(self, capsys):
         assert main(["classify", "/no/such/file.txt"]) in (1, 2)

@@ -1,7 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses,
 defines a private name that nothing references or takes a parameter that its
-function never reads, and every function the benchmark tracer wraps still
-exists.
+function never reads, or imports numpy when it is itself imported, and every
+function the benchmark tracer wraps still exists.
 
 A stdlib ``ast`` check standing in for a linter.  A name counts as used when
 it is read anywhere in the module (including inside annotations, quoted or
@@ -196,6 +196,62 @@ def test_checker_flags_a_dead_private_name(tmp_path):
         "a.py:_Dead",
         "a.py:_recursive",
     ]
+
+
+def import_time_imports(path: pathlib.Path, module: str) -> list:
+    """``module:line`` for each import of ``module`` that runs when the module
+    at ``path`` is imported: every one outside a function body and outside an
+    ``if TYPE_CHECKING:`` block."""
+    out = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+            if any(name.split(".")[0] == module for name in names):
+                out.append(f"{path.name}:{node.lineno}")
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_not_imported_at_module_level(path):
+    # numpy is imported inside the functions that make an array, so the
+    # commands that make none start without it
+    assert import_time_imports(path, "numpy") == []
+
+
+def test_checker_flags_an_import_time_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "else:\n"
+        "    from numpy import linalg\n"
+        "try:\n"
+        "    import numpy.random\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class K:\n"
+        "    import numpy\n"
+        "    def m(self):\n"
+        "        import numpy\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    return numpy\n"
+    )
+    assert import_time_imports(src, "numpy") == ["mod.py:2", "mod.py:6", "mod.py:8", "mod.py:12"]
 
 
 def _tracer_targets() -> dict:

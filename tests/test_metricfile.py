@@ -128,3 +128,23 @@ class TestErrors:
     def test_bad_endpoint_flag(self):
         with pytest.raises(MetricFileError, match="open or closed"):
             parse_metric("name t\ndomain 0 1 shut open\n")
+
+    KAHLER = "name a\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps=-1\ntag Jplus\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (KAHLER + "name b\n", "line 6: second name directive (first on line 1)"),
+        (KAHLER + "domain 0 1 open open\n", "line 6: second domain directive (first on line 2)"),
+        (KAHLER + "F canonical 0 0 0 0\n", "line 6: second F canonical directive (first on line 3)"),
+        (KAHLER + "C einstein C5=1 C6=0\n", "line 6: second C directive (first on line 4)"),
+        (
+            "name a\ndomain 0 1 open open\nF canonical 0 0 0 0\nC ratio\nnum term -1 1\nden term 0 1\n"
+            "C exp C0=1 eps=-1\n",
+            "line 7: second C directive (first on line 4)",
+        ),
+        (KAHLER + "tag Jplus\n", "line 6: second tag directive (first on line 5)"),
+    ], ids=["name", "domain", "F-canonical", "C", "C-after-ratio", "tag"])
+    def test_second_directive_is_an_error(self, text, message):
+        # a later line would otherwise replace the earlier one without a word
+        with pytest.raises(MetricFileError) as info:
+            parse_metric(text)
+        assert str(info.value) == message

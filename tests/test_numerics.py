@@ -15,6 +15,7 @@ from u2metrics.numerics import (
     BracketError,
     QuadratureError,
     adaptive_quad,
+    is_array,
     jet_to_series,
     safeguarded_newton,
     series_div,
@@ -292,6 +293,15 @@ class TestAgainstRecursion:
             assert math.isinf(dist) or (shift and abs(math.fsum(shift)) <= 1e-9 * dist)
 
 
+@pytest.mark.parametrize(
+    "z, want",
+    [(0.5, False), (3, False), (np.float64(0.5), False), (np.array([0.5, 1.0]), True)],
+    ids=["float", "int", "float64", "array"],
+)
+def test_is_array(z, want):
+    assert is_array(z) is want
+
+
 class TestSafeguardedNewton:
     def test_cosine_root(self):
         root = safeguarded_newton(math.cos, lambda x: -math.sin(x), 1.0, 2.0)
@@ -371,3 +381,9 @@ class TestSeries:
         with pytest.raises(ValueError):
             series_pow([-1.0, 0, 0, 0, 0], 0.5)
 
+    def test_array_lead_is_checked_at_every_point(self):
+        # one bad point of an array lead raises, as a float lead does
+        with pytest.raises(ZeroDivisionError):
+            series_div([1.0, 0, 0, 0, 0], [np.array([1.0, 0.0]), 1.0, 0, 0, 0])
+        with pytest.raises(ValueError):
+            series_pow([np.array([1.0, -1.0]), 0, 0, 0, 0], 0.5)
