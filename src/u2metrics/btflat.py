@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _COEF_FLOOR = 1e-12
+_np = None  # numpy, bound by the first bt_rhs call: the module imports none
 
 STATE_FIELDS = ("F", "F1d", "F2d", "F3d", "C", "C1d", "s", "K")
 
@@ -78,8 +79,7 @@ class BtState(NamedTuple):
         return BtState(z, *(float(v) for v in y))
 
 
-@dataclass(frozen=True)
-class BtSample:
+class BtSample(NamedTuple):
     """A trajectory point: the state, ``bt_rhs``'s F⁗ and C″ there, and T."""
 
     state: BtState
@@ -192,16 +192,19 @@ def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
 
 
 # ----------------------------------------------------------------------- flow
-def bt_rhs(state: BtState, t: float) -> tuple:
+def bt_rhs(state: Sequence[float], t: float) -> tuple:
     """Derivative of the state vector, plus the solved (F4d, C2d).
 
-    Solves F1 = 0 for C″ (coefficient 12F·C^{-1/2}) and then F2 = 0 for F⁗
-    (coefficient 2/3); raises :class:`SingularSystemError` when a solve
-    coefficient falls below 1e-12 in magnitude.
+    ``state`` is any (z, F, F′, F″, F‴, C, C′, s, K) sequence of floats: a
+    :class:`BtState` or an integrator stage's plain tuple.  Solves F1 = 0 for
+    C″ (coefficient 12F·C^{-1/2}) and then F2 = 0 for F⁗ (coefficient 2/3);
+    raises :class:`SingularSystemError` where C ≤ 0 or F = 0, or when a
+    solve coefficient falls below 1e-12 in magnitude.
     """
-    import numpy as np
+    global _np
     z, F, F1, F2, F3, C, C1, s, K = state
-    _guard(z, F, C)
+    if C <= 0.0 or F == 0.0:
+        _guard(z, F, C)  # raises, naming z
     sqrt_c = math.sqrt(C)
     coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
     if abs(coef) < _COEF_FLOOR:
@@ -210,7 +213,9 @@ def bt_rhs(state: BtState, t: float) -> tuple:
     s1 = K / (C * F)
     # F2 = (2/3)·F⁗ + rest
     F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d, sqrt_c) / (2.0 / 3.0)
-    return np.array([F1, F2, F3, F4d, C1, C2d, s1, 0.0]), F4d, C2d
+    if _np is None:
+        import numpy as _np
+    return _np.array([F1, F2, F3, F4d, C1, C2d, s1, 0.0], _np.float64), F4d, C2d
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980): nodes c2..c5 (c6 = c7 =
@@ -240,28 +245,33 @@ def bt_integrate(
 
     Adaptive step control at relative+absolute tolerance ``tol`` (the RMS of
     the scaled 5th/4th-order difference must be ≤ 1; a ``tol`` that is not
-    positive and finite raises ValueError); never steps across F = 0 or
-    C = 0 — on a singular solve the trajectory is truncated and flagged, with
-    the partial samples returned.  The pair is first-same-as-last: the
-    seventh stage is evaluated at (z + h, y5), so on acceptance it is the
-    next step's first stage, and a step costs six ``bt_rhs`` calls.
-    K is carried, never integrated, so it keeps its initial value; the drift
-    of the first integral T is recorded in ``max_T_drift``.
+    positive and finite, or a non-finite ``t``, raises ValueError); never
+    steps across F = 0 or C = 0 — on a singular solve the trajectory is
+    truncated and flagged, with the partial samples returned.  The pair is
+    first-same-as-last: the seventh stage is evaluated at (z + h, y5), so on
+    acceptance it is the next step's first stage, and a step costs six
+    ``bt_rhs`` calls.  K is carried, never integrated, so it keeps its
+    initial value; the drift of the first integral T is in ``max_T_drift``.
 
     The state is stepped as plain floats with every sum in the order of the
     numpy formulation (stage sums left to right from 0, the error mean
-    pairwise), so trajectories are bit-identical to it.  ``_drift_cap`` is
-    the search's: the trajectory stops, truncated, at the first accepted
+    pairwise), so trajectories are bit-identical to it.  Stages 2–6 go to
+    ``bt_rhs`` as plain (z, F, …, K) tuples and only the seventh, the state
+    stored on acceptance, is a :class:`BtState`; the error pass forms each
+    4th-order component inside its scaled difference from y5.  ``_drift_cap``
+    is the search's: the trajectory stops, truncated, at the first accepted
     sample whose |T − T₀| exceeds it.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     a, b = float(span[0]), float(span[1])
     direction = 1.0 if b >= a else -1.0
     traj = BtTrajectory(t=t)
 
     z = a
-    state = BtState.from_vector(z, init.vector())  # init's own z is superseded by the span start
+    state = BtState(z, *map(float, init[1:]))  # init's own z is superseded by the span start
     try:
         deriv, F4d, C2d = bt_rhs(state, t)
     except SingularSystemError as exc:
@@ -279,21 +289,21 @@ def bt_integrate(
             h = b - z
         try:
             u = [v + h * (0.0 + _A21 * p) for v, p in zip(y, k0)]
-            k1 = bt_rhs(BtState(z + _C2 * h, *u), t)[0].tolist()
+            k1 = bt_rhs((z + _C2 * h, *u), t)[0].tolist()
             u = [v + h * (0.0 + _A31 * p + _A32 * q) for v, p, q in zip(y, k0, k1)]
-            k2 = bt_rhs(BtState(z + _C3 * h, *u), t)[0].tolist()
+            k2 = bt_rhs((z + _C3 * h, *u), t)[0].tolist()
             u = [v + h * (0.0 + _A41 * p + _A42 * q + _A43 * r) for v, p, q, r in zip(y, k0, k1, k2)]
-            k3 = bt_rhs(BtState(z + _C4 * h, *u), t)[0].tolist()
+            k3 = bt_rhs((z + _C4 * h, *u), t)[0].tolist()
             u = [
                 v + h * (0.0 + _A51 * p + _A52 * q + _A53 * r + _A54 * w)
                 for v, p, q, r, w in zip(y, k0, k1, k2, k3)
             ]
-            k4 = bt_rhs(BtState(z + _C5 * h, *u), t)[0].tolist()
+            k4 = bt_rhs((z + _C5 * h, *u), t)[0].tolist()
             u = [
                 v + h * (0.0 + _A61 * p + _A62 * q + _A63 * r + _A64 * w + _A65 * x)
                 for v, p, q, r, w, x in zip(y, k0, k1, k2, k3, k4)
             ]
-            k5 = bt_rhs(BtState(z + h, *u), t)[0].tolist()
+            k5 = bt_rhs((z + h, *u), t)[0].tolist()
             acc = [
                 0.0 + _B1 * p + 0.0 * q + _B3 * r + _B4 * w + _B5 * x + _B6 * o
                 for p, q, r, w, x, o in zip(k0, k1, k2, k3, k4, k5)
@@ -306,21 +316,15 @@ def bt_integrate(
         else:
             # b7 = 0: y5 equals the last stage's input wherever k6 is finite
             y5 = [v + h * (a + 0.0 * g) for v, a, g in zip(y, acc, k6)]
-            y4 = [
-                v + h * (0.0 + _E1 * p + 0.0 * q + _E3 * r + _E4 * w + _E5 * x + _E6 * o + _E7 * g)
-                for v, p, q, r, w, x, o, g in zip(y, k0, k1, k2, k3, k4, k5, k6)
+            e0, e1, e2, e3, e4, e5, e6, e7 = [
+                (p5 - (v + h * (0.0 + _E1 * p + 0.0 * q + _E3 * r + _E4 * w + _E5 * x + _E6 * o + _E7 * g)))
+                / (tol + tol * abs(v))
+                for p5, v, p, q, r, w, x, o, g in zip(y5, y, k0, k1, k2, k3, k4, k5, k6)
             ]
-            e0, e1, e2, e3, e4, e5, e6, e7 = [(p - q) / (tol + tol * abs(v)) for p, q, v in zip(y5, y4, y)]
             # the RMS, summed pairwise as numpy's mean of 8 values is
             err = math.sqrt(
                 (((e0 * e0 + e1 * e1) + (e2 * e2 + e3 * e3)) + ((e4 * e4 + e5 * e5) + (e6 * e6 + e7 * e7))) / 8
             )
-        if not math.isfinite(err):
-            h *= 0.5
-            traj.steps_rejected += 1
-            if abs(h) < min_h:
-                return traj.truncate(f"step underflow near z={z:.6g}")
-            continue
         if err <= 1.0:
             # first same as last: the last stage is the accepted state and its derivative
             z = z + h
@@ -335,9 +339,8 @@ def bt_integrate(
             if traj.steps_accepted >= max_steps:
                 return traj.truncate("max step count reached")
         else:
-            traj.steps_rejected += 1
-        factor = 0.9 * err ** (-0.2) if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+            traj.steps_rejected += 1  # a non-finite err included: it halves h
+        h *= min(5.0, max(0.2, 0.9 * err ** (-0.2) if err > 0.0 else 5.0)) if math.isfinite(err) else 0.5
         if abs(h) < min_h:
             return traj.truncate(f"step underflow near z={z:.6g}")
     return traj
@@ -394,20 +397,17 @@ def bt_nonextremal_search(
     be chosen, and the chosen trajectory is the one a full integration of
     every trial would choose.
     """
-    if t == 0.0:
-        raise ValueError("t must be nonzero")
+    if not math.isfinite(t) or t == 0.0:
+        raise ValueError(f"t must be finite and nonzero, got {t!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     import numpy as np
     rng = np.random.default_rng(seed)
-    best = None
-    best_res = -1.0
+    best, best_res = None, -1.0
     failures = []
     for trial in range(trials):
-        F, F1d, F2d = rng.uniform(-2.0, 2.0, size=3)
-        C = rng.uniform(0.2, 3.0)
-        C1d = rng.uniform(-1.0, 1.0)
-        s = rng.uniform(-1.0, 1.0)
+        F, F1d, F2d = rng.uniform(-2.0, 2.0, size=3).tolist()  # floats, as the other draws are
+        C, C1d, s = rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         if abs(F) < 0.2 or abs(s) < 0.05:
             continue  # skip near-singular / near-ZSC draws
         try:

@@ -194,11 +194,13 @@ def classify(
     Every predicate is "indeterminate" when F, C's numerator or C's
     denominator has an exact zero inside the domain (a zero at an end is a
     bolt or nut), or when the curvature sample of the grid raises (its
-    reason names the z). A ``tol`` that is not positive and finite raises ValueError.
+    reason names the z). A ``tol`` that is not positive and finite or a non-finite ``t`` raises ValueError.
     """
     import numpy as np
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if t is not None and not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     report = ClassificationReport(metric_name=m.name, tol=tol, grid_n=grid_n)
     grid = sample_grid(m.domain, grid_n)
     poly = m.f_poly()

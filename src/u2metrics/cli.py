@@ -94,23 +94,21 @@ def _parse_span(spec: str):
         raise _UsageError(f"bad --span {spec!r}: {exc}") from None
 
 
-def _load_metric(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, "r") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
-    return parse_metric(text)
+
+
+def _load_metric(path: str):
+    return parse_metric(_read(path))
 
 
 def _load_state(path: str) -> BtState:
-    try:
-        with open(path, "r") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

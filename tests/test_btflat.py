@@ -1,5 +1,8 @@
 """The eighth-order critical-point flow: residuals, conservation, search."""
+import hashlib
+import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -27,6 +30,9 @@ from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import _HALF, _scalar_from_jets, _scalar_prime_from_jets, curvature_sample, scalar_curvature
 from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, jet_C, jet_F
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
 
 class TestState:
     def test_vector_roundtrip(self):
@@ -41,6 +47,35 @@ class TestState:
         assert repr(s) == (
             "BtState(z=0.3, F=1.0, F1d=0.2, F2d=-0.1, F3d=0.05, C=2.0, C1d=-0.4, s=0.7, K=0.01)"
         )
+
+    def test_sample_fields_and_repr(self):
+        # a named tuple with the fields, order and repr of the frozen dataclass it replaced
+        s = BtState(0.3, 1.0, 0.2, -0.1, 0.05, 2.0, -0.4, 0.7, 0.01)
+        smp = BtSample(s, 1.5, -0.25, 3e-12)
+        assert BtSample._fields == ("state", "F4d", "C2d", "Tval")
+        assert repr(smp) == (
+            "BtSample(state=BtState(z=0.3, F=1.0, F1d=0.2, F2d=-0.1, F3d=0.05, C=2.0, C1d=-0.4, s=0.7, K=0.01), "
+            "F4d=1.5, C2d=-0.25, Tval=3e-12)"
+        )
+        assert BtSample(*smp) == smp and smp.state is s
+        with pytest.raises(AttributeError):
+            smp.Tval = 0.0
+
+    @pytest.mark.parametrize("state", [
+        BtState(0.3, 1.0, 0.2, -0.1, 0.05, 2.0, -0.4, 0.7, 0.01),
+        BtState(-1.2, -0.6, 1.4, 0.3, -2.0, 0.25, 0.9, -0.8, 0.4),
+    ])
+    def test_rhs_of_a_plain_tuple_equals_rhs_of_the_state(self, state):
+        deriv, f4d, c2d = bt_rhs(tuple(state), 1.5)
+        ref = bt_rhs(state, 1.5)
+        assert isinstance(deriv, np.ndarray) and deriv.dtype == np.float64
+        assert repr((deriv.tolist(), f4d, c2d)) == repr((ref[0].tolist(), ref[1], ref[2]))
+
+    def test_rhs_of_a_singular_tuple_names_its_z(self):
+        with pytest.raises(SingularSystemError, match=r"C=-0\.5 is not positive at z=0\.7"):
+            bt_rhs((0.7, 1.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.1, 0.0), 1.0)
+        with pytest.raises(SingularSystemError, match=r"F vanishes at z=0\.7"):
+            bt_rhs((0.7, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.1, 0.0), 1.0)
 
 
 class TestClosedFormResiduals:
@@ -193,6 +228,13 @@ class TestIntegration:
         with pytest.raises(ValueError):
             bt_integrate(seed, 1.0, (0.0, 0.1), tol=tol)
 
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_rejects_non_finite_t(self, t):
+        # before: nan integrated to a trajectory truncated by "step underflow"
+        seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+        with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
+            bt_integrate(seed, t, (0.0, 0.4))
+
 
 class TestSearch:
     def test_finds_nonextremal_witness(self):
@@ -203,6 +245,31 @@ class TestSearch:
     def test_rejects_zero_t(self):
         with pytest.raises(ValueError):
             bt_nonextremal_search(0.0)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_rejects_non_finite_t(self, t):
+        # before: every trial was integrated and the search raised SearchFailure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"t must be finite and nonzero, got {t!r}"):
+                bt_nonextremal_search(t, 4)
+
+    PINS = json.loads((DATA / "bt_search_pins.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(PINS))
+    def test_workload_searches_match_their_pins(self, key):
+        # the benchmark's eight searches (t in {-1, 0.5, 1, 2} x seed in {1, 2}),
+        # pinned as the plain-stepper integrator returned them
+        t, seed = key.split()
+        best, res = bt_nonextremal_search(float(t), 32, seed=int(seed))
+        got = {
+            "residual": repr(res),
+            "samples": len(best.samples),
+            "samples_sha256": hashlib.sha256(repr(best.samples).encode()).hexdigest(),
+            "steps": [best.steps_accepted, best.steps_rejected],
+            "max_T_drift": repr(best.max_T_drift),
+        }
+        assert got == self.PINS[key]
 
     def test_deterministic_for_fixed_seed(self):
         _, r1 = bt_nonextremal_search(1.0, trials=6, seed=3)

@@ -130,6 +130,12 @@ class TestTags:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             classify(catalog_get("taub-nut"), tol=tol)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_raises(self, t):
+        # before: nan gave bt_flat indeterminate, "B^t residuals are not finite at z=..."
+        with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
+            classify(catalog_get("taub-bolt"), t=t)
+
     def test_all_predicates_reported(self):
         rep = classify(catalog_get("flat"), tol=1e-8, t=1.0)
         assert set(rep.entries) == set(PREDICATES)
