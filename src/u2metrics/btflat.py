@@ -245,13 +245,14 @@ def bt_integrate(
 
     Adaptive step control at relative+absolute tolerance ``tol`` (the RMS of
     the scaled 5th/4th-order difference must be ≤ 1; a ``tol`` that is not
-    positive and finite, or a non-finite ``t``, raises ValueError); never
-    steps across F = 0 or C = 0 — on a singular solve the trajectory is
-    truncated and flagged, with the partial samples returned.  The pair is
-    first-same-as-last: the seventh stage is evaluated at (z + h, y5), so on
-    acceptance it is the next step's first stage, and a step costs six
-    ``bt_rhs`` calls.  K is carried, never integrated, so it keeps its
-    initial value; the drift of the first integral T is in ``max_T_drift``.
+    positive and finite, a non-finite ``t`` or a non-finite field of
+    ``init`` raises ValueError); never steps across F = 0 or C = 0 — on a
+    singular solve the trajectory is truncated and flagged, with the
+    partial samples returned.  The pair is first-same-as-last: the seventh
+    stage is evaluated at (z + h, y5), so on acceptance it is the next
+    step's first stage, and a step costs six ``bt_rhs`` calls.  K is
+    carried, never integrated, so it keeps its initial value; the drift of
+    the first integral T is in ``max_T_drift``.
 
     The state is stepped as plain floats with every sum in the order of the
     numpy formulation (stage sums left to right from 0, the error mean
@@ -266,6 +267,9 @@ def bt_integrate(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    for name, v in zip(STATE_FIELDS, init[1:]):
+        if not math.isfinite(v):
+            raise ValueError(f"init {name} must be finite, got {v!r}")
     a, b = float(span[0]), float(span[1])
     direction = 1.0 if b >= a else -1.0
     traj = BtTrajectory(t=t)
@@ -361,8 +365,13 @@ def bt_csc_seed(
 
     T is linear in F‴ with coefficient 8·F′ (via the F′·(L⁺F)′ term of B), so
     F‴ is solved for directly; when F′ = 0 the solve retargets F″ instead
-    (T is then quadratic in F″) and F‴ is set to zero.
+    (T is then quadratic in F″) and F‴ is set to zero.  A non-finite
+    argument raises SeedError naming the first.
     """
+    args = (("F", F), ("F1d", F1d), ("F2d", F2d), ("C", C), ("C1d", C1d), ("s", s), ("t", t), ("z0", z0))
+    for name, v in args:
+        if not math.isfinite(v):
+            raise SeedError(f"seed argument {name} must be finite, got {v!r}")
     if F == 0.0 or C <= 0.0:
         raise SeedError("seed requires F ≠ 0 and C > 0")
     if abs(F1d) >= _COEF_FLOOR:

@@ -116,9 +116,12 @@ def _load_state(path: str) -> BtState:
         if len(toks) != 2:
             raise MetricFileError(lineno, f"state file needs 'key value' lines, got {raw!r}")
         try:
-            values[toks[0]] = float(toks[1])
+            value = float(toks[1])
         except ValueError:
             raise MetricFileError(lineno, f"bad number {toks[1]!r}") from None
+        if not math.isfinite(value):
+            raise MetricFileError(lineno, f"{toks[0]} must be finite, got {toks[1]!r}")
+        values[toks[0]] = value
     missing = [k for k in ("z",) + STATE_FIELDS if k not in values]
     if missing:
         raise MetricFileError(None, f"state file missing fields: {', '.join(missing)}")
@@ -276,6 +279,8 @@ def _cmd_bt_search(args) -> int:
         raise _UsageError("--t must be nonzero")
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     traj, residual = bt_nonextremal_search(args.t, trials=args.trials, seed=args.seed)
     if args.out:
         _emit(_traj_tsv(traj), args.out)

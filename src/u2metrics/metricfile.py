@@ -77,6 +77,15 @@ def _parse_kv(tok: str, key: str, lineno: int):
     return _parse_number(tok[len(key) + 1 :], lineno)
 
 
+def _make(lineno: int, ctor, *args, **kwargs):
+    """``ctor(*args, **kwargs)``; its ValueError (a non-finite coefficient,
+    an empty domain, ...) is a parse error on this line."""
+    try:
+        return ctor(*args, **kwargs)
+    except ValueError as exc:
+        raise MetricFileError(lineno, str(exc)) from None
+
+
 _TAG_FACTORS = {"Jplus": "C0·e^{-z}", "Jminus": "C0·e^{+z}"}
 
 
@@ -116,15 +125,12 @@ def parse_metric(text: str) -> MetricSpec:
                 if t not in ("open", "closed"):
                     raise MetricFileError(lineno, f"endpoint flag must be open or closed, got {t!r}")
                 flags.append(t == "closed")
-            try:
-                domain = Domain(a, b, lo_closed=flags[0], hi_closed=flags[1])
-            except ValueError as exc:
-                raise MetricFileError(lineno, str(exc)) from None
+            domain = _make(lineno, Domain, a, b, lo_closed=flags[0], hi_closed=flags[1])
         elif head == "F":
             if len(toks) >= 2 and toks[1] == "canonical":
                 if len(toks) != 6:
                     raise MetricFileError(lineno, "F canonical requires 4 coefficients")
-                f_canonical = tuple(_parse_number(t, lineno) for t in toks[2:6])
+                f_canonical = _make(lineno, Canonical, *(_parse_number(t, lineno) for t in toks[2:6]))
             elif len(toks) == 4 and toks[1] == "term":
                 f_terms.append((_parse_number(toks[2], lineno), _parse_number(toks[3], lineno)))
             else:
@@ -137,16 +143,13 @@ def parse_metric(text: str) -> MetricSpec:
                 eps = _parse_kv(toks[3], "eps", lineno)
                 if eps not in (1, -1):
                     raise MetricFileError(lineno, f"eps must be +1 or -1, got {eps}")
-                try:
-                    c_model = ExpFactor(float(c0), int(eps))
-                except ValueError as exc:
-                    raise MetricFileError(lineno, str(exc)) from None
+                c_model = _make(lineno, ExpFactor, float(c0), int(eps))
             elif len(toks) >= 2 and toks[1] == "einstein":
                 if len(toks) != 4:
                     raise MetricFileError(lineno, "C einstein requires C5=<v> C6=<v>")
                 c5 = _parse_kv(toks[2], "C5", lineno)
                 c6 = _parse_kv(toks[3], "C6", lineno)
-                c_model = EinsteinFactor(float(c5), float(c6))
+                c_model = _make(lineno, EinsteinFactor, float(c5), float(c6))
             elif len(toks) == 2 and toks[1] == "ratio":
                 c_mode = "ratio"
             else:
@@ -172,7 +175,7 @@ def parse_metric(text: str) -> MetricSpec:
     if f_canonical is not None and f_terms:
         raise MetricFileError(None, "F given both as canonical and as term lines")
     if f_canonical is not None:
-        profile: Union[Canonical, ExpPoly] = Canonical(*f_canonical)
+        profile: Union[Canonical, ExpPoly] = f_canonical
     elif f_terms:
         try:
             profile = ExpPoly(f_terms)

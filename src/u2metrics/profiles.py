@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Rational
 from typing import Optional, Union
 
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, _as_coefficient
 from .numerics import at_first, is_array, jet_to_series, series_div, series_pow, series_to_jet
 
 __all__ = [
@@ -47,15 +46,6 @@ class OutOfDomainError(ValueError):
 
 class SingularConformalFactorError(ArithmeticError):
     """Conformal factor non-positive where a positive value is required."""
-
-
-def _num(x):
-    """Accept int/Fraction/float; keep rationals exact."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
-        return x
-    raise TypeError(f"unsupported numeric type {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,7 @@ class Canonical:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4"):
-            object.__setattr__(self, name, _num(getattr(self, name)))
+            object.__setattr__(self, name, _as_coefficient(getattr(self, name)))
 
     @cached_property
     def _expanded(self) -> ExpPoly:
@@ -164,7 +154,7 @@ class ExpFactor:
     eps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", _num(self.c0))
+        object.__setattr__(self, "c0", _as_coefficient(self.c0))
         if self.eps not in (-1, 1):
             raise ValueError("eps must be -1 or +1")
         if not self.c0 > 0:
@@ -179,8 +169,8 @@ class EinsteinFactor:
     c6: Union[Fraction, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "c5", _num(self.c5))
-        object.__setattr__(self, "c6", _num(self.c6))
+        object.__setattr__(self, "c5", _as_coefficient(self.c5))
+        object.__setattr__(self, "c6", _as_coefficient(self.c6))
         if self.c5 == 0 and self.c6 == 0:
             raise ValueError("(C5, C6) must not both vanish")
 

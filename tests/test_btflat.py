@@ -186,6 +186,19 @@ class TestSeeds:
         with pytest.raises(SeedError):
             bt_csc_seed(F=0.0, F1d=1.0, F2d=0.0, C=1.0, C1d=0.0, s=0.1, t=1.0)
 
+    @pytest.mark.parametrize("field", ["F", "F1d", "C", "s", "z0"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_argument_is_named(self, field, value):
+        # before: F = nan or C = inf returned a state with F3d = nan
+        args = dict(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0, z0=0.0)
+        args[field] = value
+        with pytest.raises(SeedError, match=f"seed argument {field} must be finite, got {value!r}"):
+            bt_csc_seed(**args)
+
+    def test_first_non_finite_argument_is_named(self):
+        with pytest.raises(SeedError, match="seed argument F2d must be finite"):
+            bt_csc_seed(F=1.3, F1d=0.4, F2d=math.inf, C=math.nan, C1d=0.3, s=0.5, t=1.0)
+
 
 class TestIntegration:
     def test_reproduces_taub_bolt(self):
@@ -234,6 +247,13 @@ class TestIntegration:
         seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
         with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
             bt_integrate(seed, t, (0.0, 0.4))
+
+    @pytest.mark.parametrize("field", ["F", "F3d", "C", "K"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_rejects_non_finite_init_field(self, field, value):
+        seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+        with pytest.raises(ValueError, match=f"init {field} must be finite, got {value!r}"):
+            bt_integrate(seed._replace(**{field: value}), 1.0, (0.0, 0.4))
 
 
 class TestSearch:

@@ -1,5 +1,7 @@
 """The closed-form metric catalog and its special constants."""
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,32 @@ from u2metrics import exppoly
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import tf_ricci
 from u2metrics.geometry import find_bolts
+from u2metrics.metricfile import emit_metric
 from u2metrics.profiles import EinsteinFactor, conformal_value
+
+PINS = json.loads((pathlib.Path(__file__).parent / "data" / "catalog_pins.json").read_text())
+
+
+class TestPins:
+    """``catalog_list()`` and the emitted text of every entry at its defaults,
+    of the overrides the tests and the CLI use, and of three ``hirzebruch``
+    calls, as the catalog gave them when each entry had its own builder."""
+
+    def test_catalog_list(self):
+        assert catalog_list() == PINS["catalog_list"]
+
+    @pytest.mark.parametrize(
+        "pin", PINS["specs"], ids=[f"{p['name']}{p['params'] or ''}" for p in PINS["specs"]]
+    )
+    def test_spec(self, pin):
+        assert emit_metric(catalog_get(pin["name"], pin["params"])) == pin["emit"]
+
+    @pytest.mark.parametrize("pin", PINS["hirzebruch"], ids=[str(p["args"]) for p in PINS["hirzebruch"]])
+    def test_hirzebruch(self, pin):
+        assert emit_metric(hirzebruch(*pin["args"])) == pin["emit"]
+
+    def test_every_entry_is_pinned_at_its_defaults(self):
+        assert [p["name"] for p in PINS["specs"] if not p["params"]] == list(catalog_names())
 
 
 class TestPageConstants:
@@ -102,6 +129,38 @@ class TestEntries:
             catalog_get("taub-nut", {"bogus": 1.0})
         with pytest.raises(CatalogError):
             catalog_get("eguchi-hanson-lambda", {"k": 1})
+
+    @pytest.mark.parametrize(
+        "name, params, spec_name",
+        [
+            ("flat", {}, "flat"),
+            ("modified-lebrun", {"k": 1e6}, "modified-lebrun(k=1000000,m=1)"),
+            ("lebrun", {"k": 3.0, "m": 2000000}, "lebrun(k=3,m=2e+06)"),
+            ("taub-nut-lambda", {"m": 0.7, "L": -1}, "taub-nut-lambda(m=0.7,L=-1,Lambda=1)"),
+        ],
+    )
+    def test_spec_name_is_the_entry_name_and_its_values(self, name, params, spec_name):
+        assert catalog_get(name, params).name == spec_name
+
+    def test_integer_parameters_reach_the_builder_as_int(self):
+        # eguchi-hanson-lambda's exact coefficients need an int k
+        F = catalog_get("eguchi-hanson-lambda", {"k": 5.0}).F
+        assert F.c1 == Fraction(-16) and F.c3 == Fraction(1)
+
+    @pytest.mark.parametrize(
+        "args", [(0, 0.5), (1.5, 0.5), (1, 0.0), (1, math.inf), (1, 0.5, math.nan), (1, 0.5, -1.0)]
+    )
+    def test_hirzebruch_checks_its_parameters(self, args):
+        with pytest.raises(CatalogError, match="violates"):
+            hirzebruch(*args)
+
+    @pytest.mark.parametrize(
+        "name, params", [("burns", {"m": 1e200}), ("taub-nut", {"m": 1e-320}), ("eguchi-hanson", {"m": 1e100})]
+    )
+    def test_parameters_that_give_no_valid_metric(self, name, params):
+        # before: burns m=1e200 built F canonical 0 -inf 0 0
+        with pytest.raises(CatalogError, match="is not a valid metric"):
+            catalog_get(name, params)
 
     def test_lebrun_specializations(self):
         # k = 1 reduces to the Burns profile, k = 2 to Eguchi-Hanson

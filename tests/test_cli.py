@@ -83,9 +83,44 @@ class TestCatalogCommands:
         assert main(["catalog", "emit", name, "--param", param]) == 1
         assert "violates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, param, message",
+        [
+            ("burns", "m=1e200", "burns(m=1e+200) is not a valid metric: non-finite coefficient -inf"),
+            ("taub-nut", "m=1e-320", "is not a valid metric: non-finite coefficient inf"),
+            ("eguchi-hanson", "m=1e100", "eguchi-hanson(m=1e+100) is not a valid metric"),
+        ],
+    )
+    def test_emit_param_that_gives_no_valid_metric_exits_1(self, name, param, message, capsys):
+        # before: burns m=1e200 emitted "F canonical 0 -inf 0 0" with exit 0
+        assert main(["catalog", "emit", name, "--param", param]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_emit_repeated_param_exits_1(self, capsys):
         assert main(["catalog", "emit", "taub-nut", "--param", "m=2", "--param", "m=3"]) == 1
         assert "usage error: --param m given twice" in capsys.readouterr().err
+
+
+class TestInvalidMetricFiles:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("F canonical inf -2 0 0\nC exp C0=1 eps=-1", "line 3: non-finite coefficient inf"),
+            ("F canonical 0 0 0 0\nC exp C0=inf eps=-1", "line 4: non-finite coefficient inf"),
+            ("F canonical 0 0 0 0\nC einstein C5=nan C6=1", "line 4: non-finite coefficient nan"),
+            ("F canonical 0 0 0 0\nC einstein C5=0 C6=0", "line 4: (C5, C6) must not both vanish"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["classify"], ["ends"], ["transform"], ["curvature", "--grid", "0.1:0.9:3"]])
+    def test_exit_2_on_the_line(self, tmp_path, capsys, line, message, command):
+        # before: classify, ends and curvature ended in a traceback, and
+        # transform wrote C0=inf back out with exit 0
+        path = tmp_path / "m.txt"
+        path.write_text(f"name x\ndomain 0 1 open open\n{line}\n")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"parse error: {message}" in err
 
 
 class TestClassifyCommand:
@@ -305,11 +340,23 @@ class TestBtCommands:
 
     @pytest.mark.parametrize(
         "argv,message",
-        [(["--t", "0"], "--t must be nonzero"), (["--t", "1", "--trials", "0"], "--trials must be at least 1")],
+        [
+            (["--t", "0"], "--t must be nonzero"),
+            (["--t", "1", "--trials", "0"], "--trials must be at least 1"),
+            (["--t", "1", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        ],
     )
     def test_search_bad_arguments_exit_1(self, argv, message, capsys):
         assert main(["bt", "search", *argv]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_state_value_exits_2_on_its_line(self, tmp_path, capsys, value):
+        # before: F nan exited 3 with "B^t residuals are not finite at z=0.0"
+        state = tmp_path / "seed.txt"
+        state.write_text(f"z 0.0\nF {value}\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
+        assert main(["bt", "integrate", "--t", "1", "--init", str(state), "--span", "0:0.4"]) == 2
+        assert f"parse error: line 2: F must be finite, got '{value}'" in capsys.readouterr().err
 
     def test_missing_state_key_exits_2(self, tmp_path, capsys):
         state = tmp_path / "seed.txt"

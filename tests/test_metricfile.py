@@ -129,6 +129,19 @@ class TestErrors:
         with pytest.raises(MetricFileError, match="open or closed"):
             parse_metric("name t\ndomain 0 1 shut open\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("F canonical inf -2 0 0", "line 3: non-finite coefficient inf"),
+        ("C exp C0=inf eps=-1", "line 3: non-finite coefficient inf"),
+        ("C einstein C5=nan C6=1", "line 3: non-finite coefficient nan"),
+        ("C einstein C5=0 C6=0", "line 3: (C5, C6) must not both vanish"),
+    ])
+    def test_invalid_constructor_arguments_fail_on_their_line(self, line, message):
+        # before: these parsed, and the first evaluation raised outside the parser
+        text = "name t\ndomain 0 1 open open\n" + line + "\n"
+        with pytest.raises(MetricFileError) as info:
+            parse_metric(text)
+        assert str(info.value) == message
+
     KAHLER = "name a\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps=-1\ntag Jplus\n"
 
     @pytest.mark.parametrize("text, message", [

@@ -72,6 +72,17 @@ class TestConformalModels:
         with pytest.raises(ValueError):
             ExpFactor(1.0, 2)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficients_are_rejected(self, value):
+        for make in (
+            lambda: Canonical(value, -2, 0, 0),
+            lambda: ExpFactor(value, -1),
+            lambda: EinsteinFactor(value, 1.0),
+            lambda: EinsteinFactor(1.0, value),
+        ):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                make()
+
     def test_exp_factor_value(self):
         m = MetricSpec("t", Canonical(0, 0, 0, 0), ExpFactor(3.0, -1), Domain(-2, 2))
         assert conformal_value(m, 0.5) == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
