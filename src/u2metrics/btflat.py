@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _COEF_FLOOR = 1e-12
-_np = None  # numpy, bound by the first bt_rhs call: the module imports none
 
 STATE_FIELDS = ("F", "F1d", "F2d", "F3d", "C", "C1d", "s", "K")
 
@@ -80,7 +79,7 @@ class BtState(NamedTuple):
 
 
 class BtSample(NamedTuple):
-    """A trajectory point: the state, ``bt_rhs``'s F⁗ and C″ there, and T."""
+    """A trajectory point: the state, the kernel's F⁗ and C″ there (``bt_rhs`` wraps it), and T."""
 
     state: BtState
     F4d: float
@@ -192,8 +191,8 @@ def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
 
 
 # ----------------------------------------------------------------------- flow
-def bt_rhs(state: Sequence[float], t: float) -> tuple:
-    """Derivative of the state vector, plus the solved (F4d, C2d).
+def _derivative(state: Sequence[float], t: float) -> list:
+    """The flow's float kernel: the derivative [F′, F″, F‴, F⁗, C′, C″, s′, 0.0].
 
     ``state`` is any (z, F, F′, F″, F‴, C, C′, s, K) sequence of floats: a
     :class:`BtState` or an integrator stage's plain tuple.  Solves F1 = 0 for
@@ -201,7 +200,6 @@ def bt_rhs(state: Sequence[float], t: float) -> tuple:
     raises :class:`SingularSystemError` where C ≤ 0 or F = 0, or when a
     solve coefficient falls below 1e-12 in magnitude.
     """
-    global _np
     z, F, F1, F2, F3, C, C1, s, K = state
     if C <= 0.0 or F == 0.0:
         _guard(z, F, C)  # raises, naming z
@@ -213,9 +211,14 @@ def bt_rhs(state: Sequence[float], t: float) -> tuple:
     s1 = K / (C * F)
     # F2 = (2/3)·F⁗ + rest
     F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d, sqrt_c) / (2.0 / 3.0)
-    if _np is None:
-        import numpy as _np
-    return _np.array([F1, F2, F3, F4d, C1, C2d, s1, 0.0], _np.float64), F4d, C2d
+    return [F1, F2, F3, F4d, C1, C2d, s1, 0.0]
+
+
+def bt_rhs(state: Sequence[float], t: float) -> tuple:
+    """The kernel ``_derivative`` for external callers: its list as a float64 array, and F⁗, C″."""
+    import numpy as np
+    d = _derivative(state, t)
+    return np.array(d, np.float64), d[3], d[5]
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980): nodes c2..c5 (c6 = c7 =
@@ -245,19 +248,20 @@ def bt_integrate(
 
     Adaptive step control at relative+absolute tolerance ``tol`` (the RMS of
     the scaled 5th/4th-order difference must be ≤ 1; a ``tol`` that is not
-    positive and finite, a non-finite ``t`` or a non-finite field of
+    positive and finite, a non-finite ``t``, span endpoint or field of
     ``init`` raises ValueError); never steps across F = 0 or C = 0 — on a
     singular solve the trajectory is truncated and flagged, with the
     partial samples returned.  The pair is first-same-as-last: the seventh
     stage is evaluated at (z + h, y5), so on acceptance it is the next
-    step's first stage, and a step costs six ``bt_rhs`` calls.  K is
-    carried, never integrated, so it keeps its initial value; the drift of
-    the first integral T is in ``max_T_drift``.
+    step's first stage, and a step costs six calls of the float kernel
+    ``_derivative`` (``init``'s derivative is the one ``bt_rhs`` call).  K
+    is carried, never integrated, so it keeps its initial value; the drift
+    of the first integral T is in ``max_T_drift``.
 
     The state is stepped as plain floats with every sum in the order of the
     numpy formulation (stage sums left to right from 0, the error mean
     pairwise), so trajectories are bit-identical to it.  Stages 2–6 go to
-    ``bt_rhs`` as plain (z, F, …, K) tuples and only the seventh, the state
+    the kernel as plain (z, F, …, K) tuples and only the seventh, the state
     stored on acceptance, is a :class:`BtState`; the error pass forms each
     4th-order component inside its scaled difference from y5.  ``_drift_cap``
     is the search's: the trajectory stops, truncated, at the first accepted
@@ -271,6 +275,9 @@ def bt_integrate(
         if not math.isfinite(v):
             raise ValueError(f"init {name} must be finite, got {v!r}")
     a, b = float(span[0]), float(span[1])
+    for name, v in (("span start", a), ("span end", b)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     direction = 1.0 if b >= a else -1.0
     traj = BtTrajectory(t=t)
 
@@ -293,28 +300,27 @@ def bt_integrate(
             h = b - z
         try:
             u = [v + h * (0.0 + _A21 * p) for v, p in zip(y, k0)]
-            k1 = bt_rhs((z + _C2 * h, *u), t)[0].tolist()
+            k1 = _derivative((z + _C2 * h, *u), t)
             u = [v + h * (0.0 + _A31 * p + _A32 * q) for v, p, q in zip(y, k0, k1)]
-            k2 = bt_rhs((z + _C3 * h, *u), t)[0].tolist()
+            k2 = _derivative((z + _C3 * h, *u), t)
             u = [v + h * (0.0 + _A41 * p + _A42 * q + _A43 * r) for v, p, q, r in zip(y, k0, k1, k2)]
-            k3 = bt_rhs((z + _C4 * h, *u), t)[0].tolist()
+            k3 = _derivative((z + _C4 * h, *u), t)
             u = [
                 v + h * (0.0 + _A51 * p + _A52 * q + _A53 * r + _A54 * w)
                 for v, p, q, r, w in zip(y, k0, k1, k2, k3)
             ]
-            k4 = bt_rhs((z + _C5 * h, *u), t)[0].tolist()
+            k4 = _derivative((z + _C5 * h, *u), t)
             u = [
                 v + h * (0.0 + _A61 * p + _A62 * q + _A63 * r + _A64 * w + _A65 * x)
                 for v, p, q, r, w, x in zip(y, k0, k1, k2, k3, k4)
             ]
-            k5 = bt_rhs((z + h, *u), t)[0].tolist()
+            k5 = _derivative((z + h, *u), t)
             acc = [
                 0.0 + _B1 * p + 0.0 * q + _B3 * r + _B4 * w + _B5 * x + _B6 * o
                 for p, q, r, w, x, o in zip(k0, k1, k2, k3, k4, k5)
             ]
             last = BtState(z + h, *[v + h * a for v, a in zip(y, acc)])
-            d6, last_F4d, last_C2d = bt_rhs(last, t)
-            k6 = d6.tolist()
+            k6 = _derivative(last, t)
         except (SingularSystemError, OverflowError):
             err = math.nan
         else:
@@ -336,7 +342,7 @@ def bt_integrate(
             k0 = k6
             Tv = tval(last, t)
             traj.max_T_drift = max(traj.max_T_drift, abs(Tv - T0))
-            traj.samples.append(BtSample(last, last_F4d, last_C2d, Tv))
+            traj.samples.append(BtSample(last, k6[3], k6[5], Tv))
             traj.steps_accepted += 1
             if traj.max_T_drift > _drift_cap:
                 return traj.truncate(f"T drift {abs(Tv - T0):g} above {_drift_cap:g} at z={z:.6g}")

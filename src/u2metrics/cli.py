@@ -89,9 +89,12 @@ def _parse_span(spec: str):
     if len(parts) != 2:
         raise _UsageError(f"--span must be a:b, got {spec!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        a, b = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise _UsageError(f"bad --span {spec!r}: {exc}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _UsageError(f"--span endpoints must be finite, got {spec!r}")
+    return a, b
 
 
 def _read(path: str) -> str:

@@ -86,6 +86,14 @@ def _make(lineno: int, ctor, *args, **kwargs):
         raise MetricFileError(lineno, str(exc)) from None
 
 
+def _parse_term(toks: list, lineno: int) -> tuple:
+    """The (exponent, coefficient) pair of a ``term <p> <coeff>`` line, checked
+    as an ExpPoly term so that a bad one is a parse error on this line."""
+    pair = (_parse_number(toks[2], lineno), _parse_number(toks[3], lineno))
+    _make(lineno, ExpPoly, [pair])
+    return pair
+
+
 _TAG_FACTORS = {"Jplus": "C0·e^{-z}", "Jminus": "C0·e^{+z}"}
 
 
@@ -132,7 +140,7 @@ def parse_metric(text: str) -> MetricSpec:
                     raise MetricFileError(lineno, "F canonical requires 4 coefficients")
                 f_canonical = _make(lineno, Canonical, *(_parse_number(t, lineno) for t in toks[2:6]))
             elif len(toks) == 4 and toks[1] == "term":
-                f_terms.append((_parse_number(toks[2], lineno), _parse_number(toks[3], lineno)))
+                f_terms.append(_parse_term(toks, lineno))
             else:
                 raise MetricFileError(lineno, "F requires 'canonical C1 C2 C3 C4' or 'term p coeff'")
         elif head == "C":
@@ -159,8 +167,7 @@ def parse_metric(text: str) -> MetricSpec:
                 raise MetricFileError(lineno, f"{head} lines require a preceding 'C ratio'")
             if len(toks) != 4 or toks[1] != "term":
                 raise MetricFileError(lineno, f"{head} requires: term <p> <coeff>")
-            pair = (_parse_number(toks[2], lineno), _parse_number(toks[3], lineno))
-            (num_terms if head == "num" else den_terms).append(pair)
+            (num_terms if head == "num" else den_terms).append(_parse_term(toks, lineno))
         elif head == "tag":
             if len(toks) != 2 or toks[1] not in _TAG_FACTORS:
                 raise MetricFileError(lineno, "tag must be Jplus or Jminus")

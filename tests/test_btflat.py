@@ -255,6 +255,20 @@ class TestIntegration:
         with pytest.raises(ValueError, match=f"init {field} must be finite, got {value!r}"):
             bt_integrate(seed._replace(**{field: value}), 1.0, (0.0, 0.4))
 
+    @pytest.mark.parametrize("span, name", [
+        ((0.0, math.nan), "span end"),
+        ((math.nan, 1.0), "span start"),
+        ((0.0, math.inf), "span end"),
+        ((-math.inf, 0.0), "span start"),
+    ])
+    def test_rejects_non_finite_span(self, span, name):
+        # before: (0, nan) returned the seed alone, untruncated, and (0, inf)
+        # ended in "step underflow"
+        seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+        bad = span[0] if name == "span start" else span[1]
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {bad!r}"):
+            bt_integrate(seed, 1.0, span)
+
 
 class TestSearch:
     def test_finds_nonextremal_witness(self):
@@ -565,10 +579,11 @@ class TestBitIdentity:
 
 
 class TestWork:
-    def _counting_rhs(self, monkeypatch):
-        """Count btflat.bt_rhs calls (the traced name the stepper must use)."""
+    def _counting(self, monkeypatch, name):
+        """Count calls of ``btflat.<name>``: the kernel ``_derivative`` the
+        stepper steps with, or its array wrapper ``bt_rhs``."""
         calls = {"n": 0, "raised": 0}
-        real = btflat.bt_rhs
+        real = getattr(btflat, name)
 
         def counted(state, t):
             calls["n"] += 1
@@ -578,28 +593,55 @@ class TestWork:
                 calls["raised"] += 1
                 raise
 
-        monkeypatch.setattr(btflat, "bt_rhs", counted)
+        monkeypatch.setattr(btflat, name, counted)
+        return calls
+
+    def _counting_arrays(self, monkeypatch):
+        """Count ``numpy.array`` calls made anywhere while the counter is in place."""
+        calls = {"n": 0}
+        real = np.array
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array", counted)
         return calls
 
     @pytest.mark.parametrize("case", ["taub-bolt", "csc-tol-1e-6", "csc-tol-1e-11", "backward"])
     def test_six_rhs_calls_per_step_attempt(self, monkeypatch, case):
         init, t, span, tol = _pin_cases()[case]
-        calls = self._counting_rhs(monkeypatch)
+        kernel = self._counting(monkeypatch, "_derivative")
+        wrapper = self._counting(monkeypatch, "bt_rhs")
+        arrays = self._counting_arrays(monkeypatch)
         traj = bt_integrate(init, t, span, tol=tol)
-        assert calls["raised"] == 0 and traj.steps_accepted > 0
-        assert calls["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
+        assert kernel["raised"] == 0 and traj.steps_accepted > 0
+        assert kernel["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
+        assert wrapper["n"] == 1 and arrays["n"] == 1  # init's derivative, the only array built
 
     def test_six_rhs_calls_per_attempt_with_rejections(self, monkeypatch):
-        calls = self._counting_rhs(monkeypatch)
+        kernel = self._counting(monkeypatch, "_derivative")
+        wrapper = self._counting(monkeypatch, "bt_rhs")
+        arrays = self._counting_arrays(monkeypatch)
         with_rejections = 0
         for init in _search_seeds(1.0, 32, 1):
-            calls["n"] = calls["raised"] = 0
+            kernel["n"] = kernel["raised"] = wrapper["n"] = arrays["n"] = 0
             traj = bt_integrate(init, 1.0, (0.0, 0.8))
-            if calls["raised"]:
+            assert wrapper["n"] == 1 and arrays["n"] == 1
+            if kernel["raised"]:
                 continue  # a stage that raised stops its attempt early
-            assert calls["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
+            assert kernel["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
             with_rejections += traj.steps_rejected > 0
         assert with_rejections > 0
+
+    @pytest.mark.parametrize("case", sorted(_pin_cases()))
+    def test_bt_rhs_is_the_kernel_as_an_array(self, case):
+        init, t, _, _ = _pin_cases()[case]
+        d = btflat._derivative(init, t)
+        arr, f4d, c2d = bt_rhs(init, t)
+        assert arr.dtype == np.float64
+        assert [v.hex() for v in arr.tolist()] == [v.hex() for v in d]  # bit for bit, -0.0 included
+        assert (f4d, c2d) == (d[3], d[5])
 
     @pytest.mark.parametrize("t,seed", SEARCHES)
     def test_search_trials_stop_at_the_drift_cap(self, monkeypatch, t, seed):

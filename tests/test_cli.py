@@ -407,5 +407,14 @@ class TestUsageErrors:
         assert main([*command, path, f"--grid={grid}"]) == 1
         assert f"usage error: --grid endpoints must be finite, got '{grid}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("span", ["0:nan", "nan:1", "0:inf"])
+    def test_non_finite_span_exits_1(self, tmp_path, capsys, span):
+        # before: 0:nan exited 0 with a one-sample trajectory, 0:inf after a "step underflow"
+        state = tmp_path / "seed.txt"
+        state.write_text("z 0.0\nF 1.3\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
+        assert main(["bt", "integrate", "--t", "1", "--init", str(state), f"--span={span}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"usage error: --span endpoints must be finite, got '{span}'" in err
+
     def test_missing_file_exits_nonzero(self, capsys):
         assert main(["classify", "/no/such/file.txt"]) in (1, 2)

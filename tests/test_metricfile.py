@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from u2metrics.catalog import catalog_entry, catalog_names
+from u2metrics.cli import main
 from u2metrics.metricfile import MetricFileError, emit_metric, parse_metric
 
 
@@ -141,6 +142,26 @@ class TestErrors:
         with pytest.raises(MetricFileError) as info:
             parse_metric(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("F term 0 1\nF term 1 nan\nC exp C0=1 eps=-1\n", 4, "non-finite coefficient nan"),
+        ("F term 1/3 1\nC exp C0=1 eps=-1\n", 3, "exponent 1/3 has denominator 3; only 1 or 2 allowed"),
+        ("F canonical 0 0 0 0\nC ratio\nnum term 0 1\nnum term 1 inf\nden term 0 1\n", 6,
+         "non-finite coefficient inf"),
+        ("F canonical 0 0 0 0\nC ratio\nnum term 0 1\nden term 0 1\nden term -1 -inf\n", 7,
+         "non-finite coefficient -inf"),
+    ], ids=["F-coefficient", "F-exponent", "num", "den"])
+    def test_bad_term_fails_on_its_line(self, tmp_path, capsys, text, lineno, message):
+        # before: "bad F terms: non-finite coefficient nan", with no line number
+        text = "name t\ndomain 0 1 open open\n" + text
+        with pytest.raises(MetricFileError) as info:
+            parse_metric(text)
+        assert info.value.lineno == lineno and str(info.value) == f"line {lineno}: {message}"
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"parse error: line {lineno}: {message}" in err
 
     KAHLER = "name a\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps=-1\ntag Jplus\n"
 
