@@ -410,10 +410,13 @@ def bt_nonextremal_search(
     |T − T₀| stays within ``drift_cap``.  A trial is stopped, truncated, at
     its first sample past the cap: the drift never decreases, so it could not
     be chosen, and the chosen trajectory is the one a full integration of
-    every trial would choose.
+    every trial would choose.  A ``drift_cap`` that is negative or not
+    finite raises ValueError.
     """
     if not math.isfinite(t) or t == 0.0:
         raise ValueError(f"t must be finite and nonzero, got {t!r}")
+    if not 0.0 <= drift_cap < math.inf:
+        raise ValueError(f"drift_cap must be non-negative and finite, got {drift_cap!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     import numpy as np
@@ -446,7 +449,10 @@ def bt_nonextremal_search(
 def _state_from_sample(cs: CurvatureSample, s_const: Optional[float] = None) -> tuple:
     """(BtState, F4d, C2d) read from a curvature sample, with K = C·F·s′;
     ``s_const`` pins s to a constant with s′ = 0.  Of an array sample, the
-    fields are arrays over z (s is the one float ``s_const`` when given)."""
+    fields are arrays over z (s is the one float ``s_const`` when given).  A
+    non-finite ``s_const`` raises ValueError."""
+    if s_const is not None and not math.isfinite(s_const):
+        raise ValueError(f"s_const must be finite, got {s_const!r}")
     s_val, s1 = (cs.s, cs.s1d) if s_const is None else (float(s_const), 0.0)
     state = BtState(cs.z, cs.F, cs.F1d, cs.F2d, cs.F3d, cs.C, cs.C1d, s_val, cs.C * cs.F * s1)
     return state, cs.F4d, cs.C2d

@@ -240,6 +240,8 @@ def _cmd_bt_residuals(args) -> int:
             s_const = float(args.s[len("const:") :])
         except ValueError:
             raise _UsageError(f"bad --s value {args.s!r}") from None
+        if not math.isfinite(s_const):
+            raise _UsageError(f"--s value must be finite, got {args.s!r}")
     cs = curvature_sample(m, _parse_grid(args.grid))
     residuals = bt_sample_residuals(cs, args.t, s_const=s_const)
     rows = [(z, *r) for z, r in zip(cs.z.tolist(), residuals.tolist())]

@@ -83,7 +83,10 @@ class ExpPoly:
             k = _as_exponent(k)
             c = _as_coefficient(c)
             if k in data:
-                c = data[k] + c
+                try:  # a Fraction too large for a float overflows when added to one
+                    c = _as_coefficient(data[k] + c)
+                except (OverflowError, ExpPolyError):
+                    raise ExpPolyError(f"coefficient of e^({k}z) sums past float range") from None
             if c == 0:
                 data.pop(k, None)
             else:

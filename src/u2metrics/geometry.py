@@ -17,6 +17,7 @@ from .profiles import (
     ExpFactor,
     MetricSpec,
     SingularConformalFactorError,
+    _check_domain,
     conformal_value,
 )
 
@@ -102,7 +103,8 @@ def _zero_order(poly, z0: float) -> int:
 
 
 def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
-    """∫ ½√(C/F) dz between z1 and z2 (each within the domain closure).
+    """∫ ½√(C/F) dz between z1 and z2, each within the domain's closure (an
+    endpoint outside it raises :class:`OutOfDomainError`).
 
     Every endpoint decision is read from the exact carriers, none from a
     float probe.  An infinite end contributes an exponential tail past a cut
@@ -119,6 +121,8 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
     F(z0) rounds to ±ulp stays integrable.  Raises :class:`QuadratureError`
     when a half does not meet ``tol``.
     """
+    for end in (z1, z2):
+        _check_domain(m, end, closure=True)
     import numpy as np
     if z1 > z2:
         z1, z2 = z2, z1

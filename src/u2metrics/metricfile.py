@@ -86,12 +86,12 @@ def _make(lineno: int, ctor, *args, **kwargs):
         raise MetricFileError(lineno, str(exc)) from None
 
 
-def _parse_term(toks: list, lineno: int) -> tuple:
-    """The (exponent, coefficient) pair of a ``term <p> <coeff>`` line, checked
-    as an ExpPoly term so that a bad one is a parse error on this line."""
-    pair = (_parse_number(toks[2], lineno), _parse_number(toks[3], lineno))
-    _make(lineno, ExpPoly, [pair])
-    return pair
+def _add_term(terms: list, toks: list, lineno: int):
+    """Append the (exponent, coefficient) pair of a ``term <p> <coeff>`` line
+    to ``terms`` and check them all as an ExpPoly, so that a bad term, or one
+    that makes a combined coefficient non-finite, is a parse error on this line."""
+    terms.append((_parse_number(toks[2], lineno), _parse_number(toks[3], lineno)))
+    _make(lineno, ExpPoly, terms)
 
 
 _TAG_FACTORS = {"Jplus": "C0·e^{-z}", "Jminus": "C0·e^{+z}"}
@@ -140,7 +140,7 @@ def parse_metric(text: str) -> MetricSpec:
                     raise MetricFileError(lineno, "F canonical requires 4 coefficients")
                 f_canonical = _make(lineno, Canonical, *(_parse_number(t, lineno) for t in toks[2:6]))
             elif len(toks) == 4 and toks[1] == "term":
-                f_terms.append(_parse_term(toks, lineno))
+                _add_term(f_terms, toks, lineno)
             else:
                 raise MetricFileError(lineno, "F requires 'canonical C1 C2 C3 C4' or 'term p coeff'")
         elif head == "C":
@@ -167,7 +167,7 @@ def parse_metric(text: str) -> MetricSpec:
                 raise MetricFileError(lineno, f"{head} lines require a preceding 'C ratio'")
             if len(toks) != 4 or toks[1] != "term":
                 raise MetricFileError(lineno, f"{head} requires: term <p> <coeff>")
-            (num_terms if head == "num" else den_terms).append(_parse_term(toks, lineno))
+            _add_term(num_terms if head == "num" else den_terms, toks, lineno)
         elif head == "tag":
             if len(toks) != 2 or toks[1] not in _TAG_FACTORS:
                 raise MetricFileError(lineno, "tag must be Jplus or Jminus")
@@ -184,10 +184,7 @@ def parse_metric(text: str) -> MetricSpec:
     if f_canonical is not None:
         profile: Union[Canonical, ExpPoly] = f_canonical
     elif f_terms:
-        try:
-            profile = ExpPoly(f_terms)
-        except (ValueError, ArithmeticError) as exc:
-            raise MetricFileError(None, f"bad F terms: {exc}") from None
+        profile = ExpPoly(f_terms)
     else:
         raise MetricFileError(None, "missing F definition")
     if c_mode == "ratio":

@@ -1,8 +1,10 @@
 """Metric specifications: profile F, conformal-factor model C, z-domain.
 
-A metric is  g = F·dz² (up to the fixed coframe convention) described by a
-profile F(z) and a conformal factor C(z); this module holds the closed-form
-carriers for both and provides exact 4-jet evaluation.  A spec expands its
+A metric is  C·(dz²/(4F) + F·η₁² + η₂² + η₃²),  with η₁, η₂, η₃ the
+left-invariant coframe of SU(2) normalised by dη₁ = 2·η₂∧η₃ (and
+cyclically), described by a profile F(z) and a conformal factor C(z); this
+module holds the closed-form carriers for both and provides exact 4-jet
+evaluation, of F and of C with g = C^{−1/2}.  A spec expands its
 carriers (F and C's num/den pair, and the operator polynomials built from F)
 once, on first use, and every evaluation shares them, so each polynomial's
 float rows are compiled once per spec.  ``jet_F``, ``jet_C`` and
@@ -45,7 +47,10 @@ class OutOfDomainError(ValueError):
 
 
 class SingularConformalFactorError(ArithmeticError):
-    """Conformal factor non-positive where a positive value is required."""
+    """Conformal factor non-positive (or infinite) where a positive value is required."""
+
+
+_END_TOL = 1e-12  # a z this close to a closed end is at it
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ class Domain:
         if self.hi_closed and not math.isfinite(self.hi):
             raise ValueError("closed endpoint must be finite")
 
-    def contains(self, z, tol: float = 1e-12):
+    def contains(self, z, tol: float = _END_TOL):
         """True if z is interior or at a closed endpoint (within tol);
         elementwise for an array z."""
         inside = (self.lo < z) & (z < self.hi)
@@ -242,11 +247,15 @@ class MetricSpec:
         return self._f_poly
 
 
-def _check_domain(m: MetricSpec, z):
-    inside = m.domain.contains(z)
+def _check_domain(m: MetricSpec, z, closure: bool = False):
+    """Raise OutOfDomainError for the first z outside the domain, or with
+    ``closure`` outside [lo, hi] widened by the closed-end tolerance (an
+    infinite end is in it): the integrals' endpoint check."""
+    lo, hi = m.domain.lo, m.domain.hi
+    inside = (lo - _END_TOL <= z) & (z <= hi + _END_TOL) if closure else m.domain.contains(z)
     hit = at_first(~inside if is_array(inside) else not inside, z)
     if hit is not None:
-        raise OutOfDomainError(f"z={hit[0]} outside domain [{m.domain.lo}, {m.domain.hi}] of {m.name!r}")
+        raise OutOfDomainError(f"z={hit[0]} outside domain [{lo}, {hi}] of {m.name!r}")
 
 
 def jet_F(m: MetricSpec, z) -> tuple:
@@ -265,22 +274,16 @@ def _c_series(m: MetricSpec, z) -> list:
     return series_div(ns, ds)
 
 
-def jet_C(m: MetricSpec, z, powers=(1,)) -> dict:
-    """{power: (value, d1, .., d4)} for the requested powers of C at z; requires C(z) > 0.
-
-    Powers may be any rationals among {-3/2, -1, -1/2, 1/2, 1, 3/2} (others
-    work too; the listed set is what the curvature formulas use).
-    """
+def jet_C(m: MetricSpec, z) -> tuple:
+    """The jets (value, d1, .., d4) of C and of g = C^{−1/2} at z; requires
+    0 < C(z) < ∞.  g is one power series of C's, and the curvature formulas
+    are polynomials in F's jet and g's."""
     _check_domain(m, z)
     cs = _c_series(m, z)
-    hit = at_first(cs[0] <= 0.0, cs[0], z)
+    hit = at_first((cs[0] <= 0.0) | (cs[0] == math.inf), cs[0], z)
     if hit is not None:
-        raise SingularConformalFactorError("C(z)={} is not positive at z={}".format(*hit))
-    out = {}
-    for p in powers:
-        key = Fraction(p)
-        out[key] = series_to_jet(cs if key == 1 else series_pow(cs, key))
-    return out
+        raise SingularConformalFactorError("C(z)={} is not positive and finite at z={}".format(*hit))
+    return series_to_jet(cs), series_to_jet(series_pow(cs, -0.5))
 
 
 def conformal_value(m: MetricSpec, z):

@@ -27,7 +27,7 @@ from u2metrics.btflat import (
 )
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
-from u2metrics.curvature import _HALF, _scalar_from_jets, _scalar_prime_from_jets, curvature_sample, scalar_curvature
+from u2metrics.curvature import _scalar_from_jets, _scalar_prime_from_jets, curvature_sample, scalar_curvature
 from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, jet_C, jet_F
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -114,13 +114,12 @@ def _reference_state(m, z, s_const=None):
     """state_from_metric's jet-based body from before it read a curvature
     sample, kept verbatim: the sample must give the same state bit for bit."""
     fj = jet_F(m, z)
-    cj = jet_C(m, z, powers=(1, _HALF))
-    c, h = cj[1], cj[_HALF]
+    c, g = jet_C(m, z)
     if s_const is not None:
         s_val, s1 = float(s_const), 0.0
     else:
-        s_val = _scalar_from_jets(fj, c, h)
-        s1 = _scalar_prime_from_jets(fj, c, h)
+        s_val = _scalar_from_jets(fj, g)
+        s1 = _scalar_prime_from_jets(fj, g)
     K = c[0] * fj[0] * s1
     state = BtState(z, fj[0], fj[1], fj[2], fj[3], c[0], c[1], s_val, K)
     return state, fj[4], c[2]
@@ -162,6 +161,15 @@ class TestStateFromMetric:
         m = catalog_get(name)
         sample = curvature_sample(m, sample_grid(m.domain))
         assert bt_grid_residual(sample, 1.0) < 1e-12
+
+    @pytest.mark.parametrize("s_const", NON_FINITE)
+    def test_rejects_non_finite_s_const(self, s_const):
+        # before: nan gave a state with s = nan
+        m = catalog_get("taub-bolt")
+        with pytest.raises(ValueError, match=f"s_const must be finite, got {s_const!r}"):
+            state_from_metric(m, -0.7, s_const=s_const)
+        with pytest.raises(ValueError, match=f"s_const must be finite, got {s_const!r}"):
+            bt_sample_residuals(curvature_sample(m, sample_grid(m.domain, 8)), 1.0, s_const=s_const)
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_matches_jet_reference(self, name):
@@ -287,6 +295,12 @@ class TestSearch:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"t must be finite and nonzero, got {t!r}"):
                 bt_nonextremal_search(t, 4)
+
+    @pytest.mark.parametrize("cap", [*NON_FINITE, -1e-7])
+    def test_rejects_bad_drift_cap(self, cap):
+        # before: nan meant no cap, as every comparison with it is false
+        with pytest.raises(ValueError, match=f"drift_cap must be non-negative and finite, got {cap!r}"):
+            bt_nonextremal_search(1.0, 4, drift_cap=cap)
 
     PINS = json.loads((DATA / "bt_search_pins.json").read_text())
 

@@ -106,11 +106,11 @@ class TestTags:
             ),
             "is not positive",
         ),
-        # C = e^{-z} ≈ 1e-174 at z = 400: C⁻² in |W±|² divides by an underflowed C²,
-        # first at the grid point past z ≈ 372.2
+        # C = e^{-z} ≈ 1e-174 at z = 400: g⁴ = C⁻² in Bach overflows past z ≈ 354.9 and
+        # multiplies a zero, first at the grid point z ≈ 355.93
         (
             MetricSpec("far", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0)),
-            "w_plus_norm2 is not finite at z=3",
+            "bach_B1 is not finite at z=355.9",
         ),
     ], ids=["negative-C", "underflowed-C"])
     def test_sample_pass_error_is_indeterminate(self, m, reason):

@@ -407,6 +407,14 @@ class TestUsageErrors:
         assert main([*command, path, f"--grid={grid}"]) == 1
         assert f"usage error: --grid endpoints must be finite, got '{grid}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_s_exits_1(self, tmp_path, capsys, value):
+        # before: const:nan exited 3 with "B^t residuals are not finite at z=-1.0"
+        path = _write_metric(tmp_path, "taub-bolt")
+        assert main(["bt", "residuals", path, "--t", "1", "--grid=-1.0:-0.3:3", f"--s=const:{value}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"usage error: --s value must be finite, got 'const:{value}'" in err
+
     @pytest.mark.parametrize("span", ["0:nan", "nan:1", "0:inf"])
     def test_non_finite_span_exits_1(self, tmp_path, capsys, span):
         # before: 0:nan exited 0 with a one-sample trajectory, 0:inf after a "step underflow"

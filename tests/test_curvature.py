@@ -1,9 +1,12 @@
 """Curvature quantities of canonical metrics against closed forms."""
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from u2metrics import curvature
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import (
@@ -20,11 +23,25 @@ from u2metrics.curvature import (
 )
 from u2metrics.exppoly import ExpPoly
 from u2metrics.operators import l_plus
-from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, conformal_value
+from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, OutOfDomainError, conformal_value
 
 
 def _grid(m, n=25):
     return sample_grid(m.domain, n)
+
+
+def test_jet_helpers_are_polynomials_but_for_one_division_by_g():
+    # no power and no division but by a literal in any _…_from_jets helper, except P±'s division by g
+    tree = ast.parse(inspect.getsource(curvature))
+    helpers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.endswith("_from_jets")]
+    assert len(helpers) == 7
+    divisions = []
+    for f in helpers:
+        for node in ast.walk(f):
+            assert not isinstance(node, ast.BinOp) or not isinstance(node.op, ast.Pow), f.name
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and not isinstance(node.right, ast.Constant):
+                divisions.append((f.name, ast.unparse(node.right)))
+    assert divisions == [("_delta_w_from_jets", "g[0]")]
 
 
 class TestFlat:
@@ -36,26 +53,49 @@ class TestFlat:
             assert max(abs(v) for v in weyl(m, z)) < 1e-12
             assert max(abs(v) for v in bach(m, z)) < 1e-12
 
-    @pytest.mark.parametrize("z", [-400.0, 400.0])
+    @pytest.mark.parametrize("z", [360.0, 400.0])
     def test_projection_survives_an_unrelated_component_out_of_range(self, z):
-        # C = e^{-z}: C² overflows at z = -400 and underflows to 0 at z = +400,
-        # so |W±|² and Bach leave float range there, but s, tf-Ric, P± and ρ± do not
+        # C = e^{-z}, so g = C^{-1/2} = e^{z/2}: g⁴ overflows past z ≈ 354.9 and g² only past
+        # z ≈ 709.8, so Bach (0·g⁴) leaves float range there, but s, tf-Ric, Weyl, P± and ρ± do not
         m = catalog_get("flat")
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match=f"^bach_B1 is not finite at z={z}$"):
             curvature_sample(m, z)
-        with pytest.raises(ArithmeticError):
-            weyl(m, z)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match=f"^bach_B1 is not finite at z={z}$"):
             bach(m, z)
         assert scalar_curvature(m, z) == 0.0
-        ric0_a, ric0_b = tf_ricci(m, z)
-        assert ric0_a == 0.0
-        # ric0_b = 2(g·g″ − ¼/C) cancels two terms of size e^z/2: round-off only
-        assert abs(ric0_b) <= 1e-15 * math.exp(z)
-        assert (ric0_a, ric0_b) == {-400.0: (0.0, 0.0), 400.0: (0.0, -5.491838128104488e157)}[z]
+        assert tf_ricci(m, z) == (0.0, 0.0)
+        assert weyl(m, z) == (0.0, 0.0, 0.0, 0.0)
         assert delta_w_potential(m, "plus", z) == 0.0
         assert delta_w_potential(m, "minus", z) == 0.0
         assert ricci_form_kahler(m, z) == (0.0, 0.0)
+
+    def test_every_component_representable_where_c_is_large(self):
+        # at z = -400, C = e^{400}: g = e^{-200} and g⁴ underflows to 0, so where C² would
+        # overflow every field is finite and flat
+        m = catalog_get("flat")
+        cs = curvature_sample(m, -400.0)
+        assert (cs.s, cs.ric0_a, cs.ric0_b, cs.bach_B1, cs.bach_B2) == (0.0,) * 5
+        assert (cs.w_plus_norm2, cs.w_minus_norm2, cs.delW_plus_pot, cs.delW_minus_pot) == (0.0,) * 4
+
+    @pytest.mark.parametrize("name,z,field", [
+        ("bach", 400.0, "bach_B1"),  # before: (nan, nan), g⁴ = inf times 0
+        ("delta_w_potential", 600.0, "delW_plus_pot"),  # e^{900} overflows math.exp
+    ])
+    def test_float_result_is_finite_or_raises_by_name(self, name, z, field):
+        m = catalog_get("flat")
+        f = {"bach": bach, "delta_w_potential": lambda m, z: delta_w_potential(m, "plus", z)}[name]
+        with pytest.raises(ArithmeticError, match=f"^{field} is not finite at z={z}$"):
+            f(m, z)
+
+    def test_float_and_array_raise_alike(self):
+        # one finiteness rule for both carriers: the same field at the same z
+        m = catalog_get("flat")
+        for f in (curvature_sample, bach):
+            with pytest.raises(ArithmeticError) as on_float:
+                f(m, 400.0)
+            with pytest.raises(ArithmeticError) as on_array:
+                f(m, np.array([300.0, 400.0]))
+            assert str(on_float.value) == str(on_array.value) == "bach_B1 is not finite at z=400.0"
 
 
 class TestTaubNut:
@@ -150,6 +190,16 @@ class TestWeylEnergy:
         m1 = MetricSpec("a", F, ExpFactor(1.0, -1), d)
         m2 = MetricSpec("b", F, ExpFactor(7.0, +1), d)
         assert weyl_energy(m1, -1.0, 1.0) == pytest.approx(weyl_energy(m2, -1.0, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("a, b, bad", [(-5.0, 1.0, -5.0), (1.0, -0.5, -0.5), (0.5, math.nan, math.nan)])
+    def test_endpoint_outside_the_domain_closure_raises(self, a, b, bad):
+        # before: (-5, 1) on taub-nut's (0, ∞) returned 2.29e10
+        with pytest.raises(OutOfDomainError, match=rf"^z={bad} outside domain"):
+            weyl_energy(catalog_get("taub-nut"), a, b)
+
+    def test_open_end_is_in_the_closure(self):
+        m = catalog_get("taub-nut")
+        assert weyl_energy(m, 0.0, 1.0) == pytest.approx(weyl_energy(m, 1e-300, 1.0), rel=1e-12)
 
     def test_zero_when_w_plus_vanishes(self):
         m = catalog_get("super-taub-nut")

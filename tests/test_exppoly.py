@@ -22,6 +22,16 @@ class TestConstruction:
         p = ExpPoly([(1, Fraction(1, 2)), (1, Fraction(1, 2))])
         assert p.coefficient(1) == 1
 
+    @pytest.mark.parametrize("terms, k", [
+        ([(0, 1e308), (0, 1e308)], 0),
+        ([(1, -1e308), (1, -1e308)], 1),
+        ([(0, 10**400), (0, 1.5)], 0),  # before: OverflowError from Fraction + float
+    ], ids=["inf", "-inf", "big-fraction"])
+    def test_combined_coefficient_past_float_range_raises(self, terms, k):
+        # before: the first gave a constant term of inf
+        with pytest.raises(ExpPolyError, match=rf"^coefficient of e\^\({k}z\) sums past float range$"):
+            ExpPoly(terms)
+
     def test_half_integer_exponents_allowed(self):
         p = ExpPoly([(Fraction(3, 2), 1)])
         assert p.exponents() == (Fraction(3, 2),)

@@ -20,7 +20,7 @@ from u2metrics.geometry import (
     find_bolts,
     transcribe_classic,
 )
-from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
+from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, OutOfDomainError
 
 
 def _crossing_spec():
@@ -91,6 +91,23 @@ class TestFindBolts:
 
 
 class TestDistance:
+    @pytest.mark.parametrize("name, z1, z2, bad", [
+        ("modified-taub-bolt-1", -3.0, -0.5, -3.0),  # before: "√(C/F) undefined at z=-2.99…"
+        ("modified-taub-bolt-1", -0.5, 0.5, 0.5),
+        ("taub-nut", -5.0, 1.0, -5.0),
+        ("taub-nut", 1.0, math.nan, math.nan),
+    ])
+    def test_endpoint_outside_the_domain_closure_raises(self, name, z1, z2, bad):
+        m = catalog_get(name)
+        with pytest.raises(OutOfDomainError, match=rf"^z={bad} outside domain"):
+            distance(m, z1, z2)
+
+    def test_ends_of_the_closure_are_accepted(self):
+        # an open end and an infinite end are in the closure: classify_end passes both
+        m = catalog_get("taub-nut")
+        assert distance(m, 0.0, 1.0) > 0.0
+        assert math.isfinite(distance(m, 1.0, math.inf))
+
     def test_flat_distance_to_infinity_is_one(self):
         m = catalog_get("flat")
         assert distance(m, 0.0, math.inf) == pytest.approx(1.0, abs=1e-9)

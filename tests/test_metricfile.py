@@ -163,6 +163,27 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == "" and f"parse error: line {lineno}: {message}" in err
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("F term 0 1e308\nF term 0 1e308\nC exp C0=1 eps=-1\n", 4),
+        ("F term 0 " + "9" * 400 + "\nF term 0 1.5\nC exp C0=1 eps=-1\n", 4),
+        ("F canonical 0 0 0 0\nC ratio\nnum term 0 1\nden term 1 -1e308\nden term 0 1\nden term 1 -1e308\n", 8),
+    ], ids=["F-inf", "F-big-integer", "den"])
+    def test_combined_coefficient_fails_on_the_line_that_combines(self, tmp_path, capsys, text, lineno):
+        # before: the first parsed to F with an infinite constant, and classify exited 0 with every
+        # predicate indeterminate; the second was "bad F terms: integer division result too large
+        # for a float", with no line number
+        text = "name t\ndomain 0 1 open open\n" + text
+        k = 1 if lineno == 8 else 0
+        message = f"coefficient of e^({k}z) sums past float range"
+        with pytest.raises(MetricFileError) as info:
+            parse_metric(text)
+        assert info.value.lineno == lineno and str(info.value) == f"line {lineno}: {message}"
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"parse error: line {lineno}: {message}" in err
+
     KAHLER = "name a\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps=-1\ntag Jplus\n"
 
     @pytest.mark.parametrize("text, message", [

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from u2metrics.exppoly import ExpPoly
@@ -127,11 +128,22 @@ class TestJets:
         assert j[2] == pytest.approx(poly.derive(2).eval(1.3), rel=1e-15)
 
     def test_jet_c_sqrt_power(self):
-        # C = e^{-z}: C^{1/2} = e^{-z/2}, so d1 = -value/2
+        # C = e^{-z}: g = C^{-1/2} = e^{z/2}, so d1 = value/2
         m = self._metric()
-        j = jet_C(m, 0.8, powers=(Fraction(1, 2),))[Fraction(1, 2)]
-        assert j[0] == pytest.approx(math.exp(-0.4), rel=1e-13)
-        assert j[1] == pytest.approx(-0.5 * math.exp(-0.4), rel=1e-12)
+        _, g = jet_C(m, 0.8)
+        assert g[0] == pytest.approx(math.exp(0.4), rel=1e-13)
+        assert g[1] == pytest.approx(0.5 * math.exp(0.4), rel=1e-12)
+
+    def test_jet_c_rejects_an_infinite_c(self):
+        # C = 1e300/1e-10 rounds to inf: g = C^{-1/2} would be 0, and P± divides by g
+        m = MetricSpec(
+            "t", Canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(1e300), ExpPoly.constant(1e-10)), Domain(-1.0, 1.0)
+        )
+        with pytest.raises(SingularConformalFactorError, match=r"^C\(z\)=inf is not positive and finite at z=0.5$"):
+            jet_C(m, 0.5)
+        # warnings off, as the curvature functions evaluate an array: C's series overflows on the way
+        with np.errstate(all="ignore"), pytest.raises(SingularConformalFactorError, match=r"^C\(z\)=inf is not positive and finite at z=-0.5$"):
+            jet_C(m, np.array([-0.5, 0.5]))
 
     def test_out_of_domain_raises(self):
         m = self._metric()
