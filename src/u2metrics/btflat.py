@@ -10,14 +10,15 @@ along every trajectory; B^t-flat solutions are those with T = 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .curvature import CurvatureSample, curvature_sample
+from .curvature import CurvatureSample, _checked, _scalar_from_jets, _scalar_prime_from_jets
 from .numerics import at_first, is_array
 from .operators import b_op_jet, l_compose_jet
-from .profiles import MetricSpec
+from .profiles import MetricSpec, jet_C, jet_F
 
 if TYPE_CHECKING:
     import numpy as np
@@ -168,25 +169,32 @@ def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
 
     F1res = 0 says that s is the scalar curvature and F2res = 0 is the
     fourth-order equation; (CFs′)′ = 0 holds by construction: s′ = K/(CF).
-    Of ``bt_rhs``'s own F⁗ and C″ they are round-off.  An array state is
-    evaluated with floating-point warnings off; its first z where C ≤ 0 or
-    F = 0 raises :class:`SingularSystemError`, and its first z with a
-    non-finite residual ``ArithmeticError``.
+    Of ``bt_rhs``'s own F⁗ and C″ they are round-off.  A float state and an
+    array state follow one rule: the first z where C ≤ 0 or F = 0 raises
+    :class:`SingularSystemError`, and the first z with a non-finite residual
+    ``ArithmeticError`` (an array is evaluated with floating-point warnings
+    off, and a float division by a product that underflowed to 0 counts as
+    non-finite).
     """
     z, F, F1, F2, F3, C, C1, s, K = state
     array = is_array(z)
     if array:
         import numpy as np
-    with np.errstate(all="ignore") if array else nullcontext():
-        tv = tval(state, t)  # which guards F and C first
-        sqrt_c = np.sqrt(C) if array else math.sqrt(C)
-        coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
-        out = (coef * C2d + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d, sqrt_c), tv)
+    try:
+        with np.errstate(all="ignore") if array else nullcontext():
+            tv = tval(state, t)  # which guards F and C first
+            sqrt_c = np.sqrt(C) if array else math.sqrt(C)
+            coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
+            out = (coef * C2d + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d, sqrt_c), tv)
+    except ZeroDivisionError:
+        out = (math.nan,)
     if array:
         z, *out = np.broadcast_arrays(z, *out)
         hit = at_first(~np.isfinite(out).all(axis=0), z)
-        if hit is not None:
-            raise ArithmeticError(f"B^t residuals are not finite at z={hit[0]}")
+    else:
+        hit = None if all(map(math.isfinite, out)) else (z,)
+    if hit is not None:
+        raise ArithmeticError(f"B^t residuals are not finite at z={hit[0]}")
     return tuple(out)
 
 
@@ -446,11 +454,14 @@ def bt_nonextremal_search(
 
 
 # -------------------------------------------------- residuals for closed forms
-def _state_from_sample(cs: CurvatureSample, s_const: Optional[float] = None) -> tuple:
-    """(BtState, F4d, C2d) read from a curvature sample, with K = C·F·s′;
-    ``s_const`` pins s to a constant with s′ = 0.  Of an array sample, the
-    fields are arrays over z (s is the one float ``s_const`` when given).  A
-    non-finite ``s_const`` raises ValueError."""
+_Jets = namedtuple("_Jets", "z F F1d F2d F3d F4d C C1d C2d s s1d")  # what a B^t state reads of a sample
+
+
+def _state_from_sample(cs, s_const: Optional[float] = None) -> tuple:
+    """(BtState, F4d, C2d) read from a curvature sample or its ``_Jets``, with
+    K = C·F·s′; ``s_const`` pins s to a constant with s′ = 0.  Of an array
+    sample, the fields are arrays over z (s is the one float ``s_const`` when
+    given).  A non-finite ``s_const`` raises ValueError."""
     if s_const is not None and not math.isfinite(s_const):
         raise ValueError(f"s_const must be finite, got {s_const!r}")
     s_val, s1 = (cs.s, cs.s1d) if s_const is None else (float(s_const), 0.0)
@@ -461,12 +472,18 @@ def _state_from_sample(cs: CurvatureSample, s_const: Optional[float] = None) -> 
 def state_from_metric(m: MetricSpec, z: float, s_const: Optional[float] = None) -> tuple:
     """(BtState, F4d, C2d) sampled from a closed-form metric at z.
 
-    The fields are read from ``curvature_sample(m, z)``: s is the metric's
-    scalar curvature and K = CFs′ uses the analytic s′ from the same jets;
-    ``s_const`` instead pins s to a constant with s′ = 0.  Raises wherever
-    ``curvature_sample`` raises.
+    Read from F's jet, C's jet and the metric's s and s′ alone, as
+    ``curvature_sample(m, z)`` gives them: s is the scalar curvature and
+    K = CFs′ uses the analytic s′ from the same jets; ``s_const`` instead
+    pins s to a constant with s′ = 0.  Raises where the jets do, and under
+    curvature's finiteness rule for these fields alone.
     """
-    return _state_from_sample(curvature_sample(m, z), s_const)
+    def jets():
+        fj = jet_F(m, z)
+        c, g = jet_C(m, z)
+        return _Jets(z, *fj, *c[:3], _scalar_from_jets(fj, g), _scalar_prime_from_jets(fj, g))
+
+    return _state_from_sample(_checked(z, jets, " ".join(_Jets._fields)), s_const)
 
 
 def bt_sample_residuals(cs: CurvatureSample, t: float, s_const: Optional[float] = None) -> np.ndarray:

@@ -131,8 +131,9 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
     pad = 0.01 * length
     half = n // 2
     offsets = np.geomspace(pad, 0.5 * length, half)
-    points = np.concatenate([lo + offsets, hi - offsets])
-    return np.unique(points)
+    points = np.sort(np.concatenate([lo + offsets, hi - offsets]))
+    # drop equal neighbours, as np.unique would (which imports numpy.ma)
+    return points[np.concatenate(([True], points[1:] != points[:-1]))]
 
 
 def _as_einstein(model):

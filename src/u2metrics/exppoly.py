@@ -51,13 +51,17 @@ def _as_exponent(k) -> Fraction:
         if k != int(k * 2) / 2.0:
             raise ExpPolyError(f"exponent {k!r} is not a half-integer")
         k = Fraction(int(k * 2), 2)
-    k = Fraction(k)
+    elif not isinstance(k, Fraction):  # a Fraction is immutable: no copy
+        k = Fraction(k)
     if k.denominator not in _ALLOWED_DENOMINATORS:
         raise ExpPolyError(f"exponent {k} has denominator {k.denominator}; only 1 or 2 allowed")
     return k
 
 
-def _as_coefficient(c):
+def _as_number(c):
+    """c as a Fraction (copied only when it is not one) or a finite float."""
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, Rational):
         return Fraction(c)
     if isinstance(c, float):
@@ -67,30 +71,41 @@ def _as_coefficient(c):
     raise ExpPolyError(f"unsupported coefficient type {type(c).__name__}")
 
 
+def _as_coefficient(c):
+    """``_as_number(c)``, which must have a float value to be evaluated or added to a float."""
+    c = _as_number(c)
+    try:
+        float(c)
+    except OverflowError:
+        raise ExpPolyError("exact coefficient is too large for a float") from None
+    return c
+
+
 class ExpPoly:
     """A finite sum  Σ aₖ·e^(k·z)  with half-integer exponents k.
 
-    Invariants: no stored coefficient is zero, exponents are unique, and the
-    zero polynomial is the empty term map.
+    Built from (exponent, coefficient) pairs, as every arithmetic result is:
+    equal exponents combine in order, each sum must have a float value, and
+    no stored coefficient is zero, so the zero polynomial has no terms.
     """
 
     __slots__ = ("_terms", "_compiled", "_zeros")
 
     def __init__(self, terms=()):
         data: dict[Fraction, object] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for k, c in items:
+        for k, c in terms:
             k = _as_exponent(k)
-            c = _as_coefficient(c)
-            if k in data:
-                try:  # a Fraction too large for a float overflows when added to one
-                    c = _as_coefficient(data[k] + c)
+            c = _as_number(c)
+            prev = data.get(k)
+            if prev is not None:
+                try:  # an exact term past float range fails here, where it meets another
+                    c = _as_coefficient(prev + c)
                 except (OverflowError, ExpPolyError):
                     raise ExpPolyError(f"coefficient of e^({k}z) sums past float range") from None
-            if c == 0:
-                data.pop(k, None)
-            else:
+            if c:
                 data[k] = c
+            elif prev is not None:
+                del data[k]
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_compiled", None)
         object.__setattr__(self, "_zeros", None)
@@ -138,69 +153,46 @@ class ExpPoly:
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (Rational, float)):
+            other = ExpPoly.constant(other)
+        if not isinstance(other, ExpPoly):
             return NotImplemented
-        data = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = data.get(k, 0) + c
-            if acc == 0:
-                data.pop(k, None)
-            else:
-                data[k] = acc
-        return ExpPoly(data.items())
+        return ExpPoly([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (ExpPoly, Rational, float)):
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __neg__(self):
         return ExpPoly([(k, -c) for k, c in self._terms.items()])
 
     def __mul__(self, other):
-        if isinstance(other, (Rational, float)) and not isinstance(other, ExpPoly):
+        if isinstance(other, (Rational, float)):
             return self.scale(other)
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        data: dict[Fraction, object] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                k = ka + kb
-                acc = data.get(k, 0) + ca * cb
-                if acc == 0:
-                    data.pop(k, None)
-                else:
-                    data[k] = acc
-        return ExpPoly(data.items())
+        return ExpPoly([(ka + kb, ca * cb) for ka, ca in self._terms.items() for kb, cb in other._terms.items()])
 
-    def __rmul__(self, other):
-        if isinstance(other, (Rational, float)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Exact division by a nonzero rational; a float divisor is refused."""
+        if not isinstance(other, Rational):
+            return NotImplemented
+        if other == 0:
+            raise ZeroDivisionError("ExpPoly division by zero")
+        d = Fraction(other)
+        return ExpPoly([(k, c / d) for k, c in self._terms.items()])
 
     def scale(self, c) -> "ExpPoly":
         c = _as_coefficient(c)
-        if c == 0:
-            return ExpPoly()
         return ExpPoly([(k, a * c) for k, a in self._terms.items()])
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExpPoly):
-            return other
-        if isinstance(other, (Rational, float)):
-            return ExpPoly.constant(other)
-        return NotImplemented
 
     # ---------------------------------------------------------- differential
     def derive(self, order: int = 1) -> "ExpPoly":

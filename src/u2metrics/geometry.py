@@ -170,14 +170,9 @@ def _c_exponent_at_infinity(m: MetricSpec, side: int) -> float:
 
 
 def _f_limit_is_one(poly, side: int) -> bool:
-    """True when F → 1 at side·∞: all exponents decay and the constant is 1."""
-    for k, c in poly.terms():
-        if k == 0:
-            if c != 1:
-                return False
-        elif float(k) * side > 0:
-            return False
-    return True
+    """True when F → 1 at side·∞: every exponent of F − 1 decays there."""
+    k = (poly - 1).extreme_exponent(side)
+    return k is None or k * side < 0
 
 
 def _f_growth_exponent(poly, side: int) -> float:

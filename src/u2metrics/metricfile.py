@@ -52,29 +52,27 @@ class MetricFileError(ValueError):
 def _parse_number(tok: str, lineno: int):
     """Decimal -> float; ``p/q`` or bare integer -> exact Fraction."""
     try:
-        if "/" in tok:
+        if "/" in tok or tok.lstrip("+-").isdigit():
             return Fraction(tok)
-        if tok.lstrip("+-").isdigit():
-            return Fraction(int(tok))
         return float(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise MetricFileError(lineno, f"bad number {tok!r}: {exc}") from None
 
 
-def _parse_endpoint(tok: str, lineno: int) -> float:
-    low = tok.lower()
-    if low in ("-inf", "-infinity"):
-        return -math.inf
-    if low in ("inf", "+inf", "infinity"):
-        return math.inf
+def _parse_value(tok: str, lineno: int):
+    """A number with a float value (a ``term`` coefficient is checked where it combines)."""
     v = _parse_number(tok, lineno)
-    return float(v)
+    try:
+        float(v)
+    except OverflowError:
+        raise MetricFileError(lineno, f"bad number {tok[:20]}…: too large for a float") from None
+    return v
 
 
 def _parse_kv(tok: str, key: str, lineno: int):
     if not tok.startswith(key + "="):
         raise MetricFileError(lineno, f"expected {key}=<value>, got {tok!r}")
-    return _parse_number(tok[len(key) + 1 :], lineno)
+    return _parse_value(tok[len(key) + 1 :], lineno)
 
 
 def _make(lineno: int, ctor, *args, **kwargs):
@@ -126,8 +124,7 @@ def parse_metric(text: str) -> MetricSpec:
         elif head == "domain":
             if len(toks) != 5:
                 raise MetricFileError(lineno, "domain requires: <a> <b> <open|closed> <open|closed>")
-            a = _parse_endpoint(toks[1], lineno)
-            b = _parse_endpoint(toks[2], lineno)
+            a, b = (float(_parse_value(t, lineno)) for t in toks[1:3])  # float() reads inf, -inf, infinity
             flags = []
             for t in toks[3:5]:
                 if t not in ("open", "closed"):
@@ -138,7 +135,7 @@ def parse_metric(text: str) -> MetricSpec:
             if len(toks) >= 2 and toks[1] == "canonical":
                 if len(toks) != 6:
                     raise MetricFileError(lineno, "F canonical requires 4 coefficients")
-                f_canonical = _make(lineno, Canonical, *(_parse_number(t, lineno) for t in toks[2:6]))
+                f_canonical = _make(lineno, Canonical, *(_parse_value(t, lineno) for t in toks[2:6]))
             elif len(toks) == 4 and toks[1] == "term":
                 _add_term(f_terms, toks, lineno)
             else:

@@ -1,16 +1,18 @@
 """The differential operators L⁺, L⁻, their composition, and the nonlinear
-third-order operator B, in exact (ExpPoly) and pointwise (jet) form.
+third-order operator B:
 
     L±(F)  = ½F″ ∓ (3/2)F′ + F         (e^{kz} eigenvalue (k∓1)(k∓2)/2)
     L⁺∘L⁻  = ¼F⁗ − (5/4)F″ + F
     B(F,F) = (−½F″ + (3/2)F′ + F − 1)(L⁺F − 1) + F′·(L⁺F)′
 
-Each formula has one implementation per carrier; the ODE flow reuses the jet
-forms so the closed-form and numeric code paths stay in lockstep.
+Each formula is written once, as a jet form in integer literals and exact
+division, so it serves every carrier of the jet (F, F′, F″, …): floats,
+arrays over z, or F's exact derivatives as ExpPolys (``l_op``, ``l_compose``,
+``b_op``).  On floats, x / 2, 3 * x / 2, x / 4 and 5 * x / 4 round as 0.5·x,
+1.5·x, 0.25·x and 1.25·x do unless one overflows or is subnormal.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .exppoly import ExpPoly
@@ -28,9 +30,6 @@ __all__ = [
     "first_integral_residual",
 ]
 
-_HALF = Fraction(1, 2)
-_THREE_HALVES = Fraction(3, 2)
-
 
 def _sign_factor(sign: str) -> int:
     if sign in ("plus", "+", 1):
@@ -40,10 +39,30 @@ def _sign_factor(sign: str) -> int:
     raise ValueError(f"operator sign must be plus or minus, got {sign!r}")
 
 
+def _l_op(s: int, f, f1, f2):
+    """L±(F) = ½F″ ∓ (3/2)F′ + F for s = ±1, from F, F′ and F″."""
+    return f2 / 2 - 3 * s * f1 / 2 + f
+
+
+def l_op_jet(sign, jet: Sequence):
+    """L±(F) from a 2-jet (F, F′, F″, ...)."""
+    return _l_op(_sign_factor(sign), jet[0], jet[1], jet[2])
+
+
+def l_compose_jet(jet: Sequence):
+    """L⁺(L⁻(F)) = ¼F⁗ − (5/4)F″ + F from a 4-jet."""
+    return jet[4] / 4 - 5 * jet[2] / 4 + jet[0]
+
+
+def b_op_jet(jet: Sequence):
+    """B(F,F) from a 3-jet (F, F′, F″, F‴, ...); (L⁺F)′ is L⁺ of (F′, F″, F‴)."""
+    f, f1, f2 = jet[0], jet[1], jet[2]
+    return (-f2 / 2 + 3 * f1 / 2 + f - 1) * (_l_op(1, f, f1, f2) - 1) + f1 * _l_op(1, f1, f2, jet[3])
+
+
 def l_op(sign, F: ExpPoly) -> ExpPoly:
-    """L±(F) = ½F″ ∓ (3/2)F′ + F on exponential polynomials (exact)."""
-    s = _sign_factor(sign)
-    return F.derive(2) * _HALF - F.derive(1) * (_THREE_HALVES * s) + F
+    """L±(F), exact."""
+    return l_op_jet(sign, (F, F.derive(1), F.derive(2)))
 
 
 def l_plus(F: ExpPoly) -> ExpPoly:
@@ -55,35 +74,13 @@ def l_minus(F: ExpPoly) -> ExpPoly:
 
 
 def l_compose(F: ExpPoly) -> ExpPoly:
-    """L⁺(L⁻(F)) = ¼F⁗ − (5/4)F″ + F (the operators commute)."""
-    return F.derive(4) * Fraction(1, 4) - F.derive(2) * Fraction(5, 4) + F
+    """L⁺(L⁻(F)), exact (the operators commute)."""
+    return l_compose_jet([F.derive(n) for n in range(5)])
 
 
 def b_op(F: ExpPoly) -> ExpPoly:
-    """B(F,F), the third-order nonlinear first-integral operator (exact)."""
-    one = ExpPoly.constant(1)
-    lp = l_plus(F)
-    first = F.derive(2) * Fraction(-1, 2) + F.derive(1) * _THREE_HALVES + F - one
-    return first * (lp - one) + F.derive(1) * lp.derive(1)
-
-
-# ------------------------------------------------------------------ jet forms
-def l_op_jet(sign, jet: Sequence[float]) -> float:
-    """Value of L±(F) from a 2-jet (value, F′, F″, ...)."""
-    return 0.5 * jet[2] - 1.5 * _sign_factor(sign) * jet[1] + jet[0]
-
-
-def l_compose_jet(jet: Sequence[float]) -> float:
-    """Value of L⁺(L⁻(F)) from a 4-jet."""
-    return 0.25 * jet[4] - 1.25 * jet[2] + jet[0]
-
-
-def b_op_jet(jet: Sequence[float]) -> float:
-    """Value of B(F,F) from a 3-jet (value, F′, F″, F‴, ...)."""
-    f, f1, f2, f3 = jet[0], jet[1], jet[2], jet[3]
-    lp = 0.5 * f2 - 1.5 * f1 + f
-    lp1 = 0.5 * f3 - 1.5 * f2 + f1
-    return (-0.5 * f2 + 1.5 * f1 + f - 1.0) * (lp - 1.0) + f1 * lp1
+    """B(F,F), the third-order nonlinear first-integral operator, exact."""
+    return b_op_jet([F.derive(n) for n in range(4)])
 
 
 # -------------------------------------------------------------- first integral
@@ -95,7 +92,7 @@ def first_integral_residual(F: Union[Profile, ExpPoly], grid: Sequence[float]) -
     evaluation.
     """
     poly = profile_poly(F)
-    diff = b_op(poly).derive(1) - 2 * poly.derive(1) * (l_compose(poly) - ExpPoly.constant(1))
+    diff = b_op(poly).derive(1) - 2 * poly.derive(1) * (l_compose(poly) - 1)
     if diff.is_zero:
         return 0.0
     return max(abs(diff.eval(z)) for z in grid)

@@ -238,10 +238,10 @@ class MetricSpec:
     def operator_polys(self) -> tuple:
         """(L⁺F − 1, L⁻F − 1, L⁺(L⁻F) − 1), exact, built once per spec: the
         Weyl halves' factor and the conformal-extremality residual."""
-        from .operators import l_compose, l_minus, l_plus  # operators imports this module
+        from .operators import l_compose_jet, l_op_jet  # operators imports this module
 
-        f, one = self.f_poly(), ExpPoly.constant(1)
-        return (l_plus(f) - one, l_minus(f) - one, l_compose(f) - one)
+        fj = [self.f_poly().derive(n) for n in range(5)]
+        return (l_op_jet(1, fj) - 1, l_op_jet(-1, fj) - 1, l_compose_jet(fj) - 1)
 
     def f_poly(self) -> ExpPoly:
         return self._f_poly

@@ -171,6 +171,30 @@ class TestStateFromMetric:
         with pytest.raises(ValueError, match=f"s_const must be finite, got {s_const!r}"):
             bt_sample_residuals(curvature_sample(m, sample_grid(m.domain, 8)), 1.0, s_const=s_const)
 
+    def test_reads_only_the_fields_of_the_state(self):
+        # before: "bach_B1 is not finite at z=400.0", a field the state does not use
+        m = catalog_get("flat")
+        with pytest.raises(ArithmeticError, match="^bach_B1 is not finite at z=400.0$"):
+            curvature_sample(m, 400.0)
+        state, f4d, c2d = state_from_metric(m, 400.0)
+        assert all(math.isfinite(v) for v in (*state, f4d, c2d))
+        assert state[1:8] == (1.0, 0.0, 0.0, 0.0, m.c_ratio[0].eval(400.0), -m.c_ratio[0].eval(400.0), 0.0)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_equals_the_state_read_from_curvature_sample(self, name):
+        # the state as it was read from a whole curvature sample, at every point of the
+        # classify grid and as one array state over it
+        m = catalog_get(name)
+        grid = sample_grid(m.domain)
+        for s_const in (None, 0.0):
+            for z in grid.tolist():
+                want = btflat._state_from_sample(curvature_sample(m, z), s_const)
+                assert repr(state_from_metric(m, z, s_const)) == repr(want), (z, s_const)
+            got = state_from_metric(m, grid, s_const)
+            want = btflat._state_from_sample(curvature_sample(m, grid), s_const)
+            for x, y in zip((*got[0], *got[1:]), (*want[0], *want[1:])):
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_matches_jet_reference(self, name):
         m = catalog_get(name)
@@ -384,6 +408,19 @@ class TestArrayResiduals:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match=f"not finite at z={z[1]}$"):
                 bt_residuals(state, 1.0, 0.0 * z, 0.0 * z)
+
+    @pytest.mark.parametrize("state", [
+        BtState(0.0, 1e200, 1e200, 1e200, 1e200, 1.0, 1e200, 1e200, 1e200),  # before: (nan, inf, -inf)
+        BtState(0.5, 1e-200, 0.0, 0.0, 0.0, 1e-200, 0.0, 1.0, 1.0),  # before: ZeroDivisionError, C·F = 0
+    ], ids=["overflow", "underflow"])
+    def test_float_state_follows_the_array_rule(self, state):
+        message = f"^B\\^t residuals are not finite at z={state.z}$"
+        with pytest.raises(ArithmeticError, match=message):
+            bt_residuals(state, 1.0, 1e200, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=message):
+                bt_residuals(BtState(*(np.array([v]) for v in state)), 1.0, np.array([1e200]), np.array([1e200]))
 
     def test_large_conformal_factor_raises_no_warning(self):
         # C^{5/2} leaves float range: both paths read (C^{-1/2})″'s C′²/C^{5/2}

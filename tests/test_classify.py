@@ -1,13 +1,17 @@
 """Predicate classification and the exponential-family fit."""
 import json
 import math
+import os
 import pathlib
+import random
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import u2metrics
 from u2metrics.btflat import bt_grid_residual
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.curvature import curvature_sample
@@ -205,6 +209,31 @@ class TestSampleGrid:
     def test_two_points(self):
         grid = sample_grid(Domain(0.0, 1.0), 2)
         assert len(grid) == 2 and 0.0 < grid[0] < grid[1] < 1.0
+
+    def test_equals_np_unique_of_the_points(self):
+        # np.unique, as the grid was once made, is the reference
+        rng = random.Random(18)
+        for _ in range(300):
+            lo = rng.choice([-math.inf, rng.uniform(-1e3, 1e3)])
+            hi = rng.choice([math.inf, (lo if lo > -math.inf else 0.0) + 10 ** rng.uniform(-12, 4)])
+            n = rng.randint(2, 200)
+            w_lo, w_hi = Domain(lo, hi).finite_window()
+            offsets = np.geomspace(0.01 * (w_hi - w_lo), 0.5 * (w_hi - w_lo), n // 2)
+            want = np.unique(np.concatenate([w_lo + offsets, w_hi - offsets]))
+            got = sample_grid(Domain(lo, hi), n)
+            assert got.tobytes() == want.tobytes(), (lo, hi, n)
+
+    def test_classify_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma: 10-15 ms and resident memory for every first classify
+        src = str(pathlib.Path(u2metrics.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys\nfrom u2metrics.catalog import catalog_get\nfrom u2metrics.classify import classify\n"
+            "classify(catalog_get('page'))\nprint('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "True False\n"
 
 
 class TestConformallyExtremal:

@@ -86,6 +86,50 @@ class TestArithmetic:
         assert ExpPoly.zero().extreme_exponent(+1) is None
 
 
+    def test_division_by_a_rational(self):
+        p = ExpPoly([(1, Fraction(3)), (-1, 0.75)])
+        q = p / 2
+        assert q.terms() == ((-1, 0.375), (1, Fraction(3, 2)))
+        assert p / Fraction(3, 4) == ExpPoly([(1, 4), (-1, 1.0)])
+        assert (p * 5 / 4).terms() == (p * Fraction(5, 4)).terms()
+
+    @pytest.mark.parametrize("divisor", [0.5, ExpPoly.constant(2)], ids=["float", "ExpPoly"])
+    def test_division_by_anything_else_is_refused(self, divisor):
+        with pytest.raises(TypeError):
+            ExpPoly.constant(1) / divisor
+        with pytest.raises(TypeError):
+            1 / ExpPoly.constant(2)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            ExpPoly.constant(1) / 0
+
+    def test_left_and_right_products_agree(self):
+        p = ExpPoly([(1, Fraction(2)), (0, 0.1)])
+        for c in (3, Fraction(2, 3), 0.7, 0):
+            assert (c * p).terms() == (p * c).terms()
+        assert (0 * p).is_zero and (p * 0.0).is_zero
+
+    @pytest.mark.parametrize("a, b", [
+        ([(0, 1e308)], [(0, 1e308)]),
+        ([(0, 10**308)], [(0, 10**308)]),  # exact, but its sum has no float value
+        ([(0, Fraction(10**400))], [(0, 1.5)]),  # before: OverflowError from Fraction + float
+    ], ids=["float", "exact", "big-fraction"])
+    def test_sum_past_float_range_raises(self, a, b):
+        with pytest.raises(ExpPolyError, match=r"^coefficient of e\^\(0z\) sums past float range$"):
+            ExpPoly(a) + ExpPoly(b)
+
+    def test_product_sums_are_checked(self):
+        a = ExpPoly([(0, 1e200), (1, 1e200)])
+        b = ExpPoly([(1, 1e108), (0, 1e108)])  # e^z's coefficient is 1e308 + 1e308
+        with pytest.raises(ExpPolyError, match=r"^coefficient of e\^\(1z\) sums past float range$"):
+            a * b
+
+    def test_scale_factor_without_float_value_is_refused(self):
+        with pytest.raises(ExpPolyError, match="^exact coefficient is too large for a float$"):
+            ExpPoly.constant(1).scale(10**400)
+
+
 class TestEval:
     def test_eval_matches_math_exp(self):
         p = ExpPoly([(2, 3), (-1, Fraction(1, 2))])

@@ -267,6 +267,14 @@ class TestClassifyEnd:
         rep = classify_end(m, "upper")
         assert rep.kind == "undetermined" and not rep.complete
 
+    @pytest.mark.parametrize("eps", [-1, 1])
+    def test_f_decaying_to_zero_is_neither_nut_nor_ale(self, eps):
+        # F = e^{-z} has no constant term, so F - 1 tends to -1; before: "nut" (eps = -1) or
+        # "ALE" (eps = +1), complete, because only a constant term other than 1 was refused
+        m = MetricSpec("decays", ExpPoly([(-1, 1)]), ExpFactor(1.0, eps), Domain(0.0, math.inf))
+        rep = classify_end(m, "upper")
+        assert rep.kind == "undetermined" and not rep.complete
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_closed_ends_are_the_bolts_find_bolts_sees(self, name):
         # a closed end is a bolt iff find_bolts has a bolt at that very float

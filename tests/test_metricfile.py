@@ -1,4 +1,5 @@
 """Plain-text metric serialization: round trips and error reporting."""
+import math
 import pathlib
 import re
 from fractions import Fraction
@@ -183,6 +184,33 @@ class TestErrors:
         assert main(["classify", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"parse error: line {lineno}: {message}" in err
+
+    @pytest.mark.parametrize("lo, hi", [("-inf", "inf"), ("-Infinity", "+inf"), ("-INF", "infinity")])
+    def test_infinite_endpoints(self, lo, hi):
+        m = parse_metric(f"name t\ndomain {lo} {hi} open open\nF canonical 0 0 0 0\nC exp C0=1 eps=-1\n")
+        assert (m.domain.lo, m.domain.hi) == (-math.inf, math.inf)
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("text, lineno, number", [
+        (f"domain 0 1 open open\nF canonical {BIG} 0 0 0\nC exp C0=1 eps=-1\n", 3, BIG),
+        (f"domain 0 1 open open\nF canonical 0 0 0 0\nC exp C0={BIG} eps=-1\n", 4, BIG),
+        (f"domain 0 1 open open\nF canonical 0 0 0 0\nC einstein C5=1 C6=-{BIG}/3\n", 4, f"-{BIG}/3"),
+        (f"domain 0 {BIG} open open\nF canonical 0 0 0 0\nC exp C0=1 eps=-1\n", 2, BIG),
+    ], ids=["F-canonical", "C-exp", "C-einstein", "domain"])
+    def test_exact_number_past_float_range_fails_on_its_line(self, tmp_path, capsys, text, lineno, number):
+        # before: the first parsed and classify gave every predicate "indeterminate [integer
+        # division result too large for a float]"; the others exited 3 with that numeric error
+        text = "name t\n" + text
+        message = f"line {lineno}: bad number {number[:20]}…: too large for a float"
+        with pytest.raises(MetricFileError) as info:
+            parse_metric(text)
+        assert info.value.lineno == lineno and str(info.value) == message
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"parse error: {message}" in err
 
     KAHLER = "name a\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps=-1\ntag Jplus\n"
 

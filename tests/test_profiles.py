@@ -84,6 +84,18 @@ class TestConformalModels:
             with pytest.raises(ValueError, match="non-finite coefficient"):
                 make()
 
+    @pytest.mark.parametrize("value", [10**400, Fraction(-(10**400), 3)], ids=["integer", "fraction"])
+    def test_exact_coefficients_without_float_value_are_rejected(self, value):
+        # before: each built, and its first evaluation raised a bare OverflowError
+        for make in (
+            lambda: Canonical(value, -2, 0, 0),
+            lambda: ExpFactor(value, -1),
+            lambda: EinsteinFactor(value, 1.0),
+            lambda: EinsteinFactor(1.0, value),
+        ):
+            with pytest.raises(ValueError, match="^exact coefficient is too large for a float$"):
+                make()
+
     def test_exp_factor_value(self):
         m = MetricSpec("t", Canonical(0, 0, 0, 0), ExpFactor(3.0, -1), Domain(-2, 2))
         assert conformal_value(m, 0.5) == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
