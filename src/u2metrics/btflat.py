@@ -154,7 +154,10 @@ def tval(state: BtState, t: float) -> float:
     """The first-integral operator T at a state (third order; no C″ or F⁗)."""
     z, F, F1, F2, F3, C, C1, s, K = state
     _guard(z, F, C)
-    s1 = K / (C * F)
+    try:
+        s1 = K / (C * F)
+    except ZeroDivisionError:  # C > 0 and F ≠ 0, but their float product underflowed
+        raise ZeroDivisionError(f"C·F underflows to 0 at z={z}") from None
     b = b_op_jet((F, F1, F2, F3))
     return (
         16.0 * b
@@ -206,19 +209,23 @@ def _derivative(state: Sequence[float], t: float) -> list:
     :class:`BtState` or an integrator stage's plain tuple.  Solves F1 = 0 for
     C″ (coefficient 12F·C^{-1/2}) and then F2 = 0 for F⁗ (coefficient 2/3);
     raises :class:`SingularSystemError` where C ≤ 0 or F = 0, or when a
-    solve coefficient falls below 1e-12 in magnitude.
+    solve coefficient falls below 1e-12 in magnitude, or where a divisor formed
+    from C and F (C·F, C^{3/2}) underflows to 0.
     """
     z, F, F1, F2, F3, C, C1, s, K = state
     if C <= 0.0 or F == 0.0:
         _guard(z, F, C)  # raises, naming z
-    sqrt_c = math.sqrt(C)
-    coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
-    if abs(coef) < _COEF_FLOOR:
-        raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef:g})")
-    C2d = -rest / coef
-    s1 = K / (C * F)
-    # F2 = (2/3)·F⁗ + rest
-    F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d, sqrt_c) / (2.0 / 3.0)
+    try:
+        sqrt_c = math.sqrt(C)
+        coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
+        if abs(coef) < _COEF_FLOOR:
+            raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef:g})")
+        C2d = -rest / coef
+        s1 = K / (C * F)
+        # F2 = (2/3)·F⁗ + rest
+        F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d, sqrt_c) / (2.0 / 3.0)
+    except ZeroDivisionError:
+        raise SingularSystemError(f"a divisor formed from C and F underflows to 0 at z={z}") from None
     return [F1, F2, F3, F4d, C1, C2d, s1, 0.0]
 
 
@@ -388,6 +395,8 @@ def bt_csc_seed(
             raise SeedError(f"seed argument {name} must be finite, got {v!r}")
     if F == 0.0 or C <= 0.0:
         raise SeedError("seed requires F ≠ 0 and C > 0")
+    if C * F == 0.0:
+        raise SeedError(f"seed's C·F = {C!r}·{F!r} underflows to 0")
     if abs(F1d) >= _COEF_FLOOR:
         t0 = tval(BtState(z0, F, F1d, F2d, 0.0, C, C1d, s, 0.0), t)
         slope = tval(BtState(z0, F, F1d, F2d, 1.0, C, C1d, s, 0.0), t) - t0  # = 8·F1d

@@ -2,9 +2,9 @@
 
 Each predicate of the summary taxonomy (Kähler, extremal, CSC/ZSC, Einstein,
 Bach-flat, half-conformally-flat, half-harmonic, harmonic, hyperKähler,
-conformally extremal, B^t-flat) is evaluated either exactly — when the inputs
-are exact canonical coefficients with an Exp/Einstein conformal model — or as
-a maximum grid residual of its defining equation.
+conformally extremal, B^t-flat) is evaluated either from an exact certificate
+or as a maximum grid residual of its defining equation; ``classify`` says
+which.
 """
 from __future__ import annotations
 
@@ -149,13 +149,15 @@ def _as_einstein(model):
     return None
 
 
+def _grid_max(p, grid) -> float:
+    """max |p| over the grid for an ExpPoly p, 0.0 when p ≡ 0."""
+    import numpy as np
+    return 0.0 if p.is_zero else float(np.max(np.abs(p.eval(np.asarray(grid, dtype=float)))))
+
+
 def conformally_extremal_residual(m: MetricSpec, grid: Sequence[float]) -> float:
     """max over grid of |L⁺(L⁻(F)) − 1| (conformal-factor independent)."""
-    import numpy as np
-    r = m.operator_polys[2]
-    if r.is_zero:
-        return 0.0
-    return float(np.max(np.abs(r.eval(np.asarray(grid, dtype=float)))))
+    return _grid_max(m.operator_polys[2], grid)
 
 
 def fit_exp_family(samples) -> tuple:
@@ -190,9 +192,12 @@ def classify(
 ) -> ClassificationReport:
     """Evaluate the full predicate taxonomy on a metric.
 
-    ``use_exact=False`` forces the grid-residual path even when exact
-    coefficient conditions are available (used to cross-validate the two).
-    Every predicate is "indeterminate" when F, C's numerator or C's
+    sd, asd, conformally_extremal and bach_flat depend on F alone and are
+    exact for every F and C, from F's operators (bach_flat ⇔ L⁺L⁻F ≡ 1 and
+    B(F,F) = 0 at z = 0); einstein is exact from (C5, C6) on the canonical
+    family; Kähler reads the sampled (log C)′, exactly ∓1 for C = C0·e^{∓z}.
+    ``use_exact=False`` reads bach_flat and einstein from the sampled
+    tensors instead (used to cross-validate the two paths).  Every predicate is "indeterminate" when F, C's numerator or C's
     denominator has an exact zero inside the domain (a zero at an end is a
     bolt or nut), or when the curvature sample of the grid raises (its
     reason names the z). A ``tol`` that is not positive and finite or a non-finite ``t`` raises ValueError.
@@ -230,12 +235,8 @@ def classify(
 
     # --- Kähler orientations: (log C)' must equal −1 (J⁺) or +1 (J⁻).
     dlogc = cs.C1d / cs.C
-    if use_exact and m.tag is not None:
-        kp_res = 0.0 if m.tag == "Jplus" else 2.0
-        km_res = 0.0 if m.tag == "Jminus" else 2.0
-    else:
-        kp_res = float(np.max(np.abs(dlogc + 1.0)))
-        km_res = float(np.max(np.abs(dlogc - 1.0)))
+    kp_res = float(np.max(np.abs(dlogc + 1.0)))
+    km_res = float(np.max(np.abs(dlogc - 1.0)))
     put("kahler_plus", verdict_of(kp_res), kp_res)
     put("kahler_minus", verdict_of(km_res), km_res)
     kahler = report.verdict("kahler_plus") == "yes" or report.verdict("kahler_minus") == "yes"
@@ -256,15 +257,14 @@ def classify(
     zsc_res = max(csc_res, abs(s0))
     put("zsc", verdict_of(zsc_res, s_scale), zsc_res)
 
-    ric_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
     coeffs = canonical_coefficients(poly)
     einstein_pair = _as_einstein(m.C)
-    einstein_exact = None
     if use_exact and coeffs is not None and einstein_pair is not None:
         c1, c2, c3, c4 = coeffs
         c5, c6 = einstein_pair
-        einstein_exact = max(abs(c1 * c5 - c2 * c6), abs(c3 * c5 - c4 * c6))
-    einstein_res = float(einstein_exact) if einstein_exact is not None else ric_res
+        einstein_res = float(max(abs(c1 * c5 - c2 * c6), abs(c3 * c5 - c4 * c6)))
+    else:
+        einstein_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
     einstein_cert = f"einstein constant s/4 = {s0 / 4.0:.12g}"
     put("einstein", verdict_of(einstein_res), einstein_res, einstein_cert)
     einstein_yes = report.verdict("einstein") == "yes"
@@ -277,19 +277,18 @@ def classify(
     rf_res = max(einstein_res, zsc_res)
     put("ricci_flat", "yes" if (einstein_yes and report.verdict("zsc") == "yes") else "no", rf_res)
 
-    # --- Bach flat
-    if use_exact and coeffs is not None:
-        c1, c2, c3, c4 = coeffs
-        bach_res = abs(c1 * c4 - c2 * c3) if ce_res == 0.0 else max(float(abs(c1 * c4 - c2 * c3)), ce_res)
-        bach_res = float(bach_res)
+    # --- Bach flat: B1 ∝ F·(L⁺L⁻F − 1) and B2 ∝ B(F,F), whose derivative is
+    # 2F′(L⁺L⁻F − 1), so B ≡ 0 iff L⁺L⁻F ≡ 1 and B(F,F) vanishes at z = 0
+    if use_exact:
+        bach_res = max(ce_res, float(abs(m.bach_at_zero)))
     else:
         bach_res = float(np.max(np.maximum(np.abs(cs.bach_B1), np.abs(cs.bach_B2))))
     put("bach_flat", verdict_of(bach_res), bach_res)
 
     # --- half-conformally-flat (sd: W⁻ = 0, asd: W⁺ = 0)
     lp_poly, lm_poly, _ = m.operator_polys
-    sd_res = 0.0 if lm_poly.is_zero else float(np.max(np.abs(lm_poly.eval(grid))))
-    asd_res = 0.0 if lp_poly.is_zero else float(np.max(np.abs(lp_poly.eval(grid))))
+    sd_res = _grid_max(lm_poly, grid)
+    asd_res = _grid_max(lp_poly, grid)
     put("sd", verdict_of(sd_res), sd_res)
     put("asd", verdict_of(asd_res), asd_res)
 
@@ -321,12 +320,8 @@ def classify(
             continue
         sqrt_f = np.sqrt(cs.F)
         # I⁻:  F′/(2√F) = √F − 1   and  (log C)′ = −1 + 2/√F ; I⁺ mirrors signs.
-        if orient < 0:
-            r1 = cs.F1d / (2.0 * sqrt_f) - (sqrt_f - 1.0)
-            r2 = dlogc - (-1.0 + 2.0 / sqrt_f)
-        else:
-            r1 = cs.F1d / (2.0 * sqrt_f) + (sqrt_f - 1.0)
-            r2 = dlogc - (1.0 - 2.0 / sqrt_f)
+        r1 = cs.F1d / (2.0 * sqrt_f) + orient * (sqrt_f - 1.0)
+        r2 = dlogc - orient * (1.0 - 2.0 / sqrt_f)
         worst = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
         put(name, verdict_of(worst), worst)
 

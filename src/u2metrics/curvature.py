@@ -107,8 +107,8 @@ def _l_minus_one(sign, fj) -> float:
 
 
 def _tf_ricci_from_jets(fj, g) -> tuple:
-    ric0_a = 4.0 * fj[0] * g[0] * (g[2] - 0.25 * g[0])
-    ric0_b = 2.0 * (g[0] * (fj[1] * g[1] + fj[0] * g[2]) - (fj[2] * 0.5 - 0.75 * fj[0] + 1.0) * g[0] * g[0])
+    ric0_a = 4 * fj[0] * g[0] * (g[2] - g[0] / 4)
+    ric0_b = 2 * (g[0] * (fj[1] * g[1] + fj[0] * g[2]) - (fj[2] / 2 - 3 * fj[0] / 4 + 1) * g[0] * g[0])
     return ric0_a, ric0_b
 
 

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, _as_coefficient
 from .profiles import (
     Canonical,
     Domain,
@@ -84,12 +84,26 @@ def _make(lineno: int, ctor, *args, **kwargs):
         raise MetricFileError(lineno, str(exc)) from None
 
 
+def _poly(terms: list) -> ExpPoly:
+    return ExpPoly((k, c) for k, c, _ in terms)
+
+
 def _add_term(terms: list, toks: list, lineno: int):
-    """Append the (exponent, coefficient) pair of a ``term <p> <coeff>`` line
+    """Append the (exponent, coefficient, line) of a ``term <p> <coeff>`` line
     to ``terms`` and check them all as an ExpPoly, so that a bad term, or one
     that makes a combined coefficient non-finite, is a parse error on this line."""
-    terms.append((_parse_number(toks[2], lineno), _parse_number(toks[3], lineno)))
-    _make(lineno, ExpPoly, terms)
+    terms.append((_parse_number(toks[2], lineno), _parse_number(toks[3], lineno), lineno))
+    _make(lineno, _poly, terms)
+
+
+def _finished(terms: list) -> ExpPoly:
+    """The ExpPoly of a finished term list.  A coefficient with no float value
+    (a lone exact term past float range) is a parse error on the last line
+    with its exponent."""
+    poly = _poly(terms)
+    for k, c in poly.terms():
+        _make(max(n for e, _, n in terms if e == k), _as_coefficient, c)
+    return poly
 
 
 _TAG_FACTORS = {"Jplus": "C0·e^{-z}", "Jminus": "C0·e^{+z}"}
@@ -181,14 +195,15 @@ def parse_metric(text: str) -> MetricSpec:
     if f_canonical is not None:
         profile: Union[Canonical, ExpPoly] = f_canonical
     elif f_terms:
-        profile = ExpPoly(f_terms)
+        profile = _finished(f_terms)
     else:
         raise MetricFileError(None, "missing F definition")
     if c_mode == "ratio":
         if not num_terms or not den_terms:
             raise MetricFileError(None, "C ratio requires num and den term lines")
+        num, den = _finished(num_terms), _finished(den_terms)
         try:
-            c_model = RatioFactor(ExpPoly(num_terms), ExpPoly(den_terms))
+            c_model = RatioFactor(num, den)
         except (ValueError, ArithmeticError) as exc:
             raise MetricFileError(None, f"bad ratio terms: {exc}") from None
     if c_model is None:

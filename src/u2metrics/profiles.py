@@ -226,10 +226,6 @@ class MetricSpec:
         return None
 
     @cached_property
-    def _f_poly(self) -> ExpPoly:
-        return profile_poly(self.F)
-
-    @cached_property
     def c_ratio(self) -> tuple:
         """(num, den) with C = num/den, built once per spec."""
         return factor_ratio(self.C)
@@ -243,8 +239,17 @@ class MetricSpec:
         fj = [self.f_poly().derive(n) for n in range(5)]
         return (l_op_jet(1, fj) - 1, l_op_jet(-1, fj) - 1, l_compose_jet(fj) - 1)
 
+    @cached_property
+    def bach_at_zero(self):
+        """B(F,F) at z = 0, exact for an exact F, built once per spec: there the
+        nth derivative of F is the sum of its coefficients times kⁿ."""
+        from .operators import b_op_jet  # operators imports this module
+
+        terms = self.f_poly().terms()
+        return b_op_jet([sum((c * k**n for k, c in terms), Fraction(0)) for n in range(4)])
+
     def f_poly(self) -> ExpPoly:
-        return self._f_poly
+        return profile_poly(self.F)  # a Canonical caches its expansion
 
 
 def _check_domain(m: MetricSpec, z, closure: bool = False):

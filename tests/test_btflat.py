@@ -422,6 +422,25 @@ class TestArrayResiduals:
             with pytest.raises(ArithmeticError, match=message):
                 bt_residuals(BtState(*(np.array([v]) for v in state)), 1.0, np.array([1e200]), np.array([1e200]))
 
+    # C > 0 and F ≠ 0 pass the guard, but C·F = 1e-350 underflows to 0 (and so does C^{3/2})
+    UNDERFLOW = BtState(0.0, 1e-100, 0.1, 0.0, 0.0, 1e-250, 0.0, 1.0, 1.0)
+
+    def test_underflowed_product_in_tval_names_z(self):
+        # before: a bare "float division by zero"
+        with pytest.raises(ZeroDivisionError, match=r"^C·F underflows to 0 at z=0\.0$"):
+            tval(self.UNDERFLOW, 1.0)
+
+    @pytest.mark.parametrize("F", [1e-100, 1e100], ids=["C·F", "C^{3/2}"])
+    def test_underflowed_product_truncates_the_flow(self, F):
+        # before: ZeroDivisionError out of bt_integrate; now truncated as on a singular solve
+        traj = bt_integrate(self.UNDERFLOW._replace(F=F), 1.0, (0.0, 0.1))
+        assert traj.truncated and traj.samples == []
+        assert traj.truncation_reason == "a divisor formed from C and F underflows to 0 at z=0.0"
+
+    def test_underflowed_product_is_a_seed_error(self):
+        with pytest.raises(SeedError, match=r"^seed's C·F = 1e-250·1e-100 underflows to 0$"):
+            bt_csc_seed(1e-100, 0.1, 0.0, 1e-250, 0.0, 1.0, 1.0)
+
     def test_large_conformal_factor_raises_no_warning(self):
         # C^{5/2} leaves float range: both paths read (C^{-1/2})″'s C′²/C^{5/2}
         # term as 0 and stay finite, and the float row is the array row

@@ -1,4 +1,6 @@
 """Predicate classification and the exponential-family fit."""
+import ast
+import inspect
 import json
 import math
 import os
@@ -7,11 +9,13 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import u2metrics
+import u2metrics.classify
 from u2metrics.btflat import bt_grid_residual
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.curvature import curvature_sample
@@ -25,7 +29,15 @@ from u2metrics.classify import (
 )
 from u2metrics.exppoly import ExpPoly
 from u2metrics.geometry import classify_end, find_bolts
-from u2metrics.profiles import Canonical, Domain, EinsteinFactor, ExpFactor, MetricSpec, RatioFactor
+from u2metrics.profiles import (
+    Canonical,
+    Domain,
+    EinsteinFactor,
+    ExpFactor,
+    MetricSpec,
+    RatioFactor,
+    canonical_coefficients,
+)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SWEEP_GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "sweep_goldens.json"
@@ -186,6 +198,48 @@ class TestCatalogVerdicts:
                 classify(m, **kwargs)
 
 
+class TestImplications:
+    """Implications between verdicts that hold for every metric, over the 18
+    entries at t = 0, 1 and 2.  The verdicts still break some of them: the
+    broken set is pinned, so that a new contradiction fails here and so does
+    a mended one, which shrinks the list."""
+
+    IMPLIES = [
+        ("einstein", "csc"),
+        ("einstein", "bach_flat"),
+        ("einstein", "bt_flat"),
+        ("ricci_flat", "zsc"),
+        ("zsc", "csc"),
+        ("hyperkahler_Iminus", "ricci_flat"),
+        ("hyperkahler_Iplus", "ricci_flat"),
+    ]
+    # B^0 is the Bach tensor, so bach_flat ⇔ bt_flat at t = 0
+    AT_T0 = [("bach_flat", "bt_flat"), ("bt_flat", "bach_flat")]
+    # each pairs an exact yes (einstein from (C5, C6), bach_flat from F's operators) with a
+    # grid residual's no (bt_flat, csc); see ROADMAP item 1
+    THREE = ("super-taub-nut", "super-eguchi-hanson", "taub-nut-lambda")
+    BROKEN = {
+        *((name, t, "einstein", "bt_flat") for name in THREE for t in (0.0, 1.0, 2.0)),
+        *((name, 0.0, "bach_flat", "bt_flat") for name in THREE),
+        *(("taub-nut-lambda", t, "einstein", "csc") for t in (0.0, 1.0, 2.0)),
+    }
+
+    def test_broken_implications_are_the_known_ones(self):
+        broken, indeterminate = set(), 0
+        for name in catalog_names():
+            m = catalog_get(name)
+            for t in (0.0, 1.0, 2.0):
+                rep = classify(m, t=t)
+                for p, q in self.IMPLIES + (self.AT_T0 if t == 0.0 else []):
+                    verdicts = (rep.verdict(p), rep.verdict(q))
+                    indeterminate += "indeterminate" in verdicts
+                    if verdicts == ("yes", "no"):
+                        broken.add((name, t, p, q))
+        assert len(self.BROKEN) == 15
+        assert broken == self.BROKEN
+        assert indeterminate == 0  # an indeterminate verdict would hide an implication
+
+
 class TestSampleGrid:
     def test_points_inside_domain(self):
         d = Domain(0.0, math.inf)
@@ -234,6 +288,60 @@ class TestSampleGrid:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         assert run.stdout == "True False\n"
+
+
+class TestOnePathEach:
+    """With ``use_exact``, Kähler is read from the sampled (log C)′ and
+    bach_flat from F's exact operators, for every profile and every C."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_kahler_residuals_are_the_grid_ones(self, name):
+        m = catalog_get(name)
+        grid = classify(m, use_exact=False)
+        for kwargs in ({}, {"t": 1.0}):
+            rep = classify(m, **kwargs)
+            for p in ("kahler_plus", "kahler_minus"):
+                assert rep.residual(p) == grid.residual(p)
+        # C = C0·e^{∓z}: the sample's C′/C is exactly ∓1
+        if isinstance(m.C, ExpFactor):
+            expected = (0.0, 2.0) if m.C.eps == -1 else (2.0, 0.0)
+            assert (grid.residual("kahler_plus"), grid.residual("kahler_minus")) == expected
+
+    def test_classify_reads_no_tag_and_no_canonical_bach_shortcut(self):
+        source = inspect.getsource(u2metrics.classify)
+        tree = ast.parse(source)
+        assert [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "tag"] == []
+        assert "c1 * c4 - c2 * c3" not in source
+
+    @pytest.mark.parametrize("C", [
+        ExpFactor(1.0, -1),
+        EinsteinFactor(1, 1),
+        RatioFactor(ExpPoly.constant(1), ExpPoly([(0, 2), (1, 1)])),
+    ], ids=["exp", "einstein", "ratio"])
+    def test_non_canonical_profile_is_not_bach_flat(self, C):
+        # F = 1 + e^{3z}: L⁺L⁻F − 1 = 10e^{3z}, up to 10e^{2.97} on the grid, and B(F,F)(0) = 10
+        m = MetricSpec("off", ExpPoly([(0, 1), (3, 1)]), C, Domain(0.0, 1.0))
+        rep = classify(m)
+        assert rep.verdict("bach_flat") == "no"
+        assert rep.residual("bach_flat") == rep.residual("conformally_extremal") > 10.0
+        assert m.bach_at_zero == 10
+        assert classify(m, use_exact=False).verdict("bach_flat") == "no"
+
+    def test_canonical_residual_is_three_times_the_determinant(self):
+        rng = random.Random(19)
+        small = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+        for _ in range(50):
+            # exact, and read without a grid: F may vanish inside this domain
+            c = [rng.choice(small) for _ in range(4)]
+            m = MetricSpec("c", Canonical(*c), ExpFactor(1, -1), Domain(-1.0, 1.0))
+            assert m.bach_at_zero == -3 * (c[0] * c[3] - c[1] * c[2])
+        # hirzebruch's and page's float coefficients leave L⁺L⁻F − 1 at round-off (about 1e-16),
+        # so the max with conformally_extremal's residual must not hide B(F,F)(0) = −0.18 on hirzebruch
+        for name in catalog_names():
+            m = catalog_get(name)
+            c1, c2, c3, c4 = canonical_coefficients(m.f_poly())
+            rep = classify(m)
+            assert rep.residual("bach_flat") == pytest.approx(3 * abs(c1 * c4 - c2 * c3), rel=1e-15, abs=4e-16)
 
 
 class TestConformallyExtremal:

@@ -1,10 +1,17 @@
 """Curvature quantities of canonical metrics against closed forms."""
 import ast
 import inspect
+import json
 import math
+import pathlib
+import random
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from u2metrics import curvature
 from u2metrics.catalog import catalog_get, catalog_names
@@ -23,7 +30,18 @@ from u2metrics.curvature import (
 )
 from u2metrics.exppoly import ExpPoly
 from u2metrics.operators import l_plus
-from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, OutOfDomainError, conformal_value
+from u2metrics.profiles import (
+    Canonical,
+    Domain,
+    EinsteinFactor,
+    ExpFactor,
+    MetricSpec,
+    OutOfDomainError,
+    canonical_coefficients,
+    conformal_value,
+)
+
+PIN_SPECS = json.loads((pathlib.Path(__file__).parent / "data" / "catalog_pins.json").read_text())["specs"]
 
 
 def _grid(m, n=25):
@@ -42,6 +60,9 @@ def test_jet_helpers_are_polynomials_but_for_one_division_by_g():
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and not isinstance(node.right, ast.Constant):
                 divisions.append((f.name, ast.unparse(node.right)))
     assert divisions == [("_delta_w_from_jets", "g[0]")]
+    # tf-Ric also runs on exact ExpPoly jets, where a float literal would make a coefficient a float
+    (tf_ricci_helper,) = [f for f in helpers if f.name == "_tf_ricci_from_jets"]
+    assert [n.value for n in ast.walk(tf_ricci_helper) if isinstance(n, ast.Constant) and type(n.value) is float] == []
 
 
 class TestFlat:
@@ -245,3 +266,78 @@ class TestDeltaWPotential:
         pots = [delta_w_potential(m, "plus", z) for z in sample_grid(m.domain, 32)]
         assert abs(pots[0]) > 1e-3
         assert max(pots) - min(pots) <= 1e-12 * abs(pots[0])
+
+
+class TestEinsteinCertificate:
+    """classify decides einstein on the canonical family from (C5, C6) by
+    max(|C1C5 − C2C6|, |C3C5 − C4C6|); the one tf-Ric kernel, run on exact
+    jets, must vanish identically exactly when that certificate is 0.  Here
+    g = C^{−1/2} = C5·e^{z/2} + C6·e^{−z/2}, and C0·e^{∓z} is g = e^{±z/2} up to
+    the constant C0^{−1/2}, which drops out since tf-Ric is quadratic in g."""
+
+    @staticmethod
+    def _kernel_vanishes(coeffs, c5, c6) -> bool:
+        F = Canonical(*coeffs).expand()
+        g = ExpPoly([(Fraction(1, 2), c5), (Fraction(-1, 2), c6)])
+        ric0_a, ric0_b = curvature._tf_ricci_from_jets([F.derive(n) for n in range(5)], [g.derive(n) for n in range(4)])
+        assert ric0_a.is_exact and ric0_b.is_exact
+        return ric0_a.is_zero and ric0_b.is_zero
+
+    @staticmethod
+    def _certificate(coeffs, c5, c6):
+        c1, c2, c3, c4 = coeffs
+        return max(abs(c1 * c5 - c2 * c6), abs(c3 * c5 - c4 * c6))
+
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=lambda s: f"{s['name']}{s['params'] or ''}")
+    def test_catalog_specs(self, spec):
+        # the exact binary values of float coefficients, so that neither side rounds
+        m = catalog_get(spec["name"], spec["params"])
+        coeffs = tuple(map(Fraction, canonical_coefficients(m.f_poly())))
+        if isinstance(m.C, EinsteinFactor):
+            c5, c6 = Fraction(m.C.c5), Fraction(m.C.c6)
+        else:
+            c5, c6 = (1, 0) if m.C.eps == -1 else (0, 1)
+        einstein = self._certificate(coeffs, c5, c6) == 0
+        assert self._kernel_vanishes(coeffs, c5, c6) == einstein
+        assert (classify(m).residual("einstein") == 0.0) == einstein
+
+    def test_random_small_rationals(self):
+        rng = random.Random(19)
+        small = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+        einstein = 0
+        for _ in range(400):
+            c5, c6 = rng.choice(small), rng.choice(small)
+            if c5 == 0 and c6 == 0:
+                c5 = Fraction(1)
+            c1, c2, c3, c4 = (rng.choice(small) for _ in range(4))
+            if rng.random() < 0.5:  # put half the draws on the Einstein locus
+                if c5 != 0:
+                    c1, c3 = c2 * c6 / c5, c4 * c6 / c5
+                else:
+                    c2 = c4 = Fraction(0)
+            coeffs = (c1, c2, c3, c4)
+            zero = self._certificate(coeffs, c5, c6) == 0
+            einstein += zero
+            assert self._kernel_vanishes(coeffs, c5, c6) == zero, (coeffs, c5, c6)
+        assert einstein > 100
+
+
+def _tf_ricci_literal(fj, g):
+    # the helper as it was written with float literals, before it ran on exact jets
+    ric0_a = 4.0 * fj[0] * g[0] * (g[2] - 0.25 * g[0])
+    ric0_b = 2.0 * (g[0] * (fj[1] * g[1] + fj[0] * g[2]) - (fj[2] * 0.5 - 0.75 * fj[0] + 1.0) * g[0] * g[0])
+    return ric0_a, ric0_b
+
+
+_magnitudes = st.floats(min_value=1e-60, max_value=1e60)
+_entries = st.one_of(st.just(0.0), _magnitudes, _magnitudes.map(lambda x: -x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_entries] * 3), st.tuples(*[_entries] * 3))
+def test_tf_ricci_integer_literals_keep_the_float_bits(fj, g):
+    # away from overflow and subnormals, 3 * x / 4 rounds as 0.75 * x does
+    def bits(values):
+        return [struct.pack("<d", v) for v in values]
+
+    assert bits(curvature._tf_ricci_from_jets(fj, g)) == bits(_tf_ricci_literal(fj, g))

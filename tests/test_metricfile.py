@@ -8,6 +8,7 @@ import pytest
 
 from u2metrics.catalog import catalog_entry, catalog_names
 from u2metrics.cli import main
+from u2metrics.exppoly import ExpPoly
 from u2metrics.metricfile import MetricFileError, emit_metric, parse_metric
 
 
@@ -184,6 +185,40 @@ class TestErrors:
         assert main(["classify", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"parse error: line {lineno}: {message}" in err
+
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize("text, lineno", [
+        (f"F term 0 {HUGE}\nC exp C0=1 eps=-1\n", 3),
+        (f"F term 1 {HUGE}\nF term 1 -{HUGE}\nF term 0 1\nF term 1 {HUGE}\nC exp C0=1 eps=-1\n", 6),
+        (f"F canonical 0 0 0 0\nC ratio\nnum term 0 1\nnum term 2 {HUGE}\nden term 0 1\n", 6),
+        (f"F canonical 0 0 0 0\nC ratio\nnum term 0 1\nden term -1 {HUGE}\nden term 0 1\n", 6),
+    ], ids=["F", "F-after-a-cancellation", "num", "den"])
+    def test_lone_exact_term_past_float_range_fails_on_its_line(self, tmp_path, capsys, text, lineno):
+        # before: it parsed, and classify exited 0 with every predicate "indeterminate
+        # [integer division result too large for a float]"
+        text = "name t\ndomain 0 1 open open\n" + text
+        message = "exact coefficient is too large for a float"
+        with pytest.raises(MetricFileError) as info:
+            parse_metric(text)
+        assert info.value.lineno == lineno and str(info.value) == f"line {lineno}: {message}"
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"parse error: line {lineno}: {message}" in err
+
+    def test_exact_cancellation_past_float_range_parses(self, tmp_path, capsys):
+        text = (
+            f"name t\ndomain 0 1 open open\nF term 0 1\nF term 1 {self.HUGE}\nF term 1 -{self.HUGE}\n"
+            f"C ratio\nnum term 0 1\nnum term 2 -{self.HUGE}\nnum term 2 {self.HUGE}\nden term 0 1\n"
+        )
+        m = parse_metric(text)
+        assert m.F == ExpPoly.constant(1) and m.C.num == ExpPoly.constant(1)
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 0
+        assert "kahler_plus no" in capsys.readouterr().out
 
     @pytest.mark.parametrize("lo, hi", [("-inf", "inf"), ("-Infinity", "+inf"), ("-INF", "infinity")])
     def test_infinite_endpoints(self, lo, hi):
