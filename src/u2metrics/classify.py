@@ -137,15 +137,16 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
 
 
 def _as_einstein(model):
-    """Einstein-model (C5, C6) equivalent of an Exp/Einstein factor, else None.
+    """The direction of the Einstein-model (C5, C6) of an Exp/Einstein factor, else None.
 
-    C0·e^{-z} = e^{-z}/(1/√C0)²  and  C0·e^{+z} = e^{-z}/((1/√C0)·e^{-z})².
+    C0·e^{-z} = e^{-z}/(1/√C0)²  and  C0·e^{+z} = e^{-z}/((1/√C0)·e^{-z})² give
+    (1, 0) and (0, 1): the certificate must not see C's constant scale.
     """
     if isinstance(model, EinsteinFactor):
-        return (model.c5, model.c6)
+        top = max(abs(model.c5), abs(model.c6))
+        return (model.c5 / top, model.c6 / top)
     if isinstance(model, ExpFactor):
-        inv = 1 / math.sqrt(model.c0)
-        return (inv, 0) if model.eps == -1 else (0, inv)
+        return (1, 0) if model.eps == -1 else (0, 1)
     return None
 
 

@@ -208,7 +208,8 @@ def parse_metric(text: str) -> MetricSpec:
             raise MetricFileError(None, f"bad ratio terms: {exc}") from None
     if c_model is None:
         raise MetricFileError(None, "missing C definition")
-    m = MetricSpec(name=name, F=profile, C=c_model, domain=domain)
+    # MetricSpec's one ValueError, F ≡ 0, is an error on the last F term line
+    m = _make(f_terms[-1][2] if f_terms else None, MetricSpec, name=name, F=profile, C=c_model, domain=domain)
     if tag is not None and tag[1] != m.tag:
         raise MetricFileError(tag[0], f"tag {tag[1]} requires C = {_TAG_FACTORS[tag[1]]}")
     return m

@@ -188,6 +188,8 @@ class RatioFactor:
     den: ExpPoly
 
     def __post_init__(self):
+        if self.num.is_zero:
+            raise ValueError("numerator must be nonzero")
         if self.den.is_zero:
             raise ValueError("denominator must be nonzero")
 
@@ -216,6 +218,10 @@ class MetricSpec:
     F: Profile
     C: ConformalModel
     domain: Domain
+
+    def __post_init__(self):
+        if isinstance(self.F, ExpPoly) and self.F.is_zero:
+            raise ValueError("F is identically zero")
 
     @property
     def tag(self) -> Optional[str]:

@@ -18,7 +18,7 @@ import u2metrics
 import u2metrics.classify
 from u2metrics.btflat import bt_grid_residual
 from u2metrics.catalog import catalog_get, catalog_names
-from u2metrics.curvature import curvature_sample
+from u2metrics.curvature import curvature_sample, ricci_form_kahler
 from u2metrics.classify import (
     PREDICATES,
     RankDeficientError,
@@ -196,6 +196,26 @@ class TestCatalogVerdicts:
             warnings.simplefilter("error")
             for kwargs in MODES.values():
                 classify(m, **kwargs)
+
+
+class TestEinsteinScale:
+    """The (C5, C6) certificate reads only the direction of the pair, so the
+    constant scale of C, which no curvature condition sees, cannot change it."""
+
+    @pytest.mark.parametrize("name", ["modified-taub-bolt-2", "modified-taub-nut-1"])
+    def test_exp_factor(self, name):
+        # before: modified-taub-bolt-2 with C0 = 1e20 gave einstein and kahler_einstein yes (residual 2.25e-10)
+        reports = [classify(catalog_get(name, {"C0": c0})) for c0 in (1e-20, 1.0, 1e20)]
+        for p in ("einstein", "kahler_einstein"):
+            assert {(r.verdict(p), r.residual(p)) for r in reports} == {("no", reports[1].residual(p))}
+        assert reports[1].residual("einstein") == {"modified-taub-bolt-2": 2.25, "modified-taub-nut-1": 2.0}[name]
+
+    def test_einstein_factor(self):
+        # C = e^{-z}/(C5 + C6·e^{-z})² scales as 1/k² when (C5, C6) does as k; with F = 1 + ½e^{-2z}
+        # the certificate is |C1·C5| over max(|C5|, |C6|) = 3/5 (before: 3k, so yes for k = 2^-40)
+        F = Canonical(1, 0, 0, 0)
+        reports = [classify(MetricSpec("p", F, EinsteinFactor(3 * k, 5 * k), Domain(-1.0, 1.0))) for k in (2.0**-40, 1.0, 2.0**40)]
+        assert {(r.verdict("einstein"), r.residual("einstein")) for r in reports} == {("no", 0.6)}
 
 
 class TestImplications:
@@ -426,7 +446,6 @@ class TestWorkPerGridPoint:
         ("modified-taub-nut-2", 1.0),
     ], ids=["page", "modified-taub-nut-2", "page-t=1", "modified-taub-nut-2-t=1"])
     def test_classify_evaluates_jets_once_per_grid_point(self, monkeypatch, name, t):
-        # modified-taub-nut-2 is Jplus-tagged, so its sample also carries ρ±;
         # with t the B^t residual reads the same sample; the whole grid is one
         # array call of each jet
         import u2metrics.profiles
@@ -459,12 +478,12 @@ class TestWorkPerGridPoint:
         import u2metrics.profiles
 
         m = catalog_get("modified-taub-nut-2")
-        assert m.tag == "Jplus"
         f_calls = self._count(monkeypatch, u2metrics.profiles, "jet_F")
         c_calls = self._count(monkeypatch, u2metrics.profiles, "jet_C")
-        cs = curvature_sample(m, 0.7)
-        assert cs.rho_plus is not None
+        curvature_sample(m, 0.7)
         assert (len(f_calls), len(c_calls)) == (1, 1)
+        ricci_form_kahler(m, 0.7)  # ρ± are not sampled, only computed on request
+        assert (len(f_calls), len(c_calls)) == (2, 2)
 
     def test_bt_grid_residual_needs_no_scalar_curvature(self, monkeypatch):
         import u2metrics.curvature

@@ -1,5 +1,6 @@
 """Curvature quantities of canonical metrics against closed forms."""
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -17,6 +18,7 @@ from u2metrics import curvature
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import (
+    CurvatureSample,
     NotKahlerError,
     bach,
     curvature_sample,
@@ -29,7 +31,7 @@ from u2metrics.curvature import (
     weyl_energy,
 )
 from u2metrics.exppoly import ExpPoly
-from u2metrics.operators import l_plus
+from u2metrics.operators import b_op_jet, l_compose_jet, l_op_jet, l_plus
 from u2metrics.profiles import (
     Canonical,
     Domain,
@@ -48,6 +50,34 @@ def _grid(m, n=25):
     return sample_grid(m.domain, n)
 
 
+def _exact_jets(F: ExpPoly, C) -> tuple:
+    """The exact jets of F and of g, with float coefficients at their binary value.
+    g = e^{−εz/2} for C = C0·e^{εz}: every field but P± is homogeneous in g, so C0
+    drops out of whether it vanishes; g = C^{−1/2} = ±(C5·e^{z/2} + C6·e^{−z/2}) for
+    an Einstein C, and the sign drops out too."""
+    F = ExpPoly((k, Fraction(c)) for k, c in F.terms())
+    if isinstance(C, ExpFactor):
+        g = ExpPoly.exp_term(Fraction(-C.eps, 2))
+    else:
+        g = ExpPoly([(Fraction(1, 2), Fraction(C.c5)), (Fraction(-1, 2), Fraction(C.c6))])
+    return [F.derive(n) for n in range(5)], [g.derive(n) for n in range(4)]
+
+
+def _exact_fields(m) -> dict:
+    """Every curvature field but P± from the one kernel, run on ``_exact_jets``."""
+    fj, g = _exact_jets(m.f_poly(), m.C)
+    values = (
+        curvature._scalar_from_jets(fj, g), curvature._scalar_prime_from_jets(fj, g),
+        *curvature._tf_ricci_from_jets(fj, g), *curvature._weyl_from_jets(fj, g), *curvature._bach_from_jets(fj, g),
+        *curvature._rho_from_jets(1, fj, g), *curvature._rho_from_jets(-1, fj, g),
+    )
+    names = (
+        "s s1d ric0_a ric0_b w_plus w_minus w_plus_norm2 w_minus_norm2 bach_B1 bach_B2"
+        " rho_Jplus rho_Jplus_mirror rho_Jminus rho_Jminus_mirror"
+    )
+    return dict(zip(names.split(), values, strict=True))
+
+
 def test_jet_helpers_are_polynomials_but_for_one_division_by_g():
     # no power and no division but by a literal in any _…_from_jets helper, except P±'s division by g
     tree = ast.parse(inspect.getsource(curvature))
@@ -60,9 +90,20 @@ def test_jet_helpers_are_polynomials_but_for_one_division_by_g():
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and not isinstance(node.right, ast.Constant):
                 divisions.append((f.name, ast.unparse(node.right)))
     assert divisions == [("_delta_w_from_jets", "g[0]")]
-    # tf-Ric also runs on exact ExpPoly jets, where a float literal would make a coefficient a float
-    (tf_ricci_helper,) = [f for f in helpers if f.name == "_tf_ricci_from_jets"]
-    assert [n.value for n in ast.walk(tf_ricci_helper) if isinstance(n, ast.Constant) and type(n.value) is float] == []
+    # every helper also runs on exact ExpPoly jets, where a float literal would make a coefficient a float
+    floats = [(f.name, n.value) for f in helpers for n in ast.walk(f) if isinstance(n, ast.Constant) and type(n.value) is float]
+    assert floats == []
+
+
+def test_kahler_forms_are_computed_only_on_request():
+    # ρ± are not sampled, and the Kähler scalar curvature is 4ρ through the one ρ helper
+    assert [f.name for f in dataclasses.fields(CurvatureSample) if f.name.startswith("rho")] == []
+    tree = ast.parse(inspect.getsource(curvature))
+    defs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert [n for n in ast.walk(defs["_sample"]) if isinstance(n, ast.Attribute) and n.attr == "tag"] == []
+    assert "is None" not in ast.unparse(defs["_checked"])
+    called = {n.func.id for n in ast.walk(defs["kahler_scalar_curvature"]) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert called == {"_kahler_sign", "_checked", "_rho_from_jets", "_jets"}
 
 
 class TestFlat:
@@ -187,9 +228,9 @@ class TestKahlerFormulas:
         # modified-taub-nut-2 built without a catalog entry: C = e^{-z} alone makes it J⁺-Kähler
         m = MetricSpec("t", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, math.inf))
         assert m.tag == "Jplus"
-        cs = curvature_sample(m, 1.0)
-        assert type(cs.rho_plus) is float
-        assert 4.0 * cs.rho_plus == kahler_scalar_curvature(m, 1.0)
+        rho_plus, _ = ricci_form_kahler(m, 1.0)
+        assert type(rho_plus) is float
+        assert 4.0 * rho_plus == kahler_scalar_curvature(m, 1.0)
 
 
 class TestWeylEnergy:
@@ -244,12 +285,12 @@ class TestDeltaWPotential:
             assert delta_w_potential(m, "plus", z) == cs.delW_plus_pot
             assert delta_w_potential(m, "minus", z) == cs.delW_minus_pot
             if m.tag in ("Jplus", "Jminus"):
-                assert ricci_form_kahler(m, z) == (cs.rho_plus, cs.rho_minus)
-                # ρ of the Kähler orientation is s/4, by the independent shortcut
-                rho = cs.rho_plus if m.tag == "Jplus" else cs.rho_minus
-                assert 4.0 * rho == kahler_scalar_curvature(m, z)
+                rho = ricci_form_kahler(m, z)
+                # ρ of the Kähler orientation is s/4
+                assert 4.0 * rho[m.tag == "Jminus"] == kahler_scalar_curvature(m, z)
             else:
-                assert cs.rho_plus is None and cs.rho_minus is None
+                with pytest.raises(NotKahlerError):
+                    kahler_scalar_curvature(m, z)
                 with pytest.raises(NotKahlerError):
                     ricci_form_kahler(m, z)
 
@@ -271,15 +312,13 @@ class TestDeltaWPotential:
 class TestEinsteinCertificate:
     """classify decides einstein on the canonical family from (C5, C6) by
     max(|C1C5 − C2C6|, |C3C5 − C4C6|); the one tf-Ric kernel, run on exact
-    jets, must vanish identically exactly when that certificate is 0.  Here
-    g = C^{−1/2} = C5·e^{z/2} + C6·e^{−z/2}, and C0·e^{∓z} is g = e^{±z/2} up to
-    the constant C0^{−1/2}, which drops out since tf-Ric is quadratic in g."""
+    jets (``_exact_jets``), must vanish identically exactly when that
+    certificate is 0.  C0·e^{∓z} enters as the pair (1, 0) or (0, 1), whose
+    g = e^{±z/2} is C^{−1/2} up to the constant C0^{−1/2}."""
 
     @staticmethod
     def _kernel_vanishes(coeffs, c5, c6) -> bool:
-        F = Canonical(*coeffs).expand()
-        g = ExpPoly([(Fraction(1, 2), c5), (Fraction(-1, 2), c6)])
-        ric0_a, ric0_b = curvature._tf_ricci_from_jets([F.derive(n) for n in range(5)], [g.derive(n) for n in range(4)])
+        ric0_a, ric0_b = curvature._tf_ricci_from_jets(*_exact_jets(Canonical(*coeffs).expand(), EinsteinFactor(c5, c6)))
         assert ric0_a.is_exact and ric0_b.is_exact
         return ric0_a.is_zero and ric0_b.is_zero
 
@@ -322,6 +361,40 @@ class TestEinsteinCertificate:
         assert einstein > 100
 
 
+class TestExactKernel:
+    """The kernel on exact jets of every catalog entry (``_exact_jets``): each
+    field but P± is an exact ExpPoly, and a field that vanishes identically
+    agrees with classify's default verdict.  The disagreements are pinned, so
+    a verdict that gets fixed must leave the list."""
+
+    IDENTITIES = {
+        "zsc": ("s",),
+        "csc": ("s1d",),
+        "einstein": ("ric0_a", "ric0_b"),
+        "ricci_flat": ("s", "ric0_a", "ric0_b"),
+        "sd": ("w_minus",),
+        "asd": ("w_plus",),
+        "bach_flat": ("bach_B1", "bach_B2"),
+    }
+    # s ≡ 0 exactly at every Λ, but the grid residual of about 3.1e-5 says no (ROADMAP item 1)
+    DISAGREE = {("taub-nut-lambda", p) for p in ("zsc", "csc", "ricci_flat")}
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_every_field_but_the_potentials_is_exact(self, name):
+        for field, value in _exact_fields(catalog_get(name)).items():
+            assert isinstance(value, ExpPoly) and value.is_exact, field
+
+    def test_vanishing_fields_agree_with_classify(self):
+        disagree = set()
+        for name in catalog_names():
+            m = catalog_get(name)
+            fields, rep = _exact_fields(m), classify(m)
+            for p, names in self.IDENTITIES.items():
+                if all(fields[n].is_zero for n in names) != (rep.verdict(p) == "yes"):
+                    disagree.add((name, p))
+        assert disagree == self.DISAGREE
+
+
 def _tf_ricci_literal(fj, g):
     # the helper as it was written with float literals, before it ran on exact jets
     ric0_a = 4.0 * fj[0] * g[0] * (g[2] - 0.25 * g[0])
@@ -341,3 +414,75 @@ def test_tf_ricci_integer_literals_keep_the_float_bits(fj, g):
         return [struct.pack("<d", v) for v in values]
 
     assert bits(curvature._tf_ricci_from_jets(fj, g)) == bits(_tf_ricci_literal(fj, g))
+
+
+# the other helpers as they were written with float literals, before they ran on exact jets
+def _scalar_literal(fj, g):
+    return -4.0 * g[0] * g[0] * (fj[2] + 0.5 * fj[0] - 2.0) + 24.0 * (
+        fj[1] * g[0] * g[1] + fj[0] * (g[0] * g[2] - 2.0 * g[1] * g[1])
+    )
+
+
+def _scalar_prime_literal(fj, g):
+    return (
+        -8.0 * g[0] * g[1] * (fj[2] + 0.5 * fj[0] - 2.0)
+        - 4.0 * g[0] * g[0] * (fj[3] + 0.5 * fj[1])
+        + 24.0 * (
+            fj[2] * g[0] * g[1] - fj[1] * g[1] * g[1] + 2.0 * fj[1] * g[0] * g[2]
+            - 3.0 * fj[0] * g[1] * g[2] + fj[0] * g[0] * g[3]
+        )
+    )
+
+
+def _weyl_literal(fj, g):
+    w_plus = -(l_op_jet("plus", fj) - 1.0) * g[0] * g[0]
+    w_minus = -(l_op_jet("minus", fj) - 1.0) * g[0] * g[0]
+    return w_plus, w_minus, (32.0 / 3.0) * w_plus * w_plus, (32.0 / 3.0) * w_minus * w_minus
+
+
+def _bach_literal(fj, g):
+    g4 = g[0] * g[0] * g[0] * g[0]
+    return (16.0 / 3.0) * g4 * fj[0] * (l_compose_jet(fj) - 1.0), (8.0 / 3.0) * g4 * b_op_jet(fj)
+
+
+def _rho_literal(tag, fj, g):
+    g2 = g[0] * g[0]
+    if tag == "Jplus":
+        return -(2.0 * g2) * (l_op_jet("plus", fj) - 1.0), -(2.0 * g2) * ((-0.5 * fj[2] + 0.5 * fj[1] + fj[0]) - 1.0)
+    return -(2.0 * g2) * ((-0.5 * fj[2] - 0.5 * fj[1] + fj[0]) - 1.0), -(2.0 * g2) * (l_op_jet("minus", fj) - 1.0)
+
+
+def _ulps(x: float, y: float) -> int:
+    def ordinal(v):
+        i = struct.unpack("<q", struct.pack("<d", v))[0]
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+    return abs(ordinal(x) - ordinal(y))
+
+
+# narrower than _entries, so that no product of six entries overflows or is subnormal
+_moderate = st.floats(min_value=1e-30, max_value=1e30)
+_moderate_entries = st.one_of(st.just(0.0), _moderate, _moderate.map(lambda x: -x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_moderate_entries] * 5), st.tuples(*[_moderate_entries] * 4))
+def test_integer_literals_keep_the_float_bits(fj, g):
+    # x / 2 rounds as 0.5 * x does; a factor of a third may move the last bits
+    def bits(values):
+        return [struct.pack("<d", v) for v in values]
+
+    weyl_new, weyl_old = curvature._weyl_from_jets(fj, g), _weyl_literal(fj, g)
+    same = [
+        (curvature._scalar_from_jets(fj, g), _scalar_literal(fj, g)),
+        (curvature._scalar_prime_from_jets(fj, g), _scalar_prime_literal(fj, g)),
+        *zip(weyl_new[:2], weyl_old[:2]),
+        *zip(curvature._rho_from_jets(1, fj, g), _rho_literal("Jplus", fj, g)),
+        *zip(curvature._rho_from_jets(-1, fj, g)[::-1], _rho_literal("Jminus", fj, g)),
+        # the Kähler shortcut as it was written
+        (4 * curvature._rho_from_jets(1, fj, g)[0], -(8.0 * g[0] * g[0]) * (l_op_jet("plus", fj) - 1.0)),
+        (4 * curvature._rho_from_jets(-1, fj, g)[0], -(8.0 * g[0] * g[0]) * (l_op_jet("minus", fj) - 1.0)),
+    ]
+    assert bits(new for new, _ in same) == bits(old for _, old in same)
+    close = [*zip(weyl_new[2:], weyl_old[2:]), *zip(curvature._bach_from_jets(fj, g), _bach_literal(fj, g))]
+    assert max(_ulps(new, old) for new, old in close) <= 4

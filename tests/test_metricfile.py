@@ -165,6 +165,25 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == "" and f"parse error: line {lineno}: {message}" in err
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("F term 0 0\nC exp C0=1 eps=-1\n", 3, "line 3: F is identically zero"),
+        ("F term 1 2\nF term 0 1\nF term 1 -2\nF term 0 -1\nC exp C0=1 eps=-1\n", 6, "line 6: F is identically zero"),
+        ("F term 0 1\nC ratio\nnum term 0 1\nnum term 0 -1\nden term 0 1\n", None,
+         "bad ratio terms: numerator must be nonzero"),
+    ], ids=["F-zero-term", "F-cancelling-terms", "num"])
+    @pytest.mark.parametrize("command", [["classify"], ["ends"], ["curvature", "--grid", "0.1:0.9:3"]])
+    def test_identically_zero_f_or_numerator_fails(self, tmp_path, capsys, text, lineno, message, command):
+        # before: these parsed; ends ended in a traceback and curvature printed a table for F ≡ 0
+        text = "name t\ndomain 0 1 open open\n" + text
+        with pytest.raises(MetricFileError) as info:
+            parse_metric(text)
+        assert info.value.lineno == lineno and str(info.value) == message
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"parse error: {message}" in err
+
     @pytest.mark.parametrize("text, lineno", [
         ("F term 0 1e308\nF term 0 1e308\nC exp C0=1 eps=-1\n", 4),
         ("F term 0 " + "9" * 400 + "\nF term 0 1.5\nC exp C0=1 eps=-1\n", 4),

@@ -125,6 +125,18 @@ class TestConformalModels:
         want = math.exp(-z) / (1 + math.exp(-z))
         assert conformal_value(m, z) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("num", [ExpPoly(), ExpPoly([(1, 2), (1, -2)])], ids=["empty", "cancelling"])
+    def test_zero_numerator_is_rejected(self, num):
+        # before: it was accepted, and find_bolts raised "the zero polynomial vanishes everywhere"
+        with pytest.raises(ValueError, match="^numerator must be nonzero$"):
+            RatioFactor(num, ExpPoly.constant(1))
+
+    @pytest.mark.parametrize("F", [ExpPoly([(0, 0)]), ExpPoly([(1, 2), (1, -2)])], ids=["zero-term", "cancelling"])
+    def test_identically_zero_f_is_rejected(self, F):
+        # before: curvature sampled F ≡ 0 without complaint
+        with pytest.raises(ValueError, match="^F is identically zero$"):
+            MetricSpec("zero", F, ExpFactor(1, -1), Domain(0, 1))
+
 
 class TestJets:
     def _metric(self):
