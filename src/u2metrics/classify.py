@@ -14,13 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .btflat import bt_grid_residual
 from .curvature import curvature_sample
-from .profiles import (
-    Domain,
-    EinsteinFactor,
-    ExpFactor,
-    MetricSpec,
-    canonical_coefficients,
-)
+from .profiles import Domain, MetricSpec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,20 +130,6 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
     return points[np.concatenate(([True], points[1:] != points[:-1]))]
 
 
-def _as_einstein(model):
-    """The direction of the Einstein-model (C5, C6) of an Exp/Einstein factor, else None.
-
-    C0·e^{-z} = e^{-z}/(1/√C0)²  and  C0·e^{+z} = e^{-z}/((1/√C0)·e^{-z})² give
-    (1, 0) and (0, 1): the certificate must not see C's constant scale.
-    """
-    if isinstance(model, EinsteinFactor):
-        top = max(abs(model.c5), abs(model.c6))
-        return (model.c5 / top, model.c6 / top)
-    if isinstance(model, ExpFactor):
-        return (1, 0) if model.eps == -1 else (0, 1)
-    return None
-
-
 def _grid_max(p, grid) -> float:
     """max |p| over the grid for an ExpPoly p, 0.0 when p ≡ 0."""
     import numpy as np
@@ -258,13 +238,8 @@ def classify(
     zsc_res = max(csc_res, abs(s0))
     put("zsc", verdict_of(zsc_res, s_scale), zsc_res)
 
-    coeffs = canonical_coefficients(poly)
-    einstein_pair = _as_einstein(m.C)
-    if use_exact and coeffs is not None and einstein_pair is not None:
-        c1, c2, c3, c4 = coeffs
-        c5, c6 = einstein_pair
-        einstein_res = float(max(abs(c1 * c5 - c2 * c6), abs(c3 * c5 - c4 * c6)))
-    else:
+    einstein_res = m.einstein_certificate if use_exact else None
+    if einstein_res is None:
         einstein_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
     einstein_cert = f"einstein constant s/4 = {s0 / 4.0:.12g}"
     put("einstein", verdict_of(einstein_res), einstein_res, einstein_cert)

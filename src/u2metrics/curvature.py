@@ -256,7 +256,7 @@ def weyl_energy(m: MetricSpec, a: float, b: float, tol: float = 1e-10) -> float:
 
     def integrand(z):
         v = poly.eval(z)
-        return (16.0 / 3.0) * v * v
+        return 16 * v * v / 3  # |W⁺|²·C²/2 = (32/3)w⁺²·C²/2 with w⁺ = −(L⁺F − 1)g² and g⁴C² = 1
 
     return adaptive_quad(integrand, a, b, tol=tol)
 

@@ -204,8 +204,8 @@ def parse_metric(text: str) -> MetricSpec:
         num, den = _finished(num_terms), _finished(den_terms)
         try:
             c_model = RatioFactor(num, den)
-        except (ValueError, ArithmeticError) as exc:
-            raise MetricFileError(None, f"bad ratio terms: {exc}") from None
+        except ValueError as exc:  # a side whose terms cancel, on its last term line
+            raise MetricFileError((num_terms if num.is_zero else den_terms)[-1][2], f"bad ratio terms: {exc}") from None
     if c_model is None:
         raise MetricFileError(None, "missing C definition")
     # MetricSpec's one ValueError, F ≡ 0, is an error on the last F term line

@@ -5,7 +5,7 @@ left-invariant coframe of SU(2) normalised by dη₁ = 2·η₂∧η₃ (and
 cyclically), described by a profile F(z) and a conformal factor C(z); this
 module holds the closed-form carriers for both and provides exact 4-jet
 evaluation, of F and of C with g = C^{−1/2}.  A spec expands its
-carriers (F and C's num/den pair, and the operator polynomials built from F)
+carriers (F, g, C's num/den pair, and the operator polynomials built from F)
 once, on first use, and every evaluation shares them, so each polynomial's
 float rows are compiled once per spec.  ``jet_F``, ``jet_C`` and
 ``conformal_value`` take a float z or a 1-D float64 array of them; on an
@@ -164,6 +164,8 @@ class ExpFactor:
             raise ValueError("eps must be -1 or +1")
         if not self.c0 > 0:
             raise ValueError("C0 must be positive")
+        if float(self.c0) == 0:  # g = C^{−1/2} has the coefficient C0^{−1/2}
+            raise ValueError("exact coefficient is too small for a float")
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,31 @@ class MetricSpec:
         return factor_ratio(self.C)
 
     @cached_property
+    def g_poly(self) -> Optional[ExpPoly]:
+        """g = C^{−1/2}, built once per spec on first use: the float-coefficient
+        C0^{−1/2}·e^{−εz/2} for C0·e^{εz}; ±(C5·e^{z/2} + C6·e^{−z/2}) for an
+        Einstein C, positive mid-domain (so off C's pole); None for a ratio."""
+        if isinstance(self.C, ExpFactor):
+            return ExpPoly.exp_term(Fraction(-self.C.eps, 2), float(self.C.c0) ** -0.5)
+        if isinstance(self.C, EinsteinFactor):
+            g = ExpPoly([(Fraction(1, 2), self.C.c5), (Fraction(-1, 2), self.C.c6)])
+            return g if g.eval(sum(self.domain.finite_window()) / 2) > 0 else -g
+        return None
+
+    @cached_property
+    def einstein_certificate(self) -> Optional[float]:
+        """max(|C1C5 − C2C6|, |C3C5 − C4C6|), 0 iff Einstein, for a canonical F and an
+        Exp or Einstein C (else None), once per spec: (C5, C6) is the direction of g's
+        pair of coefficients, so C's scale does not enter (C0·e^{∓z} gives (1, 0), (0, 1))."""
+        coeffs = canonical_coefficients(self.f_poly())
+        if coeffs is None or self.g_poly is None:
+            return None
+        c1, c2, c3, c4 = coeffs
+        a, b = self.g_poly.coefficient(0.5), self.g_poly.coefficient(-0.5)
+        c5, c6 = a / max(abs(a), abs(b)), b / max(abs(a), abs(b))
+        return float(max(abs(c1 * c5 - c2 * c6), abs(c3 * c5 - c4 * c6)))
+
+    @cached_property
     def operator_polys(self) -> tuple:
         """(L⁺F − 1, L⁻F − 1, L⁺(L⁻F) − 1), exact, built once per spec: the
         Weyl halves' factor and the conformal-extremality residual."""
@@ -275,34 +302,52 @@ def jet_F(m: MetricSpec, z) -> tuple:
     return m.f_poly().jet(z, 4)
 
 
-def _c_series(m: MetricSpec, z) -> list:
-    num, den = m.c_ratio
-    ns = jet_to_series(num.jet(z, 4))
-    ds = jet_to_series(den.jet(z, 4))
-    hit = at_first(ds[0] == 0.0, z)
+def _nonzero(d, z):
+    """d unless it vanishes at a z, where C (num/den or g⁻²) has a pole."""
+    hit = at_first(d == 0.0, z)
     if hit is not None:
         raise SingularConformalFactorError(f"conformal denominator vanishes at z={hit[0]}")
-    return series_div(ns, ds)
+    return d
+
+
+def _c_of_g(g0, z):
+    """C = g⁻², inf where that overflows: jet_C and conformal_value share it."""
+    r = 1 / _nonzero(g0, z)
+    return r * r
+
+
+def _c_series(m: MetricSpec, z) -> list:
+    num, den = m.c_ratio
+    ds = jet_to_series(den.jet(z, 4))
+    _nonzero(ds[0], z)
+    return series_div(jet_to_series(num.jet(z, 4)), ds)
 
 
 def jet_C(m: MetricSpec, z) -> tuple:
-    """The jets (value, d1, .., d4) of C and of g = C^{−1/2} at z; requires
-    0 < C(z) < ∞.  g is one power series of C's, and the curvature formulas
-    are polynomials in F's jet and g's."""
+    """(C, C′, C″) and (g, g′, g″, g‴) at z, g = C^{−1/2}; requires 0 < C(z) < ∞.
+    For an Exp or Einstein C, g's jet is one termwise ``m.g_poly.jet``, and C = g⁻²,
+    C′ = C·(−2g′/g), C″ = C·(6g′² − 2gg″)/g², so (log C)′ is exactly ∓1 on C0·e^{∓z};
+    a C ratio's C is the power series num/den, and g comes from it by ``series_pow``."""
     _check_domain(m, z)
-    cs = _c_series(m, z)
-    hit = at_first((cs[0] <= 0.0) | (cs[0] == math.inf), cs[0], z)
+    if m.g_poly is None:
+        cs = _c_series(m, z)
+        c = cs[0]
+    else:
+        g = m.g_poly.jet(z, 3)
+        c = _c_of_g(g[0], z)
+    hit = at_first((c <= 0.0) | (c == math.inf), c, z)
     if hit is not None:
         raise SingularConformalFactorError("C(z)={} is not positive and finite at z={}".format(*hit))
-    return series_to_jet(cs), series_to_jet(series_pow(cs, -0.5))
+    if m.g_poly is None:
+        return series_to_jet(cs)[:3], series_to_jet(series_pow(cs, -0.5))[:4]
+    return (c, c * (-2 * g[1] / g[0]), c * (6 * g[1] * g[1] - 2 * g[0] * g[2]) / (g[0] * g[0])), g
 
 
 def conformal_value(m: MetricSpec, z):
     """C(z) as a plain float, or an array for an array z (may be
-    non-positive; only a vanishing denominator raises)."""
+    non-positive; only a pole raises), as :func:`jet_C` forms it."""
+    if m.g_poly is not None:
+        return _c_of_g(m.g_poly.eval(z), z)
     num, den = m.c_ratio
-    d = den.eval(z)
-    hit = at_first(d == 0.0, z)
-    if hit is not None:
-        raise SingularConformalFactorError(f"conformal denominator vanishes at z={hit[0]}")
+    d = _nonzero(den.eval(z), z)
     return num.eval(z) / d

@@ -474,6 +474,16 @@ class TestWorkPerGridPoint:
         classify(m, use_exact=False)
         assert built == []
 
+    def test_second_classify_reads_the_spec_einstein_certificate(self, monkeypatch):
+        # the exact certificate depends on F and C alone: it is found once per spec
+        import u2metrics.profiles
+
+        m = catalog_get("page")
+        first = classify(m).residual("einstein")
+        calls = self._count(monkeypatch, u2metrics.profiles, "canonical_coefficients")
+        assert [classify(m).residual("einstein"), classify(m, t=1.0).residual("einstein")] == [first, first]
+        assert calls == []
+
     def test_curvature_sample_evaluates_each_jet_once(self, monkeypatch):
         import u2metrics.profiles
 
@@ -484,6 +494,37 @@ class TestWorkPerGridPoint:
         assert (len(f_calls), len(c_calls)) == (1, 1)
         ricci_form_kahler(m, 0.7)  # ρ± are not sampled, only computed on request
         assert (len(f_calls), len(c_calls)) == (2, 2)
+
+    @pytest.mark.parametrize("name", ["hirzebruch", "modified-taub-nut-2", "taub-bolt", "page"])
+    def test_exact_carriers_take_no_series_path(self, monkeypatch, name):
+        # g = C^{−1/2} of an Exp or Einstein C is an ExpPoly: only a C ratio divides and takes roots of series
+        import u2metrics.numerics
+        from u2metrics.geometry import distance
+
+        m = catalog_get(name)
+        twin = MetricSpec(m.name, m.F, RatioFactor(*m.c_ratio), m.domain)
+        calls = [self._count(monkeypatch, u2metrics.numerics, f) for f in ("series_div", "series_pow")]
+        lo, hi = m.domain.finite_window()
+        for spec in (m, twin):
+            for call in calls:
+                call.clear()
+            classify(spec, t=1.0)
+            curvature_sample(spec, sample_grid(spec.domain, 16))
+            distance(spec, (3 * lo + hi) / 4, (lo + 3 * hi) / 4)
+            classify_end(spec, "lower"), classify_end(spec, "upper")
+            assert [len(call) > 0 for call in calls] == [spec is twin] * 2
+
+    @pytest.mark.parametrize("name", ["hirzebruch", "taub-bolt"])
+    def test_jet_c_makes_one_exp_poly_jet(self, monkeypatch, name):
+        from u2metrics.profiles import jet_C
+
+        m = catalog_get(name)
+        z = sample_grid(m.domain, 16)
+        jet_C(m, z)  # build g's carrier outside the count
+        calls = self._count(monkeypatch, ExpPoly, "jet")
+        jet_C(m, z)
+        jet_C(m, float(z[1]))
+        assert len(calls) == 2
 
     def test_bt_grid_residual_needs_no_scalar_curvature(self, monkeypatch):
         import u2metrics.curvature

@@ -9,6 +9,7 @@ import random
 import struct
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,8 +40,12 @@ from u2metrics.profiles import (
     ExpFactor,
     MetricSpec,
     OutOfDomainError,
+    RatioFactor,
     canonical_coefficients,
     conformal_value,
+    factor_ratio,
+    jet_C,
+    jet_F,
 )
 
 PIN_SPECS = json.loads((pathlib.Path(__file__).parent / "data" / "catalog_pins.json").read_text())["specs"]
@@ -50,22 +55,19 @@ def _grid(m, n=25):
     return sample_grid(m.domain, n)
 
 
-def _exact_jets(F: ExpPoly, C) -> tuple:
-    """The exact jets of F and of g, with float coefficients at their binary value.
-    g = e^{−εz/2} for C = C0·e^{εz}: every field but P± is homogeneous in g, so C0
-    drops out of whether it vanishes; g = C^{−1/2} = ±(C5·e^{z/2} + C6·e^{−z/2}) for
-    an Einstein C, and the sign drops out too."""
-    F = ExpPoly((k, Fraction(c)) for k, c in F.terms())
-    if isinstance(C, ExpFactor):
-        g = ExpPoly.exp_term(Fraction(-C.eps, 2))
-    else:
-        g = ExpPoly([(Fraction(1, 2), Fraction(C.c5)), (Fraction(-1, 2), Fraction(C.c6))])
+def _exact_jets(m) -> tuple:
+    """The exact jets of F and of the spec's g = C^{−1/2} (``MetricSpec.g_poly``),
+    with float coefficients at their binary value.  g is C0^{−1/2}·e^{−εz/2} for
+    C = C0·e^{εz} and ±(C5·e^{z/2} + C6·e^{−z/2}) for an Einstein C: every field
+    but P± is homogeneous in g, so neither the scale nor the sign changes whether
+    it vanishes."""
+    F, g = (ExpPoly((k, Fraction(c)) for k, c in p.terms()) for p in (m.f_poly(), m.g_poly))
     return [F.derive(n) for n in range(5)], [g.derive(n) for n in range(4)]
 
 
 def _exact_fields(m) -> dict:
     """Every curvature field but P± from the one kernel, run on ``_exact_jets``."""
-    fj, g = _exact_jets(m.f_poly(), m.C)
+    fj, g = _exact_jets(m)
     values = (
         curvature._scalar_from_jets(fj, g), curvature._scalar_prime_from_jets(fj, g),
         *curvature._tf_ricci_from_jets(fj, g), *curvature._weyl_from_jets(fj, g), *curvature._bach_from_jets(fj, g),
@@ -268,6 +270,27 @@ class TestWeylEnergy:
         # F lives in the kernel of L+ minus constants, so the W+ energy is 0
         assert weyl_energy(m, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["taub-nut", "taub-bolt", "page"])
+    def test_integrand_is_the_sampled_w_plus_energy(self, monkeypatch, name):
+        # (16/3)(L⁺F − 1)² = |W⁺|²·C²/2, since |W⁺|² = (32/3)w⁺², w⁺ = −(L⁺F − 1)g² and g⁴C² = 1
+        m = catalog_get(name)
+        grid = sample_grid(m.domain, 64)
+        integrands = []
+        monkeypatch.setattr(curvature, "adaptive_quad", lambda f, a, b, tol: integrands.append(f) or 0.0)
+        weyl_energy(m, grid[0], grid[-1])
+        cs = curvature_sample(m, grid)
+        want = cs.w_plus_norm2 * cs.C * cs.C / 2
+        got = np.array([integrands[0](z) for z in grid])
+        # L⁺F − 1 from the exact polynomial or from F's float jet: a few ulp of the largest value apart
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(want)) > 1.0
+
+    def test_integrand_has_integer_literals(self):
+        # the last copy of a kernel formula outside the _…_from_jets helpers is written as they are
+        tree = ast.parse(inspect.getsource(curvature.weyl_energy))
+        integrand = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "integrand")
+        assert sorted([n.value for n in ast.walk(integrand) if isinstance(n, ast.Constant)]) == [3, 16]
+
 
 class TestDeltaWPotential:
     @pytest.mark.parametrize("name", catalog_names())
@@ -311,14 +334,16 @@ class TestDeltaWPotential:
 
 class TestEinsteinCertificate:
     """classify decides einstein on the canonical family from (C5, C6) by
-    max(|C1C5 − C2C6|, |C3C5 − C4C6|); the one tf-Ric kernel, run on exact
-    jets (``_exact_jets``), must vanish identically exactly when that
-    certificate is 0.  C0·e^{∓z} enters as the pair (1, 0) or (0, 1), whose
-    g = e^{±z/2} is C^{−1/2} up to the constant C0^{−1/2}."""
+    max(|C1C5 − C2C6|, |C3C5 − C4C6|) (``MetricSpec.einstein_certificate``);
+    the one tf-Ric kernel, run on exact jets (``_exact_jets``), must vanish
+    identically exactly when that certificate is 0.  C0·e^{∓z} enters as the
+    pair (1, 0) or (0, 1), whose g = e^{±z/2} is C^{−1/2} up to the constant
+    C0^{−1/2}."""
 
     @staticmethod
     def _kernel_vanishes(coeffs, c5, c6) -> bool:
-        ric0_a, ric0_b = curvature._tf_ricci_from_jets(*_exact_jets(Canonical(*coeffs).expand(), EinsteinFactor(c5, c6)))
+        m = MetricSpec("t", Canonical(*coeffs), EinsteinFactor(c5, c6), Domain(-math.inf, math.inf))
+        ric0_a, ric0_b = curvature._tf_ricci_from_jets(*_exact_jets(m))
         assert ric0_a.is_exact and ric0_b.is_exact
         return ric0_a.is_zero and ric0_b.is_zero
 
@@ -393,6 +418,123 @@ class TestExactKernel:
                 if all(fields[n].is_zero for n in names) != (rep.verdict(p) == "yes"):
                     disagree.add((name, p))
         assert disagree == self.DISAGREE
+
+
+class _Magnitude:
+    """A float or array standing for Σ|term|: every operation adds or multiplies the
+    magnitudes, so a kernel helper run on termwise magnitudes of the jets gives the
+    termwise magnitude of its field."""
+
+    __array_ufunc__ = None  # an array operand defers to these methods
+
+    def __init__(self, v):
+        self.v = np.abs(v)
+
+    def _mag(self, other):
+        return other.v if isinstance(other, _Magnitude) else np.abs(other)
+
+    def __add__(self, other):
+        return _Magnitude(self.v + self._mag(other))
+
+    def __mul__(self, other):
+        return _Magnitude(self.v * self._mag(other))
+
+    def __truediv__(self, other):
+        return _Magnitude(self.v / self._mag(other))
+
+    def __neg__(self):
+        return self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def _termwise(poly, z, order: int) -> list:
+    """Σ|c·kⁿ·e^{kz}| over poly's terms for n = 0..order, the README's termwise bound over 8ε."""
+    return [sum(abs(float(c) * float(k) ** n) * np.exp(float(k) * z) for k, c in poly.terms()) for n in range(order + 1)]
+
+
+def _ratio_twin(m):
+    """m with the same C given as a C ratio, whose g comes from C's power series."""
+    return MetricSpec(m.name, m.F, RatioFactor(*factor_ratio(m.C)), m.domain)
+
+
+class TestTermwiseG:
+    """g = C^{−1/2} of an Exp or Einstein C is an ExpPoly, evaluated term by term."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _mp(c):
+        return mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c)
+
+    def _reference(self, m, z) -> tuple:
+        """g, g′, g″, g‴ and s′ at z to 50 digits: g differentiated numerically as
+        C^{−1/2} from C = e^{−z}/(C5 + C6·e^{−z})², and s′ the kernel on those jets."""
+        with mpmath.workdps(50):
+            c5, c6 = self._mp(m.C.c5), self._mp(m.C.c6)
+            F = lambda x: sum(self._mp(c) * mpmath.exp(self._mp(k) * x) for k, c in m.f_poly().terms())
+            g = lambda x: (mpmath.exp(-x) / (c5 + c6 * mpmath.exp(-x)) ** 2) ** mpmath.mpf(-0.5)
+            fj = [mpmath.diff(F, mpmath.mpf(z), n) for n in range(5)]
+            gj = [mpmath.diff(g, mpmath.mpf(z), n) for n in range(4)]
+            return [float(v) for v in gj] + [float(curvature._scalar_prime_from_jets(fj, gj))]
+
+    def _bounds(self, m, z) -> list:
+        """8ε·Σ|c·kⁿ·e^{kz}| for g's jet, and for s′ the same over the terms of s′
+        expanded as a sum of products of F's and g's terms."""
+        fm = [_Magnitude(v) for v in _termwise(m.f_poly(), z, 4)]
+        gm = _termwise(m.g_poly, z, 3)
+        s1m = curvature._scalar_prime_from_jets(fm, [_Magnitude(v) for v in gm]).v
+        return [8 * self.EPS * v for v in (*gm, s1m)]
+
+    @pytest.mark.parametrize("name, points", [
+        ("taub-bolt", slice(-2, -1)),  # its classify grid point z = −0.01246, next to g's zero at the bolt z = 0
+        ("taub-nut", slice(None)),  # its classify grid
+    ])
+    def test_jets_meet_the_termwise_bound(self, name, points):
+        m = catalog_get(name)
+        worst_series = 0.0
+        for z in sample_grid(m.domain, 64)[points].tolist():
+            want, bound = self._reference(m, z), self._bounds(m, z)
+            fj, (_, g) = jet_F(m, z), jet_C(m, z)
+            got = [*g, curvature._scalar_prime_from_jets(fj, g)]
+            assert [abs(a - b) <= e for a, b, e in zip(got, want, bound)] == [True] * 5, (z, got, want, bound)
+            assert curvature_sample(m, z).s1d == got[4]
+            g_series = jet_C(_ratio_twin(m), z)[1]
+            worst_series = max(worst_series, abs(g_series[3] - want[3]) / bound[3])
+        # the series path, which C ratio still takes, misses the bound on g‴ by orders of magnitude
+        assert worst_series > 1e3
+
+
+class TestForks:
+    """An Exp or Einstein C and the same C as a C ratio: the g path and the series
+    path give every curvature_sample field on the classify grid to 1e-7 of its
+    termwise magnitude.  The series path's g‴ is off by up to 1.7e7 × 8ε ≈ 3e-8 of
+    its magnitude (at taub-bolt's z ≈ −0.0125, see TestTermwiseG), the g path's by
+    less than 8ε, and no field has degree above 4 in g's jet."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_g_path_and_series_path_agree(self, name):
+        m = catalog_get(name)
+        z = sample_grid(m.domain, 64)
+        ours, series = curvature_sample(m, z), curvature_sample(_ratio_twin(m), z)
+        fm = [_Magnitude(v) for v in _termwise(m.f_poly(), z, 4)]
+        gm = [_Magnitude(v) for v in _termwise(m.g_poly, z, 3)]
+        g = np.sqrt(1 / ours.C)  # |g|: C, C′ and C″ are measured against C = g⁻² itself
+        scale = dict(zip(
+            "s s1d ric0_a ric0_b w_plus w_minus w_plus_norm2 w_minus_norm2 delW_plus_pot delW_minus_pot bach_B1 bach_B2".split(),
+            (curvature._scalar_from_jets(fm, gm), curvature._scalar_prime_from_jets(fm, gm), *curvature._tf_ricci_from_jets(fm, gm),
+             *curvature._weyl_from_jets(fm, gm), curvature._delta_w_from_jets(1, z, fm, [g]),
+             curvature._delta_w_from_jets(-1, z, fm, [g]), *curvature._bach_from_jets(fm, gm)),
+            strict=True,
+        ))
+        scale = {k: v.v for k, v in scale.items()}
+        scale.update(C=ours.C, C1d=ours.C * 2 * gm[1].v / g, C2d=ours.C * (6 * gm[1].v ** 2 + 2 * g * gm[2].v) / g ** 2)
+        for field, mag in scale.items():
+            diff = np.abs(getattr(ours, field) - getattr(series, field))
+            assert np.all(diff <= 1e-7 * mag), (field, float(np.max(diff / mag)))
+        assert [getattr(ours, f).tolist() for f in ("z", "F", "F1d", "F2d", "F3d", "F4d")] == [
+            getattr(series, f).tolist() for f in ("z", "F", "F1d", "F2d", "F3d", "F4d")]
 
 
 def _tf_ricci_literal(fj, g):

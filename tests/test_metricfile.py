@@ -168,12 +168,15 @@ class TestErrors:
     @pytest.mark.parametrize("text, lineno, message", [
         ("F term 0 0\nC exp C0=1 eps=-1\n", 3, "line 3: F is identically zero"),
         ("F term 1 2\nF term 0 1\nF term 1 -2\nF term 0 -1\nC exp C0=1 eps=-1\n", 6, "line 6: F is identically zero"),
-        ("F term 0 1\nC ratio\nnum term 0 1\nnum term 0 -1\nden term 0 1\n", None,
-         "bad ratio terms: numerator must be nonzero"),
-    ], ids=["F-zero-term", "F-cancelling-terms", "num"])
+        ("F term 0 1\nC ratio\nnum term 0 1\nnum term 0 -1\nden term 0 1\n", 6,
+         "line 6: bad ratio terms: numerator must be nonzero"),
+        ("F term 0 1\nC ratio\nden term 1 1\nden term 1 -1\nnum term 0 1\nnum term 1 1\n", 6,
+         "line 6: bad ratio terms: denominator must be nonzero"),
+    ], ids=["F-zero-term", "F-cancelling-terms", "num", "den"])
     @pytest.mark.parametrize("command", [["classify"], ["ends"], ["curvature", "--grid", "0.1:0.9:3"]])
     def test_identically_zero_f_or_numerator_fails(self, tmp_path, capsys, text, lineno, message, command):
         # before: these parsed; ends ended in a traceback and curvature printed a table for F ≡ 0
+        # (and a cancelling ratio side was "bad ratio terms: …" with no line number)
         text = "name t\ndomain 0 1 open open\n" + text
         with pytest.raises(MetricFileError) as info:
             parse_metric(text)

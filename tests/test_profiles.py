@@ -96,6 +96,12 @@ class TestConformalModels:
             with pytest.raises(ValueError, match="^exact coefficient is too large for a float$"):
                 make()
 
+    def test_exp_factor_scale_without_float_value_is_rejected(self):
+        # before: it built, and every C evaluation raised "C(z)=0.0 is not positive and finite"
+        with pytest.raises(ValueError, match="^exact coefficient is too small for a float$"):
+            ExpFactor(Fraction(1, 10**400), -1)
+        assert ExpFactor(5e-324, -1).c0 == 5e-324  # a subnormal C0 has a float C0^{−1/2}
+
     def test_exp_factor_value(self):
         m = MetricSpec("t", Canonical(0, 0, 0, 0), ExpFactor(3.0, -1), Domain(-2, 2))
         assert conformal_value(m, 0.5) == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
