@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .btflat import bt_grid_residual
@@ -108,6 +109,7 @@ class ClassificationReport:
         }
 
 
+@lru_cache(maxsize=256)  # bounded: a parameter sweep makes a new domain per spec
 def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
     """Interior sample points, geometrically clustered toward both ends:
     2·(n // 2) − 1 of them for n ≥ 4 (the two halves share the midpoint)
@@ -115,7 +117,8 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
 
     The sampled window is the domain itself when finite (shrunk 1% from each
     endpoint) and a finite sub-window when unbounded.  Raises ``ValueError``
-    for n < 2.
+    for n < 2.  The grid depends on ``(domain, n)`` alone and is built once
+    for each recent pair; the array returned is shared, so it is read-only.
     """
     import numpy as np
     if n < 2:
@@ -127,7 +130,9 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
     offsets = np.geomspace(pad, 0.5 * length, half)
     points = np.sort(np.concatenate([lo + offsets, hi - offsets]))
     # drop equal neighbours, as np.unique would (which imports numpy.ma)
-    return points[np.concatenate(([True], points[1:] != points[:-1]))]
+    points = points[np.concatenate(([True], points[1:] != points[:-1]))]
+    points.flags.writeable = False
+    return points
 
 
 def _grid_max(p, grid) -> float:

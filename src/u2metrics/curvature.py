@@ -144,12 +144,15 @@ def _checked(z, compute, names: str = ""):
     z, once each value is finite at z (at every z of an array): the values
     of a tuple, named in order by ``names``, or the fields of a
     CurvatureSample.  The first that is not raises ``ArithmeticError``
-    naming it and its first non-finite z."""
+    naming it and its first non-finite z; an array sample is tested whole
+    first, and field by field only when that test fails."""
     array = is_array(z)
     if array:
         import numpy as np
     with np.errstate(all="ignore") if array else nullcontext():
         values = compute()
+    if array and np.isfinite(values if names else tuple(vars(values).values())).all():
+        return values
     for name, value in zip(names.split(), values) if names else vars(values).items():
         hit = at_first(~np.isfinite(value), z) if array else None if math.isfinite(value) else (z,)
         if hit is not None:

@@ -6,12 +6,14 @@ Coefficients are either exact rationals (:class:`fractions.Fraction`) or
 floats; arithmetic stays exact as long as every operand is exact.
 
 Values are immutable after construction and all operations are pure.
-``eval`` and ``jet`` take a float or a 1-D float64 array of points.  Each
-value also carries a float cache for evaluation (sorted float exponents and,
-for every derivative order n, the row float(c·kⁿ)) and a cache of its real
-zeros; both are filled on first use and replaced whole, never mutated, and
-refilling them gives the same values, so values can still be shared freely
-between threads.  Equality and hashing depend on the exact terms alone.
+``eval`` and ``jet`` take a float or a 1-D float64 array of points; on an
+array, ``jet`` sums all derivative orders in one pass per term, in term
+order.  Each value also carries a float cache for evaluation (sorted float
+exponents and, for every derivative order n, the row float(c·kⁿ)) and a
+cache of its real zeros; both are filled on first use and replaced whole,
+never mutated, and refilling them gives the same values, so values can
+still be shared freely between threads.  Equality and hashing depend on
+the exact terms alone.
 """
 from __future__ import annotations
 
@@ -250,7 +252,8 @@ class ExpPoly:
 
         z is a float or a 1-D float64 array; on an array every entry is an
         array over z, summed the same way with ``np.exp`` in place of
-        ``math.exp``, and a non-finite entry raises for the first such z.
+        ``math.exp`` (for order ≥ 1 each term adds to one (order+1, len(z))
+        array), and a non-finite entry raises for the first such z.
         """
         _, kfs, rows = self._rows(order)
         array = is_array(z)
@@ -262,12 +265,17 @@ class ExpPoly:
                 es = np.exp(np.multiply.outer(kfs, z)) if array else [math.exp(kf * z) for kf in kfs]
             except OverflowError:
                 raise self._overflow(0, z) from None
-            values = []
-            for n in range(order + 1):
-                total = np.zeros(z.shape) if array else 0.0
-                for c, e in zip(rows[n], es):
-                    total += c * e
-                values.append(total)
+            if array and order:  # each term adds c·e to all orders at once (a value alone: float c is faster)
+                values = np.zeros((order + 1,) + z.shape)
+                for c, e in zip(np.array(rows[: order + 1]).T[:, :, None], es):
+                    values += c * e
+            else:
+                values = []
+                for n in range(order + 1):
+                    total = np.zeros(z.shape) if array else 0.0
+                    for c, e in zip(rows[n], es):
+                        total += c * e
+                    values.append(total)
         # once the value (row 0) is finite every exponential is, so a
         # non-finite entry n comes from row n's own terms
         if array:

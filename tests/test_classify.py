@@ -280,6 +280,25 @@ class TestSampleGrid:
         assert len(sample_grid(Domain(0.0, 1.0), n)) == count
         assert classify(catalog_get("page"), grid_n=n).grid_n == n
 
+    def test_repeat_call_returns_the_same_grid(self):
+        grid = sample_grid(Domain(-1.5, 2.0), 40)
+        assert sample_grid(Domain(-1.5, 2.0), 40) is grid
+        assert sample_grid(Domain(-1.5, 2.0), 41) is not grid
+
+    def test_grid_is_read_only(self):
+        grid = sample_grid(Domain(-1.5, 2.0), 40)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            grid[1:-1] += 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(-1.5, 2.0), (0.0, math.inf), (-math.inf, 3.0), (-math.inf, math.inf)])
+    def test_cached_grid_equals_an_uncached_build(self, lo, hi):
+        d = Domain(lo, hi)
+        got = sample_grid(d, 64)
+        want = sample_grid.__wrapped__(d, 64)
+        assert got is not want and got.tobytes() == want.tobytes()
+
     def test_two_points(self):
         grid = sample_grid(Domain(0.0, 1.0), 2)
         assert len(grid) == 2 and 0.0 < grid[0] < grid[1] < 1.0

@@ -152,14 +152,20 @@ class TestFlat:
             f(m, z)
 
     def test_float_and_array_raise_alike(self):
-        # one finiteness rule for both carriers: the same field at the same z
+        # one finiteness rule for both carriers: the same field at the same z.
+        # In the last case bach_B1 leaves float range first (z=400), but the
+        # earlier field delW_plus_pot (z=500) is named, as on a float z
         m = catalog_get("flat")
-        for f in (curvature_sample, bach):
+        for f, z, zs, field in [
+            (curvature_sample, 400.0, [300.0, 400.0], "bach_B1"),
+            (bach, 400.0, [300.0, 400.0], "bach_B1"),
+            (curvature_sample, 500.0, [400.0, 500.0], "delW_plus_pot"),
+        ]:
             with pytest.raises(ArithmeticError) as on_float:
-                f(m, 400.0)
+                f(m, z)
             with pytest.raises(ArithmeticError) as on_array:
-                f(m, np.array([300.0, 400.0]))
-            assert str(on_float.value) == str(on_array.value) == "bach_B1 is not finite at z=400.0"
+                f(m, np.array(zs))
+            assert str(on_float.value) == str(on_array.value) == f"{field} is not finite at z={z}"
 
 
 class TestTaubNut:

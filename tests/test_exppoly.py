@@ -226,6 +226,33 @@ def test_array_jet_is_within_eight_ulps_of_the_float_jet(p, zs, order):
     assert isinstance(got[0], np.ndarray) and got[0].shape == (len(zs),)
 
 
+def _reference_array_jet(p, zs, order):
+    """The array jet summed one order at a time: for each n, Σ float(c·kⁿ)·e^{kz}
+    over the terms in exponent order, with the exponentials of one np.exp."""
+    terms = sorted(p.terms())
+    es = np.exp(np.multiply.outer([float(k) for k, _ in terms], zs))
+    out = []
+    for n in range(order + 1):
+        total = np.zeros(zs.shape)
+        for (k, c), e in zip(terms, es):
+            total += float(c * k**n) * e
+        out.append(total)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _grids, st.integers(min_value=0, max_value=6))
+def test_array_jet_entry_is_the_array_eval_of_the_derivative(p, zs, order):
+    # the array jet sums all orders at once, term by term in exponent order:
+    # each entry is the order-by-order sum and its derivative's own array eval
+    zs = np.array(zs)
+    got = p.jet(zs, order)
+    want = _reference_array_jet(p, zs, order)
+    for n in range(order + 1):
+        assert np.array_equal(got[n], want[n]), n
+        assert np.array_equal(got[n], p.derive(n).eval(zs)), n
+
+
 class TestArrayOverflow:
     def _error(self, p, zs, order):
         with warnings.catch_warnings():

@@ -5,10 +5,12 @@ import math
 import pathlib
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from u2metrics import geometry
 from u2metrics.catalog import catalog_get, catalog_names, hirzebruch
 from u2metrics.exppoly import ExpPoly
 from u2metrics.geometry import (
@@ -20,7 +22,16 @@ from u2metrics.geometry import (
     find_bolts,
     transcribe_classic,
 )
-from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, OutOfDomainError
+from u2metrics.numerics import adaptive_quad
+from u2metrics.profiles import (
+    Canonical,
+    Domain,
+    ExpFactor,
+    MetricSpec,
+    OutOfDomainError,
+    SingularConformalFactorError,
+    conformal_value,
+)
 
 
 def _crossing_spec():
@@ -128,6 +139,34 @@ class TestDistance:
         m = catalog_get("taub-nut", {"m": 1.0})
         assert distance(m, 0.5, 2.0) == pytest.approx(distance(m, 2.0, 0.5), abs=1e-12)
 
+    def test_one_quadrature_per_finite_distance(self, monkeypatch):
+        # both halves of the finite interval go through one call at the caller's tol
+        tols = []
+
+        def counted(f, a, b, tol=1e-10):
+            tols.append(tol)
+            return adaptive_quad(f, a, b, tol=tol)
+
+        monkeypatch.setattr(geometry, "adaptive_quad", counted)
+        for name in catalog_names():
+            m = catalog_get(name)
+            for side in ("lower", "upper"):
+                tols.clear()
+                got = _end_distance(m, side)
+                assert tols == ([1e-11] if math.isfinite(got) else []), (name, side)
+        tols.clear()
+        distance(catalog_get("taub-nut"), 0.5, 2.0, tol=1e-9)
+        assert tols == [1e-9]
+
+    @pytest.mark.parametrize("c2, c3, bad_side", [(0, -0.001, "upper"), (-0.001, 0, "lower")])
+    def test_undefined_next_to_either_end_names_a_z_on_that_side(self, c2, c3, bad_side):
+        # F = 1 − 0.001·e^{±z} is negative past z = ±ln 1000, inside the upper or the lower half
+        m = MetricSpec("s", Canonical(0, c2, c3, 0), ExpFactor(1.0, -1), Domain(-20.0, 20.0))
+        with pytest.raises(SingularConformalFactorError, match=r"^√\(C/F\) undefined at z=") as err:
+            distance(m, -10.0, 10.0)
+        z = float(str(err.value).rsplit("=", 1)[1])
+        assert (z > math.log(1000.0)) if bad_side == "upper" else (z < -math.log(1000.0))
+
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -170,7 +209,45 @@ def _end_distance(m, side: str) -> float:
     return distance(m, z_ref, m.domain.hi)
 
 
+def _two_half_distance(m, z1: float, z2: float, tol: float = 1e-11) -> float:
+    """distance as two quadratures at tol/2, one per half from its own end,
+    each half's integrand 2u·½√(C/F)(z0 ± u²) with its end's F(z0) subtracted
+    at a zero of F: the sum that distance's one quadrature replaces."""
+    poly, (num, den) = m.f_poly(), m.c_ratio
+
+    def h(z, f_base=0.0):
+        return 0.5 * np.sqrt(conformal_value(m, z) / (poly.eval(z) - f_base))
+
+    total, lo, hi = 0.0, z1, z2
+    for sgn in (1, -1):  # an infinite end's exponential tail past its cut
+        end, other = (hi, lo) if sgn > 0 else (lo, hi)
+        if math.isinf(end):
+            rate = 0.5 * (geometry._growth(num, sgn) - geometry._growth(den, sgn) - geometry._growth(poly, sgn))
+            if rate >= 0.0:
+                return math.inf
+            cut = sgn * max(sgn * other + 1.0, 60.0)
+            total += float(h(cut)) / -rate
+            lo, hi = (lo, cut) if sgn > 0 else (cut, hi)
+    u_mid = math.sqrt(0.5 * (hi - lo))
+    for z0, s in ((lo, 1.0), (hi, -1.0)):
+        of, on, od = (geometry._zero_order(p, z0) for p in (poly, num, den))
+        if on - od - of <= -2:
+            return math.inf
+        f_base = poly.eval(z0) if of else 0.0
+        total += adaptive_quad(lambda u: 2.0 * u * h(z0 + s * u * u, f_base), 0.0, u_mid, tol=0.5 * tol)
+    return total
+
+
 class TestEndDistances:
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_within_1e12_of_the_two_half_sum(self, name, side):
+        m = catalog_get(name)
+        z_ref = _window_mid(m)
+        want = _two_half_distance(m, *((m.domain.lo, z_ref) if side == "lower" else (z_ref, m.domain.hi)))
+        got = _end_distance(m, side)
+        assert got == want if math.isinf(want) else abs(got - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("name", catalog_names())
     def test_matches_mpmath_reference(self, name, side):
