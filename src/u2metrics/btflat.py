@@ -6,6 +6,12 @@ integrated.  The flow solves the second-order equation F1 = 0 for C″ and the
 fourth-order equation F2 = 0 for F⁗ (triangular elimination: F1 contains no
 F⁗).  The third-order quantity T is a constant of the motion and is monitored
 along every trajectory; B^t-flat solutions are those with T = 0.
+
+F1, F2 and T (functional ∫|W|² + t∫s², Gursky–Viaclovsky 2016) are written
+once, with no square root, in C and d = C′/C: F1res = C·(s − s[F, C]) is an
+F-only part plus C·s + 12F′·d − 6F·d² + 12F·C″/C, and F2res and T are
+(8/3)(L⁺L⁻F − 1) and 16·B(F,F) plus t·C times a polynomial in F's jet, d,
+C″/C, s and s′.  One body serves the float flow and float or array residuals.
 """
 from __future__ import annotations
 
@@ -126,27 +132,17 @@ def _guard(z, F, C):
         raise SingularSystemError(f"F vanishes at z={z}")
 
 
-def _f1_parts(F, F1, F2, C, C1, s, sqrt_c) -> tuple:
-    """F1res = coef·C″ + rest, with coef = 12F/√C."""
-    h1 = C1 / (2.0 * sqrt_c)  # (C^{1/2})′
-    coef = 24.0 * F / (2.0 * sqrt_c)  # = 12F·C^{-1/2}, multiplies C″
-    rest = (
-        24.0 * (F1 * h1 + F * (-(C1 * C1) / (4.0 * C * sqrt_c)))
-        + 4.0 * sqrt_c * (F2 + 0.5 * F - 2.0)
-        + s * C * sqrt_c
-    )
-    return coef, rest
+def _f1_parts(F, F1, F2, C, C1, s) -> tuple:
+    """F1res = coef·C″/C + rest, with coef = 12F and d = C′/C in rest."""
+    d = C1 / C
+    return 12.0 * F, 12.0 * F1 * d - 6.0 * F * d * d + 4.0 * (F2 + 0.5 * F - 2.0) + C * s
 
 
-def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d, sqrt_c) -> float:
+def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d) -> float:
     """F2res at a state with s′ = s1 and the given F⁗, C″."""
-    c32 = C * sqrt_c  # C^{3/2}; products, so a float C overflows to inf as an array does
-    c_m12_d2 = -C2d / (2.0 * c32) + 0.75 * C1 * C1 / (C * c32)  # (C^{-1/2})″
-    return (
-        (8.0 / 3.0) * (0.25 * F4d - 1.25 * F2 + F - 1.0)
-        + t * s * c32 * (c_m12_d2 - 0.25 / sqrt_c)
-        + 0.5 * t * (C / F) * F1 * s1
-        + t * C1 * s1
+    d = C1 / C
+    return (8.0 / 3.0) * (0.25 * F4d - 1.25 * F2 + F - 1.0) + t * C * (
+        s * (0.75 * d * d - 0.5 * C2d / C - 0.25) + s1 * (d + F1 / (2.0 * F))
     )
 
 
@@ -158,20 +154,17 @@ def tval(state: BtState, t: float) -> float:
         s1 = K / (C * F)
     except ZeroDivisionError:  # C > 0 and F ≠ 0, but their float product underflowed
         raise ZeroDivisionError(f"C·F underflows to 0 at z={z}") from None
-    b = b_op_jet((F, F1, F2, F3))
-    return (
-        16.0 * b
-        - 18.0 * t * F * C1 * s1
-        - 6.0 * t * C * F1 * s1
-        - 0.75 * t * s / C * (C * C * (-16.0 + 4.0 * F + C * s) + 12.0 * F * C1 * C1 + 8.0 * C * C1 * F1)
+    d = C1 / C
+    return 16.0 * b_op_jet((F, F1, F2, F3)) - t * C * (
+        s1 * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
     )
 
 
 def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
     """(F1res, F2res, Tval) at a state with the given F⁗ and C″.
 
-    F1res = 0 says that s is the scalar curvature and F2res = 0 is the
-    fourth-order equation; (CFs′)′ = 0 holds by construction: s′ = K/(CF).
+    F1res = C·(s − s[F, C]) = 0 says that s is the scalar curvature, F2res = 0
+    is the fourth-order equation; s′ = K/(CF) makes (CFs′)′ = 0 by construction.
     Of ``bt_rhs``'s own F⁗ and C″ they are round-off.  A float state and an
     array state follow one rule: the first z where C ≤ 0 or F = 0 raises
     :class:`SingularSystemError`, and the first z with a non-finite residual
@@ -186,9 +179,8 @@ def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
     try:
         with np.errstate(all="ignore") if array else nullcontext():
             tv = tval(state, t)  # which guards F and C first
-            sqrt_c = np.sqrt(C) if array else math.sqrt(C)
-            coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
-            out = (coef * C2d + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d, sqrt_c), tv)
+            coef, rest = _f1_parts(F, F1, F2, C, C1, s)
+            out = (coef * C2d / C + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d), tv)
     except ZeroDivisionError:
         out = (math.nan,)
     if array:
@@ -207,25 +199,23 @@ def _derivative(state: Sequence[float], t: float) -> list:
 
     ``state`` is any (z, F, F′, F″, F‴, C, C′, s, K) sequence of floats: a
     :class:`BtState` or an integrator stage's plain tuple.  Solves F1 = 0 for
-    C″ (coefficient 12F·C^{-1/2}) and then F2 = 0 for F⁗ (coefficient 2/3);
-    raises :class:`SingularSystemError` where C ≤ 0 or F = 0, or when a
-    solve coefficient falls below 1e-12 in magnitude, or where a divisor formed
-    from C and F (C·F, C^{3/2}) underflows to 0.
+    C″ = −C·rest/(12F) (the coefficient of C″ is 12F/C) and then F2 = 0 for
+    F⁗ (coefficient 2/3); raises :class:`SingularSystemError` where C ≤ 0 or
+    F = 0, when |12F/C| falls below 1e-12, or where C·F underflows to 0.
     """
     z, F, F1, F2, F3, C, C1, s, K = state
     if C <= 0.0 or F == 0.0:
         _guard(z, F, C)  # raises, naming z
+    coef, rest = _f1_parts(F, F1, F2, C, C1, s)
+    if abs(coef) < _COEF_FLOOR * C:  # |12F/C|, without forming a quotient that may overflow
+        raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef / C:g})")
+    C2d = -C * rest / coef
     try:
-        sqrt_c = math.sqrt(C)
-        coef, rest = _f1_parts(F, F1, F2, C, C1, s, sqrt_c)
-        if abs(coef) < _COEF_FLOOR:
-            raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef:g})")
-        C2d = -rest / coef
         s1 = K / (C * F)
-        # F2 = (2/3)·F⁗ + rest
-        F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d, sqrt_c) / (2.0 / 3.0)
     except ZeroDivisionError:
         raise SingularSystemError(f"a divisor formed from C and F underflows to 0 at z={z}") from None
+    # F2 = (2/3)·F⁗ + rest
+    F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d) / (2.0 / 3.0)
     return [F1, F2, F3, F4d, C1, C2d, s1, 0.0]
 
 
@@ -510,9 +500,9 @@ def bt_grid_residual(cs: CurvatureSample, t: float) -> float:
     """max over an array curvature sample of the B^t-flat residuals |F1|, |F2|, |T|.
 
     Each residual is normalized by the magnitude of the terms entering it:
-    near a conformal-factor pole the T expression carries C^{3/2} and C′²/C
-    factors that amplify round-off in the sampled scalar curvature, so raw
-    residuals there are pure float noise scaled by those factors.
+    near a conformal-factor pole the T expression carries C·s and C·d² terms
+    (C²s², F·C′²/C) that amplify round-off in the sampled scalar curvature,
+    so raw residuals there are pure float noise scaled by those factors.
     """
     import numpy as np
     c, c1d = cs.C, cs.C1d

@@ -83,13 +83,12 @@ def find_bolts(m: MetricSpec) -> list:
     bolt's self-intersection when it rounds to a nonzero integer (tolerance
     1e-9); zeros of multiplicity ≥ 2 are flagged degenerate, not bolts.
     """
-    dpoly = m.f_poly().derive()
-    d = m.domain
+    poly, d = m.f_poly(), m.domain
     out = []
-    for z0, mult in m.f_poly().real_roots(d.lo, d.hi):
+    for z0, mult in poly.real_roots(d.lo, d.hi):
         if not d.contains(z0, tol=0.0):  # a zero at an open end
             continue
-        k = dpoly.eval(z0)
+        k = poly.jet(z0, 1)[1]  # F′(z0), derive().eval(z0)'s bits
         smooth = mult == 1 and _integer_slope(k) is not None
         out.append(Bolt(z0=z0, slope=k, smooth_quotient=smooth, degenerate=mult >= 2))
     return out

@@ -1,12 +1,17 @@
 """The eighth-order critical-point flow: residuals, conservation, search."""
+import ast
 import hashlib
+import inspect
 import json
 import math
 import pathlib
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from u2metrics import btflat
 from u2metrics.btflat import (
@@ -28,6 +33,7 @@ from u2metrics.btflat import (
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import _scalar_from_jets, _scalar_prime_from_jets, curvature_sample, scalar_curvature
+from u2metrics.operators import b_op_jet
 from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, jet_C, jet_F
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -76,6 +82,17 @@ class TestState:
             bt_rhs((0.7, 1.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.1, 0.0), 1.0)
         with pytest.raises(SingularSystemError, match=r"F vanishes at z=0\.7"):
             bt_rhs((0.7, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.1, 0.0), 1.0)
+
+    @pytest.mark.parametrize("F,C,singular", [
+        (1e-14, 1.0, True), (1e-13, 1.0, False), (1e-11, 1e3, True), (1e-11, 10.0, False),
+    ])
+    def test_c2d_solve_is_singular_below_the_floor_of_12f_over_c(self, F, C, singular):
+        state = (0.2, F, 0.1, 0.0, 0.0, C, 0.3, 0.5, 0.0)
+        if singular:
+            with pytest.raises(SingularSystemError, match=r"^F1 solve for C'' is singular \(coefficient 1\.2e-13\)$"):
+                bt_rhs(state, 1.0)
+        else:
+            assert np.isfinite(bt_rhs(state, 1.0)[0]).all()
 
 
 class TestClosedFormResiduals:
@@ -402,7 +419,7 @@ class TestArrayResiduals:
             bt_residuals(state, 1.0, 0.0 * z, 0.0 * z)
 
     def test_non_finite_residual_names_its_z(self):
-        # C^{3/2} overflows at the second z only
+        # T's C·(C·s) overflows at the second z only
         state, z = self._state(F=(1.0, 1.2, 1.3, 1.4), C=(1.0, 1e300, 1.2, 1.3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -422,7 +439,7 @@ class TestArrayResiduals:
             with pytest.raises(ArithmeticError, match=message):
                 bt_residuals(BtState(*(np.array([v]) for v in state)), 1.0, np.array([1e200]), np.array([1e200]))
 
-    # C > 0 and F ≠ 0 pass the guard, but C·F = 1e-350 underflows to 0 (and so does C^{3/2})
+    # C > 0 and F ≠ 0 pass the guard, but C·F = 1e-350 underflows to 0
     UNDERFLOW = BtState(0.0, 1e-100, 0.1, 0.0, 0.0, 1e-250, 0.0, 1.0, 1.0)
 
     def test_underflowed_product_in_tval_names_z(self):
@@ -430,20 +447,30 @@ class TestArrayResiduals:
         with pytest.raises(ZeroDivisionError, match=r"^C·F underflows to 0 at z=0\.0$"):
             tval(self.UNDERFLOW, 1.0)
 
-    @pytest.mark.parametrize("F", [1e-100, 1e100], ids=["C·F", "C^{3/2}"])
+    @pytest.mark.parametrize("F", [1e-100], ids=["C·F"])
     def test_underflowed_product_truncates_the_flow(self, F):
         # before: ZeroDivisionError out of bt_integrate; now truncated as on a singular solve
         traj = bt_integrate(self.UNDERFLOW._replace(F=F), 1.0, (0.0, 0.1))
         assert traj.truncated and traj.samples == []
         assert traj.truncation_reason == "a divisor formed from C and F underflows to 0 at z=0.0"
 
+    def test_tiny_c_solves_for_c2d_without_overflow(self):
+        # C = 1e-250, F = 1e100: C″'s coefficient 12F/C = 1.2e351 leaves float
+        # range, but C″ = −C·rest/(12F) does not; here C′ = 0, so rest = C·s + 4(F″ + ½F − 2)
+        state = self.UNDERFLOW._replace(F=1e100)
+        C, F = Fraction(state.C), Fraction(state.F)
+        rest = C * Fraction(state.s) + 4 * (Fraction(state.F2d) + F / 2 - 2)
+        deriv, f4d, c2d = bt_rhs(state, 1.0)
+        assert np.isfinite(deriv).all() and c2d == deriv[5]
+        assert abs(c2d - float(-C * rest / (12 * F))) <= 2e-16 * abs(c2d)
+
     def test_underflowed_product_is_a_seed_error(self):
         with pytest.raises(SeedError, match=r"^seed's C·F = 1e-250·1e-100 underflows to 0$"):
             bt_csc_seed(1e-100, 0.1, 0.0, 1e-250, 0.0, 1.0, 1.0)
 
     def test_large_conformal_factor_raises_no_warning(self):
-        # C^{5/2} leaves float range: both paths read (C^{-1/2})″'s C′²/C^{5/2}
-        # term as 0 and stay finite, and the float row is the array row
+        # C = 1e130: every form stays finite (C′/C = −1, C·s = −24), and the
+        # float row is the array row
         m = MetricSpec("big-c", Canonical(1, 0, 0, 0), ExpFactor(1e130, -1), Domain(-1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -454,6 +481,115 @@ class TestArrayResiduals:
             (want,) = bt_sample_residuals(curvature_sample(m, np.array([0.0])), 1.0).tolist()
         for x, y in zip(got, want):
             assert abs(x - y) <= 1e-14 * abs(y), (got, want)
+
+
+# ------------------------------------------------------ square-root-free forms
+# F1res, F2res and T as they were written in C^{±1/2}, kept verbatim as the
+# reference for the forms in C and d = C′/C.
+def _f1_parts_sqrt(F, F1, F2, C, C1, s, sqrt_c) -> tuple:
+    """F1res = coef·C″ + rest, with coef = 12F/√C."""
+    h1 = C1 / (2.0 * sqrt_c)  # (C^{1/2})′
+    coef = 24.0 * F / (2.0 * sqrt_c)  # = 12F·C^{-1/2}, multiplies C″
+    rest = (
+        24.0 * (F1 * h1 + F * (-(C1 * C1) / (4.0 * C * sqrt_c)))
+        + 4.0 * sqrt_c * (F2 + 0.5 * F - 2.0)
+        + s * C * sqrt_c
+    )
+    return coef, rest
+
+
+def _f2_value_sqrt(t, F, F1, F2, C, C1, s, s1, F4d, C2d, sqrt_c):
+    c32 = C * sqrt_c  # C^{3/2}
+    c_m12_d2 = -C2d / (2.0 * c32) + 0.75 * C1 * C1 / (C * c32)  # (C^{-1/2})″
+    return (
+        (8.0 / 3.0) * (0.25 * F4d - 1.25 * F2 + F - 1.0)
+        + t * s * c32 * (c_m12_d2 - 0.25 / sqrt_c)
+        + 0.5 * t * (C / F) * F1 * s1
+        + t * C1 * s1
+    )
+
+
+def _tval_sqrt(state, t):
+    z, F, F1, F2, F3, C, C1, s, K = state
+    s1 = K / (C * F)
+    return (
+        16.0 * b_op_jet((F, F1, F2, F3))
+        - 18.0 * t * F * C1 * s1
+        - 6.0 * t * C * F1 * s1
+        - 0.75 * t * s / C * (C * C * (-16.0 + 4.0 * F + C * s) + 12.0 * F * C1 * C1 + 8.0 * C * C1 * F1)
+    )
+
+
+def _forms(t, state, F4d, C2d, sqrt=math.sqrt):
+    """((F1res, F2res, T) in C and d, the same in C^{±1/2}) at a state."""
+    z, F, F1, F2, F3, C, C1, s, K = state
+    s1 = K / (C * F)
+    coef, rest = btflat._f1_parts(F, F1, F2, C, C1, s)
+    new = (coef * C2d / C + rest, btflat._f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d), tval(state, t))
+    coef, rest = _f1_parts_sqrt(F, F1, F2, C, C1, s, sqrt(C))
+    old = (coef * C2d + rest, _f2_value_sqrt(t, F, F1, F2, C, C1, s, s1, F4d, C2d, sqrt(C)), _tval_sqrt(state, t))
+    return new, old
+
+
+_signed = st.floats(min_value=1e-3, max_value=1e3).flatmap(lambda x: st.sampled_from([x, -x]))
+_entry = st.one_of(st.just(0.0), _signed)
+
+
+class TestSquareRootFreeForms:
+    """F1res, F2res and T in C and d = C′/C equal the C^{±1/2} forms."""
+
+    def test_identities(self):
+        sp = pytest.importorskip("sympy")
+        F, C = sp.symbols("F C", positive=True)
+        F1, F2, F3, F4, C1, C2, s, s1, t = sp.symbols("F1 F2 F3 F4 C1 C2 s s1 t", real=True)
+        state = BtState(0.0, F, F1, F2, F3, C, C1, s, C * F * s1)
+        new, old = _forms(t, state, F4, C2, sqrt=sp.sqrt)
+
+        def exact(e):  # each float literal as the rational it stores
+            return sp.expand(e.xreplace({f: sp.Rational(f) for f in e.atoms(sp.Float)}))
+
+        assert exact(new[0] * sp.sqrt(C) - old[0]) == 0
+        assert exact(new[1] - old[1]) == 0 and exact(new[2] - old[2]) == 0
+        # F1res = C·(s − the kernel's s of F and g = C^{-1/2})
+        z = sp.Symbol("z")
+        cz = sp.Function("C")(z)
+        to_jet = [(cz.diff(z, 2), C2), (cz.diff(z), C1), (cz, C)]
+        g = [sp.diff(cz ** sp.Rational(-1, 2), z, n).subs(to_jet) for n in range(3)]
+        assert exact(new[0] - C * (s - _scalar_from_jets((F, F1, F2), g))) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(_signed, *[_entry] * 3, st.floats(min_value=1e-3, max_value=1e3), *[_entry] * 5),
+           st.floats(min_value=-3.0, max_value=3.0))
+    def test_float_forms_agree(self, fields, t):
+        F, F1, F2, F3, C, C1, s, s1, F4d, C2d = fields
+        new, old = _forms(t, BtState(0.0, F, F1, F2, F3, C, C1, s, C * F * s1), F4d, C2d)
+        s1 = C * F * s1 / (C * F)  # the s′ both forms read from K
+        d, c2 = C1 / C, C2d / C
+        sizes = (
+            math.sqrt(C) * (abs(C * s) + 4 * (abs(F2) + abs(F) / 2 + 2) + 12 * abs(F1 * d)
+                            + 6 * abs(F) * d * d + 12 * abs(F * c2)),
+            8 / 3 * (abs(F4d) / 4 + 1.25 * abs(F2) + abs(F) + 1)
+            + abs(t * C) * (abs(s) * (0.75 * d * d + 0.5 * abs(c2) + 0.25) + abs(s1) * (abs(d) + abs(F1 / F) / 2)),
+            16 * abs(b_op_jet((F, F1, F2, F3))) + abs(t * C) * (
+                abs(s1) * (18 * abs(F * d) + 6 * abs(F1))
+                + 0.75 * abs(s) * (4 * abs(F) + 16 + C * abs(s) + 12 * abs(F) * d * d + 8 * abs(F1 * d))),
+        )
+        got = (new[0] * math.sqrt(C), new[1], new[2])
+        for x, y, size in zip(got, old, sizes):
+            assert abs(x - y) <= 32 * 2.0**-52 * size, (x, y, size)
+
+    def test_equation_code_has_no_square_root(self):
+        tree = ast.parse(inspect.getsource(btflat))
+        functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        for name in ("_f1_parts", "_f2_value", "tval", "_derivative", "bt_residuals"):
+            nodes = list(ast.walk(functions[name]))
+            names = [n.id for n in nodes if isinstance(n, ast.Name)] + [
+                n.attr for n in nodes if isinstance(n, ast.Attribute)] + [
+                a.arg for n in nodes if isinstance(n, ast.arguments) for a in n.args]
+            assert [v for v in names if "sqrt" in v] == [], name
+            powers = [ast.unparse(n) for n in nodes if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                      and not (isinstance(n.right, ast.Constant) and type(n.right.value) is int)]
+            assert powers == [], (name, powers)
 
 
 # ------------------------------------------------------------- bit identity

@@ -94,6 +94,17 @@ class TestFindBolts:
         end = classify_end(m, "lower")
         assert end.kind == ("bolt" if integer else "conical") and end.self_intersection == integer
 
+    def test_slopes_are_the_derivative_without_building_it(self, monkeypatch):
+        # each slope is F's 1-jet at the root, derive().eval(z0) bit for bit
+        specs = [catalog_get(name) for name in catalog_names()]
+        want = [[m.f_poly().derive().eval(b.z0).hex() for b in find_bolts(m)] for m in specs]
+        calls = []
+        real = ExpPoly.derive
+        monkeypatch.setattr(ExpPoly, "derive", lambda self, order=1: calls.append(order) or real(self, order))
+        got = [[b.slope.hex() for b in find_bolts(m)] for m in specs]
+        assert got == want and sum(map(len, got)) == 13
+        assert calls == []
+
     def test_double_zero_is_degenerate(self):
         # F = (1 − e^{-z})² on a domain closed at its double zero z = 0
         m = MetricSpec("d", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True))
