@@ -1,8 +1,8 @@
 """Exact algebra of exponential polynomials  Σ aₖ·e^(k·z).
 
-Exponents are exact rationals with denominator 1 or 2 (half-integers are all
-that the profile and conformal-factor formulas ever produce, via √C factors).
-Coefficients are either exact rationals (:class:`fractions.Fraction`) or
+Exponents are half-integers (all that the profile and conformal-factor
+formulas produce, via √C factors), stored as the int 2k and returned as
+Fractions.  Coefficients are exact rationals (:class:`fractions.Fraction`) or
 floats; arithmetic stays exact as long as every operand is exact.
 
 Values are immutable after construction and all operations are pure.
@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from numbers import Rational
+from operator import mul
 
 from .numerics import is_array
 
@@ -41,35 +42,30 @@ class EvalOverflowError(ArithmeticError):
         super().__init__(f"term e^({exponent}z) is non-finite at z={z}")
 
 
-_ALLOWED_DENOMINATORS = (1, 2)
-
 ENDPOINT_RTOL = 1e-12  # real_roots: a zero this close to a finite lo/hi is that end
+_SCALAR = (int, float, Rational)  # int and float ahead of the ABC, whose isinstance is a slow Python-level check
 
 
-def _as_exponent(k) -> Fraction:
-    if isinstance(k, tuple):
-        k = Fraction(k[0], k[1])
-    elif isinstance(k, float):
-        if k != int(k * 2) / 2.0:
-            raise ExpPolyError(f"exponent {k!r} is not a half-integer")
-        k = Fraction(int(k * 2), 2)
-    elif not isinstance(k, Fraction):  # a Fraction is immutable: no copy
-        k = Fraction(k)
-    if k.denominator not in _ALLOWED_DENOMINATORS:
+def _key(k) -> int:
+    """2k for a half-integer exponent k: an int, Fraction, float or (p, q) tuple."""
+    if isinstance(k, float) and k % 0.5:  # nan for an infinite or nan k
+        raise ExpPolyError(f"exponent {k!r} is not a half-integer")
+    k = Fraction(*k) if isinstance(k, tuple) else Fraction(k)
+    if k.denominator > 2:
         raise ExpPolyError(f"exponent {k} has denominator {k.denominator}; only 1 or 2 allowed")
-    return k
+    return 2 * k.numerator // k.denominator
 
 
 def _as_number(c):
-    """c as a Fraction (copied only when it is not one) or a finite float."""
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, Rational):
-        return Fraction(c)
+    """c as a finite float or a Fraction (copied only when it is not one)."""
     if isinstance(c, float):
         if not math.isfinite(c):
             raise ExpPolyError(f"non-finite coefficient {c!r}")
         return c
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, _SCALAR):
+        return Fraction(c)
     raise ExpPolyError(f"unsupported coefficient type {type(c).__name__}")
 
 
@@ -94,16 +90,22 @@ class ExpPoly:
     __slots__ = ("_terms", "_compiled", "_zeros")
 
     def __init__(self, terms=()):
-        data: dict[Fraction, object] = {}
-        for k, c in terms:
-            k = _as_exponent(k)
+        self._fill((_key(k), c) for k, c in terms)
+
+    @staticmethod
+    def _keyed(items) -> "ExpPoly":  # from (2k, coefficient) pairs, keys unchecked
+        return object.__new__(ExpPoly)._fill(items)
+
+    def _fill(self, items) -> "ExpPoly":
+        data: dict[int, object] = {}
+        for k, c in items:
             c = _as_number(c)
             prev = data.get(k)
             if prev is not None:
                 try:  # an exact term past float range fails here, where it meets another
                     c = _as_coefficient(prev + c)
                 except (OverflowError, ExpPolyError):
-                    raise ExpPolyError(f"coefficient of e^({k}z) sums past float range") from None
+                    raise ExpPolyError(f"coefficient of e^({Fraction(k, 2)}z) sums past float range") from None
             if c:
                 data[k] = c
             elif prev is not None:
@@ -111,6 +113,7 @@ class ExpPoly:
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_compiled", None)
         object.__setattr__(self, "_zeros", None)
+        return self
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ExpPoly is immutable")
@@ -122,7 +125,7 @@ class ExpPoly:
 
     @staticmethod
     def constant(c) -> "ExpPoly":
-        return ExpPoly([(0, c)])
+        return ExpPoly._keyed(((0, c),))
 
     @staticmethod
     def exp_term(k, c=1) -> "ExpPoly":
@@ -131,10 +134,10 @@ class ExpPoly:
 
     def terms(self) -> tuple:
         """Sorted tuple of (exponent, coefficient) pairs."""
-        return tuple(sorted(self._terms.items()))
+        return tuple((Fraction(k, 2), c) for k, c in sorted(self._terms.items()))
 
     def coefficient(self, k):
-        return self._terms.get(_as_exponent(k), Fraction(0))
+        return self._terms.get(_key(k), Fraction(0))
 
     @property
     def is_zero(self) -> bool:
@@ -145,26 +148,26 @@ class ExpPoly:
         return all(isinstance(c, Fraction) for c in self._terms.values())
 
     def exponents(self) -> tuple:
-        return tuple(sorted(self._terms))
+        return tuple(Fraction(k, 2) for k in sorted(self._terms))
 
     def extreme_exponent(self, side: int):
         """Largest exponent for side=+1 (z→+∞ behaviour), smallest for -1."""
         if not self._terms:
             return None
-        return max(self._terms) if side > 0 else min(self._terms)
+        return Fraction(max(self._terms) if side > 0 else min(self._terms), 2)
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other):
-        if isinstance(other, (Rational, float)):
-            other = ExpPoly.constant(other)
         if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return ExpPoly([*self._terms.items(), *other._terms.items()])
+            if not isinstance(other, _SCALAR):
+                return NotImplemented
+            other = ExpPoly.constant(other)
+        return ExpPoly._keyed([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (ExpPoly, Rational, float)):
+        if not isinstance(other, ExpPoly) and not isinstance(other, _SCALAR):
             return NotImplemented
         return self + -other
 
@@ -172,29 +175,30 @@ class ExpPoly:
         return -self + other
 
     def __neg__(self):
-        return ExpPoly([(k, -c) for k, c in self._terms.items()])
+        return ExpPoly._keyed([(k, -c) for k, c in self._terms.items()])
 
     def __mul__(self, other):
-        if isinstance(other, (Rational, float)):
+        if isinstance(other, ExpPoly):
+            b = other._terms.items()
+            return ExpPoly._keyed([(ka + kb, ca * cb) for ka, ca in self._terms.items() for kb, cb in b])
+        if isinstance(other, _SCALAR):
             return self.scale(other)
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return ExpPoly([(ka + kb, ca * cb) for ka, ca in self._terms.items() for kb, cb in other._terms.items()])
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Exact division by a nonzero rational; a float divisor is refused."""
-        if not isinstance(other, Rational):
+        if not isinstance(other, (int, Rational)):
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("ExpPoly division by zero")
         d = Fraction(other)
-        return ExpPoly([(k, c / d) for k, c in self._terms.items()])
+        return ExpPoly._keyed([(k, c / d) for k, c in self._terms.items()])
 
     def scale(self, c) -> "ExpPoly":
         c = _as_coefficient(c)
-        return ExpPoly([(k, a * c) for k, a in self._terms.items()])
+        return ExpPoly._keyed([(k, a * c) for k, a in self._terms.items()])
 
     # ---------------------------------------------------------- differential
     def derive(self, order: int = 1) -> "ExpPoly":
@@ -203,11 +207,11 @@ class ExpPoly:
             raise ExpPolyError("derivative order must be non-negative")
         if order == 0:
             return self
-        return ExpPoly([(k, c * k**order) for k, c in self._terms.items()])
+        return ExpPoly._keyed([(k, c * Fraction(k**order, 1 << order)) for k, c in self._terms.items()])
 
     # ------------------------------------------------------------ evaluation
     def _rows(self, order: int) -> tuple:
-        """(exponents, float exponents, coefficient rows 0..≥order).
+        """(keys 2k, float exponents, coefficient rows 0..≥order).
 
         Terms are in exponent order; row n holds float(c·kⁿ) from the exact
         coefficient (0.0 where the derivative drops the term), which is what
@@ -217,30 +221,31 @@ class ExpPoly:
         if compiled is not None and len(compiled[2]) > order:
             return compiled
         items = sorted(self._terms.items())
-        exps = tuple(k for k, _ in items)
-        coeffs = [c for _, c in items]
-        rows = []
-        for _ in range(max(order, 4) + 1):
-            rows.append(tuple(float(c) for c in coeffs))
-            coeffs = [c * k for c, k in zip(coeffs, exps)]
-        compiled = (exps, tuple(float(k) for k in exps), tuple(rows))
+        n = max(order, 4) + 1
+        columns = [  # a float c times k once per order; an exact one as num·(2k)ⁱ / (den·2ⁱ), rounded once
+            list(accumulate(repeat(k / 2, n - 1), mul, initial=c)) if isinstance(c, float)
+            else [c.numerator * k**i / (c.denominator << i) for i in range(n)]
+            for k, c in items
+        ]
+        keys = tuple(k for k, _ in items)
+        compiled = (keys, tuple(k / 2 for k in keys), tuple(tuple(col[i] for col in columns) for i in range(n)))
         object.__setattr__(self, "_compiled", compiled)
         return compiled
 
     def _overflow(self, order: int, z: float) -> EvalOverflowError:
         """The error for a non-finite value of row ``order`` at z: it names the
         first non-finite term in exponent order, else the extreme exponent."""
-        exps, kfs, rows = self._rows(order)
-        live = [(k, kf, c) for k, kf, c in zip(exps, kfs, rows[order]) if c != 0.0]
+        keys, kfs, rows = self._rows(order)
+        live = [(k, kf, c) for k, kf, c in zip(keys, kfs, rows[order]) if c != 0.0]
         for k, kf, c in live:
             try:
                 term = c * math.exp(kf * z)
             except OverflowError:
-                return EvalOverflowError(k, z)
+                return EvalOverflowError(Fraction(k, 2), z)
             if not math.isfinite(term):
-                return EvalOverflowError(k, z)
+                return EvalOverflowError(Fraction(k, 2), z)
         ks = [k for k, _, _ in live]
-        return EvalOverflowError(max(ks) if z > 0 else min(ks), z)
+        return EvalOverflowError(Fraction(max(ks) if z > 0 else min(ks), 2), z)
 
     def eval(self, z):
         """Floating-point value at z, terms accumulated in exponent order."""
@@ -302,13 +307,14 @@ class ExpPoly:
         if zeros is None:
             if not self._terms:
                 raise ExpPolyError("the zero polynomial vanishes everywhere")
-            d = 2 if any(k.denominator == 2 for k in self._terms) else 1  # x = e^{z/d}
+            step = 1 if any(k & 1 for k in self._terms) else 2  # x = e^{z/d}, d = 2/step
             low = min(self._terms)
-            p = [Fraction(0)] * (int((max(self._terms) - low) * d) + 1)
+            lcm = math.lcm(*(c.as_integer_ratio()[1] for c in self._terms.values()))  # P over ℤ
+            p = [0] * ((max(self._terms) - low) // step + 1)
             for k, c in self._terms.items():
-                p[int((k - low) * d)] = Fraction(c)
+                p[(k - low) // step] = int(Fraction(c) * lcm)
             roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
-            zeros = tuple(sorted((d * math.log(x), m) for x, m in roots))
+            zeros = tuple(sorted((2 // step * math.log(x), m) for x, m in roots))
             object.__setattr__(self, "_zeros", zeros)
         ends = [float(end) for end in (lo, hi) if math.isfinite(end)]
         out = []
@@ -320,10 +326,10 @@ class ExpPoly:
 
     # -------------------------------------------------------------- protocol
     def __eq__(self, other):
-        if isinstance(other, (Rational, float)):
-            other = ExpPoly.constant(other)
         if not isinstance(other, ExpPoly):
-            return NotImplemented
+            if not isinstance(other, _SCALAR):
+                return NotImplemented
+            other = ExpPoly.constant(other)
         return self._terms == other._terms
 
     def __hash__(self):
@@ -333,7 +339,7 @@ class ExpPoly:
         if not self._terms:
             return "ExpPoly(0)"
         parts = []
-        for k, c in sorted(self._terms.items()):
+        for k, c in self.terms():
             if k == 0:
                 parts.append(f"{c}")
             else:
@@ -342,11 +348,12 @@ class ExpPoly:
 
 
 # ---------------------------------------------------------------- exact zeros
-# The value is x^j·P(x) in x = e^{z/d} with P's coefficients the exact terms.
-# Yun's square-free decomposition of P gives the multiplicities, Sturm
-# sequences isolate each factor's positive roots, and bisection on exact signs
-# finds the float nearest to each.  Polynomials are ascending coefficient
-# lists without trailing zeros; [] is the zero polynomial.
+# The value is x^j·P(x) in x = e^{z/d} with P's coefficients the exact terms
+# times one integer.  Yun's square-free decomposition of P gives the
+# multiplicities, Sturm sequences of primitive pseudo-remainders isolate each
+# factor's positive roots, and bisection on exact signs finds the float nearest
+# to each.  Polynomials are ascending int coefficient lists without trailing
+# zeros; [] is the zero polynomial.
 def _trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
@@ -358,26 +365,31 @@ def _derivative(p: list) -> list:
 
 
 def _divmod(a: list, b: list) -> tuple:
-    """(quotient, remainder) of a by a nonzero b over the rationals."""
+    """(q, r): r is a primitive positive multiple of a mod b, and q = a / b if b divides a over ℤ."""
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     for i in range(len(q) - 1, -1, -1):
-        q[i] = c = a[i + len(b) - 1] / b[-1]
+        s = abs(b[-1]) // math.gcd(a[i + len(b) - 1], b[-1])  # the least s > 0 that b's lead divides s·top
+        a = [s * c for c in a] if s > 1 else a
+        q[i] = c = a[i + len(b) - 1] // b[-1]
         for j, bj in enumerate(b):
             a[i + j] -= c * bj
-    return q, _trim(a[: len(b) - 1])
+    r = _trim(a[: len(b) - 1])
+    g = math.gcd(*r)
+    return q, [c // g for c in r]
 
 
 def _gcd(a: list, b: list) -> list:
-    """Monic greatest common divisor of a nonzero a and b."""
+    """A primitive greatest common divisor of a nonzero a and b."""
     while b:
         a, b = b, _divmod(a, b)[1]
-    return [c / a[-1] for c in a]
+    g = math.gcd(*a)
+    return [c // g for c in a]
 
 
 def _square_free(p: list) -> list:
-    """Yun's algorithm: [f₁, f₂, …] with p = c·Π fᵢ^i, the fᵢ monic,
-    square-free and pairwise coprime (fᵢ = 1 if no root has multiplicity i)."""
+    """Yun's algorithm: [f₁, f₂, …] with p = c·Π fᵢ^i, the fᵢ primitive,
+    square-free and pairwise coprime (fᵢ = ±1 if no root has multiplicity i)."""
     dp = _derivative(p)
     a = _gcd(p, dp)
     b, c = _divmod(p, a)[0], _divmod(dp, a)[0]
@@ -413,13 +425,11 @@ def _nearest_float(f: list, l: int, r: int, e: int) -> float:
 
 def _positive_roots(f: list) -> list:
     """The floats nearest to the positive roots of a square-free f, ascending."""
-    if len(f) == 2:  # monic linear: the root −f[0] is exact
-        return [float(-f[0])] if f[0] < 0 else []
+    if len(f) < 3:  # a constant has no root; a linear f's root −f₀/f₁ is exact
+        return [-f[0] / f[1]] if len(f) == 2 and f[0] * f[1] < 0 else []
     chain = [f, _derivative(f)]  # Sturm sequence
     while len(chain[-1]) > 1:
         chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
-    scales = [math.lcm(*(c.denominator for c in p)) for p in chain]
-    chain = [[int(c * s) for c in p] for p, s in zip(chain, scales)]
 
     def variations(n, e):
         signs = [v > 0 for v in (_scaled_value(p, n, e) for p in chain) if v]

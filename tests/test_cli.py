@@ -110,6 +110,7 @@ class TestInvalidMetricFiles:
             ("F canonical 0 0 0 0\nC exp C0=inf eps=-1", "line 4: non-finite coefficient inf"),
             ("F canonical 0 0 0 0\nC einstein C5=nan C6=1", "line 4: non-finite coefficient nan"),
             ("F canonical 0 0 0 0\nC einstein C5=0 C6=0", "line 4: (C5, C6) must not both vanish"),
+            ("F term 0 1\nF term -inf 1\nC exp C0=1 eps=-1", "line 4: exponent -inf is not a half-integer"),
         ],
     )
     @pytest.mark.parametrize("command", [["classify"], ["ends"], ["transform"], ["curvature", "--grid", "0.1:0.9:3"]])

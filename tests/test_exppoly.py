@@ -1,5 +1,6 @@
 """Exact exponential-polynomial arithmetic."""
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -39,6 +40,14 @@ class TestConstruction:
     def test_third_integer_exponent_rejected(self):
         with pytest.raises(ExpPolyError):
             ExpPoly([(Fraction(1, 3), 1)])
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 0.3])
+    def test_float_exponent_that_is_not_a_half_integer_is_refused(self, k):
+        # before: inf and nan escaped as "cannot convert float ... to integer"
+        with pytest.raises(ExpPolyError, match=rf"^exponent {re.escape(repr(k))} is not a half-integer$"):
+            ExpPoly([(k, 1)])
+        with pytest.raises(ExpPolyError):
+            ExpPoly.constant(1).coefficient(k)
 
     def test_immutable(self):
         p = ExpPoly.constant(1)
@@ -308,16 +317,48 @@ class TestOverflowExponent:
         assert self._exponents(p, 0.1) == [Fraction(2)] * 6
 
     def test_derivative_only_overflow(self):
-        # at z=0.4 the value 5e307·e^0.8 is finite, its derivative is not
+        # at z=0.4 the value 5e307·e^0.8 is finite, its derivative is not;
+        # the derivative's coefficient 2·5e307 = 1e308 is finite, 4·5e307 is not
         p = ExpPoly([(0, 1), (2, 5e307)])
         assert math.isfinite(p.eval(0.4))
+        assert p.derive().terms() == ((2, 1e308),)
+        with pytest.raises(ExpPolyError, match=r"^non-finite coefficient inf$"):
+            p.derive(2)
         with pytest.raises(EvalOverflowError) as want:
             p.derive(1).eval(0.4)
         assert want.value.exponent == Fraction(2)
         for order in range(1, 5):
             with pytest.raises(EvalOverflowError) as err:
                 p.jet(0.4, order)
-            assert err.value.exponent == Fraction(2)
+            assert type(err.value.exponent) is Fraction and err.value.exponent == 2
+
+
+class TestExponentKeys:
+    # terms are stored keyed by the int 2k; everything public speaks Fractions
+    @pytest.mark.parametrize("spellings", [
+        [Fraction(1, 2), 0.5, (1, 2)],
+        [Fraction(-3, 2), -1.5, (-3, 2), (3, -2)],
+        [2, 2.0, Fraction(2), (4, 2)],
+    ], ids=["1/2", "-3/2", "2"])
+    def test_spellings_of_an_exponent_build_one_polynomial(self, spellings):
+        polys = [ExpPoly([(k, 3), (-1, Fraction(1, 3))]) for k in spellings]
+        assert all(p == polys[0] for p in polys)
+        assert len({hash(p) for p in polys}) == 1
+        assert all(polys[0].coefficient(k) == 3 for k in spellings)
+
+    def test_accessors_return_fractions(self):
+        p = ExpPoly([(Fraction(3, 2), 2), (-1, 0.5), (0, Fraction(1, 3))])
+        assert p.terms() == ((-1, 0.5), (0, Fraction(1, 3)), (Fraction(3, 2), 2))
+        assert p.exponents() == (-1, 0, Fraction(3, 2))
+        assert (p.extreme_exponent(-1), p.extreme_exponent(+1)) == (-1, Fraction(3, 2))
+        exponents = [k for k, _ in p.terms()] + list(p.exponents())
+        exponents += [p.extreme_exponent(-1), p.extreme_exponent(+1)]
+        assert all(type(k) is Fraction for k in exponents)
+        assert type(p.coefficient(7)) is Fraction and p.coefficient(7) == 0
+        assert repr(p) == "ExpPoly(0.5*e^(-1z) + 1/3 + 2*e^(3/2z))"
+        with pytest.raises(EvalOverflowError) as err:
+            p.eval(1000.0)
+        assert type(err.value.exponent) is Fraction and err.value.exponent == Fraction(3, 2)
 
 
 def test_equality_and_hash_ignore_evaluation_cache():
@@ -348,6 +389,7 @@ def _as_exppoly(coeffs, d, shift):
 
 
 _RATIONAL = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+_DYADIC = st.builds(Fraction, st.integers(-24, 24).filter(bool), st.sampled_from([1, 2, 4, 8]))
 
 
 class TestRealRoots:
@@ -377,6 +419,34 @@ class TestRealRoots:
         for (z, _), (w, _) in zip(got, want):
             assert abs(z - w) <= 1e-15 * max(1.0, abs(w))
         assert all(type(z) is float for z, _ in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roots=st.dictionaries(_DYADIC, st.integers(1, 3), min_size=1, max_size=3),
+        lead=st.integers(1, 2**12).map(lambda n: n / 2**10),
+        factor=st.lists(st.integers(-2**10, 2**10).filter(bool).map(lambda n: n / 2**8), min_size=1, max_size=3),
+        d=st.sampled_from([1, 2]),
+        shift=st.integers(-3, 3),
+    )
+    def test_float_coefficients_against_sympy(self, roots, lead, factor, d, shift):
+        # lead·Π(x − r)^m·(1 + a₁x + a₂x² + …) with repeated roots, negative
+        # ones (no z) among them; each coefficient is stored as the float it
+        # equals when there is one, which the leading one always is
+        sp = pytest.importorskip("sympy")
+        coeffs = [Fraction(lead)]
+        for r, m in roots.items():
+            for _ in range(m):
+                coeffs = _poly_mul(coeffs, [-r, Fraction(1)])
+        coeffs = _poly_mul(coeffs, [Fraction(1), *map(Fraction, factor)])
+        coeffs = [float(c) if float(c) == c else c for c in coeffs]
+        got = _as_exppoly(coeffs, d, shift).real_roots()
+        x = sp.Symbol("x")
+        poly = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in map(Fraction, reversed(coeffs))], x)
+        want = [(d * math.log(float(r.evalf(40))), m) for r, m in poly.real_roots(multiple=False) if r.is_positive]
+        assert [m for _, m in got] == [m for _, m in want]
+        for (z, _), (w, _) in zip(got, want):
+            assert abs(z - w) <= 1e-15 * max(1.0, abs(w))
+        assert any(isinstance(c, float) for c in coeffs)
 
     @pytest.mark.parametrize("name", ["page", "hirzebruch"])
     def test_float_profiles_against_mpmath(self, name):

@@ -148,13 +148,16 @@ class TestErrors:
     @pytest.mark.parametrize("text, lineno, message", [
         ("F term 0 1\nF term 1 nan\nC exp C0=1 eps=-1\n", 4, "non-finite coefficient nan"),
         ("F term 1/3 1\nC exp C0=1 eps=-1\n", 3, "exponent 1/3 has denominator 3; only 1 or 2 allowed"),
+        ("F term inf 1\nC exp C0=1 eps=-1\n", 3, "exponent inf is not a half-integer"),
+        ("F term 0 1\nF term nan 1\nC exp C0=1 eps=-1\n", 4, "exponent nan is not a half-integer"),
         ("F canonical 0 0 0 0\nC ratio\nnum term 0 1\nnum term 1 inf\nden term 0 1\n", 6,
          "non-finite coefficient inf"),
         ("F canonical 0 0 0 0\nC ratio\nnum term 0 1\nden term 0 1\nden term -1 -inf\n", 7,
          "non-finite coefficient -inf"),
-    ], ids=["F-coefficient", "F-exponent", "num", "den"])
+    ], ids=["F-coefficient", "F-exponent", "F-exponent-inf", "F-exponent-nan", "num", "den"])
     def test_bad_term_fails_on_its_line(self, tmp_path, capsys, text, lineno, message):
-        # before: "bad F terms: non-finite coefficient nan", with no line number
+        # before: "bad F terms: non-finite coefficient nan", with no line number;
+        # an inf exponent exited 3 with "cannot convert float infinity to integer"
         text = "name t\ndomain 0 1 open open\n" + text
         with pytest.raises(MetricFileError) as info:
             parse_metric(text)
