@@ -253,27 +253,32 @@ def bt_integrate(
 
     Adaptive step control at relative+absolute tolerance ``tol`` (the RMS of
     the scaled 5th/4th-order difference must be ≤ 1; a ``tol`` that is not
-    positive and finite, a non-finite ``t``, span endpoint or field of
-    ``init`` raises ValueError); never steps across F = 0 or C = 0 — on a
-    singular solve the trajectory is truncated and flagged, with the
-    partial samples returned.  The pair is first-same-as-last: the seventh
-    stage is evaluated at (z + h, y5), so on acceptance it is the next
-    step's first stage, and a step costs six calls of the float kernel
-    ``_derivative`` (``init``'s derivative is the one ``bt_rhs`` call).  K
-    is carried, never integrated, so it keeps its initial value; the drift
-    of the first integral T is in ``max_T_drift``.
+    positive and finite, a ``max_steps`` below 1, a non-finite ``t``, span
+    endpoint or field of ``init`` raises ValueError); never steps across
+    F = 0 or C = 0 — on a singular solve the trajectory is truncated and
+    flagged, with the partial samples returned.  The pair is
+    first-same-as-last: the seventh stage is evaluated at (z + h, y5), so on
+    acceptance it is the next step's first stage, and a step costs six calls
+    of the float kernel ``_derivative`` (``init``'s derivative is the one
+    ``bt_rhs`` call).  K is carried, never integrated, so it keeps its
+    initial value (a −0.0 turns 0.0 on a forward step); the drift of the
+    first integral T is in ``max_T_drift``.
 
-    The state is stepped as plain floats with every sum in the order of the
-    numpy formulation (stage sums left to right from 0, the error mean
-    pairwise), so trajectories are bit-identical to it.  Stages 2–6 go to
-    the kernel as plain (z, F, …, K) tuples and only the seventh, the state
-    stored on acceptance, is a :class:`BtState`; the error pass forms each
-    4th-order component inside its scaled difference from y5.  ``_drift_cap``
+    One step is unrolled over named float locals, with no lists: each stage
+    is one kernel call on a plain (z, F, …, K) tuple written out component by
+    component, its derivative unpacked into locals, and only the seventh
+    stage, the state stored on acceptance, is a :class:`BtState`.  Every sum
+    keeps the order of the numpy formulation (stage sums left to right from
+    0.0, the zero weights as 0.0·k, y5 as y + h·(a + 0.0·k7), the error mean
+    pairwise), so trajectories are bit-identical to it.  As K′ is the literal
+    0.0, every stage's K is K + h·0.0, what those sums give.  ``_drift_cap``
     is the search's: the trajectory stops, truncated, at the first accepted
     sample whose |T − T₀| exceeds it.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     for name, v in zip(STATE_FIELDS, init[1:]):
@@ -294,8 +299,8 @@ def bt_integrate(
         return traj.truncate(str(exc))
     T0 = tval(state, t)
     traj.samples.append(BtSample(state, F4d, C2d, T0))
-    y = state[1:]
-    k0 = deriv.tolist()
+    F, F1, F2, F3, C, C1, s, K = state[1:]
+    p0, p1, p2, p3, p4, p5, p6, _ = deriv.tolist()  # k0, the derivative at (z, F, …, s, K)
 
     h = direction * min(0.01, abs(b - a))
     min_h = 1e-14 * max(1.0, abs(b - a))
@@ -303,51 +308,80 @@ def bt_integrate(
     while (b - z) * direction > 0.0:
         if abs(h) > abs(b - z):
             h = b - z
+        Kh = K + h * 0.0  # K + h·(0.0 + …) of every stage, y5 and y4: each sum of K′ = 0.0 is 0.0
         try:
-            u = [v + h * (0.0 + _A21 * p) for v, p in zip(y, k0)]
-            k1 = _derivative((z + _C2 * h, *u), t)
-            u = [v + h * (0.0 + _A31 * p + _A32 * q) for v, p, q in zip(y, k0, k1)]
-            k2 = _derivative((z + _C3 * h, *u), t)
-            u = [v + h * (0.0 + _A41 * p + _A42 * q + _A43 * r) for v, p, q, r in zip(y, k0, k1, k2)]
-            k3 = _derivative((z + _C4 * h, *u), t)
-            u = [
-                v + h * (0.0 + _A51 * p + _A52 * q + _A53 * r + _A54 * w)
-                for v, p, q, r, w in zip(y, k0, k1, k2, k3)
-            ]
-            k4 = _derivative((z + _C5 * h, *u), t)
-            u = [
-                v + h * (0.0 + _A61 * p + _A62 * q + _A63 * r + _A64 * w + _A65 * x)
-                for v, p, q, r, w, x in zip(y, k0, k1, k2, k3, k4)
-            ]
-            k5 = _derivative((z + h, *u), t)
-            acc = [
-                0.0 + _B1 * p + 0.0 * q + _B3 * r + _B4 * w + _B5 * x + _B6 * o
-                for p, q, r, w, x, o in zip(k0, k1, k2, k3, k4, k5)
-            ]
-            last = BtState(z + h, *[v + h * a for v, a in zip(y, acc)])
-            k6 = _derivative(last, t)
+            q0, q1, q2, q3, q4, q5, q6, _ = _derivative((
+                z + _C2 * h, F + h * (0.0 + _A21 * p0), F1 + h * (0.0 + _A21 * p1), F2 + h * (0.0 + _A21 * p2),
+                F3 + h * (0.0 + _A21 * p3), C + h * (0.0 + _A21 * p4), C1 + h * (0.0 + _A21 * p5),
+                s + h * (0.0 + _A21 * p6), Kh), t)
+            r0, r1, r2, r3, r4, r5, r6, _ = _derivative((
+                z + _C3 * h, F + h * (0.0 + _A31 * p0 + _A32 * q0), F1 + h * (0.0 + _A31 * p1 + _A32 * q1),
+                F2 + h * (0.0 + _A31 * p2 + _A32 * q2), F3 + h * (0.0 + _A31 * p3 + _A32 * q3),
+                C + h * (0.0 + _A31 * p4 + _A32 * q4), C1 + h * (0.0 + _A31 * p5 + _A32 * q5),
+                s + h * (0.0 + _A31 * p6 + _A32 * q6), Kh), t)
+            w0, w1, w2, w3, w4, w5, w6, _ = _derivative((
+                z + _C4 * h, F + h * (0.0 + _A41 * p0 + _A42 * q0 + _A43 * r0),
+                F1 + h * (0.0 + _A41 * p1 + _A42 * q1 + _A43 * r1),
+                F2 + h * (0.0 + _A41 * p2 + _A42 * q2 + _A43 * r2),
+                F3 + h * (0.0 + _A41 * p3 + _A42 * q3 + _A43 * r3),
+                C + h * (0.0 + _A41 * p4 + _A42 * q4 + _A43 * r4),
+                C1 + h * (0.0 + _A41 * p5 + _A42 * q5 + _A43 * r5),
+                s + h * (0.0 + _A41 * p6 + _A42 * q6 + _A43 * r6), Kh), t)
+            x0, x1, x2, x3, x4, x5, x6, _ = _derivative((
+                z + _C5 * h, F + h * (0.0 + _A51 * p0 + _A52 * q0 + _A53 * r0 + _A54 * w0),
+                F1 + h * (0.0 + _A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * w1),
+                F2 + h * (0.0 + _A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * w2),
+                F3 + h * (0.0 + _A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * w3),
+                C + h * (0.0 + _A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * w4),
+                C1 + h * (0.0 + _A51 * p5 + _A52 * q5 + _A53 * r5 + _A54 * w5),
+                s + h * (0.0 + _A51 * p6 + _A52 * q6 + _A53 * r6 + _A54 * w6), Kh), t)
+            o0, o1, o2, o3, o4, o5, o6, _ = _derivative((
+                z + h, F + h * (0.0 + _A61 * p0 + _A62 * q0 + _A63 * r0 + _A64 * w0 + _A65 * x0),
+                F1 + h * (0.0 + _A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * w1 + _A65 * x1),
+                F2 + h * (0.0 + _A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * w2 + _A65 * x2),
+                F3 + h * (0.0 + _A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * w3 + _A65 * x3),
+                C + h * (0.0 + _A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * w4 + _A65 * x4),
+                C1 + h * (0.0 + _A61 * p5 + _A62 * q5 + _A63 * r5 + _A64 * w5 + _A65 * x5),
+                s + h * (0.0 + _A61 * p6 + _A62 * q6 + _A63 * r6 + _A64 * w6 + _A65 * x6), Kh), t)
+            a0 = 0.0 + _B1 * p0 + 0.0 * q0 + _B3 * r0 + _B4 * w0 + _B5 * x0 + _B6 * o0
+            a1 = 0.0 + _B1 * p1 + 0.0 * q1 + _B3 * r1 + _B4 * w1 + _B5 * x1 + _B6 * o1
+            a2 = 0.0 + _B1 * p2 + 0.0 * q2 + _B3 * r2 + _B4 * w2 + _B5 * x2 + _B6 * o2
+            a3 = 0.0 + _B1 * p3 + 0.0 * q3 + _B3 * r3 + _B4 * w3 + _B5 * x3 + _B6 * o3
+            a4 = 0.0 + _B1 * p4 + 0.0 * q4 + _B3 * r4 + _B4 * w4 + _B5 * x4 + _B6 * o4
+            a5 = 0.0 + _B1 * p5 + 0.0 * q5 + _B3 * r5 + _B4 * w5 + _B5 * x5 + _B6 * o5
+            a6 = 0.0 + _B1 * p6 + 0.0 * q6 + _B3 * r6 + _B4 * w6 + _B5 * x6 + _B6 * o6
+            last = BtState(z + h, F + h * a0, F1 + h * a1, F2 + h * a2, F3 + h * a3, C + h * a4, C1 + h * a5,
+                           s + h * a6, Kh)
+            g0, g1, g2, g3, g4, g5, g6, _ = _derivative(last, t)
         except (SingularSystemError, OverflowError):
             err = math.nan
         else:
-            # b7 = 0: y5 equals the last stage's input wherever k6 is finite
-            y5 = [v + h * (a + 0.0 * g) for v, a, g in zip(y, acc, k6)]
-            e0, e1, e2, e3, e4, e5, e6, e7 = [
-                (p5 - (v + h * (0.0 + _E1 * p + 0.0 * q + _E3 * r + _E4 * w + _E5 * x + _E6 * o + _E7 * g)))
-                / (tol + tol * abs(v))
-                for p5, v, p, q, r, w, x, o, g in zip(y5, y, k0, k1, k2, k3, k4, k5, k6)
-            ]
-            # the RMS, summed pairwise as numpy's mean of 8 values is
-            err = math.sqrt(
-                (((e0 * e0 + e1 * e1) + (e2 * e2 + e3 * e3)) + ((e4 * e4 + e5 * e5) + (e6 * e6 + e7 * e7))) / 8
-            )
+            # y5 (b7 = 0: it equals the last stage's input wherever k6 is finite) and y4
+            n0, n1, n2 = F + h * (a0 + 0.0 * g0), F1 + h * (a1 + 0.0 * g1), F2 + h * (a2 + 0.0 * g2)
+            n3, n4, n5 = F3 + h * (a3 + 0.0 * g3), C + h * (a4 + 0.0 * g4), C1 + h * (a5 + 0.0 * g5)
+            n6 = s + h * (a6 + 0.0 * g6)
+            m0 = F + h * (0.0 + _E1 * p0 + 0.0 * q0 + _E3 * r0 + _E4 * w0 + _E5 * x0 + _E6 * o0 + _E7 * g0)
+            m1 = F1 + h * (0.0 + _E1 * p1 + 0.0 * q1 + _E3 * r1 + _E4 * w1 + _E5 * x1 + _E6 * o1 + _E7 * g1)
+            m2 = F2 + h * (0.0 + _E1 * p2 + 0.0 * q2 + _E3 * r2 + _E4 * w2 + _E5 * x2 + _E6 * o2 + _E7 * g2)
+            m3 = F3 + h * (0.0 + _E1 * p3 + 0.0 * q3 + _E3 * r3 + _E4 * w3 + _E5 * x3 + _E6 * o3 + _E7 * g3)
+            m4 = C + h * (0.0 + _E1 * p4 + 0.0 * q4 + _E3 * r4 + _E4 * w4 + _E5 * x4 + _E6 * o4 + _E7 * g4)
+            m5 = C1 + h * (0.0 + _E1 * p5 + 0.0 * q5 + _E3 * r5 + _E4 * w5 + _E5 * x5 + _E6 * o5 + _E7 * g5)
+            m6 = s + h * (0.0 + _E1 * p6 + 0.0 * q6 + _E3 * r6 + _E4 * w6 + _E5 * x6 + _E6 * o6 + _E7 * g6)
+            # each 5th/4th-order difference scaled by tol + tol·|y| (K's is 0.0: its y5 and y4 are both Kh)
+            e0, e1 = (n0 - m0) / (tol + tol * abs(F)), (n1 - m1) / (tol + tol * abs(F1))
+            e2, e3 = (n2 - m2) / (tol + tol * abs(F2)), (n3 - m3) / (tol + tol * abs(F3))
+            e4, e5 = (n4 - m4) / (tol + tol * abs(C)), (n5 - m5) / (tol + tol * abs(C1))
+            e6 = (n6 - m6) / (tol + tol * abs(s))
+            # the RMS, summed pairwise as numpy's mean of 8 values is (e7² = 0.0 leaves e6² as it is)
+            err = math.sqrt((((e0 * e0 + e1 * e1) + (e2 * e2 + e3 * e3)) + ((e4 * e4 + e5 * e5) + e6 * e6)) / 8)
         if err <= 1.0:
             # first same as last: the last stage is the accepted state and its derivative
             z = z + h
-            y = y5
-            k0 = k6
+            F, F1, F2, F3, C, C1, s, K = n0, n1, n2, n3, n4, n5, n6, Kh
+            p0, p1, p2, p3, p4, p5, p6 = g0, g1, g2, g3, g4, g5, g6
             Tv = tval(last, t)
             traj.max_T_drift = max(traj.max_T_drift, abs(Tv - T0))
-            traj.samples.append(BtSample(last, k6[3], k6[5], Tv))
+            traj.samples.append(BtSample(last, g3, g5, Tv))
             traj.steps_accepted += 1
             if traj.max_T_drift > _drift_cap:
                 return traj.truncate(f"T drift {abs(Tv - T0):g} above {_drift_cap:g} at z={z:.6g}")

@@ -213,9 +213,10 @@ class ExpPoly:
     def _rows(self, order: int) -> tuple:
         """(keys 2k, float exponents, coefficient rows 0..≥order).
 
-        Terms are in exponent order; row n holds float(c·kⁿ) from the exact
-        coefficient (0.0 where the derivative drops the term), which is what
-        ``derive(n)`` followed by a float evaluation would use.
+        Terms are in exponent order; of an exact coefficient row n holds
+        float(c·kⁿ), rounded once (0.0 where the derivative drops the term),
+        which is what ``derive(n)`` followed by a float evaluation uses; a
+        float coefficient is multiplied by k once per order (see ``jet``).
         """
         compiled = self._compiled
         if compiled is not None and len(compiled[2]) > order:
@@ -252,8 +253,15 @@ class ExpPoly:
         return self.jet(z, 0)[0]
 
     def jet(self, z, order: int = 4) -> tuple:
-        """(value, d/dz, ..., d^order/dz^order) at z; entry n equals
-        ``derive(n).eval(z)`` bit for bit.
+        """(value, d/dz, ..., d^order/dz^order) at z.
+
+        With exact (int or Fraction) coefficients entry n equals
+        ``derive(n).eval(z)`` bit for bit.  A float coefficient c is
+        multiplied by k once per order, rounding each time, where
+        ``derive(n)`` rounds c·kⁿ once, so there entry n is within one
+        rounding per order of it: the two differ by at most
+        (n + m + 1)·ε·Σ|c·kⁿ·e^{kz}| over the m terms (ε = 2⁻⁵², the sums'
+        own roundings included) where nothing underflows.
 
         z is a float or a 1-D float64 array; on an array every entry is an
         array over z, summed the same way with ``np.exp`` in place of

@@ -304,6 +304,18 @@ class TestIntegration:
         with pytest.raises(ValueError, match=f"init {field} must be finite, got {value!r}"):
             bt_integrate(seed._replace(**{field: value}), 1.0, (0.0, 0.4))
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_rejects_max_steps_below_one(self, max_steps):
+        # before: one step was accepted and the trajectory truncated with two samples
+        seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+        with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {max_steps!r}"):
+            bt_integrate(seed, 1.0, (0.0, 0.6), max_steps=max_steps)
+
+    def test_max_steps_of_one_takes_one_step(self):
+        seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+        traj = bt_integrate(seed, 1.0, (0.0, 0.6), max_steps=1)
+        assert (traj.steps_accepted, len(traj.samples), traj.truncation_reason) == (1, 2, "max step count reached")
+
     @pytest.mark.parametrize("span, name", [
         ((0.0, math.nan), "span end"),
         ((math.nan, 1.0), "span start"),
@@ -741,16 +753,22 @@ def _pin_cases():
     m = catalog_get("taub-bolt", {"m": 1.0})
     taub_bolt, _, _ = state_from_metric(m, -1.05, s_const=0.0)
     csc = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+    # an extremal Kähler entry's own s, so K = C·F·s′ ≠ 0 is carried through every stage
+    extremal, _, _ = state_from_metric(catalog_get("modified-taub-bolt-2"), -0.55)
     return {
         "taub-bolt": (taub_bolt, 1.0, (-1.05, -0.25), 1e-10),
         "csc-tol-1e-6": (csc, 1.0, (0.0, 0.6), 1e-6),
         "csc-tol-1e-11": (csc, 1.0, (0.0, 0.6), 1e-11),
         "backward": (csc, 1.0, (0.0, -0.4), 1e-10),
         "F-to-zero": (BtState(0.0, 0.05, -1.5, 0.0, 0.0, 1.0, 0.0, 0.3, 0.0), 1.0, (0.0, 2.0), 1e-8),
+        "K-nonzero": (extremal, 1.0, (-0.55, -0.25), 1e-10),
+        # K = −0.0: a forward step's K + h·0.0 is 0.0, a backward step's stays −0.0
+        "K-minus-zero-forward": (csc._replace(K=-0.0), 1.0, (0.0, 0.6), 1e-10),
+        "K-minus-zero-backward": (csc._replace(K=-0.0), 1.0, (0.0, -0.4), 1e-10),
     }
 
 
-SEARCHES = ((1.0, 1), (2.0, 2))
+SEARCHES = ((1.0, 1), (2.0, 2), (-1.0, 1), (0.5, 2))
 
 
 @pytest.fixture(scope="module")
@@ -768,6 +786,16 @@ class TestBitIdentity:
         init, t, span, tol = _pin_cases()[case]
         got = bt_integrate(init, t, span, tol=tol)
         assert _fingerprint(got) == _fingerprint(_reference_integrate(init, t, span, tol=tol))
+
+    def test_pinned_k_values(self):
+        # the K cases exercise what they are named for: K ≠ 0, and a signed zero
+        # that a forward step turns to 0.0 and a backward step keeps
+        cases = _pin_cases()
+        got = {name: [smp.state.K for smp in bt_integrate(*cases[name][:3]).samples]
+               for name in ("K-nonzero", "K-minus-zero-forward", "K-minus-zero-backward")}
+        assert len(got["K-nonzero"]) > 20 and set(got["K-nonzero"]) == {cases["K-nonzero"][0].K} != {0.0}
+        assert [math.copysign(1.0, k) for k in got["K-minus-zero-forward"][:3]] == [-1.0, 1.0, 1.0]
+        assert {math.copysign(1.0, k) for k in got["K-minus-zero-backward"]} == {-1.0}
 
     @pytest.mark.parametrize("t,seed", SEARCHES)
     def test_every_search_trial_matches_reference(self, search_trials, t, seed):
@@ -814,7 +842,9 @@ class TestWork:
         monkeypatch.setattr(np, "array", counted)
         return calls
 
-    @pytest.mark.parametrize("case", ["taub-bolt", "csc-tol-1e-6", "csc-tol-1e-11", "backward"])
+    @pytest.mark.parametrize("case", [
+        "taub-bolt", "csc-tol-1e-6", "csc-tol-1e-11", "backward", "K-nonzero", "K-minus-zero-forward",
+    ])
     def test_six_rhs_calls_per_step_attempt(self, monkeypatch, case):
         init, t, span, tol = _pin_cases()[case]
         kernel = self._counting(monkeypatch, "_derivative")

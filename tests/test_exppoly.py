@@ -195,6 +195,29 @@ def test_jet_matches_derivatives(p, z):
         assert j[order] == want
 
 
+# float coefficients large enough that no c·kⁿ·e^{kz} here underflows
+_float_coeffs = st.floats(min_value=-3.0, max_value=3.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-290)
+_float_polys = st.lists(st.tuples(_exponents, _float_coeffs), min_size=1, max_size=5).map(ExpPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_polys, _zs, st.integers(min_value=0, max_value=7))
+def test_float_coefficient_jet_is_within_one_rounding_per_order_of_derive(p, z, order):
+    # the contract for float coefficients: c·k·k·… rounded once per order against
+    # derive(n)'s c·kⁿ rounded once, and then the roundings of the two sums
+    j = p.jet(z, order)
+    m = len(p.terms())
+    for n in range(order + 1):
+        size = sum(abs(c) * abs(float(k)) ** n * math.exp(float(k) * z) for k, c in p.terms())
+        assert abs(j[n] - p.derive(n).eval(z)) <= (n + m + 1) * 2.0**-52 * size, (n, j[n])
+
+
+def test_float_coefficient_jet_rounds_once_per_order():
+    p = ExpPoly([(1.5, 0.1)])
+    assert p.jet(0.3, 2)[2] == 0.1 * 1.5 * 1.5 * math.exp(1.5 * 0.3) == 0.352870241735288
+    assert p.derive(2).eval(0.3) == 0.1 * 2.25 * math.exp(1.5 * 0.3) == 0.35287024173528797
+
+
 def _reference_jet(p, z, order):
     """Each derivative summed term by term in exponent order from the exact
     coefficient: Σ float(c·kⁿ)·exp(float(k)·z) over the nonzero c·kⁿ."""
