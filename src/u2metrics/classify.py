@@ -186,34 +186,46 @@ def classify(
     tensors instead (used to cross-validate the two paths).  Every predicate is "indeterminate" when F, C's numerator or C's
     denominator has an exact zero inside the domain (a zero at an end is a
     bolt or nut), or when the curvature sample of the grid raises (its
-    reason names the z). A ``tol`` that is not positive and finite or a non-finite ``t`` raises ValueError.
+    reason names the z). A ``tol`` that is not positive and finite, a non-finite ``t``
+    or a ``grid_n`` that is not an int of at least 2 raises ValueError.
+
+    The zero test and the one ``curvature_sample(m, grid)`` call run once per
+    (spec, grid_n); what they give is kept on the spec for every later call at
+    any ``t``, ``tol`` or ``use_exact``.  ``dataclasses.replace`` makes a spec
+    that samples anew.
     """
     import numpy as np
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if t is not None and not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 2:
+        raise ValueError(f"grid_n must be an int >= 2, got grid_n={grid_n!r}")
     report = ClassificationReport(metric_name=m.name, tol=tol, grid_n=grid_n)
     grid = sample_grid(m.domain, grid_n)
-    poly = m.f_poly()
 
     def put(name, verdict, residual, certificate=None):
         report.entries[name] = PredicateResult(name, verdict, float(residual), certificate)
 
-    # one curvature sample of the whole grid: every pointwise quantity below reads it
-    lo, hi = m.domain.lo, m.domain.hi
-    num, den = m.c_ratio
-    try:
-        for label, carrier in (("F", poly), ("C's numerator", num), ("C's denominator", den)):
-            inside = [z for z, _ in carrier.real_roots(lo, hi) if lo < z < hi]
-            if inside:
-                raise ValueError(f"{label} vanishes at z={inside[0]:.6g} inside the domain")
-        cs = curvature_sample(m, grid)
-    except (ArithmeticError, ValueError) as exc:
+    # one curvature sample of the whole grid, kept on the spec: every pointwise quantity below reads it
+    cs = m._grid_samples.get(grid_n)
+    if cs is None:
+        lo, hi = m.domain.lo, m.domain.hi
+        num, den = m.c_ratio
+        try:
+            for label, carrier in (("F", m.f_poly()), ("C's numerator", num), ("C's denominator", den)):
+                inside = [z for z, _ in carrier.real_roots(lo, hi) if lo < z < hi]
+                if inside:
+                    raise ValueError(f"{label} vanishes at z={inside[0]:.6g} inside the domain")
+            cs = curvature_sample(m, grid)
+        except (ArithmeticError, ValueError) as exc:
+            cs = str(exc)  # not the exception: its traceback would keep this call's frames alive
+        m._grid_samples[grid_n] = cs
+    if isinstance(cs, str):
         for name in PREDICATES:
             if name == "bt_flat" and t is None:
                 continue
-            put(name, "indeterminate", math.inf, str(exc))
+            put(name, "indeterminate", math.inf, cs)
         return report
 
     def verdict_of(residual, scale=1.0):

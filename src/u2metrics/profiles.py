@@ -281,6 +281,13 @@ class MetricSpec:
         terms = self.f_poly().terms()
         return b_op_jet([sum((c * k**n for k, c in terms), Fraction(0)) for n in range(4)])
 
+    @cached_property
+    def _grid_samples(self) -> dict:
+        """grid_n → the curvature sample of the spec's grid, or the reason every
+        predicate is indeterminate: filled by ``classify`` (this module cannot
+        import curvature), once per grid_n."""
+        return {}
+
     def f_poly(self) -> ExpPoly:
         return profile_poly(self.F)  # a Canonical caches its expansion
 

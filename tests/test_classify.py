@@ -1,5 +1,6 @@
 """Predicate classification and the exponential-family fit."""
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -272,6 +273,12 @@ class TestSampleGrid:
         with pytest.raises(ValueError, match=f"n={n}"):
             sample_grid(Domain(0.0, math.inf), n)
         with pytest.raises(ValueError, match=f"n={n}"):
+            classify(catalog_get("page"), grid_n=n)
+
+    @pytest.mark.parametrize("n", [64.0, 2.5, True])
+    def test_grid_n_that_is_not_an_int_raises(self, n):
+        # 64.0 hashes as 64, so it would read 64's cached sample; 2.5 would fail inside numpy
+        with pytest.raises(ValueError, match=f"grid_n={n!r}"):
             classify(catalog_get("page"), grid_n=n)
 
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 2), (4, 3), (5, 3), (64, 63)])
@@ -553,3 +560,52 @@ class TestWorkPerGridPoint:
         calls = self._count(monkeypatch, u2metrics.curvature, "scalar_curvature")
         bt_grid_residual(sample, 1.0)
         assert calls == []
+
+
+class TestSampleKeptOnSpec:
+    """The guarded curvature sample is taken once per (spec, grid_n) and read by
+    every later classify call, whatever its t, tol or use_exact."""
+
+    _count = staticmethod(TestWorkPerGridPoint._count)
+
+    def test_one_sample_per_spec_and_grid_n(self, monkeypatch):
+        import u2metrics.curvature
+
+        m = catalog_get("page")
+        calls = self._count(monkeypatch, u2metrics.curvature, "curvature_sample")
+        classify(m)
+        assert len(calls) == 1
+        classify(m, t=1.0), classify(m, tol=1e-6), classify(m, use_exact=False)
+        assert len(calls) == 1
+        classify(m, grid_n=32), classify(m, grid_n=32, t=2.0)
+        assert len(calls) == 2
+        twin = dataclasses.replace(m)
+        classify(twin), classify(twin, t=1.0)
+        assert len(calls) == 3
+        classify(m)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_reports_equal_those_of_a_fresh_spec(self, name):
+        m = catalog_get(name)
+        cases = [(t, use_exact) for t in (None, -1 / 3, 0.0, 1.0, 2.0) for use_exact in (True, False)]
+        for _ in range(2):  # each case's first call on m, then its repeat
+            for t, use_exact in cases:
+                assert classify(m, t=t, use_exact=use_exact) == classify(catalog_get(name), t=t, use_exact=use_exact)
+
+    @pytest.mark.parametrize("m,sampled", [(SINGULAR[0], 0), (SINGULAR[3], 1)], ids=["F-zero", "sample-raises"])
+    def test_indeterminate_reason_is_kept_as_a_string(self, monkeypatch, m, sampled):
+        import u2metrics.curvature
+
+        m = dataclasses.replace(m)  # SINGULAR's specs are shared with other tests
+        samples = self._count(monkeypatch, u2metrics.curvature, "curvature_sample")
+        roots = self._count(monkeypatch, ExpPoly, "real_roots")
+        first = classify(m, t=1.0)
+        counts = (len(samples), len(roots))
+        assert counts[0] == sampled and counts[1] > 0
+        reason = m._grid_samples[64]
+        assert type(reason) is str
+        again = [classify(m), classify(m, t=2.0, tol=1e-6, use_exact=False)]
+        assert (len(samples), len(roots)) == counts
+        for rep in [first] + again:
+            assert {(e.verdict, e.certificate) for e in rep.entries.values()} == {("indeterminate", reason)}
