@@ -7,7 +7,6 @@ catalog of the classic closed-form examples.
 """
 from .exppoly import EvalOverflowError, ExpPoly, ExpPolyError
 from .profiles import (
-    Canonical,
     Domain,
     EinsteinFactor,
     ExpFactor,
@@ -15,6 +14,7 @@ from .profiles import (
     OutOfDomainError,
     RatioFactor,
     SingularConformalFactorError,
+    canonical,
 )
 from .operators import b_op, l_compose, l_minus, l_op, l_plus
 from .curvature import (
@@ -29,7 +29,7 @@ from .curvature import (
     weyl,
     weyl_energy,
 )
-from .classify import ClassificationReport, PredicateResult, classify, fit_exp_family
+from .classify import ClassificationReport, PredicateResult, classify
 from .btflat import (
     BtSample,
     BtState,
@@ -46,6 +46,7 @@ from .geometry import (
     classify_end,
     distance,
     find_bolts,
+    fit_exp_family,
     transcribe_classic,
 )
 from .catalog import (

@@ -18,13 +18,7 @@ from typing import Callable, Optional
 
 from .exppoly import ExpPoly
 from .numerics import safeguarded_newton
-from .profiles import (
-    Canonical,
-    Domain,
-    EinsteinFactor,
-    ExpFactor,
-    MetricSpec,
-)
+from .profiles import Domain, EinsteinFactor, ExpFactor, MetricSpec, canonical
 
 __all__ = [
     "CatalogError",
@@ -154,9 +148,9 @@ def hirzebruch(k: int, z0: float, C0: float = 1.0) -> MetricSpec:
 # ------------------------------------------------------------------- builders
 _LINE = Domain(-math.inf, math.inf)
 # taub-nut and its two conformally Kähler partners share F and the domain
-_NUT_F, _NUT_D = Canonical(2, -2, 0, 0), Domain(0.0, math.inf)
+_NUT_F, _NUT_D = canonical(2, -2, 0, 0), Domain(0.0, math.inf)
 # as do taub-bolt and its partners on O(-1) and O(+1)
-_BOLT_F = Canonical(_F(-1, 4), _F(1, 4), _F(-9, 4), _F(9, 4))
+_BOLT_F = canonical(_F(-1, 4), _F(1, 4), _F(-9, 4), _F(9, 4))
 _BOLT_D = Domain(-math.log(3.0), 0.0, lo_closed=True)
 
 
@@ -165,8 +159,8 @@ def _from(z: float) -> Domain:
     return Domain(z, math.inf, lo_closed=True)
 
 
-def _lebrun_profile(k: int, m: float) -> Canonical:
-    return Canonical(-2.0 * m**4 * (k - 1), m * m * (k - 2), 0, 0)
+def _lebrun_profile(k: int, m: float) -> ExpPoly:
+    return canonical(-2.0 * m**4 * (k - 1), m * m * (k - 2), 0, 0)
 
 
 def _eh_lambda(k: int) -> tuple:
@@ -175,8 +169,8 @@ def _eh_lambda(k: int) -> tuple:
     Smoothness pins the parameters: m⁴ = 4(1+k)/3 and Λ = 4 − 2k; the domain
     starts at the profile's largest zero (the bolt).
     """
-    F = Canonical(-2 * _F(4 * (1 + k), 3), 0, _F(2 * k - 4, 6), 0)  # −2m⁴, −Λ/6
-    return F, ExpFactor(1.0, +1), _from(F.expand().real_roots()[-1][0])
+    F = canonical(-2 * _F(4 * (1 + k), 3), 0, _F(2 * k - 4, 6), 0)  # −2m⁴, −Λ/6
+    return F, ExpFactor(1.0, +1), _from(F.real_roots()[-1][0])
 
 
 def _taub_nut_lambda(m: float, L: float, Lambda: float) -> tuple:
@@ -188,8 +182,8 @@ def _taub_nut_lambda(m: float, L: float, Lambda: float) -> tuple:
     mf, lf, cubic = _F(m), _F(L), _F(m) ** 3 * _F(Lambda) / 3
     a = (mf - lf + cubic) / mf
     b = (mf + lf - cubic) / mf
-    F = Canonical(a, -a, -b, b)
-    zeros = F.expand().real_roots()
+    F = canonical(a, -a, -b, b)
+    zeros = F.real_roots()
     half = 1.0 / (2.0 * m)
     return F, EinsteinFactor(half, -half), Domain(zeros[-1][0] if zeros else -math.inf, math.inf)
 
@@ -201,7 +195,7 @@ def _page(Lambda: float) -> tuple:
     if abs(12.0 * (1.0 + nu * nu) / (nu * (3.0 + nu * nu)) - 14.931) > 5e-3:
         raise CatalogError("Page conformal constant drifted from its expected value")
     return (
-        Canonical(coeff, coeff, coeff, coeff),
+        canonical(coeff, coeff, coeff, coeff),
         EinsteinFactor(c5, c5),
         Domain(-z0, z0, lo_closed=True, hi_closed=True),
     )
@@ -215,7 +209,7 @@ def _hirzebruch(k: int, z0: float, C0: float) -> tuple:
     c2p = (-2.0 * sh2 + k * ch2) / (2.0 * (2.0 + ch2) * sh)
     # cosh basis -> canonical exponential basis: C1 = C4 = C1', C2 = C3 = C2'.
     return (
-        Canonical(c1p, c2p, c2p, c1p),
+        canonical(c1p, c2p, c2p, c1p),
         ExpFactor(C0, -1),
         Domain(-z0, z0, lo_closed=True, hi_closed=True),
     )
@@ -228,7 +222,7 @@ _SINGULAR = "incomplete (curvature singularity)"
 _ENTRIES = tuple(
     CatalogEntry(name, params, builder, tuple(tags.split()), manifold)
     for name, params, builder, tags, manifold in (
-        ("flat", (), lambda: (Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), _LINE),
+        ("flat", (), lambda: (canonical(0, 0, 0, 0), ExpFactor(1.0, -1), _LINE),
          "einstein ricci_flat bach_flat", "R^4"),
         ("taub-nut", (_M,), lambda m: (_NUT_F, EinsteinFactor(1.0 / (2.0 * m), -1.0 / (2.0 * m)), _NUT_D),
          "ricci_flat hyperkahler_Iplus sd conformally_extremal", "C^2"),
@@ -236,7 +230,7 @@ _ENTRIES = tuple(
          "kahler_minus extremal zsc sd bach_flat", "C^2"),
         ("modified-taub-nut-2", (_C0,), lambda C0: (_NUT_F, ExpFactor(C0, -1), _NUT_D),
          "kahler_plus extremal sd bach_flat", "C^2 minus origin"),
-        ("super-taub-nut", (), lambda: (Canonical(0, 0, 2, 2), EinsteinFactor(1.0, 1.0), _LINE),
+        ("super-taub-nut", (), lambda: (canonical(0, 0, 2, 2), EinsteinFactor(1.0, 1.0), _LINE),
          "ricci_flat hyperkahler_Iminus asd", _SINGULAR),
         ("taub-bolt", (_M,), lambda m: (_BOLT_F, EinsteinFactor(1.0 / (4.0 * m), -1.0 / (4.0 * m)), _BOLT_D),
          "einstein ricci_flat bach_flat", "O(-1)"),
@@ -244,12 +238,12 @@ _ENTRIES = tuple(
          "kahler_minus extremal bach_flat", "O(-1)"),
         ("modified-taub-bolt-2", (_C0,), lambda C0: (_BOLT_F, ExpFactor(C0, -1), _BOLT_D),
          "kahler_plus extremal bach_flat", "O(+1)"),
-        ("burns", (_M,), lambda m: (Canonical(0, -m * m, 0, 0), ExpFactor(1.0, +1), _from(2.0 * math.log(m))),
+        ("burns", (_M,), lambda m: (canonical(0, -m * m, 0, 0), ExpFactor(1.0, +1), _from(2.0 * math.log(m))),
          "kahler_minus zsc extremal", "O(-1)"),
         ("eguchi-hanson", (_M,),
-         lambda m: (Canonical(-2.0 * m**4, 0, 0, 0), ExpFactor(1.0, +1), _from(2.0 * math.log(m))),
+         lambda m: (canonical(-2.0 * m**4, 0, 0, 0), ExpFactor(1.0, +1), _from(2.0 * math.log(m))),
          "ricci_flat kahler_minus zsc sd", "O(-2)"),
-        ("super-eguchi-hanson", (), lambda: (ExpPoly([(0, 1), (-2, 1)]), ExpFactor(1.0, +1), _LINE),
+        ("super-eguchi-hanson", (), lambda: (canonical(2, 0, 0, 0), ExpFactor(1.0, +1), _LINE),
          "ricci_flat kahler_einstein", _SINGULAR),
         ("lebrun", (_K, _M),
          lambda k, m: (_lebrun_profile(k, m), ExpFactor(1.0, +1), _from(2.0 * math.log(m))),
@@ -260,7 +254,7 @@ _ENTRIES = tuple(
         ("eguchi-hanson-lambda", (_positive_int("k", 2, minimum=2),), _eh_lambda,
          "einstein", "O(-k) with m^4 = 4(1+k)/3, Lambda = 4-2k"),
         ("fubini-study", (_positive("Lambda", 6.0),),
-         lambda Lambda: (Canonical(0, -Lambda / 6.0, 0, 0), ExpFactor(1.0, -1), _from(math.log(Lambda / 6.0))),
+         lambda Lambda: (canonical(0, -Lambda / 6.0, 0, 0), ExpFactor(1.0, -1), _from(math.log(Lambda / 6.0))),
          "einstein kahler_plus kahler_einstein", "CP^2"),
         ("taub-nut-lambda", (_M, _real("L", 1.0), _real("Lambda", 1.0)), _taub_nut_lambda,
          "einstein bach_flat conformally_extremal", "O(-k) sometimes, but usually singular"),

@@ -23,10 +23,8 @@ if TYPE_CHECKING:
 __all__ = [
     "PredicateResult",
     "ClassificationReport",
-    "RankDeficientError",
     "classify",
     "conformally_extremal_residual",
-    "fit_exp_family",
     "sample_grid",
     "PREDICATES",
 ]
@@ -51,10 +49,6 @@ PREDICATES = (
     "conformally_extremal",
     "bt_flat",
 )
-
-
-class RankDeficientError(ValueError):
-    """Least-squares design matrix is rank deficient (degenerate z-spacing)."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ class ClassificationReport:
         }
 
 
-@lru_cache(maxsize=256)  # bounded: a parameter sweep makes a new domain per spec
+@lru_cache(maxsize=256, typed=True)  # bounded: a parameter sweep makes a new domain per spec
 def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
     """Interior sample points, geometrically clustered toward both ends:
     2·(n // 2) − 1 of them for n ≥ 4 (the two halves share the midpoint)
@@ -117,12 +111,13 @@ def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
 
     The sampled window is the domain itself when finite (shrunk 1% from each
     endpoint) and a finite sub-window when unbounded.  Raises ``ValueError``
-    for n < 2.  The grid depends on ``(domain, n)`` alone and is built once
-    for each recent pair; the array returned is shared, so it is read-only.
+    for an n that is not an int (a bool is not) of at least 2.  The grid
+    depends on ``(domain, n)`` alone and is built once for each recent pair
+    (the cache is typed); the array returned is shared, so it is read-only.
     """
     import numpy as np
-    if n < 2:
-        raise ValueError(f"a sample grid needs n >= 2 points, got n={n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ValueError(f"a sample grid needs an int n >= 2, got n={n!r}")
     lo, hi = domain.finite_window()
     length = hi - lo
     pad = 0.01 * length
@@ -144,28 +139,6 @@ def _grid_max(p, grid) -> float:
 def conformally_extremal_residual(m: MetricSpec, grid: Sequence[float]) -> float:
     """max over grid of |L⁺(L⁻(F)) − 1| (conformal-factor independent)."""
     return _grid_max(m.operator_polys[2], grid)
-
-
-def fit_exp_family(samples) -> tuple:
-    """Least-squares fit of F − 1 onto span{e^{-2z}, e^{-z}, e^{z}, e^{2z}}.
-
-    Returns ((C1, C2, C3, C4), rms) with the canonical ½-weighting, i.e.
-    F ≈ 1 + ½C1·e^{-2z} + C2·e^{-z} + C3·e^{z} + ½C4·e^{2z}.
-    """
-    import numpy as np
-    samples = list(samples)
-    if len(samples) < 8:
-        raise ValueError("need at least 8 samples")
-    zs = np.array([p[0] for p in samples], dtype=float)
-    fs = np.array([p[1] for p in samples], dtype=float)
-    design = np.column_stack([np.exp(-2 * zs), np.exp(-zs), np.exp(zs), np.exp(2 * zs)])
-    coef, _, rank, _ = np.linalg.lstsq(design, fs - 1.0, rcond=None)
-    if rank < 4:
-        raise RankDeficientError("degenerate z-spacing: exponential design matrix is rank deficient")
-    resid = design @ coef - (fs - 1.0)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    c1, c2, c3, c4 = 2 * coef[0], coef[1], coef[2], 2 * coef[3]
-    return ((float(c1), float(c2), float(c3), float(c4)), rms)
 
 
 # --------------------------------------------------------------------- classify

@@ -7,10 +7,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .classify import fit_exp_family
 from .numerics import adaptive_quad, at_first
 from .profiles import (
-    Canonical,
     ConformalModel,
     Domain,
     EinsteinFactor,
@@ -18,6 +16,7 @@ from .profiles import (
     MetricSpec,
     SingularConformalFactorError,
     _check_domain,
+    canonical,
     conformal_value,
 )
 
@@ -30,10 +29,12 @@ __all__ = [
     "TranscriptionResult",
     "TransformError",
     "OrientationError",
+    "RankDeficientError",
     "find_bolts",
     "classify_end",
     "distance",
     "ambikahler_transform",
+    "fit_exp_family",
     "transcribe_classic",
 ]
 
@@ -43,6 +44,10 @@ class TransformError(ValueError):
 
 class OrientationError(ValueError):
     """z(r) came out non-monotone; flip the orientation sign."""
+
+
+class RankDeficientError(ValueError):
+    """Least-squares design matrix is rank deficient (degenerate z-spacing)."""
 
 
 @dataclass(frozen=True)
@@ -266,11 +271,32 @@ class TranscriptionResult:
     zs: np.ndarray
     f_samples: np.ndarray
     c_samples: np.ndarray
-    canonical: Canonical
     f_rms: float
     c_model: ConformalModel
     c_rms: float
     best_model: str  # "exp" | "einstein"
+
+
+def fit_exp_family(samples) -> tuple:
+    """Least-squares fit of F − 1 onto span{e^{-2z}, e^{-z}, e^{z}, e^{2z}}.
+
+    Returns ((C1, C2, C3, C4), rms) with the canonical ½-weighting, i.e.
+    F ≈ 1 + ½C1·e^{-2z} + C2·e^{-z} + C3·e^{z} + ½C4·e^{2z}.
+    """
+    import numpy as np
+    samples = list(samples)
+    if len(samples) < 8:
+        raise ValueError("need at least 8 samples")
+    zs = np.array([p[0] for p in samples], dtype=float)
+    fs = np.array([p[1] for p in samples], dtype=float)
+    design = np.column_stack([np.exp(-2 * zs), np.exp(-zs), np.exp(zs), np.exp(2 * zs)])
+    coef, _, rank, _ = np.linalg.lstsq(design, fs - 1.0, rcond=None)
+    if rank < 4:
+        raise RankDeficientError("degenerate z-spacing: exponential design matrix is rank deficient")
+    resid = design @ coef - (fs - 1.0)
+    rms = float(np.sqrt(np.mean(resid**2)))
+    c1, c2, c3, c4 = 2 * coef[0], coef[1], coef[2], 2 * coef[3]
+    return ((float(c1), float(c2), float(c3), float(c4)), rms)
 
 
 def transcribe_classic(
@@ -313,8 +339,7 @@ def transcribe_classic(
 
     f_samples = np.array([B(r) / C(r) for r in rs])
     c_samples = np.array([C(r) for r in rs])
-    (c1, c2, c3, c4), f_rms = fit_exp_family(zip(zs, f_samples))
-    canonical = Canonical(c1, c2, c3, c4)
+    coeffs, f_rms = fit_exp_family(zip(zs, f_samples))
 
     # Exp model: log C = log C0 + ε z with ε snapped to ±1.
     logc = np.log(c_samples)
@@ -344,7 +369,7 @@ def transcribe_classic(
     z_lo, z_hi = float(np.min(zs)), float(np.max(zs))
     metric = MetricSpec(
         name="transcribed",
-        F=canonical,
+        F=canonical(*coeffs),
         C=c_model,
         domain=Domain(z_lo, z_hi),
     )
@@ -354,7 +379,6 @@ def transcribe_classic(
         zs=zs[order],
         f_samples=f_samples[order],
         c_samples=c_samples[order],
-        canonical=canonical,
         f_rms=f_rms,
         c_model=c_model,
         c_rms=c_rms,

@@ -18,23 +18,27 @@ The Kähler tag is worked out from C (``MetricSpec.tag``): Jplus for
 C = C0·e^{-z}, Jminus for C = C0·e^{+z}, none otherwise.  A ``tag`` line is
 optional; when given it must agree with C, else the file does not parse.
 Numbers are decimals or exact rationals ``p/q`` (rationals parse to Fraction
-and stay exact).  Emission is canonical, so emit → parse → emit is textually
-idempotent.
+and stay exact).  Both F forms parse to the same ExpPoly, and emission reads
+that value alone: an F in the canonical family whose C1…C4 have finite float
+values is written ``F canonical`` (a zero coefficient as ``0``), any other F
+as ``F term`` lines, so emit → parse gives an equal spec and
+emit → parse → emit is textually idempotent.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exppoly import ExpPoly, _as_coefficient
 from .profiles import (
-    Canonical,
     Domain,
     EinsteinFactor,
     ExpFactor,
     MetricSpec,
     RatioFactor,
+    canonical,
+    canonical_coefficients,
 )
 
 __all__ = ["MetricFileError", "parse_metric", "emit_metric"]
@@ -149,7 +153,7 @@ def parse_metric(text: str) -> MetricSpec:
             if len(toks) >= 2 and toks[1] == "canonical":
                 if len(toks) != 6:
                     raise MetricFileError(lineno, "F canonical requires 4 coefficients")
-                f_canonical = _make(lineno, Canonical, *(_parse_value(t, lineno) for t in toks[2:6]))
+                f_canonical = _make(lineno, canonical, *(_parse_value(t, lineno) for t in toks[2:6]))
             elif len(toks) == 4 and toks[1] == "term":
                 _add_term(f_terms, toks, lineno)
             else:
@@ -193,7 +197,7 @@ def parse_metric(text: str) -> MetricSpec:
     if f_canonical is not None and f_terms:
         raise MetricFileError(None, "F given both as canonical and as term lines")
     if f_canonical is not None:
-        profile: Union[Canonical, ExpPoly] = f_canonical
+        profile = f_canonical
     elif f_terms:
         profile = _finished(f_terms)
     else:
@@ -230,6 +234,13 @@ def _fmt_endpoint(v: float) -> str:
     return _fmt_number(v)
 
 
+def _has_float_value(v) -> bool:
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:  # an exact number past float range
+        return False
+
+
 def _term_lines(prefix: str, poly: ExpPoly) -> list:
     return [f"{prefix} term {_fmt_number(k)} {_fmt_number(c)}" for k, c in poly.terms()]
 
@@ -245,15 +256,11 @@ def emit_metric(m: MetricSpec) -> str:
             "closed" if d.hi_closed else "open",
         )
     )
-    profile = m.F
-    if isinstance(profile, Canonical):
-        lines.append(
-            "F canonical {} {} {} {}".format(
-                *(_fmt_number(c) for c in (profile.c1, profile.c2, profile.c3, profile.c4))
-            )
-        )
+    coeffs = canonical_coefficients(m.F)
+    if coeffs is not None and all(_has_float_value(c) for c in coeffs):
+        lines.append("F canonical {} {} {} {}".format(*map(_fmt_number, coeffs)))
     else:
-        lines.extend(_term_lines("F", profile))
+        lines.extend(_term_lines("F", m.F))
     c = m.C
     if isinstance(c, ExpFactor):
         lines.append(f"C exp C0={_fmt_number(c.c0)} eps={'+1' if c.eps > 0 else '-1'}")

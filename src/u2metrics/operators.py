@@ -13,10 +13,9 @@ arrays over z, or F's exact derivatives as ExpPolys (``l_op``, ``l_compose``,
 """
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exppoly import ExpPoly
-from .profiles import Profile, profile_poly
 
 __all__ = [
     "l_op",
@@ -84,15 +83,14 @@ def b_op(F: ExpPoly) -> ExpPoly:
 
 
 # -------------------------------------------------------------- first integral
-def first_integral_residual(F: Union[Profile, ExpPoly], grid: Sequence[float]) -> float:
+def first_integral_residual(F: ExpPoly, grid: Sequence[float]) -> float:
     """max over grid of |dB/dz − 2F′·(L⁺(L⁻F) − 1)|, computed exactly.
 
     The difference is expanded as an exponential polynomial; for any F in the
     canonical family it is identically zero and 0.0 is returned without
     evaluation.
     """
-    poly = profile_poly(F)
-    diff = b_op(poly).derive(1) - 2 * poly.derive(1) * (l_compose(poly) - 1)
+    diff = b_op(F).derive(1) - 2 * F.derive(1) * (l_compose(F) - 1)
     if diff.is_zero:
         return 0.0
     return max(abs(diff.eval(z)) for z in grid)

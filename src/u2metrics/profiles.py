@@ -4,8 +4,10 @@ A metric is  C·(dz²/(4F) + F·η₁² + η₂² + η₃²),  with η₁, η₂
 left-invariant coframe of SU(2) normalised by dη₁ = 2·η₂∧η₃ (and
 cyclically), described by a profile F(z) and a conformal factor C(z); this
 module holds the closed-form carriers for both and provides exact 4-jet
-evaluation, of F and of C with g = C^{−1/2}.  A spec expands its
-carriers (F, g, C's num/den pair, and the operator polynomials built from F)
+evaluation, of F and of C with g = C^{−1/2}.  F is always an ExpPoly:
+``canonical(C1, C2, C3, C4)`` builds the canonical family's member, and
+``canonical_coefficients`` reads it back from any ExpPoly.  A spec builds its
+other carriers (g, C's num/den pair, and the operator polynomials built from F)
 once, on first use, and every evaluation shares them, so each polynomial's
 float rows are compiled once per spec.  ``jet_F``, ``jet_C`` and
 ``conformal_value`` take a float z or a 1-D float64 array of them; on an
@@ -21,11 +23,11 @@ from typing import Optional, Union
 
 from .exppoly import ExpPoly, _as_coefficient
 from .numerics import at_first, is_array, jet_to_series, series_div, series_pow, series_to_jet
+from .operators import b_op_jet, l_compose_jet, l_op_jet
 
 __all__ = [
     "Domain",
-    "Canonical",
-    "Profile",
+    "canonical",
     "ExpFactor",
     "EinsteinFactor",
     "RatioFactor",
@@ -33,7 +35,6 @@ __all__ = [
     "MetricSpec",
     "OutOfDomainError",
     "SingularConformalFactorError",
-    "profile_poly",
     "factor_ratio",
     "jet_F",
     "jet_C",
@@ -93,43 +94,12 @@ class Domain:
 
 
 # --------------------------------------------------------------------- F side
-@dataclass(frozen=True)
-class Canonical:
-    """F = 1 + ½C1·e^{-2z} + C2·e^{-z} + C3·e^{z} + ½C4·e^{2z}."""
-
-    c1: Union[Fraction, float]
-    c2: Union[Fraction, float]
-    c3: Union[Fraction, float]
-    c4: Union[Fraction, float]
-
-    def __post_init__(self):
-        for name in ("c1", "c2", "c3", "c4"):
-            object.__setattr__(self, name, _as_coefficient(getattr(self, name)))
-
-    @cached_property
-    def _expanded(self) -> ExpPoly:
-        half = Fraction(1, 2)
-        return ExpPoly(
-            [(0, 1), (-2, half * self.c1), (-1, self.c2), (1, self.c3), (2, half * self.c4)]
-        )
-
-    def expand(self) -> ExpPoly:
-        """Built once per value: specs sharing this profile share its zeros."""
-        return self._expanded
-
-    def coefficients(self) -> tuple:
-        return (self.c1, self.c2, self.c3, self.c4)
-
-
-Profile = Union[ExpPoly, Canonical]
-
-
-def profile_poly(profile: Profile) -> ExpPoly:
-    if isinstance(profile, ExpPoly):
-        return profile
-    if isinstance(profile, Canonical):
-        return profile.expand()
-    raise TypeError(f"not a profile: {type(profile).__name__}")
+def canonical(c1, c2, c3, c4) -> ExpPoly:
+    """F = 1 + ½C1·e^{-2z} + C2·e^{-z} + C3·e^{z} + ½C4·e^{2z}; each Ci must
+    have a finite float value."""
+    c1, c2, c3, c4 = (_as_coefficient(c) for c in (c1, c2, c3, c4))
+    half = Fraction(1, 2)
+    return ExpPoly([(0, 1), (-2, half * c1), (-1, c2), (1, c3), (2, half * c4)])
 
 
 def canonical_coefficients(poly: ExpPoly) -> Optional[tuple]:
@@ -217,12 +187,12 @@ class MetricSpec:
     """A U(2)-invariant metric: profile F, conformal factor C, z-domain."""
 
     name: str
-    F: Profile
+    F: ExpPoly
     C: ConformalModel
     domain: Domain
 
     def __post_init__(self):
-        if isinstance(self.F, ExpPoly) and self.F.is_zero:
+        if self.F.is_zero:
             raise ValueError("F is identically zero")
 
     @property
@@ -267,8 +237,6 @@ class MetricSpec:
     def operator_polys(self) -> tuple:
         """(L⁺F − 1, L⁻F − 1, L⁺(L⁻F) − 1), exact, built once per spec: the
         Weyl halves' factor and the conformal-extremality residual."""
-        from .operators import l_compose_jet, l_op_jet  # operators imports this module
-
         fj = [self.f_poly().derive(n) for n in range(5)]
         return (l_op_jet(1, fj) - 1, l_op_jet(-1, fj) - 1, l_compose_jet(fj) - 1)
 
@@ -276,8 +244,6 @@ class MetricSpec:
     def bach_at_zero(self):
         """B(F,F) at z = 0, exact for an exact F, built once per spec: there the
         nth derivative of F is the sum of its coefficients times kⁿ."""
-        from .operators import b_op_jet  # operators imports this module
-
         terms = self.f_poly().terms()
         return b_op_jet([sum((c * k**n for k, c in terms), Fraction(0)) for n in range(4)])
 
@@ -289,7 +255,7 @@ class MetricSpec:
         return {}
 
     def f_poly(self) -> ExpPoly:
-        return profile_poly(self.F)  # a Canonical caches its expansion
+        return self.F
 
 
 def _check_domain(m: MetricSpec, z, closure: bool = False):

@@ -34,7 +34,7 @@ from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import _scalar_from_jets, _scalar_prime_from_jets, curvature_sample, scalar_curvature
 from u2metrics.operators import b_op_jet
-from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec, jet_C, jet_F
+from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical, jet_C, jet_F
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -109,11 +109,11 @@ class TestClosedFormResiduals:
         assert bt_grid_residual(sample, -0.5) < 1e-8
 
     def test_non_critical_control(self):
-        from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
+        from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical
 
         # C1·C4 - C2·C3 != 0, so this is not Bach-flat and not critical
         m = MetricSpec(
-            "off", Canonical(1, 1, 1, 0), ExpFactor(1.0, -1), Domain(-1.0, 1.0)
+            "off", canonical(1, 1, 1, 0), ExpFactor(1.0, -1), Domain(-1.0, 1.0)
         )
         sample = curvature_sample(m, sample_grid(m.domain, 16))
         assert bt_grid_residual(sample, 1.0) > 1e-3
@@ -483,7 +483,7 @@ class TestArrayResiduals:
     def test_large_conformal_factor_raises_no_warning(self):
         # C = 1e130: every form stays finite (C′/C = −1, C·s = −24), and the
         # float row is the array row
-        m = MetricSpec("big-c", Canonical(1, 0, 0, 0), ExpFactor(1e130, -1), Domain(-1.0, 1.0))
+        m = MetricSpec("big-c", canonical(1, 0, 0, 0), ExpFactor(1e130, -1), Domain(-1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = classify(m, t=1.0)

@@ -22,21 +22,19 @@ from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.curvature import curvature_sample, ricci_form_kahler
 from u2metrics.classify import (
     PREDICATES,
-    RankDeficientError,
     classify,
     conformally_extremal_residual,
-    fit_exp_family,
     sample_grid,
 )
 from u2metrics.exppoly import ExpPoly
-from u2metrics.geometry import classify_end, find_bolts
+from u2metrics.geometry import RankDeficientError, classify_end, find_bolts, fit_exp_family
 from u2metrics.profiles import (
-    Canonical,
     Domain,
     EinsteinFactor,
     ExpFactor,
     MetricSpec,
     RatioFactor,
+    canonical,
     canonical_coefficients,
 )
 
@@ -47,12 +45,12 @@ MODES = {"default": {}, "t1": {"t": 1.0}, "grid": {"use_exact": False}}
 # specs whose every predicate is indeterminate: an interior zero of F, a pole
 # of C, a negative C and a C whose square underflows
 SINGULAR = [
-    MetricSpec("bad", Canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0)),
-    MetricSpec("p", Canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0)),
+    MetricSpec("bad", canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0)),
+    MetricSpec("p", canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0)),
     MetricSpec(
-        "neg", Canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(-1), ExpPoly.constant(1)), Domain(-1.0, 1.0)
+        "neg", canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(-1), ExpPoly.constant(1)), Domain(-1.0, 1.0)
     ),
-    MetricSpec("far", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0)),
+    MetricSpec("far", canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0)),
 ]
 
 
@@ -89,19 +87,19 @@ class TestTags:
     @pytest.mark.parametrize("m,t,reason", [
         # F = 1 − e^{-z} vanishes at z = 0
         (
-            MetricSpec("bad", Canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0)),
+            MetricSpec("bad", canonical(0, -1, 0, 0), ExpFactor(1.0, -1), Domain(-2.0, 2.0)),
             None,
             "F vanishes at z=0 inside the domain",
         ),
         # F = 1 − 0.001·e^{z} changes sign at ln 1000, between two grid points
         (
-            MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf)),
+            MetricSpec("s", canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf)),
             1.0,
             "F vanishes at z=6.90776 inside the domain",
         ),
         # C = e^{-z}/(1 − e^{-z})² has a pole at z = 0
         (
-            MetricSpec("p", Canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0)),
+            MetricSpec("p", canonical(0, 0, 0, 0), EinsteinFactor(1, -1), Domain(-2.0, 3.0)),
             None,
             "C's denominator vanishes at z=0 inside the domain",
         ),
@@ -118,7 +116,7 @@ class TestTags:
         # C = −1 is negative everywhere, with no zero to find
         (
             MetricSpec(
-                "neg", Canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(-1), ExpPoly.constant(1)),
+                "neg", canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(-1), ExpPoly.constant(1)),
                 Domain(-1.0, 1.0),
             ),
             "is not positive",
@@ -126,7 +124,7 @@ class TestTags:
         # C = e^{-z} ≈ 1e-174 at z = 400: g⁴ = C⁻² in Bach overflows past z ≈ 354.9 and
         # multiplies a zero, first at the grid point z ≈ 355.93
         (
-            MetricSpec("far", Canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0)),
+            MetricSpec("far", canonical(0, 0, 0, 0), ExpFactor(1.0, -1), Domain(300.0, 400.0)),
             "bach_B1 is not finite at z=355.9",
         ),
     ], ids=["negative-C", "underflowed-C"])
@@ -214,7 +212,7 @@ class TestEinsteinScale:
     def test_einstein_factor(self):
         # C = e^{-z}/(C5 + C6·e^{-z})² scales as 1/k² when (C5, C6) does as k; with F = 1 + ½e^{-2z}
         # the certificate is |C1·C5| over max(|C5|, |C6|) = 3/5 (before: 3k, so yes for k = 2^-40)
-        F = Canonical(1, 0, 0, 0)
+        F = canonical(1, 0, 0, 0)
         reports = [classify(MetricSpec("p", F, EinsteinFactor(3 * k, 5 * k), Domain(-1.0, 1.0))) for k in (2.0**-40, 1.0, 2.0**40)]
         assert {(r.verdict("einstein"), r.residual("einstein")) for r in reports} == {("no", 0.6)}
 
@@ -280,6 +278,18 @@ class TestSampleGrid:
         # 64.0 hashes as 64, so it would read 64's cached sample; 2.5 would fail inside numpy
         with pytest.raises(ValueError, match=f"grid_n={n!r}"):
             classify(catalog_get("page"), grid_n=n)
+
+    @pytest.mark.parametrize("n", [64.0, 2.5, True])
+    def test_n_that_is_not_an_int_raises_whatever_is_cached(self, n):
+        # the body checks n and the cache is typed, so 64.0 never reads 64's cached grid
+        d = Domain(-3.25, 7.5)
+        sample_grid.cache_clear()
+        with pytest.raises(ValueError) as before:
+            sample_grid(d, n)
+        sample_grid(d, 64)
+        with pytest.raises(ValueError) as after:
+            sample_grid(d, n)
+        assert str(before.value) == str(after.value) == f"a sample grid needs an int n >= 2, got n={n!r}"
 
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 2), (4, 3), (5, 3), (64, 63)])
     def test_point_count(self, n, count):
@@ -379,7 +389,7 @@ class TestOnePathEach:
         for _ in range(50):
             # exact, and read without a grid: F may vanish inside this domain
             c = [rng.choice(small) for _ in range(4)]
-            m = MetricSpec("c", Canonical(*c), ExpFactor(1, -1), Domain(-1.0, 1.0))
+            m = MetricSpec("c", canonical(*c), ExpFactor(1, -1), Domain(-1.0, 1.0))
             assert m.bach_at_zero == -3 * (c[0] * c[3] - c[1] * c[2])
         # hirzebruch's and page's float coefficients leave L⁺L⁻F − 1 at round-off (about 1e-16),
         # so the max with conformally_extremal's residual must not hide B(F,F)(0) = −0.18 on hirzebruch
@@ -409,7 +419,7 @@ class TestConformallyExtremal:
 
 class TestFitExpFamily:
     def test_recovers_taub_bolt_coefficients(self):
-        poly = Canonical(-0.25, 0.25, -2.25, 2.25).expand()
+        poly = canonical(-0.25, 0.25, -2.25, 2.25)
         zs = np.linspace(-1.0, -0.1, 24)
         (c1, c2, c3, c4), rms = fit_exp_family((z, poly.eval(z)) for z in zs)
         assert rms < 1e-12

@@ -13,7 +13,7 @@ from u2metrics.btflat import bt_csc_seed
 from u2metrics.cli import main
 from u2metrics.catalog import catalog_get
 from u2metrics.metricfile import emit_metric
-from u2metrics.profiles import Canonical, Domain, ExpFactor, MetricSpec
+from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical
 
 
 CLI_GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "cli_goldens.json"
@@ -219,7 +219,7 @@ class TestEndsCommand:
 
     def test_failed_distance_exits_3_with_reason(self, tmp_path, capsys):
         # F = 1 − 0.001·e^z: the upper end lies past the zero at ln 1000
-        spec = MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf))
+        spec = MetricSpec("s", canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf))
         path = tmp_path / "s.txt"
         path.write_text(emit_metric(spec))
         assert main(["ends", str(path)]) == 3

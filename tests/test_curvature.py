@@ -34,13 +34,13 @@ from u2metrics.curvature import (
 from u2metrics.exppoly import ExpPoly
 from u2metrics.operators import b_op_jet, l_compose_jet, l_op_jet, l_plus
 from u2metrics.profiles import (
-    Canonical,
     Domain,
     EinsteinFactor,
     ExpFactor,
     MetricSpec,
     OutOfDomainError,
     RatioFactor,
+    canonical,
     canonical_coefficients,
     conformal_value,
     factor_ratio,
@@ -234,7 +234,7 @@ class TestKahlerFormulas:
 
     def test_kahler_structure_comes_from_c(self):
         # modified-taub-nut-2 built without a catalog entry: C = e^{-z} alone makes it J⁺-Kähler
-        m = MetricSpec("t", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, math.inf))
+        m = MetricSpec("t", canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, math.inf))
         assert m.tag == "Jplus"
         rho_plus, _ = ricci_form_kahler(m, 1.0)
         assert type(rho_plus) is float
@@ -255,7 +255,7 @@ class TestWeylEnergy:
 
     def test_conformal_invariance(self):
         # the energy depends on F only, not on the conformal factor
-        F = Canonical(0.3, -0.4, 0.1, 0.0)
+        F = canonical(0.3, -0.4, 0.1, 0.0)
         d = Domain(-math.inf, math.inf)
         m1 = MetricSpec("a", F, ExpFactor(1.0, -1), d)
         m2 = MetricSpec("b", F, ExpFactor(7.0, +1), d)
@@ -348,7 +348,7 @@ class TestEinsteinCertificate:
 
     @staticmethod
     def _kernel_vanishes(coeffs, c5, c6) -> bool:
-        m = MetricSpec("t", Canonical(*coeffs), EinsteinFactor(c5, c6), Domain(-math.inf, math.inf))
+        m = MetricSpec("t", canonical(*coeffs), EinsteinFactor(c5, c6), Domain(-math.inf, math.inf))
         ric0_a, ric0_b = curvature._tf_ricci_from_jets(*_exact_jets(m))
         assert ric0_a.is_exact and ric0_b.is_exact
         return ric0_a.is_zero and ric0_b.is_zero

@@ -24,19 +24,20 @@ from u2metrics.geometry import (
 )
 from u2metrics.numerics import adaptive_quad
 from u2metrics.profiles import (
-    Canonical,
     Domain,
     ExpFactor,
     MetricSpec,
     OutOfDomainError,
     SingularConformalFactorError,
+    canonical,
+    canonical_coefficients,
     conformal_value,
 )
 
 
 def _crossing_spec():
     """F = 1 − 0.001·e^z on (−1, ∞): one simple zero, at ln 1000, slope −1."""
-    return MetricSpec("s", Canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf))
+    return MetricSpec("s", canonical(0, 0, -0.001, 0), ExpFactor(1.0, -1), Domain(-1.0, math.inf))
 
 
 class TestFindBolts:
@@ -107,7 +108,7 @@ class TestFindBolts:
 
     def test_double_zero_is_degenerate(self):
         # F = (1 − e^{-z})² on a domain closed at its double zero z = 0
-        m = MetricSpec("d", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True))
+        m = MetricSpec("d", canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, 1.0, lo_closed=True))
         (bolt,) = find_bolts(m)
         assert bolt.z0 == 0.0 and bolt.degenerate and bolt.self_intersection is None
 
@@ -172,7 +173,7 @@ class TestDistance:
     @pytest.mark.parametrize("c2, c3, bad_side", [(0, -0.001, "upper"), (-0.001, 0, "lower")])
     def test_undefined_next_to_either_end_names_a_z_on_that_side(self, c2, c3, bad_side):
         # F = 1 − 0.001·e^{±z} is negative past z = ±ln 1000, inside the upper or the lower half
-        m = MetricSpec("s", Canonical(0, c2, c3, 0), ExpFactor(1.0, -1), Domain(-20.0, 20.0))
+        m = MetricSpec("s", canonical(0, c2, c3, 0), ExpFactor(1.0, -1), Domain(-20.0, 20.0))
         with pytest.raises(SingularConformalFactorError, match=r"^√\(C/F\) undefined at z=") as err:
             distance(m, -10.0, 10.0)
         z = float(str(err.value).rsplit("=", 1)[1])
@@ -429,7 +430,7 @@ class TestTranscription:
             orientation=+1,
         )
         assert res.f_rms < 1e-10
-        assert max(abs(c) for c in res.canonical.coefficients()) < 1e-8
+        assert max(abs(c) for c in canonical_coefficients(res.metric.F)) < 1e-8
         assert res.best_model == "exp"
         assert res.c_model.eps == +1
         assert res.c_rms < 1e-10
@@ -445,7 +446,7 @@ class TestTranscription:
         )
         assert res.f_rms < 1e-9
         assert res.best_model == "einstein"
-        c1, c2, c3, c4 = res.canonical.coefficients()
+        c1, c2, c3, c4 = canonical_coefficients(res.metric.F)
         # shift-normalized profile (1 - e^{-z})^2: c1 = c2^2/2, c3 = c4 = 0
         k = -c2 / 2.0
         assert c1 / k**2 == pytest.approx(2.0, abs=1e-8)

@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses,
 defines a private name that nothing references or takes a parameter that its
-function never reads, or imports numpy when it is itself imported, and every
+function never reads, imports numpy when it is itself imported, or imports a
+package module from inside a function or from a layer above its own, and every
 function the benchmark tracer wraps still exists.
 
 A stdlib ``ast`` check standing in for a linter.  A name counts as used when
@@ -252,6 +253,57 @@ def test_checker_flags_an_import_time_import(tmp_path):
         "    return numpy\n"
     )
     assert import_time_imports(src, "numpy") == ["mod.py:2", "mod.py:6", "mod.py:8", "mod.py:12"]
+
+
+# each module imports only modules before it here, so the package has no import cycle
+LAYERS = (
+    "numerics", "exppoly", "operators", "profiles", "curvature", "btflat",
+    "classify", "geometry", "catalog", "metricfile", "cli",
+)
+
+
+def layering_violations(path: pathlib.Path) -> list:
+    """``module:line: from .x`` for each ``from .x import`` in the module at
+    ``path`` that is not a module-level statement or whose x does not come
+    before the module in LAYERS (``from . import`` is exempt)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    rank = LAYERS.index(path.stem) if path.stem in LAYERS else -1
+    top = {id(node) for node in tree.body}
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level and node.module):
+            continue
+        x = node.module.split(".")[0]
+        if id(node) not in top:
+            out.append(f"{path.name}:{node.lineno}: from .{node.module} (not at module level)")
+        elif x not in LAYERS[:rank]:
+            out.append(f"{path.name}:{node.lineno}: from .{node.module} (not a lower layer)")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_follow_the_layers(path):
+    assert path.stem in LAYERS
+    assert layering_violations(path) == []
+
+
+def test_checker_flags_a_layering_violation(tmp_path):
+    src = tmp_path / "profiles.py"
+    src.write_text(
+        "from . import __version__\n"
+        "from .numerics import a\n"
+        "from .operators import b\n"
+        "from .curvature import c\n"
+        "from .profiles import d\n"
+        "def f():\n"
+        "    from .exppoly import e\n"
+        "    return e\n"
+    )
+    assert layering_violations(src) == [
+        "profiles.py:4: from .curvature (not a lower layer)",
+        "profiles.py:5: from .profiles (not a lower layer)",
+        "profiles.py:7: from .exppoly (not at module level)",
+    ]
 
 
 def _tracer_targets() -> dict:

@@ -1,4 +1,5 @@
 """Plain-text metric serialization: round trips and error reporting."""
+import json
 import math
 import pathlib
 import re
@@ -6,10 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from u2metrics.catalog import catalog_entry, catalog_names
+from u2metrics.catalog import catalog_entry, catalog_get, catalog_names
 from u2metrics.cli import main
 from u2metrics.exppoly import ExpPoly
 from u2metrics.metricfile import MetricFileError, emit_metric, parse_metric
+from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical
+
+PIN_SPECS = json.loads((pathlib.Path(__file__).parent / "data" / "catalog_pins.json").read_text())["specs"]
+
+
+def _assert_round_trip_by_value(m) -> str:
+    """emit → parse gives m's F, and a second emit repeats the first; returns the text."""
+    text = emit_metric(m)
+    again = parse_metric(text)
+    assert again.F == m.F
+    assert emit_metric(again) == text
+    return text
 
 
 class TestRoundTrip:
@@ -21,10 +34,44 @@ class TestRoundTrip:
         assert text == again
 
     def test_rationals_survive(self):
-        text = "name t\ndomain -1 1 open open\nF term -2 1/2\nF term 0 1\nC exp C0=1 eps=-1\n"
+        # exponent 3 is off the canonical family, so F is written as term lines
+        text = "name t\ndomain -1 1 open open\nF term 0 1\nF term 3 1/2\nC exp C0=1 eps=-1\n"
         m = parse_metric(text)
-        assert m.f_poly().coefficient(-2) == Fraction(1, 2)
-        assert "1/2" in emit_metric(m)
+        assert m.f_poly().coefficient(3) == Fraction(1, 2)
+        assert "F term 3 1/2\n" in emit_metric(m)
+
+    @pytest.mark.parametrize(
+        "pin", PIN_SPECS, ids=[f"{p['name']}{p['params'] or ''}" for p in PIN_SPECS]
+    )
+    def test_pinned_spec_round_trips_by_value(self, pin):
+        _assert_round_trip_by_value(catalog_get(pin["name"], pin["params"]))
+
+    @pytest.mark.parametrize(
+        "f_lines, written",
+        [
+            ("F term -2 1/2\nF term -1 3\nF term 0 1\n", "F canonical 1 3 0 0\n"),
+            ("F term 0 1\nF term 3 -1/4\n", "F term 0 1\nF term 3 -1/4\n"),
+            # C1 = 2·1e308 has no float value, so this canonical-shaped F stays as terms
+            ("F term -2 1e308\nF term 0 1\n", "F term -2 1e+308\nF term 0 1\n"),
+        ],
+        ids=["canonical-shaped", "exponent-3", "C1-past-float-range"],
+    )
+    def test_term_lines_round_trip_by_value(self, f_lines, written):
+        m = parse_metric("name t\ndomain -1 1 open open\n" + f_lines + "C exp C0=1 eps=-1\n")
+        assert written in _assert_round_trip_by_value(m)
+
+    @pytest.mark.parametrize(
+        "cs, terms",
+        [
+            ((2, -2, 0, 0), [(0, 1), (-2, 1), (-1, -2)]),
+            ((0.3, -0.4, 0.1, 0.0), [(-2, 0.15), (-1, -0.4), (0, 1), (1, 0.1)]),
+        ],
+    )
+    def test_canonical_and_explicit_profile_are_one_spec(self, cs, terms):
+        d, c = Domain(0.0, math.inf), ExpFactor(1.0, -1)
+        a, b = MetricSpec("t", canonical(*cs), c, d), MetricSpec("t", ExpPoly(terms), c, d)
+        assert a == b and hash(a) == hash(b)
+        assert emit_metric(a) == emit_metric(b)
 
     def test_ratio_model(self):
         text = (

@@ -26,7 +26,7 @@ from u2metrics.operators import (
     l_op_jet,
     l_plus,
 )
-from u2metrics.profiles import Canonical
+from u2metrics.profiles import canonical
 
 
 def _eig_plus(k):
@@ -65,18 +65,18 @@ class TestCanonicalIdentities:
         rng = random.Random(7)
         for _ in range(20):
             cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-            F = Canonical(*cs).expand()
+            F = canonical(*cs)
             assert l_compose(F) == ExpPoly.constant(1)
 
     def test_b_on_canonical_is_constant(self):
         rng = random.Random(11)
         for _ in range(20):
             c1, c2, c3, c4 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))
-            val = b_op(Canonical(c1, c2, c3, c4).expand())
+            val = b_op(canonical(c1, c2, c3, c4))
             assert val == ExpPoly.constant(3 * (c2 * c3 - c1 * c4))
 
     def test_first_integral_exact_zero_on_canonical(self):
-        F = Canonical(Fraction(1, 3), -2, Fraction(5, 7), 4).expand()
+        F = canonical(Fraction(1, 3), -2, Fraction(5, 7), 4)
         assert first_integral_residual(F, [0.0]) == 0.0
 
 

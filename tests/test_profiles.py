@@ -7,7 +7,6 @@ import pytest
 
 from u2metrics.exppoly import ExpPoly
 from u2metrics.profiles import (
-    Canonical,
     Domain,
     EinsteinFactor,
     ExpFactor,
@@ -15,18 +14,19 @@ from u2metrics.profiles import (
     OutOfDomainError,
     RatioFactor,
     SingularConformalFactorError,
+    canonical,
     canonical_coefficients,
     conformal_value,
     factor_ratio,
     jet_C,
     jet_F,
-    profile_poly,
 )
 
 
 class TestCanonical:
     def test_expand_weights(self):
-        p = Canonical(2, 3, 5, 7).expand()
+        p = canonical(2, 3, 5, 7)
+        assert isinstance(p, ExpPoly)
         assert p.coefficient(-2) == 1  # half of C1
         assert p.coefficient(-1) == 3
         assert p.coefficient(0) == 1
@@ -34,15 +34,18 @@ class TestCanonical:
         assert p.coefficient(2) == Fraction(7, 2)
 
     def test_coefficients_roundtrip(self):
-        c = Canonical(Fraction(-1, 4), Fraction(1, 4), Fraction(-9, 4), Fraction(9, 4))
-        assert canonical_coefficients(c.expand()) == c.coefficients()
+        cs = (Fraction(-1, 4), Fraction(1, 4), Fraction(-9, 4), Fraction(9, 4))
+        assert canonical_coefficients(canonical(*cs)) == cs
+
+    def test_zero_coefficients_read_back_as_exact_zero(self):
+        p = canonical(-0.0, -1.0, 0, 0.0)
+        assert p.exponents() == (-1, 0)
+        cs = canonical_coefficients(p)
+        assert cs == (0, -1.0, 0, 0)
+        assert [type(c) for c in cs] == [Fraction, float, Fraction, Fraction]
 
     def test_non_canonical_poly_gives_none(self):
         assert canonical_coefficients(ExpPoly([(0, 1), (3, 1)])) is None
-
-    def test_profile_poly_passthrough(self):
-        q = ExpPoly([(1, 2)])
-        assert profile_poly(q) is q
 
 
 class TestDomain:
@@ -76,7 +79,7 @@ class TestConformalModels:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_coefficients_are_rejected(self, value):
         for make in (
-            lambda: Canonical(value, -2, 0, 0),
+            lambda: canonical(value, -2, 0, 0),
             lambda: ExpFactor(value, -1),
             lambda: EinsteinFactor(value, 1.0),
             lambda: EinsteinFactor(1.0, value),
@@ -88,7 +91,7 @@ class TestConformalModels:
     def test_exact_coefficients_without_float_value_are_rejected(self, value):
         # before: each built, and its first evaluation raised a bare OverflowError
         for make in (
-            lambda: Canonical(value, -2, 0, 0),
+            lambda: canonical(value, -2, 0, 0),
             lambda: ExpFactor(value, -1),
             lambda: EinsteinFactor(value, 1.0),
             lambda: EinsteinFactor(1.0, value),
@@ -103,18 +106,18 @@ class TestConformalModels:
         assert ExpFactor(5e-324, -1).c0 == 5e-324  # a subnormal C0 has a float C0^{−1/2}
 
     def test_exp_factor_value(self):
-        m = MetricSpec("t", Canonical(0, 0, 0, 0), ExpFactor(3.0, -1), Domain(-2, 2))
+        m = MetricSpec("t", canonical(0, 0, 0, 0), ExpFactor(3.0, -1), Domain(-2, 2))
         assert conformal_value(m, 0.5) == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
 
     def test_einstein_factor_value(self):
-        m = MetricSpec("t", Canonical(0, 0, 0, 0), EinsteinFactor(0.25, -0.25), Domain(-2, -0.1))
+        m = MetricSpec("t", canonical(0, 0, 0, 0), EinsteinFactor(0.25, -0.25), Domain(-2, -0.1))
         z = -1.0
         want = math.exp(-z) / (0.25 - 0.25 * math.exp(-z)) ** 2
         assert conformal_value(m, z) == pytest.approx(want, rel=1e-14)
 
     def test_einstein_factor_pole_raises(self):
         m = MetricSpec(
-            "t", Canonical(0, 0, 0, 0), EinsteinFactor(1.0, -1.0), Domain(-2.0, 2.0)
+            "t", canonical(0, 0, 0, 0), EinsteinFactor(1.0, -1.0), Domain(-2.0, 2.0)
         )
         with pytest.raises(SingularConformalFactorError):
             conformal_value(m, 0.0)
@@ -126,7 +129,7 @@ class TestConformalModels:
 
     def test_ratio_factor(self):
         r = RatioFactor(ExpPoly([(-1, 1)]), ExpPoly([(0, 1), (-1, 1)]))
-        m = MetricSpec("t", Canonical(0, 0, 0, 0), r, Domain(-2, 2))
+        m = MetricSpec("t", canonical(0, 0, 0, 0), r, Domain(-2, 2))
         z = 0.7
         want = math.exp(-z) / (1 + math.exp(-z))
         assert conformal_value(m, z) == pytest.approx(want, rel=1e-14)
@@ -147,7 +150,7 @@ class TestConformalModels:
 class TestJets:
     def _metric(self):
         return MetricSpec(
-            "t", Canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, math.inf)
+            "t", canonical(2, -2, 0, 0), ExpFactor(1.0, -1), Domain(0.0, math.inf)
         )
 
     def test_jet_f_matches_poly(self):
@@ -167,7 +170,7 @@ class TestJets:
     def test_jet_c_rejects_an_infinite_c(self):
         # C = 1e300/1e-10 rounds to inf: g = C^{-1/2} would be 0, and P± divides by g
         m = MetricSpec(
-            "t", Canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(1e300), ExpPoly.constant(1e-10)), Domain(-1.0, 1.0)
+            "t", canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(1e300), ExpPoly.constant(1e-10)), Domain(-1.0, 1.0)
         )
         with pytest.raises(SingularConformalFactorError, match=r"^C\(z\)=inf is not positive and finite at z=0.5$"):
             jet_C(m, 0.5)
