@@ -16,7 +16,7 @@ from .profiles import (
     SingularConformalFactorError,
     canonical,
 )
-from .operators import b_op, l_compose, l_minus, l_op, l_plus
+from .operators import b_op, l_compose, l_op
 from .curvature import (
     CurvatureSample,
     bach,
@@ -54,7 +54,6 @@ from .catalog import (
     catalog_get,
     catalog_list,
     catalog_names,
-    hirzebruch,
     hirzebruch_bachflat_k,
     page_constants,
 )

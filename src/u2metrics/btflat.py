@@ -11,7 +11,8 @@ F1, F2 and T (functional ∫|W|² + t∫s², Gursky–Viaclovsky 2016) are writt
 once, with no square root, in C and d = C′/C: F1res = C·(s − s[F, C]) is an
 F-only part plus C·s + 12F′·d − 6F·d² + 12F·C″/C, and F2res and T are
 (8/3)(L⁺L⁻F − 1) and 16·B(F,F) plus t·C times a polynomial in F's jet, d,
-C″/C, s and s′.  One body serves the float flow and float or array residuals.
+C″/C, s and s′.  One body serves the float flow and float or array residuals,
+whose closed-form states ``state_from_metric`` reads from the jets, s and s′.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ __all__ = [
     "bt_csc_seed",
     "bt_nonextremal_search",
     "bt_grid_residual",
-    "bt_sample_residuals",
     "state_from_metric",
 ]
 
@@ -103,9 +103,6 @@ class BtTrajectory:
     steps_rejected: int = 0
     truncated: bool = False
     truncation_reason: Optional[str] = None
-
-    def final_state(self) -> BtState:
-        return self.samples[-1].state
 
     def truncate(self, reason: str) -> "BtTrajectory":
         self.truncated, self.truncation_reason = True, reason
@@ -404,16 +401,15 @@ def bt_csc_seed(
     C1d: float,
     s: float,
     t: float,
-    z0: float = 0.0,
 ) -> BtState:
     """A state on the CSC constraint manifold: K = 0 and T = 0.
 
     T is linear in F‴ with coefficient 8·F′ (via the F′·(L⁺F)′ term of B), so
     F‴ is solved for directly; when F′ = 0 the solve retargets F″ instead
     (T is then quadratic in F″) and F‴ is set to zero.  A non-finite
-    argument raises SeedError naming the first.
+    argument raises SeedError naming the first.  The state's z is 0.0.
     """
-    args = (("F", F), ("F1d", F1d), ("F2d", F2d), ("C", C), ("C1d", C1d), ("s", s), ("t", t), ("z0", z0))
+    args = (("F", F), ("F1d", F1d), ("F2d", F2d), ("C", C), ("C1d", C1d), ("s", s), ("t", t))
     for name, v in args:
         if not math.isfinite(v):
             raise SeedError(f"seed argument {name} must be finite, got {v!r}")
@@ -422,37 +418,36 @@ def bt_csc_seed(
     if C * F == 0.0:
         raise SeedError(f"seed's C·F = {C!r}·{F!r} underflows to 0")
     if abs(F1d) >= _COEF_FLOOR:
-        t0 = tval(BtState(z0, F, F1d, F2d, 0.0, C, C1d, s, 0.0), t)
-        slope = tval(BtState(z0, F, F1d, F2d, 1.0, C, C1d, s, 0.0), t) - t0  # = 8·F1d
-        return BtState(z0, F, F1d, F2d, -t0 / slope, C, C1d, s, 0.0)
+        t0 = tval(BtState(0.0, F, F1d, F2d, 0.0, C, C1d, s, 0.0), t)
+        slope = tval(BtState(0.0, F, F1d, F2d, 1.0, C, C1d, s, 0.0), t) - t0  # = 8·F1d
+        return BtState(0.0, F, F1d, F2d, -t0 / slope, C, C1d, s, 0.0)
     # Fallback: with F′ = F‴ = K = 0, T = rest − 4F″², rest being T at F″ = 0
-    rest = tval(BtState(z0, F, 0.0, 0.0, 0.0, C, C1d, s, 0.0), t)
+    rest = tval(BtState(0.0, F, 0.0, 0.0, 0.0, C, C1d, s, 0.0), t)
     if rest < 0.0:
         raise SeedError("T = 0 unsolvable: F′ = 0 and the F″² target is negative")
     f2d = math.sqrt(rest / 4.0)
     if F2d < 0.0:
         f2d = -f2d
-    return BtState(z0, F, F1d, f2d, 0.0, C, C1d, s, 0.0)
+    return BtState(0.0, F, F1d, f2d, 0.0, C, C1d, s, 0.0)
 
 
 def bt_nonextremal_search(
     t: float,
     trials: int = 32,
-    span: float = 0.8,
     seed: int = 0,
-    tol: float = 1e-10,
     drift_cap: float = 1e-7,
 ) -> tuple:
     """Search random CSC (s ≠ 0) seeds for a non-conformally-extremal witness.
 
     Seed distributions: F, F′, F″ uniform in [−2, 2]; C uniform in [0.2, 3];
-    C′ uniform in [−1, 1]; s uniform in [−1, 1].  Returns the trajectory with
-    the largest extremality residual among trials whose conservation drift
-    |T − T₀| stays within ``drift_cap``.  A trial is stopped, truncated, at
-    its first sample past the cap: the drift never decreases, so it could not
-    be chosen, and the chosen trajectory is the one a full integration of
-    every trial would choose.  A ``drift_cap`` that is negative or not
-    finite raises ValueError.
+    C′ uniform in [−1, 1]; s uniform in [−1, 1].  Each seed is integrated
+    over z ∈ [0, 0.8] at ``bt_integrate``'s default tol.  Returns the
+    trajectory with the largest extremality residual among trials whose
+    conservation drift |T − T₀| stays within ``drift_cap``.  A trial is
+    stopped, truncated, at its first sample past the cap: the drift never
+    decreases, so it could not be chosen, and the chosen trajectory is the
+    one a full integration of every trial would choose.  A ``drift_cap``
+    that is negative or not finite raises ValueError.
     """
     if not math.isfinite(t) or t == 0.0:
         raise ValueError(f"t must be finite and nonzero, got {t!r}")
@@ -474,7 +469,7 @@ def bt_nonextremal_search(
         except SeedError as exc:
             failures.append(f"trial {trial}: {exc}")
             continue
-        traj = bt_integrate(init, t, (0.0, span), tol=tol, _drift_cap=drift_cap)
+        traj = bt_integrate(init, t, (0.0, 0.8), _drift_cap=drift_cap)
         if traj.truncated or len(traj.samples) < 5:
             failures.append(f"trial {trial}: {traj.truncation_reason or 'too short'}")
             continue
@@ -502,8 +497,9 @@ def _state_from_sample(cs, s_const: Optional[float] = None) -> tuple:
     return state, cs.F4d, cs.C2d
 
 
-def state_from_metric(m: MetricSpec, z: float, s_const: Optional[float] = None) -> tuple:
-    """(BtState, F4d, C2d) sampled from a closed-form metric at z.
+def state_from_metric(m: MetricSpec, z, s_const: Optional[float] = None) -> tuple:
+    """(BtState, F4d, C2d) sampled from a closed-form metric at z, a float or
+    a 1-D array (then every field is an array over z but a pinned s).
 
     Read from F's jet, C's jet and the metric's s and s′ alone, as
     ``curvature_sample(m, z)`` gives them: s is the scalar curvature and
@@ -519,17 +515,6 @@ def state_from_metric(m: MetricSpec, z: float, s_const: Optional[float] = None) 
     return _state_from_sample(_checked(z, jets, " ".join(_Jets._fields)), s_const)
 
 
-def bt_sample_residuals(cs: CurvatureSample, t: float, s_const: Optional[float] = None) -> np.ndarray:
-    """(F1res, F2res, Tval) at each point of an array curvature sample, one row per z.
-
-    The states are those of :func:`state_from_metric` (``s_const`` as there),
-    and their residuals are one :func:`bt_residuals` call on the array state.
-    """
-    import numpy as np
-    state, f4d, c2d = _state_from_sample(cs, s_const)
-    return np.column_stack(bt_residuals(state, t, f4d, c2d))
-
-
 def bt_grid_residual(cs: CurvatureSample, t: float) -> float:
     """max over an array curvature sample of the B^t-flat residuals |F1|, |F2|, |T|.
 
@@ -541,4 +526,5 @@ def bt_grid_residual(cs: CurvatureSample, t: float) -> float:
     import numpy as np
     c, c1d = cs.C, cs.C1d
     scale = 1.0 + c**1.5 * (1.0 + np.abs(cs.s)) + (c1d * c1d) / np.maximum(c, 1e-30)
-    return float(np.max(np.abs(bt_sample_residuals(cs, t)) / scale[:, None]))
+    state, f4d, c2d = _state_from_sample(cs)
+    return float(np.max(np.abs(bt_residuals(state, t, f4d, c2d)) / scale))

@@ -29,7 +29,6 @@ __all__ = [
     "catalog_entry",
     "catalog_list",
     "page_constants",
-    "hirzebruch",
     "hirzebruch_bachflat_k",
 ]
 
@@ -112,14 +111,12 @@ def page_constants() -> tuple:
         lambda x: ((4.0 * x + 12.0) * x - 12.0) * x + 12.0,
         0.1,
         0.5,
-        tol=1e-14,
     )
     z0 = safeguarded_newton(
         lambda z: math.exp(4.0 * z) - 4.0 * math.exp(z) - 3.0,
         lambda z: 4.0 * math.exp(4.0 * z) - 4.0 * math.exp(z),
         0.4,
         0.8,
-        tol=1e-14,
     )
     coeff = (math.sinh(z0) - math.cosh(z0)) / ((2.0 + math.cosh(2.0 * z0)) * math.sinh(z0))
     norm = (-(nu**4) + 6.0 * nu * nu + 3.0) / (4.0 * nu * (3.0 + nu * nu))
@@ -136,13 +133,6 @@ def hirzebruch_bachflat_k(z0: float) -> float:
         2.0 * (1.0 + 2.0 * math.cosh(z0)) * math.sinh(z0)
         / (2.0 * math.cosh(z0) + math.cosh(2.0 * z0))
     )
-
-
-def hirzebruch(k: int, z0: float, C0: float = 1.0) -> MetricSpec:
-    """The extremal Kähler metric on the Hirzebruch-type surface with bolts of
-    slope ±k at z = ∓z0: the ``hirzebruch`` catalog entry at these values.
-    """
-    return catalog_get("hirzebruch", {"k": k, "z0": z0, "C0": C0})
 
 
 # ------------------------------------------------------------------- builders

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .btflat import bt_grid_residual
 from .curvature import curvature_sample
@@ -24,7 +24,6 @@ __all__ = [
     "PredicateResult",
     "ClassificationReport",
     "classify",
-    "conformally_extremal_residual",
     "sample_grid",
     "PREDICATES",
 ]
@@ -63,7 +62,7 @@ class PredicateResult:
 class ClassificationReport:
     metric_name: str
     tol: float
-    grid_n: int  # the n requested of sample_grid, not the count of points it gave
+    grid_n: int  # the grid_n requested of sample_grid, not the count of points it gave
     entries: dict = field(default_factory=dict)
 
     def verdict(self, name: str) -> str:
@@ -104,24 +103,25 @@ class ClassificationReport:
 
 
 @lru_cache(maxsize=256, typed=True)  # bounded: a parameter sweep makes a new domain per spec
-def sample_grid(domain: Domain, n: int = 64) -> np.ndarray:
+def sample_grid(domain: Domain, grid_n: int = 64) -> np.ndarray:
     """Interior sample points, geometrically clustered toward both ends:
-    2·(n // 2) − 1 of them for n ≥ 4 (the two halves share the midpoint)
-    and 2 for n = 2 or 3.
+    2·(grid_n // 2) − 1 of them for grid_n ≥ 4 (the two halves share the
+    midpoint) and 2 for grid_n = 2 or 3.
 
     The sampled window is the domain itself when finite (shrunk 1% from each
     endpoint) and a finite sub-window when unbounded.  Raises ``ValueError``
-    for an n that is not an int (a bool is not) of at least 2.  The grid
-    depends on ``(domain, n)`` alone and is built once for each recent pair
-    (the cache is typed); the array returned is shared, so it is read-only.
+    for a grid_n that is not an int (a bool is not) of at least 2.  The
+    grid depends on ``(domain, grid_n)`` alone and is built once for each
+    recent pair (the cache is typed); the array returned is shared, so it is
+    read-only.
     """
     import numpy as np
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise ValueError(f"a sample grid needs an int n >= 2, got n={n!r}")
+    if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 2:
+        raise ValueError(f"grid_n must be an int >= 2, got grid_n={grid_n!r}")
     lo, hi = domain.finite_window()
     length = hi - lo
     pad = 0.01 * length
-    half = n // 2
+    half = grid_n // 2
     offsets = np.geomspace(pad, 0.5 * length, half)
     points = np.sort(np.concatenate([lo + offsets, hi - offsets]))
     # drop equal neighbours, as np.unique would (which imports numpy.ma)
@@ -134,11 +134,6 @@ def _grid_max(p, grid) -> float:
     """max |p| over the grid for an ExpPoly p, 0.0 when p ≡ 0."""
     import numpy as np
     return 0.0 if p.is_zero else float(np.max(np.abs(p.eval(np.asarray(grid, dtype=float)))))
-
-
-def conformally_extremal_residual(m: MetricSpec, grid: Sequence[float]) -> float:
-    """max over grid of |L⁺(L⁻(F)) − 1| (conformal-factor independent)."""
-    return _grid_max(m.operator_polys[2], grid)
 
 
 # --------------------------------------------------------------------- classify
@@ -160,7 +155,7 @@ def classify(
     denominator has an exact zero inside the domain (a zero at an end is a
     bolt or nut), or when the curvature sample of the grid raises (its
     reason names the z). A ``tol`` that is not positive and finite, a non-finite ``t``
-    or a ``grid_n`` that is not an int of at least 2 raises ValueError.
+    or a ``grid_n`` that ``sample_grid`` refuses raises ValueError.
 
     The zero test and the one ``curvature_sample(m, grid)`` call run once per
     (spec, grid_n); what they give is kept on the spec for every later call at
@@ -172,8 +167,6 @@ def classify(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if t is not None and not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 2:
-        raise ValueError(f"grid_n must be an int >= 2, got grid_n={grid_n!r}")
     report = ClassificationReport(metric_name=m.name, tol=tol, grid_n=grid_n)
     grid = sample_grid(m.domain, grid_n)
 
@@ -213,7 +206,7 @@ def classify(
     kahler = report.verdict("kahler_plus") == "yes" or report.verdict("kahler_minus") == "yes"
 
     # --- conformally extremal / extremal
-    ce_res = conformally_extremal_residual(m, grid)
+    ce_res = _grid_max(m.operator_polys[2], grid)  # max |L⁺(L⁻F) − 1|, independent of C
     put("conformally_extremal", verdict_of(ce_res), ce_res)
     if kahler:
         put("extremal", verdict_of(ce_res), ce_res)

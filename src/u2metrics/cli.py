@@ -22,7 +22,7 @@ from .btflat import (
     bt_integrate,
     bt_nonextremal_search,
     bt_residuals,
-    bt_sample_residuals,
+    state_from_metric,
 )
 from .catalog import CatalogError, catalog_get, catalog_list, page_constants
 from .classify import classify
@@ -242,9 +242,8 @@ def _cmd_bt_residuals(args) -> int:
             raise _UsageError(f"bad --s value {args.s!r}") from None
         if not math.isfinite(s_const):
             raise _UsageError(f"--s value must be finite, got {args.s!r}")
-    cs = curvature_sample(m, _parse_grid(args.grid))
-    residuals = bt_sample_residuals(cs, args.t, s_const=s_const)
-    rows = [(z, *r) for z, r in zip(cs.z.tolist(), residuals.tolist())]
+    state, f4d, c2d = state_from_metric(m, _parse_grid(args.grid), s_const)
+    rows = zip(state.z.tolist(), *(r.tolist() for r in bt_residuals(state, args.t, f4d, c2d)))
     _emit(_tsv(("z", "F1res", "F2res", "Tval"), rows), args.out)
     return 0
 

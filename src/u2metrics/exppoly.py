@@ -120,10 +120,6 @@ class ExpPoly:
 
     # ---------------------------------------------------------------- basics
     @staticmethod
-    def zero() -> "ExpPoly":
-        return ExpPoly()
-
-    @staticmethod
     def constant(c) -> "ExpPoly":
         return ExpPoly._keyed(((0, c),))
 

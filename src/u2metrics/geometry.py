@@ -257,11 +257,13 @@ def ambikahler_transform(m: MetricSpec) -> MetricSpec:
     """The ambiKähler partner: same F, conformal exponent flipped, so Jplus
     and Jminus swap.
 
-    Requires C = C0·e^{∓z}; applying the transform twice is the identity.
+    Requires C = C0·e^{∓z} (an Einstein C swaps C5 and C6); applying the
+    transform twice is the identity.
     """
-    if not isinstance(m.C, ExpFactor):
+    if m.tag is None:
         raise TransformError(f"metric {m.name!r} is not an exp-factor Kähler metric")
-    return MetricSpec(name=m.name, F=m.F, C=ExpFactor(m.C.c0, -m.C.eps), domain=m.domain)
+    C = ExpFactor(m.C.c0, -m.C.eps) if isinstance(m.C, ExpFactor) else EinsteinFactor(m.C.c6, m.C.c5)
+    return MetricSpec(name=m.name, F=m.F, C=C, domain=m.domain)
 
 
 # -------------------------------------------------------------- transcription

@@ -19,8 +19,6 @@ from .exppoly import ExpPoly
 
 __all__ = [
     "l_op",
-    "l_plus",
-    "l_minus",
     "l_compose",
     "b_op",
     "l_op_jet",
@@ -64,14 +62,6 @@ def l_op(sign, F: ExpPoly) -> ExpPoly:
     return l_op_jet(sign, (F, F.derive(1), F.derive(2)))
 
 
-def l_plus(F: ExpPoly) -> ExpPoly:
-    return l_op("plus", F)
-
-
-def l_minus(F: ExpPoly) -> ExpPoly:
-    return l_op("minus", F)
-
-
 def l_compose(F: ExpPoly) -> ExpPoly:
     """L⁺(L⁻(F)), exact (the operators commute)."""
     return l_compose_jet([F.derive(n) for n in range(5)])
@@ -86,9 +76,10 @@ def b_op(F: ExpPoly) -> ExpPoly:
 def first_integral_residual(F: ExpPoly, grid: Sequence[float]) -> float:
     """max over grid of |dB/dz − 2F′·(L⁺(L⁻F) − 1)|, computed exactly.
 
-    The difference is expanded as an exponential polynomial; for any F in the
-    canonical family it is identically zero and 0.0 is returned without
-    evaluation.
+    The difference is expanded as an exponential polynomial.  It vanishes for
+    every F, so for every exact F, not only the canonical family, it is the
+    zero polynomial and 0.0 is returned without evaluation; only float
+    coefficients, rounded in the expansion, leave a residue.
     """
     diff = b_op(F).derive(1) - 2 * F.derive(1) * (l_compose(F) - 1)
     if diff.is_zero:

@@ -198,10 +198,9 @@ class MetricSpec:
     @property
     def tag(self) -> Optional[str]:
         """The Kähler complex structure, fixed by C alone: "Jplus" for
-        C = C0·e^{-z}, "Jminus" for C = C0·e^{+z}, else None."""
-        if isinstance(self.C, ExpFactor):
-            return "Jplus" if self.C.eps == -1 else "Jminus"
-        return None
+        C = C0·e^{-z}, "Jminus" for C = C0·e^{+z} (g = C^{−1/2} is one term at
+        exponent +½ or −½, so a ``C einstein`` can be either), else None."""
+        return None if self.g_poly is None else {(0.5,): "Jplus", (-0.5,): "Jminus"}.get(self.g_poly.exponents())
 
     @cached_property
     def c_ratio(self) -> tuple:

@@ -22,7 +22,6 @@ from u2metrics.catalog import (
     catalog_entry,
     catalog_get,
     catalog_names,
-    hirzebruch,
     hirzebruch_bachflat_k,
     page_constants,
 )
@@ -241,7 +240,7 @@ def test_criterion_10_end_taxonomy():
 
 def test_criterion_11_bolting():
     for k in (1, 2, 3):
-        m = hirzebruch(k, 0.7)
+        m = catalog_get("hirzebruch", {"k": k, "z0": 0.7})
         slopes = sorted(b.slope for b in find_bolts(m))
         assert len(slopes) == 2
         assert abs(slopes[0] + k) < 1e-9

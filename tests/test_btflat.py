@@ -26,7 +26,6 @@ from u2metrics.btflat import (
     bt_nonextremal_search,
     bt_residuals,
     bt_rhs,
-    bt_sample_residuals,
     state_from_metric,
     tval,
 )
@@ -186,7 +185,7 @@ class TestStateFromMetric:
         with pytest.raises(ValueError, match=f"s_const must be finite, got {s_const!r}"):
             state_from_metric(m, -0.7, s_const=s_const)
         with pytest.raises(ValueError, match=f"s_const must be finite, got {s_const!r}"):
-            bt_sample_residuals(curvature_sample(m, sample_grid(m.domain, 8)), 1.0, s_const=s_const)
+            state_from_metric(m, sample_grid(m.domain, 8), s_const=s_const)
 
     def test_reads_only_the_fields_of_the_state(self):
         # before: "bach_B1 is not finite at z=400.0", a field the state does not use
@@ -235,11 +234,11 @@ class TestSeeds:
         with pytest.raises(SeedError):
             bt_csc_seed(F=0.0, F1d=1.0, F2d=0.0, C=1.0, C1d=0.0, s=0.1, t=1.0)
 
-    @pytest.mark.parametrize("field", ["F", "F1d", "C", "s", "z0"])
+    @pytest.mark.parametrize("field", ["F", "F1d", "C", "s"])
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_non_finite_argument_is_named(self, field, value):
         # before: F = nan or C = inf returned a state with F3d = nan
-        args = dict(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0, z0=0.0)
+        args = dict(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
         args[field] = value
         with pytest.raises(SeedError, match=f"seed argument {field} must be finite, got {value!r}"):
             bt_csc_seed(**args)
@@ -268,14 +267,14 @@ class TestIntegration:
         tight = bt_integrate(seed, 1.0, (0.0, 0.6), tol=1e-11)
         assert tight.max_T_drift < loose.max_T_drift
         assert np.allclose(
-            loose.final_state().vector(), tight.final_state().vector(), atol=1e-4
+            loose.samples[-1].state.vector(), tight.samples[-1].state.vector(), atol=1e-4
         )
 
     def test_backward_integration(self):
         seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
         traj = bt_integrate(seed, 1.0, (0.0, -0.4), tol=1e-10)
         assert not traj.truncated
-        assert traj.final_state().z == pytest.approx(-0.4, abs=1e-12)
+        assert traj.samples[-1].state.z == pytest.approx(-0.4, abs=1e-12)
 
     def test_truncates_instead_of_crossing_singularity(self):
         # drive F toward zero: the flow must stop cleanly, not blow up
@@ -393,18 +392,18 @@ class TestArrayResiduals:
     @pytest.mark.parametrize("name", catalog_names())
     @pytest.mark.parametrize("s_const", [None, 0.0], ids=["s", "s-const"])
     def test_rows_match_per_point_float_residuals(self, name, s_const):
+        # the array state over a grid, as `bt residuals` reads it
         m = catalog_get(name)
-        cs = curvature_sample(m, sample_grid(m.domain))
-        state, f4d, c2d = btflat._state_from_sample(cs, s_const)
+        state, f4d, c2d = state_from_metric(m, sample_grid(m.domain), s_const)
         columns = np.broadcast_arrays(*state, f4d, c2d)
         for t in (-1.0, 1.0, 2.0):
-            rows = bt_sample_residuals(cs, t, s_const)
-            assert rows.shape == (len(cs.z), 3)
+            rows = np.column_stack(bt_residuals(state, t, f4d, c2d))
+            assert rows.shape == (len(state.z), 3)
             for i, row in enumerate(rows.tolist()):
                 point = [c[i].item() for c in columns]
                 want = bt_residuals(BtState(*point[:9]), t, point[9], point[10])
                 for x, y in zip(row, want):
-                    assert abs(x - y) <= 1e-14 * (1.0 + abs(y)), (name, t, cs.z[i], row, want)
+                    assert abs(x - y) <= 1e-14 * (1.0 + abs(y)), (name, t, state.z[i], row, want)
 
     def test_float_state_gives_floats(self):
         seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
@@ -490,7 +489,8 @@ class TestArrayResiduals:
             assert report.verdict("bt_flat") == "yes"
             state, f4d, c2d = state_from_metric(m, 0.0)
             got = bt_residuals(state, 1.0, f4d, c2d)
-            (want,) = bt_sample_residuals(curvature_sample(m, np.array([0.0])), 1.0).tolist()
+            state, f4d, c2d = state_from_metric(m, np.array([0.0]))
+            want = [r.item() for r in bt_residuals(state, 1.0, f4d, c2d)]
         for x, y in zip(got, want):
             assert abs(x - y) <= 1e-14 * abs(y), (got, want)
 

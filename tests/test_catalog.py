@@ -13,7 +13,6 @@ from u2metrics.catalog import (
     catalog_get,
     catalog_list,
     catalog_names,
-    hirzebruch,
     hirzebruch_bachflat_k,
     page_constants,
 )
@@ -29,8 +28,8 @@ PINS = json.loads((pathlib.Path(__file__).parent / "data" / "catalog_pins.json")
 
 class TestPins:
     """``catalog_list()`` and the emitted text of every entry at its defaults,
-    of the overrides the tests and the CLI use, and of three ``hirzebruch``
-    calls, as the catalog gave them when each entry had its own builder."""
+    of the overrides the tests and the CLI use, and of ``hirzebruch`` at three
+    (k, z0), as the catalog gave them when each entry had its own builder."""
 
     def test_catalog_list(self):
         assert catalog_list() == PINS["catalog_list"]
@@ -43,7 +42,8 @@ class TestPins:
 
     @pytest.mark.parametrize("pin", PINS["hirzebruch"], ids=[str(p["args"]) for p in PINS["hirzebruch"]])
     def test_hirzebruch(self, pin):
-        assert emit_metric(hirzebruch(*pin["args"])) == pin["emit"]
+        k, z0 = pin["args"]
+        assert emit_metric(catalog_get("hirzebruch", {"k": k, "z0": z0})) == pin["emit"]
 
     def test_every_entry_is_pinned_at_its_defaults(self):
         assert [p["name"] for p in PINS["specs"] if not p["params"]] == list(catalog_names())
@@ -81,13 +81,13 @@ class TestHirzebruch:
     def test_page_profile_is_hirzebruch_one(self):
         # at the special z0 the k = 1 profile coincides with the Page profile
         _, z0, _ = page_constants()
-        h = hirzebruch(1, z0)
+        h = catalog_get("hirzebruch", {"k": 1, "z0": z0})
         p = catalog_get("page", {"Lambda": 12.0})
         diff = h.f_poly() - p.f_poly()
         assert max(abs(float(c)) for _, c in diff.terms()) < 1e-12 if diff.terms() else True
 
     def test_profile_vanishes_at_both_ends(self):
-        m = hirzebruch(3, 0.8)
+        m = catalog_get("hirzebruch", {"k": 3, "z0": 0.8})
         poly = m.f_poly()
         assert poly.eval(-0.8) == pytest.approx(0.0, abs=1e-12)
         assert poly.eval(0.8) == pytest.approx(0.0, abs=1e-12)
@@ -153,7 +153,7 @@ class TestEntries:
     )
     def test_hirzebruch_checks_its_parameters(self, args):
         with pytest.raises(CatalogError, match="violates"):
-            hirzebruch(*args)
+            catalog_get("hirzebruch", dict(zip(("k", "z0", "C0"), args)))
 
     @pytest.mark.parametrize(
         "name, params", [("burns", {"m": 1e200}), ("taub-nut", {"m": 1e-320}), ("eguchi-hanson", {"m": 1e100})]

@@ -23,7 +23,6 @@ from u2metrics.curvature import curvature_sample, ricci_form_kahler
 from u2metrics.classify import (
     PREDICATES,
     classify,
-    conformally_extremal_residual,
     sample_grid,
 )
 from u2metrics.exppoly import ExpPoly
@@ -281,7 +280,7 @@ class TestSampleGrid:
 
     @pytest.mark.parametrize("n", [64.0, 2.5, True])
     def test_n_that_is_not_an_int_raises_whatever_is_cached(self, n):
-        # the body checks n and the cache is typed, so 64.0 never reads 64's cached grid
+        # the body checks grid_n and the cache is typed, so 64.0 never reads 64's cached grid
         d = Domain(-3.25, 7.5)
         sample_grid.cache_clear()
         with pytest.raises(ValueError) as before:
@@ -289,7 +288,7 @@ class TestSampleGrid:
         sample_grid(d, 64)
         with pytest.raises(ValueError) as after:
             sample_grid(d, n)
-        assert str(before.value) == str(after.value) == f"a sample grid needs an int n >= 2, got n={n!r}"
+        assert str(before.value) == str(after.value) == f"grid_n must be an int >= 2, got grid_n={n!r}"
 
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 2), (4, 3), (5, 3), (64, 63)])
     def test_point_count(self, n, count):
@@ -403,7 +402,7 @@ class TestOnePathEach:
 class TestConformallyExtremal:
     def test_zero_on_canonical_family(self):
         m = catalog_get("taub-nut", {"m": 2.0})
-        assert conformally_extremal_residual(m, [0.5, 1.0]) == 0.0
+        assert classify(m).residual("conformally_extremal") == 0.0
 
     def test_nonzero_off_family(self):
         from u2metrics.exppoly import ExpPoly
@@ -414,7 +413,7 @@ class TestConformallyExtremal:
             ExpFactor(1.0, -1),
             Domain(-1.0, 1.0),
         )
-        assert conformally_extremal_residual(m, [0.5]) > 1e-4
+        assert classify(m).residual("conformally_extremal") > 1e-4
 
 
 class TestFitExpFamily:

@@ -183,17 +183,18 @@ class TestCurvatureCommand:
 
 class TestGridCommandsMatchGoldens:
     """``curvature --grid`` and ``bt residuals --grid`` sample the whole grid
-    in one ``curvature_sample`` call, and print what the benchmark's CLI
-    goldens (recorded from the one-point-at-a-time evaluation) hold, within
-    their rtol 1e-7 and atol 1e-9."""
+    in one call (``curvature_sample`` and ``state_from_metric``), and print
+    what the benchmark's CLI goldens (recorded from the one-point-at-a-time
+    evaluation) hold, within their rtol 1e-7 and atol 1e-9."""
 
     @pytest.mark.parametrize("command", ["curvature-grid", "bt-residuals"])
     def test_one_sample_call_and_golden_output(self, command, tmp_path, capsys, monkeypatch):
         golden = json.loads(CLI_GOLDENS.read_text())[command]
         _write_metric(tmp_path, "taub-nut", {"m": 2.0}, fname="tn.txt")
         calls = []
-        sample = u2metrics.cli.curvature_sample
-        monkeypatch.setattr(u2metrics.cli, "curvature_sample", lambda m, z: calls.append(z) or sample(m, z))
+        hooked = "curvature_sample" if command == "curvature-grid" else "state_from_metric"
+        sample = getattr(u2metrics.cli, hooked)
+        monkeypatch.setattr(u2metrics.cli, hooked, lambda m, z, *rest: calls.append(z) or sample(m, z, *rest))
         assert main([a.format(**{"in": tmp_path, "out": tmp_path}) for a in golden["argv"]]) == 0
         assert len(calls) == 1
         outputs = [(capsys.readouterr().out, golden["stdout"])]
@@ -314,6 +315,14 @@ class TestBtCommands:
         out, err = capsys.readouterr()
         assert len(out.splitlines()) == 1 and out.startswith("# z\t")
         assert "truncated=yes (F vanishes at z=0.0)" in err
+
+    def test_residuals_read_only_the_state_fields(self, tmp_path, capsys):
+        # before: exit 3 with "bach_B1 is not finite at z=399.0", a field the state does not use
+        path = _write_metric(tmp_path, "flat")
+        assert main(["bt", "residuals", path, "--t", "1", "--grid", "399:400:2"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [399.0, 400.0]
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
 
     def test_residuals_where_f_vanishes_exit_3(self, tmp_path, capsys):
         # F = 1 − e^{−2z} is exactly 0 at z = 0, the third grid point

@@ -32,7 +32,7 @@ from u2metrics.curvature import (
     weyl_energy,
 )
 from u2metrics.exppoly import ExpPoly
-from u2metrics.operators import b_op_jet, l_compose_jet, l_op_jet, l_plus
+from u2metrics.operators import b_op_jet, l_compose_jet, l_op, l_op_jet
 from u2metrics.profiles import (
     Domain,
     EinsteinFactor,
@@ -247,7 +247,7 @@ class TestWeylEnergy:
         a, b = 0.5, 1.5
         got = weyl_energy(m, a, b)
         F = m.f_poly()
-        integrand = l_plus(F) - ExpPoly.constant(1)
+        integrand = l_op("plus", F) - ExpPoly.constant(1)
         zs = np.linspace(a, b, 20001)
         vals = (16.0 / 3.0) * np.array([integrand.eval(z) for z in zs]) ** 2
         want = float(np.trapezoid(vals, zs))

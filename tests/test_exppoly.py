@@ -55,7 +55,7 @@ class TestConstruction:
             p._terms = ()
 
     def test_zero_and_constant(self):
-        assert ExpPoly.zero().is_zero
+        assert ExpPoly().is_zero
         assert ExpPoly.constant(5).eval(1.7) == 5.0
 
 
@@ -92,7 +92,7 @@ class TestArithmetic:
         p = ExpPoly([(-2, 1), (0, 1), (Fraction(3, 2), 1)])
         assert p.extreme_exponent(+1) == Fraction(3, 2)
         assert p.extreme_exponent(-1) == Fraction(-2)
-        assert ExpPoly.zero().extreme_exponent(+1) is None
+        assert ExpPoly().extreme_exponent(+1) is None
 
 
     def test_division_by_a_rational(self):
@@ -515,4 +515,4 @@ class TestRealRoots:
         assert ExpPoly([(0, 1), (-2, 1)]).real_roots() == []
         assert ExpPoly.constant(2).real_roots() == []
         with pytest.raises(ExpPolyError):
-            ExpPoly.zero().real_roots()
+            ExpPoly().real_roots()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from u2metrics import geometry
-from u2metrics.catalog import catalog_get, catalog_names, hirzebruch
+from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.exppoly import ExpPoly
 from u2metrics.geometry import (
     OrientationError,
@@ -70,7 +70,7 @@ class TestFindBolts:
         assert find_bolts(catalog_get("taub-nut", {"m": 1.0})) == []
 
     def test_two_bolts_of_hirzebruch(self):
-        m = hirzebruch(2, 1.0)
+        m = catalog_get("hirzebruch", {"k": 2, "z0": 1.0})
         slopes = sorted(b.slope for b in find_bolts(m))
         assert slopes == pytest.approx([-2.0, 2.0], abs=1e-9)
 

@@ -2,7 +2,8 @@
 defines a private name that nothing references or takes a parameter that its
 function never reads, imports numpy when it is itself imported, or imports a
 package module from inside a function or from a layer above its own, and every
-function the benchmark tracer wraps still exists.
+function the benchmark tracer wraps still exists, as does every name a module's
+``__all__`` lists or ``__init__.py`` imports.
 
 A stdlib ``ast`` check standing in for a linter.  A name counts as used when
 it is read anywhere in the module (including inside annotations, quoted or
@@ -11,6 +12,7 @@ are the package's re-exports.
 """
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -331,3 +333,28 @@ def test_tracer_target_resolves(label):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def unresolved_exports(module) -> list:
+    """``module: name`` for each name in the module's ``__all__`` that it does not define."""
+    return [f"{module.__name__}: {name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_all_names_resolve():
+    # _used counts an __all__ entry as a use, so a stale entry left behind by
+    # a deletion would pass every check above
+    modules = {p.stem: importlib.import_module(f"u2metrics.{p.stem}") for p in MODULES}
+    assert [bad for module in modules.values() for bad in unresolved_exports(module)] == []
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    reexports = [(node.module, a.name) for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert reexports and all(mod in modules for mod, _ in reexports)
+    assert [f"{mod}.{name}" for mod, name in reexports if not hasattr(modules[mod], name)] == []
+
+
+def test_checker_flags_a_stale_all_entry(tmp_path):
+    src = tmp_path / "stale_mod.py"
+    src.write_text("__all__ = ['kept', 'deleted']\ndef kept():\n    return 0\n")
+    spec = importlib.util.spec_from_file_location("stale_mod", src)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert unresolved_exports(module) == ["stale_mod: deleted"]

@@ -9,9 +9,11 @@ import pytest
 
 from u2metrics.catalog import catalog_entry, catalog_get, catalog_names
 from u2metrics.cli import main
+from u2metrics.curvature import kahler_scalar_curvature, ricci_form_kahler
 from u2metrics.exppoly import ExpPoly
+from u2metrics.geometry import ambikahler_transform
 from u2metrics.metricfile import MetricFileError, emit_metric, parse_metric
-from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical
+from u2metrics.profiles import Domain, EinsteinFactor, ExpFactor, MetricSpec, canonical
 
 PIN_SPECS = json.loads((pathlib.Path(__file__).parent / "data" / "catalog_pins.json").read_text())["specs"]
 
@@ -118,6 +120,23 @@ class TestTag:
         text = "name t\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC einstein C5=1/2 C6=-1/2\n"
         m = parse_metric(text)
         assert m.tag is None and "tag" not in emit_metric(m)
+
+    @pytest.mark.parametrize("c5, c6, c0, eps", [(1, 0, 1, -1), (0, 0.5, 4, 1), (-2, 0, 0.25, -1)])
+    def test_einstein_factor_with_one_zero_coefficient_is_kahler(self, c5, c6, c0, eps):
+        # C einstein C5=c C6=0 is e^{-z}/c², the metric of C exp C0=1/c² eps=-1; before:
+        # no tag, so ricci_form_kahler raised, transform refused it and emit wrote no tag line
+        F, domain = canonical(2, -2, 0, 0), Domain(0.0, math.inf)
+        m = MetricSpec("e", F, EinsteinFactor(c5, c6), domain)
+        twin = MetricSpec("e", F, ExpFactor(c0, eps), domain)
+        assert m.tag == twin.tag == ("Jplus" if eps == -1 else "Jminus")
+        for z in (0.3, 1.7):
+            assert ricci_form_kahler(m, z) == ricci_form_kahler(twin, z)
+            assert kahler_scalar_curvature(m, z) == kahler_scalar_curvature(twin, z)
+        partner = ambikahler_transform(m)
+        assert partner.tag == ambikahler_transform(twin).tag != m.tag
+        assert ambikahler_transform(partner) == m
+        text = emit_metric(m)
+        assert text.endswith(f"\ntag {m.tag}\n") and parse_metric(text) == m
 
     @pytest.mark.parametrize("text, message", [
         (UNTAGGED.format("+1") + "tag Jplus\n", "line 5: tag Jplus requires C = C0·e^{-z}"),

@@ -22,11 +22,10 @@ from u2metrics.operators import (
     first_integral_residual,
     l_compose,
     l_compose_jet,
-    l_minus,
+    l_op,
     l_op_jet,
-    l_plus,
 )
-from u2metrics.profiles import canonical
+from u2metrics.profiles import canonical, canonical_coefficients
 
 
 def _eig_plus(k):
@@ -41,12 +40,12 @@ class TestEigenvalues:
     @pytest.mark.parametrize("k", range(-4, 5))
     def test_l_plus_eigenvalue(self, k):
         p = ExpPoly.exp_term(k, 1)
-        assert l_plus(p) == p * _eig_plus(k)
+        assert l_op("plus", p) == p * _eig_plus(k)
 
     @pytest.mark.parametrize("k", range(-4, 5))
     def test_l_minus_eigenvalue(self, k):
         p = ExpPoly.exp_term(k, 1)
-        assert l_minus(p) == p * _eig_minus(k)
+        assert l_op("minus", p) == p * _eig_minus(k)
 
     @pytest.mark.parametrize("k", range(-4, 5))
     def test_compose_eigenvalue(self, k):
@@ -79,6 +78,17 @@ class TestCanonicalIdentities:
         F = canonical(Fraction(1, 3), -2, Fraction(5, 7), 4)
         assert first_integral_residual(F, [0.0]) == 0.0
 
+    def test_first_integral_exact_zero_off_canonical(self):
+        # dB/dz = 2F′(L⁺L⁻F − 1) holds for every F: each exact F, here with one
+        # term at an odd half-integer exponent, gives the zero polynomial
+        rng = random.Random(29)
+        exponents = [Fraction(n, 2) for n in range(-8, 9)]
+        for _ in range(100):
+            terms = [(rng.choice(exponents), Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(4)]
+            F = ExpPoly(terms + [(Fraction(2 * rng.randint(-4, 3) + 1, 2), Fraction(rng.randint(1, 9), 7))])
+            assert canonical_coefficients(F) is None
+            assert first_integral_residual(F, [-1.0, 0.0, 1.0]) == 0.0
+
 
 _coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 _polys = st.lists(
@@ -103,7 +113,7 @@ class TestJetForms:
         got_plus = l_op_jet("+", jet)
         got_compose = l_compose_jet(jet)
         got_b = b_op_jet(jet)
-        assert got_plus == pytest.approx(l_plus(F).eval(z), rel=1e-12)
+        assert got_plus == pytest.approx(l_op("plus", F).eval(z), rel=1e-12)
         assert got_compose == pytest.approx(l_compose(F).eval(z), rel=1e-12)
         assert got_b == pytest.approx(b_op(F).eval(z), rel=1e-12)
 
@@ -137,7 +147,7 @@ class TestOneImplementation:
         jet = tuple(F.derive(n) for n in range(5))
         for value in (l_op_jet("+", jet), l_op_jet("-", jet), l_compose_jet(jet), b_op_jet(jet)):
             assert isinstance(value, ExpPoly) and value.is_exact
-        assert l_op_jet("+", jet) == l_plus(F) and l_op_jet("-", jet) == l_minus(F)
+        assert l_op_jet("+", jet) == l_op("plus", F) and l_op_jet("-", jet) == l_op("minus", F)
         assert l_compose_jet(jet) == l_compose(F) and b_op_jet(jet) == b_op(F)
 
 
@@ -205,7 +215,7 @@ def test_operator_polys_match_pins(pin):
     assert [_encode(p) for p in m.operator_polys] == pin["operator_polys"]
     assert _encode(b_op(m.f_poly())) == pin["b_op"]
     f = m.f_poly()
-    assert (l_plus(f) - 1, l_minus(f) - 1, l_compose(f) - 1) == m.operator_polys
+    assert (l_op("plus", f) - 1, l_op("minus", f) - 1, l_compose(f) - 1) == m.operator_polys
 
 
 def test_pins_cover_the_catalog():
