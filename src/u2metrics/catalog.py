@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exppoly import ExpPoly
-from .numerics import safeguarded_newton
+from .exppoly import ExpPoly, _positive_roots
 from .profiles import Domain, EinsteinFactor, ExpFactor, MetricSpec, canonical
 
 __all__ = [
@@ -100,24 +99,14 @@ def _positive_int(name, default, minimum=1) -> ParamSpec:
 def page_constants() -> tuple:
     """(ν, z0, coeff) for the Page metric.
 
-    ν is the positive root of ν⁴ + 4ν³ − 6ν² + 12ν − 3 in [0.1, 0.5]; z0 the
-    real solution of e^{4z} − 4e^{z} − 3 = 0 in [0.4, 0.8]; coeff the common
-    canonical coefficient (sinh z0 − cosh z0)/((2 + cosh 2z0)·sinh z0).
+    ν is the float nearest the one positive root of ν⁴ + 4ν³ − 6ν² + 12ν − 3;
+    z0 the one real zero of e^{4z} − 4e^{z} − 3, as ``real_roots`` gives it;
+    coeff the common canonical coefficient (sinh z0 − cosh z0)/((2 + cosh 2z0)·sinh z0).
     The choice of ν makes the profile's constant term
     (−ν⁴ + 6ν² + 3)/(4ν(3 + ν²)) equal to 1, which is asserted.
     """
-    nu = safeguarded_newton(
-        lambda x: (((x + 4.0) * x - 6.0) * x + 12.0) * x - 3.0,
-        lambda x: ((4.0 * x + 12.0) * x - 12.0) * x + 12.0,
-        0.1,
-        0.5,
-    )
-    z0 = safeguarded_newton(
-        lambda z: math.exp(4.0 * z) - 4.0 * math.exp(z) - 3.0,
-        lambda z: 4.0 * math.exp(4.0 * z) - 4.0 * math.exp(z),
-        0.4,
-        0.8,
-    )
+    (nu,) = _positive_roots([-3, 12, -6, 4, 1])
+    ((z0, _),) = ExpPoly([(4, 1), (1, -4), (0, -3)]).real_roots()
     coeff = (math.sinh(z0) - math.cosh(z0)) / ((2.0 + math.cosh(2.0 * z0)) * math.sinh(z0))
     norm = (-(nu**4) + 6.0 * nu * nu + 3.0) / (4.0 * nu * (3.0 + nu * nu))
     if abs(norm - 1.0) > 1e-10:

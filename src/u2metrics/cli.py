@@ -27,15 +27,15 @@ from .btflat import (
 from .catalog import CatalogError, catalog_get, catalog_list, page_constants
 from .classify import classify
 from .curvature import curvature_sample
-from .geometry import TransformError, ambikahler_transform, classify_end, find_bolts
+from .geometry import ambikahler_transform, classify_end, find_bolts
 from .metricfile import MetricFileError, emit_metric, parse_metric
-from .profiles import OutOfDomainError
+from .profiles import NotKahlerError, OutOfDomainError
 
 __all__ = ["main"]
 
 # ArithmeticError covers the numeric errors of the library (QuadratureError,
-# BracketError, SingularConformalFactorError, SingularSystemError,
-# EvalOverflowError) and a non-finite curvature field
+# SingularConformalFactorError, SingularSystemError, EvalOverflowError) and a
+# non-finite curvature field
 _NUMERIC_ERRORS = (ArithmeticError, SeedError, SearchFailure, OutOfDomainError)
 
 
@@ -68,33 +68,26 @@ def _emit(content: str, out: Optional[str]):
         sys.stdout.write(content)
 
 
+def _parse_range(spec: str, flag: str, shape: str) -> tuple:
+    """(a, b) of an ``a:b`` ``shape``, or (a, b, n) of an ``a:b:n`` one; a and b must be finite."""
+    parts = spec.split(":")
+    if len(parts) != len(shape.split(":")):
+        raise _UsageError(f"{flag} must be {shape}, got {spec!r}")
+    try:
+        values = (float(parts[0]), float(parts[1]), *(int(p) for p in parts[2:]))
+    except ValueError as exc:
+        raise _UsageError(f"bad {flag} {spec!r}: {exc}") from None
+    if not (math.isfinite(values[0]) and math.isfinite(values[1])):
+        raise _UsageError(f"{flag} endpoints must be finite, got {spec!r}")
+    return values
+
+
 def _parse_grid(spec: str):
     import numpy as np
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise _UsageError(f"--grid must be a:b:n, got {spec!r}")
-    try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise _UsageError(f"bad --grid {spec!r}: {exc}") from None
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise _UsageError(f"--grid endpoints must be finite, got {spec!r}")
+    a, b, n = _parse_range(spec, "--grid", "a:b:n")
     if n < 1:
         raise _UsageError("--grid needs n >= 1")
     return np.array([a] if n == 1 else [a + (b - a) * i / (n - 1) for i in range(n)])
-
-
-def _parse_span(spec: str):
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise _UsageError(f"--span must be a:b, got {spec!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise _UsageError(f"bad --span {spec!r}: {exc}") from None
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise _UsageError(f"--span endpoints must be finite, got {spec!r}")
-    return a, b
 
 
 def _read(path: str) -> str:
@@ -149,25 +142,18 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# each curvature TSV column and the CurvatureSample field it reads
+_CURVATURE_COLUMNS = {
+    "z": "z", "F": "F", "C": "C", "s": "s", "ric0_a": "ric0_a", "ric0_b": "ric0_b", "w_plus": "w_plus",
+    "w_minus": "w_minus", "B1": "bach_B1", "B2": "bach_B2", "P_plus": "delW_plus_pot", "P_minus": "delW_minus_pot",
+}
+
+
 def _cmd_curvature(args) -> int:
     m = _load_metric(args.file)
     cs = curvature_sample(m, _parse_grid(args.grid))
-    columns = ("z", "F", "C", "s", "ric0_a", "ric0_b", "w_plus", "w_minus", "B1", "B2", "P_plus", "P_minus")
-    values = (
-        cs.z,
-        cs.F,
-        cs.C,
-        cs.s,
-        cs.ric0_a,
-        cs.ric0_b,
-        cs.w_plus,
-        cs.w_minus,
-        cs.bach_B1,
-        cs.bach_B2,
-        cs.delW_plus_pot,
-        cs.delW_minus_pot,
-    )
-    _emit(_tsv(columns, zip(*(v.tolist() for v in values))), args.out)
+    values = (getattr(cs, field).tolist() for field in _CURVATURE_COLUMNS.values())
+    _emit(_tsv(tuple(_CURVATURE_COLUMNS), zip(*values)), args.out)
     return 0
 
 
@@ -198,13 +184,7 @@ def _cmd_ends(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    m = _load_metric(args.file)
-    try:
-        partner = ambikahler_transform(m)
-    except TransformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(emit_metric(partner), args.out)
+    _emit(emit_metric(ambikahler_transform(_load_metric(args.file))), args.out)
     return 0
 
 
@@ -264,7 +244,7 @@ def _traj_tsv(traj) -> str:
 
 def _cmd_bt_integrate(args) -> int:
     init = _load_state(args.init)
-    span = _parse_span(args.span)
+    span = _parse_range(args.span, "--span", "a:b")
     if not 0.0 < args.tol < math.inf:
         raise _UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     traj = bt_integrate(init, args.t, span, tol=args.tol)
@@ -379,7 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except CatalogError as exc:
+    except (CatalogError, NotKahlerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MetricFileError as exc:

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 from .numerics import adaptive_quad, at_first, is_array
 from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet
-from .profiles import MetricSpec, _check_domain, jet_C, jet_F
+from .profiles import MetricSpec, NotKahlerError, _check_domain, jet_C, jet_F
 
 __all__ = [
     "CurvatureSample",
-    "NotKahlerError",
     "scalar_curvature",
     "tf_ricci",
     "weyl",
@@ -41,10 +40,6 @@ __all__ = [
     "weyl_energy",
     "curvature_sample",
 ]
-
-
-class NotKahlerError(ValueError):
-    """Kähler-only quantity requested on a metric whose C is not C0·e^{∓z}."""
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
+from itertools import zip_longest
 from numbers import Rational
-from operator import mul
 
 from .numerics import is_array
 
@@ -67,6 +66,14 @@ def _as_number(c):
     if isinstance(c, _SCALAR):
         return Fraction(c)
     raise ExpPolyError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _quotient(p: int, q: int) -> float:
+    """p/q rounded once, ±inf past float range."""
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
 
 
 def _as_coefficient(c):
@@ -209,23 +216,20 @@ class ExpPoly:
     def _rows(self, order: int) -> tuple:
         """(keys 2k, float exponents, coefficient rows 0..≥order).
 
-        Terms are in exponent order; of an exact coefficient row n holds
-        float(c·kⁿ), rounded once (0.0 where the derivative drops the term),
-        which is what ``derive(n)`` followed by a float evaluation uses; a
-        float coefficient is multiplied by k once per order (see ``jet``).
+        Terms are in exponent order; row n holds c·kⁿ = num·(2k)ⁿ / (den·2ⁿ)
+        with (num, den) = ``c.as_integer_ratio()``, rounded once for a float
+        and an exact c alike (0.0 where the derivative drops the term, ±inf
+        past float range), which is what ``derive(n)`` followed by a float
+        evaluation uses.
         """
         compiled = self._compiled
         if compiled is not None and len(compiled[2]) > order:
             return compiled
         items = sorted(self._terms.items())
-        n = max(order, 4) + 1
-        columns = [  # a float c times k once per order; an exact one as num·(2k)ⁱ / (den·2ⁱ), rounded once
-            list(accumulate(repeat(k / 2, n - 1), mul, initial=c)) if isinstance(c, float)
-            else [c.numerator * k**i / (c.denominator << i) for i in range(n)]
-            for k, c in items
-        ]
+        ratios = [(k, *c.as_integer_ratio()) for k, c in items]  # each coefficient read once
+        rows = [[_quotient(num * k**i, den << i) for k, num, den in ratios] for i in range(max(order, 4) + 1)]
         keys = tuple(k for k, _ in items)
-        compiled = (keys, tuple(k / 2 for k in keys), tuple(tuple(col[i] for col in columns) for i in range(n)))
+        compiled = (keys, tuple(k / 2 for k in keys), tuple(map(tuple, rows)))
         object.__setattr__(self, "_compiled", compiled)
         return compiled
 
@@ -251,13 +255,8 @@ class ExpPoly:
     def jet(self, z, order: int = 4) -> tuple:
         """(value, d/dz, ..., d^order/dz^order) at z.
 
-        With exact (int or Fraction) coefficients entry n equals
-        ``derive(n).eval(z)`` bit for bit.  A float coefficient c is
-        multiplied by k once per order, rounding each time, where
-        ``derive(n)`` rounds c·kⁿ once, so there entry n is within one
-        rounding per order of it: the two differ by at most
-        (n + m + 1)·ε·Σ|c·kⁿ·e^{kz}| over the m terms (ε = 2⁻⁵², the sums'
-        own roundings included) where nothing underflows.
+        Entry n equals ``derive(n).eval(z)`` bit for bit, as ``_rows`` rounds
+        each c·kⁿ once; a non-finite entry raises :class:`EvalOverflowError`.
 
         z is a float or a 1-D float64 array; on an array every entry is an
         array over z, summed the same way with ``np.exp`` in place of

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from .exppoly import ExpPoly
 from .numerics import adaptive_quad, at_first
 from .profiles import (
     ConformalModel,
@@ -14,6 +15,8 @@ from .profiles import (
     EinsteinFactor,
     ExpFactor,
     MetricSpec,
+    NotKahlerError,
+    RatioFactor,
     SingularConformalFactorError,
     _check_domain,
     canonical,
@@ -27,7 +30,6 @@ __all__ = [
     "Bolt",
     "EndReport",
     "TranscriptionResult",
-    "TransformError",
     "OrientationError",
     "RankDeficientError",
     "find_bolts",
@@ -37,10 +39,6 @@ __all__ = [
     "fit_exp_family",
     "transcribe_classic",
 ]
-
-class TransformError(ValueError):
-    """ambiKähler transform requested on a metric whose C is not C0·e^{∓z}."""
-
 
 class OrientationError(ValueError):
     """z(r) came out non-monotone; flip the orientation sign."""
@@ -257,12 +255,15 @@ def ambikahler_transform(m: MetricSpec) -> MetricSpec:
     """The ambiKähler partner: same F, conformal exponent flipped, so Jplus
     and Jminus swap.
 
-    Requires C = C0·e^{∓z} (an Einstein C swaps C5 and C6); applying the
-    transform twice is the identity.
+    Requires C = C0·e^{∓z}, else raises :class:`NotKahlerError` (an Einstein C
+    swaps C5 and C6, a ratio negates each exponent); twice is the identity.
     """
     if m.tag is None:
-        raise TransformError(f"metric {m.name!r} is not an exp-factor Kähler metric")
-    C = ExpFactor(m.C.c0, -m.C.eps) if isinstance(m.C, ExpFactor) else EinsteinFactor(m.C.c6, m.C.c5)
+        raise NotKahlerError(f"metric {m.name!r} is not an exp-factor Kähler metric")
+    if isinstance(m.C, RatioFactor):
+        C = RatioFactor(*(ExpPoly([(-k, c) for k, c in p.terms()]) for p in m.c_ratio))
+    else:
+        C = ExpFactor(m.C.c0, -m.C.eps) if isinstance(m.C, ExpFactor) else EinsteinFactor(m.C.c6, m.C.c5)
     return MetricSpec(name=m.name, F=m.F, C=C, domain=m.domain)
 
 

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: adaptive quadrature, safeguarded root finding,
-and truncated Taylor-series arithmetic.
+"""Shared numerical kernels: adaptive quadrature and truncated Taylor-series
+arithmetic.
 
 The series functions take coefficients that are floats or 1-D float64
 arrays over a grid (one formula for both: an array coefficient is the same
@@ -11,6 +11,10 @@ a/a[0]: ten products give C^{1/2}, C^{−1/2}, … to fourth order.
 The rest of the package builds on these primitives and keeps their rule for
 numpy: a function that makes an array imports numpy itself, and one that takes
 a float or an array tests it with :func:`is_array`, which never imports numpy.
+
+``adaptive_simpson`` (an alias of ``adaptive_quad``), ``series_mul`` and
+``safeguarded_newton`` (with the ``BracketError`` it raises) have no caller in
+the package: they stay only because ``perfbench/tracer.py`` wraps them by name.
 """
 from __future__ import annotations
 
@@ -150,7 +154,6 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
     return total
 
 
-# perfbench/tracer.py wraps the quadrature under this name
 adaptive_simpson = adaptive_quad
 
 

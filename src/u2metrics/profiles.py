@@ -33,6 +33,7 @@ __all__ = [
     "RatioFactor",
     "ConformalModel",
     "MetricSpec",
+    "NotKahlerError",
     "OutOfDomainError",
     "SingularConformalFactorError",
     "factor_ratio",
@@ -45,6 +46,10 @@ __all__ = [
 
 class OutOfDomainError(ValueError):
     """Evaluation point outside the metric's z-domain."""
+
+
+class NotKahlerError(ValueError):
+    """A Kähler-only quantity or transform asked of a metric whose ``MetricSpec.tag`` is None."""
 
 
 class SingularConformalFactorError(ArithmeticError):
@@ -199,7 +204,7 @@ class MetricSpec:
     def tag(self) -> Optional[str]:
         """The Kähler complex structure, fixed by C alone: "Jplus" for
         C = C0·e^{-z}, "Jminus" for C = C0·e^{+z} (g = C^{−1/2} is one term at
-        exponent +½ or −½, so a ``C einstein`` can be either), else None."""
+        exponent +½ or −½, so a ``C einstein`` or ``C ratio`` can be either), else None."""
         return None if self.g_poly is None else {(0.5,): "Jplus", (-0.5,): "Jminus"}.get(self.g_poly.exponents())
 
     @cached_property
@@ -209,23 +214,31 @@ class MetricSpec:
 
     @cached_property
     def g_poly(self) -> Optional[ExpPoly]:
-        """g = C^{−1/2}, built once per spec on first use: the float-coefficient
-        C0^{−1/2}·e^{−εz/2} for C0·e^{εz}; ±(C5·e^{z/2} + C6·e^{−z/2}) for an
-        Einstein C, positive mid-domain (so off C's pole); None for a ratio."""
-        if isinstance(self.C, ExpFactor):
-            return ExpPoly.exp_term(Fraction(-self.C.eps, 2), float(self.C.c0) ** -0.5)
+        """g = C^{−1/2}, built once per spec on first use: ±(C5·e^{z/2} + C6·e^{−z/2})
+        for an Einstein C, positive mid-domain (so off C's pole); C0^{−1/2}·e^{−εz/2}
+        where (num, den) is (n·e^{az}, d·e^{bz}), as for every Exp C, so that
+        C = C0·e^{εz} with C0 = n/d positive and finite and ε = a − b; else None."""
         if isinstance(self.C, EinsteinFactor):
             g = ExpPoly([(Fraction(1, 2), self.C.c5), (Fraction(-1, 2), self.C.c6)])
             return g if g.eval(sum(self.domain.finite_window()) / 2) > 0 else -g
+        num, den = self.c_ratio
+        if len(num.terms()) == len(den.terms()) == 1:
+            (a, n), (b, d) = num.terms() + den.terms()
+            try:
+                c0 = float(n / d)
+            except OverflowError:  # an exact C0 past float range
+                c0 = math.inf
+            if 0 < c0 < math.inf:
+                return ExpPoly.exp_term((b - a) / 2, c0**-0.5)
         return None
 
     @cached_property
     def einstein_certificate(self) -> Optional[float]:
-        """max(|C1C5 − C2C6|, |C3C5 − C4C6|), 0 iff Einstein, for a canonical F and an
-        Exp or Einstein C (else None), once per spec: (C5, C6) is the direction of g's
-        pair of coefficients, so C's scale does not enter (C0·e^{∓z} gives (1, 0), (0, 1))."""
+        """max(|C1C5 − C2C6|, |C3C5 − C4C6|), 0 iff Einstein, for a canonical F and
+        g = C5·e^{z/2} + C6·e^{−z/2} (else None), once per spec: (C5, C6) is the direction
+        of g's pair of coefficients, so C's scale does not enter (C0·e^{∓z} gives (1, 0), (0, 1))."""
         coeffs = canonical_coefficients(self.f_poly())
-        if coeffs is None or self.g_poly is None:
+        if coeffs is None or self.g_poly is None or self.g_poly.exponents() not in ((-0.5,), (0.5,), (-0.5, 0.5)):
             return None
         c1, c2, c3, c4 = coeffs
         a, b = self.g_poly.coefficient(0.5), self.g_poly.coefficient(-0.5)
@@ -288,21 +301,17 @@ def _c_of_g(g0, z):
     return r * r
 
 
-def _c_series(m: MetricSpec, z) -> list:
-    num, den = m.c_ratio
-    ds = jet_to_series(den.jet(z, 4))
-    _nonzero(ds[0], z)
-    return series_div(jet_to_series(num.jet(z, 4)), ds)
-
-
 def jet_C(m: MetricSpec, z) -> tuple:
     """(C, C′, C″) and (g, g′, g″, g‴) at z, g = C^{−1/2}; requires 0 < C(z) < ∞.
-    For an Exp or Einstein C, g's jet is one termwise ``m.g_poly.jet``, and C = g⁻²,
+    Where ``m.g_poly`` is an ExpPoly, g's jet is one termwise ``m.g_poly.jet``, and C = g⁻²,
     C′ = C·(−2g′/g), C″ = C·(6g′² − 2gg″)/g², so (log C)′ is exactly ∓1 on C0·e^{∓z};
-    a C ratio's C is the power series num/den, and g comes from it by ``series_pow``."""
+    any other C ratio's C is the power series num/den, and g comes from it by ``series_pow``."""
     _check_domain(m, z)
     if m.g_poly is None:
-        cs = _c_series(m, z)
+        num, den = m.c_ratio
+        ds = jet_to_series(den.jet(z, 4))
+        _nonzero(ds[0], z)
+        cs = series_div(jet_to_series(num.jet(z, 4)), ds)
         c = cs[0]
     else:
         g = m.g_poly.jet(z, 3)

@@ -62,6 +62,16 @@ class TestPageConstants:
         assert z0 == pytest.approx(self.Z0, abs=1e-13)
         assert coeff == pytest.approx(self.COEFF, abs=1e-13)
 
+    def test_exact_roots_against_mpmath(self):
+        # ν is the float nearest the root; z0 is log of the float nearest x = e^{z0}, within 2 ulp
+        mpmath = pytest.importorskip("mpmath")
+        nu, z0, _ = page_constants()
+        with mpmath.workdps(50):
+            nu_ref = mpmath.findroot(lambda x: (((x + 4) * x - 6) * x + 12) * x - 3, mpmath.mpf("0.28"))
+            z0_ref = mpmath.findroot(lambda z: mpmath.exp(4 * z) - 4 * mpmath.exp(z) - 3, mpmath.mpf("0.58"))
+        assert nu == float(nu_ref)
+        assert abs(z0 - float(z0_ref)) <= 2 * math.ulp(z0)
+
     def test_residuals(self):
         nu, z0, _ = page_constants()
         assert abs((((nu + 4) * nu - 6) * nu + 12) * nu - 3) < 1e-12

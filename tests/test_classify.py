@@ -532,12 +532,14 @@ class TestWorkPerGridPoint:
 
     @pytest.mark.parametrize("name", ["hirzebruch", "modified-taub-nut-2", "taub-bolt", "page"])
     def test_exact_carriers_take_no_series_path(self, monkeypatch, name):
-        # g = C^{−1/2} of an Exp or Einstein C is an ExpPoly: only a C ratio divides and takes roots of series
+        # g = C^{−1/2} of an Exp or Einstein C is an ExpPoly: only a C ratio divides and takes roots of
+        # series, unless num and den are single terms, so the twin's are multiplied by 1 + e^z
         import u2metrics.numerics
         from u2metrics.geometry import distance
 
         m = catalog_get(name)
-        twin = MetricSpec(m.name, m.F, RatioFactor(*m.c_ratio), m.domain)
+        w = ExpPoly([(0, 1), (1, 1)])
+        twin = MetricSpec(m.name, m.F, RatioFactor(*(p * w for p in m.c_ratio)), m.domain)
         calls = [self._count(monkeypatch, u2metrics.numerics, f) for f in ("series_div", "series_pow")]
         lo, hi = m.domain.finite_window()
         for spec in (m, twin):

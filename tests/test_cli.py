@@ -12,7 +12,7 @@ import u2metrics.cli
 from u2metrics.btflat import bt_csc_seed
 from u2metrics.cli import main
 from u2metrics.catalog import catalog_get
-from u2metrics.metricfile import emit_metric
+from u2metrics.metricfile import emit_metric, parse_metric
 from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical
 
 
@@ -246,6 +246,22 @@ class TestTransformCommand:
         path = _write_metric(tmp_path, "taub-bolt")
         assert main(["transform", path]) != 0
 
+    def test_non_kahler_is_an_error_line_and_exit_1(self, tmp_path, capsys):
+        path = _write_metric(tmp_path, "taub-bolt")
+        assert main(["transform", path]) == 1
+        assert capsys.readouterr() == ("", "error: metric 'taub-bolt(m=1)' is not an exp-factor Kähler metric\n")
+
+    def test_single_term_ratio_is_kahler(self, tmp_path, capsys):
+        # C = e^{−z}/1: kahler_plus yes, and so the tag Jplus, which transform flips
+        path = tmp_path / "t.txt"
+        path.write_text("name t\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC ratio\nnum term -1 1\nden term 0 1\n")
+        assert main(["classify", str(path)]) == 0
+        assert "kahler_plus yes" in capsys.readouterr().out
+        assert main(["transform", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("C ratio\nnum term 1 1\nden term 0 1\ntag Jminus\n")
+        emitted = emit_metric(parse_metric(path.read_text()))
+        assert emitted.endswith("C ratio\nnum term -1 1\nden term 0 1\ntag Jplus\n")
+
     def test_untagged_exp_factor_is_kahler(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text("name t\ndomain 0 inf open open\nF canonical 2 -2 0 0\nC exp C0=1 eps=-1\n")
@@ -416,6 +432,25 @@ class TestUsageErrors:
         path = _write_metric(tmp_path, "taub-nut")
         assert main([*command, path, f"--grid={grid}"]) == 1
         assert f"usage error: --grid endpoints must be finite, got '{grid}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid", "1:2", "--grid must be a:b:n, got '1:2'"),
+        ("--grid", "1:2:x", "bad --grid '1:2:x': invalid literal for int() with base 10: 'x'"),
+        ("--grid", "a:2:3", "bad --grid 'a:2:3': could not convert string to float: 'a'"),
+        ("--grid", "1:2:0", "--grid needs n >= 1"),
+        ("--span", "0", "--span must be a:b, got '0'"),
+        ("--span", "0:1:2", "--span must be a:b, got '0:1:2'"),
+        ("--span", "0:x", "bad --span '0:x': could not convert string to float: 'x'"),
+    ])
+    def test_bad_range_exits_1(self, tmp_path, capsys, flag, value, message):
+        state = tmp_path / "seed.txt"
+        state.write_text("z 0.0\nF 1.3\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
+        if flag == "--grid":
+            argv = ["curvature", _write_metric(tmp_path, "taub-nut"), f"--grid={value}"]
+        else:
+            argv = ["bt", "integrate", "--t", "1", "--init", str(state), f"--span={value}"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_s_exits_1(self, tmp_path, capsys, value):

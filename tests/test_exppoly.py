@@ -202,20 +202,37 @@ _float_polys = st.lists(st.tuples(_exponents, _float_coeffs), min_size=1, max_si
 
 @settings(max_examples=150, deadline=None)
 @given(_float_polys, _zs, st.integers(min_value=0, max_value=7))
-def test_float_coefficient_jet_is_within_one_rounding_per_order_of_derive(p, z, order):
-    # the contract for float coefficients: c·k·k·… rounded once per order against
-    # derive(n)'s c·kⁿ rounded once, and then the roundings of the two sums
+def test_float_coefficient_jet_equals_derive_bit_for_bit(p, z, order):
+    # a float coefficient's c·kⁿ is rounded once, as derive(n) rounds it
     j = p.jet(z, order)
-    m = len(p.terms())
     for n in range(order + 1):
-        size = sum(abs(c) * abs(float(k)) ** n * math.exp(float(k) * z) for k, c in p.terms())
-        assert abs(j[n] - p.derive(n).eval(z)) <= (n + m + 1) * 2.0**-52 * size, (n, j[n])
+        assert j[n] == p.derive(n).eval(z), (n, j[n])
 
 
 def test_float_coefficient_jet_rounds_once_per_order():
+    # c·k² is rounded once, not c·k and then ·k (which gives 0.352870241735288)
     p = ExpPoly([(1.5, 0.1)])
-    assert p.jet(0.3, 2)[2] == 0.1 * 1.5 * 1.5 * math.exp(1.5 * 0.3) == 0.352870241735288
-    assert p.derive(2).eval(0.3) == 0.1 * 2.25 * math.exp(1.5 * 0.3) == 0.35287024173528797
+    assert p.jet(0.3, 2)[2] == p.derive(2).eval(0.3) == 0.1 * 2.25 * math.exp(1.5 * 0.3) == 0.35287024173528797
+
+
+class TestRowPastFloatRange:
+    """A coefficient row entry past float range is ±inf, so ``jet`` raises
+    EvalOverflowError at that order, for an exact and a float coefficient alike."""
+
+    @pytest.mark.parametrize("c", [Fraction(10**308), 1e308], ids=["exact", "float"])
+    @pytest.mark.parametrize("array", [False, True], ids=["float-z", "array-z"])
+    def test_value_is_finite_and_fourth_derivative_raises(self, c, array):
+        p = ExpPoly([(2, c)])
+        z = np.array([0.0, 0.0]) if array else 0.0
+        assert p.eval(0.0) == 1e308
+        with pytest.raises(EvalOverflowError) as err:
+            p.jet(z, 4)
+        assert (err.value.exponent, err.value.z) == (2, 0.0)
+
+    def test_negative_entry_is_minus_inf(self):
+        # row 3 is 4³·(−10³⁰⁸)/2³ = −8e308
+        with pytest.raises(EvalOverflowError, match=r"term e\^\(2z\) is non-finite at z=0.0"):
+            ExpPoly([(2, Fraction(-(10**308)))]).jet(0.0, 3)
 
 
 def _reference_jet(p, z, order):

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,18 +16,21 @@ from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.exppoly import ExpPoly
 from u2metrics.geometry import (
     OrientationError,
-    TransformError,
     ambikahler_transform,
     classify_end,
     distance,
     find_bolts,
     transcribe_classic,
 )
+from u2metrics.classify import classify
+from u2metrics.curvature import ricci_form_kahler
+from u2metrics.metricfile import emit_metric, parse_metric
 from u2metrics.numerics import adaptive_quad
 from u2metrics.profiles import (
     Domain,
     ExpFactor,
     MetricSpec,
+    NotKahlerError,
     OutOfDomainError,
     SingularConformalFactorError,
     canonical,
@@ -415,8 +419,44 @@ class TestAmbikahlerTransform:
         assert other.C.c0 == m.C.c0
 
     def test_requires_kahler_exp_metric(self):
-        with pytest.raises(TransformError):
+        with pytest.raises(NotKahlerError, match="is not an exp-factor Kähler metric"):
             ambikahler_transform(catalog_get("taub-bolt", {"m": 1.0}))
+
+
+class TestSingleTermRatio:
+    """A C ratio n·e^{az}/(d·e^{bz}) with n/d > 0 is C0·e^{(a−b)z} with C0 = n/d:
+    with taub-nut's F it carries the tag, the Kähler forms and the classify tags
+    of its ``C exp C0=n/d`` twin, and the transform negates each exponent."""
+
+    HEAD = "name r\ndomain 0 inf open open\nF canonical 2 -2 0 0\n"
+
+    @pytest.fixture(params=[("-1", "0", "1", "1"), ("0", "1", "3", "2"), ("1", "0", "1/2", "1")], ids=str)
+    def pair(self, request):
+        a, b, n, d = request.param
+        ratio = parse_metric(f"{self.HEAD}C ratio\nnum term {a} {n}\nden term {b} {d}\n")
+        twin = parse_metric(f"{self.HEAD}C exp C0={Fraction(n) / Fraction(d)} eps={int(a) - int(b):+d}\n")
+        return ratio, twin
+
+    def test_tag_kahler_forms_and_classify_match_the_twin(self, pair):
+        ratio, twin = pair
+        assert ratio.tag == twin.tag is not None
+        for z in (0.3, 1.0, 4.0):
+            for got, want in zip(ricci_form_kahler(ratio, z), ricci_form_kahler(twin, z)):
+                assert abs(got - want) <= 1e-14 * abs(want)
+        assert classify(ratio).tags() == classify(twin).tags()
+
+    def test_transform_flips_the_tag_and_is_an_involution(self, pair):
+        ratio, _ = pair
+        partner = ambikahler_transform(ratio)
+        assert partner.tag == {"Jplus": "Jminus", "Jminus": "Jplus"}[ratio.tag]
+        assert [p.exponents() for p in partner.c_ratio] == [tuple(-k for k in p.exponents()) for p in ratio.c_ratio]
+        assert ambikahler_transform(partner) == ratio
+
+    def test_emit_writes_the_tag_and_parses_back(self, pair):
+        ratio, _ = pair
+        text = emit_metric(ratio)
+        assert text.endswith(f"tag {ratio.tag}\n")
+        assert parse_metric(text) == ratio
 
 
 class TestTranscription:

@@ -3,7 +3,8 @@ defines a private name that nothing references or takes a parameter that its
 function never reads, imports numpy when it is itself imported, or imports a
 package module from inside a function or from a layer above its own, and every
 function the benchmark tracer wraps still exists, as does every name a module's
-``__all__`` lists or ``__init__.py`` imports.
+``__all__`` lists or ``__init__.py`` imports, and no module but ``numerics``
+names ``safeguarded_newton``, which only the tracer still wraps.
 
 A stdlib ``ast`` check standing in for a linter.  A name counts as used when
 it is read anywhere in the module (including inside annotations, quoted or
@@ -333,6 +334,43 @@ def test_tracer_target_resolves(label):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def mentions(path: pathlib.Path, name: str) -> list:
+    """``module:line`` for each place the module at ``path`` names ``name``: as a
+    name, an attribute, an import or a string (an ``__all__`` entry, say)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+            or (isinstance(node, ast.Constant) and node.value == name)
+        ):
+            out.append(f"{path.name}:{node.lineno}")
+    return sorted(set(out), key=lambda s: int(s.rsplit(":", 1)[1]))
+
+
+def test_one_root_scanner():
+    # roots are isolated exactly by ExpPoly.real_roots; safeguarded_newton stays
+    # in numerics only because perfbench/tracer.py wraps it by name
+    others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "numerics.py"]
+    assert [hit for p in others for hit in mentions(p, "safeguarded_newton")] == []
+
+
+def test_checker_flags_a_mention(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from .numerics import safeguarded_newton\n"
+        "import numerics as n\n"
+        "__all__ = ['safeguarded_newton']\n"
+        "def f():\n"
+        "    return n.safeguarded_newton, safeguarded_newton\n"
+        "def g():\n"
+        "    return 'safeguarded_newton_not'\n"
+    )
+    assert mentions(src, "safeguarded_newton") == ["mod.py:1", "mod.py:3", "mod.py:5"]
 
 
 def unresolved_exports(module) -> list:

@@ -178,6 +178,18 @@ class TestJets:
         with np.errstate(all="ignore"), pytest.raises(SingularConformalFactorError, match=r"^C\(z\)=inf is not positive and finite at z=-0.5$"):
             jet_C(m, np.array([-0.5, 0.5]))
 
+    @pytest.mark.parametrize("num, den", [(Fraction(10**300), Fraction(1, 10**300)), (Fraction(1, 10**300), Fraction(10**300))])
+    def test_single_term_ratio_whose_c0_has_no_float_value_has_no_g_poly(self, num, den):
+        # C0 = n/d past float range (or below it): no termwise g and no tag, not an OverflowError
+        m = MetricSpec("t", canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(num), ExpPoly.constant(den)), Domain(-1.0, 1.0))
+        assert (m.g_poly, m.tag, m.einstein_certificate) == (None, None, None)
+
+    def test_single_term_ratio_off_the_einstein_family_has_no_certificate(self):
+        # C = e^{−2z}: g = e^{z} is termwise, but has no (C5, C6) pair at exponents ±½
+        m = MetricSpec("t", canonical(0, 0, 0, 0), RatioFactor(ExpPoly([(-2, 1)]), ExpPoly.constant(1)), Domain(-1.0, 1.0))
+        assert m.g_poly == ExpPoly([(1, 1.0)])
+        assert (m.tag, m.einstein_certificate) == (None, None)
+
     def test_out_of_domain_raises(self):
         m = self._metric()
         with pytest.raises(OutOfDomainError):
