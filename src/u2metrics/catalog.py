@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from .exppoly import ExpPoly, _positive_roots
@@ -96,8 +97,9 @@ def _positive_int(name, default, minimum=1) -> ParamSpec:
 
 
 # -------------------------------------------------------------- special roots
+@cache
 def page_constants() -> tuple:
-    """(ν, z0, coeff) for the Page metric.
+    """(ν, z0, coeff) for the Page metric, computed once.
 
     ν is the float nearest the one positive root of ν⁴ + 4ν³ − 6ν² + 12ν − 3;
     z0 the one real zero of e^{4z} − 4e^{z} − 3, as ``real_roots`` gives it;

@@ -142,16 +142,15 @@ def classify(
     tol: float = 1e-9,
     grid_n: int = 64,
     t: Optional[float] = None,
-    use_exact: bool = True,
 ) -> ClassificationReport:
     """Evaluate the full predicate taxonomy on a metric.
 
     sd, asd, conformally_extremal and bach_flat depend on F alone and are
     exact for every F and C, from F's operators (bach_flat ⇔ L⁺L⁻F ≡ 1 and
     B(F,F) = 0 at z = 0); einstein is exact from (C5, C6) on the canonical
-    family; Kähler reads the sampled (log C)′, exactly ∓1 for C = C0·e^{∓z}.
-    ``use_exact=False`` reads bach_flat and einstein from the sampled
-    tensors instead (used to cross-validate the two paths).  Every predicate is "indeterminate" when F, C's numerator or C's
+    family and reads the sampled trace-free Ricci tensor elsewhere; Kähler
+    reads the sampled (log C)′, exactly ∓1 for C = C0·e^{∓z}.  Every
+    predicate is "indeterminate" when F, C's numerator or C's
     denominator has an exact zero inside the domain (a zero at an end is a
     bolt or nut), or when the curvature sample of the grid raises (its
     reason names the z). A ``tol`` that is not positive and finite, a non-finite ``t``
@@ -159,7 +158,7 @@ def classify(
 
     The zero test and the one ``curvature_sample(m, grid)`` call run once per
     (spec, grid_n); what they give is kept on the spec for every later call at
-    any ``t``, ``tol`` or ``use_exact``.  ``dataclasses.replace`` makes a spec
+    any ``t`` or ``tol``.  ``dataclasses.replace`` makes a spec
     that samples anew.
     """
     import numpy as np
@@ -221,7 +220,7 @@ def classify(
     zsc_res = max(csc_res, abs(s0))
     put("zsc", verdict_of(zsc_res, s_scale), zsc_res)
 
-    einstein_res = m.einstein_certificate if use_exact else None
+    einstein_res = m.einstein_certificate
     if einstein_res is None:
         einstein_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
     einstein_cert = f"einstein constant s/4 = {s0 / 4.0:.12g}"
@@ -238,10 +237,7 @@ def classify(
 
     # --- Bach flat: B1 ∝ F·(L⁺L⁻F − 1) and B2 ∝ B(F,F), whose derivative is
     # 2F′(L⁺L⁻F − 1), so B ≡ 0 iff L⁺L⁻F ≡ 1 and B(F,F) vanishes at z = 0
-    if use_exact:
-        bach_res = max(ce_res, float(abs(m.bach_at_zero)))
-    else:
-        bach_res = float(np.max(np.maximum(np.abs(cs.bach_B1), np.abs(cs.bach_B2))))
+    bach_res = max(ce_res, float(abs(m.bach_at_zero)))
     put("bach_flat", verdict_of(bach_res), bach_res)
 
     # --- half-conformally-flat (sd: W⁻ = 0, asd: W⁺ = 0)
@@ -259,7 +255,7 @@ def classify(
         if wz_poly.is_zero:
             put(name, "yes", 0.0, "weyl-half-zero")
         else:
-            scale = 1.0 + float(np.max(np.abs(pot)))
+            scale = float(np.max(np.abs(pot)))
             res = float(np.max(pot) - np.min(pot))
             put(name, verdict_of(res, scale), res)
     hh_res = max(report.residual("half_harmonic_plus"), report.residual("half_harmonic_minus"))
@@ -288,7 +284,7 @@ def classify(
     if t is not None:
         try:
             bt_res = bt_grid_residual(cs, t)
-            put("bt_flat", verdict_of(bt_res, s_scale), bt_res, f"t={t:g}")
+            put("bt_flat", verdict_of(bt_res), bt_res, f"t={t:g}")
         except (ArithmeticError, ValueError) as exc:
             put("bt_flat", "indeterminate", math.inf, str(exc))
 

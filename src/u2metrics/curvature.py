@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .numerics import adaptive_quad, at_first, is_array
 from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet
-from .profiles import MetricSpec, NotKahlerError, _check_domain, jet_C, jet_F
+from .profiles import MetricSpec, _check_domain, _kahler_sign, jet_C, jet_F
 
 __all__ = [
     "CurvatureSample",
@@ -220,13 +220,6 @@ def delta_w_potential(m: MetricSpec, sign, z: float) -> float:
 def bach(m: MetricSpec, z: float) -> tuple:
     """(B1, B2), the two Bach coefficients."""
     return _checked(z, lambda: _bach_from_jets(*_jets(m, z)), "bach_B1 bach_B2")
-
-
-def _kahler_sign(m: MetricSpec) -> int:
-    """+1 for a J⁺-Kähler metric (C = C0·e^{−z}), −1 for J⁻ (C = C0·e^{+z})."""
-    if m.tag is None:
-        raise NotKahlerError(f"metric {m.name!r} is not Kähler: C is not C0·e^{{∓z}}")
-    return 1 if m.tag == "Jplus" else -1
 
 
 def ricci_form_kahler(m: MetricSpec, z: float) -> tuple:

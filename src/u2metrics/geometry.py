@@ -15,10 +15,10 @@ from .profiles import (
     EinsteinFactor,
     ExpFactor,
     MetricSpec,
-    NotKahlerError,
     RatioFactor,
     SingularConformalFactorError,
     _check_domain,
+    _kahler_sign,
     canonical,
     conformal_value,
 )
@@ -258,8 +258,7 @@ def ambikahler_transform(m: MetricSpec) -> MetricSpec:
     Requires C = C0·e^{∓z}, else raises :class:`NotKahlerError` (an Einstein C
     swaps C5 and C6, a ratio negates each exponent); twice is the identity.
     """
-    if m.tag is None:
-        raise NotKahlerError(f"metric {m.name!r} is not an exp-factor Kähler metric")
+    _kahler_sign(m)  # raises NotKahlerError without a tag
     if isinstance(m.C, RatioFactor):
         C = RatioFactor(*(ExpPoly([(-k, c) for k, c in p.terms()]) for p in m.c_ratio))
     else:

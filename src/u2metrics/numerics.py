@@ -1,20 +1,18 @@
-"""Shared numerical kernels: adaptive quadrature and truncated Taylor-series
-arithmetic.
+"""Shared numerical kernels: adaptive quadrature and the float-or-array helpers.
 
-The series functions take coefficients that are floats or 1-D float64
-arrays over a grid (one formula for both: an array coefficient is the same
-arithmetic at every point), and ``adaptive_quad`` (Gauss–Kronrod G7K15)
-takes an integrand of an array of nodes, never evaluated at the ends.
-``series_pow`` is J. C. P. Miller's recurrence for a power of a series, run on
-a/a[0]: ten products give C^{1/2}, C^{−1/2}, … to fourth order.
+``adaptive_quad`` (Gauss–Kronrod G7K15) takes an integrand of an array of
+nodes, never evaluated at the ends.  The rest of the package builds on it and
+keeps one rule for numpy: a function that makes an array imports numpy itself,
+and one that takes a float or an array tests it with :func:`is_array`, which
+never imports numpy, and reads the first failing point with :func:`at_first`.
 
-The rest of the package builds on these primitives and keeps their rule for
-numpy: a function that makes an array imports numpy itself, and one that takes
-a float or an array tests it with :func:`is_array`, which never imports numpy.
-
-``adaptive_simpson`` (an alias of ``adaptive_quad``), ``series_mul`` and
+``adaptive_simpson`` (an alias of ``adaptive_quad``), the truncated
+Taylor-series helpers ``series_mul``, ``series_div`` and ``series_pow``, and
 ``safeguarded_newton`` (with the ``BracketError`` it raises) have no caller in
 the package: they stay only because ``perfbench/tracer.py`` wraps them by name.
+Each series helper takes five Taylor coefficients, floats or 1-D float64
+arrays over a grid (the same arithmetic at every point); ``series_pow`` is
+J. C. P. Miller's recurrence for a power of a series, run on a/a[0].
 """
 from __future__ import annotations
 
@@ -32,13 +30,9 @@ __all__ = [
     "series_mul",
     "series_div",
     "series_pow",
-    "jet_to_series",
-    "series_to_jet",
 ]
 
 SERIES_LEN = 5  # value + 4 derivatives
-
-_FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
 class QuadratureError(ArithmeticError):
@@ -190,16 +184,6 @@ def safeguarded_newton(f, df, lo: float, hi: float, tol: float = 1e-14) -> float
         if not step_ok:
             x = 0.5 * (lo + hi)
     raise BracketError(f"safeguarded Newton failed to reach |f| < {tol}")
-
-
-def jet_to_series(jet) -> list:
-    """Convert (value, d1, .., d4) into Taylor coefficients a_k = d_k / k!."""
-    return [jet[k] / _FACTORIALS[k] for k in range(SERIES_LEN)]
-
-
-def series_to_jet(series) -> tuple:
-    """Inverse of :func:`jet_to_series`."""
-    return tuple(series[k] * _FACTORIALS[k] for k in range(SERIES_LEN))
 
 
 def series_mul(a, b) -> list:

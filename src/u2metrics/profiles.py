@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .exppoly import ExpPoly, _as_coefficient
-from .numerics import at_first, is_array, jet_to_series, series_div, series_pow, series_to_jet
+from .numerics import at_first, is_array
 from .operators import b_op_jet, l_compose_jet, l_op_jet
 
 __all__ = [
@@ -270,6 +270,14 @@ class MetricSpec:
         return self.F
 
 
+def _kahler_sign(m: MetricSpec) -> int:
+    """+1 for a J⁺-Kähler metric (C = C0·e^{−z}), −1 for J⁻ (C = C0·e^{+z}); else
+    raises :class:`NotKahlerError`, the one not-Kähler decision."""
+    if m.tag is None:
+        raise NotKahlerError(f"metric {m.name!r} is not Kähler: C is not C0·e^{{∓z}}")
+    return 1 if m.tag == "Jplus" else -1
+
+
 def _check_domain(m: MetricSpec, z, closure: bool = False):
     """Raise OutOfDomainError for the first z outside the domain, or with
     ``closure`` outside [lo, hi] widened by the closed-end tolerance (an
@@ -303,16 +311,15 @@ def _c_of_g(g0, z):
 
 def jet_C(m: MetricSpec, z) -> tuple:
     """(C, C′, C″) and (g, g′, g″, g‴) at z, g = C^{−1/2}; requires 0 < C(z) < ∞.
-    Where ``m.g_poly`` is an ExpPoly, g's jet is one termwise ``m.g_poly.jet``, and C = g⁻²,
-    C′ = C·(−2g′/g), C″ = C·(6g′² − 2gg″)/g², so (log C)′ is exactly ∓1 on C0·e^{∓z};
-    any other C ratio's C is the power series num/den, and g comes from it by ``series_pow``."""
+    Where ``m.g_poly`` is an ExpPoly, g's jet is one termwise ``m.g_poly.jet``; any other
+    C ratio keeps C = num/den and takes g = √u from u = g² = den/num, whose jet is Leibniz's
+    rule on u·num = den.  Either way C′ = C·(−2g′/g) and C″ = C·(6g′² − 2gg″)/g², so
+    (log C)′ is exactly ∓1 on C0·e^{∓z}."""
     _check_domain(m, z)
     if m.g_poly is None:
         num, den = m.c_ratio
-        ds = jet_to_series(den.jet(z, 4))
-        _nonzero(ds[0], z)
-        cs = series_div(jet_to_series(num.jet(z, 4)), ds)
-        c = cs[0]
+        n, d = num.jet(z, 3), den.jet(z, 3)
+        c = n[0] / _nonzero(d[0], z)
     else:
         g = m.g_poly.jet(z, 3)
         c = _c_of_g(g[0], z)
@@ -320,7 +327,14 @@ def jet_C(m: MetricSpec, z) -> tuple:
     if hit is not None:
         raise SingularConformalFactorError("C(z)={} is not positive and finite at z={}".format(*hit))
     if m.g_poly is None:
-        return series_to_jet(cs)[:3], series_to_jet(series_pow(cs, -0.5))[:4]
+        u0 = d[0] / n[0]
+        u1 = (d[1] - u0 * n[1]) / n[0]
+        u2 = (d[2] - 2 * u1 * n[1] - u0 * n[2]) / n[0]
+        u3 = (d[3] - 3 * u2 * n[1] - 3 * u1 * n[2] - u0 * n[3]) / n[0]
+        g0 = u0**0.5
+        g1 = u1 / (2 * g0)
+        g2 = (u2 - 2 * g1 * g1) / (2 * g0)
+        g = (g0, g1, g2, (u3 - 6 * g1 * g2) / (2 * g0))
     return (c, c * (-2 * g[1] / g[0]), c * (6 * g[1] * g[1] - 2 * g[0] * g[2]) / (g[0] * g[0])), g
 
 

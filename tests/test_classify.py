@@ -22,6 +22,7 @@ from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.curvature import curvature_sample, ricci_form_kahler
 from u2metrics.classify import (
     PREDICATES,
+    PredicateResult,
     classify,
     sample_grid,
 )
@@ -39,7 +40,31 @@ from u2metrics.profiles import (
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 SWEEP_GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "sweep_goldens.json"
-MODES = {"default": {}, "t1": {"t": 1.0}, "grid": {"use_exact": False}}
+
+
+def grid_classify(m, tol=1e-9, grid_n=64, t=None):
+    """classify with einstein and bach_flat (and kahler_einstein and ricci_flat, which
+    follow) read from the sampled tensors, max |ric0_a|, |ric0_b| and max |B1|, |B2| over
+    the grid: the cross-check of the exact certificates, and verdicts.json's grid mode."""
+    rep = classify(m, tol=tol, grid_n=grid_n, t=t)
+    if rep.verdict("einstein") == "indeterminate":
+        return rep
+    cs = curvature_sample(m, sample_grid(m.domain, grid_n))
+    ein = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
+    bach = float(np.max(np.maximum(np.abs(cs.bach_B1), np.abs(cs.bach_B2))))
+    kp, km = rep.residual("kahler_plus"), rep.residual("kahler_minus")
+    kahler = "yes" in (rep.verdict("kahler_plus"), rep.verdict("kahler_minus"))
+    for name, yes, residual in (
+        ("einstein", ein <= tol, ein),
+        ("kahler_einstein", ein <= tol and kahler, max(ein, 0.0 if kahler else min(kp, km))),
+        ("ricci_flat", ein <= tol and rep.verdict("zsc") == "yes", max(ein, rep.residual("zsc"))),
+        ("bach_flat", bach <= tol, bach),
+    ):
+        rep.entries[name] = PredicateResult(name, "yes" if yes else "no", residual, rep.entries[name].certificate)
+    return rep
+
+
+MODES = {"default": (classify, {}), "t1": (classify, {"t": 1.0}), "grid": (grid_classify, {})}
 
 # specs whose every predicate is indeterminate: an interior zero of F, a pole
 # of C, a negative C and a C whose square underflows
@@ -72,8 +97,8 @@ class TestTags:
 
     def test_exact_and_grid_paths_agree(self):
         m = catalog_get("taub-bolt", {"m": 1.0})
-        exact = classify(m, tol=1e-8, use_exact=True).tags()
-        grid = classify(m, tol=1e-8, use_exact=False).tags()
+        exact = classify(m, tol=1e-8).tags()
+        grid = grid_classify(m, tol=1e-8).tags()
         assert exact == grid
 
     def test_report_text_and_tree(self):
@@ -165,7 +190,8 @@ class TestCatalogVerdicts:
     @pytest.mark.parametrize("name", catalog_names())
     @pytest.mark.parametrize("mode", list(MODES))
     def test_verdicts_are_pinned(self, name, mode):
-        rep = classify(catalog_get(name), **MODES[mode])
+        run, kwargs = MODES[mode]
+        rep = run(catalog_get(name), **kwargs)
         assert {n: e.verdict for n, e in rep.entries.items()} == self.PINNED[f"{name}/{mode}"]
 
     @pytest.mark.parametrize("name", catalog_names())
@@ -192,8 +218,8 @@ class TestCatalogVerdicts:
     def test_no_floating_point_warning_escapes(self, m):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for kwargs in MODES.values():
-                classify(m, **kwargs)
+            for run, kwargs in MODES.values():
+                run(m, **kwargs)
 
 
 class TestEinsteinScale:
@@ -214,6 +240,20 @@ class TestEinsteinScale:
         F = canonical(1, 0, 0, 0)
         reports = [classify(MetricSpec("p", F, EinsteinFactor(3 * k, 5 * k), Domain(-1.0, 1.0))) for k in (2.0**-40, 1.0, 2.0**40)]
         assert {(r.verdict("einstein"), r.residual("einstein")) for r in reports} == {("no", 0.6)}
+
+
+class TestTolerancesDoNotScaleWithC:
+    """bt_flat compares its already scaled residual with tol, and half_harmonic±
+    compares max P± − min P± with tol·max |P±|: no floor lets C's scale decide."""
+
+    def test_modified_taub_bolt_1_at_tiny_c0(self):
+        # before: at C0 = 1e-20, bt_flat yes (residual 4722.5, against tol·(1 + max|s|) ≈ 1e12)
+        # and half_harmonic_plus yes (4.89e-11, against the floor tol·1); at C0 = 1 both no
+        predicates = ("bt_flat", "half_harmonic_plus", "half_harmonic_minus", "harmonic")
+        for c0 in (1e-20, 1.0):
+            rep = classify(catalog_get("modified-taub-bolt-1", {"C0": c0}), t=1.0)
+            assert [rep.verdict(p) for p in predicates] == ["no"] * 4, c0
+            assert rep.residual("bt_flat") > 1e3
 
 
 class TestImplications:
@@ -346,21 +386,20 @@ class TestSampleGrid:
 
 
 class TestOnePathEach:
-    """With ``use_exact``, Kähler is read from the sampled (log C)′ and
-    bach_flat from F's exact operators, for every profile and every C."""
+    """Kähler is read from the sampled (log C)′ and bach_flat from F's exact
+    operators, for every profile and every C."""
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_kahler_residuals_are_the_grid_ones(self, name):
         m = catalog_get(name)
-        grid = classify(m, use_exact=False)
+        cs = curvature_sample(m, sample_grid(m.domain, 64))
+        grid = [float(np.max(np.abs(cs.C1d / cs.C + sign))) for sign in (1.0, -1.0)]
         for kwargs in ({}, {"t": 1.0}):
             rep = classify(m, **kwargs)
-            for p in ("kahler_plus", "kahler_minus"):
-                assert rep.residual(p) == grid.residual(p)
+            assert [rep.residual("kahler_plus"), rep.residual("kahler_minus")] == grid
         # C = C0·e^{∓z}: the sample's C′/C is exactly ∓1
         if isinstance(m.C, ExpFactor):
-            expected = (0.0, 2.0) if m.C.eps == -1 else (2.0, 0.0)
-            assert (grid.residual("kahler_plus"), grid.residual("kahler_minus")) == expected
+            assert grid == ([0.0, 2.0] if m.C.eps == -1 else [2.0, 0.0])
 
     def test_classify_reads_no_tag_and_no_canonical_bach_shortcut(self):
         source = inspect.getsource(u2metrics.classify)
@@ -380,7 +419,7 @@ class TestOnePathEach:
         assert rep.verdict("bach_flat") == "no"
         assert rep.residual("bach_flat") == rep.residual("conformally_extremal") > 10.0
         assert m.bach_at_zero == 10
-        assert classify(m, use_exact=False).verdict("bach_flat") == "no"
+        assert grid_classify(m).verdict("bach_flat") == "no"
 
     def test_canonical_residual_is_three_times_the_determinant(self):
         rng = random.Random(19)
@@ -506,7 +545,7 @@ class TestWorkPerGridPoint:
 
         monkeypatch.setattr(ExpPoly, "__init__", counted)
         classify(m, t=1.0)
-        classify(m, use_exact=False)
+        classify(m, tol=1e-6)
         assert built == []
 
     def test_second_classify_reads_the_spec_einstein_certificate(self, monkeypatch):
@@ -531,25 +570,25 @@ class TestWorkPerGridPoint:
         assert (len(f_calls), len(c_calls)) == (2, 2)
 
     @pytest.mark.parametrize("name", ["hirzebruch", "modified-taub-nut-2", "taub-bolt", "page"])
-    def test_exact_carriers_take_no_series_path(self, monkeypatch, name):
-        # g = C^{−1/2} of an Exp or Einstein C is an ExpPoly: only a C ratio divides and takes roots of
-        # series, unless num and den are single terms, so the twin's are multiplied by 1 + e^z
+    def test_no_carrier_takes_a_series_path(self, monkeypatch, name):
+        # g = C^{−1/2} of an Exp or Einstein C is an ExpPoly, and any other C ratio's g is √u with
+        # u = den/num: no path calls a series helper, for the spec or for its twin, whose num and
+        # den are multiplied by 1 + e^z so that neither is a single term
         import u2metrics.numerics
         from u2metrics.geometry import distance
 
         m = catalog_get(name)
         w = ExpPoly([(0, 1), (1, 1)])
         twin = MetricSpec(m.name, m.F, RatioFactor(*(p * w for p in m.c_ratio)), m.domain)
-        calls = [self._count(monkeypatch, u2metrics.numerics, f) for f in ("series_div", "series_pow")]
+        assert m.g_poly is not None and twin.g_poly is None
+        calls = [self._count(monkeypatch, u2metrics.numerics, f) for f in ("series_mul", "series_div", "series_pow")]
         lo, hi = m.domain.finite_window()
         for spec in (m, twin):
-            for call in calls:
-                call.clear()
             classify(spec, t=1.0)
             curvature_sample(spec, sample_grid(spec.domain, 16))
             distance(spec, (3 * lo + hi) / 4, (lo + 3 * hi) / 4)
             classify_end(spec, "lower"), classify_end(spec, "upper")
-            assert [len(call) > 0 for call in calls] == [spec is twin] * 2
+        assert calls == [[], [], []]
 
     @pytest.mark.parametrize("name", ["hirzebruch", "taub-bolt"])
     def test_jet_c_makes_one_exp_poly_jet(self, monkeypatch, name):
@@ -575,7 +614,7 @@ class TestWorkPerGridPoint:
 
 class TestSampleKeptOnSpec:
     """The guarded curvature sample is taken once per (spec, grid_n) and read by
-    every later classify call, whatever its t, tol or use_exact."""
+    every later classify call, whatever its t or tol."""
 
     _count = staticmethod(TestWorkPerGridPoint._count)
 
@@ -586,7 +625,7 @@ class TestSampleKeptOnSpec:
         calls = self._count(monkeypatch, u2metrics.curvature, "curvature_sample")
         classify(m)
         assert len(calls) == 1
-        classify(m, t=1.0), classify(m, tol=1e-6), classify(m, use_exact=False)
+        classify(m, t=1.0), classify(m, tol=1e-6), classify(m, t=2.0, tol=1e-6)
         assert len(calls) == 1
         classify(m, grid_n=32), classify(m, grid_n=32, t=2.0)
         assert len(calls) == 2
@@ -599,10 +638,10 @@ class TestSampleKeptOnSpec:
     @pytest.mark.parametrize("name", catalog_names())
     def test_reports_equal_those_of_a_fresh_spec(self, name):
         m = catalog_get(name)
-        cases = [(t, use_exact) for t in (None, -1 / 3, 0.0, 1.0, 2.0) for use_exact in (True, False)]
+        cases = [(t, run) for t in (None, -1 / 3, 0.0, 1.0, 2.0) for run in (classify, grid_classify)]
         for _ in range(2):  # each case's first call on m, then its repeat
-            for t, use_exact in cases:
-                assert classify(m, t=t, use_exact=use_exact) == classify(catalog_get(name), t=t, use_exact=use_exact)
+            for t, run in cases:
+                assert run(m, t=t) == run(catalog_get(name), t=t)
 
     @pytest.mark.parametrize("m,sampled", [(SINGULAR[0], 0), (SINGULAR[3], 1)], ids=["F-zero", "sample-raises"])
     def test_indeterminate_reason_is_kept_as_a_string(self, monkeypatch, m, sampled):
@@ -616,7 +655,7 @@ class TestSampleKeptOnSpec:
         assert counts[0] == sampled and counts[1] > 0
         reason = m._grid_samples[64]
         assert type(reason) is str
-        again = [classify(m), classify(m, t=2.0, tol=1e-6, use_exact=False)]
+        again = [classify(m), classify(m, t=2.0, tol=1e-6)]
         assert (len(samples), len(roots)) == counts
         for rep in [first] + again:
             assert {(e.verdict, e.certificate) for e in rep.entries.values()} == {("indeterminate", reason)}

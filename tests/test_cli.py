@@ -249,7 +249,7 @@ class TestTransformCommand:
     def test_non_kahler_is_an_error_line_and_exit_1(self, tmp_path, capsys):
         path = _write_metric(tmp_path, "taub-bolt")
         assert main(["transform", path]) == 1
-        assert capsys.readouterr() == ("", "error: metric 'taub-bolt(m=1)' is not an exp-factor Kähler metric\n")
+        assert capsys.readouterr() == ("", "error: metric 'taub-bolt(m=1)' is not Kähler: C is not C0·e^{∓z}\n")
 
     def test_single_term_ratio_is_kahler(self, tmp_path, capsys):
         # C = e^{−z}/1: kahler_plus yes, and so the tag Jplus, which transform flips

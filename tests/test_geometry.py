@@ -419,8 +419,12 @@ class TestAmbikahlerTransform:
         assert other.C.c0 == m.C.c0
 
     def test_requires_kahler_exp_metric(self):
-        with pytest.raises(NotKahlerError, match="is not an exp-factor Kähler metric"):
+        # the one not-Kähler message, as ricci_form_kahler raises it
+        message = r"^metric 'taub-bolt\(m=1\)' is not Kähler: C is not C0·e\^\{∓z\}$"
+        with pytest.raises(NotKahlerError, match=message):
             ambikahler_transform(catalog_get("taub-bolt", {"m": 1.0}))
+        with pytest.raises(NotKahlerError, match=message):
+            ricci_form_kahler(catalog_get("taub-bolt", {"m": 1.0}), 0.5)
 
 
 class TestSingleTermRatio:

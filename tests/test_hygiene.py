@@ -4,7 +4,7 @@ function never reads, imports numpy when it is itself imported, or imports a
 package module from inside a function or from a layer above its own, and every
 function the benchmark tracer wraps still exists, as does every name a module's
 ``__all__`` lists or ``__init__.py`` imports, and no module but ``numerics``
-names ``safeguarded_newton``, which only the tracer still wraps.
+names a function (or the error) that only the tracer still wraps.
 
 A stdlib ``ast`` check standing in for a linter.  A name counts as used when
 it is read anywhere in the module (including inside annotations, quoted or
@@ -352,11 +352,16 @@ def mentions(path: pathlib.Path, name: str) -> list:
     return sorted(set(out), key=lambda s: int(s.rsplit(":", 1)[1]))
 
 
-def test_one_root_scanner():
-    # roots are isolated exactly by ExpPoly.real_roots; safeguarded_newton stays
-    # in numerics only because perfbench/tracer.py wraps it by name
+# names that stay in numerics only because perfbench/tracer.py wraps them: roots are
+# isolated exactly by ExpPoly.real_roots, quadrature is adaptive_quad, and g's jet is
+# termwise or √(den/num), so no series is divided or raised to a power
+TRACER_ONLY = ("adaptive_simpson", "series_mul", "series_div", "series_pow", "safeguarded_newton", "BracketError")
+
+
+@pytest.mark.parametrize("name", TRACER_ONLY)
+def test_tracer_only_names_stay_in_numerics(name):
     others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "numerics.py"]
-    assert [hit for p in others for hit in mentions(p, "safeguarded_newton")] == []
+    assert [hit for p in others for hit in mentions(p, name)] == []
 
 
 def test_checker_flags_a_mention(tmp_path):

@@ -16,12 +16,10 @@ from u2metrics.numerics import (
     QuadratureError,
     adaptive_quad,
     is_array,
-    jet_to_series,
     safeguarded_newton,
     series_div,
     series_mul,
     series_pow,
-    series_to_jet,
 )
 
 
@@ -320,7 +318,18 @@ class TestSafeguardedNewton:
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
 
 
+def jet_to_series(jet) -> list:
+    """Taylor coefficients a_k = d_k / k! of (value, d1, .., d4)."""
+    return [d / math.factorial(k) for k, d in enumerate(jet)]
+
+
+def series_to_jet(series) -> tuple:
+    return tuple(a * math.factorial(k) for k, a in enumerate(series))
+
+
 class TestSeries:
+    """The series helpers, which no package module calls: perfbench/tracer.py wraps them by name."""
+
     def test_mul_matches_exponential_sum(self):
         # exp(z)*exp(2z) = exp(3z): jets at z = 0
         a = jet_to_series((1.0, 1.0, 1.0, 1.0, 1.0))
