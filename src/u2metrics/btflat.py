@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -117,9 +116,13 @@ class BtTrajectory:
 # The helpers take the state's fields as floats (the flow) or as 1-D arrays
 # over z (a grid; a float field such as a pinned s stands for every z).
 def _guard(z, F, C):
+    """The one singular-state decision of every B^t formula: raises
+    :class:`SingularSystemError` at the first z where C ≤ 0, F = 0 or C·F
+    underflows to 0.  Every division below is by C, F, 2F, 12F or C·F, so
+    past this guard none of them can raise."""
     if is_array(z):  # the first singular z, checked as a float state's
         import numpy as np
-        hit = at_first((C <= 0.0) | (F == 0.0), *np.broadcast_arrays(z, F, C))
+        hit = at_first((C <= 0.0) | (F == 0.0) | (C * F == 0.0), *np.broadcast_arrays(z, F, C))
         if hit is None:
             return
         z, F, C = hit
@@ -127,6 +130,8 @@ def _guard(z, F, C):
         raise SingularSystemError(f"C={C} is not positive at z={z}")
     if F == 0.0:
         raise SingularSystemError(f"F vanishes at z={z}")
+    if C * F == 0.0:
+        raise SingularSystemError(f"C·F = {C}·{F} underflows to 0 at z={z}")
 
 
 def _f1_parts(F, F1, F2, C, C1, s) -> tuple:
@@ -147,10 +152,7 @@ def tval(state: BtState, t: float) -> float:
     """The first-integral operator T at a state (third order; no C″ or F⁗)."""
     z, F, F1, F2, F3, C, C1, s, K = state
     _guard(z, F, C)
-    try:
-        s1 = K / (C * F)
-    except ZeroDivisionError:  # C > 0 and F ≠ 0, but their float product underflowed
-        raise ZeroDivisionError(f"C·F underflows to 0 at z={z}") from None
+    s1 = K / (C * F)
     d = C1 / C
     return 16.0 * b_op_jet((F, F1, F2, F3)) - t * C * (
         s1 * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
@@ -163,31 +165,24 @@ def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
     F1res = C·(s − s[F, C]) = 0 says that s is the scalar curvature, F2res = 0
     is the fourth-order equation; s′ = K/(CF) makes (CFs′)′ = 0 by construction.
     Of ``bt_rhs``'s own F⁗ and C″ they are round-off.  A float state and an
-    array state follow one rule: the first z where C ≤ 0 or F = 0 raises
-    :class:`SingularSystemError`, and the first z with a non-finite residual
-    ``ArithmeticError`` (an array is evaluated with floating-point warnings
-    off, and a float division by a product that underflowed to 0 counts as
-    non-finite).
+    array state follow one rule: :func:`_guard`'s singular states raise
+    :class:`SingularSystemError` at their first z, and the first residual
+    that is not finite raises ``ArithmeticError`` naming it and its first z
+    (curvature's finiteness rule; an array is evaluated with floating-point
+    warnings off).
     """
     z, F, F1, F2, F3, C, C1, s, K = state
-    array = is_array(z)
-    if array:
-        import numpy as np
-    try:
-        with np.errstate(all="ignore") if array else nullcontext():
-            tv = tval(state, t)  # which guards F and C first
-            coef, rest = _f1_parts(F, F1, F2, C, C1, s)
-            out = (coef * C2d / C + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d), tv)
-    except ZeroDivisionError:
-        out = (math.nan,)
-    if array:
-        z, *out = np.broadcast_arrays(z, *out)
-        hit = at_first(~np.isfinite(out).all(axis=0), z)
-    else:
-        hit = None if all(map(math.isfinite, out)) else (z,)
-    if hit is not None:
-        raise ArithmeticError(f"B^t residuals are not finite at z={hit[0]}")
-    return tuple(out)
+
+    def residuals():
+        tv = tval(state, t)  # which guards F and C first
+        coef, rest = _f1_parts(F, F1, F2, C, C1, s)
+        out = coef * C2d / C + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d), tv
+        if is_array(z):  # each residual over every z, though a float field stands for them all
+            import numpy as np
+            out = np.broadcast_arrays(z, *out)[1:]
+        return out
+
+    return _checked(z, residuals, "F1res F2res Tval")
 
 
 # ----------------------------------------------------------------------- flow
@@ -197,20 +192,18 @@ def _derivative(state: Sequence[float], t: float) -> list:
     ``state`` is any (z, F, F′, F″, F‴, C, C′, s, K) sequence of floats: a
     :class:`BtState` or an integrator stage's plain tuple.  Solves F1 = 0 for
     C″ = −C·rest/(12F) (the coefficient of C″ is 12F/C) and then F2 = 0 for
-    F⁗ (coefficient 2/3); raises :class:`SingularSystemError` where C ≤ 0 or
-    F = 0, when |12F/C| falls below 1e-12, or where C·F underflows to 0.
+    F⁗ (coefficient 2/3); raises :class:`SingularSystemError` at
+    :func:`_guard`'s singular states and when |12F/C| falls below 1e-12.
     """
     z, F, F1, F2, F3, C, C1, s, K = state
-    if C <= 0.0 or F == 0.0:
-        _guard(z, F, C)  # raises, naming z
+    cf = C * F
+    if C <= 0.0 or cf == 0.0:  # F = 0 makes C·F = 0
+        _guard(z, F, C)  # raises, naming z and the condition
     coef, rest = _f1_parts(F, F1, F2, C, C1, s)
     if abs(coef) < _COEF_FLOOR * C:  # |12F/C|, without forming a quotient that may overflow
         raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef / C:g})")
     C2d = -C * rest / coef
-    try:
-        s1 = K / (C * F)
-    except ZeroDivisionError:
-        raise SingularSystemError(f"a divisor formed from C and F underflows to 0 at z={z}") from None
+    s1 = K / cf
     # F2 = (2/3)·F⁗ + rest
     F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d) / (2.0 / 3.0)
     return [F1, F2, F3, F4d, C1, C2d, s1, 0.0]
@@ -407,16 +400,17 @@ def bt_csc_seed(
     T is linear in F‴ with coefficient 8·F′ (via the F′·(L⁺F)′ term of B), so
     F‴ is solved for directly; when F′ = 0 the solve retargets F″ instead
     (T is then quadratic in F″) and F‴ is set to zero.  A non-finite
-    argument raises SeedError naming the first.  The state's z is 0.0.
+    argument raises SeedError naming the first, and a singular F and C
+    (:func:`_guard`'s) raise it with the guard's message.  The state's z is 0.0.
     """
     args = (("F", F), ("F1d", F1d), ("F2d", F2d), ("C", C), ("C1d", C1d), ("s", s), ("t", t))
     for name, v in args:
         if not math.isfinite(v):
             raise SeedError(f"seed argument {name} must be finite, got {v!r}")
-    if F == 0.0 or C <= 0.0:
-        raise SeedError("seed requires F ≠ 0 and C > 0")
-    if C * F == 0.0:
-        raise SeedError(f"seed's C·F = {C!r}·{F!r} underflows to 0")
+    try:
+        _guard(0.0, F, C)
+    except SingularSystemError as exc:
+        raise SeedError(str(exc)) from None
     if abs(F1d) >= _COEF_FLOOR:
         t0 = tval(BtState(0.0, F, F1d, F2d, 0.0, C, C1d, s, 0.0), t)
         slope = tval(BtState(0.0, F, F1d, F2d, 1.0, C, C1d, s, 0.0), t) - t0  # = 8·F1d

@@ -234,8 +234,8 @@ def kahler_scalar_curvature(m: MetricSpec, z: float) -> float:
     return _checked(z, lambda: (4 * _rho_from_jets(sign, *_jets(m, z))[0],), "s")[0]
 
 
-def weyl_energy(m: MetricSpec, a: float, b: float, tol: float = 1e-10) -> float:
-    """∫ₐᵇ (16/3)(L⁺F − 1)² dz by adaptive Gauss–Kronrod quadrature.
+def weyl_energy(m: MetricSpec, a: float, b: float) -> float:
+    """∫ₐᵇ (16/3)(L⁺F − 1)² dz by adaptive Gauss–Kronrod quadrature at tol 1e-10.
 
     This is the W⁺ energy density per unit η-coframe 3-sphere volume; the
     constant S³ volume factor is deliberately not included.  An endpoint
@@ -249,5 +249,5 @@ def weyl_energy(m: MetricSpec, a: float, b: float, tol: float = 1e-10) -> float:
         v = poly.eval(z)
         return 16 * v * v / 3  # |W⁺|²·C²/2 = (32/3)w⁺²·C²/2 with w⁺ = −(L⁺F − 1)g² and g⁴C² = 1
 
-    return adaptive_quad(integrand, a, b, tol=tol)
+    return adaptive_quad(integrand, a, b, tol=1e-10)
 

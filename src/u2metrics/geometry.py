@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .exppoly import ExpPoly
 from .numerics import adaptive_quad, at_first
 from .profiles import (
-    ConformalModel,
     Domain,
     EinsteinFactor,
     ExpFactor,
@@ -22,9 +21,6 @@ from .profiles import (
     canonical,
     conformal_value,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Bolt",
@@ -104,7 +100,7 @@ def _zero_order(poly, z0: float) -> int:
     return sum(mult for _, mult in poly.real_roots(z0, z0))
 
 
-def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
+def distance(m: MetricSpec, z1: float, z2: float) -> float:
     """∫ ½√(C/F) dz between z1 and z2, each within the domain's closure (an
     endpoint outside it raises :class:`OutOfDomainError`).
 
@@ -115,14 +111,14 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
     least ½ below the leading ones, so they change that tail by a relative
     e^{-30} or less.  The finite interval is split at its midpoint, each
     half read from its endpoint z0 by z = z0 ± u², and one
-    :func:`adaptive_quad` call at ``tol`` (one 200 000-panel budget)
+    :func:`adaptive_quad` call at tol 1e-11 (one 200 000-panel budget)
     integrates both halves' sum over their shared u ∈ (0, u_mid].  The zero
     orders of F and of C's num/den give the local power √(C/F) ~ |z − z0|^p,
     p ≤ −1 returns +inf (cusps, poles), and otherwise u·√(C/F) is smooth in
     u; it is never evaluated at u = 0, where √(C/F) may be infinite.  Where F
     vanishes at z0 it is evaluated as F(z) − F(z0), so a bolt whose F(z0)
     rounds to ±ulp stays integrable.  Raises :class:`QuadratureError`, with
-    the whole interval's estimate, when the sum does not meet ``tol``.
+    the whole interval's estimate, when the sum does not meet that tol.
     """
     for end in (z1, z2):
         _check_domain(m, end, closure=True)
@@ -165,7 +161,7 @@ def distance(m: MetricSpec, z1: float, z2: float, tol: float = 1e-11) -> float:
         h = integrand(np.concatenate((lo + uu, hi - uu)), np.repeat(bases, len(u)))
         return 2.0 * u * (h[: len(u)] + h[len(u):])
 
-    return total + adaptive_quad(halves, 0.0, math.sqrt(0.5 * (hi - lo)), tol=tol)
+    return total + adaptive_quad(halves, 0.0, math.sqrt(0.5 * (hi - lo)), tol=1e-11)
 
 
 # ------------------------------------------------------------------------ ends
@@ -269,14 +265,9 @@ def ambikahler_transform(m: MetricSpec) -> MetricSpec:
 # -------------------------------------------------------------- transcription
 @dataclass(frozen=True)
 class TranscriptionResult:
-    metric: MetricSpec
-    zs: np.ndarray
-    f_samples: np.ndarray
-    c_samples: np.ndarray
+    metric: MetricSpec  # its C is the better-fitting Exp or Einstein model
     f_rms: float
-    c_model: ConformalModel
     c_rms: float
-    best_model: str  # "exp" | "einstein"
 
 
 def fit_exp_family(samples) -> tuple:
@@ -307,20 +298,20 @@ def transcribe_classic(
     C: Callable[[float], float],
     r_range: tuple,
     orientation: int,
-    samples: int = 48,
 ) -> TranscriptionResult:
     """Transcribe a classic r-coordinate metric (A·dr² + B·η₁² + C·(η₂²+η₃²)).
 
-    z(r) is computed by quadrature of orientation·2√(AB)/C dr with z = 0 at
-    the first sample; F = B/C is resampled in z and fitted onto the canonical
-    exponential family, and the conformal factor C is fitted against both the
-    Exp and Einstein models with best-model selection by rms.
+    z(r) is computed by quadrature of orientation·2√(AB)/C dr at 48 evenly
+    spaced r, with z = 0 at the first; F = B/C is resampled in z and fitted
+    onto the canonical exponential family, and the conformal factor C is
+    fitted against both the Exp and Einstein models; the metric takes the
+    one with the smaller rms.
     """
     import numpy as np
     if orientation not in (-1, 1):
         raise ValueError("orientation must be ±1")
     r_lo, r_hi = r_range
-    rs = np.linspace(r_lo, r_hi, samples)
+    rs = np.linspace(r_lo, r_hi, 48)
 
     def dz_dr(r):
         a, b, c = A(r), B(r), C(r)
@@ -331,9 +322,9 @@ def transcribe_classic(
     def dz_dr_nodes(r):  # A, B and C are the caller's scalar functions
         return np.array([dz_dr(x) for x in r.tolist()])
 
-    zs = np.empty(samples)
+    zs = np.empty(len(rs))
     zs[0] = 0.0
-    for i in range(1, samples):
+    for i in range(1, len(rs)):
         zs[i] = zs[i - 1] + adaptive_quad(dz_dr_nodes, rs[i - 1], rs[i], tol=1e-13)
     steps = np.diff(zs)
     if not (np.all(steps > 0) or np.all(steps < 0)):
@@ -363,26 +354,11 @@ def transcribe_classic(
         ein_pred = np.exp(-zs) / (c5 + c6 * np.exp(-zs)) ** 2
         ein_rms = float(np.sqrt(np.mean((ein_pred / c_samples - 1.0) ** 2)))
 
-    if ein_rms < exp_rms:
-        best, c_model, c_rms = "einstein", ein_model, ein_rms
-    else:
-        best, c_model, c_rms = "exp", exp_model, exp_rms
-
-    z_lo, z_hi = float(np.min(zs)), float(np.max(zs))
+    c_model, c_rms = (ein_model, ein_rms) if ein_rms < exp_rms else (exp_model, exp_rms)
     metric = MetricSpec(
         name="transcribed",
         F=canonical(*coeffs),
         C=c_model,
-        domain=Domain(z_lo, z_hi),
+        domain=Domain(float(np.min(zs)), float(np.max(zs))),
     )
-    order = np.argsort(zs)
-    return TranscriptionResult(
-        metric=metric,
-        zs=zs[order],
-        f_samples=f_samples[order],
-        c_samples=c_samples[order],
-        f_rms=f_rms,
-        c_model=c_model,
-        c_rms=c_rms,
-        best_model=best,
-    )
+    return TranscriptionResult(metric=metric, f_rms=f_rms, c_rms=c_rms)

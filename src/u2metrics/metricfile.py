@@ -15,7 +15,9 @@ Format (one directive per line, ``#`` starts a comment):
 
 Only ``term`` lines repeat: a second name, domain, F canonical, C or tag is an error.
 The Kähler tag is worked out from C (``MetricSpec.tag``): Jplus for
-C = C0·e^{-z}, Jminus for C = C0·e^{+z}, none otherwise.  A ``tag`` line is
+C = C0·e^{-z}, Jminus for C = C0·e^{+z}, none otherwise, whatever form C is
+written in: a ``C ratio`` whose lowest terms are n·e^{az} and d·e^{bz} is
+tagged where n·d > 0, a − b = ∓1 and num·d = den·n·e^{(a−b)z}.  A ``tag`` line is
 optional; when given it must agree with C, else the file does not parse.
 Numbers are decimals or exact rationals ``p/q`` (rationals parse to Fraction
 and stay exact).  Both F forms parse to the same ExpPoly, and emission reads

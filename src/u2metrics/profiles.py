@@ -200,12 +200,19 @@ class MetricSpec:
         if self.F.is_zero:
             raise ValueError("F is identically zero")
 
-    @property
+    @cached_property
     def tag(self) -> Optional[str]:
         """The Kähler complex structure, fixed by C alone: "Jplus" for
-        C = C0·e^{-z}, "Jminus" for C = C0·e^{+z} (g = C^{−1/2} is one term at
-        exponent +½ or −½, so a ``C einstein`` or ``C ratio`` can be either), else None."""
-        return None if self.g_poly is None else {(0.5,): "Jplus", (-0.5,): "Jminus"}.get(self.g_poly.exponents())
+        C = C0·e^{-z}, "Jminus" for C = C0·e^{+z}, else None.  Read from C's
+        (num, den), so any carrier can be either: with n·e^{az} and d·e^{bz}
+        their lowest terms, C = (n/d)·e^{(a−b)z} where a − b = ∓1, n·d > 0 and
+        num·d = den·n·e^{(a−b)z}, compared at the coefficients' binary values
+        as exact rationals (so no product has to have a float value)."""
+        num, den = (ExpPoly([(k, Fraction(c)) for k, c in p.terms()]) for p in self.c_ratio)
+        (a, n), (b, d) = num.terms()[0], den.terms()[0]
+        if a - b in (-1, 1) and n * d > 0 and num * ExpPoly.constant(d) == den * ExpPoly.exp_term(a - b, n):
+            return "Jplus" if a < b else "Jminus"
+        return None
 
     @cached_property
     def c_ratio(self) -> tuple:

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import pathlib
+import re
 import warnings
 from fractions import Fraction
 
@@ -416,6 +417,14 @@ class TestArrayResiduals:
         F, C = np.array(F), np.array(C)
         return BtState(z, F, 0.1 * z, 0.2 * z, 0.0 * z, C, 0.3 * z, 0.5, 0.0 * z), z
 
+    def test_float_fields_stand_for_every_z(self):
+        # z is the one array field, so T is a float until it is broadcast over z
+        z = np.array([0.1, 0.2])
+        state = BtState(0.0, 1.0, 0.1, 0.0, 0.0, 1.0, 0.0, 0.5, 0.0)
+        want = bt_residuals(state, 1.0, 0.0, 0.0)
+        got = bt_residuals(state._replace(z=z), 1.0, 0.0 * z, 0.0 * z)
+        assert [r.tolist() for r in got] == [[w, w] for w in want]
+
     def test_vanishing_f_names_its_z(self):
         state, z = self._state()
         with pytest.raises(SingularSystemError, match=f"F vanishes at z={z[2]}$"):
@@ -439,10 +448,10 @@ class TestArrayResiduals:
 
     @pytest.mark.parametrize("state", [
         BtState(0.0, 1e200, 1e200, 1e200, 1e200, 1.0, 1e200, 1e200, 1e200),  # before: (nan, inf, -inf)
-        BtState(0.5, 1e-200, 0.0, 0.0, 0.0, 1e-200, 0.0, 1.0, 1.0),  # before: ZeroDivisionError, C·F = 0
-    ], ids=["overflow", "underflow"])
+    ], ids=["overflow"])
     def test_float_state_follows_the_array_rule(self, state):
-        message = f"^B\\^t residuals are not finite at z={state.z}$"
+        # before: "B^t residuals are not finite at z=0.0", naming no field
+        message = f"^F1res is not finite at z={state.z}$"
         with pytest.raises(ArithmeticError, match=message):
             bt_residuals(state, 1.0, 1e200, 1e200)
         with warnings.catch_warnings():
@@ -450,20 +459,37 @@ class TestArrayResiduals:
             with pytest.raises(ArithmeticError, match=message):
                 bt_residuals(BtState(*(np.array([v]) for v in state)), 1.0, np.array([1e200]), np.array([1e200]))
 
-    # C > 0 and F ≠ 0 pass the guard, but C·F = 1e-350 underflows to 0
+    # C > 0 and F ≠ 0 pass the first two conditions, but C·F = 1e-350 underflows to 0
     UNDERFLOW = BtState(0.0, 1e-100, 0.1, 0.0, 0.0, 1e-250, 0.0, 1.0, 1.0)
+    SINGULAR = {  # (F, C) of each singular condition and its one message
+        "C<=0": ((1.0, -0.5), r"C=-0\.5 is not positive at z=0\.0"),
+        "F=0": ((0.0, 1.0), r"F vanishes at z=0\.0"),
+        "CF-underflow": ((1e-100, 1e-250), r"C·F = 1e-250·1e-100 underflows to 0 at z=0\.0"),
+    }
 
-    def test_underflowed_product_in_tval_names_z(self):
-        # before: a bare "float division by zero"
-        with pytest.raises(ZeroDivisionError, match=r"^C·F underflows to 0 at z=0\.0$"):
-            tval(self.UNDERFLOW, 1.0)
-
-    @pytest.mark.parametrize("F", [1e-100], ids=["C·F"])
-    def test_underflowed_product_truncates_the_flow(self, F):
-        # before: ZeroDivisionError out of bt_integrate; now truncated as on a singular solve
-        traj = bt_integrate(self.UNDERFLOW._replace(F=F), 1.0, (0.0, 0.1))
-        assert traj.truncated and traj.samples == []
-        assert traj.truncation_reason == "a divisor formed from C and F underflows to 0 at z=0.0"
+    @pytest.mark.parametrize("entry", ["tval", "residuals-float", "residuals-array", "integrate", "seed"])
+    @pytest.mark.parametrize("condition", list(SINGULAR))
+    def test_one_message_per_singular_state(self, entry, condition):
+        # before, C·F = 0 gave four messages: a bare ZeroDivisionError from tval, "B^t residuals
+        # are not finite" from bt_residuals (the wrong reason), "a divisor formed from C and F
+        # underflows" as the truncation reason and "seed's C·F = … underflows"; the seed gave
+        # "seed requires F ≠ 0 and C > 0" for the other two states
+        (F, C), message = self.SINGULAR[condition]
+        state = self.UNDERFLOW._replace(F=F, C=C)
+        if entry == "integrate":  # truncated at its first state, as on a singular solve
+            traj = bt_integrate(state, 1.0, (0.0, 0.1))
+            assert traj.truncated and traj.samples == []
+            assert re.fullmatch(message, traj.truncation_reason)
+            return
+        calls = {
+            "tval": lambda: tval(state, 1.0),
+            "residuals-float": lambda: bt_residuals(state, 1.0, 0.0, 0.0),
+            "residuals-array": lambda: bt_residuals(
+                BtState(*(np.array([v]) for v in state)), 1.0, np.array([0.0]), np.array([0.0])),
+            "seed": lambda: bt_csc_seed(F, state.F1d, state.F2d, C, state.C1d, state.s, 1.0),
+        }
+        with pytest.raises(SeedError if entry == "seed" else SingularSystemError, match=f"^{message}$"):
+            calls[entry]()
 
     def test_tiny_c_solves_for_c2d_without_overflow(self):
         # C = 1e-250, F = 1e100: C″'s coefficient 12F/C = 1.2e351 leaves float
@@ -474,10 +500,6 @@ class TestArrayResiduals:
         deriv, f4d, c2d = bt_rhs(state, 1.0)
         assert np.isfinite(deriv).all() and c2d == deriv[5]
         assert abs(c2d - float(-C * rest / (12 * F))) <= 2e-16 * abs(c2d)
-
-    def test_underflowed_product_is_a_seed_error(self):
-        with pytest.raises(SeedError, match=r"^seed's C·F = 1e-250·1e-100 underflows to 0$"):
-            bt_csc_seed(1e-100, 0.1, 0.0, 1e-250, 0.0, 1.0, 1.0)
 
     def test_large_conformal_factor_raises_no_warning(self):
         # C = 1e130: every form stays finite (C′/C = −1, C·s = −24), and the
