@@ -197,7 +197,7 @@ def _derivative(state: Sequence[float], t: float) -> list:
     """
     z, F, F1, F2, F3, C, C1, s, K = state
     cf = C * F
-    if C <= 0.0 or cf == 0.0:  # F = 0 makes C·F = 0
+    if C <= 0.0 or F == 0.0 or cf == 0.0:  # C = inf makes C·F nan at F = 0
         _guard(z, F, C)  # raises, naming z and the condition
     coef, rest = _f1_parts(F, F1, F2, C, C1, s)
     if abs(coef) < _COEF_FLOOR * C:  # |12F/C|, without forming a quotient that may overflow

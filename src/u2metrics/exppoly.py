@@ -2,8 +2,10 @@
 
 Exponents are half-integers (all that the profile and conformal-factor
 formulas produce, via √C factors), stored as the int 2k and returned as
-Fractions.  Coefficients are exact rationals (:class:`fractions.Fraction`) or
-floats; arithmetic stays exact as long as every operand is exact.
+Fractions.  Coefficients are exact rationals, stored as int numerators over
+one reduced positive denominator per value and returned as Fractions, or
+floats, which meet an exact coefficient as the float of its value; arithmetic
+stays exact, on ints alone, as long as every operand is exact.
 
 Values are immutable after construction and all operations are pure.
 ``eval`` and ``jet`` take a float or a 1-D float64 array of points; on an
@@ -13,7 +15,8 @@ exponents and, for every derivative order n, the row float(c·kⁿ)) and a
 cache of its real zeros; both are filled on first use and replaced whole,
 never mutated, and refilling them gives the same values, so values can
 still be shared freely between threads.  Equality and hashing depend on
-the exact terms alone.
+the terms' values alone, so a float and an exact coefficient of equal value
+are equal.
 """
 from __future__ import annotations
 
@@ -41,31 +44,39 @@ class EvalOverflowError(ArithmeticError):
         super().__init__(f"term e^({exponent}z) is non-finite at z={z}")
 
 
+_set = object.__setattr__  # past ExpPoly's immutability guard
 ENDPOINT_RTOL = 1e-12  # real_roots: a zero this close to a finite lo/hi is that end
 _SCALAR = (int, float, Rational)  # int and float ahead of the ABC, whose isinstance is a slow Python-level check
 
 
 def _key(k) -> int:
     """2k for a half-integer exponent k: an int, Fraction, float or (p, q) tuple."""
+    if type(k) is int:
+        return 2 * k
     if isinstance(k, float) and k % 0.5:  # nan for an infinite or nan k
         raise ExpPolyError(f"exponent {k!r} is not a half-integer")
-    k = Fraction(*k) if isinstance(k, tuple) else Fraction(k)
+    k = Fraction(*k) if isinstance(k, tuple) else k if type(k) is Fraction else Fraction(k)
     if k.denominator > 2:
         raise ExpPolyError(f"exponent {k} has denominator {k.denominator}; only 1 or 2 allowed")
     return 2 * k.numerator // k.denominator
 
 
 def _as_number(c):
-    """c as a finite float or a Fraction (copied only when it is not one)."""
-    if isinstance(c, float):
-        if not math.isfinite(c):
-            raise ExpPolyError(f"non-finite coefficient {c!r}")
-        return c
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, _SCALAR):
-        return Fraction(c)
-    raise ExpPolyError(f"unsupported coefficient type {type(c).__name__}")
+    """A finite float c as itself, an exact c (int, Fraction, numpy int) as (numerator, denominator > 0)."""
+    if type(c) is not int and type(c) is not Fraction:
+        if isinstance(c, float):
+            if not math.isfinite(c):
+                raise ExpPolyError(f"non-finite coefficient {c!r}")
+            return c
+        if not isinstance(c, _SCALAR):
+            raise ExpPolyError(f"unsupported coefficient type {type(c).__name__}")
+        c = Fraction(c)
+    return int(c.numerator), int(c.denominator)
+
+
+def _float(c, den: int):
+    """A stored coefficient as a float: an int numerator over den rounded once."""
+    return c / den if type(c) is int else c
 
 
 def _quotient(p: int, q: int) -> float:
@@ -76,14 +87,19 @@ def _quotient(p: int, q: int) -> float:
         return math.inf if p > 0 else -math.inf
 
 
-def _as_coefficient(c):
-    """``_as_number(c)``, which must have a float value to be evaluated or added to a float."""
-    c = _as_number(c)
+def _float_value(c) -> float:
+    """``_as_number``'s float, or its exact (p, q) as a float, which must be in range."""
     try:
-        float(c)
+        return c if isinstance(c, float) else c[0] / c[1]
     except OverflowError:
         raise ExpPolyError("exact coefficient is too large for a float") from None
-    return c
+
+
+def _as_coefficient(c):
+    """c as a finite float or a Fraction with a float value, to be evaluated or added to a float."""
+    r = _as_number(c)
+    _float_value(r)
+    return r if isinstance(r, float) else c if type(c) is Fraction else Fraction(*r)
 
 
 class ExpPoly:
@@ -94,32 +110,40 @@ class ExpPoly:
     no stored coefficient is zero, so the zero polynomial has no terms.
     """
 
-    __slots__ = ("_terms", "_compiled", "_zeros")
+    __slots__ = ("_terms", "_den", "_compiled", "_zeros")
 
     def __init__(self, terms=()):
-        self._fill((_key(k), c) for k, c in terms)
+        items = [(_key(k), _as_number(c)) for k, c in terms]
+        den = math.lcm(*(c[1] for _, c in items if type(c) is tuple))
+        self._fill([(k, c[0] * den // c[1] if type(c) is tuple else c) for k, c in items], den)
 
     @staticmethod
-    def _keyed(items) -> "ExpPoly":  # from (2k, coefficient) pairs, keys unchecked
-        return object.__new__(ExpPoly)._fill(items)
+    def _keyed(items, den: int) -> "ExpPoly":  # from (2k, int numerator over den or float) pairs, keys unchecked
+        return object.__new__(ExpPoly)._fill(items, den)
 
-    def _fill(self, items) -> "ExpPoly":
+    def _fill(self, items, den: int) -> "ExpPoly":
         data: dict[int, object] = {}
         for k, c in items:
-            c = _as_number(c)
+            c = c if type(c) is int else _as_number(c)
             prev = data.get(k)
             if prev is not None:
                 try:  # an exact term past float range fails here, where it meets another
-                    c = _as_coefficient(prev + c)
+                    c = prev + c if type(prev) is type(c) is int else _as_number(_float(prev, den) + _float(c, den))
+                    _float(c, den)
                 except (OverflowError, ExpPolyError):
                     raise ExpPolyError(f"coefficient of e^({Fraction(k, 2)}z) sums past float range") from None
             if c:
                 data[k] = c
             elif prev is not None:
                 del data[k]
-        object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_compiled", None)
-        object.__setattr__(self, "_zeros", None)
+        if den > 1:  # reduce the int numerators and den
+            g = math.gcd(den, *[c for c in data.values() if type(c) is int])
+            if g > 1:
+                data, den = {k: c // g if type(c) is int else c for k, c in data.items()}, den // g
+        _set(self, "_terms", data)
+        _set(self, "_den", den)
+        _set(self, "_compiled", None)
+        _set(self, "_zeros", None)
         return self
 
     def __setattr__(self, name, value):  # immutability guard
@@ -128,7 +152,7 @@ class ExpPoly:
     # ---------------------------------------------------------------- basics
     @staticmethod
     def constant(c) -> "ExpPoly":
-        return ExpPoly._keyed(((0, c),))
+        return ExpPoly([(0, c)])
 
     @staticmethod
     def exp_term(k, c=1) -> "ExpPoly":
@@ -137,10 +161,15 @@ class ExpPoly:
 
     def terms(self) -> tuple:
         """Sorted tuple of (exponent, coefficient) pairs."""
-        return tuple((Fraction(k, 2), c) for k, c in sorted(self._terms.items()))
+        return tuple((Fraction(k, 2), Fraction(c, self._den) if type(c) is int else c) for k, c in sorted(self._terms.items()))
 
     def coefficient(self, k):
-        return self._terms.get(_key(k), Fraction(0))
+        c = self._terms.get(_key(k), 0)
+        return Fraction(c, self._den) if type(c) is int else c
+
+    def _ratios(self) -> list:
+        """[(2k, p, q)] in exponent order, each coefficient exactly p/q with q > 0."""
+        return [(k, c, self._den) if type(c) is int else (k, *c.as_integer_ratio()) for k, c in sorted(self._terms.items())]
 
     @property
     def is_zero(self) -> bool:
@@ -148,7 +177,7 @@ class ExpPoly:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self._terms.values())
+        return all(type(c) is int for c in self._terms.values())
 
     def exponents(self) -> tuple:
         return tuple(Fraction(k, 2) for k in sorted(self._terms))
@@ -160,30 +189,37 @@ class ExpPoly:
         return Fraction(max(self._terms) if side > 0 else min(self._terms), 2)
 
     # ------------------------------------------------------------ arithmetic
+    # Exact coefficients meet as int numerators; a float meets an exact one as
+    # its float, so a mixed result rounds as float(Fraction) op float does.
     def __add__(self, other):
-        if not isinstance(other, ExpPoly):
-            if not isinstance(other, _SCALAR):
-                return NotImplemented
-            other = ExpPoly.constant(other)
-        return ExpPoly._keyed([*self._terms.items(), *other._terms.items()])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, ExpPoly) and not isinstance(other, _SCALAR):
-            return NotImplemented
-        return self + -other
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -self + other
 
+    def _plus(self, other, sign: int):
+        if not isinstance(other, ExpPoly):
+            if not isinstance(other, _SCALAR):
+                return NotImplemented
+            other = ExpPoly.constant(other)
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, sign * den // other._den
+        return ExpPoly._keyed([(k, c * s if type(c) is int else c) for k, c in self._terms.items()]
+                              + [(k, c * t if type(c) is int else c * sign) for k, c in other._terms.items()], den)
+
     def __neg__(self):
-        return ExpPoly._keyed([(k, -c) for k, c in self._terms.items()])
+        return self._times(-1, 1, lambda a: -a)
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            b = other._terms.items()
-            return ExpPoly._keyed([(ka + kb, ca * cb) for ka, ca in self._terms.items() for kb, cb in b])
+            da, db = self._den, other._den
+            return ExpPoly._keyed([(ka + kb, ca * cb if type(ca) is type(cb) else _float(ca, da) * _float(cb, db))
+                                   for ka, ca in self._terms.items() for kb, cb in other._terms.items()], da * db)
         if isinstance(other, _SCALAR):
             return self.scale(other)
         return NotImplemented
@@ -196,28 +232,45 @@ class ExpPoly:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("ExpPoly division by zero")
-        d = Fraction(other)
-        return ExpPoly._keyed([(k, c / d) for k, c in self._terms.items()])
+        p, q = _as_number(other)
+        return self._times(q if p > 0 else -q, abs(p), lambda a: a / (p / q))
 
     def scale(self, c) -> "ExpPoly":
-        c = _as_coefficient(c)
-        return ExpPoly._keyed([(k, a * c) for k, a in self._terms.items()])
+        c = _as_number(c)
+        f = _float_value(c)
+        if isinstance(c, float):
+            return ExpPoly._keyed([(k, _float(a, self._den) * f) for k, a in self._terms.items()], 1)
+        return self._times(*c, lambda a: a * f)
+
+    def _times(self, p: int, q: int, f) -> "ExpPoly":
+        """Every exact coefficient times p/q (q > 0), every float one mapped by f."""
+        return ExpPoly._keyed([(k, c * p if type(c) is int else f(c)) for k, c in self._terms.items()], self._den * q)
 
     # ---------------------------------------------------------- differential
     def derive(self, order: int = 1) -> "ExpPoly":
-        """Termwise derivative: e^(k·z) maps to kⁿ·e^(k·z)."""
+        """Termwise derivative: e^(k·z) maps to kⁿ·e^(k·z), N/den to N·(2k)ⁿ/(den·2ⁿ)."""
         if order < 0:
             raise ExpPolyError("derivative order must be non-negative")
         if order == 0:
             return self
-        return ExpPoly._keyed([(k, c * Fraction(k**order, 1 << order)) for k, c in self._terms.items()])
+        return ExpPoly._keyed([(k, c * k**order if type(c) is int else c * (k**order / (1 << order)))
+                               for k, c in self._terms.items()], self._den << order)
+
+    def _at_zero(self, n: int):
+        """derive(n) at z = 0 as Fraction(0) + Σ c·kⁿ over ``terms()`` sums it: the
+        ints (Σ N·(2k)ⁿ, den·2ⁿ) while every term is exact, a float from the first float on."""
+        den, s = self._den << n, 0
+        for k, c in sorted(self._terms.items()):
+            t = c * k**n if type(c) is int else c * (k**n / (1 << n))
+            s = s + t if type(s) is type(t) is int else _float(s, den) + _float(t, den)
+        return (s, den) if type(s) is int else s
 
     # ------------------------------------------------------------ evaluation
     def _rows(self, order: int) -> tuple:
         """(keys 2k, float exponents, coefficient rows 0..≥order).
 
-        Terms are in exponent order; row n holds c·kⁿ = num·(2k)ⁿ / (den·2ⁿ)
-        with (num, den) = ``c.as_integer_ratio()``, rounded once for a float
+        Terms are in exponent order; row n holds c·kⁿ = p·(2k)ⁿ / (q·2ⁿ)
+        with c = p/q as ``_ratios`` gives it, rounded once for a float
         and an exact c alike (0.0 where the derivative drops the term, ±inf
         past float range), which is what ``derive(n)`` followed by a float
         evaluation uses.
@@ -225,12 +278,11 @@ class ExpPoly:
         compiled = self._compiled
         if compiled is not None and len(compiled[2]) > order:
             return compiled
-        items = sorted(self._terms.items())
-        ratios = [(k, *c.as_integer_ratio()) for k, c in items]  # each coefficient read once
-        rows = [[_quotient(num * k**i, den << i) for k, num, den in ratios] for i in range(max(order, 4) + 1)]
-        keys = tuple(k for k, _ in items)
+        ratios = self._ratios()
+        rows = [[_quotient(p * k**i, q << i) for k, p, q in ratios] for i in range(max(order, 4) + 1)]
+        keys = tuple(k for k, _, _ in ratios)
         compiled = (keys, tuple(k / 2 for k in keys), tuple(map(tuple, rows)))
-        object.__setattr__(self, "_compiled", compiled)
+        _set(self, "_compiled", compiled)
         return compiled
 
     def _overflow(self, order: int, z: float) -> EvalOverflowError:
@@ -310,15 +362,18 @@ class ExpPoly:
         if zeros is None:
             if not self._terms:
                 raise ExpPolyError("the zero polynomial vanishes everywhere")
-            step = 1 if any(k & 1 for k in self._terms) else 2  # x = e^{z/d}, d = 2/step
-            low = min(self._terms)
-            lcm = math.lcm(*(c.as_integer_ratio()[1] for c in self._terms.values()))  # P over ℤ
-            p = [0] * ((max(self._terms) - low) // step + 1)
-            for k, c in self._terms.items():
-                p[(k - low) // step] = int(Fraction(c) * lcm)
-            roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
-            zeros = tuple(sorted((2 // step * math.log(x), m) for x, m in roots))
-            object.__setattr__(self, "_zeros", zeros)
+            zeros = ()  # c·e^(k·z) has none
+            if len(self._terms) > 1:
+                step = 1 if any(k & 1 for k in self._terms) else 2  # x = e^{z/d}, d = 2/step
+                low = min(self._terms)
+                ratios = self._ratios()
+                lcm = math.lcm(*(q for _, _, q in ratios))  # P over ℤ: the numerators when every term is exact
+                p = [0] * ((max(self._terms) - low) // step + 1)
+                for k, num, q in ratios:
+                    p[(k - low) // step] = num * (lcm // q)
+                roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
+                zeros = tuple(sorted((2 // step * math.log(x), m) for x, m in roots))
+            _set(self, "_zeros", zeros)
         ends = [float(end) for end in (lo, hi) if math.isfinite(end)]
         out = []
         for z, mult in zeros:
@@ -333,10 +388,10 @@ class ExpPoly:
             if not isinstance(other, _SCALAR):
                 return NotImplemented
             other = ExpPoly.constant(other)
-        return self._terms == other._terms
+        return self.terms() == other.terms()
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(self.terms())
 
     def __repr__(self):
         if not self._terms:
@@ -414,7 +469,22 @@ def _scaled_value(p: list, n: int, e: int) -> int:
 
 
 def _nearest_float(f: list, l: int, r: int, e: int) -> float:
-    """The float nearest to f's one root in (l/2^e, r/2^e], by exact-sign bisection."""
+    """The float nearest to f's one root in (l/2^e, r/2^e], by exact-sign bisection,
+    from x·(1 ∓ 2^-40) about a float Newton estimate x when exact signs put the root there."""
+    try:
+        x, cs = math.ldexp(l + r, -e - 1), [float(c) for c in reversed(f)]
+        for _ in range(8):
+            v = d = 0.0
+            for c in cs:
+                d, v = d * x + v, v * x + c
+            x -= v / d
+        (na, da), (nb, db) = (x - x * 2**-40).as_integer_ratio(), (x + x * 2**-40).as_integer_ratio()
+        E = max(da.bit_length() - 1, db.bit_length() - 1, e)  # da and db are powers of 2
+        la, rb = na << (E - da.bit_length() + 1), nb << (E - db.bit_length() + 1)
+        if l << (E - e) < la and rb <= r << (E - e) and _scaled_value(f, la, E) * _scaled_value(f, rb, E) < 0:
+            l, r, e = la, rb, E
+    except (ArithmeticError, ValueError):  # no usable float estimate: bisect the whole interval
+        pass
     right = _scaled_value(f, r, e)
     while right and math.ldexp(l, -e) != math.ldexp(r, -e):
         mid, l, r, e = l + r, 2 * l, 2 * r, e + 1

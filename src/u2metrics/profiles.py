@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .exppoly import ExpPoly, _as_coefficient
+from .exppoly import ExpPoly, _as_coefficient, _float
 from .numerics import at_first, is_array
-from .operators import b_op_jet, l_compose_jet, l_op_jet
+from .operators import b_op_int, b_op_jet, eigenvalues_64, l_compose_jet, l_op_jet
 
 __all__ = [
     "Domain",
@@ -112,8 +112,7 @@ def canonical_coefficients(poly: ExpPoly) -> Optional[tuple]:
 
     Requires exponents within {-2,-1,0,1,2} and constant term exactly 1.
     """
-    allowed = {Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2)}
-    if any(k not in allowed for k in poly.exponents()):
+    if not poly._terms.keys() <= {-4, -2, 0, 2, 4}:  # the keys 2k
         return None
     if poly.coefficient(0) != 1:
         return None
@@ -207,10 +206,12 @@ class MetricSpec:
         (num, den), so any carrier can be either: with n·e^{az} and d·e^{bz}
         their lowest terms, C = (n/d)·e^{(a−b)z} where a − b = ∓1, n·d > 0 and
         num·d = den·n·e^{(a−b)z}, compared at the coefficients' binary values
-        as exact rationals (so no product has to have a float value)."""
-        num, den = (ExpPoly([(k, Fraction(c)) for k, c in p.terms()]) for p in self.c_ratio)
-        (a, n), (b, d) = num.terms()[0], den.terms()[0]
-        if a - b in (-1, 1) and n * d > 0 and num * ExpPoly.constant(d) == den * ExpPoly.exp_term(a - b, n):
+        as exact rationals term by term (so no product has to have a float value)."""
+        num, den = (p._ratios() for p in self.c_ratio)  # [(2k, p, q)], coefficient p/q
+        (a, n, nq), (b, d, dq) = num[0], den[0]
+        if a - b in (-2, 2) and n * d > 0 and len(num) == len(den) and all(
+            ka - kb == a - b and pa * qb * d * nq == pb * qa * n * dq for (ka, pa, qa), (kb, pb, qb) in zip(num, den)
+        ):
             return "Jplus" if a < b else "Jminus"
         return None
 
@@ -229,14 +230,14 @@ class MetricSpec:
             g = ExpPoly([(Fraction(1, 2), self.C.c5), (Fraction(-1, 2), self.C.c6)])
             return g if g.eval(sum(self.domain.finite_window()) / 2) > 0 else -g
         num, den = self.c_ratio
-        if len(num.terms()) == len(den.terms()) == 1:
-            (a, n), (b, d) = num.terms() + den.terms()
-            try:
-                c0 = float(n / d)
+        if len(num._terms) == len(den._terms) == 1:
+            ((a, n),), ((b, d),) = num._terms.items(), den._terms.items()  # keys 2k, stored coefficients
+            try:  # n/d rounded once when both are exact, else float(n) / float(d), as for Fractions
+                c0 = n * den._den / (num._den * d) if type(n) is type(d) is int else _float(n, num._den) / _float(d, den._den)
             except OverflowError:  # an exact C0 past float range
                 c0 = math.inf
             if 0 < c0 < math.inf:
-                return ExpPoly.exp_term((b - a) / 2, c0**-0.5)
+                return ExpPoly.exp_term(Fraction(b - a, 4), c0**-0.5)
         return None
 
     @cached_property
@@ -245,26 +246,44 @@ class MetricSpec:
         g = C5·e^{z/2} + C6·e^{−z/2} (else None), once per spec: (C5, C6) is the direction
         of g's pair of coefficients, so C's scale does not enter (C0·e^{∓z} gives (1, 0), (0, 1))."""
         coeffs = canonical_coefficients(self.f_poly())
-        if coeffs is None or self.g_poly is None or self.g_poly.exponents() not in ((-0.5,), (0.5,), (-0.5, 0.5)):
+        g = self.g_poly
+        if coeffs is None or g is None or sorted(g._terms) not in ([-1], [1], [-1, 1]):  # the keys 2k
             return None
         c1, c2, c3, c4 = coeffs
-        a, b = self.g_poly.coefficient(0.5), self.g_poly.coefficient(-0.5)
-        c5, c6 = a / max(abs(a), abs(b)), b / max(abs(a), abs(b))
+        a, b = g.coefficient(0.5), g.coefficient(-0.5)
+        m = max(abs(a), abs(b))
+        c5, c6 = a / m, b / m
+        if isinstance(c5, float) and isinstance(c6, float):  # each Ci·C5 is then float(Ci)·C5
+            c1, c2, c3, c4 = map(float, coeffs)
         return float(max(abs(c1 * c5 - c2 * c6), abs(c3 * c5 - c4 * c6)))
 
     @cached_property
     def operator_polys(self) -> tuple:
         """(L⁺F − 1, L⁻F − 1, L⁺(L⁻F) − 1), exact, built once per spec: the
-        Weyl halves' factor and the conformal-extremality residual."""
-        fj = [self.f_poly().derive(n) for n in range(5)]
-        return (l_op_jet(1, fj) - 1, l_op_jet(-1, fj) - 1, l_compose_jet(fj) - 1)
+        Weyl halves' factor and the conformal-extremality residual.  The operators
+        act on each term c·e^{kz} alone: an exact c's int numerator is multiplied by
+        64 times their eigenvalues, a float c goes through the jet forms on (c·kⁿ),
+        rounded as on ``F.derive(n)``'s coefficients."""
+        F, rows = self.f_poly(), ([], [], [])
+        for K, c in F._terms.items():  # K = 2k
+            if type(c) is int:
+                values = [c * e for e in eigenvalues_64(K)]
+            else:
+                jet = [c * (K**n / (1 << n)) for n in range(5)]
+                values = (l_op_jet(1, jet), l_op_jet(-1, jet), l_compose_jet(jet))
+            for row, v in zip(rows, values):
+                row.append((K, v))
+        return tuple(ExpPoly._keyed([*row, (0, -64 * F._den)], F._den * 64) for row in rows)  # each minus 1
 
     @cached_property
     def bach_at_zero(self):
         """B(F,F) at z = 0, exact for an exact F, built once per spec: there the
         nth derivative of F is the sum of its coefficients times kⁿ."""
-        terms = self.f_poly().terms()
-        return b_op_jet([sum((c * k**n for k, c in terms), Fraction(0)) for n in range(4)])
+        jet = [self.f_poly()._at_zero(n) for n in range(4)]  # (int, den·2ⁿ) pairs for an exact F
+        if isinstance(jet[0], float):
+            return b_op_jet(jet)
+        d = jet[3][1]  # den·2³, a multiple of every entry's denominator: B on ints, one division
+        return Fraction(b_op_int([s * (d // q) for s, q in jet], d), 4 * d * d)
 
     @cached_property
     def _grid_samples(self) -> dict:

@@ -83,6 +83,15 @@ class TestState:
         with pytest.raises(SingularSystemError, match=r"F vanishes at z=0\.7"):
             bt_rhs((0.7, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.1, 0.0), 1.0)
 
+    def test_rhs_with_infinite_c_and_zero_f_gives_tvals_message(self):
+        # C·F = inf·0 is nan, which passed the kernel's test of C·F == 0; before:
+        # "F1 solve for C'' is singular (coefficient 0)"
+        state = (0.0, 0.0, 0.1, 0.0, 0.0, math.inf, 0.0, 1.0, 0.0)
+        with pytest.raises(SingularSystemError, match=r"^F vanishes at z=0\.0$"):
+            tval(BtState(*state), 1.0)
+        with pytest.raises(SingularSystemError, match=r"^F vanishes at z=0\.0$"):
+            bt_rhs(state, 1.0)
+
     @pytest.mark.parametrize("F,C,singular", [
         (1e-14, 1.0, True), (1e-13, 1.0, False), (1e-11, 1e3, True), (1e-11, 10.0, False),
     ])

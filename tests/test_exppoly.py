@@ -533,3 +533,155 @@ class TestRealRoots:
         assert ExpPoly.constant(2).real_roots() == []
         with pytest.raises(ExpPolyError):
             ExpPoly().real_roots()
+
+
+# ---------------------------------------------------------------- the carrier
+# An exact polynomial is stored as int numerators over one reduced positive
+# denominator; each check below compares it with a plain {2k: Fraction} model.
+def _model(p):
+    return {int(2 * k): c for k, c in p.terms()}
+
+
+def _model_sum(*polys):
+    out = {}
+    for sign, p in polys:
+        for k, c in p.items():
+            out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _model_product(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _assert_reduced(p):
+    """Exact, no stored zero, and numerators and denominator share no factor."""
+    assert p.is_exact and 0 not in p._terms.values() and p._den > 0
+    assert math.gcd(p._den, *p._terms.values()) == 1
+
+
+_exact_coeffs = st.one_of(st.integers(-40, 40), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+_exact_polys = st.lists(st.tuples(st.integers(-6, 6), _exact_coeffs), max_size=5).map(
+    lambda ts: ExpPoly([(Fraction(k, 2), c) for k, c in ts]))
+_divisors = st.one_of(st.integers(-9, 9).filter(bool), st.fractions(-5, 5, max_denominator=9).filter(bool))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_exact_polys, _exact_polys, _divisors, st.integers(0, 4))
+def test_exact_arithmetic_matches_the_fraction_model(a, b, d, n):
+    ma, mb = _model(a), _model(b)
+    results = {
+        "+": (a + b, _model_sum((1, ma), (1, mb))),
+        "-": (a - b, _model_sum((1, ma), (-1, mb))),
+        "neg": (-a, _model_sum((-1, ma))),
+        "*": (a * b, _model_product(ma, mb)),
+        "/": (a / d, {k: c / d for k, c in ma.items()}),
+        "scale": (a.scale(d), {k: c * d for k, c in ma.items()}),
+        "int *": (3 * a, {k: 3 * c for k, c in ma.items()}),
+        "derive": (a.derive(n), {k: c * Fraction(k, 2) ** n for k, c in ma.items() if k or not n}),
+    }
+    for op, (got, want) in results.items():
+        assert _model(got) == want, op
+        assert all(type(c) is Fraction for _, c in got.terms()), op
+        _assert_reduced(got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_exact_polys, st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) > 1e-300),
+       st.integers(-6, 6), _divisors, st.integers(1, 4))
+def test_a_mixed_operation_rounds_as_float_of_the_fraction(a, x, j, d, n):
+    ma = _model(a)
+    f = ExpPoly([(Fraction(j, 2), x)])  # one float term: every product coefficient is one product
+    added = _model_sum((1, ma), (1, _model(f)))
+    if j in ma and x:
+        added[j] = float(ma[j]) + x
+    assert _model(a + f) == {k: c for k, c in added.items() if c}
+    assert _model(a * f) == {k + j: float(c) * x for k, c in ma.items() if float(c) * x}
+    assert _model(a.scale(x)) == {k: float(c) * x for k, c in ma.items() if float(c) * x}
+    g = a + ExpPoly([(7, x)])  # e^{7z} lies past a's exponents: g is mixed when x ≠ 0
+    assert _model(g / d) == {**{k: c / d for k, c in ma.items()}, **({14: x / float(d)} if x else {})}
+    assert _model(g.derive(n)) == {**{k: c * Fraction(k, 2) ** n for k, c in ma.items() if k},
+                                   **({14: x * float(Fraction(7) ** n)} if x else {})}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.builds(Fraction, st.integers(-64, 64), st.sampled_from([1, 2, 4, 8]))),
+                max_size=5))
+def test_equal_values_are_equal_whether_float_or_exact(terms):
+    exact = ExpPoly([(Fraction(k, 2), c) for k, c in terms])
+    floats = ExpPoly([(Fraction(k, 2), float(c)) for k, c in terms])  # dyadic: the same values
+    assert exact == floats and hash(exact) == hash(floats)
+    assert not floats.is_exact or floats.is_zero
+    if not exact.is_zero:
+        assert exact != floats + ExpPoly.exp_term(7, 0.5)
+
+
+def test_equality_and_hash_across_float_and_exact_coefficients():
+    assert ExpPoly([(0, 0.5)]) == ExpPoly([(0, Fraction(1, 2))])
+    assert hash(ExpPoly([(0, 0.5)])) == hash(ExpPoly([(0, Fraction(1, 2))]))
+    assert ExpPoly([(0, 0.1)]) != ExpPoly([(0, Fraction(1, 10))])  # 0.1 is not 1/10
+
+
+def test_a_cancelling_sum_stores_no_zero():
+    a = ExpPoly([(-1, Fraction(1, 3)), (0, 2), (1, Fraction(5, 6))])
+    b = ExpPoly([(-1, Fraction(-1, 3)), (1, Fraction(1, 6))])
+    s = a + b  # e^{-z} cancels; 2 + e^{z}: the denominator drops from 6 to 1
+    assert s.terms() == ((0, 2), (1, 1)) and s._terms == {0: 2, 2: 1} and s._den == 1
+    assert (a - a).is_zero and (a - a)._terms == {}
+    mixed = ExpPoly([(0, 0.5), (1, 1)]) + ExpPoly([(0, Fraction(-1, 2))])
+    assert mixed.terms() == ((1, 1),) and 0 not in mixed._terms
+
+
+_EXACT_F = ("flat", "taub-nut", "modified-taub-nut-1", "modified-taub-nut-2", "super-taub-nut", "taub-bolt",
+            "modified-taub-bolt-1", "modified-taub-bolt-2", "super-eguchi-hanson", "eguchi-hanson-lambda",
+            "taub-nut-lambda")
+
+
+def test_the_exact_cold_fill_builds_no_fraction():
+    # before: thousands of Fraction constructions (derive's c·Fraction(kⁿ, 2ⁿ), the operators' /2
+    # and −1, bach_at_zero's sums and real_roots' Fraction(c)·lcm); now the one returned B(F,F)(0)
+    from dataclasses import replace
+
+    from u2metrics.catalog import catalog_names
+
+    assert set(_EXACT_F) == {n for n in catalog_names() if catalog_get(n).F.is_exact}
+    specs = [catalog_get(name) for name in _EXACT_F]
+    specs = [replace(m, F=ExpPoly(m.F.terms())) for m in specs]  # fresh F: no cached zeros
+    new = Fraction.__dict__["__new__"]
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    counts = {}
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        for step in ("operator_polys", "bach_at_zero", "real_roots"):
+            built.clear()
+            for m in specs:
+                m.F.real_roots() if step == "real_roots" else getattr(m, step)
+            counts[step] = len(built)
+    finally:
+        Fraction.__new__ = new
+    assert counts == {"operator_polys": 0, "bach_at_zero": len(specs), "real_roots": 0}
+    assert all(type(m.bach_at_zero) is Fraction for m in specs)
+
+
+def test_page_rows_are_the_parents_bits():
+    # page's F has four float coefficients; each row entry is c·kⁿ rounded once
+    keys, kfs, rows = catalog_get("page").F._rows(4)
+    c1, c2 = "0x1.f445231f15093p-4", "0x1.f445231f15093p-3"
+    want = [
+        ["-" + c1, "-" + c2, "0x1.0000000000000p+0", "-" + c2, "-" + c1],
+        ["0x1.f445231f15093p-3", c2, "0x0.0p+0", "-" + c2, "-0x1.f445231f15093p-3"],
+        ["-0x1.f445231f15093p-2", "-" + c2, "0x0.0p+0", "-" + c2, "-0x1.f445231f15093p-2"],
+        ["0x1.f445231f15093p-1", c2, "0x0.0p+0", "-" + c2, "-0x1.f445231f15093p-1"],
+        ["-0x1.f445231f15093p+0", "-" + c2, "0x0.0p+0", "-" + c2, "-0x1.f445231f15093p+0"],
+    ]
+    assert keys == (-4, -2, 0, 2, 4) and kfs == (-2.0, -1.0, 0.0, 1.0, 2.0)
+    assert [[x.hex() for x in row] for row in rows] == want

@@ -15,17 +15,19 @@ from hypothesis import strategies as st
 
 from u2metrics import operators
 from u2metrics.catalog import catalog_get, catalog_names
-from u2metrics.exppoly import ExpPoly
+from u2metrics.exppoly import ExpPoly, ExpPolyError
 from u2metrics.operators import (
     b_op,
+    b_op_int,
     b_op_jet,
+    eigenvalues_64,
     first_integral_residual,
     l_compose,
     l_compose_jet,
     l_op,
     l_op_jet,
 )
-from u2metrics.profiles import canonical, canonical_coefficients
+from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical, canonical_coefficients
 
 
 def _eig_plus(k):
@@ -220,3 +222,55 @@ def test_operator_polys_match_pins(pin):
 
 def test_pins_cover_the_catalog():
     assert [p["name"] for p in PINS["specs"]] == list(catalog_names())
+
+
+# ----------------------------------------------------- int forms on exact coefficients
+@pytest.mark.parametrize("K", range(-12, 13))
+def test_eigenvalues_64_are_the_jet_forms_on_one_term(K):
+    jet = [Fraction(K, 2) ** n for n in range(5)]
+    assert eigenvalues_64(K) == tuple(64 * v for v in (l_op_jet(1, jet), l_op_jet(-1, jet), l_compose_jet(jet)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4), st.integers(1, 10**4))
+def test_b_op_int_is_the_jet_form_over_one_denominator(a, d):
+    assert Fraction(b_op_int(a, d), 4 * d * d) == b_op_jet([Fraction(x, d) for x in a])
+
+
+_SPEC_COEFFS = st.one_of(
+    st.fractions(-4, 4, max_denominator=12),
+    st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) > 1e-200),
+    st.sampled_from([0.1, 1.0, -1.0, 1e-300, 1e300, 1e307, -1e307]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-8, 8), _SPEC_COEFFS), min_size=1, max_size=6))
+def test_spec_fills_are_the_jet_forms_bit_for_bit(terms):
+    # operator_polys works term by term and bach_at_zero on ints; both must give the
+    # bits of the jet forms on F's derivatives and on the Fraction sums Σ c·kⁿ
+    F = ExpPoly([(Fraction(k, 2), c) for k, c in terms])
+    try:
+        want = (l_op(1, F) - 1, l_op(-1, F) - 1, l_compose(F) - 1)
+    except ExpPolyError as exc:  # a term past float range; its value may read -inf or nan in the spec
+        assert str(exc).startswith("non-finite coefficient")
+        with pytest.raises(ExpPolyError, match="^non-finite coefficient"):
+            MetricSpec("x", F, ExpFactor(1.0, 1), Domain(-1.0, 1.0)).operator_polys
+        return
+    if F.is_zero:
+        return
+    m = MetricSpec("x", F, ExpFactor(1.0, 1), Domain(-1.0, 1.0))
+
+    def bits(p):
+        return [(k, type(c), c.hex() if isinstance(c, float) else c) for k, c in p.terms()]
+
+    assert [bits(p) for p in m.operator_polys] == [bits(p) for p in want]
+    try:
+        ref = b_op_jet([sum((c * k**n for k, c in F.terms()), Fraction(0)) for n in range(4)])
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            m.bach_at_zero
+        return
+    got = m.bach_at_zero
+    assert type(got) is type(ref) and (got == ref or (got != got and ref != ref))
+    assert not isinstance(ref, float) or got.hex() == ref.hex()
