@@ -672,7 +672,7 @@ def test_the_exact_cold_fill_builds_no_fraction():
     assert all(type(m.bach_at_zero) is Fraction for m in specs)
 
 
-def test_page_rows_are_the_parents_bits():
+def test_page_rows_keep_their_float_bits():
     # page's F has four float coefficients; each row entry is c·kⁿ rounded once
     keys, kfs, rows = catalog_get("page").F._rows(4)
     c1, c2 = "0x1.f445231f15093p-4", "0x1.f445231f15093p-3"
