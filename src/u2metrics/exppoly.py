@@ -44,7 +44,6 @@ class EvalOverflowError(ArithmeticError):
         super().__init__(f"term e^({exponent}z) is non-finite at z={z}")
 
 
-_set = object.__setattr__  # past ExpPoly's immutability guard
 ENDPOINT_RTOL = 1e-12  # real_roots: a zero this close to a finite lo/hi is that end
 _SCALAR = (int, float, Rational)  # int and float ahead of the ABC, whose isinstance is a slow Python-level check
 
@@ -55,7 +54,7 @@ def _key(k) -> int:
         return 2 * k
     if isinstance(k, float) and k % 0.5:  # nan for an infinite or nan k
         raise ExpPolyError(f"exponent {k!r} is not a half-integer")
-    k = Fraction(*k) if isinstance(k, tuple) else k if type(k) is Fraction else Fraction(k)
+    k = Fraction(*k) if isinstance(k, tuple) else Fraction(k)
     if k.denominator > 2:
         raise ExpPolyError(f"exponent {k} has denominator {k.denominator}; only 1 or 2 allowed")
     return 2 * k.numerator // k.denominator
@@ -77,6 +76,12 @@ def _as_number(c):
 def _float(c, den: int):
     """A stored coefficient as a float: an int numerator over den rounded once."""
     return c / den if type(c) is int else c
+
+
+def _derived(c, k: int, n: int):
+    """A stored coefficient c at key k = 2k' times k'ⁿ, as ``derive(n)`` stores it: an
+    int numerator times kⁿ (its den times 2ⁿ), a float c times the float of k'ⁿ."""
+    return c * k**n if type(c) is int else c * (k**n / (1 << n))
 
 
 def _quotient(p: int, q: int) -> float:
@@ -140,10 +145,10 @@ class ExpPoly:
             g = math.gcd(den, *[c for c in data.values() if type(c) is int])
             if g > 1:
                 data, den = {k: c // g if type(c) is int else c for k, c in data.items()}, den // g
-        _set(self, "_terms", data)
-        _set(self, "_den", den)
-        _set(self, "_compiled", None)
-        _set(self, "_zeros", None)
+        object.__setattr__(self, "_terms", data)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_zeros", None)
         return self
 
     def __setattr__(self, name, value):  # immutability guard
@@ -253,17 +258,27 @@ class ExpPoly:
             raise ExpPolyError("derivative order must be non-negative")
         if order == 0:
             return self
-        return ExpPoly._keyed([(k, c * k**order if type(c) is int else c * (k**order / (1 << order)))
-                               for k, c in self._terms.items()], self._den << order)
+        return ExpPoly._keyed([(k, _derived(c, k, order)) for k, c in self._terms.items()], self._den << order)
+
+    def _termwise(self, exact, forms, order: int, scale: int) -> tuple:
+        """The ExpPolys Σ vᵢ·e^{kz} of linear jet forms that act on each term c·e^{kz}
+        alone: vᵢ = N·exact(2k)[i] / (den·scale) for an exact c = N/den, and for a float
+        c, vᵢ = forms(jet)[i] on its jet (c·kⁿ for n ≤ order) rounded as ``derive`` does."""
+        rows = [[] for _ in exact(0)]  # one per form, also for the zero polynomial
+        for k, c in self._terms.items():
+            values = [c * v for v in exact(k)] if type(c) is int else forms([_derived(c, k, n) for n in range(order + 1)])
+            for row, v in zip(rows, values):
+                row.append((k, v))
+        return tuple(ExpPoly._keyed(row, self._den * scale) for row in rows)
 
     def _at_zero(self, n: int):
-        """derive(n) at z = 0 as Fraction(0) + Σ c·kⁿ over ``terms()`` sums it: the
-        ints (Σ N·(2k)ⁿ, den·2ⁿ) while every term is exact, a float from the first float on."""
+        """derive(n) at z = 0: Σ c·kⁿ summed in exponent order from Fraction(0), as one
+        Fraction while every term is exact and as a float from the first float term on."""
         den, s = self._den << n, 0
         for k, c in sorted(self._terms.items()):
-            t = c * k**n if type(c) is int else c * (k**n / (1 << n))
+            t = _derived(c, k, n)
             s = s + t if type(s) is type(t) is int else _float(s, den) + _float(t, den)
-        return (s, den) if type(s) is int else s
+        return Fraction(s, den) if type(s) is int else s
 
     # ------------------------------------------------------------ evaluation
     def _rows(self, order: int) -> tuple:
@@ -282,7 +297,7 @@ class ExpPoly:
         rows = [[_quotient(p * k**i, q << i) for k, p, q in ratios] for i in range(max(order, 4) + 1)]
         keys = tuple(k for k, _, _ in ratios)
         compiled = (keys, tuple(k / 2 for k in keys), tuple(map(tuple, rows)))
-        _set(self, "_compiled", compiled)
+        object.__setattr__(self, "_compiled", compiled)
         return compiled
 
     def _overflow(self, order: int, z: float) -> EvalOverflowError:
@@ -362,18 +377,16 @@ class ExpPoly:
         if zeros is None:
             if not self._terms:
                 raise ExpPolyError("the zero polynomial vanishes everywhere")
-            zeros = ()  # c·e^(k·z) has none
-            if len(self._terms) > 1:
-                step = 1 if any(k & 1 for k in self._terms) else 2  # x = e^{z/d}, d = 2/step
-                low = min(self._terms)
-                ratios = self._ratios()
-                lcm = math.lcm(*(q for _, _, q in ratios))  # P over ℤ: the numerators when every term is exact
-                p = [0] * ((max(self._terms) - low) // step + 1)
-                for k, num, q in ratios:
-                    p[(k - low) // step] = num * (lcm // q)
-                roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
-                zeros = tuple(sorted((2 // step * math.log(x), m) for x, m in roots))
-            _set(self, "_zeros", zeros)
+            step = 1 if any(k & 1 for k in self._terms) else 2  # x = e^{z/d}, d = 2/step
+            low = min(self._terms)
+            ratios = self._ratios()
+            lcm = math.lcm(*(q for _, _, q in ratios))  # P over ℤ: the numerators when every term is exact
+            p = [0] * ((max(self._terms) - low) // step + 1)
+            for k, num, q in ratios:
+                p[(k - low) // step] = num * (lcm // q)
+            roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
+            zeros = tuple(sorted((2 // step * math.log(x), m) for x, m in roots))
+            object.__setattr__(self, "_zeros", zeros)
         ends = [float(end) for end in (lo, hi) if math.isfinite(end)]
         out = []
         for z, mult in zeros:
@@ -388,10 +401,15 @@ class ExpPoly:
             if not isinstance(other, _SCALAR):
                 return NotImplemented
             other = ExpPoly.constant(other)
+        if self.is_exact and other.is_exact:  # reduced, so one stored form per value
+            return self._den == other._den and self._terms == other._terms
         return self.terms() == other.terms()
 
-    def __hash__(self):
-        return hash(self.terms())
+    def __hash__(self):  # each value's float, the same for a float and an exact coefficient of equal value
+        try:
+            return hash(frozenset((k, _float(c, self._den)) for k, c in self._terms.items()))
+        except OverflowError:  # an exact value past float range, which no float equals
+            return hash(self.terms())
 
     def __repr__(self):
         if not self._terms:
@@ -469,22 +487,7 @@ def _scaled_value(p: list, n: int, e: int) -> int:
 
 
 def _nearest_float(f: list, l: int, r: int, e: int) -> float:
-    """The float nearest to f's one root in (l/2^e, r/2^e], by exact-sign bisection,
-    from x·(1 ∓ 2^-40) about a float Newton estimate x when exact signs put the root there."""
-    try:
-        x, cs = math.ldexp(l + r, -e - 1), [float(c) for c in reversed(f)]
-        for _ in range(8):
-            v = d = 0.0
-            for c in cs:
-                d, v = d * x + v, v * x + c
-            x -= v / d
-        (na, da), (nb, db) = (x - x * 2**-40).as_integer_ratio(), (x + x * 2**-40).as_integer_ratio()
-        E = max(da.bit_length() - 1, db.bit_length() - 1, e)  # da and db are powers of 2
-        la, rb = na << (E - da.bit_length() + 1), nb << (E - db.bit_length() + 1)
-        if l << (E - e) < la and rb <= r << (E - e) and _scaled_value(f, la, E) * _scaled_value(f, rb, E) < 0:
-            l, r, e = la, rb, E
-    except (ArithmeticError, ValueError):  # no usable float estimate: bisect the whole interval
-        pass
+    """The float nearest to f's one root in (l/2^e, r/2^e], by exact-sign bisection."""
     right = _scaled_value(f, r, e)
     while right and math.ldexp(l, -e) != math.ldexp(r, -e):
         mid, l, r, e = l + r, 2 * l, 2 * r, e + 1

@@ -9,13 +9,13 @@ Each formula is written once, as a jet form in integer literals and exact
 division, so it serves every carrier of the jet (F, F′, F″, …): floats,
 arrays over z, or F's exact derivatives as ExpPolys (``l_op``, ``l_compose``,
 ``b_op``).  On floats, x / 2, 3 * x / 2, x / 4 and 5 * x / 4 round as 0.5·x,
-1.5·x, 0.25·x and 1.25·x do unless one overflows or is subnormal.  Two int
-forms serve exact coefficients without rational arithmetic: the eigenvalues of
-L± and L⁺L⁻ on e^{kz} (``eigenvalues_64``) and B on a jet over one denominator
-(``b_op_int``); tests check both against the jet forms.
+1.5·x, 0.25·x and 1.25·x do unless one overflows or is subnormal.  Their
+eigenvalues on e^{kz} (``l_eigenvalues_64``) are the jet forms on its jet.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .exppoly import ExpPoly
@@ -54,23 +54,22 @@ def l_compose_jet(jet: Sequence):
     return jet[4] / 4 - 5 * jet[2] / 4 + jet[0]
 
 
+def l_forms_jet(jet: Sequence) -> tuple:
+    """(L⁺F, L⁻F, L⁺(L⁻F)) from a 4-jet."""
+    return l_op_jet(1, jet), l_op_jet(-1, jet), l_compose_jet(jet)
+
+
+@cache
+def l_eigenvalues_64(K: int) -> tuple:
+    """64 times ``l_forms_jet``'s eigenvalues on e^{kz}, K = 2k, as ints: the forms
+    on its exact jet (1, k, …, k⁴), computed once per K."""
+    return tuple(int(64 * v) for v in l_forms_jet([Fraction(K, 2) ** n for n in range(5)]))
+
+
 def b_op_jet(jet: Sequence):
     """B(F,F) from a 3-jet (F, F′, F″, F‴, ...); (L⁺F)′ is L⁺ of (F′, F″, F‴)."""
     f, f1, f2 = jet[0], jet[1], jet[2]
     return (-f2 / 2 + 3 * f1 / 2 + f - 1) * (_l_op(1, f, f1, f2) - 1) + f1 * _l_op(1, f1, f2, jet[3])
-
-
-def eigenvalues_64(K: int) -> tuple:
-    """64 times the eigenvalues (k∓1)(k∓2)/2 of L± and their product, L⁺L⁻'s, on
-    e^{kz} with K = 2k, as ints: what the jet forms give on (1, k, …, k⁴)."""
-    return 8 * (K - 2) * (K - 4), 8 * (K + 2) * (K + 4), (K * K - 4) * (K * K - 16)
-
-
-def b_op_int(jet: Sequence[int], d: int) -> int:
-    """4d²·B(F,F) for the 3-jet F⁽ⁿ⁾ = jet[n]/d of ints: ``b_op_jet``'s form
-    with every ½ cleared, so an exact jet needs no rational arithmetic."""
-    f, f1, f2, f3 = jet[0], jet[1], jet[2], jet[3]
-    return (2 * f - 2 * d - f2 + 3 * f1) * (2 * f - 2 * d + f2 - 3 * f1) + 2 * f1 * (f3 - 3 * f2 + 2 * f1)
 
 
 def l_op(sign, F: ExpPoly) -> ExpPoly:

@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .exppoly import ExpPoly, _as_coefficient, _float
+from .exppoly import ExpPoly, _as_coefficient
 from .numerics import at_first, is_array
-from .operators import b_op_int, b_op_jet, eigenvalues_64, l_compose_jet, l_op_jet
+from .operators import b_op_jet, l_eigenvalues_64, l_forms_jet
 
 __all__ = [
     "Domain",
@@ -112,7 +112,7 @@ def canonical_coefficients(poly: ExpPoly) -> Optional[tuple]:
 
     Requires exponents within {-2,-1,0,1,2} and constant term exactly 1.
     """
-    if not poly._terms.keys() <= {-4, -2, 0, 2, 4}:  # the keys 2k
+    if not {k for k, _, _ in poly._ratios()} <= {-4, -2, 0, 2, 4}:  # the keys 2k
         return None
     if poly.coefficient(0) != 1:
         return None
@@ -230,10 +230,11 @@ class MetricSpec:
             g = ExpPoly([(Fraction(1, 2), self.C.c5), (Fraction(-1, 2), self.C.c6)])
             return g if g.eval(sum(self.domain.finite_window()) / 2) > 0 else -g
         num, den = self.c_ratio
-        if len(num._terms) == len(den._terms) == 1:
-            ((a, n),), ((b, d),) = num._terms.items(), den._terms.items()  # keys 2k, stored coefficients
-            try:  # n/d rounded once when both are exact, else float(n) / float(d), as for Fractions
-                c0 = n * den._den / (num._den * d) if type(n) is type(d) is int else _float(n, num._den) / _float(d, den._den)
+        exact, num, den = num.is_exact and den.is_exact, num._ratios(), den._ratios()
+        if len(num) == len(den) == 1:
+            ((a, n, p),), ((b, d, q),) = num, den  # keys 2k, coefficients n/p and d/q
+            try:  # rounded once when both are exact, else as float(n/p) / float(d/q), as for Fractions
+                c0 = n * q / (p * d) if exact else n / p / (d / q)
             except OverflowError:  # an exact C0 past float range
                 c0 = math.inf
             if 0 < c0 < math.inf:
@@ -246,44 +247,27 @@ class MetricSpec:
         g = C5·e^{z/2} + C6·e^{−z/2} (else None), once per spec: (C5, C6) is the direction
         of g's pair of coefficients, so C's scale does not enter (C0·e^{∓z} gives (1, 0), (0, 1))."""
         coeffs = canonical_coefficients(self.f_poly())
-        g = self.g_poly
-        if coeffs is None or g is None or sorted(g._terms) not in ([-1], [1], [-1, 1]):  # the keys 2k
+        if coeffs is None or self.g_poly is None or self.g_poly.exponents() not in ((-0.5,), (0.5,), (-0.5, 0.5)):
             return None
         c1, c2, c3, c4 = coeffs
-        a, b = g.coefficient(0.5), g.coefficient(-0.5)
-        m = max(abs(a), abs(b))
-        c5, c6 = a / m, b / m
-        if isinstance(c5, float) and isinstance(c6, float):  # each Ci·C5 is then float(Ci)·C5
-            c1, c2, c3, c4 = map(float, coeffs)
+        a, b = self.g_poly.coefficient(0.5), self.g_poly.coefficient(-0.5)
+        c5, c6 = a / max(abs(a), abs(b)), b / max(abs(a), abs(b))
         return float(max(abs(c1 * c5 - c2 * c6), abs(c3 * c5 - c4 * c6)))
 
     @cached_property
     def operator_polys(self) -> tuple:
         """(L⁺F − 1, L⁻F − 1, L⁺(L⁻F) − 1), exact, built once per spec: the
         Weyl halves' factor and the conformal-extremality residual.  The operators
-        act on each term c·e^{kz} alone: an exact c's int numerator is multiplied by
-        64 times their eigenvalues, a float c goes through the jet forms on (c·kⁿ),
-        rounded as on ``F.derive(n)``'s coefficients."""
-        F, rows = self.f_poly(), ([], [], [])
-        for K, c in F._terms.items():  # K = 2k
-            if type(c) is int:
-                values = [c * e for e in eigenvalues_64(K)]
-            else:
-                jet = [c * (K**n / (1 << n)) for n in range(5)]
-                values = (l_op_jet(1, jet), l_op_jet(-1, jet), l_compose_jet(jet))
-            for row, v in zip(rows, values):
-                row.append((K, v))
-        return tuple(ExpPoly._keyed([*row, (0, -64 * F._den)], F._den * 64) for row in rows)  # each minus 1
+        act on each term c·e^{kz} alone and fix 1, so they are applied to F − 1 term
+        by term: as their eigenvalues to an exact c, as the jet forms to a float c's
+        jet (c·kⁿ), which rounds as ``F.derive(n)``'s coefficients do."""
+        return (self.f_poly() - 1)._termwise(l_eigenvalues_64, l_forms_jet, 4, 64)
 
     @cached_property
     def bach_at_zero(self):
         """B(F,F) at z = 0, exact for an exact F, built once per spec: there the
         nth derivative of F is the sum of its coefficients times kⁿ."""
-        jet = [self.f_poly()._at_zero(n) for n in range(4)]  # (int, den·2ⁿ) pairs for an exact F
-        if isinstance(jet[0], float):
-            return b_op_jet(jet)
-        d = jet[3][1]  # den·2³, a multiple of every entry's denominator: B on ints, one division
-        return Fraction(b_op_int([s * (d // q) for s, q in jet], d), 4 * d * d)
+        return b_op_jet([self.f_poly()._at_zero(n) for n in range(4)])
 
     @cached_property
     def _grid_samples(self) -> dict:

@@ -641,16 +641,19 @@ _EXACT_F = ("flat", "taub-nut", "modified-taub-nut-1", "modified-taub-nut-2", "s
             "taub-nut-lambda")
 
 
-def test_the_exact_cold_fill_builds_no_fraction():
-    # before: thousands of Fraction constructions (derive's c·Fraction(kⁿ, 2ⁿ), the operators' /2
-    # and −1, bach_at_zero's sums and real_roots' Fraction(c)·lcm); now the one returned B(F,F)(0)
+def test_the_exact_cold_fill_builds_no_fraction_per_term():
+    # no Fraction in operator_polys (its eigenvalues are cached per exponent) or real_roots, and in
+    # bach_at_zero only B's arithmetic on the four values F⁽ⁿ⁾(0), whatever F's number of terms
     from dataclasses import replace
 
     from u2metrics.catalog import catalog_names
 
     assert set(_EXACT_F) == {n for n in catalog_names() if catalog_get(n).F.is_exact}
+    for name in _EXACT_F:  # every exponent's eigenvalues, once
+        catalog_get(name).operator_polys
     specs = [catalog_get(name) for name in _EXACT_F]
     specs = [replace(m, F=ExpPoly(m.F.terms())) for m in specs]  # fresh F: no cached zeros
+    sizes = [len(m.F.terms()) for m in specs]
     new = Fraction.__dict__["__new__"]
     built = []
 
@@ -658,17 +661,19 @@ def test_the_exact_cold_fill_builds_no_fraction():
         built.append(args)
         return new.__func__(cls, *args, **kwargs)
 
-    counts = {}
+    counts = {"operator_polys": [], "bach_at_zero": [], "real_roots": []}
     Fraction.__new__ = staticmethod(counting)
     try:
-        for step in ("operator_polys", "bach_at_zero", "real_roots"):
-            built.clear()
+        for step, per_spec in counts.items():
             for m in specs:
+                built.clear()
                 m.F.real_roots() if step == "real_roots" else getattr(m, step)
-            counts[step] = len(built)
+                per_spec.append(len(built))
     finally:
         Fraction.__new__ = new
-    assert counts == {"operator_polys": 0, "bach_at_zero": len(specs), "real_roots": 0}
+    assert sorted(set(sizes)) == [1, 2, 3, 5]  # F with 1, 2, 3 and 5 terms
+    assert counts["operator_polys"] == counts["real_roots"] == [0] * len(specs)
+    assert len(set(counts["bach_at_zero"])) == 1  # per spec, not per term
     assert all(type(m.bach_at_zero) is Fraction for m in specs)
 
 

@@ -18,12 +18,11 @@ from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.exppoly import ExpPoly, ExpPolyError
 from u2metrics.operators import (
     b_op,
-    b_op_int,
     b_op_jet,
-    eigenvalues_64,
     first_integral_residual,
     l_compose,
     l_compose_jet,
+    l_eigenvalues_64,
     l_op,
     l_op_jet,
 )
@@ -224,17 +223,11 @@ def test_pins_cover_the_catalog():
     assert [p["name"] for p in PINS["specs"]] == list(catalog_names())
 
 
-# ----------------------------------------------------- int forms on exact coefficients
+# ------------------------------------------------ operator_polys, term by term
 @pytest.mark.parametrize("K", range(-12, 13))
-def test_eigenvalues_64_are_the_jet_forms_on_one_term(K):
-    jet = [Fraction(K, 2) ** n for n in range(5)]
-    assert eigenvalues_64(K) == tuple(64 * v for v in (l_op_jet(1, jet), l_op_jet(-1, jet), l_compose_jet(jet)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4), st.integers(1, 10**4))
-def test_b_op_int_is_the_jet_form_over_one_denominator(a, d):
-    assert Fraction(b_op_int(a, d), 4 * d * d) == b_op_jet([Fraction(x, d) for x in a])
+def test_eigenvalues_are_the_closed_forms(K):
+    # 64·(k∓1)(k∓2)/2 and 64·(k−1)(k−2)(k+1)(k+2)/4 with k = K/2
+    assert l_eigenvalues_64(K) == (8 * (K - 2) * (K - 4), 8 * (K + 2) * (K + 4), (K * K - 4) * (K * K - 16))
 
 
 _SPEC_COEFFS = st.one_of(
@@ -247,8 +240,8 @@ _SPEC_COEFFS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-8, 8), _SPEC_COEFFS), min_size=1, max_size=6))
 def test_spec_fills_are_the_jet_forms_bit_for_bit(terms):
-    # operator_polys works term by term and bach_at_zero on ints; both must give the
-    # bits of the jet forms on F's derivatives and on the Fraction sums Σ c·kⁿ
+    # operator_polys works term by term and bach_at_zero sums c·kⁿ over one denominator;
+    # both must give the bits of the jet forms on F's derivatives and on the Fraction sums
     F = ExpPoly([(Fraction(k, 2), c) for k, c in terms])
     try:
         want = (l_op(1, F) - 1, l_op(-1, F) - 1, l_compose(F) - 1)
