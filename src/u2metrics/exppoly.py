@@ -3,9 +3,10 @@
 Exponents are half-integers (all that the profile and conformal-factor
 formulas produce, via √C factors), stored as the int 2k and returned as
 Fractions.  Coefficients are exact rationals, stored as int numerators over
-one reduced positive denominator per value and returned as Fractions, or
-floats, which meet an exact coefficient as the float of its value; arithmetic
-stays exact, on ints alone, as long as every operand is exact.
+one reduced positive denominator per value, so every arithmetic result is
+exact.  A float is an input format: the constructor reads it once, at its
+binary value, and a coefficient given as exactly one float term reads back
+as that float; every merged or computed coefficient reads back as a Fraction.
 
 Values are immutable after construction and all operations are pure.
 ``eval`` and ``jet`` take a float or a 1-D float64 array of points; on an
@@ -60,28 +61,17 @@ def _key(k) -> int:
     return 2 * k.numerator // k.denominator
 
 
-def _as_number(c):
-    """A finite float c as itself, an exact c (int, Fraction, numpy int) as (numerator, denominator > 0)."""
+def _as_number(c) -> tuple:
+    """c (an int, Fraction, numpy int or finite float) at its exact value, as (numerator, denominator > 0)."""
     if type(c) is not int and type(c) is not Fraction:
         if isinstance(c, float):
             if not math.isfinite(c):
                 raise ExpPolyError(f"non-finite coefficient {c!r}")
-            return c
+            return c.as_integer_ratio()
         if not isinstance(c, _SCALAR):
             raise ExpPolyError(f"unsupported coefficient type {type(c).__name__}")
         c = Fraction(c)
     return int(c.numerator), int(c.denominator)
-
-
-def _float(c, den: int):
-    """A stored coefficient as a float: an int numerator over den rounded once."""
-    return c / den if type(c) is int else c
-
-
-def _derived(c, k: int, n: int):
-    """A stored coefficient c at key k = 2k' times k'ⁿ, as ``derive(n)`` stores it: an
-    int numerator times kⁿ (its den times 2ⁿ), a float c times the float of k'ⁿ."""
-    return c * k**n if type(c) is int else c * (k**n / (1 << n))
 
 
 def _quotient(p: int, q: int) -> float:
@@ -92,19 +82,12 @@ def _quotient(p: int, q: int) -> float:
         return math.inf if p > 0 else -math.inf
 
 
-def _float_value(c) -> float:
-    """``_as_number``'s float, or its exact (p, q) as a float, which must be in range."""
-    try:
-        return c if isinstance(c, float) else c[0] / c[1]
-    except OverflowError:
-        raise ExpPolyError("exact coefficient is too large for a float") from None
-
-
 def _as_coefficient(c):
-    """c as a finite float or a Fraction with a float value, to be evaluated or added to a float."""
-    r = _as_number(c)
-    _float_value(r)
-    return r if isinstance(r, float) else c if type(c) is Fraction else Fraction(*r)
+    """c as a finite float or a Fraction with a float value."""
+    p, q = _as_number(c)
+    if math.isinf(_quotient(p, q)):
+        raise ExpPolyError("exact coefficient is too large for a float")
+    return c if isinstance(c, float) or type(c) is Fraction else Fraction(p, q)
 
 
 class ExpPoly:
@@ -115,38 +98,40 @@ class ExpPoly:
     no stored coefficient is zero, so the zero polynomial has no terms.
     """
 
-    __slots__ = ("_terms", "_den", "_compiled", "_zeros")
+    __slots__ = ("_terms", "_den", "_floats", "_compiled", "_zeros")
 
     def __init__(self, terms=()):
-        items = [(_key(k), _as_number(c)) for k, c in terms]
-        den = math.lcm(*(c[1] for _, c in items if type(c) is tuple))
-        self._fill([(k, c[0] * den // c[1] if type(c) is tuple else c) for k, c in items], den)
+        items = [(_key(k), c, _as_number(c)) for k, c in terms]
+        den = math.lcm(*[q for _, _, (_, q) in items])
+        floats = frozenset(k for k, c, _ in items  # a float reads back as itself where it is the one term at its key
+                           if isinstance(c, float) and c and [j for j, _, _ in items].count(k) == 1)
+        self._fill([(k, p * (den // q)) for k, _, (p, q) in items], den, floats)
 
     @staticmethod
-    def _keyed(items, den: int) -> "ExpPoly":  # from (2k, int numerator over den or float) pairs, keys unchecked
+    def _keyed(items, den: int) -> "ExpPoly":  # from (2k, int numerator over den) pairs, keys unchecked
         return object.__new__(ExpPoly)._fill(items, den)
 
-    def _fill(self, items, den: int) -> "ExpPoly":
-        data: dict[int, object] = {}
+    def _fill(self, items, den: int, floats: frozenset = frozenset()) -> "ExpPoly":
+        data: dict[int, int] = {}
         for k, c in items:
-            c = c if type(c) is int else _as_number(c)
             prev = data.get(k)
             if prev is not None:
-                try:  # an exact term past float range fails here, where it meets another
-                    c = prev + c if type(prev) is type(c) is int else _as_number(_float(prev, den) + _float(c, den))
-                    _float(c, den)
-                except (OverflowError, ExpPolyError):
+                c += prev
+                try:  # a term past float range fails here, where it meets another
+                    c / den
+                except OverflowError:
                     raise ExpPolyError(f"coefficient of e^({Fraction(k, 2)}z) sums past float range") from None
             if c:
                 data[k] = c
             elif prev is not None:
                 del data[k]
-        if den > 1:  # reduce the int numerators and den
-            g = math.gcd(den, *[c for c in data.values() if type(c) is int])
+        if den > 1:  # reduce the numerators and den
+            g = math.gcd(den, *data.values())
             if g > 1:
-                data, den = {k: c // g if type(c) is int else c for k, c in data.items()}, den // g
+                data, den = {k: c // g for k, c in data.items()}, den // g
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_floats", floats)
         object.__setattr__(self, "_compiled", None)
         object.__setattr__(self, "_zeros", None)
         return self
@@ -164,17 +149,21 @@ class ExpPoly:
         """The single term c·e^(k·z)."""
         return ExpPoly([(k, c)])
 
+    def _read(self, k: int, c: int):
+        """The coefficient N = c at key k as given: a float if it was one float term, else N/den as a Fraction."""
+        return c / self._den if k in self._floats else Fraction(c, self._den)
+
     def terms(self) -> tuple:
         """Sorted tuple of (exponent, coefficient) pairs."""
-        return tuple((Fraction(k, 2), Fraction(c, self._den) if type(c) is int else c) for k, c in sorted(self._terms.items()))
+        return tuple((Fraction(k, 2), self._read(k, c)) for k, c in sorted(self._terms.items()))
 
     def coefficient(self, k):
-        c = self._terms.get(_key(k), 0)
-        return Fraction(c, self._den) if type(c) is int else c
+        k = _key(k)
+        return self._read(k, self._terms.get(k, 0))
 
     def _ratios(self) -> list:
         """[(2k, p, q)] in exponent order, each coefficient exactly p/q with q > 0."""
-        return [(k, c, self._den) if type(c) is int else (k, *c.as_integer_ratio()) for k, c in sorted(self._terms.items())]
+        return [(k, c, self._den) for k, c in sorted(self._terms.items())]
 
     @property
     def is_zero(self) -> bool:
@@ -182,7 +171,8 @@ class ExpPoly:
 
     @property
     def is_exact(self) -> bool:
-        return all(type(c) is int for c in self._terms.values())
+        """True unless a coefficient reads back as the float it was given as."""
+        return not self._floats
 
     def exponents(self) -> tuple:
         return tuple(Fraction(k, 2) for k in sorted(self._terms))
@@ -194,8 +184,7 @@ class ExpPoly:
         return Fraction(max(self._terms) if side > 0 else min(self._terms), 2)
 
     # ------------------------------------------------------------ arithmetic
-    # Exact coefficients meet as int numerators; a float meets an exact one as
-    # its float, so a mixed result rounds as float(Fraction) op float does.
+    # Int numerators over one denominator: every result is exact.
     def __add__(self, other):
         return self._plus(other, 1)
 
@@ -214,17 +203,16 @@ class ExpPoly:
             other = ExpPoly.constant(other)
         den = math.lcm(self._den, other._den)
         s, t = den // self._den, sign * den // other._den
-        return ExpPoly._keyed([(k, c * s if type(c) is int else c) for k, c in self._terms.items()]
-                              + [(k, c * t if type(c) is int else c * sign) for k, c in other._terms.items()], den)
+        return ExpPoly._keyed([(k, c * s) for k, c in self._terms.items()]
+                              + [(k, c * t) for k, c in other._terms.items()], den)
 
     def __neg__(self):
-        return self._times(-1, 1, lambda a: -a)
+        return self._times(-1, 1)
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            da, db = self._den, other._den
-            return ExpPoly._keyed([(ka + kb, ca * cb if type(ca) is type(cb) else _float(ca, da) * _float(cb, db))
-                                   for ka, ca in self._terms.items() for kb, cb in other._terms.items()], da * db)
+            return ExpPoly._keyed([(ka + kb, ca * cb) for ka, ca in self._terms.items()
+                                   for kb, cb in other._terms.items()], self._den * other._den)
         if isinstance(other, _SCALAR):
             return self.scale(other)
         return NotImplemented
@@ -238,18 +226,15 @@ class ExpPoly:
         if other == 0:
             raise ZeroDivisionError("ExpPoly division by zero")
         p, q = _as_number(other)
-        return self._times(q if p > 0 else -q, abs(p), lambda a: a / (p / q))
+        return self._times(q if p > 0 else -q, abs(p))
 
     def scale(self, c) -> "ExpPoly":
-        c = _as_number(c)
-        f = _float_value(c)
-        if isinstance(c, float):
-            return ExpPoly._keyed([(k, _float(a, self._den) * f) for k, a in self._terms.items()], 1)
-        return self._times(*c, lambda a: a * f)
+        """Every coefficient times c, read at its binary value; c must have a float value."""
+        return self._times(*_as_number(_as_coefficient(c)))
 
-    def _times(self, p: int, q: int, f) -> "ExpPoly":
-        """Every exact coefficient times p/q (q > 0), every float one mapped by f."""
-        return ExpPoly._keyed([(k, c * p if type(c) is int else f(c)) for k, c in self._terms.items()], self._den * q)
+    def _times(self, p: int, q: int) -> "ExpPoly":
+        """Every coefficient times p/q (q > 0)."""
+        return ExpPoly._keyed([(k, c * p) for k, c in self._terms.items()], self._den * q)
 
     # ---------------------------------------------------------- differential
     def derive(self, order: int = 1) -> "ExpPoly":
@@ -258,44 +243,36 @@ class ExpPoly:
             raise ExpPolyError("derivative order must be non-negative")
         if order == 0:
             return self
-        return ExpPoly._keyed([(k, _derived(c, k, order)) for k, c in self._terms.items()], self._den << order)
+        return ExpPoly._keyed([(k, c * k**order) for k, c in self._terms.items()], self._den << order)
 
-    def _termwise(self, exact, forms, order: int, scale: int) -> tuple:
-        """The ExpPolys Σ vᵢ·e^{kz} of linear jet forms that act on each term c·e^{kz}
-        alone: vᵢ = N·exact(2k)[i] / (den·scale) for an exact c = N/den, and for a float
-        c, vᵢ = forms(jet)[i] on its jet (c·kⁿ for n ≤ order) rounded as ``derive`` does."""
-        rows = [[] for _ in exact(0)]  # one per form, also for the zero polynomial
+    def _termwise(self, eigenvalues, scale: int) -> tuple:
+        """The ExpPolys Σ c·vᵢ/scale·e^{kz} of linear forms that act on each term c·e^{kz}
+        alone, with the int vᵢ = eigenvalues(2k)[i]."""
+        rows = [[] for _ in eigenvalues(0)]  # one per form, also for the zero polynomial
         for k, c in self._terms.items():
-            values = [c * v for v in exact(k)] if type(c) is int else forms([_derived(c, k, n) for n in range(order + 1)])
-            for row, v in zip(rows, values):
-                row.append((k, v))
+            for row, v in zip(rows, eigenvalues(k)):
+                row.append((k, c * v))
         return tuple(ExpPoly._keyed(row, self._den * scale) for row in rows)
 
-    def _at_zero(self, n: int):
-        """derive(n) at z = 0: Σ c·kⁿ summed in exponent order from Fraction(0), as one
-        Fraction while every term is exact and as a float from the first float term on."""
-        den, s = self._den << n, 0
-        for k, c in sorted(self._terms.items()):
-            t = _derived(c, k, n)
-            s = s + t if type(s) is type(t) is int else _float(s, den) + _float(t, den)
-        return Fraction(s, den) if type(s) is int else s
+    def _at_zero(self, n: int) -> Fraction:
+        """derive(n) at z = 0: Σ c·kⁿ, one Fraction."""
+        return Fraction(sum(c * k**n for k, c in self._terms.items()), self._den << n)
 
     # ------------------------------------------------------------ evaluation
     def _rows(self, order: int) -> tuple:
         """(keys 2k, float exponents, coefficient rows 0..≥order).
 
-        Terms are in exponent order; row n holds c·kⁿ = p·(2k)ⁿ / (q·2ⁿ)
-        with c = p/q as ``_ratios`` gives it, rounded once for a float
-        and an exact c alike (0.0 where the derivative drops the term, ±inf
-        past float range), which is what ``derive(n)`` followed by a float
+        Terms are in exponent order; row n holds c·kⁿ = N·(2k)ⁿ / (den·2ⁿ)
+        rounded once (0.0 where the derivative drops the term, ±inf past
+        float range), which is what ``derive(n)`` followed by a float
         evaluation uses.
         """
         compiled = self._compiled
         if compiled is not None and len(compiled[2]) > order:
             return compiled
-        ratios = self._ratios()
-        rows = [[_quotient(p * k**i, q << i) for k, p, q in ratios] for i in range(max(order, 4) + 1)]
-        keys = tuple(k for k, _, _ in ratios)
+        items, den = sorted(self._terms.items()), self._den
+        rows = [[_quotient(c * k**i, den << i) for k, c in items] for i in range(max(order, 4) + 1)]
+        keys = tuple(k for k, _ in items)
         compiled = (keys, tuple(k / 2 for k in keys), tuple(map(tuple, rows)))
         object.__setattr__(self, "_compiled", compiled)
         return compiled
@@ -379,11 +356,9 @@ class ExpPoly:
                 raise ExpPolyError("the zero polynomial vanishes everywhere")
             step = 1 if any(k & 1 for k in self._terms) else 2  # x = e^{z/d}, d = 2/step
             low = min(self._terms)
-            ratios = self._ratios()
-            lcm = math.lcm(*(q for _, _, q in ratios))  # P over ℤ: the numerators when every term is exact
-            p = [0] * ((max(self._terms) - low) // step + 1)
-            for k, num, q in ratios:
-                p[(k - low) // step] = num * (lcm // q)
+            p = [0] * ((max(self._terms) - low) // step + 1)  # P over ℤ: the numerators
+            for k, c in self._terms.items():
+                p[(k - low) // step] = c
             roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
             zeros = tuple(sorted((2 // step * math.log(x), m) for x, m in roots))
             object.__setattr__(self, "_zeros", zeros)
@@ -401,15 +376,10 @@ class ExpPoly:
             if not isinstance(other, _SCALAR):
                 return NotImplemented
             other = ExpPoly.constant(other)
-        if self.is_exact and other.is_exact:  # reduced, so one stored form per value
-            return self._den == other._den and self._terms == other._terms
-        return self.terms() == other.terms()
+        return self._den == other._den and self._terms == other._terms  # reduced: one stored form per value
 
-    def __hash__(self):  # each value's float, the same for a float and an exact coefficient of equal value
-        try:
-            return hash(frozenset((k, _float(c, self._den)) for k, c in self._terms.items()))
-        except OverflowError:  # an exact value past float range, which no float equals
-            return hash(self.terms())
+    def __hash__(self):
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         if not self._terms:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .exppoly import ExpPoly
@@ -165,11 +166,10 @@ def distance(m: MetricSpec, z1: float, z2: float) -> float:
 
 
 # ------------------------------------------------------------------------ ends
-def _growth(p, side: int) -> float:
-    """Growth rate in |z| of an exponential polynomial p as z → side·∞ (its
-    leading exponent times side, symbolic); −inf for p = 0."""
-    k = p.extreme_exponent(side)
-    return -math.inf if k is None else float(k) * side
+def _growth(p, side: int) -> Fraction:
+    """Growth rate in |z| of a nonzero exponential polynomial p as z → side·∞:
+    its leading exponent times side, exact."""
+    return p.extreme_exponent(side) * side
 
 
 def classify_end(m: MetricSpec, side: str) -> EndReport:
@@ -181,10 +181,15 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
     :func:`distance` uses) decides: order 1 is a bolt, or a conical end when the
     slope F′ is not a nonzero integer; order ≥ 2 is an ALF end where C's
     denominator vanishes too (C ~ (z−z0)⁻²) and a cusp where it does not;
-    order 0 is undetermined.  At an infinite endpoint the leading exponents
-    decide: F → 1 is a nut (C decaying) or ALE end (C growing); otherwise
-    growth comparison of F against C separates asymptotically-Einstein ends
-    (F = O(C)) from curvature singularities (F/C → ∞ with exponent gap ≥ 1).
+    order 0 is undetermined.  At an infinite endpoint the exact exponents
+    decide.  Where F → 1, with C's growth exponent ck: a nut needs ck = −1
+    exactly, every exponent of F − 1 an integer, and the exponents of C's
+    numerator and of its denominator each in one class mod 1 (so C·e^{z} is
+    a series in integer powers of e^{−z}); ALE needs ck = +1; any other
+    ck > 0 is a complete conical end and any other ck < 0 a curvature
+    singularity.  Otherwise growth comparison of F against C separates
+    asymptotically-Einstein ends (F = O(C)) from curvature singularities
+    (F/C → ∞ with exponent gap ≥ 1).
     ``diagnostics["distance_to_end"]`` is :func:`distance` from the
     midpoint of the finite window; where that fails it is NaN and
     ``diagnostics["distance_error"]`` holds the error text.
@@ -227,21 +232,27 @@ def classify_end(m: MetricSpec, side: str) -> EndReport:
             return report("ALF" if den_order else "cusp", True)
         return report("undetermined", False)
 
-    # infinite endpoint
-    ck = _growth(m.c_ratio[0], sgn) - _growth(m.c_ratio[1], sgn)  # of C = num/den
+    # infinite endpoint: every rule compares exact exponents
+    num, den = m.c_ratio
+    ck = _growth(num, sgn) - _growth(den, sgn)  # of C = num/den
     fk = _growth(poly, sgn)
-    diag["C_growth_exponent"] = ck
-    diag["F_growth_exponent"] = fk
-    if poly.coefficient(0) == 1 and all(k * sgn <= 0 for k in poly.exponents()):  # F → 1: F − 1 decays
-        if ck < -1e-12:
-            return report("nut", True)
-        if ck > 1e-12:
+    diag["C_growth_exponent"] = float(ck)
+    diag["F_growth_exponent"] = float(poly.extreme_exponent(sgn)) * sgn  # −0.0 for a constant F at −∞
+    if poly.coefficient(0) == 1 and fk <= 0:  # F → 1: F − 1 decays
+        if ck == 1:
             return report("ALE", True)
+        if ck > 0:
+            return report("conical", True)
+        classes = [{k.denominator for k in p.exponents()} for p in (poly, num, den)]  # 1 or 2: the class mod 1
+        if ck == -1 and classes[0] == {1} and len(classes[1]) == len(classes[2]) == 1:
+            return report("nut", True)
+        if ck < 0:
+            return report("curvature_singularity", False)
         return report("undetermined", False)
-    if fk > 0.0:
-        if fk <= ck + 1e-12:
+    if fk > 0:
+        if fk <= ck:
             return report("asymptotically_einstein", True)
-        if fk - ck >= 1.0 - 1e-12:
+        if fk - ck >= 1:
             return report("curvature_singularity", False)
     return report("undetermined", False)
 

@@ -7,10 +7,12 @@ third-order operator B:
 
 Each formula is written once, as a jet form in integer literals and exact
 division, so it serves every carrier of the jet (F, F′, F″, …): floats,
-arrays over z, or F's exact derivatives as ExpPolys (``l_op``, ``l_compose``,
-``b_op``).  On floats, x / 2, 3 * x / 2, x / 4 and 5 * x / 4 round as 0.5·x,
-1.5·x, 0.25·x and 1.25·x do unless one overflows or is subnormal.  Their
-eigenvalues on e^{kz} (``l_eigenvalues_64``) are the jet forms on its jet.
+arrays over z, or F's derivatives as ExpPolys (``l_op``, ``l_compose``,
+``b_op``), which are exact for every F, a float coefficient being read at
+its binary value.  On floats, x / 2, 3 * x / 2, x / 4 and 5 * x / 4 round as
+0.5·x, 1.5·x, 0.25·x and 1.25·x do unless one overflows or is subnormal.
+Their eigenvalues on e^{kz} (``l_eigenvalues_64``) are the jet forms on its
+jet.
 """
 from __future__ import annotations
 
@@ -54,16 +56,12 @@ def l_compose_jet(jet: Sequence):
     return jet[4] / 4 - 5 * jet[2] / 4 + jet[0]
 
 
-def l_forms_jet(jet: Sequence) -> tuple:
-    """(L⁺F, L⁻F, L⁺(L⁻F)) from a 4-jet."""
-    return l_op_jet(1, jet), l_op_jet(-1, jet), l_compose_jet(jet)
-
-
 @cache
 def l_eigenvalues_64(K: int) -> tuple:
-    """64 times ``l_forms_jet``'s eigenvalues on e^{kz}, K = 2k, as ints: the forms
-    on its exact jet (1, k, …, k⁴), computed once per K."""
-    return tuple(int(64 * v) for v in l_forms_jet([Fraction(K, 2) ** n for n in range(5)]))
+    """64 times the eigenvalues of L⁺, L⁻ and L⁺L⁻ on e^{kz}, K = 2k, as ints: the
+    jet forms on its exact jet (1, k, …, k⁴), computed once per K."""
+    jet = [Fraction(K, 2) ** n for n in range(5)]
+    return tuple(int(64 * v) for v in (l_op_jet(1, jet), l_op_jet(-1, jet), l_compose_jet(jet)))
 
 
 def b_op_jet(jet: Sequence):
@@ -91,10 +89,10 @@ def b_op(F: ExpPoly) -> ExpPoly:
 def first_integral_residual(F: ExpPoly, grid: Sequence[float]) -> float:
     """max over grid of |dB/dz − 2F′·(L⁺(L⁻F) − 1)|, computed exactly.
 
-    The difference is expanded as an exponential polynomial.  It vanishes for
-    every F, so for every exact F, not only the canonical family, it is the
-    zero polynomial and 0.0 is returned without evaluation; only float
-    coefficients, rounded in the expansion, leave a residue.
+    The difference is expanded as an exponential polynomial, exactly.  It
+    vanishes for every F, not only the canonical family, and with floats read
+    at their binary values, so it is the zero polynomial and 0.0 is returned
+    without evaluation.
     """
     diff = b_op(F).derive(1) - 2 * F.derive(1) * (l_compose(F) - 1)
     if diff.is_zero:

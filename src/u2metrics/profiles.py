@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .exppoly import ExpPoly, _as_coefficient
+from .exppoly import ExpPoly, _as_coefficient, _quotient
 from .numerics import at_first, is_array
-from .operators import b_op_jet, l_eigenvalues_64, l_forms_jet
+from .operators import b_op_jet, l_eigenvalues_64
 
 __all__ = [
     "Domain",
@@ -225,18 +225,15 @@ class MetricSpec:
         """g = C^{−1/2}, built once per spec on first use: ±(C5·e^{z/2} + C6·e^{−z/2})
         for an Einstein C, positive mid-domain (so off C's pole); C0^{−1/2}·e^{−εz/2}
         where (num, den) is (n·e^{az}, d·e^{bz}), as for every Exp C, so that
-        C = C0·e^{εz} with C0 = n/d positive and finite and ε = a − b; else None."""
+        C = C0·e^{εz} with C0 = n/d positive and finite and ε = a − b an integer;
+        else None, and ``jet_C`` takes g from u = den/num."""
         if isinstance(self.C, EinsteinFactor):
             g = ExpPoly([(Fraction(1, 2), self.C.c5), (Fraction(-1, 2), self.C.c6)])
             return g if g.eval(sum(self.domain.finite_window()) / 2) > 0 else -g
-        num, den = self.c_ratio
-        exact, num, den = num.is_exact and den.is_exact, num._ratios(), den._ratios()
-        if len(num) == len(den) == 1:
+        num, den = (p._ratios() for p in self.c_ratio)
+        if len(num) == len(den) == 1 and (num[0][0] - den[0][0]) % 2 == 0:  # ε, half the key difference, is an integer
             ((a, n, p),), ((b, d, q),) = num, den  # keys 2k, coefficients n/p and d/q
-            try:  # rounded once when both are exact, else as float(n/p) / float(d/q), as for Fractions
-                c0 = n * q / (p * d) if exact else n / p / (d / q)
-            except OverflowError:  # an exact C0 past float range
-                c0 = math.inf
+            c0 = _quotient(n * q, p * d)
             if 0 < c0 < math.inf:
                 return ExpPoly.exp_term(Fraction(b - a, 4), c0**-0.5)
         return None
@@ -259,13 +256,12 @@ class MetricSpec:
         """(L⁺F − 1, L⁻F − 1, L⁺(L⁻F) − 1), exact, built once per spec: the
         Weyl halves' factor and the conformal-extremality residual.  The operators
         act on each term c·e^{kz} alone and fix 1, so they are applied to F − 1 term
-        by term: as their eigenvalues to an exact c, as the jet forms to a float c's
-        jet (c·kⁿ), which rounds as ``F.derive(n)``'s coefficients do."""
-        return (self.f_poly() - 1)._termwise(l_eigenvalues_64, l_forms_jet, 4, 64)
+        by term, as their eigenvalues; a float c is read at its binary value."""
+        return (self.f_poly() - 1)._termwise(l_eigenvalues_64, 64)
 
     @cached_property
     def bach_at_zero(self):
-        """B(F,F) at z = 0, exact for an exact F, built once per spec: there the
+        """B(F,F) at z = 0, an exact Fraction, built once per spec: there the
         nth derivative of F is the sum of its coefficients times kⁿ."""
         return b_op_jet([self.f_poly()._at_zero(n) for n in range(4)])
 

@@ -358,12 +358,15 @@ class TestOverflowExponent:
 
     def test_derivative_only_overflow(self):
         # at z=0.4 the value 5e307·e^0.8 is finite, its derivative is not;
-        # the derivative's coefficient 2·5e307 = 1e308 is finite, 4·5e307 is not
+        # the derivative's coefficient 2·5e307 = 1e308 is finite, and 4·5e307 is
+        # exact but past float range, so its evaluation raises
         p = ExpPoly([(0, 1), (2, 5e307)])
         assert math.isfinite(p.eval(0.4))
         assert p.derive().terms() == ((2, 1e308),)
-        with pytest.raises(ExpPolyError, match=r"^non-finite coefficient inf$"):
-            p.derive(2)
+        assert p.derive(2).terms() == ((2, 4 * Fraction(5e307)),)
+        with pytest.raises(EvalOverflowError) as err:
+            p.derive(2).eval(0.0)
+        assert err.value.exponent == 2
         with pytest.raises(EvalOverflowError) as want:
             p.derive(1).eval(0.4)
         assert want.value.exponent == Fraction(2)
@@ -590,22 +593,35 @@ def test_exact_arithmetic_matches_the_fraction_model(a, b, d, n):
         _assert_reduced(got)
 
 
-@settings(max_examples=120, deadline=None)
-@given(_exact_polys, st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) > 1e-300),
-       st.integers(-6, 6), _divisors, st.integers(1, 4))
-def test_a_mixed_operation_rounds_as_float_of_the_fraction(a, x, j, d, n):
-    ma = _model(a)
-    f = ExpPoly([(Fraction(j, 2), x)])  # one float term: every product coefficient is one product
-    added = _model_sum((1, ma), (1, _model(f)))
-    if j in ma and x:
-        added[j] = float(ma[j]) + x
-    assert _model(a + f) == {k: c for k, c in added.items() if c}
-    assert _model(a * f) == {k + j: float(c) * x for k, c in ma.items() if float(c) * x}
-    assert _model(a.scale(x)) == {k: float(c) * x for k, c in ma.items() if float(c) * x}
-    g = a + ExpPoly([(7, x)])  # e^{7z} lies past a's exponents: g is mixed when x ≠ 0
-    assert _model(g / d) == {**{k: c / d for k, c in ma.items()}, **({14: x / float(d)} if x else {})}
-    assert _model(g.derive(n)) == {**{k: c * Fraction(k, 2) ** n for k, c in ma.items() if k},
-                                   **({14: x * float(Fraction(7) ** n)} if x else {})}
+_float_terms = st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) > 1e-300)
+_mixed_polys = st.lists(st.tuples(st.integers(-6, 6), st.one_of(_exact_coeffs, _float_terms)), max_size=5).map(
+    lambda ts: ExpPoly([(Fraction(k, 2), c) for k, c in ts]))
+
+
+def _binary_model(p):
+    """The {2k: Fraction} model of p's coefficients at their binary values."""
+    return {int(2 * k): Fraction(c) for k, c in p.terms()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_polys, _mixed_polys, st.one_of(_divisors, _float_terms), _divisors, st.integers(1, 4))
+def test_every_operation_is_the_fraction_model_at_binary_values(a, b, x, d, n):
+    # float, exact and mixed inputs alike: each result is the exact model's, reduced
+    ma, mb, fx = _binary_model(a), _binary_model(b), Fraction(x)
+    results = {
+        "+": (a + b, _model_sum((1, ma), (1, mb))),
+        "-": (a - b, _model_sum((1, ma), (-1, mb))),
+        "neg": (-a, _model_sum((-1, ma))),
+        "*": (a * b, _model_product(ma, mb)),
+        "/": (a / d, {k: c / d for k, c in ma.items()}),
+        "scale": (a.scale(x), {k: c * fx for k, c in ma.items() if fx}),
+        "scalar *": (x * a, {k: c * fx for k, c in ma.items() if fx}),
+        "derive": (a.derive(n), {k: c * Fraction(k, 2) ** n for k, c in ma.items() if k}),
+    }
+    for op, (got, want) in results.items():
+        assert _binary_model(got) == want, op
+        assert all(type(c) is Fraction for _, c in got.terms()), op
+        _assert_reduced(got)
 
 
 @settings(max_examples=80, deadline=None)
@@ -615,9 +631,24 @@ def test_equal_values_are_equal_whether_float_or_exact(terms):
     exact = ExpPoly([(Fraction(k, 2), c) for k, c in terms])
     floats = ExpPoly([(Fraction(k, 2), float(c)) for k, c in terms])  # dyadic: the same values
     assert exact == floats and hash(exact) == hash(floats)
-    assert not floats.is_exact or floats.is_zero
+    keys = [k for k, _ in terms]
+    given_once = {Fraction(k, 2) for k, c in terms if c and keys.count(k) == 1}
+    assert {k for k, c in floats.terms() if type(c) is float} == given_once  # a merged sum reads back exact
+    assert floats.is_exact == (not given_once)
     if not exact.is_zero:
         assert exact != floats + ExpPoly.exp_term(7, 0.5)
+
+
+def test_a_float_given_once_reads_back_as_that_float():
+    p = ExpPoly([(1, 0.1), (0, 0.1), (0, 0.2), (-1, Fraction(1, 3)), (2, 0.0), (Fraction(1, 2), 0.5)])
+    assert p.terms() == ((-1, Fraction(1, 3)), (0, Fraction(0.1) + Fraction(0.2)), (Fraction(1, 2), 0.5), (1, 0.1))
+    assert [type(c) for _, c in p.terms()] == [Fraction, Fraction, float, float]
+    assert type(p.coefficient(1)) is float and p.coefficient(1) == 0.1 and p.coefficient(0) != 0.1 + 0.2
+    assert not p.is_exact and ExpPoly([(0, 0.1), (0, 0.2)]).is_exact
+    for computed in (p + 0, -p, p * 1, p.scale(1.0), p / 1, p * ExpPoly.constant(1), p.derive(0) + p.derive(1)):
+        assert computed.is_exact and all(type(c) is Fraction for _, c in computed.terms())
+    assert (p + 0) == p and (-p).coefficient(1) == -Fraction(0.1)
+    assert repr(-ExpPoly([(1, 0.25)])) == "ExpPoly(-1/4*e^(1z))"
 
 
 def test_equality_and_hash_across_float_and_exact_coefficients():

@@ -23,7 +23,7 @@ from u2metrics.geometry import (
     transcribe_classic,
 )
 from u2metrics.classify import classify
-from u2metrics.curvature import ricci_form_kahler
+from u2metrics.curvature import ricci_form_kahler, scalar_curvature
 from u2metrics.metricfile import emit_metric, parse_metric
 from u2metrics.numerics import adaptive_quad
 from u2metrics.profiles import (
@@ -366,6 +366,31 @@ class TestClassifyEnd:
         m = MetricSpec("decays", ExpPoly([(-1, 1)]), ExpFactor(1.0, eps), Domain(0.0, math.inf))
         rep = classify_end(m, "upper")
         assert rep.kind == "undetermined" and not rep.complete
+
+    @pytest.mark.parametrize("f_terms, num_terms, kind", [
+        ([(0, 1)], [(-2, 1)], "curvature_singularity"),  # C = e^{−2z}: before, a complete nut
+        ([(0, 1), (Fraction(-1, 2), 1)], [(-1, 1)], "curvature_singularity"),  # F − 1 = e^{−z/2}: before, a nut
+        ([(0, 1)], [(-1, 1), (Fraction(-3, 2), 1)], "curvature_singularity"),  # C·e^{z} = 1 + e^{−z/2}
+        ([(0, 1)], [(-1, 1), (-2, 1)], "nut"),  # C·e^{z} = 1 + e^{−z}, smooth in r² ∝ e^{−z}
+        ([(0, 1)], [(2, 1)], "conical"),  # C = e^{2z}: before, ALE
+    ], ids=["c-decays-twice", "half-integer-f", "half-integer-c", "integer-c", "c-grows-twice"])
+    def test_f_tending_to_one_needs_exact_nut_and_ale_exponents(self, f_terms, num_terms, kind):
+        # a nut needs C's growth exponent exactly −1, integer exponents in F − 1 and C's num and den
+        # each in one class mod 1; ALE needs exactly +1.  The scalar curvature agrees: it is bounded
+        # at the nut, blows up at the singular ends, and decays like e^{−2z} (about r^{−2}) at the
+        # conical one, where an ALE end's is O(r^{−6})
+        m = MetricSpec("end", ExpPoly(f_terms), RatioFactor(ExpPoly(num_terms), ExpPoly.constant(1)),
+                       Domain(0.0, math.inf))
+        rep = classify_end(m, "upper")
+        assert (rep.kind, rep.complete) == (kind, kind != "curvature_singularity")
+        zs = (5.0, 10.0, 20.0)
+        s = [abs(scalar_curvature(m, z)) for z in zs]
+        if kind == "curvature_singularity":
+            assert s[0] < s[1] < s[2] and s[2] > 1e5
+        elif kind == "nut":
+            assert max(s) < 25.0
+        else:
+            assert [x * math.exp(2 * z) for x, z in zip(s, zs)] == pytest.approx([s[0] * math.exp(10.0)] * 3, rel=1e-3)
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_closed_ends_are_the_bolts_find_bolts_sees(self, name):

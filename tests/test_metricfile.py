@@ -62,6 +62,23 @@ class TestRoundTrip:
         m = parse_metric("name t\ndomain -1 1 open open\n" + f_lines + "C exp C0=1 eps=-1\n")
         assert written in _assert_round_trip_by_value(m)
 
+    def test_float_rational_and_repeated_term_lines_round_trip(self):
+        # a coefficient given once as a float is written as that float; a repeated exponent's
+        # coefficient is the exact sum of the terms' binary values, written as a rational
+        m = parse_metric(
+            "name t\ndomain -1 1 open open\nF term 0 1\nF term 3 0.1\nF term 3 0.2\nF term -1 1/3\n"
+            "F term 1/2 0.25\nC ratio\nnum term -1 0.5\nnum term -1 1/4\nnum term 1 0.1\n"
+            "den term 0 1\nden term 1/2 0.1\nden term 1/2 0.1\n"
+        )
+        text = _assert_round_trip_by_value(m)
+        three = Fraction(0.1) + Fraction(0.2)
+        fifth = 2 * Fraction(0.1)
+        for line in ("F term 0 1", f"F term 3 {three.numerator}/{three.denominator}", "F term -1 1/3",
+                     "F term 1/2 0.25", "num term -1 3/4", "num term 1 0.1", "den term 0 1",
+                     f"den term 1/2 {fifth.numerator}/{fifth.denominator}"):
+            assert line + "\n" in text
+        assert parse_metric(text).C == m.C
+
     @pytest.mark.parametrize(
         "cs, terms",
         [

@@ -184,6 +184,24 @@ class TestJets:
         m = MetricSpec("t", canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(num), ExpPoly.constant(den)), Domain(-1.0, 1.0))
         assert (m.g_poly, m.tag, m.einstein_certificate) == (None, None, None)
 
+    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+    def test_single_term_ratio_with_an_odd_half_exponent_takes_g_from_u(self, k):
+        # C = e^{kz}: g = e^{−kz/2} has a quarter-integer exponent, so there is no termwise g and
+        # jet_C reads g from u = den/num; before, g_poly raised and every predicate was indeterminate
+        from u2metrics.classify import classify, sample_grid
+        from u2metrics.curvature import curvature_sample
+
+        m = MetricSpec("t", canonical(0, 0, 0, 0), RatioFactor(ExpPoly.exp_term(k), ExpPoly.constant(1)), Domain(0.0, 5.0))
+        assert m.g_poly is None
+        z = 1.3
+        _, g = jet_C(m, z)
+        assert g[0] == pytest.approx(math.exp(-k * z / 2), rel=1e-14)
+        assert g[1] == pytest.approx(-k / 2 * math.exp(-k * z / 2), rel=1e-14)
+        cs = curvature_sample(m, sample_grid(m.domain, 12))
+        assert all(np.isfinite(getattr(cs, name)).all() for name in ("s", "ric0_a", "ric0_b", "w_plus", "w_minus"))
+        verdicts = {r.verdict for r in classify(m).entries.values()} | {r.verdict for r in classify(m, t=1).entries.values()}
+        assert "indeterminate" not in verdicts
+
     def test_single_term_ratio_off_the_einstein_family_has_no_certificate(self):
         # C = e^{−2z}: g = e^{z} is termwise, but has no (C5, C6) pair at exponents ±½
         m = MetricSpec("t", canonical(0, 0, 0, 0), RatioFactor(ExpPoly([(-2, 1)]), ExpPoly.constant(1)), Domain(-1.0, 1.0))
