@@ -97,6 +97,18 @@ class TestCatalogCommands:
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
+    @pytest.mark.parametrize("target", ["missing/tn.txt", "existing-dir"])
+    def test_unwritable_out_exits_1_and_leaves_no_temp_file(self, target, tmp_path, capsys):
+        # before: a traceback from tempfile.mkstemp (FileNotFoundError) or
+        # from os.replace (IsADirectoryError)
+        (tmp_path / "existing-dir").mkdir()
+        out_path = tmp_path / target
+        assert main(["catalog", "emit", "taub-nut", "--out", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        reason = "No such file or directory" if target.startswith("missing") else "Is a directory"
+        assert out == "" and err == f"usage error: cannot write {out_path}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing-dir"]
+
     def test_emit_repeated_param_exits_1(self, capsys):
         assert main(["catalog", "emit", "taub-nut", "--param", "m=2", "--param", "m=3"]) == 1
         assert "usage error: --param m given twice" in capsys.readouterr().err
@@ -182,21 +194,22 @@ class TestCurvatureCommand:
 
 
 class TestGridCommandsMatchGoldens:
-    """``curvature --grid`` and ``bt residuals --grid`` sample the whole grid
-    in one call (``curvature_sample`` and ``state_from_metric``), and print
-    what the benchmark's CLI goldens (recorded from the one-point-at-a-time
-    evaluation) hold, within their rtol 1e-7 and atol 1e-9."""
+    """``curvature --grid`` and ``bt residuals --grid`` sample the grid one
+    float z at a time (``curvature_sample`` and ``state_from_metric``), so
+    they make no array, and print what the benchmark's CLI goldens hold,
+    within their rtol 1e-7 and atol 1e-9."""
 
     @pytest.mark.parametrize("command", ["curvature-grid", "bt-residuals"])
     def test_one_sample_call_and_golden_output(self, command, tmp_path, capsys, monkeypatch):
         golden = json.loads(CLI_GOLDENS.read_text())[command]
+        points = int(golden["argv"][golden["argv"].index("--grid") + 1].split(":")[2])  # 50 and 10
         _write_metric(tmp_path, "taub-nut", {"m": 2.0}, fname="tn.txt")
         calls = []
         hooked = "curvature_sample" if command == "curvature-grid" else "state_from_metric"
         sample = getattr(u2metrics.cli, hooked)
         monkeypatch.setattr(u2metrics.cli, hooked, lambda m, z, *rest: calls.append(z) or sample(m, z, *rest))
         assert main([a.format(**{"in": tmp_path, "out": tmp_path}) for a in golden["argv"]]) == 0
-        assert len(calls) == 1
+        assert len(calls) == points and all(type(z) is float for z in calls)
         outputs = [(capsys.readouterr().out, golden["stdout"])]
         if "out" in golden:
             outputs.append(((tmp_path / "curv.tsv").read_text(), golden["out"]))
@@ -208,6 +221,18 @@ class TestGridCommandsMatchGoldens:
                 assert len(xs) == len(ys)
                 for x, y in zip(xs, ys):
                     assert abs(x - y) <= 1e-7 * max(abs(x), abs(y)) + 1e-9, (line, want_line)
+
+    @pytest.mark.parametrize("command", ["curvature", "bt residuals"])
+    def test_first_failing_point_in_grid_order(self, command, tmp_path, capsys):
+        # g = e^{z/2} − e^{−z/2} vanishes at z = 0, and z = 2 is outside the
+        # open domain; before, the whole-grid call named z=2.0, the first z
+        # of jet_F's domain check, which runs before jet_C's pole check
+        path = tmp_path / "pole.txt"
+        path.write_text("name pole\ndomain -2 2 open open\nF canonical 2 -2 0 0\nC einstein C5=1 C6=-1\n")
+        extra = ["--t", "1"] if command.startswith("bt") else []
+        assert main([*command.split(), str(path), *extra, "--grid=-1:3:5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "numeric error: conformal denominator vanishes at z=0.0\n"
 
 
 class TestEndsCommand:
@@ -399,12 +424,40 @@ class TestRootsCommand:
         assert "0.579058676041" in out
 
 
-def test_commands_that_make_no_array_leave_numpy_unloaded():
+def _subprocess_env() -> dict:
     src = str(pathlib.Path(u2metrics.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_commands_that_make_no_array_leave_numpy_unloaded():
+    env = _subprocess_env()
     run = subprocess.run([sys.executable, "-c", _NUMPY_FREE], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_numpy_loads_only_for_the_readme_commands_that_make_an_array(tmp_path):
+    # one fresh process per README command, as the benchmark runs them: the
+    # curvature and bt residuals grids are sampled on floats, and numpy loads
+    # only for classify's grid sample, the quadrature levels of ends, bt_rhs's
+    # array in bt integrate and the generator of bt search
+    env = _subprocess_env()
+    dirs = {"in": tmp_path, "out": tmp_path}
+    _write_metric(tmp_path, "taub-nut", {"m": 2.0}, fname="tn.txt")
+    _write_metric(tmp_path, "modified-taub-nut-2", fname="mtn.txt")
+    seed = bt_csc_seed(F=1.5, F1d=0.3, F2d=-0.2, C=1.2, C1d=0.1, s=0.5, t=1.0)
+    (tmp_path / "seed.txt").write_text("".join(f"{k} {v!r}\n" for k, v in seed._asdict().items()))
+    script = "import sys\nfrom u2metrics.cli import main\ncode = main(sys.argv[1:])\nprint('numpy' in sys.modules)\nsys.exit(code)"
+    loaded = set()
+    goldens = json.loads(CLI_GOLDENS.read_text())
+    for label, golden in goldens.items():
+        argv = [a.format(**dirs) for a in golden["argv"]]
+        run = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, (label, run.stderr)
+        if run.stdout.splitlines()[-1] == "True":
+            loaded.add(label)
+    assert len(goldens) == 11
+    assert loaded == {"classify-t", "ends", "bt-integrate", "bt-search"}
 
 
 class TestUsageErrors:
