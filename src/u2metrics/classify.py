@@ -136,6 +136,56 @@ def _grid_max(p, grid) -> float:
     return 0.0 if p.is_zero else float(np.max(np.abs(p.eval(np.asarray(grid, dtype=float)))))
 
 
+def _measure(m: MetricSpec, grid, cs) -> dict:
+    """Every residual that reads neither tol nor t, from the curvature sample cs of
+    the grid: predicate → (residual, scale, certificate), the verdict being "yes"
+    iff residual ≤ tol·scale, and "indeterminate" for a scale of None."""
+    import numpy as np
+    lp_poly, lm_poly, ce_poly = m.operator_polys
+    dlogc = cs.C1d / cs.C  # (log C)′ is −1 for J⁺-Kähler and +1 for J⁻
+    ce_res = _grid_max(ce_poly, grid)  # max |L⁺(L⁻F) − 1|, independent of C
+    s_scale = 1.0 + float(np.max(np.abs(cs.s)))
+    s0 = float(np.mean(cs.s))
+    csc_res = float(np.max(np.abs(cs.s - s0)))
+    einstein_res = m.einstein_certificate
+    if einstein_res is None:
+        einstein_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
+    measured = {
+        "kahler_plus": (float(np.max(np.abs(dlogc + 1.0))), 1.0, None),
+        "kahler_minus": (float(np.max(np.abs(dlogc - 1.0))), 1.0, None),
+        "conformally_extremal": (ce_res, 1.0, None),
+        "csc": (csc_res, s_scale, f"s0={s0:.12g}"),
+        "zsc": (max(csc_res, abs(s0)), s_scale, None),
+        "einstein": (einstein_res, 1.0, f"einstein constant s/4 = {s0 / 4.0:.12g}"),
+        # B1 ∝ F·(L⁺L⁻F − 1) and B2 ∝ B(F,F), whose derivative is 2F′(L⁺L⁻F − 1),
+        # so B ≡ 0 iff L⁺L⁻F ≡ 1 and B(F,F) vanishes at z = 0
+        "bach_flat": (max(ce_res, float(abs(m.bach_at_zero))), 1.0, None),
+        "sd": (_grid_max(lm_poly, grid), 1.0, None),  # W⁻ = 0
+        "asd": (_grid_max(lp_poly, grid), 1.0, None),  # W⁺ = 0
+    }
+    # half harmonic: P± constant on the grid (or the Weyl half vanishes)
+    for name, wz_poly, pot in (
+        ("half_harmonic_plus", lp_poly, cs.delW_plus_pot),
+        ("half_harmonic_minus", lm_poly, cs.delW_minus_pot),
+    ):
+        if wz_poly.is_zero:
+            measured[name] = (0.0, 1.0, "weyl-half-zero")
+        else:
+            measured[name] = (float(np.max(pot) - np.min(pot)), float(np.max(np.abs(pot))), None)
+    # hyperKähler shape tests: the first-order system and its mirror
+    f_positive = not np.any(cs.F <= 0.0)
+    for name, orient in (("hyperkahler_Iminus", -1), ("hyperkahler_Iplus", +1)):
+        if not f_positive:
+            measured[name] = (math.inf, None, "F not positive on grid")
+            continue
+        sqrt_f = np.sqrt(cs.F)
+        # I⁻:  F′/(2√F) = √F − 1   and  (log C)′ = −1 + 2/√F ; I⁺ mirrors signs.
+        r1 = cs.F1d / (2.0 * sqrt_f) + orient * (sqrt_f - 1.0)
+        r2 = dlogc - orient * (1.0 - 2.0 / sqrt_f)
+        measured[name] = (float(max(np.max(np.abs(r1)), np.max(np.abs(r2)))), 1.0, None)
+    return measured
+
+
 # --------------------------------------------------------------------- classify
 def classify(
     m: MetricSpec,
@@ -156,12 +206,13 @@ def classify(
     reason names the z). A ``tol`` that is not positive and finite, a non-finite ``t``
     or a ``grid_n`` that ``sample_grid`` refuses raises ValueError.
 
-    The zero test and the one ``curvature_sample(m, grid)`` call run once per
-    (spec, grid_n); what they give is kept on the spec for every later call at
-    any ``t`` or ``tol``.  ``dataclasses.replace`` makes a spec
-    that samples anew.
+    The measurement runs once per (spec, grid_n): the zero test, one
+    ``curvature_sample(m, grid)`` call and every residual but bt_flat's, none
+    of which reads ``tol`` or ``t``.  It is kept on the spec, so a later call
+    at any ``tol`` only decides the verdicts, and one with ``t`` adds the one
+    ``bt_grid_residual`` of the kept sample.  ``dataclasses.replace`` makes a
+    spec that measures anew.
     """
-    import numpy as np
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if t is not None and not math.isfinite(t):
@@ -172,9 +223,8 @@ def classify(
     def put(name, verdict, residual, certificate=None):
         report.entries[name] = PredicateResult(name, verdict, float(residual), certificate)
 
-    # one curvature sample of the whole grid, kept on the spec: every pointwise quantity below reads it
-    cs = m._grid_samples.get(grid_n)
-    if cs is None:
+    kept = m._grid_samples.get(grid_n)
+    if kept is None:
         lo, hi = m.domain.lo, m.domain.hi
         num, den = m.c_ratio
         try:
@@ -184,107 +234,51 @@ def classify(
                     raise ValueError(f"{label} vanishes at z={inside[0]:.6g} inside the domain")
             cs = curvature_sample(m, grid)
         except (ArithmeticError, ValueError) as exc:
-            cs = str(exc)  # not the exception: its traceback would keep this call's frames alive
-        m._grid_samples[grid_n] = cs
-    if isinstance(cs, str):
+            kept = str(exc)  # not the exception: its traceback would keep this call's frames alive
+        else:
+            kept = (cs, _measure(m, grid, cs))
+        m._grid_samples[grid_n] = kept
+    if isinstance(kept, str):
         for name in PREDICATES:
             if name == "bt_flat" and t is None:
                 continue
-            put(name, "indeterminate", math.inf, cs)
+            put(name, "indeterminate", math.inf, kept)
         return report
+    cs, measured = kept
 
-    def verdict_of(residual, scale=1.0):
-        return "yes" if residual <= tol * scale else "no"
+    def put_measured(name) -> bool:
+        residual, scale, certificate = measured[name]
+        verdict = "indeterminate" if scale is None else "yes" if residual <= tol * scale else "no"
+        put(name, verdict, residual, certificate)
+        return verdict == "yes"
 
-    # --- Kähler orientations: (log C)' must equal −1 (J⁺) or +1 (J⁻).
-    dlogc = cs.C1d / cs.C
-    kp_res = float(np.max(np.abs(dlogc + 1.0)))
-    km_res = float(np.max(np.abs(dlogc - 1.0)))
-    put("kahler_plus", verdict_of(kp_res), kp_res)
-    put("kahler_minus", verdict_of(km_res), km_res)
-    kahler = report.verdict("kahler_plus") == "yes" or report.verdict("kahler_minus") == "yes"
-
-    # --- conformally extremal / extremal
-    ce_res = _grid_max(m.operator_polys[2], grid)  # max |L⁺(L⁻F) − 1|, independent of C
-    put("conformally_extremal", verdict_of(ce_res), ce_res)
+    not_kahler_res = min(measured["kahler_plus"][0], measured["kahler_minus"][0])
+    kahler_plus, kahler_minus = put_measured("kahler_plus"), put_measured("kahler_minus")
+    kahler = kahler_plus or kahler_minus
+    extremal = put_measured("conformally_extremal")
     if kahler:
-        put("extremal", verdict_of(ce_res), ce_res)
+        put("extremal", "yes" if extremal else "no", measured["conformally_extremal"][0])
     else:
-        put("extremal", "no", min(kp_res, km_res), "not Kähler for either orientation")
-
-    s_arr = cs.s
-    s_scale = 1.0 + float(np.max(np.abs(s_arr)))
-    s0 = float(np.mean(s_arr))
-    csc_res = float(np.max(np.abs(s_arr - s0)))
-    put("csc", verdict_of(csc_res, s_scale), csc_res, f"s0={s0:.12g}")
-    zsc_res = max(csc_res, abs(s0))
-    put("zsc", verdict_of(zsc_res, s_scale), zsc_res)
-
-    einstein_res = m.einstein_certificate
-    if einstein_res is None:
-        einstein_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
-    einstein_cert = f"einstein constant s/4 = {s0 / 4.0:.12g}"
-    put("einstein", verdict_of(einstein_res), einstein_res, einstein_cert)
-    einstein_yes = report.verdict("einstein") == "yes"
-
-    put(
-        "kahler_einstein",
-        "yes" if (einstein_yes and kahler) else "no",
-        max(einstein_res, 0.0 if kahler else min(kp_res, km_res)),
-    )
-    rf_res = max(einstein_res, zsc_res)
-    put("ricci_flat", "yes" if (einstein_yes and report.verdict("zsc") == "yes") else "no", rf_res)
-
-    # --- Bach flat: B1 ∝ F·(L⁺L⁻F − 1) and B2 ∝ B(F,F), whose derivative is
-    # 2F′(L⁺L⁻F − 1), so B ≡ 0 iff L⁺L⁻F ≡ 1 and B(F,F) vanishes at z = 0
-    bach_res = max(ce_res, float(abs(m.bach_at_zero)))
-    put("bach_flat", verdict_of(bach_res), bach_res)
-
-    # --- half-conformally-flat (sd: W⁻ = 0, asd: W⁺ = 0)
-    lp_poly, lm_poly, _ = m.operator_polys
-    sd_res = _grid_max(lm_poly, grid)
-    asd_res = _grid_max(lp_poly, grid)
-    put("sd", verdict_of(sd_res), sd_res)
-    put("asd", verdict_of(asd_res), asd_res)
-
-    # --- half harmonic: P± constant on the grid (or the Weyl half vanishes)
-    for name, wz_poly, pot in (
-        ("half_harmonic_plus", lp_poly, cs.delW_plus_pot),
-        ("half_harmonic_minus", lm_poly, cs.delW_minus_pot),
-    ):
-        if wz_poly.is_zero:
-            put(name, "yes", 0.0, "weyl-half-zero")
-        else:
-            scale = float(np.max(np.abs(pot)))
-            res = float(np.max(pot) - np.min(pot))
-            put(name, verdict_of(res, scale), res)
-    hh_res = max(report.residual("half_harmonic_plus"), report.residual("half_harmonic_minus"))
-    put(
-        "harmonic",
-        "yes"
-        if report.verdict("half_harmonic_plus") == "yes" and report.verdict("half_harmonic_minus") == "yes"
-        else "no",
-        hh_res,
-    )
-
-    # --- hyperKähler shape tests: the first-order system and its mirror
-    f_positive = not np.any(cs.F <= 0.0)
-    for name, orient in (("hyperkahler_Iminus", -1), ("hyperkahler_Iplus", +1)):
-        if not f_positive:
-            put(name, "indeterminate", math.inf, "F not positive on grid")
-            continue
-        sqrt_f = np.sqrt(cs.F)
-        # I⁻:  F′/(2√F) = √F − 1   and  (log C)′ = −1 + 2/√F ; I⁺ mirrors signs.
-        r1 = cs.F1d / (2.0 * sqrt_f) + orient * (sqrt_f - 1.0)
-        r2 = dlogc - orient * (1.0 - 2.0 / sqrt_f)
-        worst = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-        put(name, verdict_of(worst), worst)
+        put("extremal", "no", not_kahler_res, "not Kähler for either orientation")
+    put_measured("csc")
+    zsc = put_measured("zsc")
+    einstein = put_measured("einstein")
+    einstein_res, zsc_res = measured["einstein"][0], measured["zsc"][0]
+    put("kahler_einstein", "yes" if einstein and kahler else "no", max(einstein_res, 0.0 if kahler else not_kahler_res))
+    put("ricci_flat", "yes" if einstein and zsc else "no", max(einstein_res, zsc_res))
+    for name in ("bach_flat", "sd", "asd"):
+        put_measured(name)
+    hh_plus, hh_minus = put_measured("half_harmonic_plus"), put_measured("half_harmonic_minus")
+    hh_res = max(measured["half_harmonic_plus"][0], measured["half_harmonic_minus"][0])
+    put("harmonic", "yes" if hh_plus and hh_minus else "no", hh_res)
+    put_measured("hyperkahler_Iminus")
+    put_measured("hyperkahler_Iplus")
 
     # --- B^t flatness (delegated residuals), only when t is supplied
     if t is not None:
         try:
             bt_res = bt_grid_residual(cs, t)
-            put("bt_flat", verdict_of(bt_res), bt_res, f"t={t:g}")
+            put("bt_flat", "yes" if bt_res <= tol else "no", bt_res, f"t={t:g}")
         except (ArithmeticError, ValueError) as exc:
             put("bt_flat", "indeterminate", math.inf, str(exc))
 

@@ -29,7 +29,6 @@ __all__ = [
     "l_op_jet",
     "l_compose_jet",
     "b_op_jet",
-    "first_integral_residual",
 ]
 
 
@@ -83,19 +82,4 @@ def l_compose(F: ExpPoly) -> ExpPoly:
 def b_op(F: ExpPoly) -> ExpPoly:
     """B(F,F), the third-order nonlinear first-integral operator, exact."""
     return b_op_jet([F.derive(n) for n in range(4)])
-
-
-# -------------------------------------------------------------- first integral
-def first_integral_residual(F: ExpPoly, grid: Sequence[float]) -> float:
-    """max over grid of |dB/dz − 2F′·(L⁺(L⁻F) − 1)|, computed exactly.
-
-    The difference is expanded as an exponential polynomial, exactly.  It
-    vanishes for every F, not only the canonical family, and with floats read
-    at their binary values, so it is the zero polynomial and 0.0 is returned
-    without evaluation.
-    """
-    diff = b_op(F).derive(1) - 2 * F.derive(1) * (l_compose(F) - 1)
-    if diff.is_zero:
-        return 0.0
-    return max(abs(diff.eval(z)) for z in grid)
 

@@ -267,9 +267,10 @@ class MetricSpec:
 
     @cached_property
     def _grid_samples(self) -> dict:
-        """grid_n → the curvature sample of the spec's grid, or the reason every
-        predicate is indeterminate: filled by ``classify`` (this module cannot
-        import curvature), once per grid_n."""
+        """grid_n → (the curvature sample of the spec's grid, the residuals
+        that read neither tol nor t), or the reason every predicate is
+        indeterminate: filled by ``classify`` (this module cannot import
+        curvature), once per grid_n."""
         return {}
 
     def f_poly(self) -> ExpPoly:

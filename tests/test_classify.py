@@ -613,8 +613,8 @@ class TestWorkPerGridPoint:
 
 
 class TestSampleKeptOnSpec:
-    """The guarded curvature sample is taken once per (spec, grid_n) and read by
-    every later classify call, whatever its t or tol."""
+    """The guarded curvature sample and every residual that reads neither t nor
+    tol are taken once per (spec, grid_n) and read by every later classify call."""
 
     _count = staticmethod(TestWorkPerGridPoint._count)
 
@@ -635,13 +635,37 @@ class TestSampleKeptOnSpec:
         classify(m)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("first", [None, 1.0], ids=["t-none-first", "t-first"])
+    @pytest.mark.parametrize("name", ["page", "modified-taub-nut-2", "taub-bolt"])
+    def test_a_later_call_computes_only_the_bt_residual(self, monkeypatch, name, first):
+        import u2metrics.btflat
+
+        m = catalog_get(name)
+        classify(m, t=first)
+        evals = self._count(monkeypatch, ExpPoly, "eval")
+        bt = self._count(monkeypatch, u2metrics.btflat, "bt_grid_residual")
+        classify(m), classify(m, tol=1e-6), classify(m, tol=1e-12)
+        assert (len(evals), len(bt)) == (0, 0)
+        classify(m, t=1.0)
+        assert (len(evals), len(bt)) == (0, 1)
+        classify(m, t=-1 / 3, tol=1e-6)
+        assert (len(evals), len(bt)) == (0, 2)
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_reports_equal_those_of_a_fresh_spec(self, name):
-        m = catalog_get(name)
-        cases = [(t, run) for t in (None, -1 / 3, 0.0, 1.0, 2.0) for run in (classify, grid_classify)]
-        for _ in range(2):  # each case's first call on m, then its repeat
-            for t, run in cases:
-                assert run(m, t=t) == run(catalog_get(name), t=t)
+        ts = (None, -1 / 3, 0.0, 1.0, 2.0)
+        tols = (1e-9, 1e-6, 1e-12)
+        fresh = {
+            (t, tol, run): repr(run(catalog_get(name), tol=tol, t=t).tree())
+            for t in ts for tol in tols for run in (classify, grid_classify)
+        }
+        for order in (ts, ts[::-1]):  # t = None first, then a t first
+            m = catalog_get(name)
+            for _ in range(2):  # each case's first call on m, then its repeat
+                for t in order:
+                    for tol in tols:
+                        for run in (classify, grid_classify):
+                            assert repr(run(m, tol=tol, t=t).tree()) == fresh[t, tol, run]
 
     @pytest.mark.parametrize("m,sampled", [(SINGULAR[0], 0), (SINGULAR[3], 1)], ids=["F-zero", "sample-raises"])
     def test_indeterminate_reason_is_kept_as_a_string(self, monkeypatch, m, sampled):

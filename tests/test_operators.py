@@ -19,7 +19,6 @@ from u2metrics.exppoly import ExpPoly, ExpPolyError
 from u2metrics.operators import (
     b_op,
     b_op_jet,
-    first_integral_residual,
     l_compose,
     l_compose_jet,
     l_eigenvalues_64,
@@ -77,7 +76,7 @@ class TestCanonicalIdentities:
 
     def test_first_integral_exact_zero_on_canonical(self):
         F = canonical(Fraction(1, 3), -2, Fraction(5, 7), 4)
-        assert first_integral_residual(F, [0.0]) == 0.0
+        assert (b_op(F).derive(1) - 2 * F.derive(1) * (l_compose(F) - 1)).is_zero
 
     def test_first_integral_exact_zero_off_canonical(self):
         # dB/dz = 2F′(L⁺L⁻F − 1) holds for every F: each exact F, here with one
@@ -88,7 +87,7 @@ class TestCanonicalIdentities:
             terms = [(rng.choice(exponents), Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(4)]
             F = ExpPoly(terms + [(Fraction(2 * rng.randint(-4, 3) + 1, 2), Fraction(rng.randint(1, 9), 7))])
             assert canonical_coefficients(F) is None
-            assert first_integral_residual(F, [-1.0, 0.0, 1.0]) == 0.0
+            assert (b_op(F).derive(1) - 2 * F.derive(1) * (l_compose(F) - 1)).is_zero
 
 
 _coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=6)
