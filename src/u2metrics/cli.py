@@ -107,7 +107,7 @@ def _load_metric(path: str):
 
 
 def _load_state(path: str) -> BtState:
-    values = {}
+    values, first = {}, {}  # first: the line that gave each key
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,6 +115,10 @@ def _load_state(path: str) -> BtState:
         toks = line.split()
         if len(toks) != 2:
             raise MetricFileError(lineno, f"state file needs 'key value' lines, got {raw!r}")
+        if toks[0] not in ("z",) + STATE_FIELDS:
+            raise MetricFileError(lineno, f"unknown state field {toks[0]!r}")
+        if first.setdefault(toks[0], lineno) != lineno:
+            raise MetricFileError(lineno, f"second {toks[0]} line (first on line {first[toks[0]]})")
         try:
             value = float(toks[1])
         except ValueError:

@@ -245,19 +245,6 @@ class ExpPoly:
             return self
         return ExpPoly._keyed([(k, c * k**order) for k, c in self._terms.items()], self._den << order)
 
-    def _termwise(self, eigenvalues, scale: int) -> tuple:
-        """The ExpPolys Σ c·vᵢ/scale·e^{kz} of linear forms that act on each term c·e^{kz}
-        alone, with the int vᵢ = eigenvalues(2k)[i]."""
-        rows = [[] for _ in eigenvalues(0)]  # one per form, also for the zero polynomial
-        for k, c in self._terms.items():
-            for row, v in zip(rows, eigenvalues(k)):
-                row.append((k, c * v))
-        return tuple(ExpPoly._keyed(row, self._den * scale) for row in rows)
-
-    def _at_zero(self, n: int) -> Fraction:
-        """derive(n) at z = 0: Σ c·kⁿ, one Fraction."""
-        return Fraction(sum(c * k**n for k, c in self._terms.items()), self._den << n)
-
     # ------------------------------------------------------------ evaluation
     def _rows(self, order: int) -> tuple:
         """(keys 2k, float exponents, coefficient rows 0..≥order).
@@ -382,15 +369,8 @@ class ExpPoly:
         return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
-        if not self._terms:
-            return "ExpPoly(0)"
-        parts = []
-        for k, c in self.terms():
-            if k == 0:
-                parts.append(f"{c}")
-            else:
-                parts.append(f"{c}*e^({k}z)")
-        return "ExpPoly(" + " + ".join(parts) + ")"
+        parts = [f"{c}" if k == 0 else f"{c}*e^({k}z)" for k, c in self.terms()]
+        return "ExpPoly(" + (" + ".join(parts) or "0") + ")"
 
 
 # ---------------------------------------------------------------- exact zeros

@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from .exppoly import ExpPoly, _as_coefficient, _quotient
 from .numerics import at_first, is_array
-from .operators import b_op_jet, l_eigenvalues_64
+from .operators import _form_items, b_op_jet, l_compose, l_op
 
 __all__ = [
     "Domain",
@@ -116,12 +116,8 @@ def canonical_coefficients(poly: ExpPoly) -> Optional[tuple]:
         return None
     if poly.coefficient(0) != 1:
         return None
-    return (
-        2 * poly.coefficient(-2),
-        poly.coefficient(-1),
-        poly.coefficient(1),
-        2 * poly.coefficient(2),
-    )
+    c = poly.coefficient
+    return 2 * c(-2), c(-1), c(1), 2 * c(2)
 
 
 # --------------------------------------------------------------------- C side
@@ -254,16 +250,17 @@ class MetricSpec:
     @cached_property
     def operator_polys(self) -> tuple:
         """(L⁺F − 1, L⁻F − 1, L⁺(L⁻F) − 1), exact, built once per spec: the
-        Weyl halves' factor and the conformal-extremality residual.  The operators
-        act on each term c·e^{kz} alone and fix 1, so they are applied to F − 1 term
-        by term, as their eigenvalues; a float c is read at its binary value."""
-        return (self.f_poly() - 1)._termwise(l_eigenvalues_64, 64)
+        Weyl halves' factor and the conformal-extremality residual.  The
+        operators are linear and fix 1, so they are applied to F − 1."""
+        G = self.f_poly() - 1
+        return l_op(1, G), l_op(-1, G), l_compose(G)
 
     @cached_property
     def bach_at_zero(self):
-        """B(F,F) at z = 0, an exact Fraction, built once per spec: there the
-        nth derivative of F is the sum of its coefficients times kⁿ."""
-        return b_op_jet([self.f_poly()._at_zero(n) for n in range(4)])
+        """B(F,F) at z = 0, an exact Fraction, built once per spec: there every
+        e^{kz} is 1, so it is the sum of B's int items over their denominator."""
+        items, den = _form_items(self.f_poly(), b_op_jet)
+        return Fraction(sum(c for _, c in items), den)
 
     @cached_property
     def _grid_samples(self) -> dict:

@@ -409,6 +409,20 @@ class TestBtCommands:
         assert main(["bt", "integrate", "--t", "1", "--init", str(state), "--span", "0:0.4"]) == 2
         assert f"parse error: line 2: F must be finite, got '{value}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("F 9\n", "parse error: line 10: second F line (first on line 2)"),
+            ("bogus 7\n", "parse error: line 10: unknown state field 'bogus'"),
+        ],
+    )
+    def test_repeated_or_unknown_state_key_exits_2_on_its_line(self, tmp_path, capsys, extra, message):
+        # before: the last F won and an unknown key was ignored, and the run exited 0
+        state = tmp_path / "seed.txt"
+        state.write_text("z 0.0\nF 1.5\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n" + extra)
+        assert main(["bt", "integrate", "--t", "1", "--init", str(state), "--span", "0:0.4"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_state_key_exits_2(self, tmp_path, capsys):
         state = tmp_path / "seed.txt"
         state.write_text("z 0.0\nF 1.3\n")

@@ -673,15 +673,16 @@ _EXACT_F = ("flat", "taub-nut", "modified-taub-nut-1", "modified-taub-nut-2", "s
 
 
 def test_the_exact_cold_fill_builds_no_fraction_per_term():
-    # no Fraction in operator_polys (its eigenvalues are cached per exponent) or real_roots, and in
-    # bach_at_zero only B's arithmetic on the four values F⁽ⁿ⁾(0), whatever F's number of terms
+    # no Fraction in operator_polys (each form's polarisation is cached, and its items on F's terms
+    # are ints) or real_roots, and in bach_at_zero only the one Fraction of B's int items over their
+    # denominator, whatever F's number of terms
     from dataclasses import replace
 
     from u2metrics.catalog import catalog_names
 
     assert set(_EXACT_F) == {n for n in catalog_names() if catalog_get(n).F.is_exact}
-    for name in _EXACT_F:  # every exponent's eigenvalues, once
-        catalog_get(name).operator_polys
+    for name in _EXACT_F:  # every form's polarisation, once
+        catalog_get(name).operator_polys, catalog_get(name).bach_at_zero
     specs = [catalog_get(name) for name in _EXACT_F]
     specs = [replace(m, F=ExpPoly(m.F.terms())) for m in specs]  # fresh F: no cached zeros
     sizes = [len(m.F.terms()) for m in specs]

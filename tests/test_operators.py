@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from u2metrics import operators
@@ -21,7 +21,6 @@ from u2metrics.operators import (
     b_op_jet,
     l_compose,
     l_compose_jet,
-    l_eigenvalues_64,
     l_op,
     l_op_jet,
 )
@@ -134,6 +133,20 @@ class TestOneImplementation:
             ops = [ast.unparse(n) for n in ast.walk(functions[name]) if isinstance(n, ast.BinOp)]
             assert ops == [], (name, ops)
 
+    def test_exact_forms_build_one_exppoly_and_derive_nothing(self, monkeypatch):
+        # every ExpPoly arithmetic result and derivative is built by _keyed; the exact forms build
+        # only their result, from the polarised items
+        source = inspect.getsource(operators)
+        assert "derive" not in source
+        keyed = ExpPoly.__dict__["_keyed"].__func__
+        built = []
+        monkeypatch.setattr(ExpPoly, "_keyed", staticmethod(lambda *args: built.append(1) or keyed(*args)))
+        F = ExpPoly([(0, 1), (3, Fraction(1, 5)), (Fraction(-1, 2), 0.1)])
+        for op in (lambda F: l_op(1, F), lambda F: l_op(-1, F), l_compose, b_op):
+            built.clear()
+            op(F)
+            assert len(built) == 1
+
     def test_jet_forms_have_no_float_literal(self):
         # a float literal would turn an exact ExpPoly coefficient into a float
         functions = self._functions()
@@ -222,11 +235,14 @@ def test_pins_cover_the_catalog():
     assert [p["name"] for p in PINS["specs"]] == list(catalog_names())
 
 
-# ------------------------------------------------ operator_polys, term by term
+# ------------------------------------------- the exact forms on single terms
 @pytest.mark.parametrize("K", range(-12, 13))
 def test_eigenvalues_are_the_closed_forms(K):
-    # 64·(k∓1)(k∓2)/2 and 64·(k−1)(k−2)(k+1)(k+2)/4 with k = K/2
-    assert l_eigenvalues_64(K) == (8 * (K - 2) * (K - 4), 8 * (K + 2) * (K + 4), (K * K - 4) * (K * K - 16))
+    # (k∓1)(k∓2)/2 and (k−1)(k−2)(k+1)(k+2)/4 with k = K/2, on the exact term e^{kz}
+    p = ExpPoly.exp_term(Fraction(K, 2))
+    assert l_op(1, p) == p * Fraction((K - 2) * (K - 4), 8)
+    assert l_op(-1, p) == p * Fraction((K + 2) * (K + 4), 8)
+    assert l_compose(p) == p * Fraction((K * K - 4) * (K * K - 16), 64)
 
 
 _SPEC_COEFFS = st.one_of(
@@ -238,20 +254,51 @@ _SPEC_COEFFS = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-8, 8), _SPEC_COEFFS), min_size=1, max_size=6))
+@example([(0, 1e300)])  # B's items at key 0 sum past float range: bach_at_zero must stay a Fraction
 def test_spec_fills_are_the_jet_forms_bit_for_bit(terms):
-    # operator_polys works term by term and bach_at_zero sums c·kⁿ over one denominator; both
-    # are exact and must equal the jet forms on F's derivatives and on the Fraction sums of F's
-    # coefficients at their binary values
+    # the fills sum the polarised forms' items; the reference applies the jet forms to F's
+    # derivatives as ExpPolys, and sums c·kⁿ over F's coefficients at their binary values
     F = ExpPoly([(Fraction(k, 2), c) for k, c in terms])
     if F.is_zero:
         return
     m = MetricSpec("x", F, ExpFactor(1.0, 1), Domain(-1.0, 1.0))
     assert all(p.is_exact for p in m.operator_polys)
+    jet = [F.derive(n) for n in range(5)]
     try:
-        want = (l_op(1, F) - 1, l_op(-1, F) - 1, l_compose(F) - 1)
-    except ExpPolyError as exc:  # a jet form's partial sum past float range, which the term-by-term fill never forms
+        want = (l_op_jet(1, jet[:3]) - 1, l_op_jet(-1, jet[:3]) - 1, l_compose_jet(jet) - 1)
+    except ExpPolyError as exc:  # a jet form's partial sum past float range, which the fills never form
         assert str(exc).endswith("sums past float range")
     else:
         assert m.operator_polys == want
+    try:
+        want = b_op_jet(jet[:4])
+    except ExpPolyError as exc:
+        assert str(exc).endswith("sums past float range")
+    else:
+        assert b_op(F) == want
     ref = b_op_jet([sum((Fraction(c) * k**n for k, c in F.terms()), Fraction(0)) for n in range(4)])
     assert type(m.bach_at_zero) is Fraction and m.bach_at_zero == ref
+
+
+_FORMS = [(l_op_jet, (1,)), (l_op_jet, (-1,)), (l_compose_jet, ()), (b_op_jet, ())]
+
+
+@pytest.mark.parametrize("form, args", _FORMS, ids=["plus", "minus", "compose", "b"])
+def test_polarised_parts_are_the_form_exactly(form, args):
+    # the float polarisation on unit jets is exact: the parts rebuild the form on exact jets
+    den, a, lin, quad = operators._polarised(form, *args)
+    rng = random.Random(5)
+    for _ in range(20):
+        u = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(5)]
+        value = a + sum(v * x for v, x in zip(lin, u)) + sum(v * u[m] * u[n] for m, n, v in quad)
+        assert Fraction(value, den) == form(*args, u)
+    assert bool(quad) == (form is b_op_jet)
+
+
+def test_each_form_is_polarised_once():
+    operators._polarised.cache_clear()
+    F, G = ExpPoly([(2, Fraction(1, 3)), (-1, 5), (Fraction(1, 2), 0.25)]), ExpPoly([(3, 1), (0, -2)])
+    assert b_op(F) == b_op_jet([F.derive(n) for n in range(4)])
+    assert b_op(G) == b_op_jet([G.derive(n) for n in range(4)])
+    info = operators._polarised.cache_info()
+    assert (info.misses, info.hits) == (1, 1) and info.maxsize is not None
