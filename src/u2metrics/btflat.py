@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .curvature import CurvatureSample, _checked, _scalar_from_jets, _scalar_prime_from_jets
-from .numerics import at_first, is_array
+from .numerics import UniformStream, at_first, is_array
 from .operators import b_op_jet, l_compose_jet
 from .profiles import MetricSpec, jet_C, jet_F
 
@@ -210,7 +210,7 @@ def _derivative(state: Sequence[float], t: float) -> list:
 
 
 def bt_rhs(state: Sequence[float], t: float) -> tuple:
-    """The kernel ``_derivative`` for external callers: its list as a float64 array, and F⁗, C″."""
+    """The kernel ``_derivative`` as a float64 array, with F⁗ and C″, for callers other than the stepper."""
     import numpy as np
     d = _derivative(state, t)
     return np.array(d, np.float64), d[3], d[5]
@@ -249,8 +249,8 @@ def bt_integrate(
     flagged, with the partial samples returned.  The pair is
     first-same-as-last: the seventh stage is evaluated at (z + h, y5), so on
     acceptance it is the next step's first stage, and a step costs six calls
-    of the float kernel ``_derivative`` (``init``'s derivative is the one
-    ``bt_rhs`` call).  K is carried, never integrated, so it keeps its
+    of the float kernel ``_derivative``, with one more for ``init``'s
+    derivative (never ``bt_rhs``).  K is carried, never integrated, so it keeps its
     initial value (a −0.0 turns 0.0 on a forward step); the drift of the
     first integral T is in ``max_T_drift``.
 
@@ -284,13 +284,12 @@ def bt_integrate(
     z = a
     state = BtState(z, *map(float, init[1:]))  # init's own z is superseded by the span start
     try:
-        deriv, F4d, C2d = bt_rhs(state, t)
+        p0, p1, p2, p3, p4, p5, p6, _ = _derivative(state, t)  # k0, the derivative at (z, F, …, s, K)
     except SingularSystemError as exc:
         return traj.truncate(str(exc))
     T0 = tval(state, t)
-    traj.samples.append(BtSample(state, F4d, C2d, T0))
+    traj.samples.append(BtSample(state, p3, p5, T0))
     F, F1, F2, F3, C, C1, s, K = state[1:]
-    p0, p1, p2, p3, p4, p5, p6, _ = deriv.tolist()  # k0, the derivative at (z, F, …, s, K)
 
     h = direction * min(0.01, abs(b - a))
     min_h = 1e-14 * max(1.0, abs(b - a))
@@ -434,7 +433,9 @@ def bt_nonextremal_search(
     """Search random CSC (s ≠ 0) seeds for a non-conformally-extremal witness.
 
     Seed distributions: F, F′, F″ uniform in [−2, 2]; C uniform in [0.2, 3];
-    C′ uniform in [−1, 1]; s uniform in [−1, 1].  Each seed is integrated
+    C′ uniform in [−1, 1]; s uniform in [−1, 1], drawn in turn from ``UniformStream(seed)``,
+    numpy's ``default_rng(seed).uniform`` without numpy (a ``seed`` that is not a non-negative
+    int raises ValueError).  Each seed is integrated
     over z ∈ [0, 0.8] at ``bt_integrate``'s default tol.  Returns the
     trajectory with the largest extremality residual among trials whose
     conservation drift |T − T₀| stays within ``drift_cap``.  A trial is
@@ -449,12 +450,11 @@ def bt_nonextremal_search(
         raise ValueError(f"drift_cap must be non-negative and finite, got {drift_cap!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = UniformStream(seed)
     best, best_res = None, -1.0
     failures = []
     for trial in range(trials):
-        F, F1d, F2d = rng.uniform(-2.0, 2.0, size=3).tolist()  # floats, as the other draws are
+        F, F1d, F2d = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
         C, C1d, s = rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         if abs(F) < 0.2 or abs(s) < 0.05:
             continue  # skip near-singular / near-ZSC draws

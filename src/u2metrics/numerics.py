@@ -5,6 +5,7 @@ nodes, never evaluated at the ends.  The rest of the package builds on it and
 keeps one rule for numpy: a function that makes an array imports numpy itself,
 and one that takes a float or an array tests it with :func:`is_array`, which
 never imports numpy, and reads the first failing point with :func:`at_first`.
+:class:`UniformStream` is numpy's ``default_rng(seed).uniform`` in stdlib ints.
 
 ``adaptive_simpson`` (an alias of ``adaptive_quad``), the truncated
 Taylor-series helpers ``series_mul``, ``series_div`` and ``series_pow``, and
@@ -19,10 +20,12 @@ from __future__ import annotations
 import math
 import sys
 from functools import cache
+from itertools import permutations, product
 
 __all__ = [
     "QuadratureError",
     "BracketError",
+    "UniformStream",
     "adaptive_quad",
     "at_first",
     "is_array",
@@ -88,6 +91,48 @@ def at_first(bad, *values):
         return None
     i = bad.argmax()  # the first true entry
     return tuple(v[i].item() for v in values)
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+class UniformStream:
+    """numpy's ``default_rng(seed).uniform``, bit for bit, on ints: ``SeedSequence(seed)``
+    seeds PCG64 (O'Neill 2014: a 128-bit LCG read through XSL-RR), and ``uniform(lo, hi)``
+    is lo + (hi − lo)·((x >> 11)·2⁻⁵³) of its next output x (numpy's ``size=n`` is n of
+    these in turn).  A ``seed`` that is not a non-negative int raises ValueError."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        if not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+        words = [seed >> i & _M32 for i in range(0, max(seed.bit_length(), 1), 32)]
+        h = 0x43B0D7E5
+        def hashmix(v, mult=0x931E8875):
+            nonlocal h
+            v, h = v ^ h, h * mult & _M32
+            v = v * h & _M32
+            return v ^ v >> 16
+        def mix(dst, v):  # pool[dst] mixed with hashmix(v)
+            r = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(v)) & _M32
+            pool[dst] = r ^ r >> 16
+
+        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]  # a pool of four words
+        for src, dst in permutations(range(4), 2):
+            mix(dst, pool[src])
+        for word, dst in product(words[4:], range(4)):  # the words past the pool's four
+            mix(dst, word)
+        h = 0x8B51F9DD  # generate_state(4, uint64): eight 32-bit words, low word first
+        out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+        w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+        self._inc = (w[2] << 64 | w[3]) << 1 & _M128 | 1
+        self._state = ((self._inc + (w[0] << 64 | w[1])) * self._MULT + self._inc) & _M128
+
+    def uniform(self, lo: float, hi: float) -> float:
+        self._state = s = (self._state * self._MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return lo + (hi - lo) * ((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> float:

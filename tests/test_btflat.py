@@ -381,6 +381,12 @@ class TestSearch:
         }
         assert got == self.PINS[key]
 
+    @pytest.mark.parametrize("seed", [None, 1.0, -1], ids=["none", "float", "negative"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        # before: None drew OS entropy, and -1 raised numpy's bare "expected non-negative integer"
+        with pytest.raises(ValueError, match=f"seed must be a non-negative int, got {seed!r}"):
+            bt_nonextremal_search(1.0, 4, seed=seed)
+
     def test_deterministic_for_fixed_seed(self):
         _, r1 = bt_nonextremal_search(1.0, trials=6, seed=3)
         _, r2 = bt_nonextremal_search(1.0, trials=6, seed=3)
@@ -846,7 +852,7 @@ class TestBitIdentity:
 class TestWork:
     def _counting(self, monkeypatch, name):
         """Count calls of ``btflat.<name>``: the kernel ``_derivative`` the
-        stepper steps with, or its array wrapper ``bt_rhs``."""
+        stepper steps with, or its array wrapper ``bt_rhs``, which it never calls."""
         calls = {"n": 0, "raised": 0}
         real = getattr(btflat, name)
 
@@ -884,7 +890,7 @@ class TestWork:
         traj = bt_integrate(init, t, span, tol=tol)
         assert kernel["raised"] == 0 and traj.steps_accepted > 0
         assert kernel["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
-        assert wrapper["n"] == 1 and arrays["n"] == 1  # init's derivative, the only array built
+        assert wrapper["n"] == 0 and arrays["n"] == 0  # init's derivative is a kernel call too
 
     def test_six_rhs_calls_per_attempt_with_rejections(self, monkeypatch):
         kernel = self._counting(monkeypatch, "_derivative")
@@ -894,7 +900,7 @@ class TestWork:
         for init in _search_seeds(1.0, 32, 1):
             kernel["n"] = kernel["raised"] = wrapper["n"] = arrays["n"] = 0
             traj = bt_integrate(init, 1.0, (0.0, 0.8))
-            assert wrapper["n"] == 1 and arrays["n"] == 1
+            assert wrapper["n"] == 0 and arrays["n"] == 0
             if kernel["raised"]:
                 continue  # a stage that raised stops its attempt early
             assert kernel["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)

@@ -34,6 +34,12 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     assert cli.main(["catalog", "emit", "modified-taub-nut-2", "--out", path]) == 0
     assert cli.main(["transform", path]) == 0
     assert cli.main(["roots", "page"]) == 0
+    seed = os.path.join(tmp, "seed.txt")
+    with open(seed, "w") as handle:
+        handle.write("z 0.0\\nF 1.5\\nF1d 0.3\\nF2d -0.2\\nF3d 0.1\\nC 1.2\\nC1d 0.1\\ns 0.5\\nK 0.0\\n")
+    assert cli.main(["bt", "integrate", "--t", "1", "--init", seed, "--span", "0:0.8",
+                     "--out", os.path.join(tmp, "traj.tsv")]) == 0
+    assert cli.main(["bt", "search", "--t", "1", "--trials", "4"]) == 0
 for name in catalog_names():
     parse_metric(emit_metric(catalog_get(name)))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
@@ -452,9 +458,8 @@ def test_commands_that_make_no_array_leave_numpy_unloaded():
 
 def test_numpy_loads_only_for_the_readme_commands_that_make_an_array(tmp_path):
     # one fresh process per README command, as the benchmark runs them: the
-    # curvature and bt residuals grids are sampled on floats, and numpy loads
-    # only for classify's grid sample, the quadrature levels of ends, bt_rhs's
-    # array in bt integrate and the generator of bt search
+    # curvature and bt residuals grids and the B^t flow are run on floats, and
+    # numpy loads only for classify's grid sample and the quadrature levels of ends
     env = _subprocess_env()
     dirs = {"in": tmp_path, "out": tmp_path}
     _write_metric(tmp_path, "taub-nut", {"m": 2.0}, fname="tn.txt")
@@ -471,7 +476,7 @@ def test_numpy_loads_only_for_the_readme_commands_that_make_an_array(tmp_path):
         if run.stdout.splitlines()[-1] == "True":
             loaded.add(label)
     assert len(goldens) == 11
-    assert loaded == {"classify-t", "ends", "bt-integrate", "bt-search"}
+    assert loaded == {"classify-t", "ends"}
 
 
 class TestUsageErrors:

@@ -14,6 +14,7 @@ from u2metrics.exppoly import ExpPoly
 from u2metrics.numerics import (
     BracketError,
     QuadratureError,
+    UniformStream,
     adaptive_quad,
     is_array,
     safeguarded_newton,
@@ -298,6 +299,32 @@ class TestAgainstRecursion:
 )
 def test_is_array(z, want):
     assert is_array(z) is want
+
+
+class TestUniformStream:
+    """The search's seed stream against its oracle, ``np.random.default_rng(seed).uniform``."""
+
+    RANGES = ((-2.0, 2.0), (0.2, 3.0), (-1.0, 1.0))  # bt_nonextremal_search's three
+    # 2**200 has seven 32-bit words, past SeedSequence's pool of four
+    SEEDS = [*range(256), 2**32, 2**64 + 3, 2**200]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_64_draws_match_numpy(self, seed):
+        rng, stream = np.random.default_rng(seed), UniformStream(seed)
+        for i in range(64):
+            lo, hi = self.RANGES[i % 3]
+            assert stream.uniform(lo, hi).hex() == rng.uniform(lo, hi).hex(), (seed, i)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 2**200])
+    def test_a_size_3_call_is_three_scalar_draws(self, seed):
+        rng, stream = np.random.default_rng(seed), UniformStream(seed)
+        for lo, hi in self.RANGES:
+            assert [stream.uniform(lo, hi) for _ in range(3)] == rng.uniform(lo, hi, size=3).tolist()
+
+    @pytest.mark.parametrize("seed", [None, 1.0, -1, "3"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative int, got {seed!r}"):
+            UniformStream(seed)
 
 
 class TestSafeguardedNewton:
