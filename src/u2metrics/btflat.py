@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .curvature import CurvatureSample, _checked, _scalar_from_jets, _scalar_prime_from_jets
 from .numerics import UniformStream, at_first, is_array
 from .operators import b_op_jet, l_compose_jet
-from .profiles import MetricSpec, jet_C, jet_F
+from .profiles import MetricSpec, _Record, jet_C, jet_F
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,15 +92,16 @@ class BtSample(NamedTuple):
     Tval: float
 
 
-@dataclass
-class BtTrajectory:
-    t: float
-    samples: list = field(default_factory=list)
-    max_T_drift: float = 0.0
-    steps_accepted: int = 0
-    steps_rejected: int = 0
-    truncated: bool = False
-    truncation_reason: Optional[str] = None
+class BtTrajectory(_Record):
+    """A B^t flow's samples, its largest drift of T from its start, its step counts and why it stopped, if early."""
+
+    __hash__, __setattr__, __delattr__ = None, object.__setattr__, object.__delattr__
+
+    def __init__(self, t: float, samples: Optional[list] = None, max_T_drift: float = 0.0, steps_accepted: int = 0,
+                 steps_rejected: int = 0, truncated: bool = False, truncation_reason: Optional[str] = None):
+        self.t, self.samples, self.max_T_drift = t, [] if samples is None else samples, max_T_drift
+        self.steps_accepted, self.steps_rejected = steps_accepted, steps_rejected
+        self.truncated, self.truncation_reason = truncated, truncation_reason
 
     def truncate(self, reason: str) -> "BtTrajectory":
         self.truncated, self.truncation_reason = True, reason

@@ -12,13 +12,12 @@ parameters and gives a builder that returns ``(F, C, domain)``; the entry's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
 from .exppoly import ExpPoly, _positive_roots
-from .profiles import Domain, EinsteinFactor, ExpFactor, MetricSpec, canonical
+from .profiles import Domain, EinsteinFactor, ExpFactor, MetricSpec, _Record, canonical
 
 __all__ = [
     "CatalogError",
@@ -40,23 +39,18 @@ class CatalogError(ValueError):
     that give no valid spec (a non-finite coefficient, say)."""
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(_Record):
     """One parameter; an integer default makes it an integer parameter."""
 
-    name: str
-    default: float
-    constraint: str
-    check: Callable[[float], bool]
+    def __init__(self, name: str, default: float, constraint: str, check: Callable[[float], bool]):
+        self.__dict__.update(name=name, default=default, constraint=constraint, check=check)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    params: tuple
-    builder: Callable[..., tuple]
-    expected_tags: tuple
-    manifold: str
+class CatalogEntry(_Record):
+    """A catalog family: its parameters, the builder of its (F, C, domain), its expected tags and its manifold."""
+
+    def __init__(self, name: str, params: tuple, builder: Callable[..., tuple], expected_tags: tuple, manifold: str):
+        self.__dict__.update(name=name, params=params, builder=builder, expected_tags=expected_tags, manifold=manifold)
 
     def build(self, **overrides) -> MetricSpec:
         """The spec ``name(p=v,...)`` (bare ``name`` without parameters):

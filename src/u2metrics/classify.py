@@ -9,13 +9,12 @@ which.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from .btflat import bt_grid_residual
 from .curvature import curvature_sample
-from .profiles import Domain, MetricSpec
+from .profiles import Domain, MetricSpec, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,20 +49,22 @@ PREDICATES = (
 )
 
 
-@dataclass(frozen=True)
-class PredicateResult:
-    name: str
-    verdict: str  # "yes" | "no" | "indeterminate"
-    residual: float
-    certificate: Optional[str] = None
+class PredicateResult(_Record):
+    """One predicate's verdict ("yes", "no" or "indeterminate"), its residual and the certificate that decided it."""
+
+    def __init__(self, name: str, verdict: str, residual: float, certificate: Optional[str] = None):
+        self.__dict__.update(name=name, verdict=verdict, residual=residual, certificate=certificate)
 
 
-@dataclass
-class ClassificationReport:
-    metric_name: str
-    tol: float
-    grid_n: int  # the grid_n requested of sample_grid, not the count of points it gave
-    entries: dict = field(default_factory=dict)
+class ClassificationReport(_Record):
+    """A metric's predicate results by name, at tol and the grid_n requested of
+    ``sample_grid`` (not the count of points it gave)."""
+
+    __hash__, __setattr__, __delattr__ = None, object.__setattr__, object.__delattr__
+
+    def __init__(self, metric_name: str, tol: float, grid_n: int, entries: Optional[dict] = None):
+        self.metric_name, self.tol, self.grid_n = metric_name, tol, grid_n
+        self.entries = {} if entries is None else entries
 
     def verdict(self, name: str) -> str:
         return self.entries[name].verdict
@@ -210,8 +211,8 @@ def classify(
     ``curvature_sample(m, grid)`` call and every residual but bt_flat's, none
     of which reads ``tol`` or ``t``.  It is kept on the spec, so a later call
     at any ``tol`` only decides the verdicts, and one with ``t`` adds the one
-    ``bt_grid_residual`` of the kept sample.  ``dataclasses.replace`` makes a
-    spec that measures anew.
+    ``bt_grid_residual`` of the kept sample.  A new
+    ``MetricSpec(m.name, m.F, m.C, m.domain)`` measures anew.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from .numerics import adaptive_quad, at_first, is_array
 from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet
-from .profiles import MetricSpec, _check_domain, _kahler_sign, jet_C, jet_F
+from .profiles import MetricSpec, _check_domain, _kahler_sign, _Record, jet_C, jet_F
 
 __all__ = [
     "CurvatureSample",
@@ -42,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(_Record):
     """Every curvature scalar/component of a metric at one z.
 
     ``F`` … ``F4d`` and ``C`` … ``C2d`` are the jets of F and C at z that the
@@ -54,27 +52,13 @@ class CurvatureSample:
     on a Kähler metric.  For an array z every field is an array over z.
     """
 
-    z: float
-    s: float
-    ric0_a: float
-    ric0_b: float
-    w_plus: float
-    w_minus: float
-    w_plus_norm2: float
-    w_minus_norm2: float
-    delW_plus_pot: float
-    delW_minus_pot: float
-    bach_B1: float
-    bach_B2: float
-    F: float
-    F1d: float
-    F2d: float
-    F3d: float
-    F4d: float
-    C: float
-    C1d: float
-    C2d: float
-    s1d: float
+    def __init__(self, z, s, ric0_a, ric0_b, w_plus, w_minus, w_plus_norm2, w_minus_norm2, delW_plus_pot,
+                 delW_minus_pot, bach_B1, bach_B2, F, F1d, F2d, F3d, F4d, C, C1d, C2d, s1d):
+        self.__dict__.update(
+            z=z, s=s, ric0_a=ric0_a, ric0_b=ric0_b, w_plus=w_plus, w_minus=w_minus, w_plus_norm2=w_plus_norm2,
+            w_minus_norm2=w_minus_norm2, delW_plus_pot=delW_plus_pot, delW_minus_pot=delW_minus_pot,
+            bach_B1=bach_B1, bach_B2=bach_B2, F=F, F1d=F1d, F2d=F2d, F3d=F3d, F4d=F4d, C=C, C1d=C1d, C2d=C2d, s1d=s1d,
+        )
 
 
 def _scalar_from_jets(fj, g):

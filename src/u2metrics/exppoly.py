@@ -94,8 +94,11 @@ class ExpPoly:
     """A finite sum  Σ aₖ·e^(k·z)  with half-integer exponents k.
 
     Built from (exponent, coefficient) pairs, as every arithmetic result is:
-    equal exponents combine in order, each sum must have a float value, and
-    no stored coefficient is zero, so the zero polynomial has no terms.
+    equal exponents combine in order, and no stored coefficient is zero, so
+    the zero polynomial has no terms.  Where two terms meet, their sum must
+    have a float value (else ExpPolyError); a lone coefficient or a product
+    past float range is kept exact, and ``eval`` and ``jet`` raise
+    EvalOverflowError on it.
     """
 
     __slots__ = ("_terms", "_den", "_floats", "_compiled", "_zeros")

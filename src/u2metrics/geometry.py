@@ -4,7 +4,6 @@ the ambiKähler transform, and transcription of classic r-coordinate metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -19,6 +18,7 @@ from .profiles import (
     SingularConformalFactorError,
     _check_domain,
     _kahler_sign,
+    _Record,
     canonical,
     conformal_value,
 )
@@ -45,27 +45,28 @@ class RankDeficientError(ValueError):
     """Least-squares design matrix is rank deficient (degenerate z-spacing)."""
 
 
-@dataclass(frozen=True)
-class Bolt:
-    z0: float
-    slope: float
-    smooth_quotient: bool
-    degenerate: bool = False
+class Bolt(_Record):
+    """A zero z0 of F on the domain, its slope F′(z0), whether it is a smooth bolt and whether it is a multiple zero."""
+
+    def __init__(self, z0: float, slope: float, smooth_quotient: bool, degenerate: bool = False):
+        self.__dict__.update(z0=z0, slope=slope, smooth_quotient=smooth_quotient, degenerate=degenerate)
 
     @property
     def self_intersection(self) -> Optional[int]:
         return _integer_slope(self.slope) if self.smooth_quotient else None
 
 
-@dataclass(frozen=True)
-class EndReport:
-    side: str  # "lower" | "upper"
-    kind: str  # nut | bolt | ALE | ALF | cusp | asymptotically_einstein |
-    #            curvature_singularity | conical | undetermined
-    complete: bool
-    self_intersection: Optional[int] = None
-    cone_angle: Optional[float] = None
-    diagnostics: dict = field(default_factory=dict)
+class EndReport(_Record):
+    """One end of the domain: its side ("lower" or "upper"), its kind (nut, bolt, ALE, ALF, cusp,
+    asymptotically_einstein, curvature_singularity, conical or undetermined) and whether the metric
+    is complete there."""
+
+    def __init__(self, side: str, kind: str, complete: bool, self_intersection: Optional[int] = None,
+                 cone_angle: Optional[float] = None, diagnostics: Optional[dict] = None):
+        self.__dict__.update(
+            side=side, kind=kind, complete=complete, self_intersection=self_intersection, cone_angle=cone_angle,
+            diagnostics={} if diagnostics is None else diagnostics,
+        )
 
 
 # ---------------------------------------------------------------------- bolts
@@ -274,11 +275,11 @@ def ambikahler_transform(m: MetricSpec) -> MetricSpec:
 
 
 # -------------------------------------------------------------- transcription
-@dataclass(frozen=True)
-class TranscriptionResult:
-    metric: MetricSpec  # its C is the better-fitting Exp or Einstein model
-    f_rms: float
-    c_rms: float
+class TranscriptionResult(_Record):
+    """A transcribed metric, whose C is the better-fitting Exp or Einstein model, and the rms of both fits."""
+
+    def __init__(self, metric: MetricSpec, f_rms: float, c_rms: float):
+        self.__dict__.update(metric=metric, f_rms=f_rms, c_rms=c_rms)
 
 
 def fit_exp_family(samples) -> tuple:

@@ -16,9 +16,9 @@ array each check raises for the first z that fails it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Union
 
 from .exppoly import ExpPoly, _as_coefficient, _quotient
@@ -59,22 +59,44 @@ class SingularConformalFactorError(ArithmeticError):
 _END_TOL = 1e-12  # a z this close to a closed end is at it
 
 
-@dataclass(frozen=True)
-class Domain:
+class _Record:
+    """The base of the package's records.  ``_fields`` names a record's ``__init__``
+    parameters in order, and each ``__init__`` sets the fields in that order (through
+    ``self.__dict__`` where they are read-only).  The base gives equality with a record
+    of the same type, a hash of the values, the ``Name(field=value, …)`` repr and
+    read-only fields.  A mutable record sets ``__hash__`` to None and takes back both
+    of ``object``'s ``__setattr__`` and ``__delattr__``: the two share one type slot,
+    and while either is a Python function every attribute store goes through it."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._values = attrgetter(*cls._fields)  # record → the tuple of its values (each has ≥ 2 fields)
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self._values(self)))})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class Domain(_Record):
     """z-interval with openness flags; endpoints may be ±inf."""
 
-    lo: float
-    hi: float
-    lo_closed: bool = False
-    hi_closed: bool = False
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty domain [{self.lo}, {self.hi}]")
-        if self.lo_closed and not math.isfinite(self.lo):
+    def __init__(self, lo: float, hi: float, lo_closed: bool = False, hi_closed: bool = False):
+        if not lo < hi:
+            raise ValueError(f"empty domain [{lo}, {hi}]")
+        if (lo_closed and not math.isfinite(lo)) or (hi_closed and not math.isfinite(hi)):
             raise ValueError("closed endpoint must be finite")
-        if self.hi_closed and not math.isfinite(self.hi):
-            raise ValueError("closed endpoint must be finite")
+        self.__dict__.update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
 
     def contains(self, z, tol: float = _END_TOL):
         """True if z is interior or at a closed endpoint (within tol);
@@ -121,49 +143,39 @@ def canonical_coefficients(poly: ExpPoly) -> Optional[tuple]:
 
 
 # --------------------------------------------------------------------- C side
-@dataclass(frozen=True)
-class ExpFactor:
+class ExpFactor(_Record):
     """C = C0·e^{ε·z} with C0 > 0 and ε = ±1."""
 
-    c0: Union[Fraction, float]
-    eps: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "c0", _as_coefficient(self.c0))
-        if self.eps not in (-1, 1):
+    def __init__(self, c0: Union[Fraction, float], eps: int):
+        c0 = _as_coefficient(c0)
+        if eps not in (-1, 1):
             raise ValueError("eps must be -1 or +1")
-        if not self.c0 > 0:
+        if not c0 > 0:
             raise ValueError("C0 must be positive")
-        if float(self.c0) == 0:  # g = C^{−1/2} has the coefficient C0^{−1/2}
+        if float(c0) == 0:  # g = C^{−1/2} has the coefficient C0^{−1/2}
             raise ValueError("exact coefficient is too small for a float")
+        self.__dict__.update(c0=c0, eps=eps)
 
 
-@dataclass(frozen=True)
-class EinsteinFactor:
+class EinsteinFactor(_Record):
     """C = e^{-z} / (C5 + C6·e^{-z})²."""
 
-    c5: Union[Fraction, float]
-    c6: Union[Fraction, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "c5", _as_coefficient(self.c5))
-        object.__setattr__(self, "c6", _as_coefficient(self.c6))
-        if self.c5 == 0 and self.c6 == 0:
+    def __init__(self, c5: Union[Fraction, float], c6: Union[Fraction, float]):
+        c5, c6 = _as_coefficient(c5), _as_coefficient(c6)
+        if c5 == 0 and c6 == 0:
             raise ValueError("(C5, C6) must not both vanish")
+        self.__dict__.update(c5=c5, c6=c6)
 
 
-@dataclass(frozen=True)
-class RatioFactor:
+class RatioFactor(_Record):
     """C = num/den with den nonzero on the domain interior."""
 
-    num: ExpPoly
-    den: ExpPoly
-
-    def __post_init__(self):
-        if self.num.is_zero:
+    def __init__(self, num: ExpPoly, den: ExpPoly):
+        if num.is_zero:
             raise ValueError("numerator must be nonzero")
-        if self.den.is_zero:
+        if den.is_zero:
             raise ValueError("denominator must be nonzero")
+        self.__dict__.update(num=num, den=den)
 
 
 ConformalModel = Union[ExpFactor, EinsteinFactor, RatioFactor]
@@ -182,18 +194,14 @@ def factor_ratio(model: ConformalModel) -> tuple:
 
 
 # ------------------------------------------------------------------ MetricSpec
-@dataclass(frozen=True)
-class MetricSpec:
-    """A U(2)-invariant metric: profile F, conformal factor C, z-domain."""
+class MetricSpec(_Record):
+    """A U(2)-invariant metric: profile F, conformal factor C, z-domain.  Its
+    carriers are cached properties, written to ``__dict__`` after the fields."""
 
-    name: str
-    F: ExpPoly
-    C: ConformalModel
-    domain: Domain
-
-    def __post_init__(self):
-        if self.F.is_zero:
+    def __init__(self, name: str, F: ExpPoly, C: ConformalModel, domain: Domain):
+        if F.is_zero:
             raise ValueError("F is identically zero")
+        self.__dict__.update(name=name, F=F, C=C, domain=domain)
 
     @cached_property
     def tag(self) -> Optional[str]:

@@ -19,7 +19,7 @@ from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical
 CLI_GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "cli_goldens.json"
 
 # the commands and library calls that make no array, in a fresh interpreter:
-# it prints the numpy modules they loaded
+# it prints the numpy modules they loaded and whether dataclasses was loaded
 _NUMPY_FREE = """
 import contextlib, io, os, sys, tempfile
 import u2metrics
@@ -43,6 +43,7 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
 for name in catalog_names():
     parse_metric(emit_metric(catalog_get(name)))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+print('dataclasses' in sys.modules)
 """
 
 
@@ -453,30 +454,38 @@ def test_commands_that_make_no_array_leave_numpy_unloaded():
     env = _subprocess_env()
     run = subprocess.run([sys.executable, "-c", _NUMPY_FREE], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    assert run.stdout == "[]\nFalse\n"
 
 
 def test_numpy_loads_only_for_the_readme_commands_that_make_an_array(tmp_path):
     # one fresh process per README command, as the benchmark runs them: the
     # curvature and bt residuals grids and the B^t flow are run on floats, and
-    # numpy loads only for classify's grid sample and the quadrature levels of ends
+    # numpy loads only for classify's grid sample and the quadrature levels of ends;
+    # no command loads dataclasses (the records are plain classes)
     env = _subprocess_env()
     dirs = {"in": tmp_path, "out": tmp_path}
     _write_metric(tmp_path, "taub-nut", {"m": 2.0}, fname="tn.txt")
     _write_metric(tmp_path, "modified-taub-nut-2", fname="mtn.txt")
     seed = bt_csc_seed(F=1.5, F1d=0.3, F2d=-0.2, C=1.2, C1d=0.1, s=0.5, t=1.0)
     (tmp_path / "seed.txt").write_text("".join(f"{k} {v!r}\n" for k, v in seed._asdict().items()))
-    script = "import sys\nfrom u2metrics.cli import main\ncode = main(sys.argv[1:])\nprint('numpy' in sys.modules)\nsys.exit(code)"
-    loaded = set()
+    script = (
+        "import sys\nfrom u2metrics.cli import main\ncode = main(sys.argv[1:])\n"
+        "print('dataclasses' in sys.modules, 'numpy' in sys.modules)\nsys.exit(code)"
+    )
+    loaded, dataclasses = set(), set()
     goldens = json.loads(CLI_GOLDENS.read_text())
     for label, golden in goldens.items():
         argv = [a.format(**dirs) for a in golden["argv"]]
         run = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, (label, run.stderr)
-        if run.stdout.splitlines()[-1] == "True":
+        modules = run.stdout.splitlines()[-1].split()
+        if modules[0] == "True":
+            dataclasses.add(label)
+        if modules[1] == "True":
             loaded.add(label)
     assert len(goldens) == 11
     assert loaded == {"classify-t", "ends"}
+    assert dataclasses == set()
 
 
 class TestUsageErrors:

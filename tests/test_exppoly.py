@@ -676,15 +676,14 @@ def test_the_exact_cold_fill_builds_no_fraction_per_term():
     # no Fraction in operator_polys (each form's polarisation is cached, and its items on F's terms
     # are ints) or real_roots, and in bach_at_zero only the one Fraction of B's int items over their
     # denominator, whatever F's number of terms
-    from dataclasses import replace
-
     from u2metrics.catalog import catalog_names
+    from u2metrics.profiles import MetricSpec
 
     assert set(_EXACT_F) == {n for n in catalog_names() if catalog_get(n).F.is_exact}
     for name in _EXACT_F:  # every form's polarisation, once
         catalog_get(name).operator_polys, catalog_get(name).bach_at_zero
     specs = [catalog_get(name) for name in _EXACT_F]
-    specs = [replace(m, F=ExpPoly(m.F.terms())) for m in specs]  # fresh F: no cached zeros
+    specs = [MetricSpec(m.name, ExpPoly(m.F.terms()), m.C, m.domain) for m in specs]  # fresh F: no cached zeros
     sizes = [len(m.F.terms()) for m in specs]
     new = Fraction.__dict__["__new__"]
     built = []

@@ -212,3 +212,77 @@ class TestJets:
         m = self._metric()
         with pytest.raises(OutOfDomainError):
             jet_F(m, -1.0)
+
+
+def _records() -> dict:
+    """One instance of each frozen record, by name: (a builder, its repr, a field, a builder
+    that fails validation with ValueError or None)."""
+    from u2metrics.catalog import CatalogEntry, ParamSpec
+    from u2metrics.classify import PredicateResult
+    from u2metrics.curvature import CurvatureSample
+    from u2metrics.geometry import Bolt, EndReport, TranscriptionResult
+
+    flat = canonical(0, 0, 0, 0)
+    spec = lambda: MetricSpec("flat", flat, ExpFactor(1, -1), Domain(0.0, 1.0))  # noqa: E731
+    unit = "Domain(lo=0.0, hi=1.0, lo_closed=False, hi_closed=False)"
+    spec_text = f"MetricSpec(name='flat', F=ExpPoly(1), C=ExpFactor(c0=Fraction(1, 1), eps=-1), domain={unit})"
+    return {
+        "Domain": (lambda: Domain(0.0, 1.0), unit, "lo", lambda: Domain(1.0, 0.0)),
+        "ExpFactor": (lambda: ExpFactor(1, 1), "ExpFactor(c0=Fraction(1, 1), eps=1)", "c0", lambda: ExpFactor(1, 2)),
+        "EinsteinFactor": (lambda: EinsteinFactor(1, 1), "EinsteinFactor(c5=Fraction(1, 1), c6=Fraction(1, 1))", "c5",
+                           lambda: EinsteinFactor(0, 0.0)),
+        "RatioFactor": (lambda: RatioFactor(ExpPoly([(1, 2)]), ExpPoly.constant(3)),
+                        "RatioFactor(num=ExpPoly(2*e^(1z)), den=ExpPoly(3))", "num",
+                        lambda: RatioFactor(ExpPoly([(1, 2)]), ExpPoly())),
+        "MetricSpec": (spec, spec_text, "F", lambda: MetricSpec("zero", ExpPoly(), ExpFactor(1, -1), Domain(0.0, 1.0))),
+        "CurvatureSample": (
+            lambda: CurvatureSample(*(k / 4 for k in range(21))),
+            "CurvatureSample(z=0.0, s=0.25, ric0_a=0.5, ric0_b=0.75, w_plus=1.0, w_minus=1.25, w_plus_norm2=1.5, "
+            "w_minus_norm2=1.75, delW_plus_pot=2.0, delW_minus_pot=2.25, bach_B1=2.5, bach_B2=2.75, F=3.0, F1d=3.25, "
+            "F2d=3.5, F3d=3.75, F4d=4.0, C=4.25, C1d=4.5, C2d=4.75, s1d=5.0)",
+            "s",
+            None,
+        ),
+        "PredicateResult": (lambda: PredicateResult("csc", "yes", 0.0, "exact"),
+                            "PredicateResult(name='csc', verdict='yes', residual=0.0, certificate='exact')", "verdict",
+                            None),
+        "Bolt": (lambda: Bolt(0.0, 2.0, True), "Bolt(z0=0.0, slope=2.0, smooth_quotient=True, degenerate=False)", "z0",
+                 None),
+        "EndReport": (lambda: EndReport("upper", "ALF", True, cone_angle=0.5),
+                      "EndReport(side='upper', kind='ALF', complete=True, self_intersection=None, cone_angle=0.5, "
+                      "diagnostics={})", "kind", None),
+        "TranscriptionResult": (lambda: TranscriptionResult(spec(), 0.25, 0.5),
+                                f"TranscriptionResult(metric={spec_text}, f_rms=0.25, c_rms=0.5)", "f_rms", None),
+        "ParamSpec": (lambda: ParamSpec("m", 1.0, "m real", math.isfinite),
+                      "ParamSpec(name='m', default=1.0, constraint='m real', check=<built-in function isfinite>)",
+                      "default", None),
+        "CatalogEntry": (lambda: CatalogEntry("flat", (), tuple, ("sd", "asd"), "R^4"),
+                         "CatalogEntry(name='flat', params=(), builder=<class 'tuple'>, expected_tags=('sd', 'asd'), "
+                         "manifold='R^4')", "manifold", None),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_frozen_record_semantics(name):
+    # a frozen record's value semantics: the repr, value equality only within a type,
+    # a hash of the values (none for EndReport, whose diagnostics is a dict), read-only fields
+    # and the validation of their constructors
+    build, text, field, bad = _records()[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert repr(a) == text
+    assert a == b and not a != b and a is not b
+    others = [r[0]() for n, r in _records().items() if n != name]
+    assert all(a != o for o in others)  # ExpFactor(1, 1) != EinsteinFactor(1, 1) among them
+    if name == "EndReport":
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    before = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, 0)
+    assert getattr(a, field) == before
+    if bad is not None:
+        with pytest.raises(ValueError):
+            bad()
