@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _COEF_FLOOR = 1e-12
+_MAX_STEPS = 200000  # bt_integrate's cap on accepted steps
+_DRIFT_CAP = 1e-7  # bt_nonextremal_search's cap on a trial's |T − T₀|
 
 STATE_FIELDS = ("F", "F1d", "F2d", "F3d", "C", "C1d", "s", "K")
 
@@ -219,7 +221,7 @@ def bt_rhs(state: Sequence[float], t: float) -> tuple:
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980): nodes c2..c5 (c6 = c7 =
 # 1), stage rows _A, the 5th-order weights _B (also the seventh stage's row,
 # so the pair is first same as last) and the 4th-order weights _E; the zero
-# weights b2 = e2 = b7 = 0 are written out as 0.0 in the sums.
+# weights b2 = e2 = b7 = 0 are left out of the sums.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -235,7 +237,6 @@ def bt_integrate(
     t: float,
     span: tuple,
     tol: float = 1e-10,
-    max_steps: int = 200000,
     *,
     _drift_cap: float = math.inf,
 ) -> BtTrajectory:
@@ -243,32 +244,33 @@ def bt_integrate(
 
     Adaptive step control at relative+absolute tolerance ``tol`` (the RMS of
     the scaled 5th/4th-order difference must be ≤ 1; a ``tol`` that is not
-    positive and finite, a ``max_steps`` below 1, a non-finite ``t``, span
-    endpoint or field of ``init`` raises ValueError); never steps across
-    F = 0 or C = 0 — on a singular solve the trajectory is truncated and
-    flagged, with the partial samples returned.  The pair is
-    first-same-as-last: the seventh stage is evaluated at (z + h, y5), so on
-    acceptance it is the next step's first stage, and a step costs six calls
-    of the float kernel ``_derivative``, with one more for ``init``'s
-    derivative (never ``bt_rhs``).  K is carried, never integrated, so it keeps its
-    initial value (a −0.0 turns 0.0 on a forward step); the drift of the
-    first integral T is in ``max_T_drift``.
+    positive and finite, a non-finite ``t``, span endpoint or field of
+    ``init`` raises ValueError); never steps across F = 0 or C = 0 — on a
+    singular solve the trajectory is truncated and flagged, with the partial
+    samples returned, as it is after ``_MAX_STEPS`` = 200 000 accepted
+    steps.  The pair is first-same-as-last: the seventh stage is evaluated
+    at (z + h, y5), so on acceptance it is the next step's first stage, and
+    a step costs six calls of the float kernel ``_derivative``, with one
+    more for ``init``'s derivative (never ``bt_rhs``).  K is carried, never
+    integrated, so it keeps its initial value (a −0.0 turns 0.0 on a forward
+    step); the drift of the first integral T is in ``max_T_drift``.
 
     One step is unrolled over named float locals, with no lists: each stage
     is one kernel call on a plain (z, F, …, K) tuple written out component by
     component, its derivative unpacked into locals, and only the seventh
-    stage, the state stored on acceptance, is a :class:`BtState`.  Every sum
-    keeps the order of the numpy formulation (stage sums left to right from
-    0.0, the zero weights as 0.0·k, y5 as y + h·(a + 0.0·k7), the error mean
-    pairwise), so trajectories are bit-identical to it.  As K′ is the literal
-    0.0, every stage's K is K + h·0.0, what those sums give.  ``_drift_cap``
-    is the search's: the trajectory stops, truncated, at the first accepted
-    sample whose |T − T₀| exceeds it.
+    stage, the state stored on acceptance, is a :class:`BtState`.  Each
+    weighted sum runs left to right from 0.0, so no partial sum is −0.0 and
+    a term 0.0·k would leave it as it is for any finite k: the zero weights
+    b₂ = e₂ = b₇ = 0 are left out and the seventh stage's input is y5
+    itself.  A non-finite k₂ makes stage 3 non-finite (or a stage raises)
+    and a non-finite k₇ makes y4 so (e₇ = 1/40), so that step is rejected
+    either way, and every step is bit-identical to the formulation that sums
+    every weight.  As K′ is the literal 0.0, every stage's K is K + h·0.0,
+    what those sums give.  ``_drift_cap`` is the search's: the trajectory
+    stops, truncated, at the first accepted sample whose |T − T₀| exceeds it.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     for name, v in zip(STATE_FIELDS, init[1:]):
@@ -332,30 +334,26 @@ def bt_integrate(
                 C + h * (0.0 + _A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * w4 + _A65 * x4),
                 C1 + h * (0.0 + _A61 * p5 + _A62 * q5 + _A63 * r5 + _A64 * w5 + _A65 * x5),
                 s + h * (0.0 + _A61 * p6 + _A62 * q6 + _A63 * r6 + _A64 * w6 + _A65 * x6), Kh), t)
-            a0 = 0.0 + _B1 * p0 + 0.0 * q0 + _B3 * r0 + _B4 * w0 + _B5 * x0 + _B6 * o0
-            a1 = 0.0 + _B1 * p1 + 0.0 * q1 + _B3 * r1 + _B4 * w1 + _B5 * x1 + _B6 * o1
-            a2 = 0.0 + _B1 * p2 + 0.0 * q2 + _B3 * r2 + _B4 * w2 + _B5 * x2 + _B6 * o2
-            a3 = 0.0 + _B1 * p3 + 0.0 * q3 + _B3 * r3 + _B4 * w3 + _B5 * x3 + _B6 * o3
-            a4 = 0.0 + _B1 * p4 + 0.0 * q4 + _B3 * r4 + _B4 * w4 + _B5 * x4 + _B6 * o4
-            a5 = 0.0 + _B1 * p5 + 0.0 * q5 + _B3 * r5 + _B4 * w5 + _B5 * x5 + _B6 * o5
-            a6 = 0.0 + _B1 * p6 + 0.0 * q6 + _B3 * r6 + _B4 * w6 + _B5 * x6 + _B6 * o6
-            last = BtState(z + h, F + h * a0, F1 + h * a1, F2 + h * a2, F3 + h * a3, C + h * a4, C1 + h * a5,
-                           s + h * a6, Kh)
+            n0 = F + h * (0.0 + _B1 * p0 + _B3 * r0 + _B4 * w0 + _B5 * x0 + _B6 * o0)
+            n1 = F1 + h * (0.0 + _B1 * p1 + _B3 * r1 + _B4 * w1 + _B5 * x1 + _B6 * o1)
+            n2 = F2 + h * (0.0 + _B1 * p2 + _B3 * r2 + _B4 * w2 + _B5 * x2 + _B6 * o2)
+            n3 = F3 + h * (0.0 + _B1 * p3 + _B3 * r3 + _B4 * w3 + _B5 * x3 + _B6 * o3)
+            n4 = C + h * (0.0 + _B1 * p4 + _B3 * r4 + _B4 * w4 + _B5 * x4 + _B6 * o4)
+            n5 = C1 + h * (0.0 + _B1 * p5 + _B3 * r5 + _B4 * w5 + _B5 * x5 + _B6 * o5)
+            n6 = s + h * (0.0 + _B1 * p6 + _B3 * r6 + _B4 * w6 + _B5 * x6 + _B6 * o6)
+            last = BtState(z + h, n0, n1, n2, n3, n4, n5, n6, Kh)  # y5, the seventh stage's input
             g0, g1, g2, g3, g4, g5, g6, _ = _derivative(last, t)
         except (SingularSystemError, OverflowError):
             err = math.nan
         else:
-            # y5 (b7 = 0: it equals the last stage's input wherever k6 is finite) and y4
-            n0, n1, n2 = F + h * (a0 + 0.0 * g0), F1 + h * (a1 + 0.0 * g1), F2 + h * (a2 + 0.0 * g2)
-            n3, n4, n5 = F3 + h * (a3 + 0.0 * g3), C + h * (a4 + 0.0 * g4), C1 + h * (a5 + 0.0 * g5)
-            n6 = s + h * (a6 + 0.0 * g6)
-            m0 = F + h * (0.0 + _E1 * p0 + 0.0 * q0 + _E3 * r0 + _E4 * w0 + _E5 * x0 + _E6 * o0 + _E7 * g0)
-            m1 = F1 + h * (0.0 + _E1 * p1 + 0.0 * q1 + _E3 * r1 + _E4 * w1 + _E5 * x1 + _E6 * o1 + _E7 * g1)
-            m2 = F2 + h * (0.0 + _E1 * p2 + 0.0 * q2 + _E3 * r2 + _E4 * w2 + _E5 * x2 + _E6 * o2 + _E7 * g2)
-            m3 = F3 + h * (0.0 + _E1 * p3 + 0.0 * q3 + _E3 * r3 + _E4 * w3 + _E5 * x3 + _E6 * o3 + _E7 * g3)
-            m4 = C + h * (0.0 + _E1 * p4 + 0.0 * q4 + _E3 * r4 + _E4 * w4 + _E5 * x4 + _E6 * o4 + _E7 * g4)
-            m5 = C1 + h * (0.0 + _E1 * p5 + 0.0 * q5 + _E3 * r5 + _E4 * w5 + _E5 * x5 + _E6 * o5 + _E7 * g5)
-            m6 = s + h * (0.0 + _E1 * p6 + 0.0 * q6 + _E3 * r6 + _E4 * w6 + _E5 * x6 + _E6 * o6 + _E7 * g6)
+            # y4
+            m0 = F + h * (0.0 + _E1 * p0 + _E3 * r0 + _E4 * w0 + _E5 * x0 + _E6 * o0 + _E7 * g0)
+            m1 = F1 + h * (0.0 + _E1 * p1 + _E3 * r1 + _E4 * w1 + _E5 * x1 + _E6 * o1 + _E7 * g1)
+            m2 = F2 + h * (0.0 + _E1 * p2 + _E3 * r2 + _E4 * w2 + _E5 * x2 + _E6 * o2 + _E7 * g2)
+            m3 = F3 + h * (0.0 + _E1 * p3 + _E3 * r3 + _E4 * w3 + _E5 * x3 + _E6 * o3 + _E7 * g3)
+            m4 = C + h * (0.0 + _E1 * p4 + _E3 * r4 + _E4 * w4 + _E5 * x4 + _E6 * o4 + _E7 * g4)
+            m5 = C1 + h * (0.0 + _E1 * p5 + _E3 * r5 + _E4 * w5 + _E5 * x5 + _E6 * o5 + _E7 * g5)
+            m6 = s + h * (0.0 + _E1 * p6 + _E3 * r6 + _E4 * w6 + _E5 * x6 + _E6 * o6 + _E7 * g6)
             # each 5th/4th-order difference scaled by tol + tol·|y| (K's is 0.0: its y5 and y4 are both Kh)
             e0, e1 = (n0 - m0) / (tol + tol * abs(F)), (n1 - m1) / (tol + tol * abs(F1))
             e2, e3 = (n2 - m2) / (tol + tol * abs(F2)), (n3 - m3) / (tol + tol * abs(F3))
@@ -374,7 +372,7 @@ def bt_integrate(
             traj.steps_accepted += 1
             if traj.max_T_drift > _drift_cap:
                 return traj.truncate(f"T drift {abs(Tv - T0):g} above {_drift_cap:g} at z={z:.6g}")
-            if traj.steps_accepted >= max_steps:
+            if traj.steps_accepted >= _MAX_STEPS:
                 return traj.truncate("max step count reached")
         else:
             traj.steps_rejected += 1  # a non-finite err included: it halves h
@@ -428,7 +426,6 @@ def bt_nonextremal_search(
     t: float,
     trials: int = 32,
     seed: int = 0,
-    drift_cap: float = 1e-7,
 ) -> tuple:
     """Search random CSC (s ≠ 0) seeds for a non-conformally-extremal witness.
 
@@ -438,16 +435,13 @@ def bt_nonextremal_search(
     int raises ValueError).  Each seed is integrated
     over z ∈ [0, 0.8] at ``bt_integrate``'s default tol.  Returns the
     trajectory with the largest extremality residual among trials whose
-    conservation drift |T − T₀| stays within ``drift_cap``.  A trial is
-    stopped, truncated, at its first sample past the cap: the drift never
+    conservation drift |T − T₀| stays within ``_DRIFT_CAP`` = 1e-7.  A trial
+    is stopped, truncated, at its first sample past the cap: the drift never
     decreases, so it could not be chosen, and the chosen trajectory is the
-    one a full integration of every trial would choose.  A ``drift_cap``
-    that is negative or not finite raises ValueError.
+    one a full integration of every trial would choose.
     """
     if not math.isfinite(t) or t == 0.0:
         raise ValueError(f"t must be finite and nonzero, got {t!r}")
-    if not 0.0 <= drift_cap < math.inf:
-        raise ValueError(f"drift_cap must be non-negative and finite, got {drift_cap!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = UniformStream(seed)
@@ -463,7 +457,7 @@ def bt_nonextremal_search(
         except SeedError as exc:
             failures.append(f"trial {trial}: {exc}")
             continue
-        traj = bt_integrate(init, t, (0.0, 0.8), _drift_cap=drift_cap)
+        traj = bt_integrate(init, t, (0.0, 0.8), _drift_cap=_DRIFT_CAP)
         if traj.truncated or len(traj.samples) < 5:
             failures.append(f"trial {trial}: {traj.truncation_reason or 'too short'}")
             continue

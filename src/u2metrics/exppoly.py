@@ -50,12 +50,12 @@ _SCALAR = (int, float, Rational)  # int and float ahead of the ABC, whose isinst
 
 
 def _key(k) -> int:
-    """2k for a half-integer exponent k: an int, Fraction, float or (p, q) tuple."""
+    """2k for a half-integer exponent k: an int, a Fraction or a float."""
     if type(k) is int:
         return 2 * k
     if isinstance(k, float) and k % 0.5:  # nan for an infinite or nan k
         raise ExpPolyError(f"exponent {k!r} is not a half-integer")
-    k = Fraction(*k) if isinstance(k, tuple) else Fraction(k)
+    k = Fraction(k)
     if k.denominator > 2:
         raise ExpPolyError(f"exponent {k} has denominator {k.denominator}; only 1 or 2 allowed")
     return 2 * k.numerator // k.denominator

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 SERIES_LEN = 5  # value + 4 derivatives
+_MAX_DEPTH = 40  # adaptive_quad's bisection levels
 
 
 class QuadratureError(ArithmeticError):
@@ -135,7 +136,7 @@ class UniformStream:
         return lo + (hi - lo) * ((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> float:
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss–Kronrod G7K15 quadrature of ``f`` over ``[a, b]``.
 
     ``f`` maps a 1-D float64 array of nodes to their values and is never
@@ -144,9 +145,9 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
     within tol·width/|b − a| or within 1e-14 of |K15| (round-off), and every
     open panel is accepted once Σ|K15 − G7| over the accepted and the open
     panels is within tol (QUADPACK's global test); the accepted K15 values
-    are summed with ``math.fsum``.  Bisection stops at ``max_depth`` levels
-    or a budget of 200 000 panels, spent left to right within a level; a
-    panel that cannot split raises :class:`QuadratureError` with the
+    are summed with ``math.fsum``.  Bisection stops at ``_MAX_DEPTH`` = 40
+    levels or a budget of 200 000 panels, spent left to right within a
+    level; a panel that cannot split raises :class:`QuadratureError` with the
     whole-interval ``estimate`` and ``error`` = Σ|K15 − G7|.
     """
     import numpy as np
@@ -155,7 +156,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
     nodes, weights = _gauss_kronrod()
     lo, hi = np.array([a]), np.array([b])  # the open panels of the level, left to right
     level_tol, budget, parts, errors, exhausted, done = tol, 200000, [], [], 0, 0.0
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         n = len(lo)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         fx = np.reshape(f((mid[:, None] + half[:, None] * nodes).ravel()), (n, len(nodes)))
@@ -170,7 +171,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
         met = (size <= level_tol) | (size <= 1e-14 * np.abs(kronrod)) | (done + np.sum(size) <= tol)
         budget -= n
         # the panels that split, left to right, while their halves fit in the budget
-        go = np.flatnonzero(~met)[: max(budget, 0) // 2 if depth < max_depth else 0]
+        go = np.flatnonzero(~met)[: max(budget, 0) // 2 if depth < _MAX_DEPTH else 0]
         exhausted += n - len(go) - int(np.count_nonzero(met))
         kronrod[go] = size[go] = 0.0  # a panel that splits is summed through its halves
         parts.append(kronrod)
@@ -185,7 +186,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40
     if exhausted:
         error = math.fsum(np.concatenate(errors).tolist())
         raise QuadratureError(
-            f"{exhausted} panels on [{a}, {b}] reached depth {max_depth} or the panel budget "
+            f"{exhausted} panels on [{a}, {b}] reached depth {_MAX_DEPTH} or the panel budget "
             f"before tol={tol:g}; estimate {total!r}, error estimate {error:.3g}",
             estimate=total,
             error=error,

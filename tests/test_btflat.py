@@ -19,6 +19,7 @@ from u2metrics.btflat import (
     BtSample,
     BtState,
     BtTrajectory,
+    SearchFailure,
     SeedError,
     SingularSystemError,
     bt_csc_seed,
@@ -313,16 +314,20 @@ class TestIntegration:
         with pytest.raises(ValueError, match=f"init {field} must be finite, got {value!r}"):
             bt_integrate(seed._replace(**{field: value}), 1.0, (0.0, 0.4))
 
-    @pytest.mark.parametrize("max_steps", [0, -1])
-    def test_rejects_max_steps_below_one(self, max_steps):
-        # before: one step was accepted and the trajectory truncated with two samples
+    @pytest.mark.parametrize("call", [
+        lambda seed: bt_integrate(seed, 1.0, (0.0, 0.6), max_steps=1),
+        lambda seed: bt_nonextremal_search(1.0, 4, drift_cap=1e-7),
+    ], ids=["max_steps", "drift_cap"])
+    def test_removed_keywords_are_refused(self, call):
+        # the step cap and the drift cap are module constants, not options
         seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
-        with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {max_steps!r}"):
-            bt_integrate(seed, 1.0, (0.0, 0.6), max_steps=max_steps)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call(seed)
 
-    def test_max_steps_of_one_takes_one_step(self):
+    def test_max_steps_of_one_takes_one_step(self, monkeypatch):
+        monkeypatch.setattr(btflat, "_MAX_STEPS", 1)  # the cap is read at call time
         seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
-        traj = bt_integrate(seed, 1.0, (0.0, 0.6), max_steps=1)
+        traj = bt_integrate(seed, 1.0, (0.0, 0.6))
         assert (traj.steps_accepted, len(traj.samples), traj.truncation_reason) == (1, 2, "max step count reached")
 
     @pytest.mark.parametrize("span, name", [
@@ -350,6 +355,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             bt_nonextremal_search(0.0)
 
+    def test_a_zero_drift_cap_stops_every_trial(self, monkeypatch):
+        monkeypatch.setattr(btflat, "_DRIFT_CAP", 0.0)  # the cap is read at call time
+        with pytest.raises(SearchFailure, match="T drift .* above 0 at z="):
+            bt_nonextremal_search(1.0, 4)
+
     @pytest.mark.parametrize("t", NON_FINITE)
     def test_rejects_non_finite_t(self, t):
         # before: every trial was integrated and the search raised SearchFailure
@@ -357,12 +367,6 @@ class TestSearch:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"t must be finite and nonzero, got {t!r}"):
                 bt_nonextremal_search(t, 4)
-
-    @pytest.mark.parametrize("cap", [*NON_FINITE, -1e-7])
-    def test_rejects_bad_drift_cap(self, cap):
-        # before: nan meant no cap, as every comparison with it is false
-        with pytest.raises(ValueError, match=f"drift_cap must be non-negative and finite, got {cap!r}"):
-            bt_nonextremal_search(1.0, 4, drift_cap=cap)
 
     PINS = json.loads((DATA / "bt_search_pins.json").read_text())
 
@@ -928,7 +932,8 @@ class TestWork:
             return traj
 
         monkeypatch.setattr(btflat, "bt_integrate", recording)
-        best, _ = bt_nonextremal_search(t, 32, seed=seed, drift_cap=cap)
+        monkeypatch.setattr(btflat, "_DRIFT_CAP", cap)  # the cap is read at call time
+        best, _ = bt_nonextremal_search(t, 32, seed=seed)
         assert best in trajs and best.max_T_drift <= cap
         stopped = 0
         for traj in trajs:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from u2metrics import geometry
+from u2metrics import geometry, numerics
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.exppoly import ExpPoly
 from u2metrics.numerics import (
@@ -67,10 +67,11 @@ class TestAdaptiveSimpson:
         assert abs(info.value.estimate - exact) < 1e-7
         assert 0.0 < info.value.error < 1e-5
 
-    def test_depth_cap_raises_with_estimate_and_error(self):
-        # one G7K15 panel over [0, 10] is far from 1e-13, and max_depth=0 forbids a split
-        with pytest.raises(QuadratureError) as info:
-            adaptive_quad(np.exp, 0.0, 10.0, tol=1e-13, max_depth=0)
+    def test_depth_cap_raises_with_estimate_and_error(self, monkeypatch):
+        # one G7K15 panel over [0, 10] is far from 1e-13, and a depth cap of 0 forbids a split
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", 0)
+        with pytest.raises(QuadratureError, match="reached depth 0") as info:
+            adaptive_quad(np.exp, 0.0, 10.0, tol=1e-13)
         exact = math.exp(10.0) - 1.0
         assert abs(info.value.estimate - exact) < info.value.error
 
@@ -88,11 +89,22 @@ class TestAdaptiveSimpson:
         with pytest.raises(QuadratureError):
             reference_adaptive_simpson(lambda z: math.sqrt(z), 0.0, 1.0, tol=1e-10)
 
-    def test_global_test_does_not_hide_a_missed_tol(self):
+    def test_global_test_does_not_hide_a_missed_tol(self, monkeypatch):
         # the whole-interval estimate is far from tol: the depth cap still raises
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", 2)
         with pytest.raises(QuadratureError, match="reached depth 2") as info:
-            adaptive_quad(np.sqrt, 0.0, 1.0, tol=1e-10, max_depth=2)
+            adaptive_quad(np.sqrt, 0.0, 1.0, tol=1e-10)
         assert info.value.error > 1e-10
+
+    def test_default_depth_cap_is_40(self):
+        # only the panels at the jump split, one or two a level, far below the panel budget
+        with pytest.raises(QuadratureError, match="reached depth 40") as info:
+            adaptive_quad(lambda z: np.where(z < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0, tol=1e-15)
+        assert abs(info.value.estimate - 2.0 / 3.0) < 1e-11
+
+    def test_depth_cap_is_not_an_option(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            adaptive_quad(np.exp, 0.0, 1.0, max_depth=40)
 
     def test_non_finite_integrand_has_no_estimate(self):
         with pytest.raises(QuadratureError) as info:
@@ -196,12 +208,16 @@ def reference_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_de
 
 def _both(f, a, b, **kwargs):
     """(value or error, integrand calls) of ``adaptive_quad`` on the array
-    integrand f, and of the reference on f taken one node at a time."""
+    integrand f, and of the reference on f taken one node at a time, at
+    ``adaptive_quad``'s depth cap."""
     def scalar(z):
         return float(f(np.array([z]))[0])
 
+    def reference(g, a, b, **kwargs):
+        return reference_adaptive_simpson(g, a, b, max_depth=numerics._MAX_DEPTH, **kwargs)
+
     out, calls = [], []
-    for run, wrap in ((adaptive_quad, f), (reference_adaptive_simpson, scalar)):
+    for run, wrap in ((adaptive_quad, f), (reference, scalar)):
         count = [0]
 
         def counted(x):
@@ -239,10 +255,12 @@ class TestAgainstRecursion:
         (np.sin, 0.0, math.pi, {"tol": 1e-13}),
         (lambda z: np.exp(3.0 * z), 0.0, 10.0, {"tol": 1e-9}),
         (np.exp, 1.0, 0.0, {"tol": 1e-12}),
-        (np.exp, 0.0, 10.0, {"tol": 1e-13, "max_depth": 0}),
+        (np.exp, 0.0, 10.0, {"tol": 1e-13, "max_depth": 0}),  # max_depth: the depth cap, for both
         (lambda z: np.full_like(z, np.inf), 0.0, 1.0, {}),
     ], ids=["exp", "sin", "steep-exp", "reversed", "depth-cap", "non-finite"])
-    def test_integrands(self, f, a, b, kwargs):
+    def test_integrands(self, f, a, b, kwargs, monkeypatch):
+        kwargs = dict(kwargs)
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", kwargs.pop("max_depth", numerics._MAX_DEPTH))
         _assert_agrees(f, a, b, **kwargs)
 
     @pytest.mark.parametrize("f,tol,exact", [
