@@ -2,9 +2,9 @@
 
 Data goes to files or standard output; diagnostics go to standard error.
 Exit codes: 0 success, 1 usage error (an --out that cannot be written too), 2 metric-file
-parse error, 3 numeric or singularity failure, at the first failing z of a grid.  Only
-``classify`` and ``ends`` make an array and import numpy (80–100 ms a process); the rest run on
-floats, ``curvature`` and ``bt residuals`` one grid z at a time (past 3000–4000 z an array is faster).
+parse error, 3 numeric or singularity failure, at the first failing z of a grid.  Only ``classify``
+makes an array and imports numpy (80–100 ms a process); the rest run on floats, ``ends`` one quadrature
+node and ``curvature`` and ``bt residuals`` one grid z at a time (past 3000–4000 z an array is faster).
 """
 from __future__ import annotations
 

@@ -12,7 +12,7 @@ Values are immutable after construction and all operations are pure.
 ``eval`` and ``jet`` take a float or a 1-D float64 array of points; on an
 array, ``jet`` sums all derivative orders in one pass per term, in term
 order.  Each value also carries a float cache for evaluation (sorted float
-exponents and, for every derivative order n, the row float(c·kⁿ)) and a
+exponents, every row float(c·kⁿ) and row 0 as (exponent, c) pairs) and a
 cache of its real zeros; both are filled on first use and replaced whole,
 never mutated, and refilling them gives the same values, so values can
 still be shared freely between threads.  Equality and hashing depend on
@@ -25,7 +25,7 @@ import math
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import zip_longest
-from numbers import Rational
+from numbers import Number, Rational
 
 from .numerics import is_array
 
@@ -50,9 +50,11 @@ _SCALAR = (int, float, Rational)  # int and float ahead of the ABC, whose isinst
 
 
 def _key(k) -> int:
-    """2k for a half-integer exponent k: an int, a Fraction or a float."""
+    """2k for a half-integer exponent k: an int, a float or a Rational such as a Fraction."""
     if type(k) is int:
         return 2 * k
+    if not isinstance(k, _SCALAR) and isinstance(k, (str, Number)):  # Fraction(k) would read a str or a Decimal
+        raise ExpPolyError(f"exponent {k!r} is not an int, a float or a Rational")
     if isinstance(k, float) and k % 0.5:  # nan for an infinite or nan k
         raise ExpPolyError(f"exponent {k!r} is not a half-integer")
     k = Fraction(k)
@@ -101,7 +103,7 @@ class ExpPoly:
     EvalOverflowError on it.
     """
 
-    __slots__ = ("_terms", "_den", "_floats", "_compiled", "_zeros")
+    __slots__ = ("_terms", "_den", "_floats", "_compiled", "_values", "_zeros")
 
     def __init__(self, terms=()):
         items = [(_key(k), c, _as_number(c)) for k, c in terms]
@@ -136,6 +138,7 @@ class ExpPoly:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_floats", floats)
         object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_values", None)
         object.__setattr__(self, "_zeros", None)
         return self
 
@@ -264,6 +267,7 @@ class ExpPoly:
         rows = [[_quotient(c * k**i, den << i) for k, c in items] for i in range(max(order, 4) + 1)]
         keys = tuple(k for k, _ in items)
         compiled = (keys, tuple(k / 2 for k in keys), tuple(map(tuple, rows)))
+        object.__setattr__(self, "_values", tuple(zip(compiled[1], compiled[2][0])))  # row 0's pairs, before _compiled
         object.__setattr__(self, "_compiled", compiled)
         return compiled
 
@@ -283,8 +287,20 @@ class ExpPoly:
         return EvalOverflowError(Fraction(max(ks) if z > 0 else min(ks), 2), z)
 
     def eval(self, z):
-        """Floating-point value at z, terms accumulated in exponent order."""
-        return self.jet(z, 0)[0]
+        """Floating-point value at z, terms summed in exponent order: ``jet(z, 0)[0]``, direct on a float."""
+        if type(z) is not float:
+            return self.jet(z, 0)[0]
+        if self._values is None:
+            self._rows(0)  # fills _values, or finds _compiled, which it sets only after _values
+        total = 0.0
+        try:
+            for kf, c in self._values:  # pre-zipped: a zip here made a 5-term eval about 1.5× slower
+                total += c * math.exp(kf * z)
+        except OverflowError:
+            raise self._overflow(0, z) from None
+        if not math.isfinite(total):
+            raise self._overflow(0, z)
+        return total
 
     def jet(self, z, order: int = 4) -> tuple:
         """(value, d/dz, ..., d^order/dz^order) at z.

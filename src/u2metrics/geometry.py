@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import pairwise
 from typing import Callable, Optional
 
 from .exppoly import ExpPoly
-from .numerics import adaptive_quad, at_first
+from .numerics import adaptive_quad
 from .profiles import (
     Domain,
     EinsteinFactor,
@@ -112,9 +113,9 @@ def distance(m: MetricSpec, z1: float, z2: float) -> float:
     leading exponents; a rate ≥ 0 returns +inf.  Subleading exponents lie at
     least ½ below the leading ones, so they change that tail by a relative
     e^{-30} or less.  The finite interval is split at its midpoint, each
-    half read from its endpoint z0 by z = z0 ± u², and one
-    :func:`adaptive_quad` call at tol 1e-11 (one 200 000-panel budget)
-    integrates both halves' sum over their shared u ∈ (0, u_mid].  The zero
+    half read from its endpoint z0 by z = z0 ± u², and one :func:`adaptive_quad`
+    call at tol 1e-11 (one 200 000-panel budget) integrates both halves' sum,
+    one float node at a time, over their shared u ∈ (0, u_mid].  The zero
     orders of F and of C's num/den give the local power √(C/F) ~ |z − z0|^p,
     p ≤ −1 returns +inf (cusps, poles), and otherwise u·√(C/F) is smooth in
     u; it is never evaluated at u = 0, where √(C/F) may be infinite.  Where F
@@ -124,22 +125,18 @@ def distance(m: MetricSpec, z1: float, z2: float) -> float:
     """
     for end in (z1, z2):
         _check_domain(m, end, closure=True)
-    import numpy as np
-    if z1 > z2:
-        z1, z2 = z2, z1
+    lo, hi = sorted((z1, z2))
     poly = m.f_poly()
     num, den = m.c_ratio
 
-    def integrand(z, f_base=0.0):  # z a float or an array of them
+    def integrand(z, f_base=0.0):
         fv = poly.eval(z) - f_base
         cv = conformal_value(m, z)
-        hit = at_first((fv <= 0.0) | (cv <= 0.0), z)
-        if hit is not None:
-            raise SingularConformalFactorError(f"√(C/F) undefined at z={hit[0]}")
-        return 0.5 * np.sqrt(cv / fv)
+        if fv <= 0.0 or cv <= 0.0:
+            raise SingularConformalFactorError(f"√(C/F) undefined at z={z}")
+        return 0.5 * math.sqrt(cv / fv)
 
     total = 0.0
-    lo, hi = z1, z2
     for sgn in (1, -1):
         end, other = (hi, lo) if sgn > 0 else (lo, hi)
         if not math.isinf(end):
@@ -148,7 +145,7 @@ def distance(m: MetricSpec, z1: float, z2: float) -> float:
         if rate >= 0.0:
             return math.inf
         cut = sgn * max(sgn * other + 1.0, 60.0)
-        total += float(integrand(cut)) / -rate  # ∫ from the cut of f(cut)·e^{rate·|z − cut|}
+        total += integrand(cut) / -rate  # ∫ from the cut of f(cut)·e^{rate·|z − cut|}
         lo, hi = (lo, cut) if sgn > 0 else (cut, hi)
 
     bases = []
@@ -158,10 +155,8 @@ def distance(m: MetricSpec, z1: float, z2: float) -> float:
             return math.inf
         bases.append(poly.eval(z0) if of else 0.0)
 
-    def halves(u):  # 2u·(h(lo + u²) + h(hi − u²)), both halves in one evaluation
-        uu = u * u
-        h = integrand(np.concatenate((lo + uu, hi - uu)), np.repeat(bases, len(u)))
-        return 2.0 * u * (h[: len(u)] + h[len(u):])
+    def halves(u):  # 2u·(h(lo + u²) + h(hi − u²))
+        return 2.0 * u * (integrand(lo + u * u, bases[0]) + integrand(hi - u * u, bases[1]))
 
     return total + adaptive_quad(halves, 0.0, math.sqrt(0.5 * (hi - lo)), tol=1e-11)
 
@@ -314,10 +309,10 @@ def transcribe_classic(
     """Transcribe a classic r-coordinate metric (A·dr² + B·η₁² + C·(η₂²+η₃²)).
 
     z(r) is computed by quadrature of orientation·2√(AB)/C dr at 48 evenly
-    spaced r, with z = 0 at the first; F = B/C is resampled in z and fitted
-    onto the canonical exponential family, and the conformal factor C is
-    fitted against both the Exp and Einstein models; the metric takes the
-    one with the smaller rms.
+    spaced r, with z = 0 at the first, calling A, B and C on one float r at a
+    time; F = B/C is resampled in z and fitted onto the canonical exponential
+    family, and the conformal factor C is fitted against both the Exp and
+    Einstein models; the metric takes the one with the smaller rms.
     """
     import numpy as np
     if orientation not in (-1, 1):
@@ -331,13 +326,7 @@ def transcribe_classic(
             raise ValueError(f"A, B, C must be positive on the r-range (r={r})")
         return orientation * 2.0 * math.sqrt(a * b) / c
 
-    def dz_dr_nodes(r):  # A, B and C are the caller's scalar functions
-        return np.array([dz_dr(x) for x in r.tolist()])
-
-    zs = np.empty(len(rs))
-    zs[0] = 0.0
-    for i in range(1, len(rs)):
-        zs[i] = zs[i - 1] + adaptive_quad(dz_dr_nodes, rs[i - 1], rs[i], tol=1e-13)
+    zs = np.cumsum([0.0] + [adaptive_quad(dz_dr, r0, r1, tol=1e-13) for r0, r1 in pairwise(rs.tolist())])
     steps = np.diff(zs)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise OrientationError("z(r) is not monotone; flip the orientation sign")

@@ -1,8 +1,8 @@
 """Shared numerical kernels: adaptive quadrature and the float-or-array helpers.
 
-``adaptive_quad`` (Gauss–Kronrod G7K15) takes an integrand of an array of
-nodes, never evaluated at the ends.  The rest of the package builds on it and
-keeps one rule for numpy: a function that makes an array imports numpy itself,
+``adaptive_quad`` (Gauss–Kronrod G7K15) takes an integrand of one float,
+never evaluated at the ends.  The module never imports numpy, and the package
+keeps one rule for it: a function that makes an array imports numpy itself,
 and one that takes a float or an array tests it with :func:`is_array`, which
 never imports numpy, and reads the first failing point with :func:`at_first`.
 :class:`UniformStream` is numpy's ``default_rng(seed).uniform`` in stdlib ints.
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache
 from itertools import permutations, product
+from operator import mul
 
 __all__ = [
     "QuadratureError",
@@ -59,19 +59,14 @@ class BracketError(ArithmeticError):
     """Root finding could not maintain a sign-change bracket."""
 
 
-@cache
-def _gauss_kronrod() -> tuple:
-    # G7K15 on [−1, 1] (Piessens et al., QUADPACK, 1983), outermost node first: Kronrod nodes, their
-    # weights, and Gauss weights (0 on the Kronrod-only nodes), mirrored below onto all 15 nodes
-    import numpy as np
-    gk = np.array([
-        [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-         0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0],
-        [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-         0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782],
-        [0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0, 0.4179591836734694],
-    ])
-    return np.concatenate([-gk[0, :-1], gk[0, ::-1]]), np.concatenate([gk[1:, :-1], gk[1:, ::-1]], axis=1)
+# G7K15 on [−1, 1] (Piessens et al., QUADPACK, 1983), outermost first: the Kronrod nodes, their weights and
+# the Gauss weights, mirrored onto the 15 nodes in ascending order (the Gauss nodes are nodes 1, 3, ..., 13)
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+       0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+_NODES, _KRONROD, _GAUSS = tuple(-x for x in _XK[:-1]) + _XK[::-1], _WK[:-1] + _WK[::-1], _WG[:-1] + _WG[::-1]
 
 
 def is_array(z) -> bool:
@@ -139,9 +134,9 @@ class UniformStream:
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss–Kronrod G7K15 quadrature of ``f`` over ``[a, b]``.
 
-    ``f`` maps a 1-D float64 array of nodes to their values and is never
-    called at ``a`` or ``b``.  Each bisection level makes one call with the
-    15 nodes of every open panel.  A panel is accepted when |K15 − G7| is
+    ``f`` maps one float to one float and is never called at ``a`` or ``b``.
+    Bisection is level by level: each level evaluates the 15 nodes of every
+    open panel, left to right.  A panel is accepted when |K15 − G7| is
     within tol·width/|b − a| or within 1e-14 of |K15| (round-off), and every
     open panel is accepted once Σ|K15 − G7| over the accepted and the open
     panels is within tol (QUADPACK's global test); the accepted K15 values
@@ -150,41 +145,41 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
     level; a panel that cannot split raises :class:`QuadratureError` with the
     whole-interval ``estimate`` and ``error`` = Σ|K15 − G7|.
     """
-    import numpy as np
     if a == b:
         return 0.0
-    nodes, weights = _gauss_kronrod()
-    lo, hi = np.array([a]), np.array([b])  # the open panels of the level, left to right
-    level_tol, budget, parts, errors, exhausted, done = tol, 200000, [], [], 0, 0.0
+    panels = [(a, b)]  # the open panels of the level, left to right
+    level_tol, budget, closed, exhausted, done = tol, 200000, [], 0, 0.0
     for depth in range(_MAX_DEPTH + 1):
-        n = len(lo)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = np.reshape(f((mid[:, None] + half[:, None] * nodes).ravel()), (n, len(nodes)))
-        hit = at_first(~np.isfinite(fx).all(axis=1), lo, hi)
-        if hit is not None:
-            raise QuadratureError(f"non-finite integrand on [{hit[0]}, {hit[1]}]")
-        kronrod, gauss = (fx @ weights.T * half[:, None]).T
-        size = np.abs(kronrod - gauss)
+        rules = []  # (lo, mid, hi, K15, |K15 − G7|) of each open panel
+        for lo, hi in panels:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            fx = [f(mid + half * x) for x in _NODES]
+            kronrod, gauss = half * sum(map(mul, fx, _KRONROD)), half * sum(map(mul, fx[1::2], _GAUSS))
+            if not math.isfinite(kronrod) and not all(map(math.isfinite, fx)):  # the weights are positive
+                raise QuadratureError(f"non-finite integrand on [{lo}, {hi}]")
+            rules.append((lo, mid, hi, kronrod, abs(kronrod - gauss)))
         # a panel is done within its share of tol, at round-off relative to its
         # value (a noise guard for an unreachable tol), or, with every open
         # panel, once the whole estimate meets tol (QUADPACK's global test)
-        met = (size <= level_tol) | (size <= 1e-14 * np.abs(kronrod)) | (done + np.sum(size) <= tol)
-        budget -= n
+        whole = done + sum(rule[4] for rule in rules) <= tol
+        budget -= len(rules)
         # the panels that split, left to right, while their halves fit in the budget
-        go = np.flatnonzero(~met)[: max(budget, 0) // 2 if depth < _MAX_DEPTH else 0]
-        exhausted += n - len(go) - int(np.count_nonzero(met))
-        kronrod[go] = size[go] = 0.0  # a panel that splits is summed through its halves
-        parts.append(kronrod)
-        errors.append(size)
-        done += float(np.sum(size))
-        if not len(go):
+        room = 2 * (max(budget, 0) // 2) if depth < _MAX_DEPTH else 0
+        panels = []
+        for lo, mid, hi, kronrod, size in rules:
+            if not (whole or size <= level_tol or size <= 1e-14 * abs(kronrod)):
+                if len(panels) < room:  # a panel that splits is summed through its halves
+                    panels += ((lo, mid), (mid, hi))
+                    continue
+                exhausted += 1
+            closed.append((kronrod, size))  # a panel that stops, accepted or exhausted
+            done += size
+        if not panels:
             break
-        lo, mid, hi = lo[go], mid[go], hi[go]
-        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
         level_tol = 0.5 * level_tol
-    total = math.fsum(np.concatenate(parts).tolist())
+    total = math.fsum(kronrod for kronrod, _ in closed)
     if exhausted:
-        error = math.fsum(np.concatenate(errors).tolist())
+        error = math.fsum(size for _, size in closed)
         raise QuadratureError(
             f"{exhausted} panels on [{a}, {b}] reached depth {_MAX_DEPTH} or the panel budget "
             f"before tol={tol:g}; estimate {total!r}, error estimate {error:.3g}",

@@ -309,7 +309,7 @@ def jet_F(m: MetricSpec, z) -> tuple:
 
 def _nonzero(d, z):
     """d unless it vanishes at a z, where C (num/den or g⁻²) has a pole."""
-    hit = at_first(d == 0.0, z)
+    hit = None if type(d) is float and d else at_first(d == 0.0, z)  # a nonzero float needs no array helper
     if hit is not None:
         raise SingularConformalFactorError(f"conformal denominator vanishes at z={hit[0]}")
     return d

@@ -33,6 +33,10 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     path = os.path.join(tmp, "mtn.txt")
     assert cli.main(["catalog", "emit", "modified-taub-nut-2", "--out", path]) == 0
     assert cli.main(["transform", path]) == 0
+    tn = os.path.join(tmp, "tn.txt")
+    assert cli.main(["catalog", "emit", "taub-nut", "--param", "m=2", "--out", tn]) == 0
+    for metric in (tn, path):
+        assert cli.main(["ends", metric]) == 0
     assert cli.main(["roots", "page"]) == 0
     seed = os.path.join(tmp, "seed.txt")
     with open(seed, "w") as handle:
@@ -459,8 +463,8 @@ def test_commands_that_make_no_array_leave_numpy_unloaded():
 
 def test_numpy_loads_only_for_the_readme_commands_that_make_an_array(tmp_path):
     # one fresh process per README command, as the benchmark runs them: the
-    # curvature and bt residuals grids and the B^t flow are run on floats, and
-    # numpy loads only for classify's grid sample and the quadrature levels of ends;
+    # curvature and bt residuals grids, the B^t flow and the quadrature of ends
+    # are run on floats, and numpy loads only for classify's grid sample;
     # no command loads dataclasses (the records are plain classes)
     env = _subprocess_env()
     dirs = {"in": tmp_path, "out": tmp_path}
@@ -484,7 +488,7 @@ def test_numpy_loads_only_for_the_readme_commands_that_make_an_array(tmp_path):
         if modules[1] == "True":
             loaded.add(label)
     assert len(goldens) == 11
-    assert loaded == {"classify-t", "ends"}
+    assert loaded == {"classify-t"}
     assert dataclasses == set()
 
 

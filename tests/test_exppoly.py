@@ -2,6 +2,7 @@
 import math
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -41,6 +42,14 @@ class TestConstruction:
         # before: (3, 2) was read as the exponent 3/2
         with pytest.raises(TypeError):
             ExpPoly([((3, 2), 1)])
+
+    @pytest.mark.parametrize("k", ["1/2", " 0 ", Decimal("1.5")], ids=["str", "padded-str", "decimal"])
+    def test_str_or_decimal_exponent_is_refused(self, k):
+        # before: Fraction(k) read it, so ExpPoly([('1/2', 1)]) built e^(z/2) and coefficient(' 0 ') read 1
+        with pytest.raises(ExpPolyError, match=rf"^exponent {re.escape(repr(k))} is not an int, a float or a Rational$"):
+            ExpPoly([(k, 1)])
+        with pytest.raises(ExpPolyError):
+            ExpPoly.constant(1).coefficient(k)
 
     def test_third_integer_exponent_rejected(self):
         with pytest.raises(ExpPolyError):
@@ -260,6 +269,31 @@ def test_jet_is_bit_identical_to_reference(p, z, order):
     want = _reference_jet(p, z, order)
     assert p.jet(z, order) == want
     assert p.eval(z) == want[0]
+
+
+# any finite float or small exact coefficient, at most one per exponent (so no sum can leave float range),
+# and z over the whole range where some term is finite, or within a relative 1e-6 of where a term's exp overflows
+_wide_polys = st.dictionaries(
+    _exponents, st.one_of(_coeffs, st.floats(allow_nan=False, allow_infinity=False)), max_size=5
+).map(lambda terms: ExpPoly(terms.items()))
+_edge_zs = st.tuples(st.sampled_from([k for k in range(-12, 13) if k]), st.floats(-1e-6, 1e-6)).map(
+    lambda t: 2 * 709.782712893384 / t[0] * (1.0 + t[1])
+)
+
+
+def _value_or_overflow(f, z):
+    try:
+        return f(z).hex()
+    except EvalOverflowError as exc:
+        return exc.exponent, exc.z
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wide_polys, st.one_of(st.floats(min_value=-1500.0, max_value=1500.0), _edge_zs))
+def test_float_eval_is_the_order_0_jet_bit_for_bit(p, z):
+    # eval sums a float z's terms directly; jet(z, 0) goes through the rows and the exponential list
+    assert type(z) is float
+    assert _value_or_overflow(p.eval, z) == _value_or_overflow(lambda x: p.jet(x, 0)[0], z)
 
 
 _grids = st.lists(st.floats(min_value=-40.0, max_value=40.0, allow_nan=False), min_size=1, max_size=8)

@@ -2,7 +2,10 @@
 import ast
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -425,6 +428,30 @@ class TestClassifyEnd:
     def test_bad_side_raises(self):
         with pytest.raises(ValueError):
             classify_end(catalog_get("flat"), "left")
+
+
+_NO_NUMPY = """
+import sys
+from u2metrics.catalog import catalog_get, catalog_names
+from u2metrics.curvature import weyl_energy
+from u2metrics.geometry import classify_end
+for name in catalog_names():
+    m = catalog_get(name)
+    for side in ("lower", "upper"):
+        classify_end(m, side)
+    lo, hi = m.domain.finite_window()
+    weyl_energy(m, 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi)
+print("numpy" in sys.modules)
+"""
+
+
+def test_classify_end_and_weyl_energy_leave_numpy_unloaded():
+    # the quadrature runs on floats: distance's integrand, weyl_energy's and adaptive_quad itself
+    src = str(pathlib.Path(geometry.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _NO_NUMPY], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 class TestAmbikahlerTransform:

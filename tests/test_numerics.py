@@ -28,38 +28,38 @@ class TestAdaptiveSimpson:
     """``adaptive_quad``, which the benchmark tracer wraps as ``adaptive_simpson``."""
 
     def test_exponential(self):
-        assert adaptive_quad(np.exp, 0.0, 1.0, tol=1e-13) == pytest.approx(
+        assert adaptive_quad(math.exp, 0.0, 1.0, tol=1e-13) == pytest.approx(
             math.e - 1.0, abs=1e-12
         )
 
     def test_sine(self):
-        assert adaptive_quad(np.sin, 0.0, math.pi, tol=1e-13) == pytest.approx(
+        assert adaptive_quad(math.sin, 0.0, math.pi, tol=1e-13) == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_steep_exponential(self):
         exact = (math.exp(30.0) - 1.0) / 3.0
-        got = adaptive_quad(lambda z: np.exp(3.0 * z), 0.0, 10.0, tol=1e-9)
+        got = adaptive_quad(lambda z: math.exp(3.0 * z), 0.0, 10.0, tol=1e-9)
         assert abs(got - exact) / exact < 1e-12
 
     def test_empty_interval(self):
-        assert adaptive_quad(np.exp, 2.0, 2.0) == 0.0
+        assert adaptive_quad(math.exp, 2.0, 2.0) == 0.0
 
     def test_reversed_interval_is_negated(self):
-        fwd = adaptive_quad(np.exp, 0.0, 1.0, tol=1e-12)
-        bwd = adaptive_quad(np.exp, 1.0, 0.0, tol=1e-12)
+        fwd = adaptive_quad(math.exp, 0.0, 1.0, tol=1e-12)
+        bwd = adaptive_quad(math.exp, 1.0, 0.0, tol=1e-12)
         assert fwd == pytest.approx(-bwd, abs=1e-12)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            adaptive_quad(lambda z: np.divide(1.0, z, out=np.full_like(z, np.inf), where=z != 0.0), -1.0, 1.0, tol=1e-10)
+            adaptive_quad(lambda z: 1.0 / z if z else math.inf, -1.0, 1.0, tol=1e-10)
 
     def test_noisy_integrand_terminates(self):
         # cancellation-heavy evaluation: the requested tol is below the
         # attainable noise floor, so panels reach the panel budget without
         # meeting the tolerance; that is reported, with the estimate attached
         def noisy(z):
-            return (1e8 + np.sin(z)) - 1e8
+            return (1e8 + math.sin(z)) - 1e8
 
         exact = 1.0 - math.cos(1.0)
         with pytest.raises(QuadratureError) as info:
@@ -71,20 +71,20 @@ class TestAdaptiveSimpson:
         # one G7K15 panel over [0, 10] is far from 1e-13, and a depth cap of 0 forbids a split
         monkeypatch.setattr(numerics, "_MAX_DEPTH", 0)
         with pytest.raises(QuadratureError, match="reached depth 0") as info:
-            adaptive_quad(np.exp, 0.0, 10.0, tol=1e-13)
+            adaptive_quad(math.exp, 0.0, 10.0, tol=1e-13)
         exact = math.exp(10.0) - 1.0
         assert abs(info.value.estimate - exact) < info.value.error
 
     def test_exhausted_panel_budget_raises(self):
         # about 1.6·10^6 periods need more panels than the budget allows
         with pytest.raises(QuadratureError, match="panel budget"):
-            adaptive_quad(lambda z: np.sin(1e7 * z), 0.0, 1.0, tol=1e-12)
+            adaptive_quad(lambda z: math.sin(1e7 * z), 0.0, 1.0, tol=1e-12)
 
     def test_end_singularity_meets_tol_globally(self):
         # each panel at 0 misses its share of tol down to the depth cap, yet
         # Σ|K15 − G7| over all panels meets tol (the recursive reference,
         # which tests panels only, raises here)
-        got = adaptive_quad(np.sqrt, 0.0, 1.0, tol=1e-10)
+        got = adaptive_quad(math.sqrt, 0.0, 1.0, tol=1e-10)
         assert abs(got - 2.0 / 3.0) <= 1e-10
         with pytest.raises(QuadratureError):
             reference_adaptive_simpson(lambda z: math.sqrt(z), 0.0, 1.0, tol=1e-10)
@@ -93,29 +93,29 @@ class TestAdaptiveSimpson:
         # the whole-interval estimate is far from tol: the depth cap still raises
         monkeypatch.setattr(numerics, "_MAX_DEPTH", 2)
         with pytest.raises(QuadratureError, match="reached depth 2") as info:
-            adaptive_quad(np.sqrt, 0.0, 1.0, tol=1e-10)
+            adaptive_quad(math.sqrt, 0.0, 1.0, tol=1e-10)
         assert info.value.error > 1e-10
 
     def test_default_depth_cap_is_40(self):
         # only the panels at the jump split, one or two a level, far below the panel budget
         with pytest.raises(QuadratureError, match="reached depth 40") as info:
-            adaptive_quad(lambda z: np.where(z < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0, tol=1e-15)
+            adaptive_quad(lambda z: 0.0 if z < 1.0 / 3.0 else 1.0, 0.0, 1.0, tol=1e-15)
         assert abs(info.value.estimate - 2.0 / 3.0) < 1e-11
 
     def test_depth_cap_is_not_an_option(self):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
-            adaptive_quad(np.exp, 0.0, 1.0, max_depth=40)
+            adaptive_quad(math.exp, 0.0, 1.0, max_depth=40)
 
     def test_non_finite_integrand_has_no_estimate(self):
         with pytest.raises(QuadratureError) as info:
-            adaptive_quad(lambda z: np.full_like(z, np.inf), 0.0, 1.0)
+            adaptive_quad(lambda z: math.inf, 0.0, 1.0)
         assert info.value.estimate is None and info.value.error is None
 
     @pytest.mark.parametrize("f,a,b", [
-        (np.exp, 0.0, 1.0),
-        (np.exp, 1.0, -2.0),
+        (math.exp, 0.0, 1.0),
+        (math.exp, 1.0, -2.0),
         (lambda z: 1.0 / (1e-4 + z), 0.0, 1.0),  # refined toward the peak at 0
-        (lambda z: np.sin(1e5 * z), 0.0, 1.0),
+        (lambda z: math.sin(1e5 * z), 0.0, 1.0),
     ], ids=["exp", "reversed", "peaked", "oscillating"])
     def test_integrand_never_called_at_the_ends(self, f, a, b):
         nodes = []
@@ -125,8 +125,7 @@ class TestAdaptiveSimpson:
             return f(x)
 
         adaptive_quad(recorded, a, b, tol=1e-10)
-        x = np.concatenate(nodes)
-        assert (min(a, b) < x).all() and (x < max(a, b)).all()
+        assert nodes and all(min(a, b) < x < max(a, b) for x in nodes)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -207,22 +206,18 @@ def reference_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_de
 
 
 def _both(f, a, b, **kwargs):
-    """(value or error, integrand calls) of ``adaptive_quad`` on the array
-    integrand f, and of the reference on f taken one node at a time, at
-    ``adaptive_quad``'s depth cap."""
-    def scalar(z):
-        return float(f(np.array([z]))[0])
-
+    """(value or error, integrand calls) of ``adaptive_quad`` and of the
+    reference on the float integrand f, at ``adaptive_quad``'s depth cap."""
     def reference(g, a, b, **kwargs):
         return reference_adaptive_simpson(g, a, b, max_depth=numerics._MAX_DEPTH, **kwargs)
 
     out, calls = [], []
-    for run, wrap in ((adaptive_quad, f), (reference, scalar)):
+    for run in (adaptive_quad, reference):
         count = [0]
 
         def counted(x):
             count[0] += 1
-            return wrap(x)
+            return f(x)
 
         try:
             out.append(run(counted, a, b, **kwargs))
@@ -233,15 +228,16 @@ def _both(f, a, b, **kwargs):
 
 
 def _assert_agrees(f, a, b, **kwargs):
-    """The same outcome as the reference, a value within tol of its value (or
-    within round-off of it where tol is below round-off), and no more
-    integrand calls; returns both outcomes."""
+    """The same outcome as the reference, and where both converge a value
+    within tol of its value (or within round-off of it where tol is below
+    round-off) and no more integrand calls; returns both outcomes.  Where both
+    raise, one 15-node panel may already outnumber the reference's calls."""
     got, calls, want, ref_calls = _both(f, a, b, **kwargs)
     assert type(got) is type(want)
-    assert calls <= ref_calls
     if isinstance(want, QuadratureError):
         assert (got.estimate is None) == (want.estimate is None)
     else:
+        assert calls <= ref_calls
         assert abs(got - want) <= max(kwargs.get("tol", 1e-10), 1e-13 * abs(want))
     return got, want
 
@@ -251,12 +247,12 @@ class TestAgainstRecursion:
     reference: the same outcome, values within tol, no more integrand calls."""
 
     @pytest.mark.parametrize("f,a,b,kwargs", [
-        (np.exp, 0.0, 1.0, {"tol": 1e-13}),
-        (np.sin, 0.0, math.pi, {"tol": 1e-13}),
-        (lambda z: np.exp(3.0 * z), 0.0, 10.0, {"tol": 1e-9}),
-        (np.exp, 1.0, 0.0, {"tol": 1e-12}),
-        (np.exp, 0.0, 10.0, {"tol": 1e-13, "max_depth": 0}),  # max_depth: the depth cap, for both
-        (lambda z: np.full_like(z, np.inf), 0.0, 1.0, {}),
+        (math.exp, 0.0, 1.0, {"tol": 1e-13}),
+        (math.sin, 0.0, math.pi, {"tol": 1e-13}),
+        (lambda z: math.exp(3.0 * z), 0.0, 10.0, {"tol": 1e-9}),
+        (math.exp, 1.0, 0.0, {"tol": 1e-12}),
+        (math.exp, 0.0, 10.0, {"tol": 1e-13, "max_depth": 0}),  # max_depth: the depth cap, for both
+        (lambda z: math.inf, 0.0, 1.0, {}),
     ], ids=["exp", "sin", "steep-exp", "reversed", "depth-cap", "non-finite"])
     def test_integrands(self, f, a, b, kwargs, monkeypatch):
         kwargs = dict(kwargs)
@@ -264,16 +260,17 @@ class TestAgainstRecursion:
         _assert_agrees(f, a, b, **kwargs)
 
     @pytest.mark.parametrize("f,tol,exact", [
-        (lambda z: (1e8 + np.sin(z)) - 1e8, 1e-14, 1.0 - math.cos(1.0)),
-        (lambda z: np.sin(1e7 * z), 1e-12, (1.0 - math.cos(1e7)) / 1e7),
+        (lambda z: (1e8 + math.sin(z)) - 1e8, 1e-14, 1.0 - math.cos(1.0)),
+        (lambda z: math.sin(1e7 * z), 1e-12, (1.0 - math.cos(1e7)) / 1e7),
     ], ids=["noisy", "oscillating"])
     def test_exhausted_budget(self, f, tol, exact):
-        # both spend the panel budget and raise; Gauss–Kronrod makes no more
-        # integrand calls, ends no farther from the integral, and its error
-        # estimate bounds its distance from the integral
+        # both spend the panel budget and raise; Gauss–Kronrod spends no more
+        # panels (15 calls each; the reference's are 2 calls each after its
+        # first 3), ends no farther from the integral, and its error estimate
+        # bounds its distance from the integral
         got, calls, want, ref_calls = _both(f, 0.0, 1.0, tol=tol)
         assert isinstance(got, QuadratureError) and isinstance(want, QuadratureError)
-        assert "panel budget" in str(got) and calls <= ref_calls
+        assert "panel budget" in str(got) and calls / 15 <= (ref_calls - 3) / 2
         assert abs(got.estimate - exact) <= min(got.error, abs(want.estimate - exact))
 
     @pytest.mark.parametrize("name", catalog_names())
@@ -289,7 +286,7 @@ class TestAgainstRecursion:
 
             def scalar(u):
                 calls[1] += 1
-                return float(f(np.array([u]))[0])
+                return f(u)
 
             # distance's integrand may be 0·∞ at u = a = 0, which adaptive_quad
             # never asks for: the reference is the recursion from a + ε, after a

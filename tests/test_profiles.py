@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.exppoly import ExpPoly
 from u2metrics.profiles import (
     Domain,
@@ -133,6 +134,24 @@ class TestConformalModels:
         z = 0.7
         want = math.exp(-z) / (1 + math.exp(-z))
         assert conformal_value(m, z) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [catalog_get(n) for n in catalog_names()] + [
+        MetricSpec("ratio", canonical(0, 0, 0, 0),
+                   RatioFactor(ExpPoly([(-1, 2), (0.5, 1)]), ExpPoly([(0, 1), (-1, Fraction(1, 3)), (1, 0.25)])),
+                   Domain(-2.0, 2.0)),
+    ], ids=lambda m: m.name)
+    def test_float_value_is_the_array_value(self, m):
+        # a float z skips the array helpers: its value is jet_C's C bit for bit, and the array
+        # path's within a few ulps of each carrier's termwise magnitude (np.exp and math.exp
+        # may differ in the last bit, which cancellation in g or num/den amplifies)
+        lo, hi = m.domain.finite_window()
+        z = np.linspace(lo, hi, 41)[1:-1].tolist()
+        got = [conformal_value(m, x) for x in z]
+        assert got == [jet_C(m, x)[0][0] for x in z]
+        carriers = m.c_ratio if m.g_poly is None else (m.g_poly,)
+        for x, a, b in zip(z, got, conformal_value(m, np.array(z)).tolist()):
+            size = sum(sum(abs(float(c)) * math.exp(k * x) for k, c in p.terms()) / abs(p.eval(x)) for p in carriers)
+            assert abs(a - b) <= 8 * np.finfo(float).eps * size * abs(b), (x, a, b)
 
     @pytest.mark.parametrize("num", [ExpPoly(), ExpPoly([(1, 2), (1, -2)])], ids=["empty", "cancelling"])
     def test_zero_numerator_is_rejected(self, num):
