@@ -432,7 +432,7 @@ def bt_nonextremal_search(
     Seed distributions: F, F′, F″ uniform in [−2, 2]; C uniform in [0.2, 3];
     C′ uniform in [−1, 1]; s uniform in [−1, 1], drawn in turn from ``UniformStream(seed)``,
     numpy's ``default_rng(seed).uniform`` without numpy (a ``seed`` that is not a non-negative
-    int raises ValueError).  Each seed is integrated
+    int, or ``trials`` that is not an int ≥ 1, raises ValueError).  Each seed is integrated
     over z ∈ [0, 0.8] at ``bt_integrate``'s default tol.  Returns the
     trajectory with the largest extremality residual among trials whose
     conservation drift |T − T₀| stays within ``_DRIFT_CAP`` = 1e-7.  A trial
@@ -442,15 +442,16 @@ def bt_nonextremal_search(
     """
     if not math.isfinite(t) or t == 0.0:
         raise ValueError(f"t must be finite and nonzero, got {t!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     rng = UniformStream(seed)
     best, best_res = None, -1.0
-    failures = []
+    failures, skipped = [], 0
     for trial in range(trials):
         F, F1d, F2d = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
         C, C1d, s = rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         if abs(F) < 0.2 or abs(s) < 0.05:
+            skipped += 1
             continue  # skip near-singular / near-ZSC draws
         try:
             init = bt_csc_seed(F, F1d, F2d, C, C1d, s, t)
@@ -465,7 +466,8 @@ def bt_nonextremal_search(
         if res > best_res:
             best, best_res = traj, res
     if best is None:
-        raise SearchFailure("all trials failed: " + "; ".join(failures[:8]))
+        skips = f"{skipped} of {trials} draws skipped with |F| < 0.2 or |s| < 0.05"
+        raise SearchFailure("all trials failed: " + "; ".join(failures[:8] + [skips]))
     return best, best_res
 
 

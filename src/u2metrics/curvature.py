@@ -223,7 +223,8 @@ def weyl_energy(m: MetricSpec, a: float, b: float) -> float:
 
     This is the W⁺ energy density per unit η-coframe 3-sphere volume; the
     constant S³ volume factor is deliberately not included.  An endpoint
-    outside the domain's closure raises :class:`OutOfDomainError`.
+    outside the domain's closure raises :class:`OutOfDomainError`, and an
+    infinite one (in the closure of an unbounded domain) raises ValueError.
     """
     for end in (a, b):
         _check_domain(m, end, closure=True)

@@ -113,9 +113,10 @@ def distance(m: MetricSpec, z1: float, z2: float) -> float:
     leading exponents; a rate ≥ 0 returns +inf.  Subleading exponents lie at
     least ½ below the leading ones, so they change that tail by a relative
     e^{-30} or less.  The finite interval is split at its midpoint, each
-    half read from its endpoint z0 by z = z0 ± u², and one :func:`adaptive_quad`
-    call at tol 1e-11 (one 200 000-panel budget) integrates both halves' sum,
-    one float node at a time, over their shared u ∈ (0, u_mid].  The zero
+    half read from its endpoint z0 by z = z0 ± u², and one G10K21
+    :func:`adaptive_quad` call at tol 1e-11 (one 200 000-panel budget, up to
+    4.2 M integrand calls) integrates both halves' sum, one float node at a
+    time, over their shared u ∈ (0, u_mid].  The zero
     orders of F and of C's num/den give the local power √(C/F) ~ |z − z0|^p,
     p ≤ −1 returns +inf (cusps, poles), and otherwise u·√(C/F) is smooth in
     u; it is never evaluated at u = 0, where √(C/F) may be infinite.  Where F

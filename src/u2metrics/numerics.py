@@ -1,6 +1,6 @@
 """Shared numerical kernels: adaptive quadrature and the float-or-array helpers.
 
-``adaptive_quad`` (Gauss–Kronrod G7K15) takes an integrand of one float,
+``adaptive_quad`` (Gauss–Kronrod G10K21) takes an integrand of one float,
 never evaluated at the ends.  The module never imports numpy, and the package
 keeps one rule for it: a function that makes an array imports numpy itself,
 and one that takes a float or an array tests it with :func:`is_array`, which
@@ -45,7 +45,7 @@ class QuadratureError(ArithmeticError):
     while the whole-interval error estimate was still above the tolerance.
 
     In the second case ``estimate`` is the integral summed over all panels
-    and ``error`` the accumulated Gauss–Kronrod difference |K15 − G7| of
+    and ``error`` the accumulated Gauss–Kronrod difference |K21 − G10| of
     those panels; both are None in the first.
     """
 
@@ -59,14 +59,14 @@ class BracketError(ArithmeticError):
     """Root finding could not maintain a sign-change bracket."""
 
 
-# G7K15 on [−1, 1] (Piessens et al., QUADPACK, 1983), outermost first: the Kronrod nodes, their weights and
-# the Gauss weights, mirrored onto the 15 nodes in ascending order (the Gauss nodes are nodes 1, 3, ..., 13)
-_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-       0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
-_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
-_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
-_NODES, _KRONROD, _GAUSS = tuple(-x for x in _XK[:-1]) + _XK[::-1], _WK[:-1] + _WK[::-1], _WG[:-1] + _WG[::-1]
+# G10K21 on [−1, 1] (QUADPACK's dqk21, Piessens et al. 1983), outermost first: the Kronrod nodes, their weights and the
+# Gauss weights, mirrored onto the 21 nodes in ascending order (the Gauss nodes are nodes 1, 3, ..., 19; none at 0)
+_XK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845, 0.7808177265864169,
+       0.6794095682990244, 0.5627571346686047, 0.4333953941292472, 0.2943928627014602, 0.14887433898163122, 0.0)
+_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996, 0.0931254545836976,
+       0.10938715880229764, 0.12349197626206584, 0.13470921731147334, 0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635, 0.29552422471475287)
+_NODES, _KRONROD, _GAUSS = tuple(-x for x in _XK[:-1]) + _XK[::-1], _WK[:-1] + _WK[::-1], _WG + _WG[::-1]
 
 
 def is_array(z) -> bool:
@@ -132,25 +132,29 @@ class UniformStream:
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Gauss–Kronrod G7K15 quadrature of ``f`` over ``[a, b]``.
+    """Adaptive Gauss–Kronrod G10K21 quadrature of ``f`` over ``[a, b]``.
 
     ``f`` maps one float to one float and is never called at ``a`` or ``b``.
-    Bisection is level by level: each level evaluates the 15 nodes of every
-    open panel, left to right.  A panel is accepted when |K15 − G7| is
-    within tol·width/|b − a| or within 1e-14 of |K15| (round-off), and every
-    open panel is accepted once Σ|K15 − G7| over the accepted and the open
-    panels is within tol (QUADPACK's global test); the accepted K15 values
+    Bisection is level by level: each level evaluates the 21 nodes of every
+    open panel, left to right.  A panel is accepted when |K21 − G10| is
+    within tol·width/|b − a| or within 1e-14 of |K21| (round-off), and every
+    open panel is accepted once Σ|K21 − G10| over the accepted and the open
+    panels is within tol (QUADPACK's global test); the accepted K21 values
     are summed with ``math.fsum``.  Bisection stops at ``_MAX_DEPTH`` = 40
-    levels or a budget of 200 000 panels, spent left to right within a
-    level; a panel that cannot split raises :class:`QuadratureError` with the
-    whole-interval ``estimate`` and ``error`` = Σ|K15 − G7|.
+    levels or a budget of 200 000 panels (up to 4.2 M integrand calls),
+    spent left to right within a level; a panel that cannot split raises
+    :class:`QuadratureError` with the whole-interval ``estimate`` and
+    ``error`` = Σ|K21 − G10|.  A non-finite ``a`` or ``b``, or a ``tol`` that
+    is not positive and finite, raises ValueError.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < tol < math.inf):
+        raise ValueError(f"adaptive_quad needs finite ends and a positive finite tol, got [{a}, {b}] and tol={tol!r}")
     if a == b:
         return 0.0
     panels = [(a, b)]  # the open panels of the level, left to right
     level_tol, budget, closed, exhausted, done = tol, 200000, [], 0, 0.0
     for depth in range(_MAX_DEPTH + 1):
-        rules = []  # (lo, mid, hi, K15, |K15 − G7|) of each open panel
+        rules = []  # (lo, mid, hi, K21, |K21 − G10|) of each open panel
         for lo, hi in panels:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             fx = [f(mid + half * x) for x in _NODES]

@@ -391,6 +391,17 @@ class TestSearch:
         with pytest.raises(ValueError, match=f"seed must be a non-negative int, got {seed!r}"):
             bt_nonextremal_search(1.0, 4, seed=seed)
 
+    @pytest.mark.parametrize("trials", [2.5, "3", True, 0, -1], ids=["float", "str", "bool", "zero", "negative"])
+    def test_rejects_trials_that_are_not_an_int_of_at_least_1(self, trials):
+        # before: 2.5 and "3" raised TypeError from range and <, and True ran one trial
+        with pytest.raises(ValueError, match=re.escape(f"trials must be an int of at least 1, got {trials!r}")):
+            bt_nonextremal_search(1.0, trials, seed=1)
+
+    def test_failure_counts_the_skipped_draws(self):
+        # before: the one draw was skipped and the message ended at "all trials failed: "
+        with pytest.raises(SearchFailure, match=r"^all trials failed: 1 of 1 draws skipped with \|F\| < 0\.2"):
+            bt_nonextremal_search(1.0, trials=1, seed=1)
+
     def test_deterministic_for_fixed_seed(self):
         _, r1 = bt_nonextremal_search(1.0, trials=6, seed=3)
         _, r2 = bt_nonextremal_search(1.0, trials=6, seed=3)

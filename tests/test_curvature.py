@@ -266,6 +266,12 @@ class TestWeylEnergy:
         with pytest.raises(OutOfDomainError, match=rf"^z={bad} outside domain"):
             weyl_energy(catalog_get("taub-nut"), a, b)
 
+    @pytest.mark.parametrize("a, b", [(0.5, math.inf), (math.inf, 0.5)])
+    def test_infinite_end_raises_value_error(self, a, b):
+        # before: the end reached the integrand as nan and raised EvalOverflowError at z=nan
+        with pytest.raises(ValueError, match="adaptive_quad needs finite ends"):
+            weyl_energy(catalog_get("taub-nut"), a, b)
+
     def test_open_end_is_in_the_closure(self):
         m = catalog_get("taub-nut")
         assert weyl_energy(m, 0.0, 1.0) == pytest.approx(weyl_energy(m, 1e-300, 1.0), rel=1e-12)

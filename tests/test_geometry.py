@@ -430,6 +430,24 @@ class TestClassifyEnd:
             classify_end(catalog_get("flat"), "left")
 
 
+def test_catalog_ends_stay_within_their_integrand_budget(monkeypatch):
+    # the 36 classify_end calls at default parameters: 1092 integrand calls with G10K21, 2040 with G7K15
+    calls = [0]
+
+    def counted(f, a, b, **kwargs):
+        def g(x):
+            calls[0] += 1
+            return f(x)
+
+        return adaptive_quad(g, a, b, **kwargs)
+
+    monkeypatch.setattr(geometry, "adaptive_quad", counted)
+    for name in catalog_names():
+        for side in ("lower", "upper"):
+            classify_end(catalog_get(name), side)
+    assert 0 < calls[0] <= 1100
+
+
 _NO_NUMPY = """
 import sys
 from u2metrics.catalog import catalog_get, catalog_names

@@ -1,5 +1,6 @@
 """Quadrature, root finding, and series-arithmetic kernels."""
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -68,7 +69,7 @@ class TestAdaptiveSimpson:
         assert 0.0 < info.value.error < 1e-5
 
     def test_depth_cap_raises_with_estimate_and_error(self, monkeypatch):
-        # one G7K15 panel over [0, 10] is far from 1e-13, and a depth cap of 0 forbids a split
+        # one G10K21 panel over [0, 10] is far from 1e-13, and a depth cap of 0 forbids a split
         monkeypatch.setattr(numerics, "_MAX_DEPTH", 0)
         with pytest.raises(QuadratureError, match="reached depth 0") as info:
             adaptive_quad(math.exp, 0.0, 10.0, tol=1e-13)
@@ -82,7 +83,7 @@ class TestAdaptiveSimpson:
 
     def test_end_singularity_meets_tol_globally(self):
         # each panel at 0 misses its share of tol down to the depth cap, yet
-        # Σ|K15 − G7| over all panels meets tol (the recursive reference,
+        # Σ|K21 − G10| over all panels meets tol (the recursive reference,
         # which tests panels only, raises here)
         got = adaptive_quad(math.sqrt, 0.0, 1.0, tol=1e-10)
         assert abs(got - 2.0 / 3.0) <= 1e-10
@@ -105,6 +106,26 @@ class TestAdaptiveSimpson:
     def test_depth_cap_is_not_an_option(self):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             adaptive_quad(math.exp, 0.0, 1.0, max_depth=40)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_that_is_not_positive_and_finite_raises(self, tol):
+        # before: each returned silently, and tol=inf accepted the first panel whatever its error
+        with pytest.raises(ValueError, match=re.escape(f"a positive finite tol, got [0.0, 1.0] and tol={tol!r}")):
+            adaptive_quad(math.exp, 0.0, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("a,b", [
+        (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (math.inf, math.inf),
+    ], ids=["inf", "-inf", "nan", "empty-inf"])
+    def test_non_finite_end_raises(self, a, b):
+        # before: an infinite end reached the integrand as nan
+        called = []
+        with pytest.raises(ValueError, match="adaptive_quad needs finite ends"):
+            adaptive_quad(lambda x: called.append(x) or 1.0, a, b)
+        assert not called
+
+    def test_inputs_are_checked_before_the_empty_interval(self):
+        with pytest.raises(ValueError, match="positive finite tol"):
+            adaptive_quad(math.exp, 2.0, 2.0, tol=0.0)
 
     def test_non_finite_integrand_has_no_estimate(self):
         with pytest.raises(QuadratureError) as info:
@@ -231,7 +252,7 @@ def _assert_agrees(f, a, b, **kwargs):
     """The same outcome as the reference, and where both converge a value
     within tol of its value (or within round-off of it where tol is below
     round-off) and no more integrand calls; returns both outcomes.  Where both
-    raise, one 15-node panel may already outnumber the reference's calls."""
+    raise, one 21-node panel may already outnumber the reference's calls."""
     got, calls, want, ref_calls = _both(f, a, b, **kwargs)
     assert type(got) is type(want)
     if isinstance(want, QuadratureError):
@@ -265,12 +286,12 @@ class TestAgainstRecursion:
     ], ids=["noisy", "oscillating"])
     def test_exhausted_budget(self, f, tol, exact):
         # both spend the panel budget and raise; Gauss–Kronrod spends no more
-        # panels (15 calls each; the reference's are 2 calls each after its
+        # panels (21 calls each; the reference's are 2 calls each after its
         # first 3), ends no farther from the integral, and its error estimate
         # bounds its distance from the integral
         got, calls, want, ref_calls = _both(f, 0.0, 1.0, tol=tol)
         assert isinstance(got, QuadratureError) and isinstance(want, QuadratureError)
-        assert "panel budget" in str(got) and calls / 15 <= (ref_calls - 3) / 2
+        assert "panel budget" in str(got) and calls / len(numerics._NODES) <= (ref_calls - 3) / 2
         assert abs(got.estimate - exact) <= min(got.error, abs(want.estimate - exact))
 
     @pytest.mark.parametrize("name", catalog_names())
@@ -305,6 +326,46 @@ class TestAgainstRecursion:
             shift.clear()
             dist = geometry.classify_end(m, side).diagnostics["distance_to_end"]
             assert math.isinf(dist) or (shift and abs(math.fsum(shift)) <= 1e-9 * dist)
+
+
+class TestRule:
+    """The G10K21 tables: QUADPACK's dqk21 rule, mirrored onto 21 ascending nodes."""
+
+    @staticmethod
+    def _moment(weights, nodes, k):
+        return math.fsum(w * x**k for w, x in zip(weights, nodes))
+
+    @pytest.mark.parametrize("k", range(32))  # k = 0: the weights sum to 2
+    def test_kronrod_is_exact_through_degree_31(self, k):
+        assert abs(self._moment(numerics._KRONROD, numerics._NODES, k) - (k % 2 == 0) * 2 / (k + 1)) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_gauss_is_exact_through_degree_19(self, k):
+        # fx[1::2] picks the Gauss nodes from the Kronrod ones
+        assert abs(self._moment(numerics._GAUSS, numerics._NODES[1::2], k) - (k % 2 == 0) * 2 / (k + 1)) <= 1e-15
+
+    def test_nodes_are_ascending_and_symmetric(self):
+        nodes = numerics._NODES
+        assert len(nodes) == len(numerics._KRONROD) == 21 and len(numerics._GAUSS) == 10
+        assert all(x < y for x, y in zip(nodes, nodes[1:])) and -1.0 < nodes[0]
+        assert nodes == tuple(-x for x in reversed(nodes))
+        assert numerics._KRONROD == numerics._KRONROD[::-1] and numerics._GAUSS == numerics._GAUSS[::-1]
+
+    def test_matches_the_oracles(self):
+        # the Gauss pair against numpy's Gauss–Legendre rule, the Kronrod pair against scipy's dqk21 tables
+        quad_vec = pytest.importorskip("scipy.integrate._quad_vec")
+        x, w = np.polynomial.legendre.leggauss(10)
+        assert numerics._NODES[1::2] == pytest.approx(x.tolist(), abs=1e-15)
+        assert numerics._GAUSS == pytest.approx(w.tolist(), abs=1e-15)
+        nodes = []
+
+        def basis(x):  # the unit vector of the node's position in the call order
+            nodes.append(x)
+            return np.eye(21)[len(nodes) - 1]
+
+        kronrod = quad_vec._quadrature_gk21(-1.0, 1.0, basis, np.linalg.norm)[0]
+        assert numerics._NODES == tuple(nodes[::-1])
+        assert numerics._KRONROD == tuple(kronrod[::-1].tolist())
 
 
 @pytest.mark.parametrize(
