@@ -9,11 +9,12 @@ which.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from .btflat import bt_grid_residual
-from .curvature import curvature_sample
+from .curvature import _tf_ricci_from_jets, curvature_sample
 from .profiles import Domain, MetricSpec, _Record
 
 if TYPE_CHECKING:
@@ -148,9 +149,13 @@ def _measure(m: MetricSpec, grid, cs) -> dict:
     s_scale = 1.0 + float(np.max(np.abs(cs.s)))
     s0 = float(np.mean(cs.s))
     csc_res = float(np.max(np.abs(cs.s - s0)))
-    einstein_res = m.einstein_certificate
-    if einstein_res is None:
+    g = m.g_poly
+    if g is None:  # C has no termwise g: the sampled tf Ric
         einstein_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
+    else:  # tf Ric on exact jets, ≡ 0 iff Einstein; g over its largest |coefficient|, so C's scale cannot enter
+        F, g = m.f_poly(), g / Fraction(max(abs(c) for _, c in g.terms()))
+        ric0 = _tf_ricci_from_jets((F, F.derive(), F.derive(2)), (g, g.derive(), g.derive(2)))
+        einstein_res = float(max((abs(c) for p in ric0 for _, c in p.terms()), default=0))
     measured = {
         "kahler_plus": (float(np.max(np.abs(dlogc + 1.0))), 1.0, None),
         "kahler_minus": (float(np.max(np.abs(dlogc - 1.0))), 1.0, None),
@@ -198,9 +203,10 @@ def classify(
 
     sd, asd, conformally_extremal and bach_flat depend on F alone and are
     exact for every F and C, from F's operators (bach_flat ⇔ L⁺L⁻F ≡ 1 and
-    B(F,F) = 0 at z = 0); einstein is exact from (C5, C6) on the canonical
-    family and reads the sampled trace-free Ricci tensor elsewhere; Kähler
-    reads the sampled (log C)′, exactly ∓1 for C = C0·e^{∓z}.  Every
+    B(F,F) = 0 at z = 0); einstein is exact for every F where ``m.g_poly`` is
+    an ExpPoly, from the trace-free Ricci tensor on exact jets, and reads the
+    sampled one elsewhere; Kähler reads the sampled (log C)′, exactly ∓1 for
+    C = C0·e^{∓z}.  Every
     predicate is "indeterminate" when F, C's numerator or C's
     denominator has an exact zero inside the domain (a zero at an end is a
     bolt or nut), or when the curvature sample of the grid raises (its

@@ -46,6 +46,7 @@ class EvalOverflowError(ArithmeticError):
 
 
 ENDPOINT_RTOL = 1e-12  # real_roots: a zero this close to a finite lo/hi is that end
+_INT_FLOAT = 2**1023  # an int of smaller magnitude has a float value
 _SCALAR = (int, float, Rational)  # int and float ahead of the ABC, whose isinstance is a slow Python-level check
 
 
@@ -134,12 +135,12 @@ class ExpPoly:
             g = math.gcd(den, *data.values())
             if g > 1:
                 data, den = {k: c // g for k, c in data.items()}, den // g
-        object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_floats", floats)
-        object.__setattr__(self, "_compiled", None)
-        object.__setattr__(self, "_values", None)
-        object.__setattr__(self, "_zeros", None)
+        _set_terms(self, data)
+        _set_den(self, den)
+        _set_floats(self, floats)
+        _set_compiled(self, None)
+        _set_values(self, None)
+        _set_zeros(self, None)
         return self
 
     def __setattr__(self, name, value):  # immutability guard
@@ -166,10 +167,6 @@ class ExpPoly:
     def coefficient(self, k):
         k = _key(k)
         return self._read(k, self._terms.get(k, 0))
-
-    def _ratios(self) -> list:
-        """[(2k, p, q)] in exponent order, each coefficient exactly p/q with q > 0."""
-        return [(k, c, self._den) for k, c in sorted(self._terms.items())]
 
     @property
     def is_zero(self) -> bool:
@@ -206,7 +203,8 @@ class ExpPoly:
         if not isinstance(other, ExpPoly):
             if not isinstance(other, _SCALAR):
                 return NotImplemented
-            other = ExpPoly.constant(other)
+            p, q = _as_number(other)
+            other = ExpPoly._keyed([(0, p)], q)  # constant(other) without __init__'s bookkeeping
         den = math.lcm(self._den, other._den)
         s, t = den // self._den, sign * den // other._den
         return ExpPoly._keyed([(k, c * s) for k, c in self._terms.items()]
@@ -219,6 +217,8 @@ class ExpPoly:
         if isinstance(other, ExpPoly):
             return ExpPoly._keyed([(ka + kb, ca * cb) for ka, ca in self._terms.items()
                                    for kb, cb in other._terms.items()], self._den * other._den)
+        if type(other) is int and -_INT_FLOAT < other < _INT_FLOAT:  # scale(other) without its float-value check
+            return self._times(other, 1)
         if isinstance(other, _SCALAR):
             return self.scale(other)
         return NotImplemented
@@ -267,8 +267,8 @@ class ExpPoly:
         rows = [[_quotient(c * k**i, den << i) for k, c in items] for i in range(max(order, 4) + 1)]
         keys = tuple(k for k, _ in items)
         compiled = (keys, tuple(k / 2 for k in keys), tuple(map(tuple, rows)))
-        object.__setattr__(self, "_values", tuple(zip(compiled[1], compiled[2][0])))  # row 0's pairs, before _compiled
-        object.__setattr__(self, "_compiled", compiled)
+        _set_values(self, tuple(zip(compiled[1], compiled[2][0])))  # row 0's pairs, before _compiled
+        _set_compiled(self, compiled)
         return compiled
 
     def _overflow(self, order: int, z: float) -> EvalOverflowError:
@@ -367,7 +367,7 @@ class ExpPoly:
                 p[(k - low) // step] = c
             roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
             zeros = tuple(sorted((2 // step * math.log(x), m) for x, m in roots))
-            object.__setattr__(self, "_zeros", zeros)
+            _set_zeros(self, zeros)
         ends = [float(end) for end in (lo, hi) if math.isfinite(end)]
         out = []
         for z, mult in zeros:
@@ -390,6 +390,11 @@ class ExpPoly:
     def __repr__(self):
         parts = [f"{c}" if k == 0 else f"{c}*e^({k}z)" for k, c in self.terms()]
         return "ExpPoly(" + (" + ".join(parts) or "0") + ")"
+
+
+# The slots' setters, which ExpPoly.__setattr__ leaves open: half the cost of object.__setattr__
+_set_terms, _set_den, _set_floats, _set_compiled, _set_values, _set_zeros = (
+    getattr(ExpPoly, name).__set__ for name in ExpPoly.__slots__)
 
 
 # ---------------------------------------------------------------- exact zeros

@@ -75,9 +75,8 @@ def _form_items(F: ExpPoly, form, *args) -> tuple:
     """form(*args, F's jet) as (2k, int numerator) items over one denominator, summed exactly per
     key: on F = Σ cᵢe^{kᵢz}, a + Σ cᵢℓ·uᵢe^{kᵢz} + Σ cᵢcⱼuᵢᵀSuⱼe^{(kᵢ+kⱼ)z}, uᵢ = (1, kᵢ, …, kᵢ⁴)."""
     den, a, lin, quad = _polarised(form, *args)
-    ratios = F._ratios()
-    d = ratios[0][2] if ratios else 1
-    terms = [(K, c, (16, 8 * K, 4 * K * K, 2 * K**3, K**4)) for K, c, _ in ratios]  # 16uᵢ
+    d = F._den
+    terms = [(K, c, (16, 8 * K, 4 * K * K, 2 * K**3, K**4)) for K, c in F._terms.items()]  # 16uᵢ
     out = {0: 256 * a * d * d}
     for i, (K, c, x) in enumerate(terms):
         out[K] = out.get(K, 0) + 16 * d * c * sum(v * y for v, y in zip(lin, x))

@@ -9,9 +9,10 @@ evaluation, of F and of C with g = C^{−1/2}.  F is always an ExpPoly:
 ``canonical_coefficients`` reads it back from any ExpPoly.  A spec builds its
 other carriers (g, C's num/den pair, and the operator polynomials built from F)
 once, on first use, and every evaluation shares them, so each polynomial's
-float rows are compiled once per spec.  ``jet_F``, ``jet_C`` and
-``conformal_value`` take a float z or a 1-D float64 array of them; on an
-array each check raises for the first z that fails it.
+float rows are compiled once per spec.  The Kähler ``tag`` is an exact identity on
+C's (num, den); ``classify`` decides Einstein from exact jets of F and ``g_poly``.
+``jet_F``, ``jet_C`` and ``conformal_value`` take a float z or a 1-D float64
+array of them; on an array each check raises for the first z that fails it.
 """
 from __future__ import annotations
 
@@ -134,7 +135,7 @@ def canonical_coefficients(poly: ExpPoly) -> Optional[tuple]:
 
     Requires exponents within {-2,-1,0,1,2} and constant term exactly 1.
     """
-    if not {k for k, _, _ in poly._ratios()} <= {-4, -2, 0, 2, 4}:  # the keys 2k
+    if not set(poly.exponents()) <= {-2, -1, 0, 1, 2}:
         return None
     if poly.coefficient(0) != 1:
         return None
@@ -208,14 +209,12 @@ class MetricSpec(_Record):
         """The Kähler complex structure, fixed by C alone: "Jplus" for
         C = C0·e^{-z}, "Jminus" for C = C0·e^{+z}, else None.  Read from C's
         (num, den), so any carrier can be either: with n·e^{az} and d·e^{bz}
-        their lowest terms, C = (n/d)·e^{(a−b)z} where a − b = ∓1, n·d > 0 and
-        num·d = den·n·e^{(a−b)z}, compared at the coefficients' binary values
-        as exact rationals term by term (so no product has to have a float value)."""
-        num, den = (p._ratios() for p in self.c_ratio)  # [(2k, p, q)], coefficient p/q
-        (a, n, nq), (b, d, dq) = num[0], den[0]
-        if a - b in (-2, 2) and n * d > 0 and len(num) == len(den) and all(
-            ka - kb == a - b and pa * qb * d * nq == pb * qa * n * dq for (ka, pa, qa), (kb, pb, qb) in zip(num, den)
-        ):
+        their lowest terms, C = (n/d)·e^{(a−b)z} where a − b = ∓1, n and d have
+        one sign and num·d·e^{bz} = den·n·e^{az}, exactly (a product by one term
+        merges no terms, so no coefficient has to have a float value)."""
+        num, den = self.c_ratio
+        (a, n), (b, d) = num.terms()[0], den.terms()[0]
+        if a - b in (-1, 1) and (n > 0) == (d > 0) and num * ExpPoly.exp_term(b, d) == den * ExpPoly.exp_term(a, n):
             return "Jplus" if a < b else "Jminus"
         return None
 
@@ -234,26 +233,13 @@ class MetricSpec(_Record):
         if isinstance(self.C, EinsteinFactor):
             g = ExpPoly([(Fraction(1, 2), self.C.c5), (Fraction(-1, 2), self.C.c6)])
             return g if g.eval(sum(self.domain.finite_window()) / 2) > 0 else -g
-        num, den = (p._ratios() for p in self.c_ratio)
-        if len(num) == len(den) == 1 and (num[0][0] - den[0][0]) % 2 == 0:  # ε, half the key difference, is an integer
-            ((a, n, p),), ((b, d, q),) = num, den  # keys 2k, coefficients n/p and d/q
-            c0 = _quotient(n * q, p * d)
+        num, den = (p.terms() for p in self.c_ratio)
+        if len(num) == len(den) == 1 and (num[0][0] - den[0][0]).denominator == 1:  # ε is an integer
+            ((a, n),), ((b, d),) = num, den
+            c0 = _quotient(*(Fraction(n) / Fraction(d)).as_integer_ratio())
             if 0 < c0 < math.inf:
-                return ExpPoly.exp_term(Fraction(b - a, 4), c0**-0.5)
+                return ExpPoly.exp_term((b - a) / 2, c0**-0.5)
         return None
-
-    @cached_property
-    def einstein_certificate(self) -> Optional[float]:
-        """max(|C1C5 − C2C6|, |C3C5 − C4C6|), 0 iff Einstein, for a canonical F and
-        g = C5·e^{z/2} + C6·e^{−z/2} (else None), once per spec: (C5, C6) is the direction
-        of g's pair of coefficients, so C's scale does not enter (C0·e^{∓z} gives (1, 0), (0, 1))."""
-        coeffs = canonical_coefficients(self.f_poly())
-        if coeffs is None or self.g_poly is None or self.g_poly.exponents() not in ((-0.5,), (0.5,), (-0.5, 0.5)):
-            return None
-        c1, c2, c3, c4 = coeffs
-        a, b = self.g_poly.coefficient(0.5), self.g_poly.coefficient(-0.5)
-        c5, c6 = a / max(abs(a), abs(b)), b / max(abs(a), abs(b))
-        return float(max(abs(c1 * c5 - c2 * c6), abs(c3 * c5 - c4 * c6)))
 
     @cached_property
     def operator_polys(self) -> tuple:

@@ -222,8 +222,9 @@ class TestCatalogVerdicts:
 
 
 class TestEinsteinScale:
-    """The (C5, C6) certificate reads only the direction of the pair, so the
-    constant scale of C, which no curvature condition sees, cannot change it."""
+    """einstein reads the trace-free Ricci tensor on exact jets with g = C^{−1/2}
+    over its largest |coefficient|, so the constant scale of C, which no
+    curvature condition sees, cannot change it."""
 
     @pytest.mark.parametrize("name", ["modified-taub-bolt-2", "modified-taub-nut-1"])
     def test_exp_factor(self, name):
@@ -231,14 +232,25 @@ class TestEinsteinScale:
         reports = [classify(catalog_get(name, {"C0": c0})) for c0 in (1e-20, 1.0, 1e20)]
         for p in ("einstein", "kahler_einstein"):
             assert {(r.verdict(p), r.residual(p)) for r in reports} == {("no", reports[1].residual(p))}
-        assert reports[1].residual("einstein") == {"modified-taub-bolt-2": 2.25, "modified-taub-nut-1": 2.0}[name]
+        assert reports[1].residual("einstein") == {"modified-taub-bolt-2": 4.5, "modified-taub-nut-1": 4.0}[name]
 
     def test_einstein_factor(self):
         # C = e^{-z}/(C5 + C6·e^{-z})² scales as 1/k² when (C5, C6) does as k; with F = 1 + ½e^{-2z}
-        # the certificate is |C1·C5| over max(|C5|, |C6|) = 3/5 (before: 3k, so yes for k = 2^-40)
+        # and g = (3/5)e^{z/2} + e^{−z/2}, ric0_b = −(6/5)e^{−2z} − (18/25)e^{−z} (before: 3k, so yes for k = 2^-40)
         F = canonical(1, 0, 0, 0)
         reports = [classify(MetricSpec("p", F, EinsteinFactor(3 * k, 5 * k), Domain(-1.0, 1.0))) for k in (2.0**-40, 1.0, 2.0**40)]
-        assert {(r.verdict("einstein"), r.residual("einstein")) for r in reports} == {("no", 0.6)}
+        assert {(r.verdict("einstein"), r.residual("einstein")) for r in reports} == {("no", 1.2)}
+
+    @pytest.mark.parametrize("F, num, domain, want", [
+        (canonical(2, -2, 0, 0), ExpPoly.exp_term(2), Domain(0.0, math.inf), 9.0),  # taub-nut's F
+        (ExpPoly([(0, 2), (-2, 1)]), ExpPoly.exp_term(-1), Domain(-1.0, 1.0), 4.0),
+    ], ids=["taub-nut-e^2z", "2+e^-2z"])
+    def test_off_family_spec(self, F, num, domain, want):
+        # before: off the canonical family einstein read the grid max of |ric0|, which scales as
+        # 1/C0, so both read einstein and ricci_flat yes at C0 = 1e20 (residuals 3.3e-20 and 9.9e-20)
+        for c0 in (1e-20, 1.0, 1e20):
+            rep = classify(MetricSpec("off", F, RatioFactor(num * c0, ExpPoly.constant(1)), domain))
+            assert (rep.verdict("einstein"), rep.residual("einstein"), rep.verdict("ricci_flat")) == ("no", want, "no"), c0
 
 
 class TestTolerancesDoNotScaleWithC:
@@ -272,7 +284,7 @@ class TestImplications:
     ]
     # B^0 is the Bach tensor, so bach_flat ⇔ bt_flat at t = 0
     AT_T0 = [("bach_flat", "bt_flat"), ("bt_flat", "bach_flat")]
-    # each pairs an exact yes (einstein from (C5, C6), bach_flat from F's operators) with a
+    # each pairs an exact yes (einstein from tf Ric on exact jets, bach_flat from F's operators) with a
     # grid residual's no (bt_flat, csc); see ROADMAP item 1
     THREE = ("super-taub-nut", "super-eguchi-hanson", "taub-nut-lambda")
     BROKEN = {
@@ -547,13 +559,15 @@ class TestWorkPerGridPoint:
         classify(m, tol=1e-6)
         assert built == []
 
-    def test_second_classify_reads_the_spec_einstein_certificate(self, monkeypatch):
-        # the exact certificate depends on F and C alone: it is found once per spec
-        import u2metrics.profiles
+    def test_second_classify_reads_the_kept_einstein_residual(self, monkeypatch):
+        # the exact tf Ric depends on F and C alone: it is found once per (spec, grid_n)
+        import u2metrics.curvature
 
         m = catalog_get("page")
+        calls = self._count(monkeypatch, u2metrics.curvature, "_tf_ricci_from_jets")
         first = classify(m).residual("einstein")
-        calls = self._count(monkeypatch, u2metrics.profiles, "canonical_coefficients")
+        assert calls
+        calls.clear()
         assert [classify(m).residual("einstein"), classify(m, t=1.0).residual("einstein")] == [first, first]
         assert calls == []
 

@@ -344,12 +344,14 @@ class TestDeltaWPotential:
 
 
 class TestEinsteinCertificate:
-    """classify decides einstein on the canonical family from (C5, C6) by
-    max(|C1C5 − C2C6|, |C3C5 − C4C6|) (``MetricSpec.einstein_certificate``);
-    the one tf-Ric kernel, run on exact jets (``_exact_jets``), must vanish
-    identically exactly when that certificate is 0.  C0·e^{∓z} enters as the
-    pair (1, 0) or (0, 1), whose g = e^{±z/2} is C^{−1/2} up to the constant
-    C0^{−1/2}."""
+    """On the canonical family with g = C5·e^{z/2} + C6·e^{−z/2}, Einstein is
+    max(|C1C5 − C2C6|, |C3C5 − C4C6|) = 0, a hand-derived oracle for the one
+    tf-Ric kernel: run on exact jets (``_exact_jets``), it must vanish
+    identically exactly when the oracle is 0, and classify's einstein residual,
+    the kernel's largest |coefficient| with g over its largest |coefficient|,
+    is twice the oracle at that (C5, C6) (ric0_b = 2g·Q, whose Q has the
+    oracle's entries).  C0·e^{∓z} enters as the pair (1, 0) or (0, 1), whose
+    g = e^{±z/2} is C^{−1/2} up to the constant C0^{−1/2}."""
 
     @staticmethod
     def _kernel_vanishes(coeffs, c5, c6) -> bool:
@@ -372,9 +374,9 @@ class TestEinsteinCertificate:
             c5, c6 = Fraction(m.C.c5), Fraction(m.C.c6)
         else:
             c5, c6 = (1, 0) if m.C.eps == -1 else (0, 1)
-        einstein = self._certificate(coeffs, c5, c6) == 0
-        assert self._kernel_vanishes(coeffs, c5, c6) == einstein
-        assert (classify(m).residual("einstein") == 0.0) == einstein
+        certificate = self._certificate(coeffs, c5 / max(abs(c5), abs(c6)), c6 / max(abs(c5), abs(c6)))
+        assert self._kernel_vanishes(coeffs, c5, c6) == (certificate == 0)
+        assert classify(m).residual("einstein") == float(2 * certificate)
 
     def test_random_small_rationals(self):
         rng = random.Random(19)

@@ -133,6 +133,18 @@ class TestArithmetic:
             assert (c * p).terms() == (p * c).terms()
         assert (0 * p).is_zero and (p * 0.0).is_zero
 
+    def test_int_products_and_scalar_sums_match_the_general_paths(self):
+        p = ExpPoly([(1, Fraction(2)), (0, 0.1)])
+        for n in (3, -5, 2**1023 - 1, -(2**1023), 2**1023):
+            assert p * n == n * p == p.scale(n)
+        with pytest.raises(ExpPolyError, match="^exact coefficient is too large for a float$"):
+            p * 10**400
+        for c in (3, Fraction(2, 3), 0.7, 0):
+            assert p + c == c + p == p + ExpPoly.constant(c)
+            assert c - p == ExpPoly.constant(c) - p
+        with pytest.raises(ExpPolyError, match="^non-finite coefficient nan$"):
+            p + math.nan
+
     @pytest.mark.parametrize("a, b", [
         ([(0, 1e308)], [(0, 1e308)]),
         ([(0, 10**308)], [(0, 10**308)]),  # exact, but its sum has no float value

@@ -578,6 +578,11 @@ class TestMultiTermRatio:
         assert twin.tag == "Jplus" == self._kahler_verdict(twin)
         assert MetricSpec("t", m.F, RatioFactor(*twin.c_ratio[::-1]), m.domain).tag == "Jminus"
 
+    def test_float_lowest_terms_whose_product_underflows(self):
+        # n·d = 1e-400 rounds to 0 in floats: the tag reads the signs of n and d, not their product
+        C = RatioFactor(ExpPoly.exp_term(-1, 1e-200), ExpPoly.constant(1e-200))
+        assert MetricSpec("t", canonical(2, -2, 0, 0), C, Domain(0.0, math.inf)).tag == "Jplus"
+
 
 class TestTranscription:
     def test_flat_space(self):

@@ -201,7 +201,7 @@ class TestJets:
     def test_single_term_ratio_whose_c0_has_no_float_value_has_no_g_poly(self, num, den):
         # C0 = n/d past float range (or below it): no termwise g and no tag, not an OverflowError
         m = MetricSpec("t", canonical(0, 0, 0, 0), RatioFactor(ExpPoly.constant(num), ExpPoly.constant(den)), Domain(-1.0, 1.0))
-        assert (m.g_poly, m.tag, m.einstein_certificate) == (None, None, None)
+        assert (m.g_poly, m.tag) == (None, None)
 
     @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
     def test_single_term_ratio_with_an_odd_half_exponent_takes_g_from_u(self, k):
@@ -221,11 +221,16 @@ class TestJets:
         verdicts = {r.verdict for r in classify(m).entries.values()} | {r.verdict for r in classify(m, t=1).entries.values()}
         assert "indeterminate" not in verdicts
 
-    def test_single_term_ratio_off_the_einstein_family_has_no_certificate(self):
-        # C = e^{−2z}: g = e^{z} is termwise, but has no (C5, C6) pair at exponents ±½
+    def test_single_term_ratio_off_the_einstein_family_is_exactly_not_einstein(self):
+        # C = e^{−2z}: g = e^{z} is termwise, though it has no (C5, C6) pair at exponents ±½,
+        # so einstein reads the exact tf Ric: ric0_a = 4g(g″ − ¼g) = 3e^{2z}
+        from u2metrics.classify import classify
+
         m = MetricSpec("t", canonical(0, 0, 0, 0), RatioFactor(ExpPoly([(-2, 1)]), ExpPoly.constant(1)), Domain(-1.0, 1.0))
         assert m.g_poly == ExpPoly([(1, 1.0)])
-        assert (m.tag, m.einstein_certificate) == (None, None)
+        assert m.tag is None
+        rep = classify(m)
+        assert (rep.verdict("einstein"), rep.residual("einstein")) == ("no", 3.0)
 
     def test_out_of_domain_raises(self):
         m = self._metric()
