@@ -13,6 +13,8 @@ F-only part plus C·s + 12F′·d − 6F·d² + 12F·C″/C, and F2res and T are
 (8/3)(L⁺L⁻F − 1) and 16·B(F,F) plus t·C times a polynomial in F's jet, d,
 C″/C, s and s′.  One body serves the float flow and float or array residuals,
 whose closed-form states ``state_from_metric`` reads from the jets, s and s′.
+T's 16·B(F,F) and a trajectory's |L⁺L⁻F − 1| run on float literals, copies of
+``operators.b_op_jet`` and ``l_compose_jet`` that the tests pin to them bit for bit.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .curvature import CurvatureSample, _checked, _scalar_from_jets, _scalar_prime_from_jets
 from .numerics import UniformStream, at_first, is_array
-from .operators import b_op_jet, l_compose_jet
 from .profiles import MetricSpec, _Record, jet_C, jet_F
 
 if TYPE_CHECKING:
@@ -111,7 +112,7 @@ class BtTrajectory(_Record):
 
     def extremality_residual(self) -> float:
         """max |L⁺(L⁻F) − 1| over the trajectory, from the carried F⁗."""
-        return max([0.0] + [abs(l_compose_jet((*smp.state[1:5], smp.F4d)) - 1.0) for smp in self.samples])
+        return max([0.0] + [abs(0.25 * smp.F4d - 1.25 * smp.state.F2d + smp.state.F - 1.0) for smp in self.samples])
 
 
 # ----------------------------------------------------------------- residuals
@@ -151,12 +152,17 @@ def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d) -> float:
 
 
 def tval(state: BtState, t: float) -> float:
-    """The first-integral operator T at a state (third order; no C″ or F⁗)."""
+    """The first-integral operator T at a state (third order; no C″ or F⁗), with
+    B as ``b_op_jet`` in float literals; only a singular or non-float state meets
+    :func:`_guard`, as in :func:`_derivative`."""
     z, F, F1, F2, F3, C, C1, s, K = state
-    _guard(z, F, C)
-    s1 = K / (C * F)
+    cf = C * F
+    if type(z) is not float or C <= 0.0 or F == 0.0 or cf == 0.0:
+        _guard(z, F, C)  # an array state, or one that raises
+    s1 = K / cf
     d = C1 / C
-    return 16.0 * b_op_jet((F, F1, F2, F3)) - t * C * (
+    B = (-0.5 * F2 + 1.5 * F1 + F - 1.0) * (0.5 * F2 - 1.5 * F1 + F - 1.0) + F1 * (0.5 * F3 - 1.5 * F2 + F1)
+    return 16.0 * B - t * C * (
         s1 * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
     )
 
@@ -218,18 +224,17 @@ def bt_rhs(state: Sequence[float], t: float) -> tuple:
     return np.array(d, np.float64), d[3], d[5]
 
 
-# Dormand-Prince 5(4) pair (Dormand & Prince 1980): nodes c2..c5 (c6 = c7 =
-# 1), stage rows _A, the 5th-order weights _B (also the seventh stage's row,
-# so the pair is first same as last) and the 4th-order weights _E; the zero
-# weights b2 = e2 = b7 = 0 are left out of the sums.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = 5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980), which bt_integrate unpacks
+# into locals: nodes c2..c5 (c6 = c7 = 1), stage rows _A, the 5th-order
+# weights _B (also the seventh stage's row, so the pair is first same as last)
+# and the 4th-order weights _E; the zero weights b2 = e2 = b7 = 0 are left out.
+_DP54 = (
+    1 / 5, 3 / 10, 4 / 5, 8 / 9, 1 / 5, 3 / 40, 9 / 40, 44 / 45, -56 / 15, 32 / 9,  # c2..c5, a21, a3j, a4j
+    19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729,  # a5j
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,  # a6j
+    35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,  # b1, b3..b6
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,  # e1, e3..e7
+)
 
 
 def bt_integrate(
@@ -248,17 +253,19 @@ def bt_integrate(
     ``init`` raises ValueError); never steps across F = 0 or C = 0 — on a
     singular solve the trajectory is truncated and flagged, with the partial
     samples returned, as it is after ``_MAX_STEPS`` = 200 000 accepted
-    steps.  The pair is first-same-as-last: the seventh stage is evaluated
-    at (z + h, y5), so on acceptance it is the next step's first stage, and
-    a step costs six calls of the float kernel ``_derivative``, with one
-    more for ``init``'s derivative (never ``bt_rhs``).  K is carried, never
+    steps and once |h| < 1e-14·max(1, |z|).  The pair is first-same-as-last:
+    the seventh stage is evaluated at (z + h, y5), so on acceptance it is the
+    next step's first stage, and a step costs six calls of the float kernel
+    ``_derivative``, with one more for ``init``'s derivative (never
+    ``bt_rhs``).  K is carried, never
     integrated, so it keeps its initial value (a −0.0 turns 0.0 on a forward
     step); the drift of the first integral T is in ``max_T_drift``.
 
     One step is unrolled over named float locals, with no lists: each stage
     is one kernel call on a plain (z, F, …, K) tuple written out component by
-    component, its derivative unpacked into locals, and only the seventh
-    stage, the state stored on acceptance, is a :class:`BtState`.  Each
+    component and its derivative unpacked into locals, as are the kernel,
+    ``tval``, the tableau, ``_MAX_STEPS`` and the counts (written back on
+    every exit); an accepted state and its sample are built as ``_make`` does.  Each
     weighted sum runs left to right from 0.0, so no partial sum is −0.0 and
     a term 0.0·k would leave it as it is for any finite k: the zero weights
     b₂ = e₂ = b₇ = 0 are left out and the seventh stage's input is y5
@@ -282,35 +289,38 @@ def bt_integrate(
             raise ValueError(f"{name} must be finite, got {v!r}")
     direction = 1.0 if b >= a else -1.0
     traj = BtTrajectory(t=t)
+    derivative, T, new, max_steps = _derivative, tval, tuple.__new__, _MAX_STEPS
+    (_C2, _C3, _C4, _C5, _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+     _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7) = _DP54
 
     z = a
     state = BtState(z, *map(float, init[1:]))  # init's own z is superseded by the span start
     try:
-        p0, p1, p2, p3, p4, p5, p6, _ = _derivative(state, t)  # k0, the derivative at (z, F, …, s, K)
+        p0, p1, p2, p3, p4, p5, p6, _ = derivative(state, t)  # k0, the derivative at (z, F, …, s, K)
     except SingularSystemError as exc:
         return traj.truncate(str(exc))
-    T0 = tval(state, t)
-    traj.samples.append(BtSample(state, p3, p5, T0))
+    T0 = T(state, t)
+    samples = traj.samples = [BtSample(state, p3, p5, T0)]
     F, F1, F2, F3, C, C1, s, K = state[1:]
+    accepted, rejected, drift, reason = 0, 0, 0.0, None
 
     h = direction * min(0.01, abs(b - a))
-    min_h = 1e-14 * max(1.0, abs(b - a))
 
     while (b - z) * direction > 0.0:
         if abs(h) > abs(b - z):
             h = b - z
         Kh = K + h * 0.0  # K + h·(0.0 + …) of every stage, y5 and y4: each sum of K′ = 0.0 is 0.0
         try:
-            q0, q1, q2, q3, q4, q5, q6, _ = _derivative((
+            q0, q1, q2, q3, q4, q5, q6, _ = derivative((
                 z + _C2 * h, F + h * (0.0 + _A21 * p0), F1 + h * (0.0 + _A21 * p1), F2 + h * (0.0 + _A21 * p2),
                 F3 + h * (0.0 + _A21 * p3), C + h * (0.0 + _A21 * p4), C1 + h * (0.0 + _A21 * p5),
                 s + h * (0.0 + _A21 * p6), Kh), t)
-            r0, r1, r2, r3, r4, r5, r6, _ = _derivative((
+            r0, r1, r2, r3, r4, r5, r6, _ = derivative((
                 z + _C3 * h, F + h * (0.0 + _A31 * p0 + _A32 * q0), F1 + h * (0.0 + _A31 * p1 + _A32 * q1),
                 F2 + h * (0.0 + _A31 * p2 + _A32 * q2), F3 + h * (0.0 + _A31 * p3 + _A32 * q3),
                 C + h * (0.0 + _A31 * p4 + _A32 * q4), C1 + h * (0.0 + _A31 * p5 + _A32 * q5),
                 s + h * (0.0 + _A31 * p6 + _A32 * q6), Kh), t)
-            w0, w1, w2, w3, w4, w5, w6, _ = _derivative((
+            w0, w1, w2, w3, w4, w5, w6, _ = derivative((
                 z + _C4 * h, F + h * (0.0 + _A41 * p0 + _A42 * q0 + _A43 * r0),
                 F1 + h * (0.0 + _A41 * p1 + _A42 * q1 + _A43 * r1),
                 F2 + h * (0.0 + _A41 * p2 + _A42 * q2 + _A43 * r2),
@@ -318,7 +328,7 @@ def bt_integrate(
                 C + h * (0.0 + _A41 * p4 + _A42 * q4 + _A43 * r4),
                 C1 + h * (0.0 + _A41 * p5 + _A42 * q5 + _A43 * r5),
                 s + h * (0.0 + _A41 * p6 + _A42 * q6 + _A43 * r6), Kh), t)
-            x0, x1, x2, x3, x4, x5, x6, _ = _derivative((
+            x0, x1, x2, x3, x4, x5, x6, _ = derivative((
                 z + _C5 * h, F + h * (0.0 + _A51 * p0 + _A52 * q0 + _A53 * r0 + _A54 * w0),
                 F1 + h * (0.0 + _A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * w1),
                 F2 + h * (0.0 + _A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * w2),
@@ -326,7 +336,7 @@ def bt_integrate(
                 C + h * (0.0 + _A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * w4),
                 C1 + h * (0.0 + _A51 * p5 + _A52 * q5 + _A53 * r5 + _A54 * w5),
                 s + h * (0.0 + _A51 * p6 + _A52 * q6 + _A53 * r6 + _A54 * w6), Kh), t)
-            o0, o1, o2, o3, o4, o5, o6, _ = _derivative((
+            o0, o1, o2, o3, o4, o5, o6, _ = derivative((
                 z + h, F + h * (0.0 + _A61 * p0 + _A62 * q0 + _A63 * r0 + _A64 * w0 + _A65 * x0),
                 F1 + h * (0.0 + _A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * w1 + _A65 * x1),
                 F2 + h * (0.0 + _A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * w2 + _A65 * x2),
@@ -341,8 +351,8 @@ def bt_integrate(
             n4 = C + h * (0.0 + _B1 * p4 + _B3 * r4 + _B4 * w4 + _B5 * x4 + _B6 * o4)
             n5 = C1 + h * (0.0 + _B1 * p5 + _B3 * r5 + _B4 * w5 + _B5 * x5 + _B6 * o5)
             n6 = s + h * (0.0 + _B1 * p6 + _B3 * r6 + _B4 * w6 + _B5 * x6 + _B6 * o6)
-            last = BtState(z + h, n0, n1, n2, n3, n4, n5, n6, Kh)  # y5, the seventh stage's input
-            g0, g1, g2, g3, g4, g5, g6, _ = _derivative(last, t)
+            y5 = (z + h, n0, n1, n2, n3, n4, n5, n6, Kh)  # the seventh stage's input
+            g0, g1, g2, g3, g4, g5, g6, _ = derivative(y5, t)
         except (SingularSystemError, OverflowError):
             err = math.nan
         else:
@@ -366,20 +376,26 @@ def bt_integrate(
             z = z + h
             F, F1, F2, F3, C, C1, s, K = n0, n1, n2, n3, n4, n5, n6, Kh
             p0, p1, p2, p3, p4, p5, p6 = g0, g1, g2, g3, g4, g5, g6
-            Tv = tval(last, t)
-            traj.max_T_drift = max(traj.max_T_drift, abs(Tv - T0))
-            traj.samples.append(BtSample(last, g3, g5, Tv))
-            traj.steps_accepted += 1
-            if traj.max_T_drift > _drift_cap:
-                return traj.truncate(f"T drift {abs(Tv - T0):g} above {_drift_cap:g} at z={z:.6g}")
-            if traj.steps_accepted >= _MAX_STEPS:
-                return traj.truncate("max step count reached")
+            Tv = T(y5, t)
+            dT = abs(Tv - T0)
+            if dT > drift:
+                drift = dT
+            samples.append(new(BtSample, (new(BtState, y5), g3, g5, Tv)))
+            accepted += 1
+            if drift > _drift_cap:
+                reason = f"T drift {dT:g} above {_drift_cap:g} at z={z:.6g}"
+                break
+            if accepted >= max_steps:
+                reason = "max step count reached"
+                break
         else:
-            traj.steps_rejected += 1  # a non-finite err included: it halves h
+            rejected += 1  # a non-finite err included: it halves h
         h *= min(5.0, max(0.2, 0.9 * err ** (-0.2) if err > 0.0 else 5.0)) if math.isfinite(err) else 0.5
-        if abs(h) < min_h:
-            return traj.truncate(f"step underflow near z={z:.6g}")
-    return traj
+        if abs(h) < 1e-14 * max(1.0, abs(z)):
+            reason = f"step underflow near z={z:.6g}"
+            break
+    traj.steps_accepted, traj.steps_rejected, traj.max_T_drift = accepted, rejected, drift
+    return traj if reason is None else traj.truncate(reason)
 
 
 # ------------------------------------------------------------------- seeding
@@ -398,7 +414,8 @@ def bt_csc_seed(
     F‴ is solved for directly; when F′ = 0 the solve retargets F″ instead
     (T is then quadratic in F″) and F‴ is set to zero.  A non-finite
     argument raises SeedError naming the first, and a singular F and C
-    (:func:`_guard`'s) raise it with the guard's message.  The state's z is 0.0.
+    (:func:`_guard`'s) raise it with the guard's message, as does a T whose
+    solved F‴ or F″ is not finite (a huge t·C term may round the slope to 0).
     """
     args = (("F", F), ("F1d", F1d), ("F2d", F2d), ("C", C), ("C1d", C1d), ("s", s), ("t", t))
     for name, v in args:
@@ -411,11 +428,14 @@ def bt_csc_seed(
     if abs(F1d) >= _COEF_FLOOR:
         t0 = tval(BtState(0.0, F, F1d, F2d, 0.0, C, C1d, s, 0.0), t)
         slope = tval(BtState(0.0, F, F1d, F2d, 1.0, C, C1d, s, 0.0), t) - t0  # = 8·F1d
-        return BtState(0.0, F, F1d, F2d, -t0 / slope, C, C1d, s, 0.0)
+        f3d = -t0 / slope if slope else math.nan
+        if not math.isfinite(f3d):
+            raise SeedError(f"T = 0 unsolvable: T = {t0:g} + {slope:g}·F‴ has no finite root F‴")
+        return BtState(0.0, F, F1d, F2d, f3d, C, C1d, s, 0.0)
     # Fallback: with F′ = F‴ = K = 0, T = rest − 4F″², rest being T at F″ = 0
     rest = tval(BtState(0.0, F, 0.0, 0.0, 0.0, C, C1d, s, 0.0), t)
-    if rest < 0.0:
-        raise SeedError("T = 0 unsolvable: F′ = 0 and the F″² target is negative")
+    if not 0.0 <= rest < math.inf:
+        raise SeedError(f"T = 0 unsolvable: F′ = 0 and the F″² target {rest / 4.0:g} is negative or not finite")
     f2d = math.sqrt(rest / 4.0)
     if F2d < 0.0:
         f2d = -f2d

@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from u2metrics import btflat
+from u2metrics import btflat, operators
 from u2metrics.btflat import (
     BtSample,
     BtState,
@@ -34,7 +35,7 @@ from u2metrics.btflat import (
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import _scalar_from_jets, _scalar_prime_from_jets, curvature_sample, scalar_curvature
-from u2metrics.operators import b_op_jet
+from u2metrics.operators import b_op_jet, l_compose_jet
 from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical, jet_C, jet_F
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -258,6 +259,20 @@ class TestSeeds:
         with pytest.raises(SeedError, match="seed argument F2d must be finite"):
             bt_csc_seed(F=1.3, F1d=0.4, F2d=math.inf, C=math.nan, C1d=0.3, s=0.5, t=1.0)
 
+    @pytest.mark.parametrize("F1d,t,match", [
+        (0.3, 1e100, r"T = 4.08375e\+100 \+ 0·F‴ has no finite root F‴"),  # before: ZeroDivisionError
+        (0.3, 1e308, r"T = inf \+ nan·F‴ has no finite root F‴"),  # before: a state with F3d = nan
+        (0.0, 1e308, "F′ = 0 and the F″² target inf is negative or not finite"),  # before: F2d = −inf
+    ])
+    def test_a_swamped_t_solve_raises_seed_error(self, F1d, t, match):
+        with pytest.raises(SeedError, match=f"^T = 0 unsolvable: {match}"):
+            bt_csc_seed(1.5, F1d, -0.2, 1.2, 0.1, 0.5, t)
+
+    def test_a_search_at_huge_t_reports_its_failed_trials(self):
+        # before: a bare ZeroDivisionError out of the search
+        with pytest.raises(SearchFailure, match=r"^all trials failed: trial 1: T = 0 unsolvable: T = -5.80206e\+99 \+ 0·F‴"):
+            bt_nonextremal_search(1e100, trials=8, seed=1)
+
 
 class TestIntegration:
     def test_reproduces_taub_bolt(self):
@@ -329,6 +344,12 @@ class TestIntegration:
         seed = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
         traj = bt_integrate(seed, 1.0, (0.0, 0.6))
         assert (traj.steps_accepted, len(traj.samples), traj.truncation_reason) == (1, 2, "max step count reached")
+
+    def test_the_step_floor_follows_z_not_the_span(self):
+        # before: the floor 1e-14·|b − a| = 0.1 stopped (0, 1e13) after one step, "step underflow near z=0.01"
+        seed = bt_csc_seed(F=1.5, F1d=0.3, F2d=-0.2, C=1.2, C1d=0.1, s=0.5, t=1.0)
+        far, near = bt_integrate(seed, 1.0, (0.0, 1e13)), bt_integrate(seed, 1.0, (0.0, 10.0))
+        assert far.steps_accepted > 100 and _fingerprint(far) == _fingerprint(near)
 
     @pytest.mark.parametrize("span, name", [
         ((0.0, math.nan), "span end"),
@@ -656,6 +677,39 @@ class TestSquareRootFreeForms:
             assert powers == [], (name, powers)
 
 
+def _tval_of_the_jet_form(state, t):
+    """T with B from ``operators.b_op_jet``, the one body every carrier shares."""
+    z, F, F1, F2, F3, C, C1, s, K = state
+    s1 = K / (C * F)
+    d = C1 / C
+    return 16.0 * b_op_jet((F, F1, F2, F3)) - t * C * (
+        s1 * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
+    )
+
+
+_moderate = st.floats(min_value=1e-100, max_value=1e100).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+class TestFloatCopies:
+    """The flow's float-literal T and extremality form are the operators' jet forms, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(_moderate, *[st.one_of(st.just(0.0), _moderate)] * 3, _moderate.map(abs),
+                     *[st.one_of(st.just(0.0), _moderate)] * 3),
+           st.one_of(st.just(0.0), _moderate))
+    def test_tval_is_b_op_jet_bit_for_bit(self, fields, t):
+        state = BtState(0.0, *fields)
+        assert tval(state, t).hex() == _tval_of_the_jet_form(state, t).hex()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(_moderate, *[st.one_of(st.just(0.0), _moderate)] * 4))
+    def test_extremality_residual_is_l_compose_jet_bit_for_bit(self, jet):
+        F, F1, F2, F3, F4d = jet
+        smp = BtSample(BtState(0.0, F, F1, F2, F3, 1.0, 0.0, 0.5, 0.0), F4d, 0.0, 0.0)
+        got = BtTrajectory(1.0, [smp]).extremality_residual()
+        assert got.hex() == max(0.0, abs(l_compose_jet(jet) - 1.0)).hex()
+
+
 # ------------------------------------------------------------- bit identity
 # The numpy formulation of the DP5(4) stepper, kept verbatim: bt_integrate
 # steps plain floats with first-same-as-last reuse and must reproduce it bit
@@ -701,7 +755,6 @@ def _reference_integrate(
     traj.samples.append(BtSample(state, F4d, C2d, T0))
 
     h = direction * min(0.01, abs(b - a))
-    min_h = 1e-14 * max(1.0, abs(b - a))
     k = [None] * 7
 
     while (b - z) * direction > 0.0:
@@ -724,7 +777,7 @@ def _reference_integrate(
         if failed or not math.isfinite(err):
             h *= 0.5
             traj.steps_rejected += 1
-            if abs(h) < min_h:
+            if abs(h) < 1e-14 * max(1.0, abs(z)):
                 traj.truncated = True
                 traj.truncation_reason = f"step underflow near z={z:.6g}"
                 return traj
@@ -751,7 +804,7 @@ def _reference_integrate(
             traj.steps_rejected += 1
         factor = 0.9 * err ** (-0.2) if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        if abs(h) < min_h:
+        if abs(h) < 1e-14 * max(1.0, abs(z)):
             traj.truncated = True
             traj.truncation_reason = f"step underflow near z={z:.6g}"
             return traj
@@ -921,6 +974,37 @@ class TestWork:
             assert kernel["n"] == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
             with_rejections += traj.steps_rejected > 0
         assert with_rejections > 0
+
+    @staticmethod
+    def _counting_jet_forms(monkeypatch):
+        """Count calls of ``operators.b_op_jet`` and ``l_compose_jet`` wherever a u2metrics module binds them."""
+        calls = {"n": 0}
+        for name in ("b_op_jet", "l_compose_jet"):
+            real = getattr(operators, name)
+
+            def counted(*args, real=real):
+                calls["n"] += 1
+                return real(*args)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("u2metrics") and getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(_pin_cases()))
+    def test_one_tval_per_sample_and_no_jet_form(self, monkeypatch, case):
+        init, t, span, tol = _pin_cases()[case]
+        tvals = self._counting(monkeypatch, "tval")
+        forms = self._counting_jet_forms(monkeypatch)
+        traj = bt_integrate(init, t, span, tol=tol)
+        traj.extremality_residual()
+        assert tvals["n"] == 1 + traj.steps_accepted == len(traj.samples)
+        assert forms["n"] == 0
+
+    def test_a_search_calls_no_jet_form(self, monkeypatch):
+        forms = self._counting_jet_forms(monkeypatch)
+        bt_nonextremal_search(1.0, 32, seed=1)
+        assert forms["n"] == 0
 
     @pytest.mark.parametrize("case", sorted(_pin_cases()))
     def test_bt_rhs_is_the_kernel_as_an_array(self, case):
