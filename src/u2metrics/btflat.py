@@ -13,8 +13,6 @@ F-only part plus C·s + 12F′·d − 6F·d² + 12F·C″/C, and F2res and T are
 (8/3)(L⁺L⁻F − 1) and 16·B(F,F) plus t·C times a polynomial in F's jet, d,
 C″/C, s and s′.  One body serves the float flow and float or array residuals,
 whose closed-form states ``state_from_metric`` reads from the jets, s and s′.
-T's 16·B(F,F) and a trajectory's |L⁺L⁻F − 1| run on float literals, copies of
-``operators.b_op_jet`` and ``l_compose_jet`` that the tests pin to them bit for bit.
 """
 from __future__ import annotations
 
@@ -24,6 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .curvature import CurvatureSample, _checked, _scalar_from_jets, _scalar_prime_from_jets
 from .numerics import UniformStream, at_first, is_array
+from .operators import b_op_jet, l_compose_jet
 from .profiles import MetricSpec, _Record, jet_C, jet_F
 
 if TYPE_CHECKING:
@@ -112,7 +111,7 @@ class BtTrajectory(_Record):
 
     def extremality_residual(self) -> float:
         """max |L⁺(L⁻F) − 1| over the trajectory, from the carried F⁗."""
-        return max([0.0] + [abs(0.25 * smp.F4d - 1.25 * smp.state.F2d + smp.state.F - 1.0) for smp in self.samples])
+        return max([0.0] + [abs(l_compose_jet((*smp.state[1:5], smp.F4d)) - 1.0) for smp in self.samples])
 
 
 # ----------------------------------------------------------------- residuals
@@ -152,17 +151,15 @@ def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d) -> float:
 
 
 def tval(state: BtState, t: float) -> float:
-    """The first-integral operator T at a state (third order; no C″ or F⁗), with
-    B as ``b_op_jet`` in float literals; only a singular or non-float state meets
-    :func:`_guard`, as in :func:`_derivative`."""
+    """The first-integral operator T at a state (third order; no C″ or F⁗); only
+    a singular or non-float state meets :func:`_guard`, as in :func:`_derivative`."""
     z, F, F1, F2, F3, C, C1, s, K = state
     cf = C * F
     if type(z) is not float or C <= 0.0 or F == 0.0 or cf == 0.0:
         _guard(z, F, C)  # an array state, or one that raises
     s1 = K / cf
     d = C1 / C
-    B = (-0.5 * F2 + 1.5 * F1 + F - 1.0) * (0.5 * F2 - 1.5 * F1 + F - 1.0) + F1 * (0.5 * F3 - 1.5 * F2 + F1)
-    return 16.0 * B - t * C * (
+    return 16.0 * b_op_jet((F, F1, F2, F3)) - t * C * (
         s1 * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
     )
 

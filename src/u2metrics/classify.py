@@ -152,12 +152,10 @@ def _measure(m: MetricSpec, grid, cs) -> dict:
     g = m.g_poly
     if g is None:  # C has no termwise g: the sampled tf Ric
         einstein_res = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
-    elif "einstein" in m._grid_samples:  # the exact residual reads no grid: kept once per spec
-        einstein_res = m._grid_samples["einstein"]
     else:  # tf Ric on exact jets, ≡ 0 iff Einstein; g over its largest |coefficient|, so C's scale cannot enter
         F, g = m.f_poly(), g / Fraction(max(abs(c) for _, c in g.terms()))
         ric0 = _tf_ricci_from_jets((F, F.derive(), F.derive(2)), (g, g.derive(), g.derive(2)))
-        einstein_res = m._grid_samples["einstein"] = float(max((abs(c) for p in ric0 for _, c in p.terms()), default=0))
+        einstein_res = float(max((abs(c) for p in ric0 for _, c in p.terms()), default=0))
     measured = {
         "kahler_plus": (float(np.max(np.abs(dlogc + 1.0))), 1.0, None),
         "kahler_minus": (float(np.max(np.abs(dlogc - 1.0))), 1.0, None),
@@ -215,12 +213,12 @@ def classify(
     reason names the z). A ``tol`` that is not positive and finite, a non-finite ``t``
     or a ``grid_n`` that ``sample_grid`` refuses raises ValueError.
 
-    The measurement runs once per (spec, grid_n), the exact Einstein residual
-    once per spec: the zero test, one ``curvature_sample(m, grid)`` call and
-    every residual but bt_flat's, none of which reads ``tol`` or ``t``.  It is
-    kept on the spec, so a later call at any ``tol`` only decides the verdicts,
-    and one with ``t`` adds the one ``bt_grid_residual`` of the kept sample.
-    A new ``MetricSpec(m.name, m.F, m.C, m.domain)`` measures anew.
+    The measurement runs once per (spec, grid_n): the zero test, one
+    ``curvature_sample(m, grid)`` call and every residual but bt_flat's, none
+    of which reads ``tol`` or ``t``.  It is kept on the spec, so a later call
+    at any ``tol`` only decides the verdicts, and one with ``t`` adds the one
+    ``bt_grid_residual`` of the kept sample.  A new
+    ``MetricSpec(m.name, m.F, m.C, m.domain)`` measures anew.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

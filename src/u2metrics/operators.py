@@ -13,8 +13,6 @@ subnormal.  A form has degree ≤ 2 in the jet, so the exact ``l_op``,
 ``l_compose`` and ``b_op`` take no derivative of F: they sum the form's
 constant, linear and bilinear parts (``_polarised``, once per form) on the
 exact jets of F's terms and pairs of terms, with F's int numerators.
-The B^t flow keeps float-literal copies of B (``btflat.tval``) and of L⁺∘L⁻
-(``BtTrajectory.extremality_residual``), pinned to these forms bit for bit.
 """
 from __future__ import annotations
 

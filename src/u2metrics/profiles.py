@@ -260,9 +260,8 @@ class MetricSpec(_Record):
     def _grid_samples(self) -> dict:
         """grid_n → (the curvature sample of the spec's grid, the residuals
         that read neither tol nor t), or the reason every predicate is
-        indeterminate, and "einstein" → the exact Einstein residual: filled by
-        ``classify`` (this module cannot import curvature), once per grid_n and
-        once per spec."""
+        indeterminate: filled by ``classify`` (this module cannot import
+        curvature), once per grid_n."""
         return {}
 
     def f_poly(self) -> ExpPoly:

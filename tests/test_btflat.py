@@ -6,7 +6,6 @@ import json
 import math
 import pathlib
 import re
-import sys
 import warnings
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from u2metrics import btflat, operators
+from u2metrics import btflat
 from u2metrics.btflat import (
     BtSample,
     BtState,
@@ -35,7 +34,7 @@ from u2metrics.btflat import (
 from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import _scalar_from_jets, _scalar_prime_from_jets, curvature_sample, scalar_curvature
-from u2metrics.operators import b_op_jet, l_compose_jet
+from u2metrics.operators import b_op_jet
 from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical, jet_C, jet_F
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -677,39 +676,6 @@ class TestSquareRootFreeForms:
             assert powers == [], (name, powers)
 
 
-def _tval_of_the_jet_form(state, t):
-    """T with B from ``operators.b_op_jet``, the one body every carrier shares."""
-    z, F, F1, F2, F3, C, C1, s, K = state
-    s1 = K / (C * F)
-    d = C1 / C
-    return 16.0 * b_op_jet((F, F1, F2, F3)) - t * C * (
-        s1 * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
-    )
-
-
-_moderate = st.floats(min_value=1e-100, max_value=1e100).flatmap(lambda x: st.sampled_from([x, -x]))
-
-
-class TestFloatCopies:
-    """The flow's float-literal T and extremality form are the operators' jet forms, bit for bit."""
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.tuples(_moderate, *[st.one_of(st.just(0.0), _moderate)] * 3, _moderate.map(abs),
-                     *[st.one_of(st.just(0.0), _moderate)] * 3),
-           st.one_of(st.just(0.0), _moderate))
-    def test_tval_is_b_op_jet_bit_for_bit(self, fields, t):
-        state = BtState(0.0, *fields)
-        assert tval(state, t).hex() == _tval_of_the_jet_form(state, t).hex()
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.tuples(_moderate, *[st.one_of(st.just(0.0), _moderate)] * 4))
-    def test_extremality_residual_is_l_compose_jet_bit_for_bit(self, jet):
-        F, F1, F2, F3, F4d = jet
-        smp = BtSample(BtState(0.0, F, F1, F2, F3, 1.0, 0.0, 0.5, 0.0), F4d, 0.0, 0.0)
-        got = BtTrajectory(1.0, [smp]).extremality_residual()
-        assert got.hex() == max(0.0, abs(l_compose_jet(jet) - 1.0)).hex()
-
-
 # ------------------------------------------------------------- bit identity
 # The numpy formulation of the DP5(4) stepper, kept verbatim: bt_integrate
 # steps plain floats with first-same-as-last reuse and must reproduce it bit
@@ -975,36 +941,12 @@ class TestWork:
             with_rejections += traj.steps_rejected > 0
         assert with_rejections > 0
 
-    @staticmethod
-    def _counting_jet_forms(monkeypatch):
-        """Count calls of ``operators.b_op_jet`` and ``l_compose_jet`` wherever a u2metrics module binds them."""
-        calls = {"n": 0}
-        for name in ("b_op_jet", "l_compose_jet"):
-            real = getattr(operators, name)
-
-            def counted(*args, real=real):
-                calls["n"] += 1
-                return real(*args)
-
-            for mod_name, mod in list(sys.modules.items()):
-                if mod_name.startswith("u2metrics") and getattr(mod, name, None) is real:
-                    monkeypatch.setattr(mod, name, counted)
-        return calls
-
     @pytest.mark.parametrize("case", sorted(_pin_cases()))
-    def test_one_tval_per_sample_and_no_jet_form(self, monkeypatch, case):
+    def test_one_tval_per_sample(self, monkeypatch, case):
         init, t, span, tol = _pin_cases()[case]
         tvals = self._counting(monkeypatch, "tval")
-        forms = self._counting_jet_forms(monkeypatch)
         traj = bt_integrate(init, t, span, tol=tol)
-        traj.extremality_residual()
         assert tvals["n"] == 1 + traj.steps_accepted == len(traj.samples)
-        assert forms["n"] == 0
-
-    def test_a_search_calls_no_jet_form(self, monkeypatch):
-        forms = self._counting_jet_forms(monkeypatch)
-        bt_nonextremal_search(1.0, 32, seed=1)
-        assert forms["n"] == 0
 
     @pytest.mark.parametrize("case", sorted(_pin_cases()))
     def test_bt_rhs_is_the_kernel_as_an_array(self, case):

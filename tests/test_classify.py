@@ -571,22 +571,6 @@ class TestWorkPerGridPoint:
         assert [classify(m).residual("einstein"), classify(m, t=1.0).residual("einstein")] == [first, first]
         assert calls == []
 
-    def test_the_exact_einstein_residual_is_found_once_per_spec(self, monkeypatch):
-        # before: once per (spec, grid_n), though it reads only F and C
-        page = catalog_get("page")
-        want = classify(page).residual("einstein")
-        m = MetricSpec(page.name, page.F, page.C, page.domain)
-        module = sys.modules["u2metrics.classify"]
-        real, exact = module._tf_ricci_from_jets, []
-
-        def counted(fj, gj):  # each grid's curvature_sample calls it too, on float arrays
-            exact.append(isinstance(fj[0], ExpPoly))
-            return real(fj, gj)
-
-        monkeypatch.setattr(module, "_tf_ricci_from_jets", counted)
-        assert [classify(m, grid_n=n).residual("einstein") for n in (16, 64)] == [want, want]
-        assert exact == [True]
-
     def test_curvature_sample_evaluates_each_jet_once(self, monkeypatch):
         import u2metrics.profiles
 
