@@ -48,8 +48,6 @@ _COEF_FLOOR = 1e-12
 _MAX_STEPS = 200000  # bt_integrate's cap on accepted steps
 _DRIFT_CAP = 1e-7  # bt_nonextremal_search's cap on a trial's |T − T₀|
 
-STATE_FIELDS = ("F", "F1d", "F2d", "F3d", "C", "C1d", "s", "K")
-
 
 class SingularSystemError(ArithmeticError):
     """A linear solve for a highest derivative is singular (or F/C vanished)."""
@@ -83,6 +81,9 @@ class BtState(NamedTuple):
     @staticmethod
     def from_vector(z: float, y: Sequence[float]) -> "BtState":
         return BtState(z, *(float(v) for v in y))
+
+
+STATE_FIELDS = BtState._fields[1:]  # the 8-vector's names, in order
 
 
 class BtSample(NamedTuple):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Optional
 
 from .exppoly import ExpPoly, _positive_roots
@@ -91,9 +90,8 @@ def _positive_int(name, default, minimum=1) -> ParamSpec:
 
 
 # -------------------------------------------------------------- special roots
-@cache
 def page_constants() -> tuple:
-    """(ν, z0, coeff) for the Page metric, computed once.
+    """(ν, z0, coeff) for the Page metric.
 
     ν is the float nearest the one positive root of ν⁴ + 4ν³ − 6ν² + 12ν − 3;
     z0 the one real zero of e^{4z} − 4e^{z} − 3, as ``real_roots`` gives it;

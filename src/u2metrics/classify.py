@@ -28,6 +28,8 @@ __all__ = [
     "PREDICATES",
 ]
 
+_GRID_N = 64  # the grid_n of classify's grid
+
 PREDICATES = (
     "kahler_plus",
     "kahler_minus",
@@ -58,13 +60,13 @@ class PredicateResult(_Record):
 
 
 class ClassificationReport(_Record):
-    """A metric's predicate results by name, at tol and the grid_n requested of
-    ``sample_grid`` (not the count of points it gave)."""
+    """A metric's predicate results by name, at tol, on ``sample_grid``'s default
+    grid (its text and tree give the grid_n requested, not the count of points)."""
 
     __hash__, __setattr__, __delattr__ = None, object.__setattr__, object.__delattr__
 
-    def __init__(self, metric_name: str, tol: float, grid_n: int, entries: Optional[dict] = None):
-        self.metric_name, self.tol, self.grid_n = metric_name, tol, grid_n
+    def __init__(self, metric_name: str, tol: float, entries: Optional[dict] = None):
+        self.metric_name, self.tol = metric_name, tol
         self.entries = {} if entries is None else entries
 
     def verdict(self, name: str) -> str:
@@ -77,7 +79,7 @@ class ClassificationReport(_Record):
         return tuple(n for n in PREDICATES if n in self.entries and self.entries[n].verdict == "yes")
 
     def text(self) -> str:
-        lines = [f"metric {self.metric_name}", f"tol {self.tol:g}", f"grid_n {self.grid_n}"]
+        lines = [f"metric {self.metric_name}", f"tol {self.tol:g}", f"grid_n {_GRID_N}"]
         for name in PREDICATES:
             if name not in self.entries:
                 continue
@@ -92,7 +94,7 @@ class ClassificationReport(_Record):
         return {
             "metric": self.metric_name,
             "tol": self.tol,
-            "grid_n": self.grid_n,
+            "grid_n": _GRID_N,
             "predicates": {
                 n: {
                     "verdict": e.verdict,
@@ -105,7 +107,7 @@ class ClassificationReport(_Record):
 
 
 @lru_cache(maxsize=256, typed=True)  # bounded: a parameter sweep makes a new domain per spec
-def sample_grid(domain: Domain, grid_n: int = 64) -> np.ndarray:
+def sample_grid(domain: Domain, grid_n: int = _GRID_N) -> np.ndarray:
     """Interior sample points, geometrically clustered toward both ends:
     2·(grid_n // 2) − 1 of them for grid_n ≥ 4 (the two halves share the
     midpoint) and 2 for grid_n = 2 or 3.
@@ -135,14 +137,15 @@ def sample_grid(domain: Domain, grid_n: int = 64) -> np.ndarray:
 def _grid_max(p, grid) -> float:
     """max |p| over the grid for an ExpPoly p, 0.0 when p ≡ 0."""
     import numpy as np
-    return 0.0 if p.is_zero else float(np.max(np.abs(p.eval(np.asarray(grid, dtype=float)))))
+    return 0.0 if p.is_zero else float(np.max(np.abs(p.eval(grid))))
 
 
-def _measure(m: MetricSpec, grid, cs) -> dict:
+def _measure(m: MetricSpec, cs) -> dict:
     """Every residual that reads neither tol nor t, from the curvature sample cs of
-    the grid: predicate → (residual, scale, certificate), the verdict being "yes"
+    the grid cs.z: predicate → (residual, scale, certificate), the verdict being "yes"
     iff residual ≤ tol·scale, and "indeterminate" for a scale of None."""
     import numpy as np
+    grid = cs.z
     lp_poly, lm_poly, ce_poly = m.operator_polys
     dlogc = cs.C1d / cs.C  # (log C)′ is −1 for J⁺-Kähler and +1 for J⁻
     ce_res = _grid_max(ce_poly, grid)  # max |L⁺(L⁻F) − 1|, independent of C
@@ -193,12 +196,7 @@ def _measure(m: MetricSpec, grid, cs) -> dict:
 
 
 # --------------------------------------------------------------------- classify
-def classify(
-    m: MetricSpec,
-    tol: float = 1e-9,
-    grid_n: int = 64,
-    t: Optional[float] = None,
-) -> ClassificationReport:
+def classify(m: MetricSpec, tol: float = 1e-9, t: Optional[float] = None) -> ClassificationReport:
     """Evaluate the full predicate taxonomy on a metric.
 
     sd, asd, conformally_extremal and bach_flat depend on F alone and are
@@ -209,28 +207,28 @@ def classify(
     C = C0·e^{∓z}.  Every
     predicate is "indeterminate" when F, C's numerator or C's
     denominator has an exact zero inside the domain (a zero at an end is a
-    bolt or nut), or when the curvature sample of the grid raises (its
-    reason names the z). A ``tol`` that is not positive and finite, a non-finite ``t``
-    or a ``grid_n`` that ``sample_grid`` refuses raises ValueError.
+    bolt or nut), when one of them is past ``real_roots``' degree bound, or
+    when the curvature sample of the grid raises (its reason names the z).
+    A ``tol`` that is not positive and finite or a non-finite ``t`` raises
+    ValueError.
 
-    The measurement runs once per (spec, grid_n): the zero test, one
-    ``curvature_sample(m, grid)`` call and every residual but bt_flat's, none
-    of which reads ``tol`` or ``t``.  It is kept on the spec, so a later call
-    at any ``tol`` only decides the verdicts, and one with ``t`` adds the one
-    ``bt_grid_residual`` of the kept sample.  A new
+    The measurement runs once per spec, on ``sample_grid(m.domain)``: the zero
+    test, one ``curvature_sample(m, grid)`` call and every residual but
+    bt_flat's, none of which reads ``tol`` or ``t``.  It is kept on the spec,
+    so a later call at any ``tol`` only decides the verdicts, and one with
+    ``t`` adds the one ``bt_grid_residual`` of the kept sample.  A new
     ``MetricSpec(m.name, m.F, m.C, m.domain)`` measures anew.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if t is not None and not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    report = ClassificationReport(metric_name=m.name, tol=tol, grid_n=grid_n)
-    grid = sample_grid(m.domain, grid_n)
+    report = ClassificationReport(metric_name=m.name, tol=tol)
 
     def put(name, verdict, residual, certificate=None):
         report.entries[name] = PredicateResult(name, verdict, float(residual), certificate)
 
-    kept = m._grid_samples.get(grid_n)
+    kept = m._grid_sample
     if kept is None:
         lo, hi = m.domain.lo, m.domain.hi
         num, den = m.c_ratio
@@ -239,12 +237,12 @@ def classify(
                 inside = [z for z, _ in carrier.real_roots(lo, hi) if lo < z < hi]
                 if inside:
                     raise ValueError(f"{label} vanishes at z={inside[0]:.6g} inside the domain")
-            cs = curvature_sample(m, grid)
+            cs = curvature_sample(m, sample_grid(m.domain))
         except (ArithmeticError, ValueError) as exc:
             kept = str(exc)  # not the exception: its traceback would keep this call's frames alive
         else:
-            kept = (cs, _measure(m, grid, cs))
-        m._grid_samples[grid_n] = kept
+            kept = (cs, _measure(m, cs))
+        object.__setattr__(m, "_grid_sample", kept)  # the spec's one mutable slot
     if isinstance(kept, str):
         for name in PREDICATES:
             if name == "bt_flat" and t is None:

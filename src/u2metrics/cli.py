@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .btflat import (
-    STATE_FIELDS,
     BtState,
     SearchFailure,
     SeedError,
@@ -29,6 +28,7 @@ from .btflat import (
 from .catalog import CatalogError, catalog_get, catalog_list, page_constants
 from .classify import classify
 from .curvature import curvature_sample
+from .exppoly import ExpPolyError
 from .geometry import ambikahler_transform, classify_end, find_bolts
 from .metricfile import MetricFileError, emit_metric, parse_metric
 from .profiles import NotKahlerError, OutOfDomainError
@@ -37,8 +37,8 @@ __all__ = ["main"]
 
 # ArithmeticError covers the numeric errors of the library (QuadratureError,
 # SingularConformalFactorError, SingularSystemError, EvalOverflowError) and a
-# non-finite curvature field
-_NUMERIC_ERRORS = (ArithmeticError, SeedError, SearchFailure, OutOfDomainError)
+# non-finite curvature field; ExpPolyError covers real_roots' degree bound
+_NUMERIC_ERRORS = (ArithmeticError, SeedError, SearchFailure, OutOfDomainError, ExpPolyError)
 
 
 class _UsageError(Exception):
@@ -115,7 +115,7 @@ def _load_state(path: str) -> BtState:
         toks = line.split()
         if len(toks) != 2:
             raise MetricFileError(lineno, f"state file needs 'key value' lines, got {raw!r}")
-        if toks[0] not in ("z",) + STATE_FIELDS:
+        if toks[0] not in BtState._fields:
             raise MetricFileError(lineno, f"unknown state field {toks[0]!r}")
         if first.setdefault(toks[0], lineno) != lineno:
             raise MetricFileError(lineno, f"second {toks[0]} line (first on line {first[toks[0]]})")
@@ -126,10 +126,10 @@ def _load_state(path: str) -> BtState:
         if not math.isfinite(value):
             raise MetricFileError(lineno, f"{toks[0]} must be finite, got {toks[1]!r}")
         values[toks[0]] = value
-    missing = [k for k in ("z",) + STATE_FIELDS if k not in values]
+    missing = [k for k in BtState._fields if k not in values]
     if missing:
         raise MetricFileError(None, f"state file missing fields: {', '.join(missing)}")
-    return BtState(values["z"], *(values[k] for k in STATE_FIELDS))
+    return BtState(**values)
 
 
 def _tsv(columns: Sequence[str], rows) -> str:
@@ -236,7 +236,7 @@ def _cmd_bt_residuals(args) -> int:
     return 0
 
 
-_TRAJ_COLUMNS = ("z", "F", "F1d", "F2d", "F3d", "C", "C1d", "s", "K", "Tval", "F1res", "F2res")
+_TRAJ_COLUMNS = (*BtState._fields, "Tval", "F1res", "F2res")
 
 
 def _traj_tsv(traj) -> str:
@@ -273,7 +273,7 @@ def _cmd_bt_search(args) -> int:
         _emit(_traj_tsv(traj), args.out)
     init = traj.samples[0].state
     lines = [f"extremality_residual {residual:.12g}", f"T_drift {traj.max_T_drift:.6g}"]
-    lines.append("seed_state " + " ".join(f"{k}={getattr(init, k):.12g}" for k in ("z",) + STATE_FIELDS))
+    lines.append("seed_state " + " ".join(f"{k}={getattr(init, k):.12g}" for k in BtState._fields))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

@@ -190,7 +190,7 @@ def weyl(m: MetricSpec, z: float) -> tuple:
 
 
 def delta_w_potential(m: MetricSpec, sign, z: float) -> float:
-    """P±(z) = e^{±(3/2)z}·(L±F − 1)/g, with g = C^{−1/2}.
+    """P±(z) = e^{±(3/2)z}·(L±F − 1)/g for sign = ±1, with g = C^{−1/2}.
 
     δW± vanishes on an interval iff P± is constant there (or the whole Weyl
     half W± is identically zero, in which case δW± is trivially zero and the

@@ -29,7 +29,7 @@ from numbers import Number, Rational
 
 from .numerics import is_array
 
-__all__ = ["ExpPoly", "ExpPolyError", "EvalOverflowError", "ENDPOINT_RTOL"]
+__all__ = ["ExpPoly", "ExpPolyError", "EvalOverflowError", "ENDPOINT_RTOL", "MAX_ROOT_DEGREE"]
 
 
 class ExpPolyError(ValueError):
@@ -46,6 +46,7 @@ class EvalOverflowError(ArithmeticError):
 
 
 ENDPOINT_RTOL = 1e-12  # real_roots: a zero this close to a finite lo/hi is that end
+MAX_ROOT_DEGREE = 32  # real_roots: the largest degree of P(x) it isolates (the catalog's is at most 8)
 _INT_FLOAT = 2**1023  # an int of smaller magnitude has a float value
 _SCALAR = (int, float, Rational)  # int and float ahead of the ABC, whose isinstance is a slow Python-level check
 
@@ -354,7 +355,10 @@ class ExpPoly:
         Decided exactly (see "exact zeros" below); z is d·log of the float
         nearest to the root x.  A zero within a relative ``ENDPOINT_RTOL`` of
         a finite lo or hi is exactly that end, so ``real_roots(z0, z0)``
-        gives the order of a zero at z0.
+        gives the order of a zero at z0.  The value is x^j·P(x) in x = e^{z/d}
+        (d = 2 if an exponent is a half-integer, else 1); a P of degree past
+        ``MAX_ROOT_DEGREE`` raises ExpPolyError, as the Sturm sequences' cost
+        grows as a high power of the degree.
         """
         zeros = self._zeros
         if zeros is None:
@@ -362,7 +366,11 @@ class ExpPoly:
                 raise ExpPolyError("the zero polynomial vanishes everywhere")
             step = 1 if any(k & 1 for k in self._terms) else 2  # x = e^{z/d}, d = 2/step
             low = min(self._terms)
-            p = [0] * ((max(self._terms) - low) // step + 1)  # P over ℤ: the numerators
+            degree = (max(self._terms) - low) // step
+            if degree > MAX_ROOT_DEGREE:
+                raise ExpPolyError(f"real_roots is bounded at degree {MAX_ROOT_DEGREE}: the polynomial in "
+                                   f"x = {'e^z' if step == 2 else 'e^(z/2)'} has degree {degree}")
+            p = [0] * (degree + 1)  # P over ℤ: the numerators
             for k, c in self._terms.items():
                 p[(k - low) // step] = c
             roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]

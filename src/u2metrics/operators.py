@@ -25,12 +25,10 @@ from .exppoly import ExpPoly
 __all__ = ["l_op", "l_compose", "b_op", "l_op_jet", "l_compose_jet", "b_op_jet"]
 
 
-def _sign_factor(sign: str) -> int:
-    if sign in ("plus", "+", 1):
-        return 1
-    if sign in ("minus", "-", -1):
-        return -1
-    raise ValueError(f"operator sign must be plus or minus, got {sign!r}")
+def _sign_factor(sign) -> int:
+    if sign not in (1, -1):
+        raise ValueError(f"operator sign must be 1 or -1, got {sign!r}")
+    return int(sign)
 
 
 def _l_op(s: int, f, f1, f2):
@@ -39,7 +37,7 @@ def _l_op(s: int, f, f1, f2):
 
 
 def l_op_jet(sign, jet: Sequence):
-    """L±(F) from a 2-jet (F, F′, F″, ...)."""
+    """L±(F) from a 2-jet (F, F′, F″, ...), for sign = ±1."""
     return _l_op(_sign_factor(sign), jet[0], jet[1], jet[2])
 
 
@@ -87,7 +85,7 @@ def _form_items(F: ExpPoly, form, *args) -> tuple:
 
 
 def l_op(sign, F: ExpPoly) -> ExpPoly:
-    """L±(F), exact."""
+    """L±(F) for sign = ±1, exact."""
     return ExpPoly._keyed(*_form_items(F, l_op_jet, _sign_factor(sign)))
 
 

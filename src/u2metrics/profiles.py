@@ -199,6 +199,9 @@ class MetricSpec(_Record):
     """A U(2)-invariant metric: profile F, conformal factor C, z-domain.  Its
     carriers are cached properties, written to ``__dict__`` after the fields."""
 
+    # classify's kept measurement of the spec's grid, or why every predicate is indeterminate:
+    _grid_sample = None  # set on its first call, as this module cannot import curvature
+
     def __init__(self, name: str, F: ExpPoly, C: ConformalModel, domain: Domain):
         if F.is_zero:
             raise ValueError("F is identically zero")
@@ -256,13 +259,6 @@ class MetricSpec(_Record):
         items, den = _form_items(self.f_poly(), b_op_jet)
         return Fraction(sum(c for _, c in items), den)
 
-    @cached_property
-    def _grid_samples(self) -> dict:
-        """grid_n → (the curvature sample of the spec's grid, the residuals
-        that read neither tol nor t), or the reason every predicate is
-        indeterminate: filled by ``classify`` (this module cannot import
-        curvature), once per grid_n."""
-        return {}
 
     def f_poly(self) -> ExpPoly:
         return self.F

@@ -77,18 +77,6 @@ class TestPageConstants:
         assert abs((((nu + 4) * nu - 6) * nu + 12) * nu - 3) < 1e-12
         assert abs(math.exp(4 * z0) - 4 * math.exp(z0) - 3) < 1e-12
 
-    def test_roots_are_isolated_once(self, monkeypatch):
-        # before: every call (one per page spec, and per `roots page`) isolated both roots again, 0.4–0.5 ms
-        import u2metrics.catalog
-
-        calls = []
-        original = u2metrics.catalog._positive_roots
-        monkeypatch.setattr(u2metrics.catalog, "_positive_roots", lambda *a: calls.append(1) or original(*a))
-        page_constants.cache_clear()
-        first = page_constants()
-        assert page_constants() is first
-        assert len(calls) == 1
-
 
 class TestHirzebruch:
     def test_bachflat_k_limits(self):

@@ -41,14 +41,14 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 SWEEP_GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "sweep_goldens.json"
 
 
-def grid_classify(m, tol=1e-9, grid_n=64, t=None):
+def grid_classify(m, tol=1e-9, t=None):
     """classify with einstein and bach_flat (and kahler_einstein and ricci_flat, which
     follow) read from the sampled tensors, max |ric0_a|, |ric0_b| and max |B1|, |B2| over
     the grid: the cross-check of the exact certificates, and verdicts.json's grid mode."""
-    rep = classify(m, tol=tol, grid_n=grid_n, t=t)
+    rep = classify(m, tol=tol, t=t)
     if rep.verdict("einstein") == "indeterminate":
         return rep
-    cs = curvature_sample(m, sample_grid(m.domain, grid_n))
+    cs = curvature_sample(m, sample_grid(m.domain))
     ein = float(np.max(np.maximum(np.abs(cs.ric0_a), np.abs(cs.ric0_b))))
     bach = float(np.max(np.maximum(np.abs(cs.bach_B1), np.abs(cs.bach_B2))))
     kp, km = rep.residual("kahler_plus"), rep.residual("kahler_minus")
@@ -320,14 +320,6 @@ class TestSampleGrid:
     def test_fewer_than_two_points_raise(self, n):
         with pytest.raises(ValueError, match=f"n={n}"):
             sample_grid(Domain(0.0, math.inf), n)
-        with pytest.raises(ValueError, match=f"n={n}"):
-            classify(catalog_get("page"), grid_n=n)
-
-    @pytest.mark.parametrize("n", [64.0, 2.5, True])
-    def test_grid_n_that_is_not_an_int_raises(self, n):
-        # 64.0 hashes as 64, so it would read 64's cached sample; 2.5 would fail inside numpy
-        with pytest.raises(ValueError, match=f"grid_n={n!r}"):
-            classify(catalog_get("page"), grid_n=n)
 
     @pytest.mark.parametrize("n", [64.0, 2.5, True])
     def test_n_that_is_not_an_int_raises_whatever_is_cached(self, n):
@@ -343,9 +335,8 @@ class TestSampleGrid:
 
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 2), (4, 3), (5, 3), (64, 63)])
     def test_point_count(self, n, count):
-        # the two halves share the midpoint; grid_n reports the n requested
+        # the two halves share the midpoint
         assert len(sample_grid(Domain(0.0, 1.0), n)) == count
-        assert classify(catalog_get("page"), grid_n=n).grid_n == n
 
     def test_repeat_call_returns_the_same_grid(self):
         grid = sample_grid(Domain(-1.5, 2.0), 40)
@@ -514,15 +505,19 @@ class TestWorkPerGridPoint:
         return calls
 
     def test_classify_derives_once_per_call_not_per_point(self, monkeypatch):
-        m = catalog_get("page")
-        classify(m, t=1.0, grid_n=8)  # expand the spec's carriers outside the count
+        # each fresh spec is measured on its first call, on a 15-point grid and then the default 63
+        module = sys.modules["u2metrics.classify"]  # u2metrics.classify is the function
+        classify(catalog_get("page"), t=1.0)  # fill what page's specs share outside the count
         calls = self._count(monkeypatch, ExpPoly, "derive")
         counts = []
         for n in (16, 64):
+            monkeypatch.setattr(module, "sample_grid", lambda domain, n=n: sample_grid(domain, n))
+            m = catalog_get("page")
             calls.clear()
-            classify(m, t=1.0, grid_n=n)
+            classify(m, t=1.0)
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+            assert len(m._grid_sample[0].z) == n - 1
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("name,t", [
         ("page", None),
@@ -539,7 +534,7 @@ class TestWorkPerGridPoint:
         f_calls = self._count(monkeypatch, u2metrics.profiles, "jet_F")
         c_calls = self._count(monkeypatch, u2metrics.profiles, "jet_C")
         v_calls = self._count(monkeypatch, u2metrics.profiles, "conformal_value")
-        rep = classify(m, grid_n=64, t=t)
+        rep = classify(m, t=t)
         assert ("bt_flat" in rep.entries) == (t is not None)
         assert (len(f_calls), len(c_calls), len(v_calls)) == (1, 1, 0)
 
@@ -560,7 +555,7 @@ class TestWorkPerGridPoint:
         assert built == []
 
     def test_second_classify_reads_the_kept_einstein_residual(self, monkeypatch):
-        # the exact tf Ric depends on F and C alone: it is found once per (spec, grid_n)
+        # the exact tf Ric depends on F and C alone: it is found once per spec
         import u2metrics.curvature
 
         m = catalog_get("page")
@@ -627,11 +622,11 @@ class TestWorkPerGridPoint:
 
 class TestSampleKeptOnSpec:
     """The guarded curvature sample and every residual that reads neither t nor
-    tol are taken once per (spec, grid_n) and read by every later classify call."""
+    tol are taken once per spec and read by every later classify call."""
 
     _count = staticmethod(TestWorkPerGridPoint._count)
 
-    def test_one_sample_per_spec_and_grid_n(self, monkeypatch):
+    def test_one_sample_per_spec(self, monkeypatch):
         import u2metrics.curvature
 
         m = catalog_get("page")
@@ -640,13 +635,12 @@ class TestSampleKeptOnSpec:
         assert len(calls) == 1
         classify(m, t=1.0), classify(m, tol=1e-6), classify(m, t=2.0, tol=1e-6)
         assert len(calls) == 1
-        classify(m, grid_n=32), classify(m, grid_n=32, t=2.0)
-        assert len(calls) == 2
         twin = MetricSpec(m.name, m.F, m.C, m.domain)
         classify(twin), classify(twin, t=1.0)
-        assert len(calls) == 3
+        assert len(calls) == 2
         classify(m)
-        assert len(calls) == 3
+        assert len(calls) == 2
+        assert m._grid_sample[0].z is sample_grid(m.domain)  # the one grid, 63 points
 
     @pytest.mark.parametrize("first", [None, 1.0], ids=["t-none-first", "t-first"])
     @pytest.mark.parametrize("name", ["page", "modified-taub-nut-2", "taub-bolt"])
@@ -690,7 +684,7 @@ class TestSampleKeptOnSpec:
         first = classify(m, t=1.0)
         counts = (len(samples), len(roots))
         assert counts[0] == sampled and counts[1] > 0
-        reason = m._grid_samples[64]
+        reason = m._grid_sample
         assert type(reason) is str
         again = [classify(m), classify(m, t=2.0, tol=1e-6)]
         assert (len(samples), len(roots)) == counts

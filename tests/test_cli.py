@@ -12,6 +12,7 @@ import u2metrics.cli
 from u2metrics.btflat import bt_csc_seed
 from u2metrics.cli import main
 from u2metrics.catalog import catalog_get
+from u2metrics.exppoly import MAX_ROOT_DEGREE
 from u2metrics.metricfile import emit_metric, parse_metric
 from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical
 
@@ -147,6 +148,14 @@ class TestInvalidMetricFiles:
         assert out == "" and f"parse error: {message}" in err
 
 
+def _past_the_root_bound(tmp_path):
+    """A metric file whose F = 2 − e^{33z} is one degree past real_roots' bound, and the bound's message."""
+    path = tmp_path / "deg.txt"
+    path.write_text(f"name deg\ndomain -5 0 open open\nF term 0 2\nF term {MAX_ROOT_DEGREE + 1} -1\nC exp C0=1 eps=-1\n")
+    reason = f"real_roots is bounded at degree {MAX_ROOT_DEGREE}: the polynomial in x = e^z has degree"
+    return str(path), f"{reason} {MAX_ROOT_DEGREE + 1}"
+
+
 class TestClassifyCommand:
     def test_non_extremal_profile(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
@@ -173,6 +182,12 @@ class TestClassifyCommand:
         path.write_text("name x\nnot-a-directive\n")
         assert main(["classify", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_root_degree_past_the_bound_is_the_indeterminate_reason(self, tmp_path, capsys):
+        path, reason = _past_the_root_bound(tmp_path)
+        assert main(["classify", path]) == 0
+        lines = capsys.readouterr().out.splitlines()[3:]
+        assert len(lines) == 17 and all(line.endswith(f" indeterminate residual=inf [{reason}]") for line in lines)
 
 
 class TestCurvatureCommand:
@@ -263,6 +278,12 @@ class TestEndsCommand:
         captured = capsys.readouterr()
         assert "end upper" in captured.out and "distance=nan" in captured.out
         assert captured.err.startswith("numeric error: ")
+
+    def test_root_degree_past_the_bound_exits_3_in_one_line(self, tmp_path, capsys):
+        # before: no bound on the degree find_bolts isolates, and an ExpPolyError ended in a traceback
+        path, reason = _past_the_root_bound(tmp_path)
+        assert main(["ends", path]) == 3
+        assert capsys.readouterr() == ("", f"numeric error: {reason}\n")
 
 
 class TestTransformCommand:

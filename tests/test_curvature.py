@@ -128,8 +128,8 @@ class TestFlat:
         assert scalar_curvature(m, z) == 0.0
         assert tf_ricci(m, z) == (0.0, 0.0)
         assert weyl(m, z) == (0.0, 0.0, 0.0, 0.0)
-        assert delta_w_potential(m, "plus", z) == 0.0
-        assert delta_w_potential(m, "minus", z) == 0.0
+        assert delta_w_potential(m, 1, z) == 0.0
+        assert delta_w_potential(m, -1, z) == 0.0
         assert ricci_form_kahler(m, z) == (0.0, 0.0)
 
     def test_every_component_representable_where_c_is_large(self):
@@ -146,7 +146,7 @@ class TestFlat:
     ])
     def test_float_result_is_finite_or_raises_by_name(self, name, z, field):
         m = catalog_get("flat")
-        f = {"bach": bach, "delta_w_potential": lambda m, z: delta_w_potential(m, "plus", z)}[name]
+        f = {"bach": bach, "delta_w_potential": lambda m, z: delta_w_potential(m, 1, z)}[name]
         with pytest.raises(ArithmeticError, match=f"^{field} is not finite at z={z}$"):
             f(m, z)
 
@@ -246,7 +246,7 @@ class TestWeylEnergy:
         a, b = 0.5, 1.5
         got = weyl_energy(m, a, b)
         F = m.f_poly()
-        integrand = l_op("plus", F) - ExpPoly.constant(1)
+        integrand = l_op(1, F) - ExpPoly.constant(1)
         zs = np.linspace(a, b, 20001)
         vals = (16.0 / 3.0) * np.array([integrand.eval(z) for z in zs]) ** 2
         want = float(np.trapezoid(vals, zs))
@@ -316,8 +316,8 @@ class TestDeltaWPotential:
             assert tf_ricci(m, z) == (cs.ric0_a, cs.ric0_b)
             assert weyl(m, z) == (cs.w_plus, cs.w_minus, cs.w_plus_norm2, cs.w_minus_norm2)
             assert bach(m, z) == (cs.bach_B1, cs.bach_B2)
-            assert delta_w_potential(m, "plus", z) == cs.delW_plus_pot
-            assert delta_w_potential(m, "minus", z) == cs.delW_minus_pot
+            assert delta_w_potential(m, 1, z) == cs.delW_plus_pot
+            assert delta_w_potential(m, -1, z) == cs.delW_minus_pot
             if m.tag in ("Jplus", "Jminus"):
                 rho = ricci_form_kahler(m, z)
                 # ρ of the Kähler orientation is s/4
@@ -328,7 +328,7 @@ class TestDeltaWPotential:
                 with pytest.raises(NotKahlerError):
                     ricci_form_kahler(m, z)
 
-    @pytest.mark.parametrize("sign", ["plu", "", 0, 2, None])
+    @pytest.mark.parametrize("sign", ["plus", "+", "minus", "-", "plu", "", 0, 2, None])
     def test_unknown_sign_raises(self, sign):
         with pytest.raises(ValueError):
             delta_w_potential(catalog_get("page"), sign, 0.5)
@@ -338,7 +338,7 @@ class TestDeltaWPotential:
         m = catalog_get("page")
         rep = classify(m)
         assert rep.verdict("half_harmonic_plus") == "yes" and rep.verdict("asd") == "no"
-        pots = [delta_w_potential(m, "plus", z) for z in sample_grid(m.domain, 32)]
+        pots = [delta_w_potential(m, 1, z) for z in sample_grid(m.domain, 32)]
         assert abs(pots[0]) > 1e-3
         assert max(pots) - min(pots) <= 1e-12 * abs(pots[0])
 
@@ -626,8 +626,8 @@ def _scalar_prime_literal(fj, g):
 
 
 def _weyl_literal(fj, g):
-    w_plus = -(l_op_jet("plus", fj) - 1.0) * g[0] * g[0]
-    w_minus = -(l_op_jet("minus", fj) - 1.0) * g[0] * g[0]
+    w_plus = -(l_op_jet(1, fj) - 1.0) * g[0] * g[0]
+    w_minus = -(l_op_jet(-1, fj) - 1.0) * g[0] * g[0]
     return w_plus, w_minus, (32.0 / 3.0) * w_plus * w_plus, (32.0 / 3.0) * w_minus * w_minus
 
 
@@ -639,8 +639,8 @@ def _bach_literal(fj, g):
 def _rho_literal(tag, fj, g):
     g2 = g[0] * g[0]
     if tag == "Jplus":
-        return -(2.0 * g2) * (l_op_jet("plus", fj) - 1.0), -(2.0 * g2) * ((-0.5 * fj[2] + 0.5 * fj[1] + fj[0]) - 1.0)
-    return -(2.0 * g2) * ((-0.5 * fj[2] - 0.5 * fj[1] + fj[0]) - 1.0), -(2.0 * g2) * (l_op_jet("minus", fj) - 1.0)
+        return -(2.0 * g2) * (l_op_jet(1, fj) - 1.0), -(2.0 * g2) * ((-0.5 * fj[2] + 0.5 * fj[1] + fj[0]) - 1.0)
+    return -(2.0 * g2) * ((-0.5 * fj[2] - 0.5 * fj[1] + fj[0]) - 1.0), -(2.0 * g2) * (l_op_jet(-1, fj) - 1.0)
 
 
 def _ulps(x: float, y: float) -> int:
@@ -671,8 +671,8 @@ def test_integer_literals_keep_the_float_bits(fj, g):
         *zip(curvature._rho_from_jets(1, fj, g), _rho_literal("Jplus", fj, g)),
         *zip(curvature._rho_from_jets(-1, fj, g)[::-1], _rho_literal("Jminus", fj, g)),
         # the Kähler shortcut as it was written
-        (4 * curvature._rho_from_jets(1, fj, g)[0], -(8.0 * g[0] * g[0]) * (l_op_jet("plus", fj) - 1.0)),
-        (4 * curvature._rho_from_jets(-1, fj, g)[0], -(8.0 * g[0] * g[0]) * (l_op_jet("minus", fj) - 1.0)),
+        (4 * curvature._rho_from_jets(1, fj, g)[0], -(8.0 * g[0] * g[0]) * (l_op_jet(1, fj) - 1.0)),
+        (4 * curvature._rho_from_jets(-1, fj, g)[0], -(8.0 * g[0] * g[0]) * (l_op_jet(-1, fj) - 1.0)),
     ]
     assert bits(new for new, _ in same) == bits(old for _, old in same)
     close = [*zip(weyl_new[2:], weyl_old[2:]), *zip(curvature._bach_from_jets(fj, g), _bach_literal(fj, g))]

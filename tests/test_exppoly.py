@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from u2metrics.catalog import catalog_get
-from u2metrics.exppoly import EvalOverflowError, ExpPoly, ExpPolyError
+from u2metrics.exppoly import MAX_ROOT_DEGREE, EvalOverflowError, ExpPoly, ExpPolyError
 
 
 class TestConstruction:
@@ -587,6 +587,21 @@ class TestRealRoots:
         assert ExpPoly.constant(2).real_roots() == []
         with pytest.raises(ExpPolyError):
             ExpPoly().real_roots()
+
+    @pytest.mark.parametrize("k", [MAX_ROOT_DEGREE, Fraction(MAX_ROOT_DEGREE, 2)], ids=["e^z", "e^(z/2)"])
+    def test_degree_at_the_bound_is_isolated(self, k):
+        assert ExpPoly([(0, -1), (k, 1)]).real_roots() == [(0.0, 1)]  # x^32 − 1
+
+    @pytest.mark.parametrize("terms, x", [
+        ([(0, -1), (MAX_ROOT_DEGREE + 1, 1)], "e^z"),
+        ([(Fraction(-1, 2), 2), (MAX_ROOT_DEGREE // 2, -1)], "e^(z/2)"),
+    ], ids=["e^z", "e^(z/2)"])
+    def test_degree_past_the_bound_raises(self, terms, x):
+        # before: no bound, and the Sturm sequences' cost grows as a high power of the degree
+        want = f"real_roots is bounded at degree {MAX_ROOT_DEGREE}: the polynomial in x = {x} has degree"
+        want += f" {MAX_ROOT_DEGREE + 1}"
+        with pytest.raises(ExpPolyError, match=re.escape(want)):
+            ExpPoly(terms).real_roots()
 
 
 # ---------------------------------------------------------------- the carrier

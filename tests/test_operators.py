@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -39,12 +40,12 @@ class TestEigenvalues:
     @pytest.mark.parametrize("k", range(-4, 5))
     def test_l_plus_eigenvalue(self, k):
         p = ExpPoly.exp_term(k, 1)
-        assert l_op("plus", p) == p * _eig_plus(k)
+        assert l_op(1, p) == p * _eig_plus(k)
 
     @pytest.mark.parametrize("k", range(-4, 5))
     def test_l_minus_eigenvalue(self, k):
         p = ExpPoly.exp_term(k, 1)
-        assert l_op("minus", p) == p * _eig_minus(k)
+        assert l_op(-1, p) == p * _eig_minus(k)
 
     @pytest.mark.parametrize("k", range(-4, 5))
     def test_compose_eigenvalue(self, k):
@@ -109,12 +110,19 @@ class TestJetForms:
         F = ExpPoly([(0, 1), (3, Fraction(1, 5)), (-1, Fraction(-2, 3))])
         z = 0.43
         jet = F.jet(z, 4)
-        got_plus = l_op_jet("+", jet)
+        got_plus = l_op_jet(1, jet)
         got_compose = l_compose_jet(jet)
         got_b = b_op_jet(jet)
-        assert got_plus == pytest.approx(l_op("plus", F).eval(z), rel=1e-12)
+        assert got_plus == pytest.approx(l_op(1, F).eval(z), rel=1e-12)
         assert got_compose == pytest.approx(l_compose(F).eval(z), rel=1e-12)
         assert got_b == pytest.approx(b_op(F).eval(z), rel=1e-12)
+
+    @pytest.mark.parametrize("sign", ["plus", "+", "minus", "-", 0, 2, None])
+    def test_a_sign_other_than_plus_or_minus_one_raises(self, sign):
+        F = ExpPoly([(0, 1), (1, 2)])
+        for op in (lambda: l_op(sign, F), lambda: l_op_jet(sign, F.jet(0.5, 2))):
+            with pytest.raises(ValueError, match=re.escape(f"operator sign must be 1 or -1, got {sign!r}")):
+                op()
 
 
 
@@ -158,9 +166,9 @@ class TestOneImplementation:
     def test_jet_forms_stay_exact_on_exppoly_jets(self):
         F = ExpPoly([(0, 1), (3, Fraction(1, 5)), (Fraction(-1, 2), Fraction(-2, 3))])
         jet = tuple(F.derive(n) for n in range(5))
-        for value in (l_op_jet("+", jet), l_op_jet("-", jet), l_compose_jet(jet), b_op_jet(jet)):
+        for value in (l_op_jet(1, jet), l_op_jet(-1, jet), l_compose_jet(jet), b_op_jet(jet)):
             assert isinstance(value, ExpPoly) and value.is_exact
-        assert l_op_jet("+", jet) == l_op("plus", F) and l_op_jet("-", jet) == l_op("minus", F)
+        assert l_op_jet(1, jet) == l_op(1, F) and l_op_jet(-1, jet) == l_op(-1, F)
         assert l_compose_jet(jet) == l_compose(F) and b_op_jet(jet) == b_op(F)
 
 
@@ -195,8 +203,8 @@ class TestBitIdentity:
     @settings(max_examples=400, deadline=None)
     @given(_jets)
     def test_float_jets(self, jet):
-        for sign, name in ((1, "+"), (-1, "-")):
-            assert _bits(l_op_jet(name, jet)) == _bits(_l_op_literal(sign, jet))
+        for sign in (1, -1):
+            assert _bits(l_op_jet(sign, jet)) == _bits(_l_op_literal(sign, jet))
         assert _bits(l_compose_jet(jet)) == _bits(_l_compose_literal(jet))
         assert _bits(b_op_jet(jet)) == _bits(_b_op_literal(jet))
 
@@ -228,7 +236,7 @@ def test_operator_polys_match_pins(pin):
     assert [_encode(p) for p in m.operator_polys] == pin["operator_polys"]
     assert _encode(b_op(m.f_poly())) == pin["b_op"]
     f = m.f_poly()
-    assert (l_op("plus", f) - 1, l_op("minus", f) - 1, l_compose(f) - 1) == m.operator_polys
+    assert (l_op(1, f) - 1, l_op(-1, f) - 1, l_compose(f) - 1) == m.operator_polys
 
 
 def test_pins_cover_the_catalog():
