@@ -19,14 +19,10 @@ from .profiles import (
 from .operators import b_op, l_compose, l_op
 from .curvature import (
     CurvatureSample,
-    bach,
     curvature_sample,
-    delta_w_potential,
     kahler_scalar_curvature,
     ricci_form_kahler,
     scalar_curvature,
-    tf_ricci,
-    weyl,
     weyl_energy,
 )
 from .classify import ClassificationReport, PredicateResult, classify

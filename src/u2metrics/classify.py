@@ -61,7 +61,7 @@ class PredicateResult(_Record):
 
 class ClassificationReport(_Record):
     """A metric's predicate results by name, at tol, on ``sample_grid``'s default
-    grid (its text and tree give the grid_n requested, not the count of points)."""
+    grid (its text and tree give that grid's grid_n, 64, not its 63 points)."""
 
     __hash__, __setattr__, __delattr__ = None, object.__setattr__, object.__delattr__
 

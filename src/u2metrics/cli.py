@@ -37,8 +37,11 @@ __all__ = ["main"]
 
 # ArithmeticError covers the numeric errors of the library (QuadratureError,
 # SingularConformalFactorError, SingularSystemError, EvalOverflowError) and a
-# non-finite curvature field; ExpPolyError covers real_roots' degree bound
+# non-finite curvature field; ExpPolyError covers real_roots' degree bound and
+# a zero outside float range
 _NUMERIC_ERRORS = (ArithmeticError, SeedError, SearchFailure, OutOfDomainError, ExpPolyError)
+# argparse reads "--grid -1:1:3" as an option, so a negative start takes the "=" form
+_GRID_HELP = "a:b:n; write --grid=a:b:n when a is negative"
 
 
 class _UsageError(Exception):
@@ -298,7 +301,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("curvature", help="sample curvature quantities on a grid, as TSV")
     p.add_argument("file")
-    p.add_argument("--grid", required=True, help="a:b:n")
+    p.add_argument("--grid", required=True, help=_GRID_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_curvature)
 
@@ -327,7 +330,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("file")
     pr.add_argument("--t", type=float, required=True)
     pr.add_argument("--s", default=None, help="const:<v> to pin scalar curvature")
-    pr.add_argument("--grid", required=True, help="a:b:n")
+    pr.add_argument("--grid", required=True, help=_GRID_HELP)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=_cmd_bt_residuals)
     pi = bsub.add_parser("integrate")

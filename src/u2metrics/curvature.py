@@ -21,19 +21,14 @@ non-finite z.  A value that is returned is finite.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 
 from .numerics import adaptive_quad, at_first, is_array
-from .operators import _sign_factor, b_op_jet, l_compose_jet, l_op_jet
+from .operators import b_op_jet, l_compose_jet, l_op_jet
 from .profiles import MetricSpec, _check_domain, _kahler_sign, _Record, jet_C, jet_F
 
 __all__ = [
     "CurvatureSample",
     "scalar_curvature",
-    "tf_ricci",
-    "weyl",
-    "delta_w_potential",
-    "bach",
     "ricci_form_kahler",
     "kahler_scalar_curvature",
     "weyl_energy",
@@ -47,7 +42,8 @@ class CurvatureSample(_Record):
     ``F`` … ``F4d`` and ``C`` … ``C2d`` are the jets of F and C at z that the
     curvature was computed from, and ``s1d`` is the analytic s′ (named as in
     ``BtState``).  ``delW_plus_pot`` and ``delW_minus_pot`` are the δW±
-    potentials P± (see :func:`delta_w_potential`).  The Kähler Ricci-form
+    potentials P± = e^{±(3/2)z}·(L±F − 1)/g: δW± vanishes on an interval iff
+    P± is constant there, or W± vanishes there.  The Kähler Ricci-form
     coefficients ρ± are not sampled: :func:`ricci_form_kahler` computes them
     on a Kähler metric.  For an array z every field is an array over z.
     """
@@ -118,36 +114,39 @@ def _rho_from_jets(sign, fj, g) -> tuple:
     return -(2 * g2) * (l_op_jet(sign, fj) - 1), -(2 * g2) * ((-fj[2] / 2 + sign * fj[1] / 2 + fj[0]) - 1)
 
 
-def _checked(z, compute, names: str = ""):
-    """``compute()``, evaluated with floating-point warnings off for an array
-    z, once each value is finite at z (at every z of an array): the values
-    of a tuple, named in order by ``names``, or the fields of a
-    CurvatureSample.  The first that is not raises ``ArithmeticError``
-    naming it and its first non-finite z; an array sample is tested whole
-    first, and field by field only when that test fails."""
+def _checked(z, compute, names: str) -> tuple:
+    """``compute()``, a tuple of values named in order by ``names`` and
+    evaluated with floating-point warnings off for an array z, once each is
+    finite at z (at every z of an array).  The first that is not raises
+    ``ArithmeticError`` naming it and its first non-finite z; an array's
+    values are tested whole first, and one by one only when that test fails."""
     array = is_array(z)
-    if array:
-        import numpy as np
-    with np.errstate(all="ignore") if array else nullcontext():
+    if not array:
         values = compute()
-    if array and np.isfinite(values if names else tuple(vars(values).values())).all():
-        return values
-    for name, value in zip(names.split(), values) if names else vars(values).items():
+    else:
+        import numpy as np
+        with np.errstate(all="ignore"):
+            values = compute()
+        if np.isfinite(values).all():
+            return values
+    for name, value in zip(names.split(), values):
         hit = at_first(~np.isfinite(value), z) if array else None if math.isfinite(value) else (z,)
         if hit is not None:
             raise ArithmeticError(f"{name} is not finite at z={hit[0]}")
     return values
 
 
+_FIELDS = " ".join(CurvatureSample._fields)
+
+
 def curvature_sample(m: MetricSpec, z) -> CurvatureSample:
     """All curvature quantities at one z, or at every z of an array.
 
     Computed from one F jet and the jet of g = C^{−1/2} by the
-    ``_…_from_jets`` helpers, the one place each formula is written; the
-    scalar functions below call the same helpers, so a component that
-    leaves float range at z does not make the others raise.  Every formula
-    is a polynomial in the two jets, but for P±'s one division by g, and is
-    written with integer literals, so all but P± also run on exact ExpPoly jets:
+    ``_…_from_jets`` helpers, the one place each formula is written.  Every
+    formula is a polynomial in the two jets, but for P±'s one division by g,
+    and is written with integer literals, so all but P± also run on exact
+    ExpPoly jets:
         s:       −4g²(F″ + ½F − 2) + 24(F′gg′ + F(gg″ − 2g′²)), and s′ its derivative
         tf Ric:  ric0_a = 4F·g(g″ − ¼g),  ric0_b = 2(g(F′g′ + Fg″) − (½F″ − ¾F + 1)g²)
         Weyl:    w± = −(L±F − 1)g²,  |W±|² = (32/3)·w±²
@@ -156,13 +155,13 @@ def curvature_sample(m: MetricSpec, z) -> CurvatureSample:
         Kähler:  Jplus: ρ⁺ = −2g²(L⁺F − 1),  ρ⁻ = −2g²((−½F″ + ½F′ + F) − 1);
                  Jminus is the z ↦ −z mirror; only :func:`ricci_form_kahler` computes ρ±.
     """
-    return _checked(z, lambda: _sample(m, z))
+    return CurvatureSample(*_checked(z, lambda: _sample(m, z), _FIELDS))
 
 
-def _sample(m: MetricSpec, z) -> CurvatureSample:
+def _sample(m: MetricSpec, z) -> tuple:
     fj = jet_F(m, z)
     c, g = jet_C(m, z)
-    return CurvatureSample(  # the fields in order
+    return (  # CurvatureSample's fields in order
         z, _scalar_from_jets(fj, g), *_tf_ricci_from_jets(fj, g), *_weyl_from_jets(fj, g),
         _delta_w_from_jets(1, z, fj, g), _delta_w_from_jets(-1, z, fj, g), *_bach_from_jets(fj, g),
         *fj, *c[:3], _scalar_prime_from_jets(fj, g),
@@ -177,33 +176,6 @@ def _jets(m: MetricSpec, z) -> tuple:
 def scalar_curvature(m: MetricSpec, z: float) -> float:
     """Scalar curvature s(z); requires F(z), C(z) ≠ 0."""
     return _checked(z, lambda: (_scalar_from_jets(*_jets(m, z)),), "s")[0]
-
-
-def tf_ricci(m: MetricSpec, z: float) -> tuple:
-    """(ric0_a, ric0_b), the two trace-free Ricci coefficients."""
-    return _checked(z, lambda: _tf_ricci_from_jets(*_jets(m, z)), "ric0_a ric0_b")
-
-
-def weyl(m: MetricSpec, z: float) -> tuple:
-    """(w_plus, w_minus, w_plus_norm2, w_minus_norm2)."""
-    return _checked(z, lambda: _weyl_from_jets(*_jets(m, z)), "w_plus w_minus w_plus_norm2 w_minus_norm2")
-
-
-def delta_w_potential(m: MetricSpec, sign, z: float) -> float:
-    """P±(z) = e^{±(3/2)z}·(L±F − 1)/g for sign = ±1, with g = C^{−1/2}.
-
-    δW± vanishes on an interval iff P± is constant there (or the whole Weyl
-    half W± is identically zero, in which case δW± is trivially zero and the
-    caller should detect that case first).
-    """
-    factor = _sign_factor(sign)
-    name = "delW_plus_pot" if factor == 1 else "delW_minus_pot"
-    return _checked(z, lambda: (_delta_w_from_jets(factor, z, *_jets(m, z)),), name)[0]
-
-
-def bach(m: MetricSpec, z: float) -> tuple:
-    """(B1, B2), the two Bach coefficients."""
-    return _checked(z, lambda: _bach_from_jets(*_jets(m, z)), "bach_B1 bach_B2")
 
 
 def ricci_form_kahler(m: MetricSpec, z: float) -> tuple:

@@ -9,20 +9,19 @@ binary value, and a coefficient given as exactly one float term reads back
 as that float; every merged or computed coefficient reads back as a Fraction.
 
 Values are immutable after construction and all operations are pure.
-``eval`` and ``jet`` take a float or a 1-D float64 array of points; on an
-array, ``jet`` sums all derivative orders in one pass per term, in term
-order.  Each value also carries a float cache for evaluation (sorted float
-exponents, every row float(c·kⁿ) and row 0 as (exponent, c) pairs) and a
-cache of its real zeros; both are filled on first use and replaced whole,
-never mutated, and refilling them gives the same values, so values can
-still be shared freely between threads.  Equality and hashing depend on
-the terms' values alone, so a float and an exact coefficient of equal value
-are equal.
+``eval`` and ``jet`` take a float or a 1-D float64 array of points.  On a
+float, ``jet`` sums one derivative order at a time; on an array it sums all
+orders in one pass per term, in term order.  Each value also carries a
+float cache for evaluation (sorted float exponents, every row float(c·kⁿ)
+and row 0 as (exponent, c) pairs) and a cache of its real zeros; both are
+filled on first use and replaced whole, never mutated, and refilling them
+gives the same values, so values can still be shared freely between
+threads.  Equality and hashing depend on the terms' values alone, so a
+float and an exact coefficient of equal value are equal.
 """
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import zip_longest
 from numbers import Number, Rational
@@ -308,44 +307,41 @@ class ExpPoly:
 
         Entry n equals ``derive(n).eval(z)`` bit for bit, as ``_rows`` rounds
         each c·kⁿ once; a non-finite entry raises :class:`EvalOverflowError`.
-
-        z is a float or a 1-D float64 array; on an array every entry is an
-        array over z, summed the same way with ``np.exp`` in place of
-        ``math.exp`` (for order ≥ 1 each term adds to one (order+1, len(z))
-        array), and a non-finite entry raises for the first such z.
+        z is a float or a 1-D float64 array (see ``_array_jet``).
         """
+        if is_array(z):
+            return self._array_jet(z, order)
         _, kfs, rows = self._rows(order)
-        array = is_array(z)
-        if array:
-            import numpy as np
-        with np.errstate(all="ignore") if array else nullcontext():
-            try:
-                # an array's exponentials are the rows of one exp(k ⊗ z)
-                es = np.exp(np.multiply.outer(kfs, z)) if array else [math.exp(kf * z) for kf in kfs]
-            except OverflowError:
-                raise self._overflow(0, z) from None
-            if array and order:  # each term adds c·e to all orders at once (a value alone: float c is faster)
-                values = np.zeros((order + 1,) + z.shape)
-                for c, e in zip(np.array(rows[: order + 1]).T[:, :, None], es):
-                    values += c * e
-            else:
-                values = []
-                for n in range(order + 1):
-                    total = np.zeros(z.shape) if array else 0.0
-                    for c, e in zip(rows[n], es):
-                        total += c * e
-                    values.append(total)
-        # once the value (row 0) is finite every exponential is, so a
-        # non-finite entry n comes from row n's own terms
-        if array:
-            bad = ~np.isfinite(values)
-            if bad.any():  # the float path's error at the first bad z
-                i = np.flatnonzero(bad.any(axis=0))[0]
-                raise self._overflow(int(np.argmax(bad[:, i])), z[i].item())
-        else:
-            for n, total in enumerate(values):
-                if not math.isfinite(total):
-                    raise self._overflow(n, z)
+        try:
+            es = [math.exp(kf * z) for kf in kfs]
+        except OverflowError:
+            raise self._overflow(0, z) from None
+        values = []
+        for n, row in enumerate(rows[: order + 1]):
+            total = 0.0
+            for c, e in zip(row, es):
+                total += c * e
+            if not math.isfinite(total):  # once the value is finite every e is, so row n's own terms overflowed
+                raise self._overflow(n, z)
+            values.append(total)
+        return tuple(values)
+
+    def _array_jet(self, z, order: int) -> tuple:
+        """``jet`` on an array: every entry an array over z, summed in the same
+        term order with ``np.exp`` in place of ``math.exp``, each term adding
+        to one (order+1, len(z)) array; a non-finite entry raises for the first
+        such z, as ``jet`` would there."""
+        import numpy as np
+        _, kfs, rows = self._rows(order)
+        with np.errstate(all="ignore"):
+            es = np.exp(np.multiply.outer(kfs, z))  # the rows of one exp(k ⊗ z)
+            values = np.zeros((order + 1,) + z.shape)
+            for c, e in zip(np.array(rows[: order + 1]).T[:, :, None], es):
+                values += c * e
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = np.flatnonzero(bad.any(axis=0))[0]
+            raise self._overflow(int(np.argmax(bad[:, i])), z[i].item())
         return tuple(values)
 
     # ------------------------------------------------------------ real zeros
@@ -358,22 +354,30 @@ class ExpPoly:
         gives the order of a zero at z0.  The value is x^j·P(x) in x = e^{z/d}
         (d = 2 if an exponent is a half-integer, else 1); a P of degree past
         ``MAX_ROOT_DEGREE`` raises ExpPolyError, as the Sturm sequences' cost
-        grows as a high power of the degree.
+        grows as a high power of the degree.  So does a zero whose x has no
+        positive float value: past the largest float, or below the least.
         """
         zeros = self._zeros
         if zeros is None:
             if not self._terms:
                 raise ExpPolyError("the zero polynomial vanishes everywhere")
             step = 1 if any(k & 1 for k in self._terms) else 2  # x = e^{z/d}, d = 2/step
+            x_name = "e^z" if step == 2 else "e^(z/2)"
             low = min(self._terms)
             degree = (max(self._terms) - low) // step
             if degree > MAX_ROOT_DEGREE:
                 raise ExpPolyError(f"real_roots is bounded at degree {MAX_ROOT_DEGREE}: the polynomial in "
-                                   f"x = {'e^z' if step == 2 else 'e^(z/2)'} has degree {degree}")
+                                   f"x = {x_name} has degree {degree}")
             p = [0] * (degree + 1)  # P over ℤ: the numerators
             for k, c in self._terms.items():
                 p[(k - low) // step] = c
-            roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
+            try:  # −f₀/f₁ and ldexp raise OverflowError past the largest float, and give 0.0 below the least
+                roots = [(x, m) for m, f in enumerate(_square_free(p), 1) for x in _positive_roots(f)]
+            except OverflowError:
+                roots = None
+            if roots is None or any(x == 0.0 for x, _ in roots):
+                raise ExpPolyError(f"a real zero lies outside float range: its x = {x_name} is past the "
+                                   "largest float or below the least")
             zeros = tuple(sorted((2 // step * math.log(x), m) for x, m in roots))
             _set_zeros(self, zeros)
         ends = [float(end) for end in (lo, hi) if math.isfinite(end)]

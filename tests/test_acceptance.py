@@ -27,10 +27,9 @@ from u2metrics.catalog import (
 )
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import (
-    bach,
+    curvature_sample,
     kahler_scalar_curvature,
     scalar_curvature,
-    tf_ricci,
     weyl_energy,
 )
 from u2metrics.exppoly import ExpPoly
@@ -114,12 +113,14 @@ def test_criterion_05_einstein_suite():
     ):
         m = catalog_get(name, params)
         for z in sample_grid(m.domain, 40):
-            assert max(abs(v) for v in tf_ricci(m, z)) < 1e-8
-            assert max(abs(v) for v in bach(m, z)) < 1e-8
+            cs = curvature_sample(m, z)
+            assert max(abs(cs.ric0_a), abs(cs.ric0_b)) < 1e-8
+            assert max(abs(cs.bach_B1), abs(cs.bach_B2)) < 1e-8
     for name, bad_side in (("super-taub-nut", "upper"), ("super-eguchi-hanson", "lower")):
         m = catalog_get(name)
         for z in sample_grid(m.domain, 40):
-            assert max(abs(v) for v in tf_ricci(m, z)) < 1e-8
+            cs = curvature_sample(m, z)
+            assert max(abs(cs.ric0_a), abs(cs.ric0_b)) < 1e-8
         rep = classify_end(m, bad_side)
         assert rep.kind == "curvature_singularity"
         assert not rep.complete

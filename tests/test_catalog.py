@@ -18,7 +18,7 @@ from u2metrics.catalog import (
 )
 from u2metrics import exppoly
 from u2metrics.classify import classify, sample_grid
-from u2metrics.curvature import tf_ricci
+from u2metrics.curvature import curvature_sample
 from u2metrics.geometry import find_bolts
 from u2metrics.metricfile import emit_metric
 from u2metrics.profiles import EinsteinFactor, canonical_coefficients, conformal_value
@@ -229,7 +229,8 @@ class TestEntries:
         # absolute round-off in the curvature stencil scales with F, which
         # grows like e^{2z} toward an unbounded end, so cap the window too
         for z in np.linspace(lo + 0.15 * (hi - lo), lo + 0.5 * (hi - lo), 12):
-            assert max(abs(v) for v in tf_ricci(m, z)) < 1e-8
+            cs = curvature_sample(m, z)
+            assert max(abs(cs.ric0_a), abs(cs.ric0_b)) < 1e-8
 
     @pytest.mark.parametrize(
         "name,params",

@@ -156,6 +156,19 @@ def _past_the_root_bound(tmp_path):
     return str(path), f"{reason} {MAX_ROOT_DEGREE + 1}"
 
 
+_OUT_OF_FLOAT_RANGE = "a real zero lies outside float range: its x = e^z is past the largest float or below the least"
+
+
+def _zero_outside_float_range(tmp_path, f0, f1):
+    """A metric file whose F = f0 + f1·e^z vanishes at x = e^z = −f0/f1, outside float range."""
+    path = tmp_path / "far.txt"
+    path.write_text(f"name far\ndomain -inf inf open open\nF term 0 {f0}\nF term 1 {f1}\nC exp C0=1 eps=-1\n")
+    return str(path)
+
+
+_FAR_ZEROS = pytest.mark.parametrize("f0, f1", [("-1e-300", "1e300"), ("-1e300", "1e-300")], ids=["below", "above"])
+
+
 class TestClassifyCommand:
     def test_non_extremal_profile(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
@@ -188,6 +201,14 @@ class TestClassifyCommand:
         assert main(["classify", path]) == 0
         lines = capsys.readouterr().out.splitlines()[3:]
         assert len(lines) == 17 and all(line.endswith(f" indeterminate residual=inf [{reason}]") for line in lines)
+
+    @_FAR_ZEROS
+    def test_zero_outside_float_range_is_the_indeterminate_reason(self, tmp_path, capsys, f0, f1):
+        # before: "math domain error" below float range, and an integer division error above it
+        assert main(["classify", _zero_outside_float_range(tmp_path, f0, f1)]) == 0
+        lines = capsys.readouterr().out.splitlines()[3:]
+        assert len(lines) == 17
+        assert all(line.endswith(f" indeterminate residual=inf [{_OUT_OF_FLOAT_RANGE}]") for line in lines)
 
 
 class TestCurvatureCommand:
@@ -284,6 +305,12 @@ class TestEndsCommand:
         path, reason = _past_the_root_bound(tmp_path)
         assert main(["ends", path]) == 3
         assert capsys.readouterr() == ("", f"numeric error: {reason}\n")
+
+    @_FAR_ZEROS
+    def test_zero_outside_float_range_exits_3_in_one_line(self, tmp_path, capsys, f0, f1):
+        # before: a ValueError traceback below float range, and an integer division error above it
+        assert main(["ends", _zero_outside_float_range(tmp_path, f0, f1)]) == 3
+        assert capsys.readouterr() == ("", f"numeric error: {_OUT_OF_FLOAT_RANGE}\n")
 
 
 class TestTransformCommand:

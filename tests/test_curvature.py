@@ -19,14 +19,10 @@ from u2metrics.catalog import catalog_get, catalog_names
 from u2metrics.classify import classify, sample_grid
 from u2metrics.curvature import (
     CurvatureSample,
-    bach,
     curvature_sample,
-    delta_w_potential,
     kahler_scalar_curvature,
     ricci_form_kahler,
     scalar_curvature,
-    tf_ricci,
-    weyl,
     weyl_energy,
 )
 from u2metrics.exppoly import ExpPoly
@@ -111,25 +107,20 @@ class TestFlat:
     def test_everything_vanishes(self):
         m = catalog_get("flat")
         for z in (-1.5, 0.0, 2.0):
+            cs = curvature_sample(m, z)
             assert scalar_curvature(m, z) == pytest.approx(0.0, abs=1e-12)
-            assert max(abs(v) for v in tf_ricci(m, z)) < 1e-12
-            assert max(abs(v) for v in weyl(m, z)) < 1e-12
-            assert max(abs(v) for v in bach(m, z)) < 1e-12
+            assert max(abs(v) for v in (cs.ric0_a, cs.ric0_b)) < 1e-12
+            assert max(abs(v) for v in (cs.w_plus, cs.w_minus, cs.w_plus_norm2, cs.w_minus_norm2)) < 1e-12
+            assert max(abs(v) for v in (cs.bach_B1, cs.bach_B2)) < 1e-12
 
     @pytest.mark.parametrize("z", [360.0, 400.0])
     def test_projection_survives_an_unrelated_component_out_of_range(self, z):
         # C = e^{-z}, so g = C^{-1/2} = e^{z/2}: g⁴ overflows past z ≈ 354.9 and g² only past
-        # z ≈ 709.8, so Bach (0·g⁴) leaves float range there, but s, tf-Ric, Weyl, P± and ρ± do not
+        # z ≈ 709.8, so Bach (0·g⁴) leaves float range there, but s and ρ± do not
         m = catalog_get("flat")
         with pytest.raises(ArithmeticError, match=f"^bach_B1 is not finite at z={z}$"):
             curvature_sample(m, z)
-        with pytest.raises(ArithmeticError, match=f"^bach_B1 is not finite at z={z}$"):
-            bach(m, z)
         assert scalar_curvature(m, z) == 0.0
-        assert tf_ricci(m, z) == (0.0, 0.0)
-        assert weyl(m, z) == (0.0, 0.0, 0.0, 0.0)
-        assert delta_w_potential(m, 1, z) == 0.0
-        assert delta_w_potential(m, -1, z) == 0.0
         assert ricci_form_kahler(m, z) == (0.0, 0.0)
 
     def test_every_component_representable_where_c_is_large(self):
@@ -140,15 +131,13 @@ class TestFlat:
         assert (cs.s, cs.ric0_a, cs.ric0_b, cs.bach_B1, cs.bach_B2) == (0.0,) * 5
         assert (cs.w_plus_norm2, cs.w_minus_norm2, cs.delW_plus_pot, cs.delW_minus_pot) == (0.0,) * 4
 
-    @pytest.mark.parametrize("name,z,field", [
-        ("bach", 400.0, "bach_B1"),  # before: (nan, nan), g⁴ = inf times 0
-        ("delta_w_potential", 600.0, "delW_plus_pot"),  # e^{900} overflows math.exp
+    @pytest.mark.parametrize("z,field", [
+        (400.0, "bach_B1"),  # before: (nan, nan), g⁴ = inf times 0
+        (600.0, "delW_plus_pot"),  # e^{900} overflows math.exp; it comes before bach_B1 in field order
     ])
-    def test_float_result_is_finite_or_raises_by_name(self, name, z, field):
-        m = catalog_get("flat")
-        f = {"bach": bach, "delta_w_potential": lambda m, z: delta_w_potential(m, 1, z)}[name]
+    def test_float_result_is_finite_or_raises_by_name(self, z, field):
         with pytest.raises(ArithmeticError, match=f"^{field} is not finite at z={z}$"):
-            f(m, z)
+            curvature_sample(catalog_get("flat"), z)
 
     def test_float_and_array_raise_alike(self):
         # one finiteness rule for both carriers: the same field at the same z.
@@ -157,7 +146,6 @@ class TestFlat:
         m = catalog_get("flat")
         for f, z, zs, field in [
             (curvature_sample, 400.0, [300.0, 400.0], "bach_B1"),
-            (bach, 400.0, [300.0, 400.0], "bach_B1"),
             (curvature_sample, 500.0, [400.0, 500.0], "delW_plus_pot"),
         ]:
             with pytest.raises(ArithmeticError) as on_float:
@@ -171,7 +159,8 @@ class TestTaubNut:
     def test_ricci_flat(self):
         m = catalog_get("taub-nut", {"m": 1.0})
         for z in _grid(m):
-            assert max(abs(v) for v in tf_ricci(m, z)) < 1e-10
+            cs = curvature_sample(m, z)
+            assert max(abs(cs.ric0_a), abs(cs.ric0_b)) < 1e-10
             assert abs(scalar_curvature(m, z)) < 1e-10
 
     def test_self_dual_weyl(self):
@@ -313,11 +302,6 @@ class TestDeltaWPotential:
             cs = curvature_sample(m, z)
             assert (cs.F, cs.C) == (poly.eval(z), conformal_value(m, z))
             assert scalar_curvature(m, z) == cs.s
-            assert tf_ricci(m, z) == (cs.ric0_a, cs.ric0_b)
-            assert weyl(m, z) == (cs.w_plus, cs.w_minus, cs.w_plus_norm2, cs.w_minus_norm2)
-            assert bach(m, z) == (cs.bach_B1, cs.bach_B2)
-            assert delta_w_potential(m, 1, z) == cs.delW_plus_pot
-            assert delta_w_potential(m, -1, z) == cs.delW_minus_pot
             if m.tag in ("Jplus", "Jminus"):
                 rho = ricci_form_kahler(m, z)
                 # ρ of the Kähler orientation is s/4
@@ -328,17 +312,12 @@ class TestDeltaWPotential:
                 with pytest.raises(NotKahlerError):
                     ricci_form_kahler(m, z)
 
-    @pytest.mark.parametrize("sign", ["plus", "+", "minus", "-", "plu", "", 0, 2, None])
-    def test_unknown_sign_raises(self, sign):
-        with pytest.raises(ValueError):
-            delta_w_potential(catalog_get("page"), sign, 0.5)
-
     def test_constant_on_half_harmonic_plus_metric(self):
         # page is tagged half_harmonic_plus with W⁺ ≠ 0 (it is not asd)
         m = catalog_get("page")
         rep = classify(m)
         assert rep.verdict("half_harmonic_plus") == "yes" and rep.verdict("asd") == "no"
-        pots = [delta_w_potential(m, 1, z) for z in sample_grid(m.domain, 32)]
+        pots = [curvature_sample(m, z).delW_plus_pot for z in sample_grid(m.domain, 32)]
         assert abs(pots[0]) > 1e-3
         assert max(pots) - min(pots) <= 1e-12 * abs(pots[0])
 

@@ -603,6 +603,24 @@ class TestRealRoots:
         with pytest.raises(ExpPolyError, match=re.escape(want)):
             ExpPoly(terms).real_roots()
 
+    @pytest.mark.parametrize("terms, x", [
+        ([(0, -1e-300), (1, 1e300)], "e^z"),  # x = 1e-600: −f₀/f₁ rounds to 0.0
+        ([(0, -1e300), (1, 1e-300)], "e^z"),  # x = 1e600: −f₀/f₁ overflows
+        ([(0, 1e-300), (1, -1e300), (2, 1e300)], "e^z"),  # x ≈ 1e-600 and x ≈ 1: ldexp rounds to 0.0
+        ([(0, 1e300), (1, -1e300), (2, 1e-300)], "e^z"),  # x ≈ 1 and x ≈ 1e600: ldexp overflows
+        ([(0, -1e-300), (Fraction(1, 2), 1e300)], "e^(z/2)"),
+    ], ids=["linear-below", "linear-above", "bisected-below", "bisected-above", "half-integer"])
+    def test_zero_outside_float_range_raises(self, terms, x):
+        # before: math.log(0.0) raised "math domain error", and the int division an OverflowError
+        want = f"a real zero lies outside float range: its x = {x} is past the largest float or below the least"
+        with pytest.raises(ExpPolyError, match=f"^{re.escape(want)}$"):
+            ExpPoly(terms).real_roots()
+
+    def test_zero_at_the_edges_of_float_range_keeps_its_bits(self):
+        # x at the least subnormal and near the largest float are still floats
+        assert ExpPoly([(0, -5e-324), (1, 1.0)]).real_roots() == [(math.log(5e-324), 1)]
+        assert ExpPoly([(0, -1e300), (1, 1e-8)]).real_roots() == [(math.log(1e300 / 1e-8), 1)]
+
 
 # ---------------------------------------------------------------- the carrier
 # An exact polynomial is stored as int numerators over one reduced positive
