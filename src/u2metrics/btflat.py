@@ -11,13 +11,14 @@ F1, F2 and T (functional ∫|W|² + t∫s², Gursky–Viaclovsky 2016) are writt
 once, with no square root, in C and d = C′/C: F1res = C·(s − s[F, C]) is an
 F-only part plus C·s + 12F′·d − 6F·d² + 12F·C″/C, and F2res and T are
 (8/3)(L⁺L⁻F − 1) and 16·B(F,F) plus t·C times a polynomial in F's jet, d,
-C″/C, s and s′.  One body serves the float flow and float or array residuals,
-whose closed-form states ``state_from_metric`` reads from the jets, s and s′.
+C″/C, s and s′.  One body serves the float flow and float or array residuals.
+A closed form's state is built where it is read (``state_from_metric`` from the
+jets, ``bt_grid_residual`` from a kept curvature sample): over an array z every
+field is an array but a pinned s, which is one float.
 """
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .curvature import CurvatureSample, _checked, _scalar_from_jets, _scalar_prime_from_jets
@@ -116,16 +117,15 @@ class BtTrajectory(_Record):
 
 
 # ----------------------------------------------------------------- residuals
-# The helpers take the state's fields as floats (the flow) or as 1-D arrays
-# over z (a grid; a float field such as a pinned s stands for every z).
+# The helpers take the state's fields as floats (the flow) or, as both closed-form
+# builders make them, F and C and their jets as 1-D arrays over z (s may be one pinned float).
 def _guard(z, F, C):
     """The one singular-state decision of every B^t formula: raises
     :class:`SingularSystemError` at the first z where C ≤ 0, F = 0 or C·F
     underflows to 0.  Every division below is by C, F, 2F, 12F or C·F, so
     past this guard none of them can raise."""
     if is_array(z):  # the first singular z, checked as a float state's
-        import numpy as np
-        hit = at_first((C <= 0.0) | (F == 0.0) | (C * F == 0.0), *np.broadcast_arrays(z, F, C))
+        hit = at_first((C <= 0.0) | (F == 0.0) | (C * F == 0.0), z, F, C)
         if hit is None:
             return
         z, F, C = hit
@@ -182,11 +182,7 @@ def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
     def residuals():
         tv = tval(state, t)  # which guards F and C first
         coef, rest = _f1_parts(F, F1, F2, C, C1, s)
-        out = coef * C2d / C + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d), tv
-        if is_array(z):  # each residual over every z, though a float field stands for them all
-            import numpy as np
-            out = np.broadcast_arrays(z, *out)[1:]
-        return out
+        return coef * C2d / C + rest, _f2_value(t, F, F1, F2, C, C1, s, K / (C * F), F4d, C2d), tv
 
     return _checked(z, residuals, "F1res F2res Tval")
 
@@ -490,21 +486,6 @@ def bt_nonextremal_search(
 
 
 # -------------------------------------------------- residuals for closed forms
-_Jets = namedtuple("_Jets", "z F F1d F2d F3d F4d C C1d C2d s s1d")  # what a B^t state reads of a sample
-
-
-def _state_from_sample(cs, s_const: Optional[float] = None) -> tuple:
-    """(BtState, F4d, C2d) read from a curvature sample or its ``_Jets``, with
-    K = C·F·s′; ``s_const`` pins s to a constant with s′ = 0.  Of an array
-    sample, the fields are arrays over z (s is the one float ``s_const`` when
-    given).  A non-finite ``s_const`` raises ValueError."""
-    if s_const is not None and not math.isfinite(s_const):
-        raise ValueError(f"s_const must be finite, got {s_const!r}")
-    s_val, s1 = (cs.s, cs.s1d) if s_const is None else (float(s_const), 0.0)
-    state = BtState(cs.z, cs.F, cs.F1d, cs.F2d, cs.F3d, cs.C, cs.C1d, s_val, cs.C * cs.F * s1)
-    return state, cs.F4d, cs.C2d
-
-
 def state_from_metric(m: MetricSpec, z, s_const: Optional[float] = None) -> tuple:
     """(BtState, F4d, C2d) sampled from a closed-form metric at z, a float or
     a 1-D array (then every field is an array over z but a pinned s).
@@ -513,14 +494,20 @@ def state_from_metric(m: MetricSpec, z, s_const: Optional[float] = None) -> tupl
     ``curvature_sample(m, z)`` gives them: s is the scalar curvature and
     K = CFs′ uses the analytic s′ from the same jets; ``s_const`` instead
     pins s to a constant with s′ = 0.  Raises where the jets do, and under
-    curvature's finiteness rule for these fields alone.
+    curvature's finiteness rule for these fields alone; then a non-finite
+    ``s_const`` raises ValueError.
     """
     def jets():
         fj = jet_F(m, z)
         c, g = jet_C(m, z)
-        return _Jets(z, *fj, *c[:3], _scalar_from_jets(fj, g), _scalar_prime_from_jets(fj, g))
+        return (z, *fj, *c[:3], _scalar_from_jets(fj, g), _scalar_prime_from_jets(fj, g))
 
-    return _state_from_sample(_checked(z, jets, " ".join(_Jets._fields)), s_const)
+    z, F, F1d, F2d, F3d, F4d, C, C1d, C2d, s, s1d = _checked(z, jets, "z F F1d F2d F3d F4d C C1d C2d s s1d")
+    if s_const is not None:
+        if not math.isfinite(s_const):
+            raise ValueError(f"s_const must be finite, got {s_const!r}")
+        s, s1d = float(s_const), 0.0
+    return BtState(z, F, F1d, F2d, F3d, C, C1d, s, C * F * s1d), F4d, C2d
 
 
 def bt_grid_residual(cs: CurvatureSample, t: float) -> float:
@@ -534,5 +521,5 @@ def bt_grid_residual(cs: CurvatureSample, t: float) -> float:
     import numpy as np
     c, c1d = cs.C, cs.C1d
     scale = 1.0 + c**1.5 * (1.0 + np.abs(cs.s)) + (c1d * c1d) / np.maximum(c, 1e-30)
-    state, f4d, c2d = _state_from_sample(cs)
-    return float(np.max(np.abs(bt_residuals(state, t, f4d, c2d)) / scale))
+    state = BtState(cs.z, cs.F, cs.F1d, cs.F2d, cs.F3d, c, c1d, cs.s, c * cs.F * cs.s1d)
+    return float(np.max(np.abs(bt_residuals(state, t, cs.F4d, cs.C2d)) / scale))

@@ -61,7 +61,7 @@ class PredicateResult(_Record):
 
 class ClassificationReport(_Record):
     """A metric's predicate results by name, at tol, on ``sample_grid``'s default
-    grid (its text and tree give that grid's grid_n, 64, not its 63 points)."""
+    grid (its text and tree give that grid's grid_n, 64, not its 63 or 64 points)."""
 
     __hash__, __setattr__, __delattr__ = None, object.__setattr__, object.__delattr__
 
@@ -109,8 +109,9 @@ class ClassificationReport(_Record):
 @lru_cache(maxsize=256, typed=True)  # bounded: a parameter sweep makes a new domain per spec
 def sample_grid(domain: Domain, grid_n: int = _GRID_N) -> np.ndarray:
     """Interior sample points, geometrically clustered toward both ends:
-    2·(grid_n // 2) − 1 of them for grid_n ≥ 4 (the two halves share the
-    midpoint) and 2 for grid_n = 2 or 3.
+    2·(grid_n // 2) − 1 of them for grid_n ≥ 4 when the two halves share the
+    midpoint, and one more when lo + L/2 and hi − L/2 round apart (64 for
+    ``Domain(-36.56, 48.18)``); 2 for grid_n = 2 or 3.
 
     The sampled window is the domain itself when finite (shrunk 1% from each
     endpoint) and a finite sub-window when unbounded.  Raises ``ValueError``

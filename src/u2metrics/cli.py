@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 from typing import Optional, Sequence
@@ -40,8 +41,6 @@ __all__ = ["main"]
 # non-finite curvature field; ExpPolyError covers real_roots' degree bound and
 # a zero outside float range
 _NUMERIC_ERRORS = (ArithmeticError, SeedError, SearchFailure, OutOfDomainError, ExpPolyError)
-# argparse reads "--grid -1:1:3" as an option, so a negative start takes the "=" form
-_GRID_HELP = "a:b:n; write --grid=a:b:n when a is negative"
 
 
 class _UsageError(Exception):
@@ -301,7 +300,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("curvature", help="sample curvature quantities on a grid, as TSV")
     p.add_argument("file")
-    p.add_argument("--grid", required=True, help=_GRID_HELP)
+    p.add_argument("--grid", required=True, help="a:b:n")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_curvature)
 
@@ -330,7 +329,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("file")
     pr.add_argument("--t", type=float, required=True)
     pr.add_argument("--s", default=None, help="const:<v> to pin scalar curvature")
-    pr.add_argument("--grid", required=True, help=_GRID_HELP)
+    pr.add_argument("--grid", required=True, help="a:b:n")
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=_cmd_bt_residuals)
     pi = bsub.add_parser("integrate")
@@ -357,6 +356,11 @@ def _build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads the value in "--grid -1:1:3" as an option; "--grid=-1:1:3" it reads as the value
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--grid", "--span") and re.match(r"-[0-9.]", argv[i + 1]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
         if not math.isfinite(getattr(args, "t", None) or 0.0):  # classify's --t (None: unset) and bt's

@@ -207,18 +207,23 @@ class TestStateFromMetric:
         assert all(math.isfinite(v) for v in (*state, f4d, c2d))
         assert state[1:8] == (1.0, 0.0, 0.0, 0.0, m.c_ratio[0].eval(400.0), -m.c_ratio[0].eval(400.0), 0.0)
 
+    @staticmethod
+    def _state_of_sample(cs, s_const):
+        """(BtState, F4d, C2d) built from a whole curvature sample's fields."""
+        s, s1d = (cs.s, cs.s1d) if s_const is None else (float(s_const), 0.0)
+        return BtState(cs.z, cs.F, cs.F1d, cs.F2d, cs.F3d, cs.C, cs.C1d, s, cs.C * cs.F * s1d), cs.F4d, cs.C2d
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_equals_the_state_read_from_curvature_sample(self, name):
-        # the state as it was read from a whole curvature sample, at every point of the
-        # classify grid and as one array state over it
+        # bit for bit, at every point of the classify grid and as one array state over it
         m = catalog_get(name)
         grid = sample_grid(m.domain)
-        for s_const in (None, 0.0):
+        for s_const in (None, 0.0, 0.7):
             for z in grid.tolist():
-                want = btflat._state_from_sample(curvature_sample(m, z), s_const)
+                want = self._state_of_sample(curvature_sample(m, z), s_const)
                 assert repr(state_from_metric(m, z, s_const)) == repr(want), (z, s_const)
             got = state_from_metric(m, grid, s_const)
-            want = btflat._state_from_sample(curvature_sample(m, grid), s_const)
+            want = self._state_of_sample(curvature_sample(m, grid), s_const)
             for x, y in zip((*got[0], *got[1:]), (*want[0], *want[1:])):
                 assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
@@ -467,13 +472,14 @@ class TestArrayResiduals:
         F, C = np.array(F), np.array(C)
         return BtState(z, F, 0.1 * z, 0.2 * z, 0.0 * z, C, 0.3 * z, 0.5, 0.0 * z), z
 
-    def test_float_fields_stand_for_every_z(self):
-        # z is the one array field, so T is a float until it is broadcast over z
-        z = np.array([0.1, 0.2])
-        state = BtState(0.0, 1.0, 0.1, 0.0, 0.0, 1.0, 0.0, 0.5, 0.0)
-        want = bt_residuals(state, 1.0, 0.0, 0.0)
-        got = bt_residuals(state._replace(z=z), 1.0, 0.0 * z, 0.0 * z)
-        assert [r.tolist() for r in got] == [[w, w] for w in want]
+    def test_pinned_s_gives_an_array_per_residual(self):
+        # s is the one float field of the state
+        m = catalog_get("taub-bolt")
+        grid = sample_grid(m.domain)
+        state, f4d, c2d = state_from_metric(m, grid, 0.0)
+        assert type(state.s) is float
+        got = bt_residuals(state, 1.0, f4d, c2d)
+        assert len(got) == 3 and all(isinstance(r, np.ndarray) and r.shape == grid.shape for r in got)
 
     def test_vanishing_f_names_its_z(self):
         state, z = self._state()

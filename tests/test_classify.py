@@ -333,10 +333,13 @@ class TestSampleGrid:
             sample_grid(d, n)
         assert str(before.value) == str(after.value) == f"grid_n must be an int >= 2, got grid_n={n!r}"
 
-    @pytest.mark.parametrize("n,count", [(2, 2), (3, 2), (4, 3), (5, 3), (64, 63)])
-    def test_point_count(self, n, count):
-        # the two halves share the midpoint
-        assert len(sample_grid(Domain(0.0, 1.0), n)) == count
+    @pytest.mark.parametrize("lo,hi,n,count", [
+        (0.0, 1.0, 2, 2), (0.0, 1.0, 3, 2), (0.0, 1.0, 4, 3), (0.0, 1.0, 5, 3), (0.0, 1.0, 64, 63),
+        (-36.56, 48.18, 64, 64),  # the halves' midpoints round apart: 5.809999999999995 and 5.810000000000002
+    ])
+    def test_point_count(self, lo, hi, n, count):
+        # the two halves share the midpoint when it rounds alike from both ends
+        assert len(sample_grid(Domain(lo, hi), n)) == count
 
     def test_repeat_call_returns_the_same_grid(self):
         grid = sample_grid(Domain(-1.5, 2.0), 40)

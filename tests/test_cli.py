@@ -540,6 +540,38 @@ def test_numpy_loads_only_for_the_readme_commands_that_make_an_array(tmp_path):
     assert dataclasses == set()
 
 
+class TestNegativeRangeStart:
+    """A --grid or --span value with a negative start may follow its flag as a separate argument."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["curvature", "METRIC"], "--grid", "-1:1:3"),
+        (["curvature", "METRIC"], "--grid", "-.5:1:2"),
+        (["bt", "residuals", "METRIC", "--t", "1"], "--grid", "-1:1:3"),
+        (["bt", "integrate", "--t", "1", "--init", "SEED"], "--span", "-1:0"),
+    ], ids=["curvature", "curvature-dot", "bt-residuals", "bt-integrate"])
+    def test_both_spellings_give_the_same_output(self, tmp_path, capsys, command, flag, value):
+        # before: "--grid -1:1:3" exited 1 with "argument --grid: expected one argument"
+        seed = tmp_path / "seed.txt"
+        seed.write_text("z 0.0\nF 1.3\nF1d 0.4\nF2d -0.2\nF3d 0.1\nC 1.0\nC1d 0.3\ns 0.5\nK 0.0\n")
+        paths = {"METRIC": _write_metric(tmp_path, "flat"), "SEED": str(seed)}
+        argv = [paths.get(a, a) for a in command]
+        runs = []
+        for i, spelling in enumerate(([f"{flag}={value}"], [flag, value])):
+            out = tmp_path / f"out{i}.tsv"
+            assert main([*argv, *spelling]) == 0
+            printed = capsys.readouterr()
+            assert main([*argv, *spelling, "--out", str(out)]) == 0
+            runs.append((printed, capsys.readouterr(), out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].out.count("\n") > 2
+
+    def test_a_flag_as_the_value_stays_a_usage_error(self, tmp_path, capsys):
+        path = _write_metric(tmp_path, "flat")
+        assert main(["curvature", path, "--grid", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr() == ("", "usage error: argument --grid: expected one argument\n")
+        assert not (tmp_path / "x").exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -2,7 +2,8 @@
 defines a private name that nothing references or takes a parameter that its
 function never reads, imports numpy when it is itself imported, or imports a
 package module from inside a function or from a layer above its own, and every
-function the benchmark tracer wraps still exists, as does every name a module's
+function the benchmark tracer wraps still exists, as does every ``u2metrics``
+name a benchmark file imports or reads off an imported module, every name a module's
 ``__all__`` lists or ``__init__.py`` imports, and no module but ``numerics``
 names a function (or the error) that only the tracer still wraps.
 
@@ -14,7 +15,9 @@ are the package's re-exports.
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
+from typing import Optional
 
 import pytest
 
@@ -23,6 +26,7 @@ import u2metrics
 PACKAGE = pathlib.Path(u2metrics.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH_FILES = sorted(TRACER.parent.glob("*.py"))
 
 
 def _imported(tree) -> dict:
@@ -334,6 +338,99 @@ def test_tracer_target_resolves(label):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def perfbench_reads(path: pathlib.Path) -> list:
+    """(line, module, attribute path) for each ``u2metrics`` name the file at ``path``
+    reads, found with ast (the file is not imported): each ``import u2metrics…``,
+    each name of a ``from u2metrics… import``, and each ``<alias>.<name>…`` chain
+    off a name that an ``import u2metrics…`` binds, in any scope of the file.
+    Attributes read off the objects these return, such as ``m.f_poly()`` of a
+    ``catalog_get`` result, and module names written in strings are out of its reach."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads, bound = [], {}  # bound: a name an import binds -> the module it binds it to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "u2metrics":
+                    reads.append((node.lineno, a.name, ()))
+                    if a.asname:
+                        bound[a.asname] = a.name
+                    else:  # "import u2metrics.cli" binds u2metrics
+                        bound["u2metrics"] = "u2metrics"
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "u2metrics":
+            reads += [(node.lineno, node.module, (a.name,)) for a in node.names]
+    for node in ast.walk(tree):
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.insert(0, base.attr)
+            base = base.value
+        if chain and isinstance(base, ast.Name) and base.id in bound:
+            reads.append((node.lineno, bound[base.id], tuple(chain)))
+    return reads
+
+
+def _unresolved(module: str, attrs: tuple) -> Optional[str]:
+    """``module`` if it cannot be imported, else the dotted name of the first of ``attrs``
+    that neither an attribute nor a submodule gives (a module's ``from … import`` rule)."""
+    try:
+        target = importlib.import_module(module)
+    except ImportError:
+        return module
+    for i, part in enumerate(attrs):
+        if not hasattr(target, part) and inspect.ismodule(target):
+            try:  # a submodule that nothing has imported yet, which importing binds on target
+                importlib.import_module(f"{target.__name__}.{part}")
+            except ImportError:
+                pass
+        if not hasattr(target, part):
+            return ".".join((module, *attrs[: i + 1]))
+        target = getattr(target, part)
+    return None
+
+
+def unresolved_perfbench_reads(path: pathlib.Path) -> list:
+    """``file:line: name`` for each ``u2metrics`` name the file at ``path`` reads that does not resolve."""
+    hits = {(line, _unresolved(module, attrs)) for line, module, attrs in perfbench_reads(path)}
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(hit for hit in hits if hit[1] is not None)]
+
+
+# names a simplicity change could take for dead code but the benchmark reads
+PERFBENCH_ONLY = ("catalog_entry", "factor_ratio", "STATE_FIELDS", "sample_grid", "PredicateResult", "EndReport",
+                  "BtState", "bt_rhs")
+
+
+def test_perfbench_reads_the_guarded_names():
+    names = {part for p in PERFBENCH_FILES for _, module, attrs in perfbench_reads(p) for part in attrs}
+    assert set(PERFBENCH_ONLY) <= names
+    assert {"classify", "find_bolts", "classify_end", "main"} <= names  # u.<name> and u2metrics.cli.main
+
+
+@pytest.mark.parametrize("path", PERFBENCH_FILES, ids=lambda p: p.name)
+def test_perfbench_names_resolve(path):
+    # `perfbench/run.py` imports these from this checkout; a renamed or removed
+    # name would fail a workload or a check at run time
+    assert unresolved_perfbench_reads(path) == []
+
+
+def test_checker_flags_an_unresolved_perfbench_name(tmp_path):
+    src = tmp_path / "bench.py"
+    src.write_text(
+        "import u2metrics.cli\n"
+        "import u2metrics.nomod\n"
+        "from u2metrics.btflat import BtState, deleted_name\n"
+        "def f():\n"
+        "    import u2metrics as u\n"
+        "    return u.classify, u.gone, u2metrics.cli.main, u2metrics.cli.nope.x, u.btflat.BtState._fields\n"
+        "def g(m):\n"
+        "    return m.f_poly(), 'u2metrics.gone'\n"
+    )
+    assert unresolved_perfbench_reads(src) == [
+        "bench.py:2: u2metrics.nomod",
+        "bench.py:3: u2metrics.btflat.deleted_name",
+        "bench.py:6: u2metrics.cli.nope",
+        "bench.py:6: u2metrics.gone",
+    ]
 
 
 def mentions(path: pathlib.Path, name: str) -> list:
