@@ -11,7 +11,10 @@ F1, F2 and T (functional ∫|W|² + t∫s², Gursky–Viaclovsky 2016) are writt
 once, with no square root, in C and d = C′/C: F1res = C·(s − s[F, C]) is an
 F-only part plus C·s + 12F′·d − 6F·d² + 12F·C″/C, and F2res and T are
 (8/3)(L⁺L⁻F − 1) and 16·B(F,F) plus t·C times a polynomial in F's jet, d,
-C″/C, s and s′.  One body serves the float flow and float or array residuals.
+C″/C, s and s′.  The residuals read that body (T of a float state through
+``_float_tval``); the flow steps on its float carrier, the kernel ``_derivative``
+and ``_float_tval``, the same expressions in float literals, which tests check
+bit for bit against it.
 A closed form's state is built where it is read (``state_from_metric`` from the
 jets, ``bt_grid_residual`` from a kept curvature sample): over an array z every
 field is an array but a pinned s, which is one float.
@@ -151,17 +154,27 @@ def _f2_value(t, F, F1, F2, C, C1, s, s1, F4d, C2d) -> float:
     )
 
 
+def _float_tval(F, F1, F2, F3, C, C1, s, K, t) -> float:
+    """T at a float state past :func:`_guard`: ``tval``'s array body with B(F,F) in float
+    literals, whose 0.5·x and 1.5·x round as x/2 and 3·x/2 do unless one overflows or is subnormal."""
+    d = C1 / C
+    return 16.0 * ((-0.5 * F2 + 1.5 * F1 + F - 1.0) * (0.5 * F2 - 1.5 * F1 + F - 1.0)
+                   + F1 * (0.5 * F3 - 1.5 * F2 + F1)) - t * C * (
+        K / (C * F) * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
+    )
+
+
 def tval(state: BtState, t: float) -> float:
-    """The first-integral operator T at a state (third order; no C″ or F⁗); only
-    a singular or non-float state meets :func:`_guard`, as in :func:`_derivative`."""
+    """The first-integral operator T at a state (third order; no C″ or F⁗): :func:`_float_tval` of a float
+    state past :func:`_guard`, and the shared body, B(F,F) as ``b_op_jet``, of an array state past it."""
     z, F, F1, F2, F3, C, C1, s, K = state
     cf = C * F
-    if type(z) is not float or C <= 0.0 or F == 0.0 or cf == 0.0:
-        _guard(z, F, C)  # an array state, or one that raises
-    s1 = K / cf
+    if type(z) is float and not (C <= 0.0 or F == 0.0 or cf == 0.0):
+        return _float_tval(F, F1, F2, F3, C, C1, s, K, t)
+    _guard(z, F, C)  # an array state, or one that raises
     d = C1 / C
     return 16.0 * b_op_jet((F, F1, F2, F3)) - t * C * (
-        s1 * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
+        K / cf * (18.0 * F * d + 6.0 * F1) + 0.75 * s * (4.0 * F - 16.0 + C * s + 12.0 * F * d * d + 8.0 * F1 * d)
     )
 
 
@@ -188,34 +201,35 @@ def bt_residuals(state: BtState, t: float, F4d, C2d) -> tuple:
 
 
 # ----------------------------------------------------------------------- flow
-def _derivative(state: Sequence[float], t: float) -> list:
-    """The flow's float kernel: the derivative [F′, F″, F‴, F⁗, C′, C″, s′, 0.0].
+def _derivative(z, F, F1, F2, C, C1, s, K, t) -> tuple:
+    """The flow's float kernel: (F⁗, C″, s′) at a state given positionally but for F‴, which it does
+    not read; the rest of the derivative is the state's own F′, F″, F‴ and C′, and K′ = 0.
 
-    ``state`` is any (z, F, F′, F″, F‴, C, C′, s, K) sequence of floats: a
-    :class:`BtState` or an integrator stage's plain tuple.  Solves F1 = 0 for
-    C″ = −C·rest/(12F) (the coefficient of C″ is 12F/C) and then F2 = 0 for
-    F⁗ (coefficient 2/3); raises :class:`SingularSystemError` at
-    :func:`_guard`'s singular states and when |12F/C| falls below 1e-12.
+    Solves F1 = 0 for C″ = −C·rest/(12F) (the coefficient of C″ is 12F/C) and then F2 = 0 for F⁗
+    (coefficient 2/3), with :func:`_f1_parts`' and :func:`_f2_value`'s expressions written out in
+    their operand order; raises :class:`SingularSystemError` at :func:`_guard`'s singular states
+    and when |12F/C| falls below 1e-12.
     """
-    z, F, F1, F2, F3, C, C1, s, K = state
     cf = C * F
     if C <= 0.0 or F == 0.0 or cf == 0.0:  # C = inf makes C·F nan at F = 0
         _guard(z, F, C)  # raises, naming z and the condition
-    coef, rest = _f1_parts(F, F1, F2, C, C1, s)
+    coef, d = 12.0 * F, C1 / C
     if abs(coef) < _COEF_FLOOR * C:  # |12F/C|, without forming a quotient that may overflow
         raise SingularSystemError(f"F1 solve for C'' is singular (coefficient {coef / C:g})")
-    C2d = -C * rest / coef
+    C2d = -C * (12.0 * F1 * d - 6.0 * F * d * d + 4.0 * (F2 + 0.5 * F - 2.0) + C * s) / coef
     s1 = K / cf
-    # F2 = (2/3)·F⁗ + rest
-    F4d = -_f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d) / (2.0 / 3.0)
-    return [F1, F2, F3, F4d, C1, C2d, s1, 0.0]
+    # F2 = (2/3)·F⁗ + rest; F − 1.25F″ is _f2_value's 0.25·0.0 − 1.25F″ + F, as F ≠ 0
+    return -((8.0 / 3.0) * (F - 1.25 * F2 - 1.0) + t * C * (
+        s * (0.75 * d * d - 0.5 * C2d / C - 0.25) + s1 * (d + F1 / (2.0 * F)))) / (2.0 / 3.0), C2d, s1
 
 
 def bt_rhs(state: Sequence[float], t: float) -> tuple:
-    """The kernel ``_derivative`` as a float64 array, with F⁗ and C″, for callers other than the stepper."""
+    """The derivative (F′, F″, F‴, F⁗, C′, C″, s′, 0.0) as a float64 array, with F⁗
+    and C″: the kernel :func:`_derivative` for callers other than the stepper."""
     import numpy as np
-    d = _derivative(state, t)
-    return np.array(d, np.float64), d[3], d[5]
+    z, F, F1, F2, F3, C, C1, s, K = state
+    F4d, C2d, s1 = _derivative(z, F, F1, F2, C, C1, s, K, t)
+    return np.array([F1, F2, F3, F4d, C1, C2d, s1, 0.0], np.float64), F4d, C2d
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980), which bt_integrate unpacks
@@ -250,16 +264,16 @@ def bt_integrate(
     steps and once |h| < 1e-14·max(1, |z|).  The pair is first-same-as-last:
     the seventh stage is evaluated at (z + h, y5), so on acceptance it is the
     next step's first stage, and a step costs six calls of the float kernel
-    ``_derivative``, with one more for ``init``'s derivative (never
-    ``bt_rhs``).  K is carried, never
-    integrated, so it keeps its initial value (a −0.0 turns 0.0 on a forward
-    step); the drift of the first integral T is in ``max_T_drift``.
+    ``_derivative``, with one more for ``init``'s derivative (never ``bt_rhs``).
+    K is carried, never integrated, so it keeps its initial value (a −0.0 turns
+    0.0 on a forward step); the drift of the first integral T is in ``max_T_drift``.
 
     One step is unrolled over named float locals, with no lists: each stage
-    is one kernel call on a plain (z, F, …, K) tuple written out component by
-    component and its derivative unpacked into locals, as are the kernel,
-    ``tval``, the tableau, ``_MAX_STEPS`` and the counts (written back on
-    every exit); an accepted state and its sample are built as ``_make`` does.  Each
+    names its F′, F″, F‴ and C′ (its k for F, F′, F″ and C) and unpacks the
+    F⁗, C″ and s′ of one positional kernel call, and each sample's T is one
+    ``_float_tval`` call (never ``tval``); the kernel, that helper, the tableau,
+    ``_MAX_STEPS`` and the counts (written back on every exit) are locals, and
+    an accepted state and its sample are built as ``_make`` does.  Each
     weighted sum runs left to right from 0.0, so no partial sum is −0.0 and
     a term 0.0·k would leave it as it is for any finite k: the zero weights
     b₂ = e₂ = b₇ = 0 are left out and the seventh stage's input is y5
@@ -283,19 +297,19 @@ def bt_integrate(
             raise ValueError(f"{name} must be finite, got {v!r}")
     direction = 1.0 if b >= a else -1.0
     traj = BtTrajectory(t=t)
-    derivative, T, new, max_steps = _derivative, tval, tuple.__new__, _MAX_STEPS
+    derivative, T, new, max_steps = _derivative, _float_tval, tuple.__new__, _MAX_STEPS
     (_C2, _C3, _C4, _C5, _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
      _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7) = _DP54
 
     z = a
-    state = BtState(z, *map(float, init[1:]))  # init's own z is superseded by the span start
+    F, F1, F2, F3, C, C1, s, K = map(float, init[1:])  # init's own z is superseded by the span start
     try:
-        p0, p1, p2, p3, p4, p5, p6, _ = derivative(state, t)  # k0, the derivative at (z, F, …, s, K)
+        p3, p5, p6 = derivative(z, F, F1, F2, C, C1, s, K, t)  # k0's F⁗, C″ and s′
     except SingularSystemError as exc:
         return traj.truncate(str(exc))
-    T0 = T(state, t)
-    samples = traj.samples = [BtSample(state, p3, p5, T0)]
-    F, F1, F2, F3, C, C1, s, K = state[1:]
+    p0, p1, p2, p4 = F1, F2, F3, C1  # and its F′, F″, F‴ and C′, the state's own
+    T0 = T(F, F1, F2, F3, C, C1, s, K, t)
+    samples = traj.samples = [BtSample(BtState(z, F, F1, F2, F3, C, C1, s, K), p3, p5, T0)]
     accepted, rejected, drift, reason = 0, 0, 0.0, None
 
     h = direction * min(0.01, abs(b - a))
@@ -304,40 +318,38 @@ def bt_integrate(
         if abs(h) > abs(b - z):
             h = b - z
         Kh = K + h * 0.0  # K + h·(0.0 + …) of every stage, y5 and y4: each sum of K′ = 0.0 is 0.0
-        try:
-            q0, q1, q2, q3, q4, q5, q6, _ = derivative((
-                z + _C2 * h, F + h * (0.0 + _A21 * p0), F1 + h * (0.0 + _A21 * p1), F2 + h * (0.0 + _A21 * p2),
-                F3 + h * (0.0 + _A21 * p3), C + h * (0.0 + _A21 * p4), C1 + h * (0.0 + _A21 * p5),
-                s + h * (0.0 + _A21 * p6), Kh), t)
-            r0, r1, r2, r3, r4, r5, r6, _ = derivative((
-                z + _C3 * h, F + h * (0.0 + _A31 * p0 + _A32 * q0), F1 + h * (0.0 + _A31 * p1 + _A32 * q1),
-                F2 + h * (0.0 + _A31 * p2 + _A32 * q2), F3 + h * (0.0 + _A31 * p3 + _A32 * q3),
-                C + h * (0.0 + _A31 * p4 + _A32 * q4), C1 + h * (0.0 + _A31 * p5 + _A32 * q5),
-                s + h * (0.0 + _A31 * p6 + _A32 * q6), Kh), t)
-            w0, w1, w2, w3, w4, w5, w6, _ = derivative((
-                z + _C4 * h, F + h * (0.0 + _A41 * p0 + _A42 * q0 + _A43 * r0),
-                F1 + h * (0.0 + _A41 * p1 + _A42 * q1 + _A43 * r1),
-                F2 + h * (0.0 + _A41 * p2 + _A42 * q2 + _A43 * r2),
-                F3 + h * (0.0 + _A41 * p3 + _A42 * q3 + _A43 * r3),
-                C + h * (0.0 + _A41 * p4 + _A42 * q4 + _A43 * r4),
-                C1 + h * (0.0 + _A41 * p5 + _A42 * q5 + _A43 * r5),
-                s + h * (0.0 + _A41 * p6 + _A42 * q6 + _A43 * r6), Kh), t)
-            x0, x1, x2, x3, x4, x5, x6, _ = derivative((
-                z + _C5 * h, F + h * (0.0 + _A51 * p0 + _A52 * q0 + _A53 * r0 + _A54 * w0),
-                F1 + h * (0.0 + _A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * w1),
-                F2 + h * (0.0 + _A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * w2),
-                F3 + h * (0.0 + _A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * w3),
-                C + h * (0.0 + _A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * w4),
-                C1 + h * (0.0 + _A51 * p5 + _A52 * q5 + _A53 * r5 + _A54 * w5),
-                s + h * (0.0 + _A51 * p6 + _A52 * q6 + _A53 * r6 + _A54 * w6), Kh), t)
-            o0, o1, o2, o3, o4, o5, o6, _ = derivative((
-                z + h, F + h * (0.0 + _A61 * p0 + _A62 * q0 + _A63 * r0 + _A64 * w0 + _A65 * x0),
-                F1 + h * (0.0 + _A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * w1 + _A65 * x1),
-                F2 + h * (0.0 + _A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * w2 + _A65 * x2),
-                F3 + h * (0.0 + _A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * w3 + _A65 * x3),
-                C + h * (0.0 + _A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * w4 + _A65 * x4),
-                C1 + h * (0.0 + _A61 * p5 + _A62 * q5 + _A63 * r5 + _A64 * w5 + _A65 * x5),
-                s + h * (0.0 + _A61 * p6 + _A62 * q6 + _A63 * r6 + _A64 * w6 + _A65 * x6), Kh), t)
+        try:  # a stage's F′, F″, F‴ and C′ are its k for F, F′, F″ and C; the kernel gives the rest
+            q0, q1 = F1 + h * (0.0 + _A21 * p1), F2 + h * (0.0 + _A21 * p2)
+            q2, q4 = F3 + h * (0.0 + _A21 * p3), C1 + h * (0.0 + _A21 * p5)
+            q3, q5, q6 = derivative(z + _C2 * h, F + h * (0.0 + _A21 * p0), q0, q1, C + h * (0.0 + _A21 * p4), q4,
+                                    s + h * (0.0 + _A21 * p6), Kh, t)
+            r0, r1 = F1 + h * (0.0 + _A31 * p1 + _A32 * q1), F2 + h * (0.0 + _A31 * p2 + _A32 * q2)
+            r2, r4 = F3 + h * (0.0 + _A31 * p3 + _A32 * q3), C1 + h * (0.0 + _A31 * p5 + _A32 * q5)
+            r3, r5, r6 = derivative(z + _C3 * h, F + h * (0.0 + _A31 * p0 + _A32 * q0), r0, r1,
+                                    C + h * (0.0 + _A31 * p4 + _A32 * q4), r4,
+                                    s + h * (0.0 + _A31 * p6 + _A32 * q6), Kh, t)
+            w0 = F1 + h * (0.0 + _A41 * p1 + _A42 * q1 + _A43 * r1)
+            w1 = F2 + h * (0.0 + _A41 * p2 + _A42 * q2 + _A43 * r2)
+            w2 = F3 + h * (0.0 + _A41 * p3 + _A42 * q3 + _A43 * r3)
+            w4 = C1 + h * (0.0 + _A41 * p5 + _A42 * q5 + _A43 * r5)
+            w3, w5, w6 = derivative(z + _C4 * h, F + h * (0.0 + _A41 * p0 + _A42 * q0 + _A43 * r0), w0, w1,
+                                    C + h * (0.0 + _A41 * p4 + _A42 * q4 + _A43 * r4), w4,
+                                    s + h * (0.0 + _A41 * p6 + _A42 * q6 + _A43 * r6), Kh, t)
+            x0 = F1 + h * (0.0 + _A51 * p1 + _A52 * q1 + _A53 * r1 + _A54 * w1)
+            x1 = F2 + h * (0.0 + _A51 * p2 + _A52 * q2 + _A53 * r2 + _A54 * w2)
+            x2 = F3 + h * (0.0 + _A51 * p3 + _A52 * q3 + _A53 * r3 + _A54 * w3)
+            x4 = C1 + h * (0.0 + _A51 * p5 + _A52 * q5 + _A53 * r5 + _A54 * w5)
+            x3, x5, x6 = derivative(z + _C5 * h, F + h * (0.0 + _A51 * p0 + _A52 * q0 + _A53 * r0 + _A54 * w0), x0, x1,
+                                    C + h * (0.0 + _A51 * p4 + _A52 * q4 + _A53 * r4 + _A54 * w4), x4,
+                                    s + h * (0.0 + _A51 * p6 + _A52 * q6 + _A53 * r6 + _A54 * w6), Kh, t)
+            o0 = F1 + h * (0.0 + _A61 * p1 + _A62 * q1 + _A63 * r1 + _A64 * w1 + _A65 * x1)
+            o1 = F2 + h * (0.0 + _A61 * p2 + _A62 * q2 + _A63 * r2 + _A64 * w2 + _A65 * x2)
+            o2 = F3 + h * (0.0 + _A61 * p3 + _A62 * q3 + _A63 * r3 + _A64 * w3 + _A65 * x3)
+            o4 = C1 + h * (0.0 + _A61 * p5 + _A62 * q5 + _A63 * r5 + _A64 * w5 + _A65 * x5)
+            o3, o5, o6 = derivative(z + h, F + h * (0.0 + _A61 * p0 + _A62 * q0 + _A63 * r0 + _A64 * w0 + _A65 * x0),
+                                    o0, o1, C + h * (0.0 + _A61 * p4 + _A62 * q4 + _A63 * r4 + _A64 * w4 + _A65 * x4),
+                                    o4, s + h * (0.0 + _A61 * p6 + _A62 * q6 + _A63 * r6 + _A64 * w6 + _A65 * x6),
+                                    Kh, t)
             n0 = F + h * (0.0 + _B1 * p0 + _B3 * r0 + _B4 * w0 + _B5 * x0 + _B6 * o0)
             n1 = F1 + h * (0.0 + _B1 * p1 + _B3 * r1 + _B4 * w1 + _B5 * x1 + _B6 * o1)
             n2 = F2 + h * (0.0 + _B1 * p2 + _B3 * r2 + _B4 * w2 + _B5 * x2 + _B6 * o2)
@@ -345,17 +357,16 @@ def bt_integrate(
             n4 = C + h * (0.0 + _B1 * p4 + _B3 * r4 + _B4 * w4 + _B5 * x4 + _B6 * o4)
             n5 = C1 + h * (0.0 + _B1 * p5 + _B3 * r5 + _B4 * w5 + _B5 * x5 + _B6 * o5)
             n6 = s + h * (0.0 + _B1 * p6 + _B3 * r6 + _B4 * w6 + _B5 * x6 + _B6 * o6)
-            y5 = (z + h, n0, n1, n2, n3, n4, n5, n6, Kh)  # the seventh stage's input
-            g0, g1, g2, g3, g4, g5, g6, _ = derivative(y5, t)
+            g3, g5, g6 = derivative(z + h, n0, n1, n2, n4, n5, n6, Kh, t)  # at y5, the seventh stage
         except (SingularSystemError, OverflowError):
             err = math.nan
         else:
-            # y4
-            m0 = F + h * (0.0 + _E1 * p0 + _E3 * r0 + _E4 * w0 + _E5 * x0 + _E6 * o0 + _E7 * g0)
-            m1 = F1 + h * (0.0 + _E1 * p1 + _E3 * r1 + _E4 * w1 + _E5 * x1 + _E6 * o1 + _E7 * g1)
-            m2 = F2 + h * (0.0 + _E1 * p2 + _E3 * r2 + _E4 * w2 + _E5 * x2 + _E6 * o2 + _E7 * g2)
+            # y4; the seventh stage's k for F, F′, F″ and C is y5's n1, n2, n3 and n5
+            m0 = F + h * (0.0 + _E1 * p0 + _E3 * r0 + _E4 * w0 + _E5 * x0 + _E6 * o0 + _E7 * n1)
+            m1 = F1 + h * (0.0 + _E1 * p1 + _E3 * r1 + _E4 * w1 + _E5 * x1 + _E6 * o1 + _E7 * n2)
+            m2 = F2 + h * (0.0 + _E1 * p2 + _E3 * r2 + _E4 * w2 + _E5 * x2 + _E6 * o2 + _E7 * n3)
             m3 = F3 + h * (0.0 + _E1 * p3 + _E3 * r3 + _E4 * w3 + _E5 * x3 + _E6 * o3 + _E7 * g3)
-            m4 = C + h * (0.0 + _E1 * p4 + _E3 * r4 + _E4 * w4 + _E5 * x4 + _E6 * o4 + _E7 * g4)
+            m4 = C + h * (0.0 + _E1 * p4 + _E3 * r4 + _E4 * w4 + _E5 * x4 + _E6 * o4 + _E7 * n5)
             m5 = C1 + h * (0.0 + _E1 * p5 + _E3 * r5 + _E4 * w5 + _E5 * x5 + _E6 * o5 + _E7 * g5)
             m6 = s + h * (0.0 + _E1 * p6 + _E3 * r6 + _E4 * w6 + _E5 * x6 + _E6 * o6 + _E7 * g6)
             # each 5th/4th-order difference scaled by tol + tol·|y| (K's is 0.0: its y5 and y4 are both Kh)
@@ -369,12 +380,12 @@ def bt_integrate(
             # first same as last: the last stage is the accepted state and its derivative
             z = z + h
             F, F1, F2, F3, C, C1, s, K = n0, n1, n2, n3, n4, n5, n6, Kh
-            p0, p1, p2, p3, p4, p5, p6 = g0, g1, g2, g3, g4, g5, g6
-            Tv = T(y5, t)
+            p0, p1, p2, p3, p4, p5, p6 = n1, n2, n3, g3, n5, g5, g6
+            Tv = T(F, F1, F2, F3, C, C1, s, K, t)
             dT = abs(Tv - T0)
             if dT > drift:
                 drift = dT
-            samples.append(new(BtSample, (new(BtState, y5), g3, g5, Tv)))
+            samples.append(new(BtSample, (new(BtState, (z, F, F1, F2, F3, C, C1, s, K)), g3, g5, Tv)))
             accepted += 1
             if drift > _drift_cap:
                 reason = f"T drift {dT:g} above {_drift_cap:g} at z={z:.6g}"

@@ -671,7 +671,7 @@ class TestSquareRootFreeForms:
     def test_equation_code_has_no_square_root(self):
         tree = ast.parse(inspect.getsource(btflat))
         functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-        for name in ("_f1_parts", "_f2_value", "tval", "_derivative", "bt_residuals"):
+        for name in ("_f1_parts", "_f2_value", "tval", "_float_tval", "_derivative", "bt_residuals"):
             nodes = list(ast.walk(functions[name]))
             names = [n.id for n in nodes if isinstance(n, ast.Name)] + [
                 n.attr for n in nodes if isinstance(n, ast.Attribute)] + [
@@ -891,15 +891,16 @@ class TestBitIdentity:
 
 class TestWork:
     def _counting(self, monkeypatch, name):
-        """Count calls of ``btflat.<name>``: the kernel ``_derivative`` the
-        stepper steps with, or its array wrapper ``bt_rhs``, which it never calls."""
+        """Count calls of ``btflat.<name>``: the positional kernel ``_derivative`` and
+        float T ``_float_tval`` the stepper steps with, or ``bt_rhs`` and ``tval``,
+        which it never calls."""
         calls = {"n": 0, "raised": 0}
         real = getattr(btflat, name)
 
-        def counted(state, t):
+        def counted(*args):
             calls["n"] += 1
             try:
-                return real(state, t)
+                return real(*args)
             except Exception:
                 calls["raised"] += 1
                 raise
@@ -950,18 +951,22 @@ class TestWork:
     @pytest.mark.parametrize("case", sorted(_pin_cases()))
     def test_one_tval_per_sample(self, monkeypatch, case):
         init, t, span, tol = _pin_cases()[case]
-        tvals = self._counting(monkeypatch, "tval")
+        tvals = self._counting(monkeypatch, "_float_tval")
+        wrapper = self._counting(monkeypatch, "tval")
         traj = bt_integrate(init, t, span, tol=tol)
         assert tvals["n"] == 1 + traj.steps_accepted == len(traj.samples)
+        assert wrapper["n"] == 0
 
     @pytest.mark.parametrize("case", sorted(_pin_cases()))
     def test_bt_rhs_is_the_kernel_as_an_array(self, case):
         init, t, _, _ = _pin_cases()[case]
-        d = btflat._derivative(init, t)
-        arr, f4d, c2d = bt_rhs(init, t)
+        z, F, F1, F2, F3, C, C1, s, K = init
+        f4d, c2d, s1d = btflat._derivative(z, F, F1, F2, C, C1, s, K, t)
+        arr, f4d_, c2d_ = bt_rhs(init, t)
         assert arr.dtype == np.float64
-        assert [v.hex() for v in arr.tolist()] == [v.hex() for v in d]  # bit for bit, -0.0 included
-        assert (f4d, c2d) == (d[3], d[5])
+        want = [F1, F2, F3, f4d, C1, c2d, s1d, 0.0]
+        assert [v.hex() for v in arr.tolist()] == [v.hex() for v in want]  # bit for bit, -0.0 included
+        assert (f4d_, c2d_) == (f4d, c2d)
 
     @pytest.mark.parametrize("t,seed", SEARCHES)
     def test_search_trials_stop_at_the_drift_cap(self, monkeypatch, t, seed):
@@ -987,3 +992,42 @@ class TestWork:
                 assert traj.truncated and "drift" in traj.truncation_reason
                 assert traj.max_T_drift == drifts[-1]
         assert stopped > 0
+
+
+# ------------------------------------------------------------- float carrier
+def _carrier_states():
+    """Random float states (F of both signs, K nonzero or ±0.0, C from 1e-3 to 1e6)
+    and every pin case's initial state."""
+    rng = np.random.default_rng(5301)
+    states = []
+    for _ in range(3000):
+        F = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0))
+        C = float(10.0 ** rng.uniform(-3.0, 6.0))
+        K = [0.0, -0.0, float(rng.uniform(-2.0, 2.0))][int(rng.integers(3))]
+        F1, F2, F3, C1, s = (float(v) for v in rng.uniform(-3.0, 3.0, size=5))
+        states.append(BtState(float(rng.uniform(-1.0, 1.0)), F, F1, F2, F3, C, C1, s, K))
+    return states + [case[0] for case in _pin_cases().values()]
+
+
+class TestFloatCarrier:
+    """The flow's float kernel and float T give the shared body's bits."""
+
+    @pytest.mark.parametrize("t", [-1.0, 0.5, 1.0, 2.0])
+    def test_kernel_is_the_shared_body(self, t):
+        for state in _carrier_states():
+            z, F, F1, F2, F3, C, C1, s, K = state
+            coef, rest = btflat._f1_parts(F, F1, F2, C, C1, s)
+            C2d = -C * rest / coef
+            s1 = K / (C * F)
+            F4d = -btflat._f2_value(t, F, F1, F2, C, C1, s, s1, 0.0, C2d) / (2.0 / 3.0)
+            got = btflat._derivative(z, F, F1, F2, C, C1, s, K, t)
+            assert [v.hex() for v in got] == [v.hex() for v in (F4d, C2d, s1)], state
+
+    @pytest.mark.parametrize("t", [-1.0, 0.5, 1.0, 2.0])
+    def test_float_t_is_the_jet_form(self, t):
+        states = _carrier_states()
+        columns = BtState(*(np.array(c, dtype=np.float64) for c in zip(*states)))
+        want = tval(columns, t)  # the array path: B(F,F) as operators.b_op_jet
+        for state, w in zip(states, want.tolist()):
+            got = (btflat._float_tval(*state[1:], t), tval(state, t))
+            assert [v.hex() for v in got] == [w.hex()] * 2, state

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -280,6 +281,36 @@ class TestGridCommandsMatchGoldens:
         assert main([*command.split(), str(path), *extra, "--grid=-1:3:5"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == "numeric error: conformal denominator vanishes at z=0.0\n"
+
+
+class TestFlowCommandsMatchGoldens:
+    """``bt integrate`` and ``bt search`` print and write what the benchmark's CLI
+    goldens hold, within their rtol 1e-7 and atol 1e-9: a one-ulp change of the
+    flow's kernel moves the integrated trajectory past that."""
+
+    _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\binf\b|\bnan\b)")
+
+    def _assert_close(self, got, want):
+        got, want = self._NUMBER.split(got), self._NUMBER.split(want)
+        assert len(got) == len(want)
+        for i, (a, b) in enumerate(zip(got, want)):
+            if i % 2 == 0:
+                assert a == b
+            else:
+                x, y = float(a), float(b)
+                assert abs(x - y) <= 1e-7 * max(abs(x), abs(y)) + 1e-9, (a, b)
+
+    @pytest.mark.parametrize("command", ["bt-integrate", "bt-search"])
+    def test_golden_output(self, command, tmp_path, capsys):
+        golden = json.loads(CLI_GOLDENS.read_text())[command]
+        seed = bt_csc_seed(F=1.5, F1d=0.3, F2d=-0.2, C=1.2, C1d=0.1, s=0.5, t=1.0)
+        (tmp_path / "seed.txt").write_text("".join(f"{k} {v!r}\n" for k, v in seed._asdict().items()))
+        assert main([a.format(**{"in": tmp_path, "out": tmp_path}) for a in golden["argv"]]) == 0
+        self._assert_close(capsys.readouterr().out, golden["stdout"])
+        if command == "bt-integrate":
+            traj = (tmp_path / "traj.tsv").read_text()
+            assert traj.count("\n") == golden["out"].count("\n") > 20
+            self._assert_close(traj, golden["out"])
 
 
 class TestEndsCommand:
@@ -564,6 +595,13 @@ class TestNegativeRangeStart:
             runs.append((printed, capsys.readouterr(), out.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][0].out.count("\n") > 2
+
+    @pytest.mark.parametrize("value", ["0:1:2", "-1:1:3"])
+    def test_an_abbreviated_option_is_a_usage_error(self, tmp_path, capsys, value):
+        # before: "--gri 0:1:2" ran as --grid, and "--gri -1:1:3" failed as "expected one argument"
+        path = _write_metric(tmp_path, "flat")
+        assert main(["curvature", path, "--gri", value]) == 1
+        assert capsys.readouterr() == ("", "usage error: the following arguments are required: --grid\n")
 
     def test_a_flag_as_the_value_stays_a_usage_error(self, tmp_path, capsys):
         path = _write_metric(tmp_path, "flat")
