@@ -22,6 +22,7 @@ field is an array but a pinned s, which is one float.
 from __future__ import annotations
 
 import math
+import os
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .curvature import CurvatureSample, _checked, _scalar_from_jets, _scalar_prime_from_jets
@@ -447,6 +448,82 @@ def bt_csc_seed(
     return BtState(0.0, F, F1d, f2d, 0.0, C, C1d, s, 0.0)
 
 
+def _integrate_trials(seeded: list, t: float, parent: Optional[int] = None) -> tuple:
+    """Integrate each ``(trial, init)`` of ``seeded`` in turn over z ∈ [0, 0.8], stopped at the
+    drift cap: ``(best, failures)``, ``best`` the ``(trial, residual, trajectory)`` of the largest
+    extremality residual (the earliest such trial on a tie) or None, ``failures`` the
+    ``(trial, reason)`` of each truncated or short trajectory.  A forked child passes its
+    ``parent``'s pid, and leaves by ``os._exit`` after a trial once that process is gone."""
+    best, best_res, failures = None, -1.0, []
+    for trial, init in seeded:
+        traj = bt_integrate(init, t, (0.0, 0.8), _drift_cap=_DRIFT_CAP)
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        if traj.truncated or len(traj.samples) < 5:
+            failures.append((trial, traj.truncation_reason or "too short"))
+            continue
+        res = traj.extremality_residual()
+        if res > best_res:
+            best, best_res = (trial, res, traj), res
+    return best, failures
+
+
+def _split_trials(seeded: list, t: float) -> tuple:
+    """``_integrate_trials(seeded, t)``, the first, third, … trial in the caller and the rest in
+    one forked child, which pickles its ``(best, failures)`` or the exception a trial raised
+    down a pipe.  The child leaves by ``os._exit`` on every path; a ``BaseException`` in the
+    caller kills it, and the caller reaps it on every path."""
+    import pickle
+    import signal
+
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        exit_code = 1
+        try:
+            os.close(read_fd)
+            try:
+                data = pickle.dumps(("done", _integrate_trials(seeded[1::2], t, parent)))
+            except BaseException as exc:
+                try:
+                    data = pickle.dumps(("raised", exc))
+                    pickle.loads(data)  # an exception may pickle and still not load
+                except Exception as err:
+                    data = pickle.dumps(("raised", RuntimeError(
+                        f"a search trial raised {type(exc).__name__}: {exc} in the child process, "
+                        f"and it could not be sent back: {type(err).__name__}: {err}")))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            exit_code = 0
+        finally:
+            os._exit(exit_code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            best, failures = _integrate_trials(seeded[::2], t)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"the search's child process ended with exit code {code} and no result")
+    kind, value = pickle.loads(data)
+    if kind == "raised":
+        raise value
+    theirs, their_failures = value
+    if theirs is not None and (best is None or (theirs[1], -theirs[0]) > (best[1], -best[0])):
+        best = theirs
+    return best, failures + their_failures
+
+
 def bt_nonextremal_search(
     t: float,
     trials: int = 32,
@@ -464,14 +541,25 @@ def bt_nonextremal_search(
     is stopped, truncated, at its first sample past the cap: the drift never
     decreases, so it could not be chosen, and the chosen trajectory is the
     one a full integration of every trial would choose.
+
+    Every trial is drawn and seeded here, in stream order.  When ``os.fork``
+    exists, the process may run on at least two CPUs (``os.sched_getaffinity``,
+    else ``os.cpu_count``) and at least two trials are seeded, one forked child
+    integrates every second seeded trial and this process the rest; otherwise
+    this process integrates them all.  Either way the witness, its residual and
+    a ``SearchFailure``'s text are the same bit for bit: the larger residual
+    wins, the earlier trial on a tie, and failures are listed in trial order.
+    An exception that a child's trial raises is raised here with its type and
+    message, or as a RuntimeError naming both when it cannot be pickled; one
+    raised by this process's share is raised at once, and the child is killed.
+    A profiler or a patched ``bt_integrate`` in this process sees only its share.
     """
     if not math.isfinite(t) or t == 0.0:
         raise ValueError(f"t must be finite and nonzero, got {t!r}")
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
     rng = UniformStream(seed)
-    best, best_res = None, -1.0
-    failures, skipped = [], 0
+    seeded, failures, skipped = [], [], 0
     for trial in range(trials):
         F, F1d, F2d = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
         C, C1d, s = rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
@@ -479,21 +567,17 @@ def bt_nonextremal_search(
             skipped += 1
             continue  # skip near-singular / near-ZSC draws
         try:
-            init = bt_csc_seed(F, F1d, F2d, C, C1d, s, t)
+            seeded.append((trial, bt_csc_seed(F, F1d, F2d, C, C1d, s, t)))
         except SeedError as exc:
-            failures.append(f"trial {trial}: {exc}")
-            continue
-        traj = bt_integrate(init, t, (0.0, 0.8), _drift_cap=_DRIFT_CAP)
-        if traj.truncated or len(traj.samples) < 5:
-            failures.append(f"trial {trial}: {traj.truncation_reason or 'too short'}")
-            continue
-        res = traj.extremality_residual()
-        if res > best_res:
-            best, best_res = traj, res
+            failures.append((trial, str(exc)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    split = hasattr(os, "fork") and cpus >= 2 and len(seeded) >= 2
+    best, integrated = (_split_trials if split else _integrate_trials)(seeded, t)
     if best is None:
+        listed = [f"trial {trial}: {reason}" for trial, reason in sorted(failures + integrated)]
         skips = f"{skipped} of {trials} draws skipped with |F| < 0.2 or |s| < 0.05"
-        raise SearchFailure("all trials failed: " + "; ".join(failures[:8] + [skips]))
-    return best, best_res
+        raise SearchFailure("all trials failed: " + "; ".join(listed[:8] + [skips]))
+    return best[2], best[1]
 
 
 # -------------------------------------------------- residuals for closed forms

@@ -4,8 +4,11 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import pathlib
 import re
+import signal
+import time
 import warnings
 from fractions import Fraction
 
@@ -39,6 +42,26 @@ from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical, jet_C, 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _cpus(monkeypatch, n):
+    """Make bt_nonextremal_search see ``n`` CPUs: with 1 it integrates every trial in
+    this process, with 2 it splits them with a forked child on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _counting_forks(monkeypatch):
+    """Count the ``os.fork`` calls this process makes."""
+    forks = {"n": 0}
+    real = os.fork
+
+    def counted():
+        forks["n"] += 1
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 class TestState:
@@ -382,8 +405,13 @@ class TestSearch:
 
     def test_a_zero_drift_cap_stops_every_trial(self, monkeypatch):
         monkeypatch.setattr(btflat, "_DRIFT_CAP", 0.0)  # the cap is read at call time
-        with pytest.raises(SearchFailure, match="T drift .* above 0 at z="):
-            bt_nonextremal_search(1.0, 4)
+        texts = []
+        for n in (2, 1):  # split, then in-process: the same failure text
+            _cpus(monkeypatch, n)
+            with pytest.raises(SearchFailure, match="T drift .* above 0 at z=") as info:
+                bt_nonextremal_search(1.0, 4)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("t", NON_FINITE)
     def test_rejects_non_finite_t(self, t):
@@ -431,6 +459,107 @@ class TestSearch:
         _, r1 = bt_nonextremal_search(1.0, trials=6, seed=3)
         _, r2 = bt_nonextremal_search(1.0, trials=6, seed=3)
         assert r1 == r2
+
+
+def _outcome(t, trials, seed):
+    """A search's residual and every field of every sample in float hex, or its SearchFailure text."""
+    try:
+        best, res = bt_nonextremal_search(t, trials, seed=seed)
+    except SearchFailure as exc:
+        return "failure", str(exc)
+    fields = [[v.hex() for v in (*smp.state, smp.F4d, smp.C2d, smp.Tval)] for smp in best.samples]
+    return res.hex(), fields, best.steps_accepted, best.steps_rejected, best.max_T_drift.hex(), best.truncated
+
+
+class _KeywordError(Exception):
+    """Pickles, but loading calls it with its message as a positional argument, which it refuses."""
+
+    def __init__(self, *, code):
+        super().__init__(f"code {code}")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestSplit:
+    """The search's trials split across this process and one forked child, against the same
+    search with every trial in this process."""
+
+    CASES = [(float(key.split()[0]), 32, int(key.split()[1])) for key in sorted(TestSearch.PINS)] + [
+        (1.0, trials, seed) for trials in (1, 2, 3) for seed in (1, 2, 3)
+    ]
+
+    @pytest.mark.parametrize("t,trials,seed", CASES)
+    def test_split_matches_in_process(self, monkeypatch, t, trials, seed):
+        integrated = []
+        real = btflat.bt_integrate
+
+        def recording(*args, **kwargs):
+            integrated.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(btflat, "bt_integrate", recording)
+        _cpus(monkeypatch, 1)
+        forks = _counting_forks(monkeypatch)
+        serial = _outcome(t, trials, seed)
+        assert forks["n"] == 0
+        seeded, integrated[:] = len(integrated), []
+        _cpus(monkeypatch, 2)
+        assert _outcome(t, trials, seed) == serial
+        assert forks["n"] == (1 if seeded >= 2 else 0)
+        assert len(integrated) == ((seeded + 1) // 2 if seeded >= 2 else seeded)  # this process's share
+
+    def _raising_in_child(self, monkeypatch, exc):
+        parent, real = os.getpid(), btflat.bt_integrate
+
+        def raising(*args, **kwargs):
+            if os.getpid() != parent:
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(btflat, "bt_integrate", raising)
+        _cpus(monkeypatch, 2)
+
+    def test_a_child_trials_exception_is_raised_here(self, monkeypatch):
+        self._raising_in_child(monkeypatch, ZeroDivisionError("a child's trial failed"))
+        with pytest.raises(ZeroDivisionError, match="^a child's trial failed$"):
+            bt_nonextremal_search(1.0, 8, seed=1)
+
+    def test_an_unpicklable_exception_is_named_in_a_runtime_error(self, monkeypatch):
+        class LocalError(Exception):  # a class local to a function does not pickle
+            pass
+
+        self._raising_in_child(monkeypatch, LocalError("not sendable"))
+        with pytest.raises(RuntimeError, match="raised LocalError: not sendable in the child process, and it "
+                                               "could not be sent back: AttributeError: Can't pickle local object"):
+            bt_nonextremal_search(1.0, 8, seed=1)
+
+    def test_an_exception_that_does_not_load_is_named_in_a_runtime_error(self, monkeypatch):
+        self._raising_in_child(monkeypatch, _KeywordError(code=7))
+        with pytest.raises(RuntimeError, match="raised _KeywordError: code 7 in the child process, and it "
+                                               "could not be sent back: TypeError: "):
+            bt_nonextremal_search(1.0, 8, seed=1)
+
+    def test_a_deadline_mid_search_leaves_no_child(self, monkeypatch):
+        class Deadline(BaseException):
+            pass
+
+        def on_alarm(signum, frame):
+            raise Deadline()
+
+        _cpus(monkeypatch, 2)
+        forks = _counting_forks(monkeypatch)
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        start = time.monotonic()
+        try:
+            with pytest.raises(Deadline):
+                bt_nonextremal_search(1.0, 8000, seed=1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert forks["n"] == 1  # the deadline came after the fork
+        assert time.monotonic() - start < 2.0  # the child was killed, not waited for through its 4000 trials
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_rhs_consistency_with_residuals():
@@ -981,6 +1110,7 @@ class TestWork:
 
         monkeypatch.setattr(btflat, "bt_integrate", recording)
         monkeypatch.setattr(btflat, "_DRIFT_CAP", cap)  # the cap is read at call time
+        _cpus(monkeypatch, 1)  # every trial in this process, where the recorder sees it
         best, _ = bt_nonextremal_search(t, 32, seed=seed)
         assert best in trajs and best.max_T_drift <= cap
         stopped = 0

@@ -4,8 +4,10 @@ import math
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -569,6 +571,55 @@ def test_numpy_loads_only_for_the_readme_commands_that_make_an_array(tmp_path):
     assert len(goldens) == 11
     assert loaded == {"classify-t"}
     assert dataclasses == set()
+
+
+def _children(pid: int) -> list:
+    """The pids whose parent is ``pid``, from its ``children`` file where the kernel has one."""
+    listed = pathlib.Path(f"/proc/{pid}/task/{pid}/children")
+    if listed.exists():
+        return [int(c) for c in listed.read_text().split()]
+    out = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process ended while the directory was read
+        if int(fields[1]) == pid:
+            out.append(int(stat.parent.name))
+    return out
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs: a zombie, left for a reaper outside this test, does not."""
+    try:
+        state = pathlib.Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(os, "fork")), reason="reads /proc")
+def test_a_killed_search_leaves_no_child():
+    # the search forks after seeding its 100 000 trials; SIGKILL its process and the
+    # child, which checks its parent after every trial, leaves within 2 s
+    script = (
+        "import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}  # split on any machine\n"
+        "from u2metrics.cli import main\nsys.exit(main(sys.argv[1:]))"
+    )
+    argv = [sys.executable, "-c", script, "bt", "search", "--t", "1", "--trials", "100000"]
+    proc = subprocess.Popen(argv, env=_subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        give_up = time.monotonic() + 60.0
+        while not (children := _children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < give_up
+            time.sleep(0.02)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    gone_by = time.monotonic() + 2.0
+    while any(_running(c) for c in children) and time.monotonic() < gone_by:
+        time.sleep(0.02)
+    assert not any(_running(c) for c in children)
 
 
 class TestNegativeRangeStart:

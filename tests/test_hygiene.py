@@ -1,6 +1,6 @@
 """Source hygiene: no module in the package imports a name it never uses,
 defines a private name that nothing references or takes a parameter that its
-function never reads, imports numpy when it is itself imported, or imports a
+function never reads, imports numpy or pickle when it is itself imported, or imports a
 package module from inside a function or from a layer above its own, and every
 function the benchmark tracer wraps still exists, as does every ``u2metrics``
 name a benchmark file imports or reads off an imported module, every name a module's
@@ -16,7 +16,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 from typing import Optional
 
 import pytest
@@ -236,6 +239,19 @@ def test_numpy_is_not_imported_at_module_level(path):
     # numpy is imported inside the functions that make an array, so the
     # commands that make none start without it
     assert import_time_imports(path, "numpy") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_pickle_is_not_imported_at_module_level(path):
+    # pickle is imported by the search's split alone, so no other command pays for it
+    assert import_time_imports(path, "pickle") == []
+
+
+def test_importing_the_package_loads_neither_numpy_nor_pickle():
+    script = "import sys, u2metrics, u2metrics.cli\nprint(sorted({'numpy', 'pickle'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 def test_checker_flags_an_import_time_import(tmp_path):
