@@ -448,31 +448,49 @@ def bt_csc_seed(
     return BtState(0.0, F, F1d, f2d, 0.0, C, C1d, s, 0.0)
 
 
-def _integrate_trials(seeded: list, t: float, parent: Optional[int] = None) -> tuple:
-    """Integrate each ``(trial, init)`` of ``seeded`` in turn over z ∈ [0, 0.8], stopped at the
-    drift cap: ``(best, failures)``, ``best`` the ``(trial, residual, trajectory)`` of the largest
-    extremality residual (the earliest such trial on a tie) or None, ``failures`` the
-    ``(trial, reason)`` of each truncated or short trajectory.  A forked child passes its
-    ``parent``'s pid, and leaves by ``os._exit`` after a trial once that process is gone."""
-    best, best_res, failures = None, -1.0, []
-    for trial, init in seeded:
-        traj = bt_integrate(init, t, (0.0, 0.8), _drift_cap=_DRIFT_CAP)
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
-        if traj.truncated or len(traj.samples) < 5:
-            failures.append((trial, traj.truncation_reason or "too short"))
-            continue
-        res = traj.extremality_residual()
-        if res > best_res:
-            best, best_res = (trial, res, traj), res
-    return best, failures
+def _run_trials(t: float, trials: int, seed: int, share: Optional[int] = None,
+                parent: Optional[int] = None) -> tuple:
+    """Draw ``trials`` seeds from ``UniformStream(seed)`` in stream order, skipping the near-singular
+    ones, and seed and integrate over z ∈ [0, 0.8], stopped at the drift cap, each kept draw whose
+    index ``trial − skipped`` has parity ``share`` (every kept draw when ``share`` is None):
+    ``(best, failures, skipped)``, ``best`` the ``(trial, residual, trajectory)`` of the largest
+    extremality residual (the earliest such trial on a tie) or None, ``failures`` the first eight
+    ``(trial, reason)`` of a seed that fails or a truncated or short trajectory, the most that a
+    ``SearchFailure`` lists, and ``skipped`` the number of skipped draws.  Memory stays constant in
+    ``trials``.  A forked child passes its ``parent``'s pid, and leaves by ``os._exit`` after a
+    trial once that process is gone."""
+    rng = UniformStream(seed)
+    best, best_res, failures, skipped = None, -1.0, [], 0
+    for trial in range(trials):
+        F, F1d, F2d = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        C, C1d, s = rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        if abs(F) < 0.2 or abs(s) < 0.05:
+            skipped += 1  # skip near-singular / near-ZSC draws
+        elif share is None or (trial - skipped) % 2 == share:  # a kept draw of this process's share
+            try:  # only the seed raises SeedError
+                traj = bt_integrate(bt_csc_seed(F, F1d, F2d, C, C1d, s, t), t, (0.0, 0.8), _drift_cap=_DRIFT_CAP)
+            except SeedError as exc:
+                reason = str(exc)
+            else:
+                if parent is not None and os.getppid() != parent:
+                    os._exit(1)
+                if not traj.truncated and len(traj.samples) >= 5:
+                    res = traj.extremality_residual()
+                    if res > best_res:
+                        best, best_res = (trial, res, traj), res
+                    continue
+                reason = traj.truncation_reason or "too short"
+            if len(failures) < 8:
+                failures.append((trial, reason))
+    return best, failures, skipped
 
 
-def _split_trials(seeded: list, t: float) -> tuple:
-    """``_integrate_trials(seeded, t)``, the first, third, … trial in the caller and the rest in
-    one forked child, which pickles its ``(best, failures)`` or the exception a trial raised
-    down a pipe.  The child leaves by ``os._exit`` on every path; a ``BaseException`` in the
-    caller kills it, and the caller reaps it on every path."""
+def _split_trials(t: float, trials: int, seed: int) -> tuple:
+    """``_run_trials(t, trials, seed)``, the kept draws of even index in the caller and those of odd
+    index in one forked child, which walks the stream itself and pickles its ``(best, failures,
+    skipped)`` or the exception a trial raised down a pipe; the caller's ``skipped`` is returned.
+    The child leaves by ``os._exit`` on every path; a ``BaseException`` in the caller kills it,
+    and the caller reaps it on every path."""
     import pickle
     import signal
 
@@ -489,7 +507,7 @@ def _split_trials(seeded: list, t: float) -> tuple:
         try:
             os.close(read_fd)
             try:
-                data = pickle.dumps(("done", _integrate_trials(seeded[1::2], t, parent)))
+                data = pickle.dumps(("done", _run_trials(t, trials, seed, 1, parent)))
             except BaseException as exc:
                 try:
                     data = pickle.dumps(("raised", exc))
@@ -506,7 +524,7 @@ def _split_trials(seeded: list, t: float) -> tuple:
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            best, failures = _integrate_trials(seeded[::2], t)
+            best, failures, skipped = _run_trials(t, trials, seed, 0)
             data = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -518,10 +536,10 @@ def _split_trials(seeded: list, t: float) -> tuple:
     kind, value = pickle.loads(data)
     if kind == "raised":
         raise value
-    theirs, their_failures = value
+    theirs, their_failures, _ = value
     if theirs is not None and (best is None or (theirs[1], -theirs[0]) > (best[1], -best[0])):
         best = theirs
-    return best, failures + their_failures
+    return best, failures + their_failures, skipped
 
 
 def bt_nonextremal_search(
@@ -542,39 +560,31 @@ def bt_nonextremal_search(
     decreases, so it could not be chosen, and the chosen trajectory is the
     one a full integration of every trial would choose.
 
-    Every trial is drawn and seeded here, in stream order.  When ``os.fork``
-    exists, the process may run on at least two CPUs (``os.sched_getaffinity``,
-    else ``os.cpu_count``) and at least two trials are seeded, one forked child
-    integrates every second seeded trial and this process the rest; otherwise
-    this process integrates them all.  Either way the witness, its residual and
-    a ``SearchFailure``'s text are the same bit for bit: the larger residual
-    wins, the earlier trial on a tie, and failures are listed in trial order.
-    An exception that a child's trial raises is raised here with its type and
-    message, or as a RuntimeError naming both when it cannot be pickled; one
-    raised by this process's share is raised at once, and the child is killed.
-    A profiler or a patched ``bt_integrate`` in this process sees only its share.
+    When ``os.fork`` exists, the process may run on at least two CPUs
+    (``os.sched_getaffinity``, else ``os.cpu_count``) and ``trials`` ≥ 2, one
+    child is forked before any seeding.  Each process then walks the whole
+    stream itself, in constant memory: kept draws (those not skipped) are
+    numbered in stream order, and this process seeds and integrates the
+    even-numbered ones, the child the odd-numbered ones; otherwise this
+    process runs them all.  Either way the witness, its residual and a
+    ``SearchFailure``'s text are the same bit for bit: the larger residual
+    wins, the earlier trial on a tie, and the first eight failures are listed
+    in trial order.  An exception that a child's trial raises is raised here
+    with its type and message, or as a RuntimeError naming both when it cannot
+    be pickled; one raised by this process's share is raised at once, and the
+    child is killed.  A profiler or a patched ``bt_integrate`` or
+    ``bt_csc_seed`` in this process sees only its share.
     """
     if not math.isfinite(t) or t == 0.0:
         raise ValueError(f"t must be finite and nonzero, got {t!r}")
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be an int of at least 1, got {trials!r}")
-    rng = UniformStream(seed)
-    seeded, failures, skipped = [], [], 0
-    for trial in range(trials):
-        F, F1d, F2d = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-        C, C1d, s = rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-        if abs(F) < 0.2 or abs(s) < 0.05:
-            skipped += 1
-            continue  # skip near-singular / near-ZSC draws
-        try:
-            seeded.append((trial, bt_csc_seed(F, F1d, F2d, C, C1d, s, t)))
-        except SeedError as exc:
-            failures.append((trial, str(exc)))
+    UniformStream(seed)  # a bad seed raises ValueError here, before any fork
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    split = hasattr(os, "fork") and cpus >= 2 and len(seeded) >= 2
-    best, integrated = (_split_trials if split else _integrate_trials)(seeded, t)
+    split = hasattr(os, "fork") and cpus >= 2 and trials >= 2
+    best, failures, skipped = (_split_trials if split else _run_trials)(t, trials, seed)
     if best is None:
-        listed = [f"trial {trial}: {reason}" for trial, reason in sorted(failures + integrated)]
+        listed = [f"trial {trial}: {reason}" for trial, reason in sorted(failures)]
         skips = f"{skipped} of {trials} draws skipped with |F| < 0.2 or |s| < 0.05"
         raise SearchFailure("all trials failed: " + "; ".join(listed[:8] + [skips]))
     return best[2], best[1]

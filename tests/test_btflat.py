@@ -9,6 +9,7 @@ import pathlib
 import re
 import signal
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -42,6 +43,14 @@ from u2metrics.profiles import Domain, ExpFactor, MetricSpec, canonical, jet_C, 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Every test reaps every child it forks: a leaked search child fails the test that left it."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _cpus(monkeypatch, n):
@@ -409,9 +418,15 @@ class TestSearch:
         for n in (2, 1):  # split, then in-process: the same failure text
             _cpus(monkeypatch, n)
             with pytest.raises(SearchFailure, match="T drift .* above 0 at z=") as info:
-                bt_nonextremal_search(1.0, 4)
+                bt_nonextremal_search(1.0, 64)
             texts.append(str(info.value))
         assert texts[0] == texts[1]
+        # every kept draw failed, and each process kept only its first eight failures
+        *listed, skips = texts[0].removeprefix("all trials failed: ").split("; ")
+        trials = [int(re.match(r"trial (\d+): T drift ", item).group(1)) for item in listed]
+        assert len(trials) == 8 and trials == sorted(trials)
+        skipped = int(re.fullmatch(r"(\d+) of 64 draws skipped with \|F\| < 0\.2 or \|s\| < 0\.05", skips).group(1))
+        assert 64 - skipped > 16  # more than eight kept draws in each process
 
     @pytest.mark.parametrize("t", NON_FINITE)
     def test_rejects_non_finite_t(self, t):
@@ -489,23 +504,57 @@ class TestSplit:
 
     @pytest.mark.parametrize("t,trials,seed", CASES)
     def test_split_matches_in_process(self, monkeypatch, t, trials, seed):
-        integrated = []
-        real = btflat.bt_integrate
+        seeded, integrated = [], []
+        real_seed, real_integrate = btflat.bt_csc_seed, btflat.bt_integrate
 
-        def recording(*args, **kwargs):
+        def recording_seed(*args):
+            seeded.append(args)
+            return real_seed(*args)
+
+        def recording_integrate(*args, **kwargs):
             integrated.append(args[0])
-            return real(*args, **kwargs)
+            return real_integrate(*args, **kwargs)
 
-        monkeypatch.setattr(btflat, "bt_integrate", recording)
+        monkeypatch.setattr(btflat, "bt_csc_seed", recording_seed)
+        monkeypatch.setattr(btflat, "bt_integrate", recording_integrate)
         _cpus(monkeypatch, 1)
         forks = _counting_forks(monkeypatch)
         serial = _outcome(t, trials, seed)
         assert forks["n"] == 0
-        seeded, integrated[:] = len(integrated), []
+        kept, inits = seeded[:], integrated[:]  # in-process, every kept draw is seeded and integrated
+        assert len(inits) == len(kept)  # no seed failed
+        seeded[:], integrated[:] = [], []
         _cpus(monkeypatch, 2)
         assert _outcome(t, trials, seed) == serial
-        assert forks["n"] == (1 if seeded >= 2 else 0)
-        assert len(integrated) == ((seeded + 1) // 2 if seeded >= 2 else seeded)  # this process's share
+        assert forks["n"] == (1 if trials >= 2 else 0)
+        assert seeded == kept[::2]  # this process's share: the kept draws of even index
+        assert integrated == inits[::2]
+
+    @pytest.mark.parametrize("t,trials,seed", [
+        (1.0, 4, -1), (1.0, 4, 1.5), (1.0, 0, 1), (1.0, True, 1), (0.0, 4, 1), (math.nan, 4, 1),
+    ])
+    def test_invalid_input_forks_nothing(self, monkeypatch, t, trials, seed):
+        _cpus(monkeypatch, 2)
+        forks = _counting_forks(monkeypatch)
+        with pytest.raises(ValueError):
+            bt_nonextremal_search(t, trials, seed=seed)
+        assert forks["n"] == 0
+
+    def test_memory_is_constant_in_trials(self, monkeypatch):
+        # each kept draw is seeded and integrated as it is drawn, and none is kept after its trial
+        init = bt_csc_seed(F=1.3, F1d=0.4, F2d=-0.2, C=1.0, C1d=0.3, s=0.5, t=1.0)
+        fixed = BtTrajectory(1.0, bt_integrate(init, 1.0, (0.0, 0.8)).samples[:5])
+        monkeypatch.setattr(btflat, "bt_integrate", lambda *args, **kwargs: fixed)
+        _cpus(monkeypatch, 1)
+        peaks = []
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                assert bt_nonextremal_search(1.0, trials, seed=1)[0] is fixed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 256 * 1024, peaks
 
     def _raising_in_child(self, monkeypatch, exc):
         parent, real = os.getpid(), btflat.bt_integrate
